@@ -6,7 +6,6 @@
 //!     [--floors N] [--clients N] [--requests N] [--instances N]
 //!     [--algorithm toe|koe|koe-star] [--seed N] [--keep-alive] [--compare]
 //!     [--strict-terminal true|false] [--strict-compare]
-//!     [--reactor true|false]
 //!     [--connections 0,64,1024,4096 [--active N] [--external HOST:PORT]]
 //!     [--serve HOST:PORT]
 //! ```
@@ -51,7 +50,6 @@ struct Args {
     strict_terminal: Option<bool>,
     /// `--strict-compare`: run strict off then on, print the cost ratio.
     strict_compare: bool,
-    reactor: bool,
     /// `--connections`: parked-session counts of a connection sweep.
     connections: Option<Vec<usize>>,
     /// Active client threads of the sweep.
@@ -86,7 +84,6 @@ fn parse_args() -> Result<Args, String> {
         compare: false,
         strict_terminal: None,
         strict_compare: false,
-        reactor: true,
         connections: None,
         active: 8,
         external: None,
@@ -124,13 +121,6 @@ fn parse_args() -> Result<Args, String> {
                 })
             }
             "--strict-compare" => parsed.strict_compare = true,
-            "--reactor" => {
-                parsed.reactor = match value("--reactor")?.as_str() {
-                    "true" | "on" | "1" => true,
-                    "false" | "off" | "0" => false,
-                    other => return Err(format!("--reactor expects true|false, got `{other}`")),
-                }
-            }
             "--connections" => {
                 let list = value("--connections")?;
                 let steps: Result<Vec<usize>, _> =
@@ -160,7 +150,7 @@ fn parse_args() -> Result<Args, String> {
                     "usage: http_load [--floors N] [--clients N] [--requests N] \
                      [--instances N] [--algorithm toe|koe|koe-star] [--seed N] \
                      [--keep-alive] [--compare] [--strict-terminal true|false] \
-                     [--strict-compare] [--reactor true|false] \
+                     [--strict-compare] \
                      [--connections N,N,... [--active N] [--external HOST:PORT]] \
                      [--serve HOST:PORT [--copies N]] [--router N [--copies N]]"
                         .into(),
@@ -212,14 +202,13 @@ fn main() {
         std::process::exit(1);
     }
 
-    let mut config = HttpLoadConfig {
+    let config = HttpLoadConfig {
         clients: args.clients,
         requests_per_client: args.requests_per_client,
         keep_alive: args.keep_alive,
         strict_terminal: args.strict_terminal,
         ..HttpLoadConfig::default()
     };
-    config.server.reactor = args.reactor;
 
     // Serve mode: host the venue for an --external sweep (or as one
     // shard of a --router run) and block.
@@ -250,10 +239,9 @@ fn main() {
             }
         };
         eprintln!(
-            "http_load serving venue `{}` on http://{} (reactor: {}; ctrl-c to stop)",
+            "http_load serving venue `{}` on http://{} (ctrl-c to stop)",
             venue.venue_id,
             handle.local_addr(),
-            args.reactor,
         );
         handle.join();
         return;
@@ -278,12 +266,11 @@ fn main() {
         };
         eprintln!(
             "sweeping parked connections {:?} with {} active clients x {} requests \
-             ({}; reactor: {}; host cores: {}) ...",
+             ({}; host cores: {}) ...",
             sweep.parked_steps,
             sweep.active_clients,
             sweep.requests_per_client,
             args.variant.label(),
-            args.reactor,
             host_cores(),
         );
         match run_connection_sweep(&venue, &instances, args.variant, &sweep) {
@@ -404,8 +391,7 @@ fn run_router_mode(
                 .args(["--serve", "127.0.0.1:0"])
                 .args(["--floors", &args.floors.to_string()])
                 .args(["--seed", &args.seed.to_string()])
-                .args(["--copies", &copies.to_string()])
-                .args(["--reactor", if args.reactor { "true" } else { "false" }]);
+                .args(["--copies", &copies.to_string()]);
             match ChildServer::spawn(command, std::time::Duration::from_secs(300)) {
                 Ok(child) => {
                     eprintln!("  shard-{index} on {} (pid {})", child.addr(), child.id());

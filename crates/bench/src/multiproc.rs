@@ -181,7 +181,7 @@ mod tests {
     fn listening_lines_parse() {
         assert_eq!(
             parse_listening_line(
-                "http_load serving venue `x` on http://127.0.0.1:8080 (reactor: true)\n"
+                "http_load serving venue `x` on http://127.0.0.1:8080 (ctrl-c to stop)\n"
             ),
             Some("127.0.0.1:8080".parse().unwrap())
         );

@@ -108,6 +108,19 @@ impl ParsedArgs {
         Ok(())
     }
 
+    /// Fails with a usage error naming the first flag or switch given
+    /// that is not in `allowed`.
+    pub fn accept_only(&self, allowed: &[&str]) -> Result<()> {
+        let mut given = self.values.keys().chain(&self.switches);
+        match given.find(|flag| !allowed.contains(&flag.as_str())) {
+            Some(flag) => Err(CliError::Usage(format!(
+                "unknown flag `--{flag}` for `{}` (see `ikrq help`)",
+                self.command
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// Whether a boolean switch is present.
     pub fn switch(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)

@@ -59,7 +59,8 @@ COMMANDS:
     render     Render a floorplan (optionally with the routes of a query)
                --venue PATH   --floor N (default 0)   --out PATH.svg
                --no-labels    --door-ids
-               [query flags as above to overlay its routes]
+               --from --to --delta --keywords --k --alpha --tau
+               --algorithm --budget            as for query, to overlay its routes
     serve      Serve venues over HTTP/JSON (protocol v1, docs/PROTOCOL.md)
                --venues \"a.json,b.json\"        venue documents to host
                --addr HOST:PORT                (default 127.0.0.1:8080)
@@ -69,10 +70,6 @@ COMMANDS:
                --keep-alive true|false         connection reuse (default true)
                --idle-timeout SECONDS          close idle connections after (default 30)
                --max-requests-per-conn N       recycle connections after N requests (default: unlimited)
-               --reactor true|false            idle-connection watcher: readiness reactor (default)
-                                               or the legacy 5 ms poll-sweep parker
-               --index true|false              venue index: keyword/region-accelerated queries
-                                               (default) or the original linear scans
                --koe-rows-cap N                bound on cached KoE* distance rows per venue
                                                (default: sized from a 256 MiB budget)
                --cache-capacity N              response-cache entries (default 4096, 0 disables)
@@ -96,17 +93,40 @@ COMMANDS:
 
 /// Runs a parsed command line and returns the report to print.
 pub fn run(args: &ParsedArgs) -> Result<String> {
-    match args.command.as_str() {
-        "help" => Ok(USAGE.to_string()),
-        "generate" => generate(args),
-        "stats" => stats(args),
-        "query" => query(args),
-        "batch" => batch(args),
-        "render" => render(args),
-        "serve" => serve(args),
-        "route" => route(args),
-        other => Err(CliError::UnknownCommand(other.to_string())),
+    let command: fn(&ParsedArgs) -> Result<String> = match args.command.as_str() {
+        "help" => |_| Ok(USAGE.to_string()),
+        "generate" => generate,
+        "stats" => stats,
+        "query" => query,
+        "batch" => batch,
+        "render" => render,
+        "serve" => serve,
+        "route" => route,
+        other => return Err(CliError::UnknownCommand(other.to_string())),
+    };
+    args.accept_only(&listed_flags(&args.command))?;
+    command(args)
+}
+
+/// The flags `USAGE` lists in `command`'s section, which starts at the
+/// command's name indented four spaces. A command accepts exactly these,
+/// so a typo or a retired flag is a usage error instead of being ignored.
+fn listed_flags(command: &str) -> Vec<&'static str> {
+    let mut section = "";
+    let mut flags = Vec::new();
+    for line in USAGE.lines() {
+        let head = line
+            .strip_prefix("    ")
+            .filter(|rest| !rest.starts_with(' '));
+        if let Some(head) = head {
+            section = head.split_whitespace().next().unwrap_or_default();
+        }
+        if section == command {
+            let words = line.split_whitespace();
+            flags.extend(words.filter_map(|word| word.strip_prefix("--")));
+        }
     }
+    flags
 }
 
 // ---------------------------------------------------------------------
@@ -307,7 +327,6 @@ fn load_serving_model(
 /// venue from serving.
 fn build_serving_engine(
     path: &str,
-    index_mode: ikrq_core::IndexMode,
     koe_rows_cap: Option<usize>,
 ) -> Result<(ikrq_core::IkrqEngine, Option<String>)> {
     let (name, space, directory, section, stats) = load_serving_model(path)?;
@@ -316,21 +335,19 @@ fn build_serving_engine(
             "warning: {path}: columnar document not adopted ({reason}); rebuilt from records"
         );
     }
-    let mut engine = match (index_mode, section) {
-        (ikrq_core::IndexMode::Accelerated, indoor_persist::IndexSection::Present(prebuilt)) => {
-            match prebuilt.into_index(&directory) {
-                Ok(index) => ikrq_core::IkrqEngine::with_prebuilt_index(space, directory, index),
-                Err(reason) => {
-                    eprintln!("warning: {path}: persisted index not loaded ({reason}); rebuilding");
-                    ikrq_core::IkrqEngine::new(space, directory)
-                }
+    let mut engine = match section {
+        indoor_persist::IndexSection::Present(prebuilt) => match prebuilt.into_index(&directory) {
+            Ok(index) => ikrq_core::IkrqEngine::with_prebuilt_index(space, directory, index),
+            Err(reason) => {
+                eprintln!("warning: {path}: persisted index not loaded ({reason}); rebuilding");
+                ikrq_core::IkrqEngine::new(space, directory)
             }
-        }
-        (mode, section) => {
+        },
+        section => {
             if let indoor_persist::IndexSection::Unusable(reason) = &section {
                 eprintln!("warning: {path}: persisted index not loaded ({reason}); rebuilding");
             }
-            ikrq_core::IkrqEngine::with_index_mode(space, directory, mode)
+            ikrq_core::IkrqEngine::new(space, directory)
         }
     };
     if let Some(cap) = koe_rows_cap {
@@ -655,10 +672,6 @@ pub fn start_server(args: &ParsedArgs) -> Result<ikrq_server::ServerHandle> {
             "missing required flag `--venues` (comma-separated venue documents)".into(),
         ));
     }
-    let index_mode = match args.get_bool("index")? {
-        Some(false) => ikrq_core::IndexMode::Scan,
-        _ => ikrq_core::IndexMode::Accelerated,
-    };
     let koe_rows_cap = args.get_usize("koe-rows-cap")?;
     if koe_rows_cap == Some(0) {
         return Err(CliError::Usage(
@@ -669,7 +682,7 @@ pub fn start_server(args: &ParsedArgs) -> Result<ikrq_server::ServerHandle> {
     let mut documents: std::collections::BTreeMap<String, String> =
         std::collections::BTreeMap::new();
     for path in &paths {
-        let (engine, name) = build_serving_engine(path, index_mode, koe_rows_cap)?;
+        let (engine, name) = build_serving_engine(path, koe_rows_cap)?;
         let venue_id = name.unwrap_or_else(|| path.clone());
         service
             .register_engine(&venue_id, std::sync::Arc::new(engine))
@@ -682,8 +695,8 @@ pub fn start_server(args: &ParsedArgs) -> Result<ikrq_server::ServerHandle> {
         let path = documents
             .get(venue_id)
             .ok_or_else(|| format!("venue `{venue_id}` was not loaded from a document"))?;
-        let (engine, _) = build_serving_engine(path, index_mode, koe_rows_cap)
-            .map_err(|error| error.to_string())?;
+        let (engine, _) =
+            build_serving_engine(path, koe_rows_cap).map_err(|error| error.to_string())?;
         Ok(std::sync::Arc::new(engine))
     });
 
@@ -708,8 +721,8 @@ pub fn start_server(args: &ParsedArgs) -> Result<ikrq_server::ServerHandle> {
         // which from_secs_f64 would panic on (e.g. `--idle-timeout 1e30`).
         match std::time::Duration::try_from_secs_f64(idle_timeout) {
             // Guard the rounded Duration, not the f64: 1e-10 is positive
-            // but rounds to zero, which would close every parked
-            // connection on the parker's first sweep.
+            // but rounds to zero, which would close every connection the
+            // moment it is parked.
             Ok(duration) if !duration.is_zero() => config.idle_timeout = duration,
             _ => {
                 return Err(CliError::Usage(
@@ -723,9 +736,6 @@ pub fn start_server(args: &ParsedArgs) -> Result<ikrq_server::ServerHandle> {
     }
     if let Some(max_connections) = args.get_usize("max-connections")? {
         config.max_connections = max_connections;
-    }
-    if let Some(reactor) = args.get_bool("reactor")? {
-        config.reactor = reactor;
     }
     let addr = args.get("addr").unwrap_or("127.0.0.1:8080");
     let handle = ikrq_server::serve_with_reloader(service, addr, config, reloader)?;
@@ -896,6 +906,31 @@ mod tests {
     }
 
     #[test]
+    fn commands_accept_only_the_flags_usage_lists() {
+        assert_eq!(
+            listed_flags("serve").join(" "),
+            "venues addr workers max-in-flight max-connections keep-alive idle-timeout \
+             max-requests-per-conn koe-rows-cap cache-capacity cache-shards"
+        );
+        assert_eq!(
+            listed_flags("route").join(" "),
+            "shards addr workers vnodes backend-timeout probe-interval fail-threshold"
+        );
+        // Retired flags and typos are usage errors naming the flag, raised
+        // before any venue is loaded or any port is bound.
+        for (flag, value) in [("reactor", "false"), ("index", "false"), ("worker", "4")] {
+            let flag = format!("--{flag}");
+            let args = ParsedArgs::parse(["serve", "--venues", "v.json", &flag, value]).unwrap();
+            match run(&args) {
+                Err(CliError::Usage(message)) => {
+                    assert!(message.contains(&format!("`{flag}`")), "{message}")
+                }
+                other => panic!("serve {flag} {value}: expected a usage error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn help_returns_the_usage_text() {
         let args = ParsedArgs::parse::<[&str; 0], &str>([]).unwrap();
         assert_eq!(run(&args).unwrap(), USAGE);
@@ -969,8 +1004,7 @@ mod tests {
 
         // The seam `serve` uses: a pre-indexed binary adopts its section, a
         // plain JSON document rebuilds, and the row cap is applied.
-        let (loaded, name) =
-            build_serving_engine(&bin, ikrq_core::IndexMode::Accelerated, Some(64)).unwrap();
+        let (loaded, name) = build_serving_engine(&bin, Some(64)).unwrap();
         assert!(loaded.index().is_some_and(|i| i.loaded_from_disk()));
         assert_eq!(loaded.koe_rows_capacity(), 64);
         assert_eq!(name.as_deref(), Some("mega-150p-seed9"));
@@ -978,8 +1012,7 @@ mod tests {
         assert_eq!(doc_stats.format_version, 2);
         assert!(doc_stats.adopted_columnar, "stats: {doc_stats:?}");
         assert!(doc_stats.degraded.is_none(), "stats: {doc_stats:?}");
-        let (fresh, _) =
-            build_serving_engine(&json_path, ikrq_core::IndexMode::Accelerated, None).unwrap();
+        let (fresh, _) = build_serving_engine(&json_path, None).unwrap();
         assert!(fresh.index().is_some_and(|i| !i.loaded_from_disk()));
         let fresh_stats = fresh.document_stats().expect("loaded from a document");
         assert_eq!(fresh_stats.format_version, 0);
@@ -1033,8 +1066,7 @@ mod tests {
         let n = bytes.len();
         bytes[n - 5] ^= 0xff;
         std::fs::write(&bin, &bytes).unwrap();
-        let (degraded, _) =
-            build_serving_engine(&bin, ikrq_core::IndexMode::Accelerated, None).unwrap();
+        let (degraded, _) = build_serving_engine(&bin, None).unwrap();
         assert!(degraded.index().is_some_and(|i| !i.loaded_from_disk()));
         assert!(degraded.document_stats().unwrap().adopted_columnar);
 
@@ -1043,8 +1075,7 @@ mod tests {
         let record_len = u32::from_le_bytes(bytes[10..14].try_into().unwrap()) as usize;
         bytes[14 + record_len + 20] ^= 0xff;
         std::fs::write(&bin, &bytes).unwrap();
-        let (rebuilt, _) =
-            build_serving_engine(&bin, ikrq_core::IndexMode::Accelerated, None).unwrap();
+        let (rebuilt, _) = build_serving_engine(&bin, None).unwrap();
         let stats = rebuilt.document_stats().unwrap();
         assert!(!stats.adopted_columnar, "stats: {stats:?}");
         assert!(stats.degraded.is_some(), "stats: {stats:?}");

@@ -118,7 +118,6 @@ struct RouterStatsBody {
     max_in_flight: usize,
     max_connections: usize,
     keep_alive: bool,
-    reactor: bool,
     nofile_limit: u64,
     stats: ServerStats,
 }
@@ -266,7 +265,6 @@ impl RouterApp {
             max_in_flight: engine.max_in_flight,
             max_connections: engine.max_connections,
             keep_alive: engine.config.keep_alive,
-            reactor: engine.reactor,
             nofile_limit: engine.nofile_limit,
             stats: engine.stats,
         };

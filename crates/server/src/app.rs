@@ -117,9 +117,6 @@ struct StatsBody {
     max_in_flight: usize,
     max_connections: usize,
     keep_alive: bool,
-    /// Whether the readiness reactor is watching idle sessions (`false`
-    /// means the legacy parker sweep is running).
-    reactor: bool,
     /// Effective `RLIMIT_NOFILE` soft limit — the fd budget bounding how
     /// many connections this process can hold (0: unknown/no limit API).
     nofile_limit: u64,
@@ -350,7 +347,6 @@ impl IkrqApp {
             max_in_flight: engine.max_in_flight,
             max_connections: engine.max_connections,
             keep_alive: engine.config.keep_alive,
-            reactor: engine.reactor,
             nofile_limit: engine.nofile_limit,
             index: self.index_body(),
             stats: engine.stats,

@@ -3,13 +3,10 @@
 //! becomes readable, its idle timeout expires, or the server shuts
 //! down.
 //!
-//! This replaces the PR 3 parker thread, which probed every parked
-//! socket with a non-blocking peek on a 5 ms sweep — O(parked) work
-//! per tick whether or not anything happened, and a latency floor of
-//! one sweep interval on every wake-up. The reactor does O(ready) work
+//! It is the server's only idle-connection path. It does O(ready) work
 //! per wake-up on the epoll backend, so tens of thousands of idle
-//! sessions cost nothing while they are idle; the 5 ms sweep survives
-//! only as the `reactor: false` legacy fallback in `server.rs`.
+//! sessions cost nothing while they are idle, and a request arriving on
+//! a parked session wakes it without waiting for any sweep.
 //!
 //! # Lifecycle
 //!
@@ -21,10 +18,12 @@
 //! Workers hand quiet sessions to [`Reactor::park`], which enqueues
 //! them on an inbox and wakes the reactor via the poller's built-in
 //! notify pipe. The reactor thread moves inbox sessions into a token
-//! slab and registers their sockets for readability; sessions parked
-//! for *fairness* (their next pipelined request already sits in the
-//! connection buffer, invisible to the kernel) are re-queued to the
-//! worker pool immediately, behind the sessions already waiting.
+//! slab and registers their sockets for readability. A session parked
+//! for *fairness* (it yielded its worker to a queued session) goes
+//! back behind the sessions already waiting: immediately when its next
+//! pipelined request already sits in the connection buffer, invisible
+//! to the kernel, and on the next wait when the bytes are in the
+//! kernel buffer (registration is level-triggered).
 //!
 //! Idle-timeout expiry happens *inside* the wait: the reactor sleeps
 //! exactly until the earliest parked deadline (or forever when nothing
@@ -99,10 +98,7 @@ mod unix {
     /// The reactor thread. Owns the slab; nothing else touches parked
     /// sessions between registration and wake/close.
     pub(crate) fn reactor_loop(shared: &Arc<Shared>, sender: Sender<Session>) {
-        let reactor = shared
-            .reactor
-            .as_ref()
-            .expect("reactor_loop needs a reactor");
+        let reactor = &shared.reactor;
         let idle_timeout = shared.config.idle_timeout;
         let mut slots: Vec<Option<Slot>> = Vec::new();
         let mut free_tokens: Vec<usize> = Vec::new();
@@ -255,7 +251,7 @@ mod fallback {
     use super::*;
 
     /// Stub for non-unix targets: construction fails with
-    /// `Unsupported`, so `serve` falls back to the legacy parker.
+    /// `Unsupported`, so `serve` returns that error.
     pub(crate) struct Reactor {
         never: std::convert::Infallible,
     }

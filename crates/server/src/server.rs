@@ -1,11 +1,11 @@
 //! The threaded HTTP *connection engine*: listener, bounded worker pool
 //! with admission control, keep-alive session management, and the
-//! reactor/parker idle watchers. What the engine does **not** know is what
-//! the requests mean — that lives behind the [`App`] trait, implemented by
-//! [`crate::app::IkrqApp`] (the v1 search route table and response cache)
-//! and by out-of-crate applications such as the `ikrq-router` front tier,
-//! which reuse the exact same parsing, admission, parking and shutdown
-//! machinery.
+//! readiness reactor holding idle sessions. What the engine does **not**
+//! know is what the requests mean — that lives behind the [`App`] trait,
+//! implemented by [`crate::app::IkrqApp`] (the v1 search route table and
+//! response cache) and by out-of-crate applications such as the
+//! `ikrq-router` front tier, which reuse the exact same parsing,
+//! admission, parking and shutdown machinery.
 //!
 //! # Concurrency model
 //!
@@ -23,22 +23,23 @@
 //! serves a session while it has work: it reads requests off a
 //! persistent [`HttpConnection`] (so pipelined bytes carry over between
 //! requests), answers each, and keeps going while the next request is
-//! already arriving. Once a session goes quiet for one poll interval
-//! (shortened to ~1 ms while other sessions are queued for a worker) the
+//! already arriving. Once a session goes quiet for one poll interval the
 //! worker *parks* it — hands the socket to the readiness **reactor**
 //! (`crate::reactor`), a single thread that registers every idle session
 //! with the kernel poller and blocks until one becomes readable — and
 //! moves on, so idle keep-alive clients never pin workers (or cost CPU
-//! at all while idle). When bytes arrive on a parked session the reactor
-//! re-queues it to the worker pool with its buffer and request count
-//! intact; sessions whose [`ServerConfig::idle_timeout`] expires inside
-//! the wait are closed on a timer-aware deadline, not a sweep. With
-//! [`ServerConfig::reactor`] off (or when no poller is available on the
-//! platform) the pre-reactor *parker* thread takes over: a 5 ms sweep
-//! probing every parked socket with a non-blocking peek. A session ends
-//! when the peer asks for `close` (honored on both HTTP/1.0 and 1.1),
-//! the idle timeout or per-connection request cap fires, or shutdown
-//! begins.
+//! at all while idle). Fairness: while another session waits for a
+//! worker, a session is parked after every request it is served (and
+//! within a ~1 ms tick while quiet), wherever its next request is; the
+//! reactor re-queues it behind the waiting ones. When bytes arrive on a
+//! parked session the reactor re-queues it to the worker pool with its
+//! buffer and request count intact; sessions whose
+//! [`ServerConfig::idle_timeout`] expires inside the wait are closed on
+//! a timer-aware deadline, not a sweep. The reactor needs a unix poller
+//! (`netpoll`): where none can start, [`serve`] returns the error. A
+//! session ends when the peer asks for `close` (honored on both HTTP/1.0
+//! and 1.1), the idle timeout or per-connection request cap fires, or
+//! shutdown begins.
 //!
 //! Admission control is accounted per *request*: each parsed request
 //! acquires one of [`ServerConfig::max_in_flight`] slots, and a saturated
@@ -105,12 +106,6 @@ pub struct ServerConfig {
     /// Requests served on one connection before the server closes it
     /// (connection recycling; 0 means unlimited).
     pub max_requests_per_conn: usize,
-    /// Whether idle keep-alive sessions are watched by the readiness
-    /// reactor (one thread blocking in the kernel poller, the default)
-    /// or by the legacy parker thread (a 5 ms non-blocking peek sweep).
-    /// The parker also takes over automatically when the reactor cannot
-    /// start (no poller on the platform, fd exhaustion at startup).
-    pub reactor: bool,
 }
 
 impl Default for ServerConfig {
@@ -126,7 +121,6 @@ impl Default for ServerConfig {
             keep_alive: true,
             idle_timeout: Duration::from_secs(30),
             max_requests_per_conn: 0,
-            reactor: true,
         }
     }
 }
@@ -181,9 +175,6 @@ pub trait App: Send + Sync + 'static {
 pub struct EngineView<'a> {
     /// The configuration the engine was started with.
     pub config: &'a ServerConfig,
-    /// Whether the readiness reactor is watching idle sessions (`false`
-    /// means the legacy parker sweep is running).
-    pub reactor: bool,
     /// Effective `RLIMIT_NOFILE` soft limit after the startup raise
     /// (0 when unknown or the platform has no such limit).
     pub nofile_limit: u64,
@@ -211,17 +202,15 @@ pub struct ServerStats {
     /// Requests served on a reused connection (the second and later
     /// requests of each keep-alive session).
     pub keep_alive_reuses: u64,
-    /// Idle keep-alive sessions currently parked (on the reactor's
-    /// watch list or the legacy parker's, whichever is active).
+    /// Keep-alive sessions currently parked on the reactor.
     pub connections_parked: usize,
     /// Parked sessions the reactor woke and handed back to the worker
     /// pool because their socket became readable (data, EOF or error —
-    /// the worker's read tells them apart). Always 0 under the legacy
-    /// parker.
+    /// the worker's read tells them apart).
     pub reactor_wakeups: u64,
     /// Reactor waits that returned without waking a session, expiring
     /// an idle timer, or being asked to (stale timer ticks, EINTR) —
-    /// the poll-churn signal. Always 0 under the legacy parker.
+    /// the poll-churn signal.
     pub reactor_spurious_wakeups: u64,
     /// Response-cache counters.
     pub cache: CacheStats,
@@ -234,8 +223,8 @@ const MAX_SHED_THREADS: usize = 64;
 
 /// How long a worker lingers on a quiet session before parking it. Long
 /// enough that a client firing back-to-back requests stays on its worker
-/// (no handoff latency on the hot path), short enough that an idle client
-/// frees the worker almost immediately.
+/// while no other session waits (no handoff latency on the hot path),
+/// short enough that an idle client frees the worker almost immediately.
 const IDLE_POLL: Duration = Duration::from_millis(50);
 
 /// The tick size of the linger: the worker waits on a quiet session in
@@ -251,13 +240,7 @@ const LINGER_TICK: Duration = Duration::from_millis(1);
 /// leftover bytes before dropping the socket regardless.
 const ERROR_DRAIN_WINDOW: Duration = Duration::from_millis(250);
 
-/// How often the *legacy* parker thread sweeps the parked sessions for
-/// readable sockets, expired idle timers and shutdown. Bounds the extra
-/// first-byte latency of a request arriving on a parked connection. The
-/// default reactor path has no sweep — the kernel poller wakes it.
-const PARK_SCAN: Duration = Duration::from_millis(5);
-
-/// One keep-alive session in flight through the worker/reactor/parker
+/// One keep-alive session in flight through the worker/reactor
 /// machinery: the connection (with any carried-over buffered bytes) plus
 /// how many requests it has answered so far.
 pub(crate) struct Session {
@@ -265,15 +248,8 @@ pub(crate) struct Session {
     requests_on_conn: u64,
 }
 
-/// A session waiting for its next request on the legacy parker's watch
-/// list.
-struct ParkedEntry {
-    session: Session,
-    last_activity: Instant,
-}
-
-/// State shared by the acceptor, the workers, the reactor (or parker)
-/// and the handle.
+/// State shared by the acceptor, the workers, the reactor and the
+/// handle.
 pub(crate) struct Shared {
     app: Arc<dyn App>,
     pub(crate) config: ServerConfig,
@@ -282,8 +258,8 @@ pub(crate) struct Shared {
     in_flight: AtomicUsize,
     connections: AtomicUsize,
     /// Sessions sent to the worker channel and not yet picked up — the
-    /// queue-pressure signal that cuts the idle linger short (see
-    /// [`LINGER_TICK`]) and parks pipelining sessions between requests.
+    /// queue-pressure signal that parks a session after each request and
+    /// cuts the idle linger short (see [`serve_session`]).
     queued: AtomicUsize,
     accepted: AtomicU64,
     served: AtomicU64,
@@ -291,8 +267,7 @@ pub(crate) struct Shared {
     shed: AtomicU64,
     shed_helpers: AtomicUsize,
     pub(crate) shutdown: AtomicBool,
-    /// Count of idle sessions currently parked, whichever path watches
-    /// them (reactor inbox + slab, or the legacy parker list).
+    /// Count of sessions currently parked (reactor inbox + slab).
     pub(crate) parked: AtomicUsize,
     /// Parked sessions woken for readability by the reactor.
     pub(crate) reactor_wakeups: AtomicU64,
@@ -301,10 +276,8 @@ pub(crate) struct Shared {
     /// The effective `RLIMIT_NOFILE` soft limit after the startup raise
     /// (0 when the platform has no such limit or querying it failed).
     nofile_limit: u64,
-    /// The readiness reactor; `None` runs the legacy parker sweep.
-    pub(crate) reactor: Option<crate::reactor::Reactor>,
-    /// The legacy parker's watch list (unused while the reactor is on).
-    park_list: Mutex<Vec<ParkedEntry>>,
+    /// The readiness reactor that holds parked sessions.
+    pub(crate) reactor: crate::reactor::Reactor,
 }
 
 impl Shared {
@@ -314,24 +287,14 @@ impl Shared {
         self.connections.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Closes everything still parked (the post-join shutdown sweep;
-    /// parked sessions are idle by definition). Covers both the legacy
-    /// parker's list and the reactor's inbox — the reactor's registered
-    /// slab is drained by the reactor thread itself before it exits.
+    /// Closes everything still on the reactor's inbox (the post-join
+    /// shutdown sweep; parked sessions are idle by definition). The
+    /// reactor's registered slab is drained by the reactor thread itself
+    /// before it exits.
     fn close_all_parked(&self) {
-        let drained: Vec<Session> = {
-            let mut list = self.park_list.lock().expect("park list lock");
-            list.drain(..).map(|entry| entry.session).collect()
-        };
-        for session in drained {
+        for session in self.reactor.drain_inbox() {
             self.parked.fetch_sub(1, Ordering::SeqCst);
             self.close_session(session);
-        }
-        if let Some(reactor) = &self.reactor {
-            for session in reactor.drain_inbox() {
-                self.parked.fetch_sub(1, Ordering::SeqCst);
-                self.close_session(session);
-            }
         }
     }
 }
@@ -360,8 +323,7 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    /// The reactor thread, or the legacy parker when the reactor is off.
-    idle_watcher: Option<JoinHandle<()>>,
+    reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -385,23 +347,25 @@ impl ServerHandle {
     /// is involved that could itself fail.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(reactor) = &self.shared.reactor {
-            // The reactor may be blocked in `wait()` with no deadline;
-            // the notify pipe gets it to observe the flag immediately.
-            reactor.wake();
-        }
+        // The reactor may be blocked in `wait()` with no deadline; the
+        // notify pipe gets it to observe the flag immediately.
+        self.shared.reactor.wake();
+        self.join_threads();
+    }
+
+    /// Joins the acceptor, the reactor and the workers, then closes what
+    /// is still parked: a worker may have parked a session after the
+    /// reactor already drained and exited.
+    fn join_threads(&mut self) {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        if let Some(idle_watcher) = self.idle_watcher.take() {
-            let _ = idle_watcher.join();
+        if let Some(reactor) = self.reactor.take() {
+            let _ = reactor.join();
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // A worker may have parked a session after the reactor/parker
-        // already drained and exited; sweep once more now that everyone
-        // is gone.
         self.shared.close_all_parked();
     }
 
@@ -410,16 +374,7 @@ impl ServerHandle {
     ///
     /// [`shutdown`]: ServerHandle::shutdown
     pub fn join(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        if let Some(idle_watcher) = self.idle_watcher.take() {
-            let _ = idle_watcher.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        self.shared.close_all_parked();
+        self.join_threads();
     }
 }
 
@@ -456,7 +411,8 @@ pub fn serve_with_reloader(
 /// Binds `addr` and starts the connection engine serving an arbitrary
 /// [`App`] — the entry point for non-search applications (the `ikrq-router`
 /// front tier) that want the same keep-alive, admission and reactor
-/// machinery under a different route table.
+/// machinery under a different route table. Fails if the readiness
+/// reactor cannot start (no poller on the platform, fd exhaustion).
 pub fn serve_app(
     app: Arc<dyn App>,
     addr: impl ToSocketAddrs,
@@ -476,20 +432,7 @@ pub fn serve_app(
     // default soft limit (often 1024) would cap the very workload the
     // reactor exists for.
     let nofile_limit = effective_nofile_limit();
-    let reactor = if config.reactor {
-        match crate::reactor::Reactor::new() {
-            Ok(reactor) => Some(reactor),
-            Err(error) => {
-                eprintln!(
-                    "ikrq-server: readiness reactor unavailable ({error}); \
-                     falling back to the legacy parker thread"
-                );
-                None
-            }
-        }
-    } else {
-        None
-    };
+    let reactor = crate::reactor::Reactor::new()?;
     let shared = Arc::new(Shared {
         app,
         config,
@@ -509,7 +452,6 @@ pub fn serve_app(
         reactor_spurious_wakeups: AtomicU64::new(0),
         nofile_limit,
         reactor,
-        park_list: Mutex::new(Vec::new()),
     });
 
     let (sender, receiver): (Sender<Session>, Receiver<Session>) = channel();
@@ -526,27 +468,13 @@ pub fn serve_app(
         );
     }
 
-    let idle_watcher = {
+    let reactor = {
         let shared = Arc::clone(&shared);
         let sender = sender.clone();
-        let use_reactor = shared.reactor.is_some();
         std::thread::Builder::new()
-            .name(
-                if use_reactor {
-                    "ikrq-reactor"
-                } else {
-                    "ikrq-parker"
-                }
-                .into(),
-            )
-            .spawn(move || {
-                if use_reactor {
-                    crate::reactor::reactor_loop(&shared, sender);
-                } else {
-                    parker_loop(&shared, sender);
-                }
-            })
-            .expect("spawn idle watcher thread")
+            .name("ikrq-reactor".into())
+            .spawn(move || crate::reactor::reactor_loop(&shared, sender))
+            .expect("spawn reactor thread")
     };
 
     let acceptor = {
@@ -561,7 +489,7 @@ pub fn serve_app(
         shared,
         addr,
         acceptor: Some(acceptor),
-        idle_watcher: Some(idle_watcher),
+        reactor: Some(reactor),
         workers: worker_handles,
     })
 }
@@ -654,7 +582,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener, sender: Sender<Sess
             shed(Arc::clone(shared), stream);
         }
     }
-    // Dropping the sender disconnects the channel once the parker drops
+    // Dropping the sender disconnects the channel once the reactor drops
     // its clone too; workers then drain what is queued and exit.
 }
 
@@ -727,67 +655,72 @@ fn is_transient(error: &std::io::Error) -> bool {
 enum SessionFate {
     /// The session ended; its connection slot has been released.
     Closed,
-    /// The session went quiet and should move to the parker's watch list.
+    /// The session should move to the reactor: it went quiet, or it
+    /// yields its worker to a queued session.
     Park(Session),
 }
 
-/// Serves a session while it has work: read a request under the request
-/// read-timeout, answer it, and loop while keep-alive holds and the next
-/// request is already arriving. A session quiet for one [`IDLE_POLL`] is
-/// handed back for parking instead of pinning the worker.
+/// Serves a session while it has work: wait for the next request in
+/// [`LINGER_TICK`] slices, read it under the request read-timeout,
+/// answer it, and loop while keep-alive holds. A session quiet for one
+/// [`IDLE_POLL`] is handed back for parking instead of pinning the
+/// worker, and so is one whose worker another session is waiting for.
 fn serve_session(shared: &Shared, mut session: Session) -> SessionFate {
-    let mut served_this_turn = 0u32;
+    // Whether this turn has served a request or lingered a tick. Only
+    // then may the session yield, so every dequeue makes progress: no
+    // park/wake livelock when every session has a request waiting.
+    let mut progressed = false;
+    // When the current wait for the next request began.
+    let mut wait_started: Option<Instant> = None;
     loop {
+        // Fairness: while another session waits for a worker, yield after
+        // every served request and every linger tick, wherever the next
+        // request is — in the connection buffer (pipelining), in the
+        // kernel (back-to-back sends) or not yet sent. Otherwise a busy
+        // client would keep this worker for as long as it keeps sending.
+        // The reactor re-queues the session behind the waiting ones.
+        if progressed && shared.queued.load(Ordering::SeqCst) > 0 {
+            return SessionFate::Park(session);
+        }
         // Wait-for-request phase. Pipelined bytes skip the wait entirely.
         if !session.conn.has_buffered_data() {
-            if session
-                .conn
-                .get_mut()
-                .set_read_timeout(Some(LINGER_TICK))
-                .is_err()
-            {
+            if shared.shutdown.load(Ordering::SeqCst) {
                 shared.close_session(session);
                 return SessionFate::Closed;
             }
-            let wait_started = Instant::now();
-            loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
+            if wait_started.is_none() {
+                if session
+                    .conn
+                    .get_mut()
+                    .set_read_timeout(Some(LINGER_TICK))
+                    .is_err()
+                {
                     shared.close_session(session);
                     return SessionFate::Closed;
                 }
-                match session.conn.poll_data() {
-                    Ok(true) => break,
-                    Ok(false) => {
-                        // Peer closed cleanly between requests.
-                        shared.close_session(session);
-                        return SessionFate::Closed;
+                wait_started = Some(Instant::now());
+            }
+            match session.conn.poll_data() {
+                Ok(true) => wait_started = None,
+                Ok(false) => {
+                    // Peer closed cleanly between requests.
+                    shared.close_session(session);
+                    return SessionFate::Closed;
+                }
+                Err(error) if is_transient(&error) => {
+                    // A quiet session parks once it has had its full
+                    // linger; until then, tick again.
+                    if wait_started.is_some_and(|started| started.elapsed() >= IDLE_POLL) {
+                        return SessionFate::Park(session);
                     }
-                    Err(error) if is_transient(&error) => {
-                        // Park as soon as other sessions are waiting for
-                        // a worker — even mid-linger — or once this quiet
-                        // session has had its full linger.
-                        if shared.queued.load(Ordering::SeqCst) > 0
-                            || wait_started.elapsed() >= IDLE_POLL
-                        {
-                            return SessionFate::Park(session);
-                        }
-                    }
-                    Err(_) => {
-                        shared.close_session(session);
-                        return SessionFate::Closed;
-                    }
+                    progressed = true;
+                    continue;
+                }
+                Err(_) => {
+                    shared.close_session(session);
+                    return SessionFate::Closed;
                 }
             }
-        } else if served_this_turn > 0 && shared.queued.load(Ordering::SeqCst) > 0 {
-            // Fairness: a client streaming pipelined requests keeps
-            // has_buffered_data() true forever and would otherwise
-            // monopolize this worker while other sessions starve in the
-            // queue. Park it — the idle watcher re-queues buffered
-            // sessions (immediately on the reactor, next sweep on the
-            // parker) *behind* the waiting ones. The served_this_turn
-            // guard ensures every dequeue makes progress (no park/wake
-            // livelock when every session is pipelining).
-            return SessionFate::Park(session);
         }
         // Read phase: the first byte arrived; the rest of the request must
         // land within the per-read timeout.
@@ -855,7 +788,7 @@ fn serve_session(shared: &Shared, mut session: Session) -> SessionFate {
             }
             return SessionFate::Closed;
         }
-        served_this_turn += 1;
+        progressed = true;
     }
 }
 
@@ -886,108 +819,28 @@ fn drain_then_close(shared: &Shared, mut session: Session) {
     shared.close_session(session);
 }
 
-/// Hands a quiet session to whichever idle watcher is running: the
-/// reactor (sockets stay blocking — the reactor never reads them, the
-/// kernel poller watches the fd) or the legacy parker's watch list
-/// (non-blocking, so the sweep can probe many sockets cheaply). During
-/// shutdown the watcher may already be gone, so quiet sessions close
+/// Hands a session to the reactor (its socket stays blocking — the
+/// reactor never reads it, the kernel poller watches the fd). During
+/// shutdown the reactor may already be gone, so the session closes
 /// instead.
-fn park_session(shared: &Shared, mut session: Session) {
+fn park_session(shared: &Shared, session: Session) {
     if shared.shutdown.load(Ordering::SeqCst) {
         shared.close_session(session);
         return;
     }
-    if let Some(reactor) = &shared.reactor {
-        shared.parked.fetch_add(1, Ordering::SeqCst);
-        reactor.park(session);
-        return;
-    }
-    if session.conn.get_mut().set_nonblocking(true).is_err() {
-        shared.close_session(session);
-        return;
-    }
     shared.parked.fetch_add(1, Ordering::SeqCst);
-    shared
-        .park_list
-        .lock()
-        .expect("park list lock")
-        .push(ParkedEntry {
-            session,
-            last_activity: Instant::now(),
-        });
+    shared.reactor.park(session);
 }
 
-/// Sends a previously parked session back to the worker pool (the wake
-/// path shared by the reactor and the legacy parker). If the workers are
-/// already gone — shutdown won the race — the session closes here.
+/// Sends a previously parked session back to the worker pool (the
+/// reactor's wake path). If the workers are already gone — shutdown won
+/// the race — the session closes here.
 pub(crate) fn requeue_session(shared: &Shared, sender: &Sender<Session>, session: Session) {
     shared.queued.fetch_add(1, Ordering::SeqCst);
     if let Err(returned) = sender.send(session) {
         shared.queued.fetch_sub(1, Ordering::SeqCst);
         shared.close_session(returned.0);
     }
-}
-
-/// The legacy parker thread (`ServerConfig::reactor = false`, or the
-/// startup fallback when no poller backend is available): sweeps parked
-/// sessions every [`PARK_SCAN`], closing the ones whose peer hung up or
-/// whose idle timeout expired, and re-queueing the ones with bytes
-/// waiting back to the worker pool. O(parked) work per tick — the
-/// readiness reactor replaces this with a blocking kernel wait.
-fn parker_loop(shared: &Arc<Shared>, sender: Sender<Session>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(PARK_SCAN);
-        let mut list = shared.park_list.lock().expect("park list lock");
-        let now = Instant::now();
-        let mut index = 0;
-        while index < list.len() {
-            enum Action {
-                Stay,
-                Close,
-                Wake,
-            }
-            let entry = &mut list[index];
-            let mut probe = [0u8; 1];
-            // A session parked for fairness mid-pipeline has its next
-            // request in the connection buffer, invisible to peek().
-            let action = if entry.session.conn.has_buffered_data() {
-                Action::Wake
-            } else {
-                match entry.session.conn.get_mut().peek(&mut probe) {
-                    Ok(0) => Action::Close, // peer hung up while parked
-                    Ok(_) => Action::Wake,
-                    Err(error) if is_transient(&error) => {
-                        if now.duration_since(entry.last_activity) >= shared.config.idle_timeout {
-                            Action::Close
-                        } else {
-                            Action::Stay
-                        }
-                    }
-                    Err(_) => Action::Close,
-                }
-            };
-            match action {
-                Action::Stay => index += 1,
-                Action::Close => {
-                    let entry = list.swap_remove(index);
-                    shared.parked.fetch_sub(1, Ordering::SeqCst);
-                    shared.close_session(entry.session);
-                }
-                Action::Wake => {
-                    let entry = list.swap_remove(index);
-                    let mut session = entry.session;
-                    shared.parked.fetch_sub(1, Ordering::SeqCst);
-                    if session.conn.get_mut().set_nonblocking(false).is_err() {
-                        shared.close_session(session);
-                    } else {
-                        requeue_session(shared, &sender, session);
-                    }
-                }
-            }
-        }
-    }
-    // Shutdown: every parked session is idle by definition — close them.
-    shared.close_all_parked();
 }
 
 /// Runs one parsed request through admission control and the route table.
@@ -1006,7 +859,6 @@ fn answer_request(shared: &Shared, request: &Request) -> Response {
     }
     let view = EngineView {
         config: &shared.config,
-        reactor: shared.reactor.is_some(),
         nofile_limit: shared.nofile_limit,
         max_in_flight: shared.max_in_flight,
         max_connections: shared.max_connections,

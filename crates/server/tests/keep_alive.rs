@@ -29,8 +29,7 @@ fn fig1_service() -> Arc<IkrqService> {
     service
 }
 
-fn start(mut config: ServerConfig, reactor: bool) -> ServerHandle {
-    config.reactor = reactor;
+fn start(config: ServerConfig) -> ServerHandle {
     serve(fig1_service(), "127.0.0.1:0", config).expect("bind ephemeral port")
 }
 
@@ -100,8 +99,9 @@ fn get(path: &str) -> String {
 /// The headline reuse property: N sequential searches on ONE connection,
 /// cold then warm, return byte-identical bodies to what a fresh
 /// connection would see, and the server counts the reuse.
-fn sequential_searches_on_one_connection_are_byte_identical(reactor: bool) {
-    let handle = start(ServerConfig::default(), reactor);
+#[test]
+fn sequential_searches_on_one_connection_are_byte_identical() {
+    let handle = start(ServerConfig::default());
     let addr = handle.local_addr();
     let body = serde_json::to_string(&fig1_request(3, 400.0)).unwrap();
 
@@ -130,8 +130,9 @@ fn sequential_searches_on_one_connection_are_byte_identical(reactor: bool) {
     assert!(stats.connections_accepted >= 2);
 }
 
-fn connection_close_and_http_1_0_semantics_are_honored(reactor: bool) {
-    let handle = start(ServerConfig::default(), reactor);
+#[test]
+fn connection_close_and_http_1_0_semantics_are_honored() {
+    let handle = start(ServerConfig::default());
     let addr = handle.local_addr();
 
     // HTTP/1.1 + `Connection: close`: answered, then closed.
@@ -160,14 +161,12 @@ fn connection_close_and_http_1_0_semantics_are_honored(reactor: bool) {
     assert_eq!(conn.read_response().status, 200);
 }
 
-fn keep_alive_disabled_server_closes_after_every_response(reactor: bool) {
-    let handle = start(
-        ServerConfig {
-            keep_alive: false,
-            ..ServerConfig::default()
-        },
-        reactor,
-    );
+#[test]
+fn keep_alive_disabled_server_closes_after_every_response() {
+    let handle = start(ServerConfig {
+        keep_alive: false,
+        ..ServerConfig::default()
+    });
     let mut conn = FramedStream::connect(handle.local_addr());
     conn.send(&get("/v1/healthz"));
     let reply = conn.read_response();
@@ -180,14 +179,12 @@ fn keep_alive_disabled_server_closes_after_every_response(reactor: bool) {
     assert!(conn.at_eof());
 }
 
-fn idle_connections_are_closed_after_the_idle_timeout(reactor: bool) {
-    let handle = start(
-        ServerConfig {
-            idle_timeout: Duration::from_millis(200),
-            ..ServerConfig::default()
-        },
-        reactor,
-    );
+#[test]
+fn idle_connections_are_closed_after_the_idle_timeout() {
+    let handle = start(ServerConfig {
+        idle_timeout: Duration::from_millis(200),
+        ..ServerConfig::default()
+    });
     let mut conn = FramedStream::connect(handle.local_addr());
     conn.send(&get("/v1/healthz"));
     assert_eq!(conn.read_response().status, 200);
@@ -207,14 +204,12 @@ fn idle_connections_are_closed_after_the_idle_timeout(reactor: bool) {
     );
 }
 
-fn per_connection_request_cap_recycles_connections(reactor: bool) {
-    let handle = start(
-        ServerConfig {
-            max_requests_per_conn: 3,
-            ..ServerConfig::default()
-        },
-        reactor,
-    );
+#[test]
+fn per_connection_request_cap_recycles_connections() {
+    let handle = start(ServerConfig {
+        max_requests_per_conn: 3,
+        ..ServerConfig::default()
+    });
     let mut client = KeepAliveClient::new(handle.local_addr());
     for _ in 0..7 {
         let reply = client.request("GET", "/v1/healthz", "").unwrap();
@@ -228,20 +223,18 @@ fn per_connection_request_cap_recycles_connections(reactor: bool) {
 /// Request-level admission control: a reused connection that hits the
 /// in-flight cap gets a 429 for that request and keeps working afterwards
 /// — shedding no longer costs the connection.
-fn reused_connections_shed_with_429_and_recover(reactor: bool) {
-    let handle = start(
-        ServerConfig {
-            workers: 4,
-            max_in_flight: 1,
-            // No cache: every search must occupy the single in-flight slot.
-            cache: CacheConfig {
-                shards: 1,
-                capacity: 0,
-            },
-            ..ServerConfig::default()
+#[test]
+fn reused_connections_shed_with_429_and_recover() {
+    let handle = start(ServerConfig {
+        workers: 4,
+        max_in_flight: 1,
+        // No cache: every search must occupy the single in-flight slot.
+        cache: CacheConfig {
+            shards: 1,
+            capacity: 0,
         },
-        reactor,
-    );
+        ..ServerConfig::default()
+    });
     let addr = handle.local_addr();
 
     // Occupy the slot from one connection with a single long batch (one
@@ -309,8 +302,9 @@ fn reused_connections_shed_with_429_and_recover(reactor: bool) {
 /// Two requests in one TCP segment (pipelining): both answered, in order,
 /// on the same connection — the carryover buffer must not lose the second
 /// request's bytes.
-fn pipelined_requests_in_one_segment_are_answered_in_order(reactor: bool) {
-    let handle = start(ServerConfig::default(), reactor);
+#[test]
+fn pipelined_requests_in_one_segment_are_answered_in_order() {
+    let handle = start(ServerConfig::default());
     let mut conn = FramedStream::connect(handle.local_addr());
 
     let pipelined = format!("{}{}", get("/v1/healthz"), get("/v1/venues"));
@@ -330,14 +324,12 @@ fn pipelined_requests_in_one_segment_are_answered_in_order(reactor: bool) {
 
 /// Shutdown with a parked idle connection returns promptly (the idle
 /// poll notices the flag) instead of waiting out the idle timeout.
-fn shutdown_closes_idle_connections_promptly(reactor: bool) {
-    let mut handle = start(
-        ServerConfig {
-            idle_timeout: Duration::from_secs(3600),
-            ..ServerConfig::default()
-        },
-        reactor,
-    );
+#[test]
+fn shutdown_closes_idle_connections_promptly() {
+    let mut handle = start(ServerConfig {
+        idle_timeout: Duration::from_secs(3600),
+        ..ServerConfig::default()
+    });
     let mut conn = FramedStream::connect(handle.local_addr());
     conn.send(&get("/v1/healthz"));
     assert_eq!(conn.read_response().status, 200);
@@ -353,8 +345,9 @@ fn shutdown_closes_idle_connections_promptly(reactor: bool) {
 
 /// `/v1/stats` exposes the connection counters the operator needs to see
 /// reuse working.
-fn stats_report_connection_and_reuse_counters(reactor: bool) {
-    let handle = start(ServerConfig::default(), reactor);
+#[test]
+fn stats_report_connection_and_reuse_counters() {
+    let handle = start(ServerConfig::default());
     let mut client = KeepAliveClient::new(handle.local_addr());
     for _ in 0..3 {
         assert_eq!(
@@ -378,8 +371,9 @@ fn stats_report_connection_and_reuse_counters(reactor: bool) {
 /// or conflicting `Content-Length` values get `400 malformed_http` and
 /// the connection is closed, so no attacker-controlled body bytes remain
 /// buffered to be parsed as the "next request" of a reused connection.
-fn smuggling_vectors_get_400_and_a_closed_connection(reactor: bool) {
-    let handle = start(ServerConfig::default(), reactor);
+#[test]
+fn smuggling_vectors_get_400_and_a_closed_connection() {
+    let handle = start(ServerConfig::default());
     let addr = handle.local_addr();
 
     // TE.CL shape: a chunked body hiding a second request. The pipelined
@@ -407,41 +401,3 @@ fn smuggling_vectors_get_400_and_a_closed_connection(reactor: bool) {
     assert_eq!(reply.header("connection"), Some("close"));
     assert!(conn.at_eof(), "connection must close after the 400");
 }
-
-// ---------------------------------------------------------------------
-// Both idle-watcher paths
-// ---------------------------------------------------------------------
-
-/// Every test above runs twice: once with the readiness reactor (the
-/// default) and once with the legacy 5 ms poll-sweep parker — observable
-/// wire behavior must be identical on both paths.
-macro_rules! both_paths {
-    ($($name:ident),+ $(,)?) => {
-        $(
-            mod $name {
-                #[test]
-                fn reactor() {
-                    super::$name(true);
-                }
-
-                #[test]
-                fn legacy_parker() {
-                    super::$name(false);
-                }
-            }
-        )+
-    };
-}
-
-both_paths!(
-    sequential_searches_on_one_connection_are_byte_identical,
-    connection_close_and_http_1_0_semantics_are_honored,
-    keep_alive_disabled_server_closes_after_every_response,
-    idle_connections_are_closed_after_the_idle_timeout,
-    per_connection_request_cap_recycles_connections,
-    reused_connections_shed_with_429_and_recover,
-    pipelined_requests_in_one_segment_are_answered_in_order,
-    shutdown_closes_idle_connections_promptly,
-    stats_report_connection_and_reuse_counters,
-    smuggling_vectors_get_400_and_a_closed_connection,
-);

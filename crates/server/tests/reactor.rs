@@ -1,13 +1,15 @@
 //! Integration tests of the readiness reactor: session registration,
 //! wake-on-readable, deregistration, idle-timeout expiry inside the
-//! blocking wait, shutdown draining, and the counters it surfaces on
-//! `/v1/stats` — all against a live server on an ephemeral port.
+//! blocking wait, shutdown draining, fairness between connections, and
+//! the counters it surfaces on `/v1/stats` — all against a live server
+//! on an ephemeral port.
 
 use ikrq_core::IkrqService;
 use ikrq_server::client::{read_framed_reply, ClientReply};
 use ikrq_server::{serve, ServerConfig, ServerHandle};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -23,6 +25,8 @@ fn start(config: ServerConfig) -> ServerHandle {
         .unwrap();
     serve(service, "127.0.0.1:0", config).expect("bind ephemeral port")
 }
+
+const HEALTHZ: &[u8] = b"GET /v1/healthz HTTP/1.1\r\nhost: t\r\ncontent-length: 0\r\n\r\n";
 
 /// A raw keep-alive connection with framed response reads.
 struct Conn {
@@ -41,10 +45,7 @@ impl Conn {
     }
 
     fn healthz(&mut self) -> ClientReply {
-        self.reader
-            .get_mut()
-            .write_all(b"GET /v1/healthz HTTP/1.1\r\nhost: t\r\ncontent-length: 0\r\n\r\n")
-            .unwrap();
+        self.reader.get_mut().write_all(HEALTHZ).unwrap();
         read_framed_reply(&mut self.reader).expect("healthz reply")
     }
 
@@ -95,23 +96,29 @@ fn wait_for_stats(addr: SocketAddr, what: &str, predicate: impl Fn(&serde::Value
 
 /// Register → wake → deregister, observable through the counters: a
 /// quiet session is parked into the reactor, its next request wakes it
-/// (counted), and the woken session answers correctly on the same
-/// connection.
+/// (counted), and the woken session answers on the same connection with
+/// exactly the reply it gave before the park — a park/wake cycle is
+/// invisible on the wire.
 #[test]
 fn park_wake_and_deregister_one_session() {
     let handle = start(ServerConfig::default());
     let addr = handle.local_addr();
 
     let mut conn = Conn::open(addr);
-    assert_eq!(conn.healthz().status, 200);
+    let before_park = conn.healthz();
+    assert_eq!(before_park.status, 200);
     wait_for_stats(addr, "the session to park", |body| {
         counter(body, "connections_parked") == 1
     });
     let before = counter(&stats(addr), "reactor_wakeups");
 
     // The next request must wake the parked session and be answered on
-    // the same connection, and the wake must be counted.
-    assert_eq!(conn.healthz().status, 200);
+    // the same connection (a raw stream cannot redial), byte for byte as
+    // before the park, and the wake must be counted.
+    let after_wake = conn.healthz();
+    assert_eq!(after_wake.status, before_park.status);
+    assert_eq!(after_wake.headers, before_park.headers);
+    assert_eq!(after_wake.body, before_park.body);
     wait_for_stats(addr, "the wake to be counted", |body| {
         counter(body, "reactor_wakeups") > before
     });
@@ -216,40 +223,104 @@ fn shutdown_drains_the_parked_population() {
     assert_eq!(handle.stats().connections_active, 0);
 }
 
-/// `/v1/stats` names which idle watcher is running and the fd budget;
-/// under the legacy parker the reactor counters stay zero across a full
-/// park/wake cycle.
+/// `/v1/stats` reports the fd budget.
 #[test]
-fn stats_surface_the_watcher_mode_and_fd_limit() {
-    let with_reactor = start(ServerConfig::default());
-    let body = stats(with_reactor.local_addr());
-    assert_eq!(body.get("reactor").and_then(|v| v.as_bool()), Some(true));
-    #[cfg(unix)]
+fn stats_surface_the_fd_limit() {
+    let handle = start(ServerConfig::default());
+    let body = stats(handle.local_addr());
     assert!(
         body.get("nofile_limit").and_then(|v| v.as_u64()).unwrap() > 0,
         "unix hosts must report a real fd limit"
     );
-    drop(with_reactor);
+}
 
-    let with_parker = start(ServerConfig {
-        reactor: false,
-        ..ServerConfig::default()
-    });
-    let addr = with_parker.local_addr();
-    assert_eq!(
-        stats(addr).get("reactor").and_then(|v| v.as_bool()),
-        Some(false)
-    );
-    let mut conn = Conn::open(addr);
-    assert_eq!(conn.healthz().status, 200);
-    wait_for_stats(addr, "the parker to park the session", |body| {
-        counter(body, "connections_parked") == 1
-    });
-    assert_eq!(conn.healthz().status, 200);
-    wait_for_stats(addr, "the parker wake to drain", |body| {
-        counter(body, "connections_parked") <= 1
-    });
-    let body = stats(addr);
-    assert_eq!(counter(&body, "reactor_wakeups"), 0);
-    assert_eq!(counter(&body, "reactor_spurious_wakeups"), 0);
+/// How client A keeps the single worker busy in
+/// [`queued_connections_are_not_starved`].
+#[derive(Debug, Clone, Copy)]
+enum Load {
+    /// One request at a time, the next sent as soon as the reply lands.
+    BackToBack,
+    /// All requests pipelined in one write.
+    Pipelined,
+}
+
+/// Fairness: with one worker, a connection that keeps the worker busy
+/// must not starve one that queues behind it. B connects once A is being
+/// served and must be answered while A is still being served.
+#[test]
+fn queued_connections_are_not_starved() {
+    // Replies a back-to-back A reads after B is queued before it stops.
+    // A fair server parks A after the request in progress, which blocks
+    // A until B is answered; a server that yields only when A goes quiet
+    // keeps serving A through the whole window.
+    const AFTER_B_QUEUED: usize = 200;
+    const PIPELINED: usize = 50_000;
+
+    for load in [Load::BackToBack, Load::Pipelined] {
+        let handle = start(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let addr = handle.local_addr();
+        let b_queued = Arc::new(AtomicBool::new(false));
+        let a_done = Arc::new(AtomicBool::new(false));
+        let (a_served, a_is_served) = std::sync::mpsc::channel();
+        let a = {
+            let (b_queued, a_done) = (Arc::clone(&b_queued), Arc::clone(&a_done));
+            std::thread::spawn(move || {
+                let mut conn = Conn::open(addr);
+                let writer = match load {
+                    Load::BackToBack => None,
+                    Load::Pipelined => {
+                        let mut stream = conn.reader.get_ref().try_clone().unwrap();
+                        Some(std::thread::spawn(move || {
+                            stream.write_all(&HEALTHZ.repeat(PIPELINED)).unwrap();
+                        }))
+                    }
+                };
+                let (mut answered, mut after_b_queued) = (0, 0);
+                loop {
+                    let reply = match load {
+                        Load::BackToBack => conn.healthz(),
+                        Load::Pipelined => read_framed_reply(&mut conn.reader).expect("A reply"),
+                    };
+                    assert_eq!(reply.status, 200);
+                    answered += 1;
+                    if answered == 1 {
+                        a_served.send(()).unwrap();
+                    }
+                    after_b_queued += usize::from(b_queued.load(Ordering::SeqCst));
+                    let done = match load {
+                        Load::BackToBack => after_b_queued == AFTER_B_QUEUED,
+                        Load::Pipelined => answered == PIPELINED,
+                    };
+                    if done {
+                        break;
+                    }
+                }
+                if let Some(writer) = writer {
+                    writer.join().unwrap();
+                }
+                a_done.store(true, Ordering::SeqCst);
+            })
+        };
+
+        a_is_served.recv().expect("A is served");
+        let asked = Instant::now();
+        let mut b = Conn::open(addr);
+        b.reader.get_mut().write_all(HEALTHZ).unwrap();
+        while handle.stats().connections_accepted < 2 {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        b_queued.store(true, Ordering::SeqCst);
+        let reply = read_framed_reply(&mut b.reader).expect("B reply");
+        assert_eq!(reply.status, 200);
+        let waited = asked.elapsed();
+        let a_still_served = !a_done.load(Ordering::SeqCst);
+        a.join().expect("client A");
+        assert!(
+            a_still_served,
+            "{load:?}: B waited {waited:?}, until A was done"
+        );
+    }
 }

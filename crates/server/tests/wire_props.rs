@@ -14,12 +14,9 @@
 //!   clean close.
 
 use ikrq_server::http::{HttpConnection, HttpError, Request};
-use ikrq_server::{serve, KeepAliveClient, ServerConfig, ServerHandle};
 use proptest::collection;
 use proptest::prelude::*;
 use std::io::Read;
-use std::sync::Arc;
-use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // A reader that hands bytes out in caller-chosen slice sizes, simulating
@@ -301,94 +298,5 @@ proptest! {
             matches!(conn.read_request(4096), Err(HttpError::Closed)),
             "exhausted stream must report the clean close"
         );
-    }
-}
-
-// ---------------------------------------------------------------------
-// Reactor / legacy-parker parity on a live wire
-// ---------------------------------------------------------------------
-
-/// One step of a mirrored live-server session: a request against a
-/// deterministic endpoint, or a pause long enough for the worker linger
-/// to elapse — which forces a park/wake cycle through whichever idle
-/// watcher is running.
-#[derive(Debug, Clone)]
-enum ParityOp {
-    /// `(method, path)` against endpoints whose responses carry no
-    /// timing or counter state, so both servers must emit the same
-    /// bytes. (`/v1/stats` and `/v1/search` are deliberately absent:
-    /// their bodies embed counters and per-run timings.)
-    Request(&'static str, &'static str),
-    /// Go quiet for longer than the 50 ms worker linger.
-    Park,
-}
-
-fn parity_op() -> impl Strategy<Value = ParityOp> {
-    prop_oneof![
-        Just(ParityOp::Request("GET", "/v1/healthz")),
-        Just(ParityOp::Request("GET", "/v1/venues")),
-        Just(ParityOp::Request("GET", "/nope")),
-        Just(ParityOp::Request("GET", "/v2/healthz")),
-        Just(ParityOp::Request("POST", "/v1/healthz")),
-        Just(ParityOp::Request("DELETE", "/v1/search")),
-        Just(ParityOp::Park),
-    ]
-}
-
-fn parity_server(reactor: bool) -> ServerHandle {
-    let example = indoor_data::paper_example_venue();
-    let service = Arc::new(ikrq_core::IkrqService::new());
-    service
-        .register_venue(
-            "fig1",
-            example.venue.space.clone(),
-            example.venue.directory.clone(),
-        )
-        .unwrap();
-    serve(
-        service,
-        "127.0.0.1:0",
-        ServerConfig {
-            reactor,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind ephemeral port")
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The reactor is a transport-scheduling change only: the same
-    /// session replayed against a reactor server and a legacy-parker
-    /// server — including park/wake cycles — yields byte-identical
-    /// responses (status, headers and body) at every step.
-    #[test]
-    fn reactor_and_parker_sessions_are_byte_identical(
-        ops in collection::vec(parity_op(), 1..8),
-    ) {
-        let with_reactor = parity_server(true);
-        let with_parker = parity_server(false);
-        let mut client_r = KeepAliveClient::new(with_reactor.local_addr());
-        let mut client_p = KeepAliveClient::new(with_parker.local_addr());
-        for op in &ops {
-            match op {
-                ParityOp::Request(method, path) => {
-                    let reply_r = client_r.request(method, path, "").expect("reactor reply");
-                    let reply_p = client_p.request(method, path, "").expect("parker reply");
-                    prop_assert_eq!(reply_r.status, reply_p.status, "status diverged on {}", path);
-                    prop_assert_eq!(&reply_r.headers, &reply_p.headers, "headers diverged on {}", path);
-                    prop_assert_eq!(&reply_r.body, &reply_p.body, "body diverged on {}", path);
-                }
-                ParityOp::Park => std::thread::sleep(Duration::from_millis(80)),
-            }
-        }
-        // Park/wake cycles must be transparent: one dial each, however
-        // often the sessions were parked and woken in between. (The
-        // client dials lazily, so a request-free sequence dials zero.)
-        let requests = ops.iter().filter(|op| matches!(op, ParityOp::Request(..))).count();
-        let expected_dials = u64::from(requests > 0);
-        prop_assert_eq!(client_r.connects(), expected_dials);
-        prop_assert_eq!(client_p.connects(), expected_dials);
     }
 }

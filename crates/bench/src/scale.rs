@@ -16,20 +16,25 @@
 //! compared byte-for-byte (timings and memory metrics excluded), so the
 //! sweep doubles as a large-scale equivalence check.
 //!
-//! Each point also walks the full persistence round trip — document
-//! round-trip rebuild, pre-indexed binary save, cold load with index
-//! adoption — and splits the cold-start wall time into
-//! generate / space-build / index-build / save / load phases, so the
-//! `index_build_ms ≥ 5 × index_load_ms` serving criterion is measured in
-//! the same run that checks loaded-engine responses for byte-identity.
+//! Each point also walks the full persistence round trip through the one
+//! writer and the one loader — document round-trip rebuild, pre-indexed
+//! v2 save with [`binary::save_venue_columnar`], cold load with
+//! [`binary::load_venue_model_file`] and index adoption — and splits the
+//! cold-start wall time into generate / space-build / index-build / save /
+//! load phases. Two serving criteria are measured in the same run that
+//! checks the loaded engines' responses for byte-identity:
 //!
-//! The v2 columnar format gets the same treatment for the document body:
-//! each point saves a columnar file, cold-loads it with
-//! [`binary::load_venue_model`], and splits that load into its *doc-decode*
-//! (bytes → columns) and *model-adopt* (columns → model) phases. The
-//! document criterion compares their sum against the v1-style
-//! record-rebuild (`VenueDocument::build`), and the v2-loaded engine's
-//! responses join the byte-identity check.
+//! * the index criterion, `index_build_ms ≥ 5 × index_load_ms`, where the
+//!   load decodes the bytes of [`index_section::encode_index_section`] and
+//!   adopts them;
+//! * the document criterion, where the record rebuild
+//!   (`VenueDocument::build`) must cost at least 5× the v2 load's
+//!   *doc-decode* (bytes → columns) plus *model-adopt* (columns → model)
+//!   phases.
+//!
+//! Both load paths join the byte-identity check: the file as written
+//! (columnar adoption) and the same file with one columnar-body byte
+//! flipped (the record rebuild, still adopting the index).
 
 use crate::workload::to_query;
 use ikrq_core::{ExecOptions, IkrqEngine, IkrqService, IndexMode, SearchRequest, VariantConfig};
@@ -98,15 +103,14 @@ pub struct ScalePoint {
     pub koe_star_rows: usize,
     /// Total door rows the eager matrix would have built.
     pub koe_star_total_rows: usize,
-    /// Pre-indexed binary encode + write time in milliseconds.
+    /// Pre-indexed v2 encode + write time in milliseconds.
     pub save_ms: f64,
-    /// Full cold load in milliseconds: read the file, decode the document,
-    /// rebuild space + directory, adopt the persisted index.
+    /// Full cold load of the v2 file in milliseconds: read it, decode and
+    /// adopt the columns, adopt the persisted index.
     pub load_ms: f64,
     /// Index acquisition alone in milliseconds (best of a few rounds):
-    /// decode the persisted section and adopt it against the rebuilt
-    /// directory. The serving criterion compares this against
-    /// `index_build_ms`.
+    /// decode the persisted section and adopt it against the directory.
+    /// The serving criterion compares this against `index_build_ms`.
     pub index_load_ms: f64,
     /// v2 columnar doc-decode phase in milliseconds (best of a few rounds):
     /// bytes → validated columns.
@@ -114,15 +118,15 @@ pub struct ScalePoint {
     /// v2 columnar model-adopt phase in milliseconds (best of a few
     /// rounds): columns → space + directory.
     pub model_adopt_ms: f64,
-    /// v1-style record rebuild in milliseconds (best of a few rounds):
-    /// `VenueDocument::build` on the loaded document. The document
-    /// criterion compares this against `doc_decode_ms + model_adopt_ms`.
+    /// Record rebuild in milliseconds (best of a few rounds):
+    /// `VenueDocument::build` on the document. The document criterion
+    /// compares this against `doc_decode_ms + model_adopt_ms`.
     pub doc_rebuild_ms: f64,
-    /// Whether every v2 cold load adopted the columnar section (no
-    /// degradation to a record rebuild).
+    /// Whether every v2 cold load of the file as written adopted the
+    /// columnar section (no degradation to a record rebuild).
     pub columnar_adopted: bool,
-    /// Whether every response from the v2-loaded engine was byte-identical
-    /// to the scan response.
+    /// Whether every response from the engine that adopted the v2 file's
+    /// columns and index was byte-identical to the scan response.
     pub columnar_identical: bool,
     /// Process peak resident set (`VmHWM`) in KiB after this point ran.
     /// A high-water mark, so it is monotone across a multi-size sweep.
@@ -130,8 +134,10 @@ pub struct ScalePoint {
     /// Whether every accelerated response was byte-identical to the scan
     /// response (deterministic fields only).
     pub identical_responses: bool,
-    /// Whether every response from the engine that adopted the persisted
-    /// index was byte-identical to the scan response.
+    /// Whether every response from the engine loaded through the record
+    /// rebuild (the file with one columnar-body byte flipped, which must
+    /// degrade and still adopt the index) was byte-identical to the scan
+    /// response.
     pub loaded_identical: bool,
 }
 
@@ -285,7 +291,7 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
 
     // Persistence round trip: capture the venue as a document, save it with
     // a pre-built index section, cold-load it back, and answer the same
-    // workload through the loaded engine.
+    // workload through the loaded engines.
     let doc = VenueDocument::from_venue(&venue.space, &venue.directory, 32.0, Some("sweep".into()));
     let space_build_start = Instant::now();
     let (doc_space, doc_directory) = doc.build().expect("sweep documents round-trip");
@@ -296,35 +302,31 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
     // does.
     let fresh = IkrqEngine::new(doc_space, doc_directory);
     let fresh_index = fresh.index().expect("accelerated engine has an index");
-    let venue_only_len = binary::encode_venue(&doc)
-        .expect("sweep documents encode")
-        .len();
 
     let tmp = std::env::temp_dir().join(format!("ikrq-scale-{size}-seed{seed}.bin"));
     let save_start = Instant::now();
-    let payload = binary::encode_venue_with_index(&doc, fresh_index, fresh.directory())
-        .expect("sweep documents encode");
-    std::fs::write(&tmp, &payload).expect("temp dir is writable");
+    binary::save_venue_columnar(
+        &doc,
+        fresh.space(),
+        fresh.directory(),
+        Some(fresh_index),
+        &tmp,
+    )
+    .expect("sweep documents save");
     let save_ms = ms_since(save_start);
 
     let load_start = Instant::now();
-    let disk = std::fs::read(&tmp).expect("saved venue reads back");
-    let (loaded_doc, section) = binary::decode_venue_file(&disk).expect("saved venue decodes");
-    let (loaded_space, loaded_directory) = loaded_doc.build().expect("loaded documents round-trip");
-    let IndexSection::Present(prebuilt) = section else {
-        panic!("saved venue carries a usable index section");
-    };
-    let loaded_index = prebuilt
-        .into_index(&loaded_directory)
-        .expect("persisted index binds to the rebuilt directory");
+    let v2 = binary::load_venue_model_file(&tmp).expect("saved venue loads");
+    let v2_engine = serving_engine(v2);
     let load_ms = ms_since(load_start);
+    let disk = std::fs::read(&tmp).expect("saved venue reads back");
     let _ = std::fs::remove_file(&tmp);
 
-    // Index acquisition alone, on the same disk bytes: section decode plus
-    // adoption, without the document work both paths share. Both sides of
-    // the serving criterion take the best of a few rounds — one-shot wall
-    // times on a shared machine are dominated by scheduler and frequency
-    // noise, and steady-state is what a warm serving process sees.
+    // Index acquisition alone, on the section's bytes: decode plus
+    // adoption, without the document work. Both sides of the serving
+    // criterion take the best of a few rounds — one-shot wall times on a
+    // shared machine are dominated by scheduler and frequency noise, and
+    // steady-state is what a warm serving process sees.
     const TIMING_ROUNDS: usize = 7;
     let mut index_build_ms = f64::INFINITY;
     for _ in 0..TIMING_ROUNDS {
@@ -333,12 +335,14 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
         index_build_ms = index_build_ms.min(ms_since(build_start));
         drop(rebuilt);
     }
+    let mut section = Default::default();
+    index_section::encode_index_section(&mut section, fresh_index, fresh.directory());
     let mut index_load_ms = f64::INFINITY;
     for _ in 0..TIMING_ROUNDS {
         let index_load_start = Instant::now();
-        let reloaded = match index_section::decode_index_section(&disk[venue_only_len..]) {
+        let reloaded = match index_section::decode_index_section(section.as_ref()) {
             IndexSection::Present(prebuilt) => prebuilt
-                .into_index(&loaded_directory)
+                .into_index(fresh.directory())
                 .expect("persisted index binds to the rebuilt directory"),
             other => panic!("saved index section decodes: {other:?}"),
         };
@@ -346,68 +350,41 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
         drop(reloaded);
     }
 
-    let loaded_engine = Arc::new(IkrqEngine::with_prebuilt_index(
-        loaded_space,
-        loaded_directory,
-        loaded_index,
-    ));
-    let loaded_service = IkrqService::new();
-    loaded_service
-        .register_engine("sweep", Arc::clone(&loaded_engine))
-        .expect("fresh service accepts the venue");
-    let loaded_identical = requests.iter().zip(&scan_responses).all(|(r, scan)| {
-        let response = loaded_service.search(r).expect("loaded query succeeds");
-        response.deterministic_json() == scan.deterministic_json()
-    });
-
-    // v2 columnar round trip: save the same document with a columnar body,
-    // cold-load it, and split that load into its decode and adopt phases.
-    // The document criterion compares decode + adopt against the v1-style
-    // record rebuild, best of a few rounds on both sides.
-    let disk2 =
-        binary::encode_venue_columnar(&doc, fresh.space(), fresh.directory(), Some(fresh_index))
-            .expect("sweep documents encode as columnar");
+    // The document criterion: v2 decode + adopt against the record rebuild,
+    // best of a few rounds on both sides.
     let mut doc_decode_ms = f64::INFINITY;
     let mut model_adopt_ms = f64::INFINITY;
-    let mut columnar_adopted = true;
+    let mut columnar_adopted = v2_engine.document_stats().is_some_and(adopted);
     for _ in 0..TIMING_ROUNDS {
-        let round = binary::load_venue_model(&disk2).expect("columnar venue loads");
-        columnar_adopted &= round.stats.adopted_columnar && round.stats.degraded.is_none();
+        let round = binary::load_venue_model(&disk).expect("columnar venue loads");
+        columnar_adopted &= adopted(&round.stats);
         doc_decode_ms = doc_decode_ms.min(round.stats.decode_micros as f64 / 1e3);
         model_adopt_ms = model_adopt_ms.min(round.stats.adopt_micros as f64 / 1e3);
     }
     let mut doc_rebuild_ms = f64::INFINITY;
     for _ in 0..TIMING_ROUNDS {
         let rebuild_start = Instant::now();
-        let rebuilt = loaded_doc.build().expect("loaded documents round-trip");
+        let rebuilt = doc.build().expect("sweep documents round-trip");
         doc_rebuild_ms = doc_rebuild_ms.min(ms_since(rebuild_start));
         drop(rebuilt);
     }
 
-    // The v2-loaded engine (columnar model + persisted index) joins the
-    // byte-identity check against the scan responses.
-    let v2 = binary::load_venue_model(&disk2).expect("columnar venue loads");
-    let v2_index = match v2.index {
-        IndexSection::Present(prebuilt) => prebuilt
-            .into_index(&v2.directory)
-            .expect("persisted index binds to the adopted directory"),
-        other => panic!("columnar venue carries a usable index section: {other:?}"),
-    };
-    let v2_engine = Arc::new(IkrqEngine::with_prebuilt_index(
-        v2.space,
-        v2.directory,
-        v2_index,
-    ));
-    let v2_service = IkrqService::new();
-    v2_service
-        .register_engine("sweep", Arc::clone(&v2_engine))
-        .expect("fresh service accepts the venue");
-    let columnar_identical = requests.iter().zip(&scan_responses).all(|(r, scan)| {
-        let response = v2_service
-            .search(r)
-            .expect("columnar-loaded query succeeds");
-        response.deterministic_json() == scan.deterministic_json()
-    });
+    // Both load paths join the byte-identity check against the scan
+    // responses: the file as written adopts its columns; with one
+    // columnar-body byte flipped it must fall back to the record rebuild and
+    // still adopt the index.
+    let record_len = u32::from_le_bytes(disk[10..14].try_into().expect("4-byte field")) as usize;
+    let mut flipped = disk.clone();
+    flipped[14 + record_len + 20] ^= 0xff;
+    let rebuilt = binary::load_venue_model(&flipped).expect("a damaged columnar section degrades");
+    assert!(
+        !rebuilt.stats.adopted_columnar && rebuilt.stats.degraded.is_some(),
+        "a flipped columnar byte must degrade the load: {:?}",
+        rebuilt.stats
+    );
+    let rebuilt_engine = serving_engine(rebuilt);
+    let columnar_identical = answers_like_scan(v2_engine, &requests, &scan_responses);
+    let loaded_identical = answers_like_scan(rebuilt_engine, &requests, &scan_responses);
 
     ScalePoint {
         requested_partitions: size,
@@ -437,6 +414,43 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
         identical_responses: identical,
         loaded_identical,
     }
+}
+
+/// Whether a load adopted the columnar section without degrading.
+fn adopted(stats: &ikrq_core::DocumentStats) -> bool {
+    stats.adopted_columnar && stats.degraded.is_none()
+}
+
+/// The engine for a loaded venue, adopting its persisted index section;
+/// panics when the section is missing or unusable, as every saved sweep
+/// venue carries a valid one.
+fn serving_engine(loaded: binary::LoadedVenue) -> IkrqEngine {
+    let index = match loaded.index {
+        IndexSection::Present(prebuilt) => prebuilt
+            .into_index(&loaded.directory)
+            .expect("persisted index binds to the loaded directory"),
+        other => panic!("saved venue carries a usable index section: {other:?}"),
+    };
+    let mut engine = IkrqEngine::with_prebuilt_index(loaded.space, loaded.directory, index);
+    engine.set_document_stats(loaded.stats);
+    engine
+}
+
+/// Whether `engine` answers every request byte-identically to the scan
+/// engine's responses.
+fn answers_like_scan(
+    engine: IkrqEngine,
+    requests: &[SearchRequest],
+    scan_responses: &[ikrq_core::SearchResponse],
+) -> bool {
+    let service = IkrqService::new();
+    service
+        .register_engine("sweep", Arc::new(engine))
+        .expect("fresh service accepts the venue");
+    requests.iter().zip(scan_responses).all(|(r, scan)| {
+        let response = service.search(r).expect("loaded query succeeds");
+        response.deterministic_json() == scan.deterministic_json()
+    })
 }
 
 /// Renders the sweep as a Markdown table (the format recorded in the docs).

@@ -17,7 +17,7 @@ use indoor_data::{
     Venue,
 };
 use indoor_keywords::{KeywordDirectory, QueryKeywords};
-use indoor_persist::{binary, json, ResultDocument, VenueDocument};
+use indoor_persist::{binary, json, LoadedVenue, ResultDocument, VenueDocument};
 use indoor_space::{FloorId, IndoorPoint, IndoorSpace};
 use indoor_viz::{render_floor, render_routes_on_floor, RenderStyle};
 use std::fmt::Write as _;
@@ -36,13 +36,14 @@ COMMANDS:
                --kind example|synthetic|real|mega   (default: synthetic)
                --floors N   --seed S           (synthetic/real/mega)
                --partitions N                  target partition count (mega only)
-               --out PATH                      output file
-               --binary                        write the compact binary format
-               --save-indexed PATH             also write the binary format with a
-                                               pre-built index section appended
-                                               (serve loads it instead of rebuilding)
+               --out PATH                      write the venue as JSON
+               --save-indexed PATH             write the binary venue file: records,
+                                               the built model's columns and a
+                                               pre-built index (every command adopts
+                                               them instead of rebuilding)
     stats      Print venue statistics
-               --venue PATH                    venue document (json or binary)
+               --venue PATH                    venue file (JSON or binary, told
+                                               apart by content)
     query      Run an IKRQ against a venue
                --venue PATH                    venue document
                --from x,y[,floor]  --to x,y[,floor]
@@ -189,11 +190,7 @@ fn generate(args: &ParsedArgs) -> Result<String> {
     let doc = VenueDocument::from_venue(&venue.space, &venue.directory, grid_cell, Some(name));
     let mut report = String::new();
     if let Some(out) = &out {
-        if args.switch("binary") {
-            binary::save_venue_binary(&doc, out)?;
-        } else {
-            json::save_venue_json(&doc, out)?;
-        }
+        json::save_venue_json(&doc, out)?;
         let _ = writeln!(
             report,
             "wrote {} ({} partitions, {} doors, {} i-words, {} t-words)",
@@ -231,105 +228,23 @@ fn generate(args: &ParsedArgs) -> Result<String> {
 // stats
 // ---------------------------------------------------------------------
 
-/// Loads a venue document from JSON or the binary format, deciding by
-/// extension first and falling back to the other decoder.
-pub fn load_venue_document(path: &str) -> Result<VenueDocument> {
-    let looks_binary = Path::new(path)
-        .extension()
-        .map(|e| e == "bin" || e == "ikrq")
-        .unwrap_or(false);
-    let first = if looks_binary {
-        binary::load_venue_binary(path)
-    } else {
-        json::load_venue_json(path)
-    };
-    match first {
-        Ok(doc) => Ok(doc),
-        Err(first_err) => {
-            let second = if looks_binary {
-                json::load_venue_json(path)
-            } else {
-                binary::load_venue_binary(path)
-            };
-            second.map_err(|_| CliError::Persist(first_err))
-        }
-    }
-}
-
-fn load_engine(path: &str) -> Result<(IndoorSpace, KeywordDirectory, Option<String>)> {
-    let doc = load_venue_document(path)?;
-    let name = doc.name.clone();
-    let (space, directory) = doc.build()?;
-    Ok((space, directory, name))
-}
-
-/// Loads a venue file straight into its in-memory model plus the optional
-/// pre-built index section. Binary files go through
-/// [`binary::load_venue_model_file`] (which adopts a v2 columnar section when
-/// present and degrades to a record rebuild otherwise); anything else falls
-/// back to the JSON document path, reported as format version 0.
-fn load_serving_model(
-    path: &str,
-) -> Result<(
-    Option<String>,
-    IndoorSpace,
-    KeywordDirectory,
-    indoor_persist::IndexSection,
-    ikrq_core::DocumentStats,
-)> {
-    match binary::load_venue_model_file(path) {
-        Ok(loaded) => {
-            let stats = ikrq_core::DocumentStats {
-                format_version: loaded.stats.format_version,
-                adopted_columnar: loaded.stats.adopted_columnar,
-                decode_micros: loaded.stats.decode_micros,
-                adopt_micros: loaded.stats.adopt_micros,
-                degraded: loaded.stats.degraded,
-            };
-            Ok((
-                loaded.name,
-                loaded.space,
-                loaded.directory,
-                loaded.index,
-                stats,
-            ))
-        }
-        Err(_) => {
-            let started = std::time::Instant::now();
-            let doc = load_venue_document(path)?;
-            let decode_micros = started.elapsed().as_micros() as u64;
-            let name = doc.name.clone();
-            let started = std::time::Instant::now();
-            let (space, directory) = doc.build()?;
-            let adopt_micros = started.elapsed().as_micros() as u64;
-            let stats = ikrq_core::DocumentStats {
-                format_version: 0,
-                adopted_columnar: false,
-                decode_micros,
-                adopt_micros,
-                degraded: None,
-            };
-            Ok((
-                name,
-                space,
-                directory,
-                indoor_persist::IndexSection::Absent,
-                stats,
-            ))
-        }
-    }
-}
-
-/// Builds a serving engine for a venue file, adopting a usable persisted
-/// columnar document body and index section instead of rebuilding. Any
-/// section defect (corruption, version skew, directory mismatch) degrades to
-/// a fresh build with a warning on stderr — a stale section never prevents a
-/// venue from serving.
+/// Builds the engine for a venue file; every command takes its venue from
+/// here. The file goes through the one venue loader, so a usable persisted
+/// columnar document body and index section are adopted instead of
+/// rebuilt. Any section defect (corruption, version skew, directory
+/// mismatch) degrades to a fresh build with a warning on stderr — a stale
+/// section never prevents a venue from serving.
 fn build_serving_engine(
     path: &str,
     koe_rows_cap: Option<usize>,
 ) -> Result<(ikrq_core::IkrqEngine, Option<String>)> {
-    let (name, space, directory, section, stats) = load_serving_model(path)?;
+    let LoadedVenue {
+        name,
+        space,
+        directory,
+        index: section,
+        stats,
+    } = binary::load_venue_model_file(path)?;
     if let Some(reason) = &stats.degraded {
         eprintln!(
             "warning: {path}: columnar document not adopted ({reason}); rebuilt from records"
@@ -359,8 +274,9 @@ fn build_serving_engine(
 
 fn stats(args: &ParsedArgs) -> Result<String> {
     let path = args.require("venue")?;
-    let (space, directory, name) = load_engine(path)?;
-    let stats = space.stats();
+    let (engine, name) = build_serving_engine(path, None)?;
+    let directory = engine.directory();
+    let stats = engine.space().stats();
     let mut report = String::new();
     let _ = writeln!(report, "venue: {}", name.as_deref().unwrap_or(path));
     let _ = writeln!(report, "floors: {}", stats.floors);
@@ -481,15 +397,16 @@ fn describe_route(
     )
 }
 
-/// Loads a venue document and hosts it on a fresh single-venue service,
+/// Loads a venue file and hosts it on a fresh single-venue service,
 /// returning the service, the venue id it is registered under, and the
 /// shared engine (for extension paths and route descriptions).
 fn load_service(path: &str) -> Result<(IkrqService, String, Arc<ikrq_core::IkrqEngine>)> {
-    let (space, directory, name) = load_engine(path)?;
+    let (engine, name) = build_serving_engine(path, None)?;
     let venue_id = name.unwrap_or_else(|| path.to_string());
+    let engine = Arc::new(engine);
     let service = IkrqService::new();
-    let engine = service
-        .register_venue(&venue_id, space, directory)
+    service
+        .register_engine(&venue_id, Arc::clone(&engine))
         .map_err(CliError::Engine)?;
     Ok((service, venue_id, engine))
 }
@@ -839,7 +756,9 @@ fn render(args: &ParsedArgs) -> Result<String> {
     let path = args.require("venue")?;
     let out = args.require("out")?.to_string();
     let floor = FloorId(args.get_i32("floor")?.unwrap_or(0));
-    let (space, directory, _) = load_engine(path)?;
+    let (engine, _) = build_serving_engine(path, None)?;
+    let engine = Arc::new(engine);
+    let (space, directory) = (engine.space(), engine.directory());
 
     let mut style = RenderStyle::default();
     if args.switch("no-labels") {
@@ -859,7 +778,7 @@ fn render(args: &ParsedArgs) -> Result<String> {
         // Overlay the routes of a query.
         let service = IkrqService::new();
         service
-            .register_venue("render", space.clone(), directory.clone())
+            .register_engine("render", Arc::clone(&engine))
             .map_err(CliError::Engine)?;
         let request = build_request(args, "render")?;
         let response = service.search(&request)?;
@@ -871,9 +790,9 @@ fn render(args: &ParsedArgs) -> Result<String> {
             routes.len(),
             response.variant
         );
-        render_routes_on_floor(&space, &routes, floor, &style)?
+        render_routes_on_floor(space, &routes, floor, &style)?
     } else {
-        render_floor(&space, Some(&directory), floor, &style)?
+        render_floor(space, Some(directory), floor, &style)?
     };
 
     if let Some(parent) = Path::new(&out).parent() {

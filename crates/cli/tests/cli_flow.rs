@@ -221,18 +221,90 @@ fn batch_runs_a_saved_workload_through_the_service() {
 fn binary_venue_documents_work_end_to_end() {
     let dir = TempDir::new("binary");
     let venue_path = dir.file("example.ikrq");
+    // `--binary` (the v1 writer) is gone; v1 files are read, not written.
+    assert!(matches!(
+        run_args([
+            "generate",
+            "--kind",
+            "example",
+            "--binary",
+            "--out",
+            venue_path.as_str(),
+        ]),
+        Err(CliError::Usage(_))
+    ));
+    // The stats command recognises a v1 file by its content, whatever its
+    // name.
+    let v1 = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../indoor-persist/tests/fixtures/fig1-v1.ikrq"
+    );
+    let renamed = dir.file("example.json");
+    std::fs::copy(v1, &renamed).unwrap();
+    for path in [v1, renamed.as_str()] {
+        let report = run_args(["stats", "--venue", path]).unwrap();
+        assert!(report.contains("partitions: 12"), "{path}: {report}");
+    }
+}
+
+#[test]
+fn load_errors_name_the_defect_of_the_real_format() {
+    let dir = TempDir::new("load-errors");
+    let json = dir.file("example.json");
+    let bin = dir.file("example.ikrq");
     run_args([
         "generate",
         "--kind",
         "example",
-        "--binary",
         "--out",
-        venue_path.as_str(),
+        json.as_str(),
+        "--save-indexed",
+        bin.as_str(),
     ])
     .unwrap();
-    // The stats command auto-detects the binary format.
-    let report = run_args(["stats", "--venue", venue_path.as_str()]).unwrap();
-    assert!(report.contains("partitions: 12"));
+    let v2 = std::fs::read(&bin).unwrap();
+    let text = std::fs::read_to_string(&json).unwrap();
+    // Cut inside the venue name's string value.
+    let inside_a_string = text.find("\"fig1-example\"").unwrap() + 5;
+
+    let cases = [
+        (
+            "cut.ikrq",
+            &v2[..200],
+            "truncated payload while reading partition footprint",
+        ),
+        (
+            "cut.dat",
+            &v2[..200],
+            "truncated payload while reading partition footprint",
+        ),
+        (
+            "cut-json.ikrq",
+            &text.as_bytes()[..inside_a_string],
+            "json error: unterminated string",
+        ),
+    ];
+    for (name, bytes, cause) in cases {
+        let path = dir.file(name);
+        std::fs::write(&path, bytes).unwrap();
+        let error = run_args(["stats", "--venue", path.as_str()]).unwrap_err();
+        assert!(error.to_string().contains(cause), "stats {name}: {error}");
+        let args = ikrq_cli::ParsedArgs::parse([
+            "serve",
+            "--venues",
+            path.as_str(),
+            "--addr",
+            "127.0.0.1:0",
+        ])
+        .unwrap();
+        match ikrq_cli::commands::start_server(&args) {
+            Err(error) => assert!(error.to_string().contains(cause), "serve {name}: {error}"),
+            Ok(mut handle) => {
+                handle.shutdown();
+                panic!("serve {name}: a defective venue file was served");
+            }
+        }
+    }
 }
 
 #[test]

@@ -40,9 +40,9 @@ impl IndexMode {
 }
 
 /// How the venue document this engine serves was turned into its in-memory
-/// model, shaped for `/v1/stats`. Recorded by whoever loads the venue (the
-/// CLI maps `indoor_persist::DocumentLoadStats` here); engines built
-/// directly from in-memory models have none.
+/// model, shaped for `/v1/stats`. `indoor_persist`'s venue loader fills it
+/// in, and whoever builds the engine records it; engines built directly
+/// from in-memory models have none.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DocumentStats {
     /// File format version the venue was loaded from (`2` columnar binary,

@@ -198,34 +198,32 @@ impl Search<'_> {
     /// equals the scan path's `partition_detour_lower_bound > delta`.
     fn detour_exceeds_delta(&mut self, vj: PartitionId, delta: f64) -> bool {
         if let Some(index) = self.ctx.index {
-            if index.regions().is_sound() {
-                if let Some(rid) = index.regions().region_of(vj) {
-                    let failed = match self.state.region_failed.get(&rid) {
-                        Some(&failed) => failed,
-                        None => {
-                            let counters = index.counters();
-                            counters.regions_tested.fetch_add(1, Ordering::Relaxed);
-                            let rb = index.regions().detour_lower_bound(
-                                self.ctx.space,
-                                rid,
-                                &self.ctx.query.start,
-                                &self.ctx.query.terminal,
-                            );
-                            let failed = rb > delta;
-                            self.state.region_failed.insert(rid, failed);
-                            if failed {
-                                counters.regions_pruned.fetch_add(1, Ordering::Relaxed);
-                            }
-                            failed
+            if let Some(rid) = index.regions().region_of(vj) {
+                let failed = match self.state.region_failed.get(&rid) {
+                    Some(&failed) => failed,
+                    None => {
+                        let counters = index.counters();
+                        counters.regions_tested.fetch_add(1, Ordering::Relaxed);
+                        let rb = index.regions().detour_lower_bound(
+                            self.ctx.space,
+                            rid,
+                            &self.ctx.query.start,
+                            &self.ctx.query.terminal,
+                        );
+                        let failed = rb > delta;
+                        self.state.region_failed.insert(rid, failed);
+                        if failed {
+                            counters.regions_pruned.fetch_add(1, Ordering::Relaxed);
                         }
-                    };
-                    if failed {
-                        index
-                            .counters()
-                            .candidates_pruned
-                            .fetch_add(1, Ordering::Relaxed);
-                        return true;
+                        failed
                     }
+                };
+                if failed {
+                    index
+                        .counters()
+                        .candidates_pruned
+                        .fetch_add(1, Ordering::Relaxed);
+                    return true;
                 }
             }
         }

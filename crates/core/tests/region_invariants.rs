@@ -121,10 +121,6 @@ fn random_point(space: &IndoorSpace, rng: &mut StdRng) -> IndoorPoint {
 fn check_bound_dominance(label: &str, space: &IndoorSpace, directory: &KeywordDirectory) {
     let index = VenueIndex::build(space, directory);
     let regions = index.regions();
-    assert!(
-        regions.is_sound(),
-        "{label}: generated venues have no negative overrides"
-    );
     let mut rng = StdRng::seed_from_u64(0xB0DE);
     let partitions: Vec<PartitionId> = space.partitions().iter().map(|p| p.id).collect();
     for _ in 0..24 {

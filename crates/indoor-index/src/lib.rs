@@ -39,12 +39,11 @@
 //!    touch, and intra-partition distances are non-negative — so the
 //!    skeleton lower bound from a point to any member door dominates the
 //!    point-to-region term, and the intra-partition leg dominates zero.
-//!    Venues may declare *negative* intra-distance overrides (nothing
-//!    validates them); [`RegionIndex::is_sound`] detects that at build time
-//!    and the engine then skips region-level pruning, falling back to the
-//!    per-partition bound. Region pruning therefore never changes results:
-//!    a region prunes only when every one of its members would have been
-//!    pruned individually by the same Rule-3 comparison.
+//!    Both space constructors reject NaN and negative distance overrides,
+//!    so the last step holds for every venue. Region pruning therefore
+//!    never changes results: a region prunes only when every one of its
+//!    members would have been pruned individually by the same Rule-3
+//!    comparison.
 //!
 //! 3. **[`LazyDoorRows`]** — incremental replacement for the all-or-nothing
 //!    all-pairs matrix: one [`DijkstraResult`] row per source door,

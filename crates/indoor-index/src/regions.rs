@@ -92,11 +92,6 @@ pub struct RegionIndex {
     /// Dense table of partition-naming i-words, sorted; the bit index of a
     /// word in every region bitmap is its position here.
     iword_dense: Vec<WordId>,
-    /// Whether the region detour bound is sound for this venue: false when
-    /// the venue declares a negative intra-partition or loop distance
-    /// override (nothing upstream validates them), in which case callers
-    /// must skip region-level pruning. See the crate-level invariant.
-    sound: bool,
 }
 
 impl RegionIndex {
@@ -183,33 +178,21 @@ impl RegionIndex {
             }
         }
 
-        let sound = space
-            .intra_distance_overrides()
-            .all(|(_, _, _, d)| d >= 0.0)
-            && space.loop_distance_overrides().all(|(_, _, d)| d >= 0.0);
-
         RegionIndex {
             regions,
             region_of,
             iword_dense,
-            sound,
         }
     }
 
     /// Reassembles the layer from persisted parts, as decoded from a
     /// persisted index section.
-    pub fn from_parts(
-        regions: Vec<Region>,
-        region_of: Vec<u32>,
-        iword_dense: Vec<WordId>,
-        sound: bool,
-    ) -> Self {
+    pub fn from_parts(regions: Vec<Region>, region_of: Vec<u32>, iword_dense: Vec<WordId>) -> Self {
         debug_assert!(iword_dense.windows(2).all(|w| w[0] < w[1]));
         RegionIndex {
             regions,
             region_of,
             iword_dense,
-            sound,
         }
     }
 
@@ -241,12 +224,6 @@ impl RegionIndex {
     /// The region a partition belongs to.
     pub fn region_of(&self, v: PartitionId) -> Option<u32> {
         self.region_of.get(v.index()).copied()
-    }
-
-    /// Whether the region detour bound is usable for pruning (see the
-    /// crate-level soundness invariant).
-    pub fn is_sound(&self) -> bool {
-        self.sound
     }
 
     /// Lower bound on the detour `|ps, v| + |v, pt|` of *any* member

@@ -1,11 +1,19 @@
-//! Compact binary codec for [`VenueDocument`]s.
+//! Venue files: one writer and one loader.
 //!
-//! The JSON representation of a full synthetic venue (≈700 partitions,
-//! ≈1100 doors, ≈1200 i-words with ≈9000 t-word strings) runs to several
-//! megabytes; this codec stores the same document in a flat little-endian
-//! layout at a fraction of the size and parses without an intermediate DOM.
+//! [`encode_venue_columnar`] (to bytes) and [`save_venue_columnar`] (to a
+//! path) are the only binary writers; they write file version 2.
+//! [`load_venue_model`] (from bytes) and [`load_venue_model_file`] (from a
+//! path) are the only loaders, and they pick the format from the content,
+//! never from the file name:
 //!
-//! Version 1 layout (all integers little-endian):
+//! * bytes that start with `IKRQVEN\0` are a binary venue file. Version 2
+//!   adopts its columnar section, and rebuilds from its record body only
+//!   when that section is defective; version 1 always rebuilds;
+//! * anything else is parsed, validated and built as a JSON
+//!   [`VenueDocument`], and reported as format version 0.
+//!
+//! Version 1 files are still read but no longer written. Their layout is
+//! the record body that version 2 keeps (all integers little-endian):
 //!
 //! ```text
 //! magic            8 bytes  b"IKRQVEN\0"
@@ -23,12 +31,13 @@
 //! keywords         u32 count, then per i-word:
 //!                    string iword, u32 partition count + u32s,
 //!                    u32 t-word count + strings
+//! index section    optional (see [`crate::index_section`])
 //! ```
 //!
 //! Strings are a `u32` byte length followed by UTF-8 bytes.
 //!
-//! Version 2 keeps the exact same record body but wraps it for the columnar
-//! cold-start path (see [`crate::columnar`] and `docs/PERSIST.md`):
+//! Version 2 wraps the same record body for the columnar cold-start path
+//! (see [`crate::columnar`] and `docs/PERSIST.md`):
 //!
 //! ```text
 //! magic            8 bytes  b"IKRQVEN\0"
@@ -39,23 +48,22 @@
 //! index section    optional, as in v1
 //! ```
 //!
-//! [`load_venue_model`] adopts the columnar section directly — the record
-//! body is skipped entirely on the fast path, and decoded only when the
-//! section is damaged or outdated (the record body remains the source of
-//! truth a rebuild can always fall back to).
+//! The loader skips the record body on the fast path and decodes it only
+//! when the columnar section is damaged or outdated: the record body
+//! remains the source of truth a rebuild can always fall back to.
 
 use crate::columnar::{
     adopt_columnar_parts, columnar_section_len, decode_columnar_parts, encode_columnar_section,
-    DocumentLoadStats, LoadedVenue,
 };
 use crate::document::{
     ConnectionRecord, DoorRecord, FloorRecord, IntraOverrideRecord, KeywordRecord,
     LoopOverrideRecord, PartitionRecord, VenueDocument, FORMAT_VERSION,
 };
 use crate::error::PersistError;
-use crate::index_section::IndexSection;
+use crate::index_section::{decode_index_section, encode_index_section, IndexSection, INDEX_MAGIC};
 use crate::Result;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use ikrq_core::DocumentStats;
 use indoor_index::VenueIndex;
 use indoor_keywords::KeywordDirectory;
 use indoor_space::IndoorSpace;
@@ -141,16 +149,6 @@ fn door_kind_label(code: u8) -> Result<&'static str> {
             )))
         }
     })
-}
-
-/// Encodes a venue document into the compact binary format (version 1).
-pub fn encode_venue(doc: &VenueDocument) -> Result<Bytes> {
-    doc.validate()?;
-    let mut buf = BytesMut::with_capacity(1 << 16);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(doc.format_version);
-    encode_record_body(&mut buf, doc)?;
-    Ok(buf.freeze())
 }
 
 /// Encodes the record fields shared by both file versions: everything after
@@ -251,7 +249,7 @@ pub fn encode_venue_columnar(
     buf.put_slice(record.as_ref());
     encode_columnar_section(&mut buf, &doc.name, space, directory, doc.grid_cell);
     if let Some(index) = index {
-        crate::index_section::encode_index_section(&mut buf, index, directory);
+        encode_index_section(&mut buf, index, directory);
     }
     Ok(buf.freeze())
 }
@@ -335,59 +333,10 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decodes a venue document from the compact binary format. For version 1
-/// payloads, trailing bytes are rejected unless they form an index section
-/// (see [`crate::index_section`]); version 2 payloads always carry sections
-/// after the record body, which this entry point skips — use
-/// [`decode_venue_file`] for the index section or [`load_venue_model`] for
-/// the columnar fast path.
-pub fn decode_venue(payload: &[u8]) -> Result<VenueDocument> {
-    let (doc, file_version, rest) = decode_venue_prefix(payload)?;
-    if file_version < COLUMNAR_FILE_VERSION
-        && !rest.is_empty()
-        && !rest.starts_with(crate::index_section::INDEX_MAGIC)
-    {
-        return Err(PersistError::Binary(format!(
-            "{} trailing bytes after the document",
-            rest.len()
-        )));
-    }
-    Ok(doc)
-}
-
-/// Decodes a venue file: the document plus whatever its optional pre-built
-/// index section held. The section outcome is advisory — corruption there
-/// yields [`IndexSection::Unusable`], never an error. In a version 2 file
-/// the index section sits after the columnar section; when the columnar
-/// framing is too damaged to skip over, the index is reported unusable (the
-/// document itself still decodes).
-pub fn decode_venue_file(payload: &[u8]) -> Result<(VenueDocument, IndexSection)> {
-    let (doc, file_version, rest) = decode_venue_prefix(payload)?;
-    if file_version >= COLUMNAR_FILE_VERSION {
-        let index = if rest.is_empty() {
-            IndexSection::Absent
-        } else {
-            match columnar_section_len(rest) {
-                Some(len) => crate::index_section::decode_index_section(&rest[len..]),
-                None => IndexSection::Unusable(
-                    "columnar section framing is damaged; cannot locate the index section".into(),
-                ),
-            }
-        };
-        return Ok((doc, index));
-    }
-    if !rest.is_empty() && !rest.starts_with(crate::index_section::INDEX_MAGIC) {
-        return Err(PersistError::Binary(format!(
-            "{} trailing bytes after the document",
-            rest.len()
-        )));
-    }
-    Ok((doc, crate::index_section::decode_index_section(rest)))
-}
-
-/// Decodes the document at the head of `payload` and returns the file
-/// version plus the unread remainder (empty, or the trailing sections).
-fn decode_venue_prefix(payload: &[u8]) -> Result<(VenueDocument, u16, &[u8])> {
+/// Decodes the record body of a binary venue file of either version and
+/// returns the document, the file version and the unread remainder (empty,
+/// or the sections after the record body).
+fn decode_records(payload: &[u8]) -> Result<(VenueDocument, u16, &[u8])> {
     let mut r = Reader::new(payload);
     r.need(MAGIC.len(), "magic")?;
     let mut magic = [0u8; 8];
@@ -527,106 +476,148 @@ fn decode_venue_prefix(payload: &[u8]) -> Result<(VenueDocument, u16, &[u8])> {
     Ok((doc, file_version, r.buf))
 }
 
-/// Encodes a venue document followed by a pre-built index section for
-/// `index` (which must have been built against `directory`, itself rebuilt
-/// from `doc` — the section records the directory fingerprint and loaders
-/// verify it).
-pub fn encode_venue_with_index(
-    doc: &VenueDocument,
-    index: &VenueIndex,
-    directory: &KeywordDirectory,
-) -> Result<Bytes> {
-    let venue = encode_venue(doc)?;
-    let mut buf = BytesMut::with_capacity(venue.len() + (1 << 16));
-    buf.put_slice(&venue);
-    crate::index_section::encode_index_section(&mut buf, index, directory);
-    Ok(buf.freeze())
+/// A venue loaded straight into its in-memory model: the space, the keyword
+/// directory, whatever the file's pre-built index section held, and how the
+/// load went.
+#[derive(Debug)]
+pub struct LoadedVenue {
+    /// Optional human-readable venue name from the document.
+    pub name: Option<String>,
+    /// The indoor space model.
+    pub space: IndoorSpace,
+    /// The keyword directory.
+    pub directory: KeywordDirectory,
+    /// Outcome of the optional pre-built index section.
+    pub index: IndexSection,
+    /// Load-path observability, as `/v1/stats` reports it.
+    pub stats: DocumentStats,
 }
 
-/// Loads a venue payload straight into its in-memory model.
+/// Loads a venue file's bytes straight into its in-memory model, picking
+/// the format from the content (see the module docs).
 ///
 /// Version 2 payloads take the columnar fast path: the record body is
 /// skipped, the columnar section decodes into flat columns, and the model
 /// adopts them wholesale. *Any* columnar defect — damaged framing, checksum
 /// mismatch, version skew, a column the adoption scans reject — degrades to
 /// the v1-style path (decode the record body, replay the builders) with the
-/// reason recorded in [`DocumentLoadStats::degraded`]; a venue file never
-/// fails to load because of its columnar section. Version 1 payloads always
-/// rebuild.
+/// reason recorded in [`DocumentStats::degraded`]; a venue file never fails
+/// to load because of its columnar section. Version 1 payloads always
+/// rebuild, and JSON documents always build.
 pub fn load_venue_model(payload: &[u8]) -> Result<LoadedVenue> {
+    if !payload.starts_with(MAGIC) {
+        return load_json_venue(payload);
+    }
     let mut degraded = None;
-    if payload.len() >= 14 && &payload[..8] == MAGIC {
-        let file_version = u16::from_le_bytes([payload[8], payload[9]]);
-        if file_version == COLUMNAR_FILE_VERSION {
-            let skip = u32::from_le_bytes([payload[10], payload[11], payload[12], payload[13]]);
-            match payload.get(14 + skip as usize..) {
-                Some(rest) => match columnar_section_len(rest) {
-                    Some(len) => {
-                        let started = Instant::now();
-                        match decode_columnar_parts(&rest[..len]) {
-                            Ok(parts) => {
-                                let decode_micros = started.elapsed().as_micros() as u64;
-                                let started = Instant::now();
-                                match adopt_columnar_parts(parts) {
-                                    Ok((name, space, directory)) => {
-                                        let adopt_micros = started.elapsed().as_micros() as u64;
-                                        let index = crate::index_section::decode_index_section(
-                                            &rest[len..],
-                                        );
-                                        return Ok(LoadedVenue {
-                                            name,
-                                            space,
-                                            directory,
-                                            index,
-                                            stats: DocumentLoadStats {
-                                                format_version: file_version,
-                                                adopted_columnar: true,
-                                                decode_micros,
-                                                adopt_micros,
-                                                degraded: None,
-                                            },
-                                        });
-                                    }
-                                    Err(reason) => degraded = Some(reason),
-                                }
-                            }
-                            Err(reason) => degraded = Some(reason),
-                        }
-                    }
-                    None => {
-                        degraded =
-                            Some("columnar section framing is damaged or missing".to_string())
-                    }
-                },
-                None => degraded = Some("record body length overruns the file".to_string()),
-            }
+    if payload.len() >= 14 && u16::from_le_bytes([payload[8], payload[9]]) == COLUMNAR_FILE_VERSION
+    {
+        match adopt_venue_model(payload) {
+            Ok(loaded) => return Ok(loaded),
+            Err(reason) => degraded = Some(reason),
         }
     }
     rebuild_venue_model(payload, degraded)
 }
 
-/// The degradation ladder's rebuild rung: decode the record body (or a v1
-/// payload) and replay the builders, exactly as pre-columnar loaders did.
-fn rebuild_venue_model(payload: &[u8], degraded: Option<String>) -> Result<LoadedVenue> {
+/// The columnar rung of a version 2 file: decode the columnar section and
+/// adopt it. Any defect comes back as the reason to fall back to the record
+/// rebuild.
+fn adopt_venue_model(payload: &[u8]) -> std::result::Result<LoadedVenue, String> {
+    let skip = u32::from_le_bytes([payload[10], payload[11], payload[12], payload[13]]);
+    let rest = payload
+        .get(14 + skip as usize..)
+        .ok_or("record body length overruns the file")?;
+    let len = columnar_section_len(rest).ok_or("columnar section framing is damaged or missing")?;
     let started = Instant::now();
-    let (doc, index) = decode_venue_file(payload)?;
+    let parts = decode_columnar_parts(&rest[..len])?;
     let decode_micros = started.elapsed().as_micros() as u64;
-    let file_version = u16::from_le_bytes([payload[8], payload[9]]);
     let started = Instant::now();
-    let name = doc.name.clone();
-    let (space, directory) = doc.build()?;
+    let (name, space, directory) = adopt_columnar_parts(parts)?;
     let adopt_micros = started.elapsed().as_micros() as u64;
     Ok(LoadedVenue {
         name,
         space,
         directory,
+        index: decode_index_section(&rest[len..]),
+        stats: DocumentStats {
+            format_version: COLUMNAR_FILE_VERSION,
+            adopted_columnar: true,
+            decode_micros,
+            adopt_micros,
+            degraded: None,
+        },
+    })
+}
+
+/// The degradation ladder's rebuild rung: decode the record body (of a v1
+/// file, or of a v2 file whose columnar section was unusable) and replay
+/// the builders. In a v1 file, trailing bytes must form an index section;
+/// in a v2 file the index section sits after the columnar section, and is
+/// reported unusable when the columnar framing is too damaged to skip.
+fn rebuild_venue_model(payload: &[u8], degraded: Option<String>) -> Result<LoadedVenue> {
+    let started = Instant::now();
+    let (doc, file_version, rest) = decode_records(payload)?;
+    let index = if file_version < COLUMNAR_FILE_VERSION {
+        if !rest.is_empty() && !rest.starts_with(INDEX_MAGIC) {
+            return Err(PersistError::Binary(format!(
+                "{} trailing bytes after the document",
+                rest.len()
+            )));
+        }
+        decode_index_section(rest)
+    } else {
+        match columnar_section_len(rest) {
+            Some(len) => decode_index_section(&rest[len..]),
+            None if rest.is_empty() => IndexSection::Absent,
+            None => IndexSection::Unusable(
+                "columnar section framing is damaged; cannot locate the index section".into(),
+            ),
+        }
+    };
+    let decode_micros = started.elapsed().as_micros() as u64;
+    let started = Instant::now();
+    let (space, directory) = doc.build()?;
+    let adopt_micros = started.elapsed().as_micros() as u64;
+    Ok(LoadedVenue {
+        name: doc.name,
+        space,
+        directory,
         index,
-        stats: DocumentLoadStats {
+        stats: DocumentStats {
             format_version: file_version,
             adopted_columnar: false,
             decode_micros,
             adopt_micros,
             degraded,
+        },
+    })
+}
+
+/// Loads a JSON venue document: parse, validate and build. JSON carries no
+/// index section and is reported as format version 0.
+fn load_json_venue(payload: &[u8]) -> Result<LoadedVenue> {
+    let started = Instant::now();
+    let text = std::str::from_utf8(payload).map_err(|e| {
+        PersistError::InvalidDocument(format!(
+            "neither a binary venue file (no `IKRQVEN` magic) nor UTF-8 JSON: {e}"
+        ))
+    })?;
+    let doc: VenueDocument = crate::json::from_json_str(text)?;
+    let decode_micros = started.elapsed().as_micros() as u64;
+    let started = Instant::now();
+    let (space, directory) = doc.build()?;
+    let adopt_micros = started.elapsed().as_micros() as u64;
+    Ok(LoadedVenue {
+        name: doc.name,
+        space,
+        directory,
+        index: IndexSection::Absent,
+        stats: DocumentStats {
+            format_version: 0,
+            adopted_columnar: false,
+            decode_micros,
+            adopt_micros,
+            degraded: None,
         },
     })
 }
@@ -639,24 +630,6 @@ fn write_file(path: &Path, payload: &[u8]) -> Result<()> {
     }
     fs::write(path, payload)?;
     Ok(())
-}
-
-/// Writes a venue document in binary form to a file.
-pub fn save_venue_binary(doc: &VenueDocument, path: impl AsRef<Path>) -> Result<()> {
-    write_file(path.as_ref(), &encode_venue(doc)?)
-}
-
-/// Writes a venue document plus its pre-built index section to a file.
-pub fn save_venue_binary_with_index(
-    doc: &VenueDocument,
-    index: &VenueIndex,
-    directory: &KeywordDirectory,
-    path: impl AsRef<Path>,
-) -> Result<()> {
-    write_file(
-        path.as_ref(),
-        &encode_venue_with_index(doc, index, directory)?,
-    )
 }
 
 /// Writes a venue in the columnar file format (version 2), with an optional
@@ -675,25 +648,27 @@ pub fn save_venue_columnar(
     )
 }
 
-/// Reads a venue file straight into its in-memory model (see
+/// Reads a venue file of any format straight into its in-memory model (see
 /// [`load_venue_model`]).
 pub fn load_venue_model_file(path: impl AsRef<Path>) -> Result<LoadedVenue> {
     let payload = fs::read(path)?;
     load_venue_model(&payload)
 }
 
-/// Reads a venue document from a binary file (ignoring any index section).
-pub fn load_venue_binary(path: impl AsRef<Path>) -> Result<VenueDocument> {
-    let payload = fs::read(path)?;
-    decode_venue(&payload)
+/// A version 1 file for `doc`: the file header, then the record body.
+/// Nothing writes these any more; the tests use it to exercise the reader.
+#[cfg(test)]
+fn encode_v1(doc: &VenueDocument) -> Result<Vec<u8>> {
+    doc.validate()?;
+    let mut buf = BytesMut::new();
+    buf.put_slice(MAGIC);
+    buf.put_u16_le(doc.format_version);
+    encode_record_body(&mut buf, doc)?;
+    Ok(buf.as_ref().to_vec())
 }
 
-/// Reads a venue document and its optional pre-built index section from a
-/// binary file.
-pub fn load_venue_binary_file(path: impl AsRef<Path>) -> Result<(VenueDocument, IndexSection)> {
-    let payload = fs::read(path)?;
-    decode_venue_file(&payload)
-}
+#[cfg(test)]
+mod proptests;
 
 #[cfg(test)]
 mod tests {
@@ -800,16 +775,18 @@ mod tests {
     #[test]
     fn binary_round_trip_preserves_the_document() {
         let doc = tiny_document();
-        let payload = encode_venue(&doc).unwrap();
+        let payload = encode_v1(&doc).unwrap();
         assert_eq!(&payload[..8], MAGIC);
-        let back = decode_venue(&payload).unwrap();
+        let (back, file_version, rest) = decode_records(&payload).unwrap();
         assert_eq!(back, doc);
+        assert_eq!(file_version, FORMAT_VERSION);
+        assert!(rest.is_empty());
     }
 
     #[test]
     fn binary_is_smaller_than_json_for_the_same_document() {
         let doc = tiny_document();
-        let payload = encode_venue(&doc).unwrap();
+        let payload = encode_v1(&doc).unwrap();
         let json = crate::json::to_json_string(&doc).unwrap();
         assert!(payload.len() < json.len());
     }
@@ -817,23 +794,23 @@ mod tests {
     #[test]
     fn wrong_magic_and_truncation_are_detected() {
         let doc = tiny_document();
-        let payload = encode_venue(&doc).unwrap();
+        let payload = encode_v1(&doc).unwrap();
 
         let mut corrupt = payload.to_vec();
         corrupt[0] = b'X';
         assert!(matches!(
-            decode_venue(&corrupt),
+            decode_records(&corrupt),
             Err(PersistError::Binary(_))
         ));
 
-        for cut in [4, payload.len() / 2, payload.len() - 1] {
-            assert!(decode_venue(&payload[..cut]).is_err(), "cut at {cut}");
+        for cut in [9, payload.len() / 2, payload.len() - 1] {
+            assert!(load_venue_model(&payload[..cut]).is_err(), "cut at {cut}");
         }
 
         let mut trailing = payload.to_vec();
         trailing.push(0);
         assert!(matches!(
-            decode_venue(&trailing),
+            load_venue_model(&trailing),
             Err(PersistError::Binary(_))
         ));
     }
@@ -841,17 +818,14 @@ mod tests {
     #[test]
     fn future_versions_are_rejected() {
         let mut doc = tiny_document();
+        let (space, directory) = doc.build().unwrap();
         doc.format_version = FORMAT_VERSION + 1;
-        assert!(encode_venue(&doc).is_err());
+        assert!(encode_venue_columnar(&doc, &space, &directory, None).is_err());
         // Patch a valid payload's version field directly (offset 8..10) to
         // one past the highest supported *file* version.
-        let payload = encode_venue(&tiny_document()).unwrap();
+        let payload = encode_v1(&tiny_document()).unwrap();
         let mut patched = payload.to_vec();
         patched[8] = (COLUMNAR_FILE_VERSION + 1) as u8;
-        assert!(matches!(
-            decode_venue(&patched),
-            Err(PersistError::UnsupportedVersion { .. })
-        ));
         assert!(matches!(
             load_venue_model(&patched),
             Err(PersistError::UnsupportedVersion { .. })
@@ -864,13 +838,13 @@ mod tests {
         let (space, directory) = doc.build().unwrap();
         let payload = encode_venue_columnar(&doc, &space, &directory, None).unwrap();
 
-        // The record body survives verbatim: document-level decoding sees
-        // plain v1 content.
-        let back = decode_venue(&payload).unwrap();
+        // The record body survives verbatim: the record decoder sees plain
+        // v1 content.
+        let (back, file_version, _) = decode_records(&payload).unwrap();
         assert_eq!(back, doc);
-        let (back, section) = decode_venue_file(&payload).unwrap();
-        assert_eq!(back, doc);
-        assert!(matches!(section, IndexSection::Absent));
+        assert_eq!(file_version, COLUMNAR_FILE_VERSION);
+        let rebuilt = rebuild_venue_model(&payload, None).unwrap();
+        assert!(matches!(rebuilt.index, IndexSection::Absent));
 
         // The model loader takes the columnar fast path and lands on the
         // same model a rebuild produces.
@@ -884,7 +858,7 @@ mod tests {
         assert_eq!(loaded.directory.fingerprint(), directory.fingerprint());
 
         // A v1 payload rebuilds through the same entry point.
-        let v1 = encode_venue(&doc).unwrap();
+        let v1 = encode_v1(&doc).unwrap();
         let rebuilt = load_venue_model(&v1).unwrap();
         assert!(!rebuilt.stats.adopted_columnar);
         assert_eq!(rebuilt.stats.format_version, FORMAT_VERSION);
@@ -905,9 +879,57 @@ mod tests {
         // The section binds against the *adopted* directory — fingerprint
         // identity with the rebuild path is what makes this possible.
         assert!(prebuilt.into_index(&loaded.directory).is_ok());
-        // decode_venue_file can locate the index behind the columnar section.
-        let (_, section) = decode_venue_file(&payload).unwrap();
-        assert!(matches!(section, IndexSection::Present(_)));
+        // The rebuild rung can locate the index behind the columnar section.
+        let rebuilt = rebuild_venue_model(&payload, None).unwrap();
+        assert!(matches!(rebuilt.index, IndexSection::Present(_)));
+    }
+
+    #[test]
+    fn json_documents_are_loaded_by_content() {
+        let doc = tiny_document();
+        let text = crate::json::to_json_string(&doc).unwrap();
+        let loaded = load_venue_model(text.as_bytes()).unwrap();
+        assert_eq!(loaded.stats.format_version, 0);
+        assert!(!loaded.stats.adopted_columnar);
+        assert!(loaded.stats.degraded.is_none());
+        assert!(matches!(loaded.index, IndexSection::Absent));
+        assert_eq!(loaded.name, doc.name);
+        let (_, directory) = doc.build().unwrap();
+        assert_eq!(loaded.directory.fingerprint(), directory.fingerprint());
+
+        // Each format reports its own defect: a JSON document cut short is a
+        // JSON error, and bytes that are neither format say so.
+        assert!(matches!(
+            load_venue_model(&text.as_bytes()[..text.len() / 2]),
+            Err(PersistError::Json(_))
+        ));
+        let err = load_venue_model(&[0xff, 0xfe, 0x00]).unwrap_err();
+        assert!(err.to_string().contains("UTF-8"), "{err}");
+    }
+
+    #[test]
+    fn negative_override_distances_fail_the_load_and_name_the_override() {
+        let mut doc = tiny_document();
+        doc.intra_overrides[0].distance = -5.0;
+        let text = crate::json::to_json_string(&doc).unwrap();
+        let build_err = doc.build().unwrap_err();
+        let load_err = load_venue_model(text.as_bytes()).unwrap_err();
+        for err in [build_err, load_err] {
+            assert!(matches!(err, PersistError::Space(_)), "{err}");
+            let message = err.to_string();
+            assert!(
+                message.contains("intra-distance override d1→d1 in partition v2 is -5"),
+                "{message}"
+            );
+        }
+        // The record path refuses the same distance.
+        assert!(load_venue_model(&raw_payload(0, 0, 4.0)).is_ok());
+        for distance in [-1.0, f64::NAN] {
+            assert!(matches!(
+                load_venue_model(&raw_payload(0, 0, distance)),
+                Err(PersistError::Space(_))
+            ));
+        }
     }
 
     #[test]
@@ -952,9 +974,9 @@ mod tests {
     }
 
     /// Builds a raw v1 payload record by record, bypassing the encoder's
-    /// validation, so decode-side handling of dangling references is
-    /// testable.
-    fn raw_payload(connection_partition: u32, override_from_door: u32) -> Vec<u8> {
+    /// validation, so decode-side handling of dangling references and
+    /// unusable override distances is testable.
+    fn raw_payload(connection_partition: u32, override_from_door: u32, distance: f64) -> Vec<u8> {
         let mut buf = BytesMut::new();
         buf.put_slice(MAGIC);
         buf.put_u16_le(FORMAT_VERSION);
@@ -983,7 +1005,7 @@ mod tests {
         buf.put_u32_le(0);
         buf.put_u32_le(override_from_door);
         buf.put_u32_le(0);
-        buf.put_f64_le(4.0);
+        buf.put_f64_le(distance);
         buf.put_u32_le(0); // loop overrides
         buf.put_u32_le(0); // keywords
         buf.as_ref().to_vec()
@@ -992,32 +1014,33 @@ mod tests {
     #[test]
     fn dangling_references_decode_to_invalid_document_errors() {
         // Sanity: the same payload with in-range references decodes.
-        assert!(decode_venue(&raw_payload(0, 0)).is_ok());
+        assert!(decode_records(&raw_payload(0, 0, 4.0)).is_ok());
         // A connection to a partition that does not exist.
         assert!(matches!(
-            decode_venue(&raw_payload(9, 0)),
+            decode_records(&raw_payload(9, 0, 4.0)),
             Err(PersistError::InvalidDocument(_))
         ));
         // An override through a door that does not exist, through the model
-        // loader as well as the document decoder.
+        // loader as well as the record decoder.
         assert!(matches!(
-            decode_venue(&raw_payload(0, 7)),
+            decode_records(&raw_payload(0, 7, 4.0)),
             Err(PersistError::InvalidDocument(_))
         ));
         assert!(matches!(
-            load_venue_model(&raw_payload(0, 7)),
+            load_venue_model(&raw_payload(0, 7, 4.0)),
             Err(PersistError::InvalidDocument(_))
         ));
     }
 
     #[test]
     fn invalid_kind_codes_and_flags_are_rejected() {
+        let mut buf = BytesMut::new();
         let mut doc = tiny_document();
         doc.partitions[0].kind = "castle".into();
-        assert!(encode_venue(&doc).is_err());
+        assert!(encode_record_body(&mut buf, &doc).is_err());
         let mut doc = tiny_document();
         doc.doors[0].kind = "hatch".into();
-        assert!(encode_venue(&doc).is_err());
+        assert!(encode_record_body(&mut buf, &doc).is_err());
     }
 
     #[test]
@@ -1025,21 +1048,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ikrq-binary-test-{}", std::process::id()));
         let path = dir.join("venue.ikrq");
         let doc = tiny_document();
-        save_venue_binary(&doc, &path).unwrap();
-        let back = load_venue_binary(&path).unwrap();
-        assert_eq!(back, doc);
+        let (space, directory) = doc.build().unwrap();
+        save_venue_columnar(&doc, &space, &directory, None, &path).unwrap();
+        let back = load_venue_model_file(&path).unwrap();
+        assert!(back.stats.adopted_columnar);
+        assert_eq!(back.directory.fingerprint(), directory.fingerprint());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn decoded_document_still_builds_a_venue() {
-        let doc = tiny_document();
-        let payload = encode_venue(&doc).unwrap();
-        let back = decode_venue(&payload).unwrap();
-        let (space, directory) = back.build().unwrap();
-        assert_eq!(space.num_partitions(), 3);
-        assert_eq!(space.num_doors(), 2);
-        assert!(directory.lookup("zara").is_some());
-        assert!(directory.lookup("unassigned-brand").is_some());
     }
 }

@@ -1,11 +1,15 @@
-//! Property-based tests of the persistence layer: arbitrary structurally
-//! valid venue documents survive the JSON and binary round trips unchanged,
-//! and the binary decoder never panics on corrupted payloads.
+//! Property-based tests of the record codec that version 1 and version 2
+//! venue files share: arbitrary structurally valid venue documents survive
+//! the JSON and record round trips unchanged, and the record decoder never
+//! panics on corrupted payloads. They exercise the codec directly, not the
+//! writer, because a generated document need not build a venue.
 
-use indoor_persist::{
-    binary, json, ConnectionRecord, DoorRecord, FloorRecord, IntraOverrideRecord, KeywordRecord,
+use super::{decode_records, encode_v1};
+use crate::document::{
+    ConnectionRecord, DoorRecord, FloorRecord, IntraOverrideRecord, KeywordRecord,
     LoopOverrideRecord, PartitionRecord, VenueDocument, FORMAT_VERSION,
 };
+use crate::json;
 use proptest::prelude::*;
 
 const KINDS: [&str; 4] = ["room", "hallway", "staircase", "elevator"];
@@ -195,8 +199,8 @@ proptest! {
 
     #[test]
     fn binary_round_trip_is_the_identity(doc in arb_document()) {
-        let payload = binary::encode_venue(&doc).unwrap();
-        let back = binary::decode_venue(&payload).unwrap();
+        let payload = encode_v1(&doc).unwrap();
+        let (back, _, _) = decode_records(&payload).unwrap();
         prop_assert_eq!(back, doc);
     }
 
@@ -205,11 +209,11 @@ proptest! {
         doc in arb_document(),
         cut_fraction in 0.0f64..1.0,
     ) {
-        let payload = binary::encode_venue(&doc).unwrap();
+        let payload = encode_v1(&doc).unwrap();
         let cut = ((payload.len() as f64) * cut_fraction) as usize;
         if cut < payload.len() {
             // Must return an error, never panic.
-            prop_assert!(binary::decode_venue(&payload[..cut]).is_err());
+            prop_assert!(decode_records(&payload[..cut]).is_err());
         }
     }
 
@@ -219,12 +223,12 @@ proptest! {
         flip_at in 0usize..4096,
         flip_mask in 1u8..=255,
     ) {
-        let payload = binary::encode_venue(&doc).unwrap();
+        let payload = encode_v1(&doc).unwrap();
         let mut corrupted = payload.to_vec();
         let idx = flip_at % corrupted.len();
         corrupted[idx] ^= flip_mask;
         // Either the corruption is detected or it happens to produce another
         // structurally valid document; both are fine, panics are not.
-        let _ = binary::decode_venue(&corrupted);
+        let _ = decode_records(&corrupted);
     }
 }

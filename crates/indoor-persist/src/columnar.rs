@@ -45,42 +45,6 @@ pub const COLUMNAR_FORMAT_VERSION: u16 = 1;
 const HEADER_LEN: usize = 8 + 2 + 4;
 const TRAILER_LEN: usize = 8;
 
-/// How a venue document was turned into the in-memory model, for cold-start
-/// observability (`/v1/stats` and the scale bench report these).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DocumentLoadStats {
-    /// File format version the venue was loaded from (`2` columnar, `1`
-    /// record-based binary, `0` JSON).
-    pub format_version: u16,
-    /// Whether the columnar fast path produced the model. `false` means the
-    /// model was rebuilt from records (v1 files, JSON, or a degraded v2).
-    pub adopted_columnar: bool,
-    /// Microseconds spent decoding bytes into the document or columns.
-    pub decode_micros: u64,
-    /// Microseconds spent turning the decoded form into the model (columnar
-    /// adoption, or the full builder replay).
-    pub adopt_micros: u64,
-    /// Why a v2 file fell back to the record-body rebuild, when it did.
-    pub degraded: Option<String>,
-}
-
-/// A venue loaded straight into its in-memory model: the space, the keyword
-/// directory, whatever the file's pre-built index section held, and how the
-/// load went.
-#[derive(Debug)]
-pub struct LoadedVenue {
-    /// Optional human-readable venue name from the document.
-    pub name: Option<String>,
-    /// The indoor space model.
-    pub space: IndoorSpace,
-    /// The keyword directory.
-    pub directory: KeywordDirectory,
-    /// Outcome of the optional pre-built index section.
-    pub index: crate::index_section::IndexSection,
-    /// Load-path observability.
-    pub stats: DocumentLoadStats,
-}
-
 /// The decoded columns of a columnar section, not yet validated against the
 /// model invariants. [`adopt_columnar_parts`] turns them into the model.
 #[derive(Debug)]

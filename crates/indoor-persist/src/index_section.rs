@@ -20,7 +20,9 @@
 //! `len × u32` values. Regions are `u32 count`, then per region `4 × f64`
 //! bbox, a length-prefixed `i32` floor list, `u32` member list and `u64`
 //! bitmap; then the `u32` partition → region table, the dense i-word table
-//! and a `u8` soundness flag.
+//! and a `u8` flag that is always 1: venues with negative distance
+//! overrides, for which it was 0, no longer build, and the byte stays so
+//! the layout does not change. A section with any other value is unusable.
 //!
 //! The section is advisory: any defect — wrong magic, unsupported version,
 //! bad checksum, truncation, or a vocabulary fingerprint that does not
@@ -189,7 +191,7 @@ pub fn encode_index_section(buf: &mut BytesMut, index: &VenueIndex, directory: &
     }
     put_word_list(&mut body, regions.region_of_table().iter().copied());
     put_word_list(&mut body, regions.iword_dense().iter().map(|w| w.0));
-    body.put_u8(u8::from(regions.is_sound()));
+    body.put_u8(1);
 
     buf.put_slice(INDEX_MAGIC);
     buf.put_u16_le(INDEX_FORMAT_VERSION);
@@ -355,15 +357,12 @@ fn decode_body(body: &[u8]) -> Result<(u64, KeywordPostings, RegionIndex)> {
             "dense i-word table is not sorted".into(),
         ));
     }
-    let sound = match r.u8("soundness flag")? {
-        0 => false,
-        1 => true,
-        other => {
-            return Err(PersistError::Binary(format!(
-                "invalid soundness flag {other}"
-            )))
-        }
-    };
+    let flag = r.u8("soundness flag")?;
+    if flag != 1 {
+        return Err(PersistError::Binary(format!(
+            "invalid soundness flag {flag}"
+        )));
+    }
     if r.buf.has_remaining() {
         return Err(PersistError::Binary(format!(
             "{} trailing bytes in index section body",
@@ -382,7 +381,7 @@ fn decode_body(body: &[u8]) -> Result<(u64, KeywordPostings, RegionIndex)> {
     Ok((
         vocab_hash,
         postings,
-        RegionIndex::from_parts(regions, region_of, iword_dense, sound),
+        RegionIndex::from_parts(regions, region_of, iword_dense),
     ))
 }
 
@@ -440,12 +439,10 @@ pub fn decode_index_section(rest: &[u8]) -> IndexSection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binary::{decode_venue, decode_venue_file, encode_venue, encode_venue_with_index};
     use crate::document::VenueDocument;
     use indoor_data::paper_example_venue;
-    use indoor_space::IndoorSpace;
 
-    fn fixture() -> (VenueDocument, IndoorSpace, KeywordDirectory, VenueIndex) {
+    fn fixture() -> (KeywordDirectory, VenueIndex) {
         let ex = paper_example_venue();
         let doc = VenueDocument::from_venue(
             &ex.venue.space,
@@ -457,15 +454,19 @@ mod tests {
         // a document-order artefact, and loaders rebuild from the document.
         let (space, directory) = doc.build().unwrap();
         let index = VenueIndex::build(&space, &directory);
-        (doc, space, directory, index)
+        (directory, index)
+    }
+
+    fn encoded_section(index: &VenueIndex, directory: &KeywordDirectory) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        encode_index_section(&mut buf, index, directory);
+        buf.as_ref().to_vec()
     }
 
     #[test]
     fn index_section_round_trips() {
-        let (doc, _space, directory, index) = fixture();
-        let payload = encode_venue_with_index(&doc, &index, &directory).unwrap();
-        let (back_doc, section) = decode_venue_file(&payload).unwrap();
-        assert_eq!(back_doc, doc);
+        let (directory, index) = fixture();
+        let section = decode_index_section(&encoded_section(&index, &directory));
         let IndexSection::Present(prebuilt) = section else {
             panic!("expected a present index section, got {section:?}");
         };
@@ -494,7 +495,6 @@ mod tests {
             loaded.regions().iword_dense(),
             index.regions().iword_dense()
         );
-        assert_eq!(loaded.regions().is_sound(), index.regions().is_sound());
         for (a, b) in loaded
             .regions()
             .regions()
@@ -509,67 +509,63 @@ mod tests {
     }
 
     #[test]
-    fn plain_decode_skips_the_index_section() {
-        let (doc, _space, directory, index) = fixture();
-        let payload = encode_venue_with_index(&doc, &index, &directory).unwrap();
-        let back = decode_venue(&payload).unwrap();
-        assert_eq!(back, doc);
-    }
-
-    #[test]
     fn files_without_a_section_report_absent() {
-        let (doc, _space, _directory, _index) = fixture();
-        let payload = encode_venue(&doc).unwrap();
-        let (_, section) = decode_venue_file(&payload).unwrap();
-        assert!(matches!(section, IndexSection::Absent));
+        assert!(matches!(decode_index_section(&[]), IndexSection::Absent));
     }
 
     #[test]
     fn corruption_truncation_and_version_skew_degrade_to_unusable() {
-        let (doc, _space, directory, index) = fixture();
-        let plain = encode_venue(&doc).unwrap();
-        let payload = encode_venue_with_index(&doc, &index, &directory).unwrap();
-        let section_start = plain.len();
+        let (directory, index) = fixture();
+        let payload = encoded_section(&index, &directory);
 
         // Flip one byte inside the section body: checksum mismatch.
-        let mut corrupt = payload.to_vec();
-        corrupt[section_start + 20] ^= 0xff;
-        let (_, section) = decode_venue_file(&corrupt).unwrap();
+        let mut corrupt = payload.clone();
+        corrupt[20] ^= 0xff;
+        let section = decode_index_section(&corrupt);
         assert!(
             matches!(&section, IndexSection::Unusable(reason) if reason.contains("checksum")),
             "got {section:?}"
         );
 
         // Truncate the section midway: unusable, not an error.
-        let cut = section_start + (payload.len() - section_start) / 2;
-        let (_, section) = decode_venue_file(&payload[..cut]).unwrap();
+        let section = decode_index_section(&payload[..payload.len() / 2]);
         assert!(matches!(section, IndexSection::Unusable(_)));
 
         // Future section version: unusable.
-        let mut future = payload.to_vec();
-        future[section_start + 8] = (INDEX_FORMAT_VERSION + 1) as u8;
-        let (_, section) = decode_venue_file(&future).unwrap();
+        let mut future = payload.clone();
+        future[8] = (INDEX_FORMAT_VERSION + 1) as u8;
+        let section = decode_index_section(&future);
         assert!(
             matches!(&section, IndexSection::Unusable(reason) if reason.contains("version")),
             "got {section:?}"
         );
 
         // Trailing garbage after the section: unusable.
-        let mut trailing = payload.to_vec();
+        let mut trailing = payload.clone();
         trailing.push(0);
-        let (_, section) = decode_venue_file(&trailing).unwrap();
-        assert!(matches!(section, IndexSection::Unusable(_)));
+        assert!(matches!(
+            decode_index_section(&trailing),
+            IndexSection::Unusable(_)
+        ));
 
-        // The venue document itself decodes fine in every case.
-        let (back, _) = decode_venue_file(&corrupt).unwrap();
-        assert_eq!(back, doc);
+        // A checksum-valid section whose flag byte (the last body byte) is
+        // anything but 1: unusable.
+        let mut body = payload[14..payload.len() - 8].to_vec();
+        *body.last_mut().unwrap() = 0;
+        let mut reframed = payload[..14].to_vec();
+        reframed.extend_from_slice(&body);
+        reframed.extend_from_slice(&section_checksum(&body).to_le_bytes());
+        let section = decode_index_section(&reframed);
+        assert!(
+            matches!(&section, IndexSection::Unusable(reason) if reason.contains("flag")),
+            "got {section:?}"
+        );
     }
 
     #[test]
     fn vocabulary_mismatch_is_rejected_at_binding_time() {
-        let (doc, _space, directory, index) = fixture();
-        let payload = encode_venue_with_index(&doc, &index, &directory).unwrap();
-        let (_, section) = decode_venue_file(&payload).unwrap();
+        let (directory, index) = fixture();
+        let section = decode_index_section(&encoded_section(&index, &directory));
         let IndexSection::Present(prebuilt) = section else {
             panic!("expected present");
         };

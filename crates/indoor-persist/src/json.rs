@@ -2,7 +2,9 @@
 //!
 //! JSON is the interchange format of the repository's tooling (the `ikrq`
 //! command-line tool reads and writes it, the benchmark harness emits it);
-//! the [`crate::binary`] codec is the compact alternative for large venues.
+//! the [`crate::binary`] columnar file is the compact alternative for large
+//! venues. Venue documents are read back, like every venue file, through
+//! [`crate::load_venue_model`], which recognises JSON by its content.
 
 use crate::document::VenueDocument;
 use crate::error::PersistError;
@@ -45,13 +47,6 @@ pub fn load_json<T: DeserializeOwned>(path: impl AsRef<Path>) -> Result<T> {
 pub fn save_venue_json(doc: &VenueDocument, path: impl AsRef<Path>) -> Result<()> {
     doc.validate()?;
     save_json(doc, path)
-}
-
-/// Loads and validates a venue document.
-pub fn load_venue_json(path: impl AsRef<Path>) -> Result<VenueDocument> {
-    let doc: VenueDocument = load_json(path)?;
-    doc.validate()?;
-    Ok(doc)
 }
 
 /// Saves a workload document.
@@ -151,8 +146,11 @@ mod tests {
         let path = dir.join("nested/venue.json");
         let doc = tiny_document();
         save_venue_json(&doc, &path).unwrap();
-        let back = load_venue_json(&path).unwrap();
+        let back: VenueDocument = load_json(&path).unwrap();
         assert_eq!(back, doc);
+        let loaded = crate::load_venue_model_file(&path).unwrap();
+        assert_eq!(loaded.stats.format_version, 0);
+        assert_eq!(loaded.space.num_partitions(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -165,7 +163,7 @@ mod tests {
         assert!(save_venue_json(&doc, &path).is_err());
         // Write the raw (invalid) JSON and check the loader rejects it too.
         save_json(&doc, &path).unwrap();
-        assert!(load_venue_json(&path).is_err());
+        assert!(crate::load_venue_model_file(&path).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -177,7 +175,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_reported_as_io_error() {
-        let err = load_venue_json("/nonexistent/definitely/missing.json").unwrap_err();
+        let err = crate::load_venue_model_file("/nonexistent/definitely/missing.json").unwrap_err();
         assert!(matches!(err, PersistError::Io(_)));
     }
 }

@@ -2,19 +2,25 @@
 //!
 //! Persistence layer for the IKRQ reproduction: portable documents for
 //! venues (indoor space + keyword directory), query workloads and search
-//! results, with three on-disk shapes (full reference: `docs/PERSIST.md`):
+//! results (full reference: `docs/PERSIST.md`).
 //!
-//! * **JSON** ([`json`]) — human-readable interchange format used by the
-//!   `ikrq` command-line tool and the benchmark harness;
-//! * **binary v1** ([`binary`]) — a compact little-endian record layout for
-//!   large venues, hand-rolled on top of the `bytes` crate;
-//! * **binary v2 / columnar** ([`binary`] + [`columnar`]) — the v1 record
+//! Venues travel in two forms:
+//!
+//! * **JSON** ([`json`]) — the human-readable interchange and source format,
+//!   written by [`save_venue_json`];
+//! * **binary, version 2** ([`binary`] + [`columnar`]) — a compact record
 //!   body plus a checksummed *columnar section* holding the venue in exactly
 //!   the flat shape the in-memory model stores it (dense partition/door
 //!   columns, CSR adjacency, the derived door graph, the keyword string
-//!   arena and sorted id maps). [`binary::load_venue_model`] adopts those
-//!   columns wholesale instead of replaying the builders, which is what
-//!   makes venue-scale cold start cheap.
+//!   arena and sorted id maps), optionally followed by a pre-built
+//!   [`index_section`]. [`encode_venue_columnar`] and
+//!   [`save_venue_columnar`] are the only binary writers.
+//!
+//! [`load_venue_model`] and [`load_venue_model_file`] are the only venue
+//! loaders. They pick the format from the content: a v2 file's columns are
+//! adopted wholesale instead of replaying the builders, which is what makes
+//! venue-scale cold start cheap; version 1 files (records only, no longer
+//! written) and JSON documents are rebuilt.
 //!
 //! The central type is [`VenueDocument`]: a flat, string-based description of
 //! a venue that can be captured from an in-memory model with
@@ -22,10 +28,9 @@
 //! Keywords are stored as strings (not interned ids) and topology as explicit
 //! directional connection records, so documents are portable across processes
 //! and may be edited by hand. In a v2 file the record body remains the source
-//! of truth: the columnar section (like the pre-built index section of
-//! [`index_section`]) is advisory, and any defect in it degrades the load to
-//! a record-body rebuild — a venue file never fails to load because of its
-//! optional sections.
+//! of truth: the columnar section (like the pre-built index section) is
+//! advisory, and any defect in it degrades the load to a record-body rebuild
+//! — a venue file never fails to load because of its optional sections.
 //!
 //! ```
 //! use indoor_persist::{VenueDocument, json};
@@ -57,18 +62,17 @@ pub mod json;
 pub mod workload;
 
 pub use binary::{
-    decode_venue, decode_venue_file, encode_venue, encode_venue_columnar, encode_venue_with_index,
-    load_venue_binary, load_venue_binary_file, load_venue_model, load_venue_model_file,
-    save_venue_binary, save_venue_binary_with_index, save_venue_columnar, COLUMNAR_FILE_VERSION,
+    encode_venue_columnar, load_venue_model, load_venue_model_file, save_venue_columnar,
+    LoadedVenue, COLUMNAR_FILE_VERSION,
 };
-pub use columnar::{DocumentLoadStats, LoadedVenue, COLUMNAR_FORMAT_VERSION, COLUMNAR_MAGIC};
+pub use columnar::{COLUMNAR_FORMAT_VERSION, COLUMNAR_MAGIC};
 pub use document::{
     ConnectionRecord, DoorRecord, FloorRecord, IntraOverrideRecord, KeywordRecord,
     LoopOverrideRecord, PartitionRecord, VenueDocument, FORMAT_VERSION,
 };
 pub use error::PersistError;
 pub use index_section::{IndexSection, PrebuiltIndex, INDEX_FORMAT_VERSION, INDEX_MAGIC};
-pub use json::{load_venue_json, save_venue_json};
+pub use json::save_venue_json;
 pub use workload::{QueryRecord, ResultDocument, ResultRecord, WorkloadDocument};
 
 /// Result alias for fallible persistence operations.

@@ -1,35 +1,13 @@
 //! End-to-end persistence tests: capture a venue, serialise it (JSON and
-//! binary), rebuild it, and check that IKRQ queries return identical results
-//! on the original and the rebuilt venue.
+//! the binary venue file), load it back, and check that IKRQ queries return
+//! identical results on the original and the loaded venue.
 
+mod common;
+
+use common::example_queries;
 use ikrq_core::{IkrqEngine, IkrqQuery, VariantConfig};
 use indoor_data::{paper_example_venue, SyntheticVenueConfig, Venue};
-use indoor_keywords::QueryKeywords;
 use indoor_persist::{binary, json, VenueDocument, WorkloadDocument};
-
-/// Queries of the Fig. 1 example used to compare original vs rebuilt venues.
-fn example_queries(example: &indoor_data::PaperExampleVenue) -> Vec<IkrqQuery> {
-    vec![
-        IkrqQuery::new(
-            example.ps,
-            example.pt,
-            300.0,
-            QueryKeywords::new(["coffee", "laptop"]).unwrap(),
-            3,
-        )
-        .with_alpha(0.5)
-        .with_tau(0.1),
-        IkrqQuery::new(
-            example.p1,
-            example.p2,
-            100.0,
-            QueryKeywords::new(["earphone"]).unwrap(),
-            2,
-        )
-        .with_alpha(0.5)
-        .with_tau(0.1),
-    ]
-}
 
 fn assert_same_results(
     original: &IkrqEngine,
@@ -91,17 +69,19 @@ fn paper_example_round_trips_through_the_binary_codec() {
         10.0,
         Some("fig1".into()),
     );
-    let payload = binary::encode_venue(&doc).unwrap();
-    let back = binary::decode_venue(&payload).unwrap();
-    assert_eq!(back, doc);
+    let (space, directory) = doc.build().unwrap();
+    let payload = binary::encode_venue_columnar(&doc, &space, &directory, None).unwrap();
+    let back = binary::load_venue_model(&payload).unwrap();
+    assert!(back.stats.adopted_columnar);
+    let back_doc = VenueDocument::from_venue(&back.space, &back.directory, 10.0, back.name);
+    assert_eq!(back_doc, doc);
 
     // Binary form is more compact than pretty JSON.
     let json_text = json::to_json_string(&doc).unwrap();
     assert!(payload.len() < json_text.len());
 
-    let (space, directory) = back.build().unwrap();
     let original = IkrqEngine::new(example.venue.space.clone(), example.venue.directory.clone());
-    let rebuilt = IkrqEngine::new(space, directory);
+    let rebuilt = IkrqEngine::new(back.space, back.directory);
     assert_same_results(
         &original,
         &rebuilt,
@@ -121,13 +101,18 @@ fn synthetic_single_floor_venue_round_trips_with_identical_topology_and_keywords
     // Round trip through both encodings and compare documents.
     let through_json: VenueDocument =
         json::from_json_str(&json::to_json_string(&doc).unwrap()).unwrap();
-    let through_binary = binary::decode_venue(&binary::encode_venue(&doc).unwrap()).unwrap();
+    let (built_space, built_directory) = doc.build().unwrap();
+    let payload =
+        binary::encode_venue_columnar(&doc, &built_space, &built_directory, None).unwrap();
+    let binary::LoadedVenue {
+        space, directory, ..
+    } = binary::load_venue_model(&payload).unwrap();
+    let through_binary = VenueDocument::from_venue(&space, &directory, 25.0, None);
     assert_eq!(through_json, doc);
     assert_eq!(through_binary, doc);
 
-    // Rebuild and compare venue-level invariants: stairway overrides, door
-    // directionality, keyword assignment of every room.
-    let (space, directory) = through_binary.build().unwrap();
+    // Compare venue-level invariants of the loaded model: stairway
+    // overrides, door directionality, keyword assignment of every room.
     assert_eq!(space.num_partitions(), venue.space.num_partitions());
     assert_eq!(space.num_doors(), venue.space.num_doors());
     assert_eq!(space.floors(), venue.space.floors());

@@ -3,19 +3,26 @@
 //! A venue saved with a pre-built index section, loaded back, and served
 //! through the adopted index must answer every Table III algorithm variant
 //! byte-for-byte like a freshly built scan engine — across arbitrary
-//! generated venues and query workloads. A companion property flips
-//! arbitrary bytes inside the index section and asserts the loader always
-//! degrades to a rebuild instead of failing or panicking.
+//! generated venues and query workloads, and for the committed fixture
+//! files of every version the writers have produced. A companion property
+//! flips arbitrary bytes inside the index section and asserts the loader
+//! always degrades to a rebuild instead of failing or panicking.
 
+mod common;
+
+use common::example_queries;
 use ikrq_core::{
     ExecOptions, IkrqEngine, IkrqQuery, IkrqService, IndexMode, SearchRequest, VariantConfig,
 };
-use indoor_data::{mega_venue, MegaVenueConfig, QueryGenerator, QueryInstance, WorkloadConfig};
+use indoor_data::{
+    mega_venue, paper_example_venue, MegaVenueConfig, QueryGenerator, QueryInstance, WorkloadConfig,
+};
 use indoor_keywords::QueryKeywords;
 use indoor_persist::{binary, IndexSection, VenueDocument};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn workload() -> WorkloadConfig {
@@ -51,36 +58,161 @@ fn single_venue_service(engine: IkrqEngine) -> IkrqService {
     service
 }
 
-/// Builds a venue, saves it pre-indexed, loads it back, and returns the
-/// encoded payload together with a serving service for the loaded engine
-/// and a scan-engine reference service over the same document.
-fn save_load_services(doc: &VenueDocument) -> (Vec<u8>, IkrqService, IkrqService) {
+/// Re-frames a version 2 file as the version 1 file the writers before the
+/// columnar format produced for the same venue: a header with version 1,
+/// the record body, then the index section (the columnar section is
+/// dropped). Returns the file and the offset of its index section.
+fn reframe_as_v1(v2: &[u8]) -> (Vec<u8>, usize) {
+    let field = |bytes: &[u8], at: usize| {
+        u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte field")) as usize
+    };
+    let record_len = field(v2, 10);
+    let sections = &v2[14 + record_len..];
+    let columnar_len = 14 + field(sections, 10) + 8;
+    let mut v1 = v2[..8].to_vec();
+    v1.extend_from_slice(&1u16.to_le_bytes());
+    v1.extend_from_slice(&v2[14..14 + record_len]);
+    let section_start = v1.len();
+    v1.extend_from_slice(&sections[columnar_len..]);
+    (v1, section_start)
+}
+
+/// Builds a venue, saves it pre-indexed as a version 1 file, loads it back,
+/// and returns the file and the offset of its index section, together with
+/// a serving service for the loaded engine and a scan-engine reference
+/// service over the same document.
+fn save_load_services(doc: &VenueDocument) -> (Vec<u8>, usize, IkrqService, IkrqService) {
     let (space, directory) = doc.build().expect("generated documents round-trip");
     let fresh = IkrqEngine::new(space, directory);
     let index = fresh.index().expect("default engines are accelerated");
-    let payload = binary::encode_venue_with_index(doc, index, fresh.directory())
-        .expect("generated documents encode")
-        .to_vec();
+    let (payload, section_start) = reframe_as_v1(
+        &binary::encode_venue_columnar(doc, fresh.space(), fresh.directory(), Some(index))
+            .expect("generated documents encode"),
+    );
 
-    let (loaded_doc, section) = binary::decode_venue_file(&payload).expect("payload decodes");
-    assert_eq!(&loaded_doc, doc, "document survives the round trip");
-    let (loaded_space, loaded_directory) = loaded_doc.build().expect("loaded documents round-trip");
-    let IndexSection::Present(prebuilt) = section else {
-        panic!("saved venue carries a usable index section, got {section:?}");
+    let loaded = binary::load_venue_model(&payload).expect("payload decodes");
+    assert_eq!(loaded.stats.format_version, 1);
+    assert_eq!(
+        &VenueDocument::from_venue(
+            &loaded.space,
+            &loaded.directory,
+            doc.grid_cell,
+            loaded.name.clone()
+        ),
+        doc,
+        "document survives the round trip"
+    );
+    let prebuilt = match loaded.index {
+        IndexSection::Present(prebuilt) => prebuilt,
+        section => panic!("saved venue carries a usable index section, got {section:?}"),
     };
     let loaded_index = prebuilt
-        .into_index(&loaded_directory)
+        .into_index(&loaded.directory)
         .expect("persisted index binds to the rebuilt directory");
-    let loaded = IkrqEngine::with_prebuilt_index(loaded_space, loaded_directory, loaded_index);
+    let loaded = IkrqEngine::with_prebuilt_index(loaded.space, loaded.directory, loaded_index);
     assert!(loaded.index().is_some_and(|i| i.loaded_from_disk()));
 
     let (scan_space, scan_directory) = doc.build().expect("generated documents round-trip");
     let scan = IkrqEngine::with_index_mode(scan_space, scan_directory, IndexMode::Scan);
     (
         payload,
+        section_start,
         single_venue_service(loaded),
         single_venue_service(scan),
     )
+}
+
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
+/// The committed Fig. 1 venue files, one per layout the writers have
+/// produced: v1 (`generate --binary`), v1 with an index section (the
+/// pre-columnar `--save-indexed`) and v2 (`--save-indexed`). Each loads
+/// through the one loader and serves every Table III variant like the scan
+/// engine, and today's writer still produces the v2 file byte for byte.
+#[test]
+fn committed_venue_files_of_every_version_load_and_serve_byte_identically() {
+    let example = paper_example_venue();
+    let doc = VenueDocument::from_venue(
+        &example.venue.space,
+        &example.venue.directory,
+        10.0,
+        Some("fig1-example".into()),
+    );
+    let (space, directory) = doc.build().expect("the example round-trips");
+    let scan = single_venue_service(IkrqEngine::with_index_mode(
+        space,
+        directory,
+        IndexMode::Scan,
+    ));
+
+    for (file, format_version, adopted_columnar) in [
+        ("fig1-v1.ikrq", 1, false),
+        ("fig1-v1-indexed.ikrq", 1, false),
+        ("fig1-v2.ikrq", 2, true),
+    ] {
+        let loaded = binary::load_venue_model_file(fixture(file)).expect("fixtures load");
+        assert_eq!(loaded.stats.format_version, format_version, "{file}");
+        assert_eq!(loaded.stats.adopted_columnar, adopted_columnar, "{file}");
+        assert!(
+            loaded.stats.degraded.is_none(),
+            "{file}: {:?}",
+            loaded.stats
+        );
+        let engine = match loaded.index {
+            IndexSection::Absent => IkrqEngine::new(loaded.space, loaded.directory),
+            IndexSection::Present(prebuilt) => {
+                let index = prebuilt
+                    .into_index(&loaded.directory)
+                    .expect("fixture indexes bind");
+                IkrqEngine::with_prebuilt_index(loaded.space, loaded.directory, index)
+            }
+            IndexSection::Unusable(reason) => panic!("{file}: unusable index section: {reason}"),
+        };
+        let loaded_from_disk = engine.index().is_some_and(|i| i.loaded_from_disk());
+        assert_eq!(loaded_from_disk, file != "fig1-v1.ikrq", "{file}");
+        let service = single_venue_service(engine);
+        for variant in VariantConfig::all_variants() {
+            for query in example_queries(&example) {
+                let request = SearchRequest {
+                    venue: "prop".to_string(),
+                    query,
+                    options: ExecOptions::with_variant(variant),
+                };
+                assert_eq!(
+                    service
+                        .search(&request)
+                        .expect("fixture query succeeds")
+                        .deterministic_json(),
+                    scan.search(&request)
+                        .expect("scan query succeeds")
+                        .deterministic_json(),
+                    "{file}: variant {} diverged from scan",
+                    variant.label()
+                );
+            }
+        }
+    }
+
+    // The writer is deterministic: the example venue saved today is the v2
+    // fixture byte for byte, and re-framing it gives the indexed v1 fixture.
+    let (space, directory) = doc.build().expect("the example round-trips");
+    let fresh = IkrqEngine::new(space, directory);
+    let out = std::env::temp_dir().join(format!("ikrq-fixture-{}.ikrq", std::process::id()));
+    binary::save_venue_columnar(&doc, fresh.space(), fresh.directory(), fresh.index(), &out)
+        .expect("the example saves");
+    let written = std::fs::read(&out).expect("the saved file reads back");
+    std::fs::remove_file(&out).ok();
+    let read = |name: &str| std::fs::read(fixture(name)).expect("fixtures read");
+    assert!(
+        written == read("fig1-v2.ikrq"),
+        "the writer's bytes changed"
+    );
+    assert!(reframe_as_v1(&written).0 == read("fig1-v1-indexed.ikrq"));
+    assert!(read("fig1-v1-indexed.ikrq").starts_with(&read("fig1-v1.ikrq")));
 }
 
 proptest! {
@@ -100,7 +232,7 @@ proptest! {
             16.0,
             Some("prop".into()),
         );
-        let (_, loaded_service, scan_service) = save_load_services(&doc);
+        let (_, _, loaded_service, scan_service) = save_load_services(&doc);
 
         let generator = QueryGenerator::new(&venue);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1de2);
@@ -149,7 +281,7 @@ proptest! {
             16.0,
             Some("prop".into()),
         );
-        let (_, v1_service, scan_service) = save_load_services(&doc);
+        let (_, _, v1_service, scan_service) = save_load_services(&doc);
 
         let (space, directory) = doc.build().expect("generated documents round-trip");
         let fresh = IkrqEngine::new(space, directory);
@@ -293,8 +425,7 @@ proptest! {
             16.0,
             Some("prop".into()),
         );
-        let (payload, _, _) = save_load_services(&doc);
-        let section_start = binary::encode_venue(&doc).expect("documents encode").len();
+        let (payload, section_start, _, _) = save_load_services(&doc);
         prop_assert!(section_start < payload.len(), "payload carries a section");
 
         let span = payload.len() - section_start;
@@ -302,17 +433,22 @@ proptest! {
         let mut corrupt = payload.clone();
         corrupt[offset] ^= flip;
 
-        let (back, section) = binary::decode_venue_file(&corrupt)
+        let loaded = binary::load_venue_model(&corrupt)
             .expect("document decode is independent of the index section");
+        let back = VenueDocument::from_venue(
+            &loaded.space,
+            &loaded.directory,
+            doc.grid_cell,
+            loaded.name.clone(),
+        );
         prop_assert_eq!(&back, &doc);
-        match section {
+        match loaded.index {
             IndexSection::Unusable(reason) => prop_assert!(!reason.is_empty()),
             IndexSection::Present(prebuilt) => {
                 // A surviving checksum means the flip must still decode into
                 // a structurally sound index or be rejected at binding time;
                 // either way the loader keeps going.
-                let (_, directory) = back.build().expect("documents round-trip");
-                let _ = prebuilt.into_index(&directory);
+                let _ = prebuilt.into_index(&loaded.directory);
             }
             IndexSection::Absent => prop_assert!(false, "section bytes cannot vanish"),
         }

@@ -119,8 +119,11 @@ impl DoorGraph {
                     e.via
                 ));
             }
-            if !e.weight.is_finite() {
-                return Err("door graph edge has a non-finite weight".to_string());
+            if !e.weight.is_finite() || e.weight < 0.0 {
+                return Err(format!(
+                    "door graph edge has an unusable weight {}",
+                    e.weight
+                ));
             }
         }
         Ok(DoorGraph { offsets, edges })
@@ -289,14 +292,16 @@ mod tests {
             edges
         )
         .is_err());
-        let mut edges = g.edges().to_vec();
-        edges[0].weight = f64::INFINITY;
-        assert!(DoorGraph::from_flat(
-            s.num_doors(),
-            s.num_partitions(),
-            g.offsets().to_vec(),
-            edges
-        )
-        .is_err());
+        for weight in [f64::INFINITY, f64::NAN, -1.0] {
+            let mut edges = g.edges().to_vec();
+            edges[0].weight = weight;
+            assert!(DoorGraph::from_flat(
+                s.num_doors(),
+                s.num_partitions(),
+                g.offsets().to_vec(),
+                edges
+            )
+            .is_err());
+        }
     }
 }

@@ -268,6 +268,7 @@ impl IndoorSpaceBuilder {
             .map(|((v, d), dist)| (v, d, dist))
             .collect();
         loop_overrides.sort_unstable_by_key(|&(v, d, _)| (v, d));
+        check_override_distances(&intra_overrides, &loop_overrides)?;
 
         // Per-floor point-location grids over partition footprints.
         let mut floor_bounds: BTreeMap<FloorId, Rect> = self.floors.clone();
@@ -307,6 +308,28 @@ impl IndoorSpaceBuilder {
         space.skeleton = SkeletonIndex::build(&space);
         Ok(space)
     }
+}
+
+/// Rejects override distances that shortest-path searches cannot use: NaN,
+/// or negative (stored for both directions, a negative intra override forms
+/// a negative two-door cycle and Dijkstra never settles). `+∞` stays legal:
+/// it marks a door pair as impassable.
+fn check_override_distances(
+    intra: &[(PartitionId, DoorId, DoorId, f64)],
+    loops: &[(PartitionId, DoorId, f64)],
+) -> Result<()> {
+    let unusable = |d: f64| d.is_nan() || d < 0.0;
+    if let Some(&(v, a, b, d)) = intra.iter().find(|o| unusable(o.3)) {
+        return Err(SpaceError::InvalidConfig(format!(
+            "intra-distance override {a}→{b} in partition {v} is {d} (must be ≥ 0 or +∞)"
+        )));
+    }
+    if let Some(&(v, door, d)) = loops.iter().find(|o| unusable(o.2)) {
+        return Err(SpaceError::InvalidConfig(format!(
+            "loop-distance override at {door} in partition {v} is {d} (must be ≥ 0 or +∞)"
+        )));
+    }
+    Ok(())
 }
 
 /// Flat, pre-validated columns describing an [`IndoorSpace`], in exactly the
@@ -501,6 +524,7 @@ impl IndoorSpace {
                 return Err(SpaceError::UnknownDoor(d));
             }
         }
+        check_override_distances(&intra_overrides, &loop_overrides)?;
 
         if door_graph.num_nodes() != nd {
             return Err(SpaceError::InvalidConfig(format!(
@@ -1215,6 +1239,55 @@ mod tests {
         let (mut b, v0, _) = with_rooms();
         b.set_loop_distance(v0, DoorId(42), 3.0);
         assert!(matches!(b.build(), Err(SpaceError::UnknownDoor(_))));
+    }
+
+    #[test]
+    fn builder_and_adoption_reject_nan_and_negative_override_distances() {
+        let s = two_rooms();
+        let (v1, d0, d1) = (PartitionId(1), DoorId(0), DoorId(1));
+        let with_overrides = |intra: f64, looped: f64| {
+            let mut b = IndoorSpaceBuilder::new();
+            let f = FloorId(0);
+            for x in [0.0, 10.0] {
+                let footprint = Rect::from_origin_size(Point::new(x, 0.0), 10.0, 10.0).unwrap();
+                b.add_partition(f, PartitionKind::Room, footprint, None);
+            }
+            b.add_door(Point::new(10.0, 5.0), f, DoorKind::Normal);
+            b.connect_bidirectional(d0, PartitionId(0), v1);
+            b.add_door(Point::new(15.0, 0.0), f, DoorKind::Normal);
+            b.connect(d1, v1, false, true);
+            b.set_intra_distance(v1, d0, d1, intra);
+            b.set_loop_distance(v1, d0, looped);
+            b.build()
+        };
+        let adopt = |intra: f64, looped: f64| {
+            let mut cols = SpaceColumns::capture(&s, 25.0);
+            cols.intra_overrides = vec![(v1, d0, d1, intra), (v1, d1, d0, intra)];
+            cols.loop_overrides = vec![(v1, d0, looped)];
+            IndoorSpace::adopt_columns(cols)
+        };
+        for bad in [-1.0, f64::NAN] {
+            for result in [
+                with_overrides(bad, 1.0),
+                with_overrides(1.0, bad),
+                adopt(bad, 1.0),
+                adopt(1.0, bad),
+            ] {
+                match result {
+                    Err(SpaceError::InvalidConfig(message)) => {
+                        assert!(message.contains("override"), "{message}")
+                    }
+                    other => panic!("override {bad} was accepted: {other:?}"),
+                }
+            }
+        }
+        for good in [0.0, f64::INFINITY] {
+            with_overrides(good, good).unwrap();
+            adopt(good, good).unwrap();
+        }
+        // +∞ marks the pair impassable: the door graph drops the edge.
+        let closed = with_overrides(f64::INFINITY, 0.0).unwrap();
+        assert!(closed.door_graph().edge_between(d0, d1).is_none());
     }
 
     #[test]

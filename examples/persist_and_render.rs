@@ -1,7 +1,8 @@
 //! Persist-and-render tour: capture a venue into a portable document, save it
-//! as JSON and in the compact binary format, reload it, run an IKRQ against
-//! the reloaded venue, apply the two optional extensions (soft distance
-//! constraint and popularity re-ranking), and render the best route as SVG.
+//! as JSON and as the compact binary venue file, reload it, run an IKRQ
+//! against the reloaded venue, apply the two optional extensions (soft
+//! distance constraint and popularity re-ranking), and render the best route
+//! as SVG.
 //!
 //! ```text
 //! cargo run --example persist_and_render
@@ -32,7 +33,9 @@ fn main() {
     let json_path = out_dir.join("venue.json");
     let bin_path = out_dir.join("venue.ikrq");
     json::save_venue_json(&doc, &json_path).expect("save JSON venue");
-    binary::save_venue_binary(&doc, &bin_path).expect("save binary venue");
+    let (space, directory) = doc.build().expect("rebuild venue");
+    binary::save_venue_columnar(&doc, &space, &directory, None, &bin_path)
+        .expect("save binary venue");
     println!(
         "saved venue: {} ({} bytes JSON, {} bytes binary)",
         doc.name.as_deref().unwrap_or("unnamed"),
@@ -40,14 +43,17 @@ fn main() {
         std::fs::metadata(&bin_path).unwrap().len(),
     );
 
-    // 2. Reload the binary document and rebuild the venue. The two encodings
-    //    describe exactly the same model.
-    let reloaded = binary::load_venue_binary(&bin_path).expect("load binary venue");
-    assert_eq!(reloaded, doc);
-    let (space, directory) = reloaded.build().expect("rebuild venue");
+    // 2. Reload both files through the one venue loader, which tells them
+    //    apart by content. The two encodings describe exactly the same model.
+    let from_json = binary::load_venue_model_file(&json_path).expect("load JSON venue");
+    let reloaded = binary::load_venue_model_file(&bin_path).expect("load binary venue");
+    assert_eq!(
+        from_json.directory.fingerprint(),
+        reloaded.directory.fingerprint()
+    );
     let service = IkrqService::new();
     let engine = service
-        .register_venue("fig1-example", space, directory)
+        .register_venue("fig1-example", reloaded.space, reloaded.directory)
         .expect("venue registers");
 
     // 3. The running-example query, saved into a replayable workload.

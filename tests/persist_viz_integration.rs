@@ -28,7 +28,8 @@ fn synthetic_venue_survives_persistence_and_replays_a_saved_workload() {
 
     // Save venue + workload.
     let doc = VenueDocument::from_venue(&venue.space, &venue.directory, 25.0, Some("test".into()));
-    let payload = binary::encode_venue(&doc).unwrap();
+    let (space, directory) = doc.build().unwrap();
+    let payload = binary::encode_venue_columnar(&doc, &space, &directory, None).unwrap();
     let mut workload = WorkloadDocument::new("integration workload");
     let queries: Vec<IkrqQuery> = instances
         .iter()
@@ -51,11 +52,12 @@ fn synthetic_venue_survives_persistence_and_replays_a_saved_workload() {
 
     // Reload everything and replay: the rebuilt venue must return identical
     // scores for every replayed query.
-    let rebuilt_doc = binary::decode_venue(&payload).unwrap();
+    let loaded = binary::load_venue_model(&payload).unwrap();
+    let rebuilt_doc =
+        VenueDocument::from_venue(&loaded.space, &loaded.directory, 25.0, loaded.name);
     assert_eq!(rebuilt_doc, doc);
-    let (space, directory) = rebuilt_doc.build().unwrap();
     let original_engine = IkrqEngine::new(venue.space.clone(), venue.directory.clone());
-    let rebuilt_engine = IkrqEngine::new(space, directory);
+    let rebuilt_engine = IkrqEngine::new(loaded.space, loaded.directory);
     let replayed: WorkloadDocument = json::from_json_str(&workload_json).unwrap();
     for (query, record) in queries.iter().zip(replayed.queries.iter()) {
         let replay_query = record.to_query().unwrap();

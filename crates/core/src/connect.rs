@@ -92,29 +92,27 @@ impl Search<'_> {
 
     /// Lines 11–17: all keywords covered — find the shortest regular route
     /// from the stamp's tail door to `pt`, respecting the doors already used
-    /// by the route (global regularity check).
+    /// by the route (global regularity check). The search is bounded by the
+    /// remaining budget, so a connection that would break `∆` (line 14) is
+    /// never found.
     fn connect_via_shortest_route(&mut self, stamp: &Stamp) {
         let Some(tail) = stamp.route.tail_door() else {
             return;
         };
         let excluded = stamp.route.door_set();
         self.state.metrics.dijkstra_calls += 1;
-        let Some((suffix_distance, doors, partitions)) = self
-            .ctx
-            .space
-            .shortest_paths()
-            .door_to_point_path(tail, &self.ctx.query.terminal, &excluded)
+        let Some((suffix_distance, doors, partitions)) =
+            self.ctx.space.shortest_paths().door_to_point_path_within(
+                tail,
+                &self.ctx.query.terminal,
+                &excluded,
+                stamp.distance,
+                self.ctx.delta(),
+            )
         else {
             return;
         };
         let total = stamp.distance + suffix_distance;
-        if total > self.ctx.delta() {
-            self.state
-                .metrics
-                .prunes
-                .record(PruneRule::DistanceConstraint);
-            return;
-        }
         let Some(complete) = self.build_completed_route(stamp, &doors, &partitions, total) else {
             return;
         };

@@ -47,6 +47,10 @@ pub(crate) struct SearchState {
     /// constraint this query; `true` means the region bound exceeded `∆`
     /// and every member is pruned from the cached flag.
     pub region_failed: HashMap<u32, bool>,
+    /// KoE only: the key partitions of each query keyword (sorted), which
+    /// KoE's lines 4–7 drop from `P` once the keyword is covered. Built on
+    /// the first non-initial stamp, so ToE never pays for it.
+    pub word_partitions: Option<Vec<Vec<PartitionId>>>,
 }
 
 /// One search run: context + configuration + state.
@@ -80,6 +84,7 @@ impl<'a> Search<'a> {
                 queue_bytes: 0,
                 member_bounds: HashMap::new(),
                 region_failed: HashMap::new(),
+                word_partitions: None,
             },
         }
     }
@@ -302,7 +307,14 @@ impl<'a> Search<'a> {
             + self.ctx.index.map(|i| i.estimated_bytes()).unwrap_or(0)
             + self.state.member_bounds.len()
                 * (std::mem::size_of::<PartitionId>() + std::mem::size_of::<f64>() + 8)
-            + self.state.region_failed.len() * 16;
+            + self.state.region_failed.len() * 16
+            + self
+                .state
+                .word_partitions
+                .iter()
+                .flatten()
+                .map(|p| p.len() * std::mem::size_of::<PartitionId>())
+                .sum::<usize>();
         self.state.metrics.observe_memory(live);
     }
 

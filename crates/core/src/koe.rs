@@ -6,13 +6,30 @@
 //! shortest regular connecting route. The KoE* variant replaces the on-the-fly
 //! shortest-path computations with precomputed all-pairs door paths and falls
 //! back to recomputation when the precomputed path violates regularity.
+//!
+//! Every shortest-path run made here is bounded by the remaining budget
+//! (`base` = the distance already walked, `limit` = `∆`): line 14 drops any
+//! connection longer than that, so doors beyond it are never settled.
 
+use crate::context::SearchContext;
 use crate::framework::Search;
 use crate::pruning::PruneRule;
 use crate::stamp::Stamp;
 use indoor_space::{DijkstraResult, DoorId, PartitionId};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::Ordering;
+
+/// The key partitions of each query keyword, each list sorted.
+fn key_partitions_per_word(ctx: &SearchContext<'_>) -> Vec<Vec<PartitionId>> {
+    (0..ctx.prepared.len())
+        .map(|idx| {
+            ctx.prepared
+                .key_partitions_for_word(idx, ctx.directory)
+                .into_iter()
+                .collect()
+        })
+        .collect()
+}
 
 /// A resolved connection from the current stamp position to a target door.
 struct Connection {
@@ -27,7 +44,7 @@ struct Connection {
 enum KoeSource {
     /// The stamp sits at the start point: one Dijkstra per leavable door of
     /// the start partition, each entry being `(leaving door, δpt2d cost,
-    /// single-source result)`.
+    /// single-source result)`; each run's budget starts at its δpt2d cost.
     FromPoint(Vec<(DoorId, f64, DijkstraResult)>),
     /// The stamp sits at a door: one Dijkstra with the route's doors excluded.
     FromDoor(DoorId, DijkstraResult),
@@ -57,23 +74,29 @@ impl Search<'_> {
 
         // Candidate key partitions P' (lines 4–7): start from the global P and
         // drop the partitions of query keywords the route already covers —
-        // except for the initial stamp, which keeps everything.
-        let mut candidates: Vec<PartitionId> =
-            self.state.routing_partitions.iter().copied().collect();
-        if tail.is_some() {
-            let mut removed: BTreeSet<PartitionId> = BTreeSet::new();
-            for idx in 0..self.ctx.prepared.len() {
-                if stamp.coverage.is_word_covered(idx) {
-                    removed.extend(
-                        self.ctx
-                            .prepared
-                            .key_partitions_for_word(idx, self.ctx.directory),
-                    );
-                }
-            }
-            removed.remove(&self.ctx.terminal_partition);
-            candidates.retain(|v| !removed.contains(v));
-        }
+        // except for the initial stamp, which keeps everything, and `v(pt)`,
+        // which always stays.
+        let routing = self.state.routing_partitions.iter().copied();
+        let candidates: Vec<PartitionId> = if tail.is_some() {
+            let ctx = self.ctx;
+            let covered: Vec<&[PartitionId]> = self
+                .state
+                .word_partitions
+                .get_or_insert_with(|| key_partitions_per_word(ctx))
+                .iter()
+                .enumerate()
+                .filter(|&(idx, _)| stamp.coverage.is_word_covered(idx))
+                .map(|(_, partitions)| partitions.as_slice())
+                .collect();
+            routing
+                .filter(|v| {
+                    *v == ctx.terminal_partition
+                        || !covered.iter().any(|p| p.binary_search(v).is_ok())
+                })
+                .collect()
+        } else {
+            routing.collect()
+        };
 
         let mut source = self.koe_source(stamp);
 
@@ -242,11 +265,12 @@ impl Search<'_> {
                         continue;
                     }
                     self.state.metrics.dijkstra_calls += 1;
-                    let result = self
-                        .ctx
-                        .space
-                        .shortest_paths()
-                        .from_door(dx, &HashSet::new());
+                    let result = self.ctx.space.shortest_paths().from_door_within(
+                        dx,
+                        &HashSet::new(),
+                        cost,
+                        self.ctx.delta(),
+                    );
                     per_door.push((dx, cost, result));
                 }
                 KoeSource::FromPoint(per_door)
@@ -262,7 +286,12 @@ impl Search<'_> {
                     }
                 } else {
                     self.state.metrics.dijkstra_calls += 1;
-                    let result = self.ctx.space.shortest_paths().from_door(dk, &excluded);
+                    let result = self.ctx.space.shortest_paths().from_door_within(
+                        dk,
+                        &excluded,
+                        stamp.distance,
+                        self.ctx.delta(),
+                    );
                     KoeSource::FromDoor(dk, result)
                 }
             }
@@ -353,7 +382,12 @@ impl Search<'_> {
                 }
                 if fallback.is_none() {
                     self.state.metrics.dijkstra_calls += 1;
-                    *fallback = Some(self.ctx.space.shortest_paths().from_door(*dk, excluded));
+                    *fallback = Some(self.ctx.space.shortest_paths().from_door_within(
+                        *dk,
+                        excluded,
+                        stamp.distance,
+                        self.ctx.delta(),
+                    ));
                 }
                 let result = fallback.as_ref().expect("fallback just filled");
                 let d = result.distance(dl);
@@ -361,7 +395,6 @@ impl Search<'_> {
                     return None;
                 }
                 let (doors, partitions) = result.path_to(dl)?;
-                let _ = stamp;
                 Some(Connection {
                     distance: d,
                     doors,

@@ -29,6 +29,10 @@ pub enum PruneRule {
     Regularity,
     /// Not a numbered pruning rule: an expansion rejected because the partial
     /// route itself already exceeds `∆` (the hard query constraint).
+    ///
+    /// The shortest-path runs a search makes stop at the remaining budget,
+    /// so a door or terminal connection beyond it is never found and is not
+    /// counted here.
     DistanceConstraint,
 }
 

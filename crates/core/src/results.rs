@@ -36,12 +36,13 @@ pub struct TopKResults {
 }
 
 impl TopKResults {
-    /// Creates an empty result set for a given `k`.
+    /// Creates an empty result set for a given `k`. The set grows as routes
+    /// arrive (never past `k + 1`), so a huge `k` costs nothing up front.
     pub fn new(k: usize, enforce_prime: bool) -> Self {
         TopKResults {
             k,
             enforce_prime,
-            entries: Vec::with_capacity(k + 1),
+            entries: Vec::new(),
         }
     }
 
@@ -232,6 +233,19 @@ mod tests {
         assert_eq!(r.len(), 3);
         // Two of the three routes are homogeneous with another one.
         assert!((r.homogeneous_rate() - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_huge_k_reserves_nothing_up_front() {
+        // `k` comes straight from a request; sizing the set by it used to
+        // overflow `k + 1` here and abort the process on allocation.
+        let mut r = TopKResults::new(usize::MAX, true);
+        assert_eq!(r.k(), usize::MAX);
+        assert_eq!(r.kbound(), 0.0);
+        assert!(r.offer(entry(0.3, 10.0, 1, &[1])));
+        assert!(r.offer(entry(0.5, 12.0, 2, &[2])));
+        assert_eq!(r.len(), 2);
+        assert_eq!(r.kbound(), 0.0, "fewer than k routes are known");
     }
 
     #[test]

@@ -3,15 +3,31 @@
 //! The IKRQ search needs several flavours of shortest-path computation:
 //!
 //! * plain door-to-door shortest distances (all-pairs matrix, query
-//!   generation, KoE* precomputation),
+//!   generation, KoE* rows),
 //! * shortest *regular* routes that avoid a set of already-visited doors
 //!   (the global regularity checks in Algorithm 5 line 12 and Algorithm 6
 //!   line 13),
 //! * shortest door-to-point connections (the final hop to the terminal
 //!   point `pt`).
 //!
-//! All of them are built on a single Dijkstra implementation with an
-//! exclusion set.
+//! All of them run one Dijkstra loop with an exclusion set and a budget
+//! `(base, limit)`: the run stops at the first popped door `d` with
+//! `base + dist(d) > limit`. That is the test the searches apply to every
+//! connection (`stamp.distance + connection > ∆`), so a search passes its
+//! route's length as `base` and `∆` as `limit` and loses nothing. Pops happen
+//! in the same order as in an unbounded run up to the stop, so every door
+//! settled within the budget has the same distance and predecessor; doors
+//! left unsettled read as unreachable.
+//!
+//! * [`ShortestPaths::from_door`] is the unbounded run (`limit = +∞`). The
+//!   all-pairs matrix, the lazy KoE* rows and point-to-point distances use
+//!   it, and its result owns freshly allocated buffers.
+//! * [`ShortestPaths::from_door_within`] and
+//!   [`ShortestPaths::door_to_point_path_within`] are the bounded runs a
+//!   search makes. A bounded run settles only the `∆`-ball around its
+//!   source, so it takes its `O(doors)` arrays from a small per-thread pool
+//!   of spent ones and, when its result is dropped, resets only the entries
+//!   it wrote and hands them back.
 
 use crate::door_graph::DoorGraphEdge;
 use crate::ids::{DoorId, PartitionId};
@@ -19,26 +35,105 @@ use crate::point::IndoorPoint;
 use crate::space::IndoorSpace;
 use crate::UNREACHABLE;
 use indoor_geom::OrderedF64;
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
+
+/// Predecessor of a settled door: `(previous door, connecting partition)`.
+type Prev = Option<(DoorId, PartitionId)>;
+
+/// The Dijkstra priority queue: tentative distances, smallest first.
+type Queue = BinaryHeap<Reverse<(OrderedF64, DoorId)>>;
+
+/// Most spent buffers one thread keeps. A thread takes from its pool before
+/// it allocates, so the pool never holds more buffers than were live at once
+/// on that thread; the cap only bounds a pathological start partition with
+/// many leavable doors.
+const POOL_CAP: usize = 32;
+
+/// Clean buffers (every `dist` entry [`UNREACHABLE`], every `prev` entry
+/// `None`) of dropped bounded results.
+struct SpentBuffers {
+    dist: Vec<f64>,
+    prev: Vec<Prev>,
+    touched: Vec<DoorId>,
+}
+
+thread_local! {
+    static SPENT: RefCell<Vec<SpentBuffers>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Result of a single-source Dijkstra run.
 #[derive(Debug, Clone)]
 pub struct DijkstraResult {
     source: DoorId,
     dist: Vec<f64>,
-    /// Predecessor edge for each settled door: `(previous door, partition)`.
-    prev: Vec<Option<(DoorId, PartitionId)>>,
+    /// Predecessor edge for each settled door.
+    prev: Vec<Prev>,
+    /// Bounded runs only: every door whose entries the run wrote, so that
+    /// dropping the result can reset just those and pool the buffers.
+    touched: Option<Vec<DoorId>>,
 }
 
 impl DijkstraResult {
+    /// A result with fresh buffers, for unbounded runs.
+    fn fresh(source: DoorId, n: usize) -> Self {
+        DijkstraResult {
+            source,
+            dist: vec![UNREACHABLE; n],
+            prev: vec![None; n],
+            touched: None,
+        }
+    }
+
+    /// A result with pooled buffers, for bounded runs.
+    fn pooled(source: DoorId, n: usize) -> Self {
+        let spent = SPENT
+            .try_with(|pool| pool.borrow_mut().pop())
+            .ok()
+            .flatten();
+        let (mut dist, mut prev, touched) = match spent {
+            Some(b) => (b.dist, b.prev, b.touched),
+            None => (Vec::new(), Vec::new(), Vec::new()),
+        };
+        dist.resize(n, UNREACHABLE);
+        prev.resize(n, None);
+        DijkstraResult {
+            source,
+            dist,
+            prev,
+            touched: Some(touched),
+        }
+    }
+
+    /// Records a tentative distance for `d`.
+    fn set(&mut self, d: DoorId, dist: f64, prev: Prev) {
+        self.dist[d.index()] = dist;
+        self.prev[d.index()] = prev;
+        if let Some(touched) = self.touched.as_mut() {
+            touched.push(d);
+        }
+    }
+
+    /// Forgets the doors a stopped run left unsettled: every queued entry
+    /// that still holds its door's tentative distance. (A settled door's
+    /// queued entries are all stale, i.e. longer than its distance.)
+    fn forget_unsettled(&mut self, queue: Queue) {
+        for Reverse((d, u)) in queue.into_vec() {
+            if self.dist[u.index()] == d.get() {
+                self.dist[u.index()] = UNREACHABLE;
+                self.prev[u.index()] = None;
+            }
+        }
+    }
+
     /// Source door of the run.
     pub fn source(&self) -> DoorId {
         self.source
     }
 
     /// Shortest distance from the source to `d` ([`UNREACHABLE`] when
-    /// unreachable or excluded).
+    /// unreachable, excluded, or beyond a bounded run's budget).
     pub fn distance(&self, d: DoorId) -> f64 {
         self.dist.get(d.index()).copied().unwrap_or(UNREACHABLE)
     }
@@ -71,6 +166,33 @@ impl DijkstraResult {
     }
 }
 
+impl Drop for DijkstraResult {
+    fn drop(&mut self) {
+        let Some(mut touched) = self.touched.take() else {
+            return;
+        };
+        // Never panic in `drop`: during thread teardown the pool may already
+        // be gone, and the buffers are then simply freed.
+        let _ = SPENT.try_with(|pool| {
+            let Ok(mut pool) = pool.try_borrow_mut() else {
+                return;
+            };
+            if pool.len() >= POOL_CAP {
+                return;
+            }
+            for d in touched.drain(..) {
+                self.dist[d.index()] = UNREACHABLE;
+                self.prev[d.index()] = None;
+            }
+            pool.push(SpentBuffers {
+                dist: std::mem::take(&mut self.dist),
+                prev: std::mem::take(&mut self.prev),
+                touched,
+            });
+        });
+    }
+}
+
 /// A shortest-path engine borrowing the indoor space.
 #[derive(Debug, Clone, Copy)]
 pub struct ShortestPaths<'a> {
@@ -87,34 +209,78 @@ impl<'a> ShortestPaths<'a> {
     /// `excluded` (the source itself is allowed even if listed). The exclusion
     /// set is how the search algorithms enforce the global regularity
     /// principle: doors already used by a partial route may not be revisited.
+    ///
+    /// The run settles every reachable door; see
+    /// [`ShortestPaths::from_door_within`] for the bounded run.
     pub fn from_door(&self, source: DoorId, excluded: &HashSet<DoorId>) -> DijkstraResult {
-        let n = self.space.num_doors();
+        let result = DijkstraResult::fresh(source, self.space.num_doors());
+        self.run(result, excluded, 0.0, UNREACHABLE, &[])
+    }
+
+    /// [`ShortestPaths::from_door`] bounded by a budget: door `d` is settled
+    /// only if `base + dist(d) <= limit`, and every other door reads as
+    /// unreachable. Settled doors get bit-identical distances and the same
+    /// paths as in the unbounded run.
+    pub fn from_door_within(
+        &self,
+        source: DoorId,
+        excluded: &HashSet<DoorId>,
+        base: f64,
+        limit: f64,
+    ) -> DijkstraResult {
+        let result = DijkstraResult::pooled(source, self.space.num_doors());
+        self.run(result, excluded, base, limit, &[])
+    }
+
+    /// The Dijkstra loop. It stops at the first popped door with
+    /// `base + d > limit`, or once every door in `targets` (sorted, distinct)
+    /// is settled, whichever comes first; the doors it leaves unsettled read
+    /// as unreachable.
+    fn run(
+        &self,
+        mut result: DijkstraResult,
+        excluded: &HashSet<DoorId>,
+        base: f64,
+        limit: f64,
+        targets: &[DoorId],
+    ) -> DijkstraResult {
+        let source = result.source;
         let graph = self.space.door_graph();
-        let mut dist = vec![UNREACHABLE; n];
-        let mut prev: Vec<Option<(DoorId, PartitionId)>> = vec![None; n];
-        let mut heap: BinaryHeap<Reverse<(OrderedF64, DoorId)>> = BinaryHeap::new();
-        if source.index() < n {
-            dist[source.index()] = 0.0;
+        let mut heap = Queue::new();
+        if source.index() < self.space.num_doors() {
+            result.set(source, 0.0, None);
             heap.push(Reverse((OrderedF64::new(0.0), source)));
         }
+        let mut pending = targets.len();
         while let Some(Reverse((d, u))) = heap.pop() {
             let d = d.get();
-            if d > dist[u.index()] {
+            if d > result.dist[u.index()] {
                 continue;
+            }
+            if base + d > limit {
+                // `u` is beyond the budget too: requeue it with the rest.
+                heap.push(Reverse((OrderedF64::new(d), u)));
+                break;
+            }
+            if pending > 0 && targets.binary_search(&u).is_ok() {
+                pending -= 1;
+                if pending == 0 {
+                    break;
+                }
             }
             for &DoorGraphEdge { to, via, weight } in graph.edges_from(u) {
                 if excluded.contains(&to) && to != source {
                     continue;
                 }
                 let nd = d + weight;
-                if nd < dist[to.index()] {
-                    dist[to.index()] = nd;
-                    prev[to.index()] = Some((u, via));
+                if nd < result.dist[to.index()] {
+                    result.set(to, nd, Some((u, via)));
                     heap.push(Reverse((OrderedF64::new(nd), to)));
                 }
             }
         }
-        DijkstraResult { source, dist, prev }
+        result.forget_unsettled(heap);
+        result
     }
 
     /// Shortest door-to-door distance avoiding `excluded` doors.
@@ -156,17 +322,37 @@ impl<'a> ShortestPaths<'a> {
         pt: &IndoorPoint,
         excluded: &HashSet<DoorId>,
     ) -> Option<(f64, Vec<DoorId>, Vec<PartitionId>)> {
+        self.door_to_point_path_within(from, pt, excluded, 0.0, UNREACHABLE)
+    }
+
+    /// [`ShortestPaths::door_to_point_path`] bounded by a budget: `None`
+    /// unless `base + distance <= limit`, and otherwise the same connection.
+    /// The run stops at the budget or once every enterable door of `v(pt)`
+    /// is settled.
+    pub fn door_to_point_path_within(
+        &self,
+        from: DoorId,
+        pt: &IndoorPoint,
+        excluded: &HashSet<DoorId>,
+        base: f64,
+        limit: f64,
+    ) -> Option<(f64, Vec<DoorId>, Vec<PartitionId>)> {
         let host = self.space.host_partition(pt).ok()?;
-        let result = self.from_door(from, excluded);
+        let entries: Vec<(DoorId, f64)> = self
+            .space
+            .p2d_enter(host)
+            .iter()
+            .filter(|&&de| !excluded.contains(&de) || de == from)
+            .map(|&de| (de, self.space.d2pt_distance(de, pt)))
+            .filter(|(_, tail)| tail.is_finite())
+            .collect();
+        let mut targets: Vec<DoorId> = entries.iter().map(|&(de, _)| de).collect();
+        targets.sort_unstable();
+        targets.dedup();
+        let result = DijkstraResult::pooled(from, self.space.num_doors());
+        let result = self.run(result, excluded, base, limit, &targets);
         let mut best: Option<(f64, DoorId)> = None;
-        for &de in self.space.p2d_enter(host) {
-            if excluded.contains(&de) && de != from {
-                continue;
-            }
-            let tail = self.space.d2pt_distance(de, pt);
-            if !tail.is_finite() {
-                continue;
-            }
+        for (de, tail) in entries {
             let head = if de == from { 0.0 } else { result.distance(de) };
             if !head.is_finite() {
                 continue;
@@ -176,7 +362,7 @@ impl<'a> ShortestPaths<'a> {
                 best = Some((total, de));
             }
         }
-        let (total, de) = best?;
+        let (total, de) = best.filter(|&(total, _)| base + total <= limit)?;
         let (mut doors, mut partitions) = if de == from {
             (vec![from], Vec::new())
         } else {

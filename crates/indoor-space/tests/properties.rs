@@ -2,13 +2,14 @@
 //! generated corridor venues: the skeleton distance really is a lower bound
 //! of the graph distance (the property every pruning rule relies on), the
 //! Dijkstra distances satisfy the metric axioms of a shortest-path function,
-//! the all-pairs door matrix agrees with on-the-fly Dijkstra, and routes
-//! built through the regularity API stay regular with additive distances.
+//! the all-pairs door matrix agrees with on-the-fly Dijkstra, bounded runs
+//! agree with full runs inside their budget, and routes built through the
+//! regularity API stay regular with additive distances.
 
 use indoor_geom::{Point, Rect};
 use indoor_space::{
-    DoorId, DoorKind, DoorMatrix, FloorId, IndoorPoint, IndoorSpace, IndoorSpaceBuilder,
-    PartitionKind,
+    DijkstraResult, DoorId, DoorKind, DoorMatrix, FloorId, IndoorPoint, IndoorSpace,
+    IndoorSpaceBuilder, PartitionId, PartitionKind,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -182,6 +183,56 @@ fn build_venue(spec: &VenueSpec) -> (IndoorSpace, Vec<IndoorPoint>) {
         //  small and do not violate any lower bound.)
     }
     (b.build().unwrap(), points)
+}
+
+/// A door-to-point connection: `(distance, doors, partitions)`.
+type Connection = (f64, Vec<DoorId>, Vec<PartitionId>);
+
+/// The shortest connection from `from` to `pt` read off a full run from
+/// `from`: the best enterable door of `v(pt)` (first one on ties), as
+/// `door_to_point_path` defines it, with no early stop of any kind.
+fn connection_from_full_run(
+    space: &IndoorSpace,
+    full: &DijkstraResult,
+    from: DoorId,
+    pt: &IndoorPoint,
+    excluded: &HashSet<DoorId>,
+) -> Option<Connection> {
+    let host = space.host_partition(pt).ok()?;
+    let mut best: Option<(f64, DoorId)> = None;
+    for &de in space.p2d_enter(host) {
+        if excluded.contains(&de) && de != from {
+            continue;
+        }
+        let tail = space.d2pt_distance(de, pt);
+        let head = if de == from { 0.0 } else { full.distance(de) };
+        if !tail.is_finite() || !head.is_finite() {
+            continue;
+        }
+        let total = head + tail;
+        if best.map(|(b, _)| total < b).unwrap_or(true) {
+            best = Some((total, de));
+        }
+    }
+    let (total, de) = best?;
+    let (doors, mut partitions) = if de == from {
+        (vec![from], Vec::new())
+    } else {
+        full.path_to(de)?
+    };
+    partitions.push(host);
+    Some((total, doors, partitions))
+}
+
+/// Bit-level equality of two connections.
+fn same_connection(a: &Option<Connection>, b: &Option<Connection>) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (Some((da, pa, va)), Some((db, pb, vb))) => {
+            da.to_bits() == db.to_bits() && pa == pb && va == vb
+        }
+        _ => false,
+    }
 }
 
 proptest! {
@@ -366,5 +417,80 @@ proptest! {
                 prop_assert!(!loop_cost.is_finite());
             }
         }
+    }
+}
+
+proptest! {
+    // Cheap cases (a few dozen doors each), so run more of them: the
+    // boundary cases need a two-door partition to catch a stop that comes
+    // one door early.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A run bounded by `(base, limit)` settles exactly the doors `d` of the
+    /// full run with `base + dist(d) <= limit`, with bit-identical distances
+    /// and the same paths, and reads every other door as unreachable; the
+    /// bounded door-to-point search returns the full connection exactly when
+    /// it fits the budget. Half of the cases put `limit` exactly on a
+    /// reachable door's (or the connection's) distance, where a `>=` stop
+    /// would lose it.
+    #[test]
+    fn bounded_dijkstra_agrees_with_full_dijkstra_within_the_bound(
+        spec in arb_spec(),
+        source in 0usize..100,
+        excluded in proptest::collection::vec(0usize..100, 0..4),
+        base in 0.0f64..60.0,
+        slack in 0.0f64..150.0,
+        limit_on_a_door in proptest::bool::ANY,
+        pick in 0usize..100,
+        partition in 0usize..100,
+        fx in 0.05f64..0.95,
+        fy in 0.05f64..0.95,
+    ) {
+        let (space, _) = build_venue(&spec);
+        let n = space.num_doors();
+        let sp = space.shortest_paths();
+        let source = DoorId((source % n) as u32);
+        let excluded: HashSet<DoorId> =
+            excluded.iter().map(|&i| DoorId((i % n) as u32)).collect();
+        let doors: Vec<DoorId> = (0..n).map(|i| DoorId(i as u32)).collect();
+
+        let full = sp.from_door(source, &excluded);
+        let reachable: Vec<DoorId> =
+            doors.iter().copied().filter(|&d| full.distance(d).is_finite()).collect();
+        let limit = if limit_on_a_door {
+            base + full.distance(reachable[pick % reachable.len()])
+        } else {
+            base + slack
+        };
+        let bounded = sp.from_door_within(source, &excluded, base, limit);
+        prop_assert_eq!(bounded.source(), source);
+        for &d in &doors {
+            if base + full.distance(d) <= limit {
+                prop_assert_eq!(bounded.distance(d).to_bits(), full.distance(d).to_bits());
+                prop_assert_eq!(bounded.path_to(d), full.path_to(d));
+            } else {
+                prop_assert!(!bounded.distance(d).is_finite(), "door {:?} beyond the bound", d);
+                prop_assert!(bounded.path_to(d).is_none());
+            }
+        }
+
+        // Any point of any partition: corridor cells have several enterable
+        // doors, which the door-to-point search must all settle.
+        let host = &space.partitions()[partition % space.partitions().len()];
+        let rect = host.footprint;
+        let pt = IndoorPoint::new(
+            Point::new(rect.min.x + rect.width() * fx, rect.min.y + rect.height() * fy),
+            host.floor,
+        );
+        let reference = connection_from_full_run(&space, &full, source, &pt, &excluded);
+        let unbounded = sp.door_to_point_path(source, &pt, &excluded);
+        prop_assert!(same_connection(&unbounded, &reference), "{:?} vs {:?}", unbounded, reference);
+        let limit = match (&reference, limit_on_a_door) {
+            (Some((total, _, _)), true) => base + total,
+            _ => base + slack,
+        };
+        let bounded = sp.door_to_point_path_within(source, &pt, &excluded, base, limit);
+        let expected = reference.filter(|(total, _, _)| base + total <= limit);
+        prop_assert!(same_connection(&bounded, &expected), "{:?} vs {:?}", bounded, expected);
     }
 }

@@ -137,6 +137,43 @@ fn healthz_venues_and_version_negotiation() {
 }
 
 #[test]
+fn a_huge_k_is_answered_and_the_server_keeps_serving() {
+    // `k` used to size the result set up front: this body made the server
+    // try to allocate ~168 TiB and abort, taking every later request with it.
+    let service = fig1_service();
+    let handle = start(Arc::clone(&service), ServerConfig::default());
+    let addr = handle.local_addr();
+    let example = indoor_data::paper_example_venue();
+    let fig1 = |k: usize| {
+        SearchRequest::builder("fig1")
+            .from(example.ps)
+            .to(example.pt)
+            .delta(300.0)
+            .keywords(QueryKeywords::new(["coffee", "laptop"]).unwrap())
+            .k(k)
+            .build()
+            .unwrap()
+    };
+    let huge = serde_json::to_string(&fig1(1 << 40)).unwrap();
+    assert!(huge.contains("\"k\":1099511627776"), "{huge}");
+    let reply = request(addr, "POST", "/v1/search", Some(&huge));
+    assert_eq!(reply.status, 200, "{}", reply.body);
+
+    let normal = fig1(3);
+    let reply = request(
+        addr,
+        "POST",
+        "/v1/search",
+        Some(&serde_json::to_string(&normal).unwrap()),
+    );
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert_eq!(
+        deterministic(&reply.body),
+        service.search(&normal).unwrap().deterministic_json()
+    );
+}
+
+#[test]
 fn malformed_requests_get_stable_error_bodies() {
     let handle = start(fig1_service(), ServerConfig::default());
     let addr = handle.local_addr();

@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the substrates the IKRQ engine builds on:
 //! floorplan generation, keyword extraction, door-graph shortest paths, the
-//! all-pairs matrix (KoE* precomputation), skeleton lower bounds and keyword
-//! relevance evaluation.
+//! all-pairs matrix (the paper's KoE* precomputation), skeleton lower bounds
+//! and keyword relevance evaluation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use indoor_data::{MallConfig, MallGenerator, SyntheticVenueConfig, Venue};

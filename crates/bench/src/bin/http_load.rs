@@ -187,10 +187,6 @@ fn main() {
     let venue = ctx.venue(VenueKind::Synthetic {
         floors: args.floors,
     });
-    // Force the KoE* precompute off the measured path.
-    if args.variant.use_precomputed_paths {
-        venue.engine.prepare_precomputed_paths();
-    }
     let workload = WorkloadConfig {
         s2t: 600.0,
         qw_len: 2,

@@ -192,9 +192,9 @@ pub fn run_strict_terminal_comparison(
     Ok((relaxed, strict))
 }
 
-/// Starts a server over the prepared venue's engine (sharing its KoE*
-/// precompute), fires `clients × requests_per_client` searches at the
-/// socket round-robin over the instances, and aggregates the outcome.
+/// Starts a server over the prepared venue's engine, fires
+/// `clients × requests_per_client` searches at the socket round-robin over
+/// the instances, and aggregates the outcome.
 pub fn run_http_load(
     venue: &PreparedVenue,
     instances: &[QueryInstance],

@@ -9,8 +9,8 @@
 //!   partitions) that the inverted index enumerates directly,
 //! * index build time and estimated index bytes,
 //! * per-variant peak search memory on both paths,
-//! * KoE* lazy-row materialization (rows touched vs total doors), showing
-//!   the incremental distance precompute staying sublinear.
+//! * KoE* queries per second on the accelerated engine, over the same
+//!   instances as the KoE columns.
 //!
 //! Every instance is answered by both engines and the responses are
 //! compared byte-for-byte (timings and memory metrics excluded), so the
@@ -99,10 +99,9 @@ pub struct ScalePoint {
     /// Peak per-query search memory on the accelerated engine, bytes
     /// (includes the shared index charge).
     pub accelerated_peak_memory: usize,
-    /// KoE* distance rows materialized after the KoE* probe queries.
-    pub koe_star_rows: usize,
-    /// Total door rows the eager matrix would have built.
-    pub koe_star_total_rows: usize,
+    /// Queries per second of KoE* over the same instances, through the
+    /// index-accelerated engine.
+    pub koe_star_qps: f64,
     /// Pre-indexed v2 encode + write time in milliseconds.
     pub save_ms: f64,
     /// Full cold load of the v2 file in milliseconds: read it, decode and
@@ -250,6 +249,19 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
         .collect();
     let accel_elapsed = accel_start.elapsed();
 
+    let koe_star_requests: Vec<SearchRequest> = requests
+        .iter()
+        .map(|r| SearchRequest {
+            options: ExecOptions::with_variant(VariantConfig::koe_star()),
+            ..r.clone()
+        })
+        .collect();
+    let koe_star_start = Instant::now();
+    for r in &koe_star_requests {
+        accel_service.search(r).expect("KoE* query succeeds");
+    }
+    let koe_star_elapsed = koe_star_start.elapsed();
+
     for (a, b) in scan_responses.iter().zip(&accel_responses) {
         identical &= a.deterministic_json() == b.deterministic_json();
         if let Some(m) = &a.metrics {
@@ -276,18 +288,6 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
         })
         .sum::<f64>()
         / instances.len() as f64;
-
-    // KoE* probe: a few precomputed-path queries, then read how many door
-    // rows actually materialized.
-    for instance in instances.iter().take(3) {
-        let query = to_query(instance);
-        accelerated
-            .execute(
-                &query,
-                &ExecOptions::with_variant(VariantConfig::koe_star()),
-            )
-            .expect("KoE* probe succeeds");
-    }
 
     // Persistence round trip: capture the venue as a document, save it with
     // a pre-built index section, cold-load it back, and answer the same
@@ -400,8 +400,7 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
         candidate_fraction,
         scan_peak_memory: scan_peak,
         accelerated_peak_memory: accel_peak,
-        koe_star_rows: accelerated.precomputed_rows(),
-        koe_star_total_rows: stats.doors,
+        koe_star_qps: instances.len() as f64 / koe_star_elapsed.as_secs_f64(),
         save_ms,
         load_ms,
         index_load_ms,
@@ -458,14 +457,14 @@ pub fn markdown_table(points: &[ScalePoint]) -> String {
     let mut out = String::from(
         "| partitions | doors | gen ms | space ms | build ms | save ms | load ms | \
          idx load ms | doc dec ms | doc adopt ms | rebuild ms | index KiB | scan q/s | index q/s | \
-         cand. frac | scan peak KiB | index peak KiB | KoE* rows | RSS MiB | identical |\n\
+         cand. frac | scan peak KiB | index peak KiB | KoE* q/s | RSS MiB | identical |\n\
          |---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|:---|\n",
     );
     for p in points {
         out.push_str(&format!(
             "| {} | {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.2} | {:.2} | {:.2} | {:.1} | \
              {} | {:.1} | {:.1} | \
-             {:.4} | {} | {} | {}/{} | {} | {} |\n",
+             {:.4} | {} | {} | {:.1} | {} | {} |\n",
             p.partitions,
             p.doors,
             p.generate_ms,
@@ -483,8 +482,7 @@ pub fn markdown_table(points: &[ScalePoint]) -> String {
             p.candidate_fraction,
             p.scan_peak_memory / 1024,
             p.accelerated_peak_memory / 1024,
-            p.koe_star_rows,
-            p.koe_star_total_rows,
+            p.koe_star_qps,
             p.peak_rss_kib / 1024,
             p.identical_responses
                 && p.loaded_identical
@@ -511,7 +509,7 @@ mod tests {
         let p = &points[0];
         assert!(p.partitions >= 100);
         assert_eq!(p.queries, 3);
-        assert!(p.scan_qps > 0.0 && p.accelerated_qps > 0.0);
+        assert!(p.scan_qps > 0.0 && p.accelerated_qps > 0.0 && p.koe_star_qps > 0.0);
         assert!(p.index_bytes > 0);
         assert!(p.candidate_fraction > 0.0 && p.candidate_fraction <= 1.0);
         assert!(
@@ -533,14 +531,6 @@ mod tests {
         assert!(p.generate_ms > 0.0 && p.space_build_ms > 0.0);
         assert!(p.save_ms > 0.0 && p.load_ms > 0.0 && p.index_load_ms > 0.0);
         assert!(p.doc_decode_ms > 0.0 && p.model_adopt_ms > 0.0 && p.doc_rebuild_ms > 0.0);
-        // The KoE* probe touches only a fraction of the door rows.
-        assert!(p.koe_star_rows > 0, "KoE* probes materialize rows");
-        assert!(
-            p.koe_star_rows < p.koe_star_total_rows,
-            "lazy rows stay sublinear: {} of {}",
-            p.koe_star_rows,
-            p.koe_star_total_rows
-        );
         let table = markdown_table(&points);
         assert!(table.contains("| scan q/s |") || table.contains("scan q/s"));
     }

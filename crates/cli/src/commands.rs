@@ -71,8 +71,6 @@ COMMANDS:
                --keep-alive true|false         connection reuse (default true)
                --idle-timeout SECONDS          close idle connections after (default 30)
                --max-requests-per-conn N       recycle connections after N requests (default: unlimited)
-               --koe-rows-cap N                bound on cached KoE* distance rows per venue
-                                               (default: sized from a 256 MiB budget)
                --cache-capacity N              response-cache entries (default 4096, 0 disables)
                --cache-shards N                response-cache shards (default 8)
                (POST /v1/admin/reload re-reads a venue's document from disk
@@ -234,10 +232,7 @@ fn generate(args: &ParsedArgs) -> Result<String> {
 /// rebuilt. Any section defect (corruption, version skew, directory
 /// mismatch) degrades to a fresh build with a warning on stderr — a stale
 /// section never prevents a venue from serving.
-fn build_serving_engine(
-    path: &str,
-    koe_rows_cap: Option<usize>,
-) -> Result<(ikrq_core::IkrqEngine, Option<String>)> {
+fn build_serving_engine(path: &str) -> Result<(ikrq_core::IkrqEngine, Option<String>)> {
     let LoadedVenue {
         name,
         space,
@@ -265,16 +260,13 @@ fn build_serving_engine(
             ikrq_core::IkrqEngine::new(space, directory)
         }
     };
-    if let Some(cap) = koe_rows_cap {
-        engine.set_koe_rows_cap(cap);
-    }
     engine.set_document_stats(stats);
     Ok((engine, name))
 }
 
 fn stats(args: &ParsedArgs) -> Result<String> {
     let path = args.require("venue")?;
-    let (engine, name) = build_serving_engine(path, None)?;
+    let (engine, name) = build_serving_engine(path)?;
     let directory = engine.directory();
     let stats = engine.space().stats();
     let mut report = String::new();
@@ -401,7 +393,7 @@ fn describe_route(
 /// returning the service, the venue id it is registered under, and the
 /// shared engine (for extension paths and route descriptions).
 fn load_service(path: &str) -> Result<(IkrqService, String, Arc<ikrq_core::IkrqEngine>)> {
-    let (engine, name) = build_serving_engine(path, None)?;
+    let (engine, name) = build_serving_engine(path)?;
     let venue_id = name.unwrap_or_else(|| path.to_string());
     let engine = Arc::new(engine);
     let service = IkrqService::new();
@@ -589,17 +581,11 @@ pub fn start_server(args: &ParsedArgs) -> Result<ikrq_server::ServerHandle> {
             "missing required flag `--venues` (comma-separated venue documents)".into(),
         ));
     }
-    let koe_rows_cap = args.get_usize("koe-rows-cap")?;
-    if koe_rows_cap == Some(0) {
-        return Err(CliError::Usage(
-            "flag `--koe-rows-cap` must be at least 1".into(),
-        ));
-    }
     let service = std::sync::Arc::new(IkrqService::new());
     let mut documents: std::collections::BTreeMap<String, String> =
         std::collections::BTreeMap::new();
     for path in &paths {
-        let (engine, name) = build_serving_engine(path, koe_rows_cap)?;
+        let (engine, name) = build_serving_engine(path)?;
         let venue_id = name.unwrap_or_else(|| path.clone());
         service
             .register_engine(&venue_id, std::sync::Arc::new(engine))
@@ -612,8 +598,7 @@ pub fn start_server(args: &ParsedArgs) -> Result<ikrq_server::ServerHandle> {
         let path = documents
             .get(venue_id)
             .ok_or_else(|| format!("venue `{venue_id}` was not loaded from a document"))?;
-        let (engine, _) =
-            build_serving_engine(path, koe_rows_cap).map_err(|error| error.to_string())?;
+        let (engine, _) = build_serving_engine(path).map_err(|error| error.to_string())?;
         Ok(std::sync::Arc::new(engine))
     });
 
@@ -756,7 +741,7 @@ fn render(args: &ParsedArgs) -> Result<String> {
     let path = args.require("venue")?;
     let out = args.require("out")?.to_string();
     let floor = FloorId(args.get_i32("floor")?.unwrap_or(0));
-    let (engine, _) = build_serving_engine(path, None)?;
+    let (engine, _) = build_serving_engine(path)?;
     let engine = Arc::new(engine);
     let (space, directory) = (engine.space(), engine.directory());
 
@@ -829,7 +814,7 @@ mod tests {
         assert_eq!(
             listed_flags("serve").join(" "),
             "venues addr workers max-in-flight max-connections keep-alive idle-timeout \
-             max-requests-per-conn koe-rows-cap cache-capacity cache-shards"
+             max-requests-per-conn cache-capacity cache-shards"
         );
         assert_eq!(
             listed_flags("route").join(" "),
@@ -837,7 +822,12 @@ mod tests {
         );
         // Retired flags and typos are usage errors naming the flag, raised
         // before any venue is loaded or any port is bound.
-        for (flag, value) in [("reactor", "false"), ("index", "false"), ("worker", "4")] {
+        for (flag, value) in [
+            ("reactor", "false"),
+            ("index", "false"),
+            ("koe-rows-cap", "8"),
+            ("worker", "4"),
+        ] {
             let flag = format!("--{flag}");
             let args = ParsedArgs::parse(["serve", "--venues", "v.json", &flag, value]).unwrap();
             match run(&args) {
@@ -921,17 +911,16 @@ mod tests {
         let report = run(&args).unwrap();
         assert!(report.contains("pre-indexed"), "report: {report}");
 
-        // The seam `serve` uses: a pre-indexed binary adopts its section, a
-        // plain JSON document rebuilds, and the row cap is applied.
-        let (loaded, name) = build_serving_engine(&bin, Some(64)).unwrap();
+        // The seam `serve` uses: a pre-indexed binary adopts its section,
+        // and a plain JSON document rebuilds.
+        let (loaded, name) = build_serving_engine(&bin).unwrap();
         assert!(loaded.index().is_some_and(|i| i.loaded_from_disk()));
-        assert_eq!(loaded.koe_rows_capacity(), 64);
         assert_eq!(name.as_deref(), Some("mega-150p-seed9"));
         let doc_stats = loaded.document_stats().expect("loaded from a document");
         assert_eq!(doc_stats.format_version, 2);
         assert!(doc_stats.adopted_columnar, "stats: {doc_stats:?}");
         assert!(doc_stats.degraded.is_none(), "stats: {doc_stats:?}");
-        let (fresh, _) = build_serving_engine(&json_path, None).unwrap();
+        let (fresh, _) = build_serving_engine(&json_path).unwrap();
         assert!(fresh.index().is_some_and(|i| !i.loaded_from_disk()));
         let fresh_stats = fresh.document_stats().expect("loaded from a document");
         assert_eq!(fresh_stats.format_version, 0);
@@ -985,7 +974,7 @@ mod tests {
         let n = bytes.len();
         bytes[n - 5] ^= 0xff;
         std::fs::write(&bin, &bytes).unwrap();
-        let (degraded, _) = build_serving_engine(&bin, None).unwrap();
+        let (degraded, _) = build_serving_engine(&bin).unwrap();
         assert!(degraded.index().is_some_and(|i| !i.loaded_from_disk()));
         assert!(degraded.document_stats().unwrap().adopted_columnar);
 
@@ -994,7 +983,7 @@ mod tests {
         let record_len = u32::from_le_bytes(bytes[10..14].try_into().unwrap()) as usize;
         bytes[14 + record_len + 20] ^= 0xff;
         std::fs::write(&bin, &bytes).unwrap();
-        let (rebuilt, _) = build_serving_engine(&bin, None).unwrap();
+        let (rebuilt, _) = build_serving_engine(&bin).unwrap();
         let stats = rebuilt.document_stats().unwrap();
         assert!(!stats.adopted_columnar, "stats: {stats:?}");
         assert!(stats.degraded.is_some(), "stats: {stats:?}");

@@ -3,7 +3,6 @@
 
 use crate::context::SearchContext;
 use crate::framework::Search;
-use crate::precompute::PrecomputedPaths;
 use crate::query::IkrqQuery;
 use crate::request::ExecOptions;
 use crate::results::SearchOutcome;
@@ -13,12 +12,13 @@ use indoor_index::{IndexCounterSnapshot, VenueIndex};
 use indoor_keywords::KeywordDirectory;
 use indoor_space::IndoorSpace;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Whether an engine answers queries through the venue index or the original
-/// linear scans. Accelerated is the default; Scan is the `--index false`
-/// fallback kept for cross-checking (the two produce byte-identical
-/// results — the scan path is the executable specification of the index).
+/// linear scans. Accelerated is the default and what `ikrq` serves; Scan is
+/// kept for cross-checking in tests and benchmarks (the two produce
+/// byte-identical results — the scan path is the executable specification
+/// of the index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexMode {
     /// Build a [`VenueIndex`] at engine construction and consult it for
@@ -76,20 +76,16 @@ pub struct IndexStats {
 
 /// The query engine for one venue.
 ///
-/// The engine owns the immutable space model and keyword directory, the
+/// The engine owns the immutable space model and keyword directory and the
 /// optional venue index (built eagerly at construction in
 /// [`IndexMode::Accelerated`], so its build time is a constructor-time cost
-/// and not query jitter), and the per-door-row KoE* distance cache (created
-/// on first use behind a [`OnceLock`]; individual rows materialise lazily).
+/// and not query jitter). Nothing else outlives a query: KoE* computes its
+/// door-to-door paths inside each search.
 #[derive(Debug)]
 pub struct IkrqEngine {
-    space: Arc<IndoorSpace>,
+    space: IndoorSpace,
     directory: KeywordDirectory,
     index: Option<Arc<VenueIndex>>,
-    precomputed: OnceLock<Arc<PrecomputedPaths>>,
-    /// Explicit KoE* row-cache capacity (`--koe-rows-cap`); `None` sizes the
-    /// cache from the default byte budget when the cache is first created.
-    koe_rows_cap: Option<usize>,
     /// How the venue document was loaded, when the engine came from one.
     document_stats: Option<DocumentStats>,
 }
@@ -108,7 +104,6 @@ impl IkrqEngine {
         directory: KeywordDirectory,
         mode: IndexMode,
     ) -> Self {
-        let space = Arc::new(space);
         let index = match mode {
             IndexMode::Accelerated => Some(Arc::new(VenueIndex::build(&space, &directory))),
             IndexMode::Scan => None,
@@ -117,8 +112,6 @@ impl IkrqEngine {
             space,
             directory,
             index,
-            precomputed: OnceLock::new(),
-            koe_rows_cap: None,
             document_stats: None,
         }
     }
@@ -134,11 +127,9 @@ impl IkrqEngine {
         index: VenueIndex,
     ) -> Self {
         IkrqEngine {
-            space: Arc::new(space),
+            space,
             directory,
             index: Some(Arc::new(index)),
-            precomputed: OnceLock::new(),
-            koe_rows_cap: None,
             document_stats: None,
         }
     }
@@ -153,36 +144,6 @@ impl IkrqEngine {
     /// How the venue document was loaded, when the engine came from one.
     pub fn document_stats(&self) -> Option<&DocumentStats> {
         self.document_stats.as_ref()
-    }
-
-    /// Sets an explicit KoE* row-cache capacity. Must be called before the
-    /// first KoE* query creates the cache; later calls are ignored (the
-    /// `OnceLock`ed cache keeps the capacity it was created with).
-    pub fn set_koe_rows_cap(&mut self, capacity: usize) {
-        self.koe_rows_cap = Some(capacity.max(1));
-    }
-
-    /// The KoE* row-cache capacity: the explicit override when set,
-    /// otherwise the default budget-derived capacity for this venue.
-    pub fn koe_rows_capacity(&self) -> usize {
-        self.koe_rows_cap
-            .unwrap_or_else(|| indoor_index::LazyDoorRows::default_capacity(self.space.num_doors()))
-    }
-
-    /// KoE* row-cache counters (capacity, resident rows, hits, misses,
-    /// evictions). Reports an all-zero snapshot with the configured capacity
-    /// before the first KoE* query creates the cache.
-    pub fn koe_rows_stats(&self) -> indoor_index::RowCacheStats {
-        match self.precomputed.get() {
-            Some(p) => p.cache_stats(),
-            None => indoor_index::RowCacheStats {
-                capacity: self.koe_rows_capacity(),
-                resident: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            },
-        }
     }
 
     /// The venue's space model.
@@ -219,36 +180,6 @@ impl IkrqEngine {
         })
     }
 
-    /// Forces the KoE* row cache to materialise every door row now
-    /// (otherwise rows materialise as KoE* queries touch them) and returns
-    /// its memory footprint in bytes.
-    pub fn prepare_precomputed_paths(&self) -> usize {
-        self.precomputed_paths().warm()
-    }
-
-    /// Number of KoE* distance rows materialised so far (0 before any KoE*
-    /// query touches the cache). The row cache is lazy, so this stays
-    /// proportional to the doors actually visited unless the whole matrix is
-    /// warmed with [`IkrqEngine::prepare_precomputed_paths`].
-    pub fn precomputed_rows(&self) -> usize {
-        self.precomputed.get().map_or(0, |p| p.materialized_rows())
-    }
-
-    /// Estimated heap footprint of the KoE* row cache in bytes.
-    pub fn precomputed_bytes(&self) -> usize {
-        self.precomputed.get().map_or(0, |p| p.estimated_bytes())
-    }
-
-    fn precomputed_paths(&self) -> Arc<PrecomputedPaths> {
-        Arc::clone(self.precomputed.get_or_init(|| {
-            let space = Arc::clone(&self.space);
-            Arc::new(match self.koe_rows_cap {
-                Some(cap) => PrecomputedPaths::with_capacity(space, cap),
-                None => PrecomputedPaths::new(space),
-            })
-        }))
-    }
-
     /// Answers a query under per-request [`ExecOptions`] (variant, metrics
     /// detail, expansion budget). This is the engine-level entry point the
     /// service layer uses; multi-venue callers should go through
@@ -268,11 +199,7 @@ impl IkrqEngine {
                 .queries_accelerated
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let precomputed = config
-            .use_precomputed_paths
-            .then(|| self.precomputed_paths());
-        let search = Search::new(&ctx, config, precomputed.as_deref());
-        Ok(search.run())
+        Ok(Search::new(&ctx, config, None).run())
     }
 
     /// Runs every variant of Table III on the same query, in the paper's

@@ -9,7 +9,6 @@
 
 use crate::context::SearchContext;
 use crate::metrics::SearchMetrics;
-use crate::precompute::PrecomputedPaths;
 use crate::prime::PrimeTable;
 use crate::pruning::PruneRule;
 use crate::results::{ResultRoute, SearchOutcome, TopKResults};
@@ -18,6 +17,7 @@ use crate::variants::{AlgorithmKind, VariantConfig};
 use indoor_keywords::CoverageTracker;
 use indoor_space::{DoorId, PartitionId, Route};
 use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::convert::Infallible;
 use std::time::Instant;
 
 /// Mutable state of one search run.
@@ -57,22 +57,22 @@ pub(crate) struct SearchState {
 pub struct Search<'a> {
     pub(crate) ctx: &'a SearchContext<'a>,
     pub(crate) config: VariantConfig,
-    pub(crate) precomputed: Option<&'a PrecomputedPaths>,
     pub(crate) state: SearchState,
 }
 
 impl<'a> Search<'a> {
-    /// Creates a search run.
+    /// Creates a search run. The third parameter only keeps existing
+    /// three-argument callers compiling: no value of [`Infallible`] exists,
+    /// so it is always `None`, and a KoE* search computes its own paths.
     pub fn new(
         ctx: &'a SearchContext<'a>,
         config: VariantConfig,
-        precomputed: Option<&'a PrecomputedPaths>,
+        _shared_rows: Option<Infallible>,
     ) -> Self {
         let results = TopKResults::new(ctx.query.k, config.use_prime_pruning);
         Search {
             ctx,
             config,
-            precomputed,
             state: SearchState {
                 queue: BinaryHeap::new(),
                 doors_checked: HashSet::new(),
@@ -115,11 +115,11 @@ impl<'a> Search<'a> {
             for next in expansions {
                 self.connect(next);
             }
-            self.observe_memory();
+            self.observe_memory(0);
         }
 
         self.state.metrics.elapsed = start.elapsed();
-        self.observe_memory();
+        self.observe_memory(0);
         SearchOutcome {
             label: self.config.label(),
             results: self.state.results,
@@ -288,22 +288,19 @@ impl<'a> Search<'a> {
         });
     }
 
-    /// Samples the live memory of the search state, keeping the peak.
-    pub(crate) fn observe_memory(&mut self) {
-        let live = self.state.queue_bytes
+    /// Samples the live memory of the search state plus `transient` bytes
+    /// the current expansion holds, keeping the peak.
+    pub(crate) fn observe_memory(&mut self, transient: usize) {
+        let live = transient
+            + self.state.queue_bytes
             + self.state.prime.estimated_bytes()
             + self.state.results.estimated_bytes()
             + (self.state.doors_checked.len() + self.state.doors_filtered.len())
                 * std::mem::size_of::<DoorId>()
                 * 2
             + self.state.routing_partitions.len() * std::mem::size_of::<PartitionId>() * 3
-            + self
-                .precomputed
-                .filter(|_| self.config.use_precomputed_paths)
-                .map(|p| p.estimated_bytes())
-                .unwrap_or(0)
             // Index mode charges the shared index plus the per-query bound
-            // caches, mirroring how KoE* charges its distance cache.
+            // caches.
             + self.ctx.index.map(|i| i.estimated_bytes()).unwrap_or(0)
             + self.state.member_bounds.len()
                 * (std::mem::size_of::<PartitionId>() + std::mem::size_of::<f64>() + 8)

@@ -3,9 +3,9 @@
 //! Instead of expanding door by door, KoE jumps from the current stamp
 //! directly to the enterable doors of *candidate key partitions* — partitions
 //! that can cover query keywords not yet covered by the route — through the
-//! shortest regular connecting route. The KoE* variant replaces the on-the-fly
-//! shortest-path computations with precomputed all-pairs door paths and falls
-//! back to recomputation when the precomputed path violates regularity.
+//! shortest regular connecting route. The KoE* variant takes its jumps from
+//! shortest door-to-door paths computed without exclusions and recomputes
+//! only when such a path violates regularity.
 //!
 //! Every shortest-path run made here is bounded by the remaining budget
 //! (`base` = the distance already walked, `limit` = `∆`): line 14 drops any
@@ -39,8 +39,8 @@ struct Connection {
 }
 
 /// Shortest-path source from the current stamp: either Dijkstra runs rooted
-/// at the stamp's position, or (for KoE*) the precomputed matrix with lazy
-/// fallback.
+/// at the stamp's position, or (for KoE*) an unrestricted run from the
+/// stamp's door with a lazy fallback.
 enum KoeSource {
     /// The stamp sits at the start point: one Dijkstra per leavable door of
     /// the start partition, each entry being `(leaving door, δpt2d cost,
@@ -48,10 +48,11 @@ enum KoeSource {
     FromPoint(Vec<(DoorId, f64, DijkstraResult)>),
     /// The stamp sits at a door: one Dijkstra with the route's doors excluded.
     FromDoor(DoorId, DijkstraResult),
-    /// KoE*: consult the precomputed matrix first; `fallback` is filled in
-    /// lazily when a precomputed path violates regularity.
-    Precomputed {
-        source: DoorId,
+    /// KoE*: consult `row`, the run from the stamp's door without
+    /// exclusions, first; `fallback` is filled in lazily when a path of
+    /// `row` violates regularity.
+    Unrestricted {
+        row: DijkstraResult,
         excluded: HashSet<DoorId>,
         fallback: Option<DijkstraResult>,
     },
@@ -99,6 +100,11 @@ impl Search<'_> {
         };
 
         let mut source = self.koe_source(stamp);
+        // KoE* holds its unrestricted row on top of KoE's state while it
+        // expands the stamp: charge it to the memory footprint.
+        if let KoeSource::Unrestricted { row, .. } = &source {
+            self.observe_memory(row.estimated_bytes());
+        }
 
         for vj in candidates {
             if vj == stamp.partition {
@@ -278,20 +284,23 @@ impl Search<'_> {
             Some(dk) => {
                 let mut excluded = stamp.route.door_set();
                 excluded.remove(&dk);
-                if self.config.use_precomputed_paths && self.precomputed.is_some() {
-                    KoeSource::Precomputed {
-                        source: dk,
+                self.state.metrics.dijkstra_calls += 1;
+                let paths = self.ctx.space.shortest_paths();
+                if self.config.use_precomputed_paths {
+                    let row = paths.from_door_within(
+                        dk,
+                        &HashSet::new(),
+                        stamp.distance,
+                        self.ctx.delta(),
+                    );
+                    KoeSource::Unrestricted {
+                        row,
                         excluded,
                         fallback: None,
                     }
                 } else {
-                    self.state.metrics.dijkstra_calls += 1;
-                    let result = self.ctx.space.shortest_paths().from_door_within(
-                        dk,
-                        &excluded,
-                        stamp.distance,
-                        self.ctx.delta(),
-                    );
+                    let result =
+                        paths.from_door_within(dk, &excluded, stamp.distance, self.ctx.delta());
                     KoeSource::FromDoor(dk, result)
                 }
             }
@@ -354,36 +363,36 @@ impl Search<'_> {
                     partitions,
                 })
             }
-            KoeSource::Precomputed {
-                source: dk,
+            KoeSource::Unrestricted {
+                row,
                 excluded,
                 fallback,
             } => {
-                if *dk == dl {
+                let dk = row.source();
+                if dk == dl {
                     return Some(Connection {
                         distance: 0.0,
-                        doors: vec![*dk],
+                        doors: vec![dk],
                         partitions: Vec::new(),
                     });
                 }
-                let matrix = self.precomputed.expect("KoE* requires precomputed paths");
-                if let Some((doors, partitions)) = matrix.path(*dk, dl) {
-                    let regular = doors.iter().skip(1).all(|d| !excluded.contains(d));
-                    if regular {
-                        return Some(Connection {
-                            distance: matrix.distance(*dk, dl),
-                            doors,
-                            partitions,
-                        });
-                    }
-                    // Regularity check failed: recompute on the fly, as the
-                    // paper prescribes for KoE*.
-                    self.state.metrics.precomputed_path_recomputations += 1;
+                // A door the row leaves unsettled is beyond the remaining
+                // budget even without exclusions: no regular connection fits.
+                let (doors, partitions) = row.path_to(dl)?;
+                if doors.iter().skip(1).all(|d| !excluded.contains(d)) {
+                    return Some(Connection {
+                        distance: row.distance(dl),
+                        doors,
+                        partitions,
+                    });
                 }
+                // Regularity check failed: recompute on the fly, as the
+                // paper prescribes for KoE*.
+                self.state.metrics.precomputed_path_recomputations += 1;
                 if fallback.is_none() {
                     self.state.metrics.dijkstra_calls += 1;
                     *fallback = Some(self.ctx.space.shortest_paths().from_door_within(
-                        *dk,
+                        dk,
                         excluded,
                         stamp.distance,
                         self.ctx.delta(),

@@ -85,7 +85,6 @@ pub mod extensions;
 pub mod framework;
 pub mod koe;
 pub mod metrics;
-pub mod precompute;
 pub mod prime;
 pub mod pruning;
 pub mod query;
@@ -107,7 +106,6 @@ pub use extensions::{
     UniformPopularity, VisitCountPopularity,
 };
 pub use metrics::SearchMetrics;
-pub use precompute::PrecomputedPaths;
 pub use prime::PrimeTable;
 pub use pruning::{PruneRule, PruneStats};
 pub use query::IkrqQuery;

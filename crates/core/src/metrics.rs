@@ -14,7 +14,8 @@ pub struct SearchMetrics {
     #[serde(with = "duration_millis")]
     pub elapsed: Duration,
     /// Peak of the deterministic byte accounting of all live search state
-    /// (queue, prime table, visited-door sets, results, precomputed paths).
+    /// (queue, prime table, visited-door sets, results, and the door row
+    /// KoE* expands a stamp from).
     /// This is the reproduction's substitute for the paper's JVM heap
     /// measurements; relative comparisons between algorithms are meaningful.
     pub peak_memory_bytes: usize,
@@ -27,10 +28,15 @@ pub struct SearchMetrics {
     pub complete_routes: u64,
     /// Maximum length of the priority queue.
     pub queue_peak_len: usize,
-    /// Number of single-source shortest-path computations performed.
+    /// Number of single-source shortest-path computations performed. For
+    /// KoE* a stamp at a door adds one for its run without exclusions and
+    /// one more when a path of that run breaks regularity.
     pub dijkstra_calls: u64,
     /// Number of shortest-path recomputations forced by failed regularity
-    /// checks against precomputed paths (KoE* only).
+    /// checks against KoE*'s runs without exclusions (KoE* only). Such a
+    /// run settles only the doors within the remaining budget; a target it
+    /// leaves unsettled cannot be reached within `∆` and is dropped without
+    /// a recomputation and without a `DistanceConstraint` prune.
     pub precomputed_path_recomputations: u64,
     /// Per-rule pruning counters.
     pub prunes: PruneStats,

@@ -1,7 +1,7 @@
 //! Multi-venue query serving: the [`VenueRegistry`] and the [`IkrqService`].
 //!
-//! The service hosts many named venues (each an [`Arc<IkrqEngine>`] whose
-//! KoE* precompute is shared and lock-free after first build) and answers
+//! The service hosts many named venues (each an immutable
+//! [`Arc<IkrqEngine>`], shared lock-free by every query thread) and answers
 //! [`SearchRequest`] envelopes one at a time ([`IkrqService::search`]) or as
 //! a parallel batch ([`IkrqService::search_batch`]). Batch execution fans
 //! requests out over scoped threads and returns responses in request order,
@@ -164,7 +164,7 @@ impl IkrqService {
     }
 
     /// Builds an engine for a venue and registers it. Returns the engine so
-    /// callers can e.g. force the KoE* precompute up front.
+    /// callers can e.g. read its index statistics.
     pub fn register_venue(
         &self,
         id: impl Into<String>,

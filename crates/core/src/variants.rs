@@ -36,7 +36,9 @@ pub struct VariantConfig {
     /// results). Disabled in ToE\P; KoE cannot disable it (its expansion is
     /// formulated on prime routes).
     pub use_prime_pruning: bool,
-    /// Use precomputed all-pairs shortest door paths when expanding (KoE*).
+    /// Take KoE's jumps from shortest door paths computed without
+    /// exclusions, and recompute only the paths that break regularity
+    /// (KoE*).
     pub use_precomputed_paths: bool,
     /// Keep expanding stamps that already reached the terminal partition
     /// (ablation of the connect heuristic of Algorithm 5; off by default to
@@ -113,7 +115,8 @@ impl VariantConfig {
         }
     }
 
-    /// KoE*: KoE with precomputed shortest routes between doors.
+    /// KoE*: KoE taking its jumps from shortest routes between doors
+    /// computed without exclusions.
     pub fn koe_star() -> Self {
         VariantConfig {
             use_precomputed_paths: true,

@@ -1,12 +1,17 @@
 //! Property-based tests of the IKRQ engine invariants on the paper-example
 //! venue: for arbitrary query parameters the search must respect the distance
 //! constraint, the regularity principle, the ranking-score definition and the
-//! prime/diversity guarantees.
+//! prime/diversity guarantees. A last block checks KoE* against KoE on
+//! generated mega venues, where `∆` leaves part of the venue out of reach.
 
 use ikrq_core::prelude::*;
-use indoor_data::paper_example_venue;
+use indoor_data::{
+    mega_venue, paper_example_venue, MegaVenueConfig, QueryGenerator, WorkloadConfig,
+};
 use indoor_keywords::{QueryKeywords, RelevanceModel};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// The keyword universe of the example venue (i-words and t-words mixed).
 const WORDS: &[&str] = &[
@@ -141,8 +146,8 @@ proptest! {
             "ToE best {} vs exhaustive best {}", toe_best, exhaustive_best);
     }
 
-    /// Pruning safety: the `\D` and `\B` ablations (and the KoE*
-    /// precomputation) only change how much work the search does, never the
+    /// Pruning safety: the `\D` and `\B` ablations (and KoE*'s door
+    /// rows) only change how much work the search does, never the
     /// best route it returns. The comparison is made *within* each expansion
     /// family because the paper's connect heuristic (Algorithm 5) finishes
     /// every stamp that reaches the terminal partition, so plain ToE can miss
@@ -321,6 +326,74 @@ proptest! {
         if weight == 0.0 {
             for (a, b) in plain.results.routes().iter().zip(&ranked) {
                 prop_assert!((a.score - b.result.score).abs() < 1e-9);
+            }
+        }
+    }
+}
+
+proptest! {
+    // Each case builds a venue and runs KoE and KoE* on a few queries.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// KoE* takes its jumps from door paths computed without exclusions
+    /// and bounded by the remaining budget, and drops a target such a run
+    /// leaves unsettled. On venues larger than the `∆`-ball that must
+    /// still find KoE's best route, and only regular routes within `∆`.
+    #[test]
+    fn koe_star_matches_koe_where_delta_cuts_the_venue(
+        partitions in 40usize..240,
+        venue_seed in 0u64..1_000,
+        workload_seed in 0u64..1_000,
+        eta in 1.2f64..3.0,
+        k in 1usize..5,
+    ) {
+        let venue = mega_venue(&MegaVenueConfig::sized(partitions, venue_seed)).unwrap();
+        let engine = IkrqEngine::new(venue.space.clone(), venue.directory.clone());
+        let workload = WorkloadConfig {
+            qw_len: 3,
+            beta: 0.5,
+            // Short trips: ∆ = η · δs2t leaves most of these venues out of
+            // reach of the start.
+            s2t: 60.0,
+            eta,
+            k,
+            alpha: 0.5,
+            tau: 0.3,
+        };
+        let instances = QueryGenerator::new(&venue).generate_batch(
+            &workload,
+            3,
+            &mut StdRng::seed_from_u64(workload_seed),
+        );
+        prop_assert!(!instances.is_empty());
+        for instance in &instances {
+            let query = IkrqQuery::new(
+                instance.start,
+                instance.terminal,
+                instance.delta,
+                QueryKeywords::new(instance.keywords.iter().cloned()).unwrap(),
+                instance.k,
+            )
+            .with_alpha(instance.alpha)
+            .with_tau(instance.tau);
+            let koe = engine
+                .execute(&query, &ExecOptions::with_variant(VariantConfig::koe()))
+                .unwrap();
+            let koe_star = engine
+                .execute(&query, &ExecOptions::with_variant(VariantConfig::koe_star()))
+                .unwrap();
+            let best = |outcome: &SearchOutcome| outcome.results.best().map(|r| r.score);
+            match (best(&koe), best(&koe_star)) {
+                (Some(a), Some(b)) => prop_assert!(
+                    (a - b).abs() < 1e-6,
+                    "KoE best {a} vs KoE* best {b}"
+                ),
+                (a, b) => prop_assert_eq!(a, b),
+            }
+            for r in koe_star.results.routes() {
+                prop_assert!(r.route.is_complete());
+                prop_assert!(r.route.is_regular());
+                prop_assert!(r.distance <= query.delta + 1e-6, "{} > ∆ {}", r.distance, query.delta);
             }
         }
     }

@@ -4,10 +4,14 @@
 //! generation → ToE/KoE search with all variants.
 
 use ikrq_core::prelude::*;
-use indoor_data::{QueryGenerator, SyntheticVenueConfig, Venue, WorkloadConfig};
+use indoor_data::{
+    mega_venue, MegaVenueConfig, QueryGenerator, SyntheticVenueConfig, Venue, WorkloadConfig,
+};
 use indoor_keywords::QueryKeywords;
+use indoor_space::DoorId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashSet;
 
 fn build_engine(seed: u64) -> (Venue, IkrqEngine) {
     let venue = Venue::synthetic(&SyntheticVenueConfig::small(seed)).unwrap();
@@ -313,8 +317,6 @@ fn pruning_reduces_search_effort_without_losing_quality() {
 #[test]
 fn koe_star_reuses_precomputed_paths() {
     let (venue, engine) = build_engine(55);
-    let bytes = engine.prepare_precomputed_paths();
-    assert!(bytes > 0, "precomputation has a measurable footprint");
     let generator = QueryGenerator::new(&venue);
     let mut rng = StdRng::seed_from_u64(3);
     let instance = generator
@@ -336,9 +338,62 @@ fn koe_star_reuses_precomputed_paths() {
     let a = koe.results.best().map(|r| r.score).unwrap_or(0.0);
     let b = koe_star.results.best().map(|r| r.score).unwrap_or(0.0);
     assert!((a - b).abs() < 1e-6, "KoE* must not change the results");
-    // KoE* charges the precomputed matrix to its memory footprint, so it is
-    // never cheaper in memory than KoE (Fig. 14 of the paper).
+    // KoE* charges the door row it expands a stamp from to its memory
+    // footprint, so it is never cheaper in memory than KoE (Fig. 14 of the
+    // paper).
     assert!(koe_star.metrics.peak_memory_bytes >= koe.metrics.peak_memory_bytes);
+}
+
+/// KoE* holds one door row at a time and drops it with the expansion, so
+/// at a wide `∆` on a mega venue its memory peak stays within a fixed
+/// number of rows of KoE's, however many stamps it expands.
+#[test]
+fn koe_star_memory_stays_within_two_rows_of_koe_at_a_wide_delta() {
+    let venue = mega_venue(&MegaVenueConfig::sized(1_000, 42)).unwrap();
+    let engine = IkrqEngine::new(venue.space.clone(), venue.directory.clone());
+    let row_bytes = venue
+        .space
+        .shortest_paths()
+        .from_door(DoorId(0), &HashSet::new())
+        .estimated_bytes();
+    let workload = WorkloadConfig {
+        qw_len: 3,
+        s2t: 150.0,
+        // ∆ = 3 · δs2t: the widest budget the experiments use.
+        eta: 3.0,
+        k: 3,
+        ..WorkloadConfig::default()
+    };
+    let instances =
+        QueryGenerator::new(&venue).generate_batch(&workload, 4, &mut StdRng::seed_from_u64(11));
+    assert!(!instances.is_empty(), "workload generation must succeed");
+    let mut door_stamps = 0;
+    for instance in &instances {
+        let query = to_query(instance);
+        let run = |variant| {
+            engine
+                .execute(&query, &ikrq_core::ExecOptions::with_variant(variant))
+                .unwrap()
+        };
+        let (koe, koe_star) = (run(VariantConfig::koe()), run(VariantConfig::koe_star()));
+        let best = |o: &SearchOutcome| o.results.best().map(|r| r.score);
+        assert_eq!(best(&koe), best(&koe_star));
+        let (a, b) = (
+            koe.metrics.peak_memory_bytes,
+            koe_star.metrics.peak_memory_bytes,
+        );
+        assert!(
+            a <= b && b <= a + 2 * row_bytes,
+            "KoE {a} B, KoE* {b} B, row {row_bytes} B"
+        );
+        door_stamps += koe_star.metrics.stamps_expanded - 1;
+    }
+    // Enough door stamps that rows kept for the whole search would exceed
+    // the bound.
+    assert!(
+        door_stamps >= 3 * instances.len() as u64,
+        "{door_stamps} door stamps"
+    );
 }
 
 #[test]

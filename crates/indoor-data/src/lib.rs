@@ -20,8 +20,8 @@
 //!   partitions with directly synthesized Zipf-skewed keywords, for the
 //!   venue-scale indexing experiments;
 //! * [`queries`] — the query-instance generator of §V-A1 (δs2t targeting via
-//!   lazily materialized door-distance rows, ∆ = η · δs2t, β-controlled
-//!   i-word/t-word mix);
+//!   the door-distance rows of the sampled start partition, ∆ = η · δs2t,
+//!   β-controlled i-word/t-word mix);
 //! * [`params`] — the parameter space of Table IV with the paper's defaults;
 //! * [`venue`] — the [`Venue`] bundle (space + keywords) plus
 //!   the small hand-crafted venue mirroring the paper's Fig. 1 running

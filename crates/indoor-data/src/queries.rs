@@ -3,7 +3,7 @@
 //!
 //! 1. fix the target start-to-terminal distance `δs2t` and pick a random
 //!    start point `ps`;
-//! 2. using the precomputed door-to-door matrix, find a door `d'` whose
+//! 2. using door-to-door shortest distances, find a door `d'` whose
 //!    distance from `ps` approximates `δs2t`;
 //! 3. expand from `d'` to a random terminal point `pt` whose indoor distance
 //!    from `ps` best meets `δs2t`;
@@ -16,13 +16,12 @@
 
 use crate::params::ExperimentDefaults;
 use crate::venue::Venue;
-use indoor_index::LazyDoorRows;
 use indoor_keywords::WordId;
-use indoor_space::{IndoorPoint, PartitionId, PartitionKind, UNREACHABLE};
+use indoor_space::{DijkstraResult, DoorId, IndoorPoint, PartitionId, PartitionKind, UNREACHABLE};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::collections::HashSet;
 
 /// Workload parameters of one query setting.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -86,26 +85,24 @@ pub struct QueryInstance {
 }
 
 /// Query generator bound to a venue. The paper's procedure uses a
-/// "precomputed door-to-door matrix"; the generator exposes the same
-/// distances through lazily materialized per-door rows, so only the rows
-/// actually touched (the leave doors of sampled start partitions) are ever
-/// computed. This keeps generation memory and setup time linear in the venue
-/// size instead of the quadratic all-pairs matrix, which is what makes
-/// workload generation feasible on the 10⁴–10⁵-partition mega venues of
-/// [`crate::mega`].
+/// "precomputed door-to-door matrix", but every distance one attempt needs
+/// starts at `ps` and leaves `v(ps)` through one of its doors. So an attempt
+/// runs one full Dijkstra per leavable door of the sampled start partition
+/// and reads every distance from those rows. This keeps generation memory
+/// and time linear in the venue size instead of the quadratic all-pairs
+/// matrix, which is what makes workload generation feasible on the
+/// 10⁴–10⁵-partition mega venues of [`crate::mega`].
 #[derive(Debug)]
 pub struct QueryGenerator<'a> {
     venue: &'a Venue,
-    rows: LazyDoorRows,
     candidate_partitions: Vec<PartitionId>,
     iword_pool: Vec<WordId>,
     tword_pool: Vec<WordId>,
 }
 
 impl<'a> QueryGenerator<'a> {
-    /// Creates a generator. Cheap: door-distance rows materialize on demand.
+    /// Creates a generator. Cheap: distances are computed per attempt.
     pub fn new(venue: &'a Venue) -> Self {
-        let rows = LazyDoorRows::new(Arc::new(venue.space.clone()));
         let candidate_partitions = venue
             .space
             .partitions()
@@ -117,22 +114,10 @@ impl<'a> QueryGenerator<'a> {
         let tword_pool = venue.directory.vocab().twords().collect();
         QueryGenerator {
             venue,
-            rows,
             candidate_partitions,
             iword_pool,
             tword_pool,
         }
-    }
-
-    /// Door-to-door distance through the lazily materialized rows (also
-    /// useful to experiment drivers).
-    pub fn door_distance(&self, from: indoor_space::DoorId, to: indoor_space::DoorId) -> f64 {
-        self.rows.distance(from, to)
-    }
-
-    /// Number of door-distance rows materialized so far.
-    pub fn materialized_rows(&self) -> usize {
-        self.rows.materialized_rows()
     }
 
     /// Generates one query instance; returns `None` when no valid instance
@@ -166,21 +151,10 @@ impl<'a> QueryGenerator<'a> {
         let start = self.random_point_in(start_partition, rng);
 
         // Distance from ps to every door, via the leavable doors of v(ps).
-        let leave_doors = space.p2d_leave(start_partition);
-        let dist_to_door = |door: indoor_space::DoorId| -> f64 {
-            leave_doors
-                .iter()
-                .map(|&dx| {
-                    let head = space.pt2d_distance(&start, dx);
-                    if !head.is_finite() {
-                        return UNREACHABLE;
-                    }
-                    head + if dx == door {
-                        0.0
-                    } else {
-                        self.rows.distance(dx, door)
-                    }
-                })
+        let rows = self.start_rows(&start, start_partition);
+        let dist_to_door = |door: DoorId| -> f64 {
+            rows.iter()
+                .map(|(dx, head, row)| head + if *dx == door { 0.0 } else { row.distance(door) })
                 .fold(UNREACHABLE, f64::min)
         };
 
@@ -189,7 +163,7 @@ impl<'a> QueryGenerator<'a> {
         let mut best_door = None;
         let mut best_gap = f64::INFINITY;
         for idx in 0..num_doors {
-            let door = indoor_space::DoorId(idx as u32);
+            let door = DoorId(idx as u32);
             let d = dist_to_door(door);
             if !d.is_finite() {
                 continue;
@@ -216,7 +190,7 @@ impl<'a> QueryGenerator<'a> {
             }
             for _ in 0..4 {
                 let candidate = self.random_point_in(vp, rng);
-                let actual = self.point_to_point(&start, &candidate, start_partition);
+                let actual = self.point_to_point(&start, start_partition, &rows, &candidate);
                 if !actual.is_finite() || actual <= 0.0 {
                     continue;
                 }
@@ -283,8 +257,35 @@ impl<'a> QueryGenerator<'a> {
         )
     }
 
-    /// Indoor distance between two points using the precomputed matrix.
-    fn point_to_point(&self, a: &IndoorPoint, b: &IndoorPoint, a_partition: PartitionId) -> f64 {
+    /// One full Dijkstra row per leavable door `dx` of `v(ps)` that `ps`
+    /// reaches, with the point-to-door leg: `(dx, δpt2d(ps, dx), row)`.
+    fn start_rows(
+        &self,
+        start: &IndoorPoint,
+        start_partition: PartitionId,
+    ) -> Vec<(DoorId, f64, DijkstraResult)> {
+        let space = &self.venue.space;
+        let paths = space.shortest_paths();
+        space
+            .p2d_leave(start_partition)
+            .iter()
+            .filter_map(|&dx| {
+                let head = space.pt2d_distance(start, dx);
+                head.is_finite()
+                    .then(|| (dx, head, paths.from_door(dx, &HashSet::new())))
+            })
+            .collect()
+    }
+
+    /// Indoor distance from `a` (in `a_partition`, with the rows
+    /// [`QueryGenerator::start_rows`] computed for it) to `b`.
+    fn point_to_point(
+        &self,
+        a: &IndoorPoint,
+        a_partition: PartitionId,
+        a_rows: &[(DoorId, f64, DijkstraResult)],
+        b: &IndoorPoint,
+    ) -> f64 {
         let space = &self.venue.space;
         let Ok(b_partition) = space.host_partition(b) else {
             return UNREACHABLE;
@@ -294,21 +295,13 @@ impl<'a> QueryGenerator<'a> {
         } else {
             UNREACHABLE
         };
-        for &dx in space.p2d_leave(a_partition) {
-            let head = space.pt2d_distance(a, dx);
-            if !head.is_finite() {
-                continue;
-            }
+        for (dx, head, row) in a_rows {
             for &de in space.p2d_enter(b_partition) {
                 let tail = space.d2pt_distance(de, b);
                 if !tail.is_finite() {
                     continue;
                 }
-                let mid = if dx == de {
-                    0.0
-                } else {
-                    self.rows.distance(dx, de)
-                };
+                let mid = if *dx == de { 0.0 } else { row.distance(de) };
                 if mid.is_finite() {
                     best = best.min(head + mid + tail);
                 }
@@ -412,23 +405,6 @@ mod tests {
             assert!(instance.actual_s2t > 0.25 * config.s2t);
             assert!(instance.actual_s2t < 4.0 * config.s2t);
         }
-    }
-
-    #[test]
-    fn lazy_rows_stay_sublinear_in_the_door_count() {
-        let venue = small_venue();
-        let generator = QueryGenerator::new(&venue);
-        assert_eq!(generator.materialized_rows(), 0, "construction is lazy");
-        let mut rng = StdRng::seed_from_u64(5);
-        let batch = generator.generate_batch(&small_config(), 4, &mut rng);
-        assert!(!batch.is_empty());
-        let doors = venue.space.num_doors();
-        assert!(generator.materialized_rows() > 0);
-        assert!(
-            generator.materialized_rows() < doors / 4,
-            "only the sampled start partitions' leave-door rows materialize: {} of {doors}",
-            generator.materialized_rows()
-        );
     }
 
     #[test]

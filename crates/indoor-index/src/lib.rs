@@ -2,12 +2,13 @@
 //!
 //! The search engine's original candidate generation is linear in venue
 //! size: `CandidateSet::build` scans the whole i-word vocabulary per query
-//! keyword, and the KoE* distance cache (`PrecomputedPaths`) materialises
-//! the full `O(doors²)` all-pairs matrix before the first query. Both are
-//! fine at mall scale (≲150 partitions) and collapse at airport/stadium
-//! scale (10⁴–10⁵ partitions). This crate provides the three structures
-//! that remove the linear scans, behind APIs that keep query results
-//! **byte-identical** to the scan path:
+//! keyword, and KoE's Rule-3 detour test evaluates every candidate
+//! partition on its own. Both are fine at mall scale (≲150 partitions) and
+//! collapse at airport/stadium scale (10⁴–10⁵ partitions). This crate
+//! provides the two structures that remove the linear scans, behind APIs
+//! that keep query results **byte-identical** to the scan path. (KoE*'s
+//! door-to-door paths are not part of the index: each search computes the
+//! `∆`-bounded ones it needs, see `ikrq-core`'s `koe` module.)
 //!
 //! ## Layout
 //!
@@ -45,16 +46,6 @@
 //!    members would have been pruned individually by the same Rule-3
 //!    comparison.
 //!
-//! 3. **[`LazyDoorRows`]** — incremental replacement for the all-or-nothing
-//!    all-pairs matrix: one [`DijkstraResult`] row per source door,
-//!    materialised on first touch behind a [`OnceLock`]. Rows are computed
-//!    by the same single-source Dijkstra (`ShortestPaths::from_door` with an
-//!    empty exclusion set) that `DoorMatrix::build_with_paths` runs per
-//!    source, so distances *and* reconstructed paths are value-identical to
-//!    the eager matrix; KoE* on a large venue pays only for the rows its
-//!    queries touch, keeping resident memory proportional to touched doors
-//!    rather than `doors²`.
-//!
 //! ## When regions prune
 //!
 //! A region prunes (fails) for a query iff
@@ -68,23 +59,19 @@
 //! prune decisions — and the recorded prune metrics — match the scan path
 //! exactly.
 //!
-//! [`VenueIndex`] bundles the three with cumulative observability counters
+//! [`VenueIndex`] bundles the two with cumulative observability counters
 //! ([`IndexCounters`], surfaced on the server's `/v1/stats`) and records
 //! its own build time and estimated heap footprint so benchmarks and the
 //! stats endpoint can report index cost honestly.
 //!
 //! [`WordId`]: indoor_keywords::WordId
 //! [`CandidateSet`]: indoor_keywords::CandidateSet
-//! [`DijkstraResult`]: indoor_space::DijkstraResult
-//! [`OnceLock`]: std::sync::OnceLock
 
 pub mod counters;
-pub mod lazy;
 pub mod postings;
 pub mod regions;
 
 pub use counters::{IndexCounterSnapshot, IndexCounters};
-pub use lazy::{LazyDoorRows, RowCacheStats, DEFAULT_ROW_BYTES_BUDGET, MIN_ROWS_CAPACITY};
 pub use postings::{KeywordPostings, PostingTable};
 pub use regions::{Region, RegionIndex};
 

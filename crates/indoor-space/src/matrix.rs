@@ -1,10 +1,13 @@
 //! All-pairs door-to-door shortest distance matrix.
 //!
-//! The workload generator of §V-A1 relies on a "precomputed door-to-door
-//! matrix" to pick terminal points at a controlled indoor distance `δs2t`
-//! from the start point, and the KoE* variant of §V precomputes the shortest
-//! route between any two doors. [`DoorMatrix`] provides both: distances for
-//! everyone, and optional predecessor storage for KoE* path reconstruction.
+//! The paper's workload generator (§V-A1) relies on a "precomputed
+//! door-to-door matrix" to pick terminal points at a controlled indoor
+//! distance `δs2t` from the start point, and its KoE* variant (§V)
+//! precomputes the shortest route between any two doors. [`DoorMatrix`]
+//! provides both eagerly: distances, and optional predecessor storage for
+//! path reconstruction. It costs `O(doors²)`, so it serves small venues,
+//! tests and benchmarks. The query generator (`indoor-data`) and KoE*
+//! (`ikrq-core`) compute only the rows they use.
 
 use crate::ids::{DoorId, PartitionId};
 use crate::shortest_path::ShortestPaths;
@@ -23,13 +26,13 @@ pub struct DoorMatrix {
 }
 
 impl DoorMatrix {
-    /// Builds the distance-only matrix (used by the query generator).
+    /// Builds the distance-only matrix.
     pub fn build(space: &IndoorSpace) -> Self {
         Self::build_inner(space, false)
     }
 
     /// Builds the matrix including predecessors for path reconstruction
-    /// (used by the KoE* variant; roughly doubles the memory footprint).
+    /// (roughly doubles the memory footprint).
     pub fn build_with_paths(space: &IndoorSpace) -> Self {
         Self::build_inner(space, true)
     }
@@ -125,7 +128,7 @@ impl DoorMatrix {
         candidates.into_iter().take(count).map(|(_, d)| d).collect()
     }
 
-    /// Estimated heap size in bytes; KoE*'s memory accounting charges this.
+    /// Estimated heap size in bytes.
     pub fn estimated_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.dist.capacity() * std::mem::size_of::<f64>()

@@ -20,14 +20,15 @@
 //! left unsettled read as unreachable.
 //!
 //! * [`ShortestPaths::from_door`] is the unbounded run (`limit = +∞`). The
-//!   all-pairs matrix, the lazy KoE* rows and point-to-point distances use
+//!   all-pairs matrix, query generation and point-to-point distances use
 //!   it, and its result owns freshly allocated buffers.
 //! * [`ShortestPaths::from_door_within`] and
 //!   [`ShortestPaths::door_to_point_path_within`] are the bounded runs a
-//!   search makes. A bounded run settles only the `∆`-ball around its
-//!   source, so it takes its `O(doors)` arrays from a small per-thread pool
-//!   of spent ones and, when its result is dropped, resets only the entries
-//!   it wrote and hands them back.
+//!   search makes: KoE's jumps, KoE*'s unrestricted runs and regularity
+//!   fallbacks, and the connect step. A bounded run settles only the
+//!   `∆`-ball around its source, so it takes its `O(doors)` arrays from a
+//!   small per-thread pool of spent ones and, when its result is dropped,
+//!   resets only the entries it wrote and hands them back.
 
 use crate::door_graph::DoorGraphEdge;
 use crate::ids::{DoorId, PartitionId};
@@ -125,6 +126,11 @@ impl DijkstraResult {
                 self.prev[u.index()] = None;
             }
         }
+    }
+
+    /// Heap size of the per-door arrays in bytes, for memory accounting.
+    pub fn estimated_bytes(&self) -> usize {
+        self.dist.len() * std::mem::size_of::<f64>() + self.prev.len() * std::mem::size_of::<Prev>()
     }
 
     /// Source door of the run.

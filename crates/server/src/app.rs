@@ -150,15 +150,9 @@ struct IndexBody {
     candidates_pruned: u64,
     /// Rule-3 member bounds served from the per-query cache.
     bound_cache_hits: u64,
-    /// KoE* lazy distance rows materialized, summed over venues.
-    precomputed_rows: usize,
-    /// Estimated bytes held by materialized KoE* rows, summed over venues.
-    precomputed_bytes: usize,
     /// Venues whose index was loaded from a persisted venue file.
     venues_loaded_from_disk: usize,
-    /// KoE* row-cache evictions, summed over venues.
-    rows_evictions: u64,
-    /// Per-venue index/row-cache detail, in venue-id order.
+    /// Per-venue index detail, in venue-id order.
     venues: Vec<VenueIndexBody>,
 }
 
@@ -173,16 +167,6 @@ struct VenueIndexBody {
     /// Index acquisition time in microseconds (build, or decode when
     /// loaded from disk).
     build_micros: u64,
-    /// Maximum KoE* distance rows the LRU cache may hold.
-    rows_capacity: usize,
-    /// KoE* distance rows currently resident.
-    rows_resident: usize,
-    /// Row-cache lookups answered without a Dijkstra.
-    rows_hits: u64,
-    /// Row-cache lookups that ran a Dijkstra.
-    rows_misses: u64,
-    /// Rows dropped to stay within capacity.
-    rows_evictions: u64,
     /// How the venue document behind this engine was loaded; `null` for
     /// engines built directly from in-memory models.
     document: Option<VenueDocumentBody>,
@@ -272,10 +256,7 @@ impl IkrqApp {
             regions_pruned: 0,
             candidates_pruned: 0,
             bound_cache_hits: 0,
-            precomputed_rows: 0,
-            precomputed_bytes: 0,
             venues_loaded_from_disk: 0,
-            rows_evictions: 0,
             venues: Vec::new(),
         };
         let mut counters = ikrq_core::IndexStats {
@@ -299,20 +280,11 @@ impl IkrqApp {
                     body.venues_loaded_from_disk += 1;
                 }
             }
-            body.precomputed_rows += engine.precomputed_rows();
-            body.precomputed_bytes += engine.precomputed_bytes();
-            let rows = engine.koe_rows_stats();
-            body.rows_evictions += rows.evictions;
             body.venues.push(VenueIndexBody {
                 id,
                 mode: engine.index_mode().label().to_string(),
                 loaded_from_disk: stats.as_ref().is_some_and(|s| s.loaded_from_disk),
                 build_micros: stats.as_ref().map_or(0, |s| s.build_micros),
-                rows_capacity: rows.capacity,
-                rows_resident: rows.resident,
-                rows_hits: rows.hits,
-                rows_misses: rows.misses,
-                rows_evictions: rows.evictions,
                 document: engine.document_stats().map(|d| VenueDocumentBody {
                     format_version: d.format_version,
                     adopted_columnar: d.adopted_columnar,

@@ -628,7 +628,21 @@ fn stats_expose_index_observability() {
     assert_eq!(index.get("venues_total").unwrap().as_u64(), Some(1));
     assert!(index.get("estimated_bytes").unwrap().as_u64().unwrap() > 0);
     assert_eq!(index.get("queries_accelerated").unwrap().as_u64(), Some(0));
-    assert_eq!(index.get("precomputed_rows").unwrap().as_u64(), Some(0));
+    // KoE* rows live only inside a search: no row-cache keys, in the
+    // aggregate or per venue.
+    for key in ["precomputed_rows", "precomputed_bytes", "rows_evictions"] {
+        assert!(index.get(key).is_none(), "index.{key} is gone");
+    }
+    let venue = &index.get("venues").unwrap().as_array().unwrap()[0];
+    for key in [
+        "rows_capacity",
+        "rows_resident",
+        "rows_hits",
+        "rows_misses",
+        "rows_evictions",
+    ] {
+        assert!(venue.get(key).is_none(), "index.venues[0].{key} is gone");
+    }
 
     // Queries bump the cumulative accelerated counter.
     let body = serde_json::to_string(&fig1_request(3, 400.0, VariantConfig::koe())).unwrap();

@@ -1,12 +1,11 @@
 //! Criterion micro-benchmarks of the substrates the IKRQ engine builds on:
-//! floorplan generation, keyword extraction, door-graph shortest paths, the
-//! all-pairs matrix (the paper's KoE* precomputation), skeleton lower bounds
-//! and keyword relevance evaluation.
+//! floorplan generation, keyword extraction, door-graph shortest paths,
+//! skeleton lower bounds and keyword relevance evaluation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use indoor_data::{MallConfig, MallGenerator, SyntheticVenueConfig, Venue};
 use indoor_keywords::{PreparedQuery, QueryKeywords, RelevanceModel};
-use indoor_space::{DoorId, DoorMatrix, IndoorPoint};
+use indoor_space::{DoorId, IndoorPoint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -42,10 +41,6 @@ fn bench_shortest_paths(c: &mut Criterion) {
         let a = IndoorPoint::from_xy(100.0, 100.0, indoor_space::FloorId(0));
         let z = IndoorPoint::from_xy(1200.0, 1200.0, indoor_space::FloorId(1));
         b.iter(|| black_box(space.skeleton_distance(&a, &z)));
-    });
-    c.bench_function("substrate/door_matrix_build_1_floor", |b| {
-        let single = MallGenerator::generate(&MallConfig::default().with_floors(1)).unwrap();
-        b.iter(|| black_box(DoorMatrix::build(&single.space).num_doors()));
     });
 }
 

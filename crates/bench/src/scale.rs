@@ -5,8 +5,9 @@
 //! hosts it twice — once per [`IndexMode`] — and reports:
 //!
 //! * queries per second for both engines (same instances, same variant),
-//! * the candidate-set fraction (keyword-matching partitions over all
-//!   partitions) that the inverted index enumerates directly,
+//! * the candidate-set fraction: the key partitions of the index engine's
+//!   prepared queries (partitions named by a candidate i-word) over all
+//!   partitions,
 //! * index build time and estimated index bytes,
 //! * per-variant peak search memory on both paths,
 //! * KoE* queries per second on the accelerated engine, over the same

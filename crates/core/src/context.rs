@@ -56,7 +56,7 @@ impl<'a> SearchContext<'a> {
     }
 
     /// [`SearchContext::prepare`] with an optional venue index. With an
-    /// index, keyword candidate expansion goes through the posting lists
+    /// index, keyword candidate expansion walks the keyword associations
     /// (`VenueIndex::prepare_query`) instead of the vocabulary scan; the
     /// produced context is otherwise identical — the two paths are
     /// cross-checked for byte-identical search results by the mirrored

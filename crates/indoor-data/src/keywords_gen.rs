@@ -120,7 +120,7 @@ mod tests {
         assert!(with_twords >= 30);
         // No t-word equals a brand name.
         for &iw in &built.brand_iwords {
-            for tw in built.directory.twords_of(iw) {
+            for &tw in built.directory.twords_of(iw) {
                 assert!(built.directory.vocab().is_tword(tw));
             }
         }

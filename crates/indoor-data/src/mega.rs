@@ -22,8 +22,7 @@
 //! [`KeywordDirectory`] — deterministic brand i-words drawn over shared
 //! per-category t-word pools with a Zipf-skewed category choice — skipping
 //! the corpus/extraction machinery entirely. The skew produces the
-//! clustered, long-tailed posting lists the keyword-aware partition index
-//! is designed to exploit.
+//! clustered, long-tailed `T2I` rows that keyword preparation walks.
 
 use crate::venue::Venue;
 use indoor_geom::{Point, Rect};
@@ -435,7 +434,7 @@ mod tests {
             .directory
             .vocab()
             .twords()
-            .any(|tw| venue.directory.mappings().t2i(tw).map_or(0, |s| s.len()) > 1);
+            .any(|tw| venue.directory.mappings().t2i(tw).len() > 1);
         assert!(shared, "category pools must be shared across brands");
     }
 

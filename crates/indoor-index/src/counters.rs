@@ -10,7 +10,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Shared atomic counters for one venue's index.
 #[derive(Debug, Default)]
 pub struct IndexCounters {
-    /// Queries whose keyword preparation went through the posting lists.
+    /// Queries whose keyword preparation went through the index engine's
+    /// association walk.
     pub queries_accelerated: AtomicU64,
     /// Region detour bounds computed (first touch of a region by a query).
     pub regions_tested: AtomicU64,

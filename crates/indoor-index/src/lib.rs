@@ -5,22 +5,21 @@
 //! keyword, and KoE's Rule-3 detour test evaluates every candidate
 //! partition on its own. Both are fine at mall scale (≲150 partitions) and
 //! collapse at airport/stadium scale (10⁴–10⁵ partitions). This crate
-//! provides the two structures that remove the linear scans, behind APIs
-//! that keep query results **byte-identical** to the scan path. (KoE*'s
-//! door-to-door paths are not part of the index: each search computes the
-//! `∆`-bounded ones it needs, see `ikrq-core`'s `koe` module.)
+//! removes the linear scans behind APIs that keep query results
+//! **byte-identical** to the scan path. (KoE*'s door-to-door paths are not
+//! part of the index: each search computes the `∆`-bounded ones it needs,
+//! see `ikrq-core`'s `koe` module.)
 //!
 //! ## Layout
 //!
-//! 1. **[`KeywordPostings`]** — an inverted keyword → partition index over
-//!    interned [`WordId`]s. Three compact sorted tables (binary-searched,
-//!    boxed-slice posting lists): i-word → partitions, t-word → i-words and
-//!    i-word → t-words. Candidate generation for a query keyword walks only
-//!    the i-words sharing at least one t-word with the Definition-4 union —
-//!    exactly the set the vocabulary scan keeps after its intersection
-//!    filter — so the produced [`CandidateSet`] is equal, entry for entry,
-//!    to the scan-built one (cross-checked by tests and a mirrored
-//!    proptest in `ikrq-core`).
+//! 1. **Keyword preparation** keeps no tables of its own.
+//!    [`VenueIndex::prepare_query`] expands each query keyword with
+//!    [`CandidateSet::by_association`], which walks the directory's own
+//!    sorted `T2I`/`I2T` rows: it scores only the i-words sharing at least
+//!    one t-word with the Definition-4 union — exactly the set the
+//!    vocabulary scan keeps — so the produced [`CandidateSet`] is equal,
+//!    entry for entry, to the scan-built one (cross-checked by tests in
+//!    `indoor-keywords` and a mirrored proptest in `ikrq-core`).
 //!
 //! 2. **[`RegionIndex`]** — a coarse spatial containment layer in the
 //!    QDR-Tree spirit: per-floor grid regions over the partition graph,
@@ -59,36 +58,32 @@
 //! prune decisions — and the recorded prune metrics — match the scan path
 //! exactly.
 //!
-//! [`VenueIndex`] bundles the two with cumulative observability counters
-//! ([`IndexCounters`], surfaced on the server's `/v1/stats`) and records
-//! its own build time and estimated heap footprint so benchmarks and the
-//! stats endpoint can report index cost honestly.
+//! [`VenueIndex`] holds the region layer with cumulative observability
+//! counters ([`IndexCounters`], surfaced on the server's `/v1/stats`) and
+//! records its own build time and estimated heap footprint so benchmarks
+//! and the stats endpoint can report index cost honestly.
 //!
-//! [`WordId`]: indoor_keywords::WordId
 //! [`CandidateSet`]: indoor_keywords::CandidateSet
+//! [`CandidateSet::by_association`]: indoor_keywords::CandidateSet::by_association
 
 pub mod counters;
-pub mod postings;
 pub mod regions;
 
 pub use counters::{IndexCounterSnapshot, IndexCounters};
-pub use postings::{KeywordPostings, PostingTable};
 pub use regions::{Region, RegionIndex};
 
 use indoor_keywords::{
-    CandidateSet, KeywordDirectory, PreparedQuery, PreparedWord, QueryKeywords,
-    Result as KeywordResult,
+    CandidateSet, KeywordDirectory, PreparedQuery, QueryKeywords, Result as KeywordResult,
 };
 use indoor_space::IndoorSpace;
 use std::time::Instant;
 
-/// The per-venue query index: keyword posting lists plus the spatial region
-/// layer, with build-time and usage observability. One instance is owned by
-/// each index-accelerated `IkrqEngine` and shared read-only across query
-/// threads (interior mutability is confined to the atomic counters).
+/// The per-venue query index: the spatial region layer, with build-time and
+/// usage observability. One instance is owned by each index-accelerated
+/// `IkrqEngine` and shared read-only across query threads (interior
+/// mutability is confined to the atomic counters).
 #[derive(Debug)]
 pub struct VenueIndex {
-    postings: KeywordPostings,
     regions: RegionIndex,
     counters: IndexCounters,
     build_micros: u64,
@@ -97,15 +92,13 @@ pub struct VenueIndex {
 
 impl VenueIndex {
     /// Builds the index for a venue. Build cost is `O(vocabulary +
-    /// associations + partitions + doors)` — no all-pairs products — and is
-    /// recorded in [`VenueIndex::build_micros`].
+    /// partitions + doors)` — no all-pairs products — and is recorded in
+    /// [`VenueIndex::build_micros`].
     pub fn build(space: &IndoorSpace, directory: &KeywordDirectory) -> Self {
         let started = Instant::now();
-        let postings = KeywordPostings::build(directory);
         let regions = RegionIndex::build(space, directory);
         let build_micros = started.elapsed().as_micros() as u64;
         VenueIndex {
-            postings,
             regions,
             counters: IndexCounters::new(),
             build_micros,
@@ -118,9 +111,8 @@ impl VenueIndex {
     /// what acquiring the index actually cost this process — and
     /// [`VenueIndex::loaded_from_disk`] reports `true` so `/v1/stats` can
     /// distinguish loaded venues from freshly indexed ones.
-    pub fn from_parts(postings: KeywordPostings, regions: RegionIndex, build_micros: u64) -> Self {
+    pub fn from_parts(regions: RegionIndex, build_micros: u64) -> Self {
         VenueIndex {
-            postings,
             regions,
             counters: IndexCounters::new(),
             build_micros,
@@ -132,11 +124,6 @@ impl VenueIndex {
     /// built from the venue.
     pub fn loaded_from_disk(&self) -> bool {
         self.loaded_from_disk
-    }
-
-    /// The inverted keyword → partition tables.
-    pub fn postings(&self) -> &KeywordPostings {
-        &self.postings
     }
 
     /// The spatial region layer.
@@ -156,13 +143,12 @@ impl VenueIndex {
 
     /// Estimated heap footprint of the index structures in bytes.
     pub fn estimated_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.postings.estimated_bytes()
-            + self.regions.estimated_bytes()
+        std::mem::size_of::<Self>() + self.regions.estimated_bytes()
     }
 
-    /// Prepares a query against the venue through the posting lists instead
-    /// of the vocabulary scan. The result is equal to
+    /// Prepares a query against the venue by walking the directory's
+    /// keyword associations ([`CandidateSet::by_association`]) instead of
+    /// scanning the vocabulary. The result is equal to
     /// [`PreparedQuery::prepare`] on the same inputs — same words, same
     /// candidate sets, same similarity scores, same error behaviour — which
     /// is what keeps index-mode search responses byte-identical to scan
@@ -173,20 +159,6 @@ impl VenueIndex {
         directory: &KeywordDirectory,
         tau: f64,
     ) -> KeywordResult<PreparedQuery> {
-        let mut words = Vec::with_capacity(query.len());
-        for raw in query.words() {
-            let (id, kind) = directory.classify(raw);
-            let candidates = match id {
-                Some(word_id) => self.postings.candidate_set(word_id, kind, tau)?,
-                None => CandidateSet::default(),
-            };
-            words.push(PreparedWord {
-                raw: raw.clone(),
-                id,
-                kind,
-                candidates,
-            });
-        }
-        PreparedQuery::from_words(words, tau)
+        PreparedQuery::prepare_with(query, directory, tau, CandidateSet::by_association)
     }
 }

@@ -5,8 +5,6 @@ use crate::mappings::KeywordMappings;
 use crate::vocab::{Vocabulary, WordKind};
 use crate::Result;
 use indoor_space::PartitionId;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 /// The complete keyword knowledge of a venue: the disjoint i-word/t-word
@@ -19,32 +17,6 @@ pub struct KeywordDirectory {
     /// Memoized [`KeywordDirectory::fingerprint`]; reset by the assembly
     /// helpers so it can never go stale.
     fingerprint_cache: OnceLock<u64>,
-}
-
-// Hand-written (de)serialization: the wire shape is exactly the two content
-// fields, so the fingerprint cache never leaks into persisted bytes and a
-// deserialized directory starts with a cold cache.
-impl Serialize for KeywordDirectory {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("vocab".to_string(), self.vocab.serialize()),
-            ("mappings".to_string(), self.mappings.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for KeywordDirectory {
-    fn deserialize(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let vocab = match value.get("vocab") {
-            Some(v) => Vocabulary::deserialize(v)?,
-            None => Vocabulary::missing("vocab")?,
-        };
-        let mappings = match value.get("mappings") {
-            Some(v) => KeywordMappings::deserialize(v)?,
-            None => KeywordMappings::missing("mappings")?,
-        };
-        Ok(KeywordDirectory::from_parts(vocab, mappings))
-    }
 }
 
 impl KeywordDirectory {
@@ -122,9 +94,9 @@ impl KeywordDirectory {
         self.mappings.i2p(iword)
     }
 
-    /// The t-words of an i-word.
-    pub fn twords_of(&self, iword: WordId) -> BTreeSet<WordId> {
-        self.mappings.i2t(iword).cloned().unwrap_or_default()
+    /// The t-words of an i-word, sorted.
+    pub fn twords_of(&self, iword: WordId) -> &[WordId] {
+        self.mappings.i2t(iword)
     }
 
     /// Resolves a word id to its string.
@@ -146,8 +118,8 @@ impl KeywordDirectory {
     /// Deterministic fingerprint of the directory: the interned word table
     /// in id order plus every i-word's partitions and t-word set. A
     /// persisted pre-built index records this value; on load it must match
-    /// the directory rebuilt from the venue document, because posting lists
-    /// store raw [`WordId`]s/partition ids that are only meaningful against
+    /// the directory rebuilt from the venue document, because the section
+    /// stores raw [`WordId`]s/partition ids that are only meaningful against
     /// the exact same interning order.
     ///
     /// The value is memoized: a built directory never changes, and save

@@ -46,7 +46,7 @@ pub use intern::{Interner, WordId};
 pub use mappings::KeywordMappings;
 pub use query::{PreparedQuery, PreparedWord, QueryKeywords};
 pub use relevance::{route_words, CoverageTracker, RelevanceModel};
-pub use similarity::{jaccard, jaccard_sorted, CandidateEntry, CandidateSet};
+pub use similarity::{jaccard, CandidateEntry, CandidateSet};
 pub use vocab::{Vocabulary, WordKind};
 
 /// Result alias for fallible keyword operations.

@@ -5,8 +5,7 @@ use crate::error::KeywordError;
 use crate::intern::WordId;
 use crate::Result;
 use indoor_space::PartitionId;
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// The keyword mappings of a venue.
 ///
@@ -18,12 +17,42 @@ use std::collections::{BTreeMap, BTreeSet};
 /// For simplicity of presentation — and matching the paper's assumption —
 /// "two partitions with the same i-word have the same set of t-words", because
 /// t-words attach to the i-word, not the partition.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// Every `I2T` and `T2I` row is a sorted, duplicate-free `Vec`: the word
+/// sets Definition 4's [`jaccard`](crate::jaccard) counts over.
+#[derive(Debug, Clone, Default)]
 pub struct KeywordMappings {
     p2i: BTreeMap<PartitionId, WordId>,
     i2p: BTreeMap<WordId, Vec<PartitionId>>,
-    i2t: BTreeMap<WordId, BTreeSet<WordId>>,
-    t2i: BTreeMap<WordId, BTreeSet<WordId>>,
+    i2t: BTreeMap<WordId, Vec<WordId>>,
+    t2i: BTreeMap<WordId, Vec<WordId>>,
+}
+
+/// Inserts `w` into a sorted, duplicate-free row, keeping it one.
+fn insert_sorted(row: &mut Vec<WordId>, w: WordId) {
+    if let Err(at) = row.binary_search(&w) {
+        row.insert(at, w);
+    }
+}
+
+/// Checks a persisted `I2T` or `T2I` table (keys strictly ascending, every
+/// row non-empty and strictly ascending) and moves its rows in.
+fn adopt_rows(
+    name: &str,
+    table: Vec<(WordId, Vec<WordId>)>,
+) -> std::result::Result<BTreeMap<WordId, Vec<WordId>>, String> {
+    if table.windows(2).any(|w| w[0].0 >= w[1].0) {
+        return Err(format!("{name} keys are not strictly ascending"));
+    }
+    for (w, row) in &table {
+        if row.is_empty() {
+            return Err(format!("{name}({w}) is empty"));
+        }
+        if row.windows(2).any(|x| x[0] >= x[1]) {
+            return Err(format!("{name}({w}) is not strictly ascending"));
+        }
+    }
+    Ok(table.into_iter().collect())
 }
 
 impl KeywordMappings {
@@ -34,10 +63,11 @@ impl KeywordMappings {
 
     /// Rebuilds the mappings from persisted sorted tables (the columnar venue
     /// load path): every map is bulk-built from its strictly ascending key
-    /// order instead of being replayed entry by entry. `i2p` lists keep their
-    /// persisted order — it is part of the model's fingerprint identity — and
-    /// only structural invariants are checked here (key order, non-empty
-    /// ascending sets, `i2p` covering exactly the named partitions); semantic
+    /// order instead of being replayed entry by entry, and the checked rows
+    /// are moved in as they are. `i2p` lists keep their persisted order — it
+    /// is part of the model's fingerprint identity — and only structural
+    /// invariants are checked here (key order, non-empty strictly ascending
+    /// rows, `i2p` covering exactly the named partitions); semantic
     /// consistency between the tables is the writer's responsibility and is
     /// protected on disk by the section checksum. Violations are reported as
     /// a human-readable reason so loaders can degrade to a rebuild.
@@ -66,31 +96,11 @@ impl KeywordMappings {
                 p2i.len()
             ));
         }
-        let build_sets =
-            |name: &str,
-             table: Vec<(WordId, Vec<WordId>)>|
-             -> std::result::Result<BTreeMap<WordId, BTreeSet<WordId>>, String> {
-                if table.windows(2).any(|w| w[0].0 >= w[1].0) {
-                    return Err(format!("{name} keys are not strictly ascending"));
-                }
-                table
-                    .into_iter()
-                    .map(|(w, list)| {
-                        if list.is_empty() {
-                            return Err(format!("{name}({w}) is empty"));
-                        }
-                        if list.windows(2).any(|x| x[0] >= x[1]) {
-                            return Err(format!("{name}({w}) is not strictly ascending"));
-                        }
-                        Ok((w, list.into_iter().collect()))
-                    })
-                    .collect()
-            };
         Ok(KeywordMappings {
             p2i: p2i.into_iter().collect(),
             i2p: i2p.into_iter().collect(),
-            i2t: build_sets("i2t", i2t)?,
-            t2i: build_sets("t2i", t2i)?,
+            i2t: adopt_rows("i2t", i2t)?,
+            t2i: adopt_rows("t2i", t2i)?,
         })
     }
 
@@ -101,8 +111,8 @@ impl KeywordMappings {
     }
 
     /// Iterates `T2I` in t-word order.
-    pub fn t2i_entries(&self) -> impl Iterator<Item = (WordId, &BTreeSet<WordId>)> {
-        self.t2i.iter().map(|(w, s)| (*w, s))
+    pub fn t2i_entries(&self) -> impl ExactSizeIterator<Item = (WordId, &[WordId])> {
+        self.t2i.iter().map(|(w, row)| (*w, row.as_slice()))
     }
 
     /// Assigns i-word `w` to partition `v` (`P2I(v) = w`). Fails when the
@@ -118,8 +128,8 @@ impl KeywordMappings {
 
     /// Associates t-word `t` with i-word `w` (updates both `I2T` and `T2I`).
     pub fn associate(&mut self, iword: WordId, tword: WordId) {
-        self.i2t.entry(iword).or_default().insert(tword);
-        self.t2i.entry(tword).or_default().insert(iword);
+        insert_sorted(self.i2t.entry(iword).or_default(), tword);
+        insert_sorted(self.t2i.entry(tword).or_default(), iword);
     }
 
     /// `P2I(v)`: the i-word of a partition, if assigned.
@@ -132,33 +142,33 @@ impl KeywordMappings {
         self.i2p.get(&w).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// `I2T(w)`: the t-words of an i-word.
-    pub fn i2t(&self, w: WordId) -> Option<&BTreeSet<WordId>> {
-        self.i2t.get(&w)
+    /// `I2T(w)`: the t-words of an i-word, sorted (empty when it has none).
+    pub fn i2t(&self, w: WordId) -> &[WordId] {
+        self.i2t.get(&w).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// `T2I(t)`: the i-words described by a t-word.
-    pub fn t2i(&self, t: WordId) -> Option<&BTreeSet<WordId>> {
-        self.t2i.get(&t)
+    /// `T2I(t)`: the i-words described by a t-word, sorted (empty when it
+    /// describes none).
+    pub fn t2i(&self, t: WordId) -> &[WordId] {
+        self.t2i.get(&t).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Iterates `I2P` in i-word order — map-order traversal for callers
     /// (like fingerprinting) that would otherwise pay a lookup per i-word.
-    pub fn i2p_entries(&self) -> impl Iterator<Item = (WordId, &[PartitionId])> {
+    pub fn i2p_entries(&self) -> impl ExactSizeIterator<Item = (WordId, &[PartitionId])> {
         self.i2p.iter().map(|(w, v)| (*w, v.as_slice()))
     }
 
     /// Iterates `I2T` in i-word order.
-    pub fn i2t_entries(&self) -> impl Iterator<Item = (WordId, &BTreeSet<WordId>)> {
-        self.i2t.iter().map(|(w, s)| (*w, s))
+    pub fn i2t_entries(&self) -> impl ExactSizeIterator<Item = (WordId, &[WordId])> {
+        self.i2t.iter().map(|(w, row)| (*w, row.as_slice()))
     }
 
     /// `PW(v)`: the partition words of `v` — its i-word plus the i-word's
     /// t-words. Returns an error when the partition has no i-word.
-    pub fn partition_words(&self, v: PartitionId) -> Result<(WordId, BTreeSet<WordId>)> {
+    pub fn partition_words(&self, v: PartitionId) -> Result<(WordId, &[WordId])> {
         let iword = self.p2i(v).ok_or(KeywordError::PartitionUnnamed(v))?;
-        let twords = self.i2t(iword).cloned().unwrap_or_default();
-        Ok((iword, twords))
+        Ok((iword, self.i2t(iword)))
     }
 
     /// Partitions assigned to any i-word (i.e. partitions carrying keywords).
@@ -173,7 +183,7 @@ impl KeywordMappings {
 
     /// Number of (i-word, t-word) association pairs.
     pub fn num_associations(&self) -> usize {
-        self.i2t.values().map(BTreeSet::len).sum()
+        self.i2t.values().map(Vec::len).sum()
     }
 
     /// Average number of t-words per i-word that has at least one t-word.
@@ -193,7 +203,7 @@ impl KeywordMappings {
                 .values()
                 .map(|v| v.capacity() * std::mem::size_of::<PartitionId>() + 16)
                 .sum::<usize>()
-            + (self.num_associations() * 2) * std::mem::size_of::<WordId>() * 2
+            + self.num_associations() * 2 * std::mem::size_of::<WordId>()
     }
 }
 
@@ -240,13 +250,20 @@ mod tests {
         let (v, m) = sample();
         let apple = v.lookup("apple").unwrap();
         let laptop = v.lookup("laptop").unwrap();
-        assert!(m.i2t(apple).unwrap().contains(&laptop));
-        assert!(m.t2i(laptop).unwrap().contains(&apple));
+        assert!(m.i2t(apple).contains(&laptop));
+        assert!(m.t2i(laptop).contains(&apple));
         assert!(m
             .t2i(v.lookup("coffee").unwrap())
-            .unwrap()
             .contains(&v.lookup("costa").unwrap()));
-        assert!(m.i2t(v.lookup("cashier").unwrap()).is_none());
+        assert!(m.i2t(v.lookup("cashier").unwrap()).is_empty());
+        // Rows stay sorted and duplicate-free whatever the insertion order.
+        let mut m = KeywordMappings::new();
+        for t in [5, 1, 3, 1, 5] {
+            m.associate(WordId(9), WordId(t));
+        }
+        assert_eq!(m.i2t(WordId(9)), &[WordId(1), WordId(3), WordId(5)]);
+        assert_eq!(m.t2i(WordId(1)), &[WordId(9)]);
+        assert_eq!(m.num_associations(), 3);
     }
 
     #[test]
@@ -270,14 +287,8 @@ mod tests {
         let (v, m) = sample();
         let p2i: Vec<_> = m.p2i_entries().collect();
         let i2p: Vec<_> = m.i2p_entries().map(|(w, l)| (w, l.to_vec())).collect();
-        let i2t: Vec<_> = m
-            .i2t_entries()
-            .map(|(w, s)| (w, s.iter().copied().collect::<Vec<_>>()))
-            .collect();
-        let t2i: Vec<_> = m
-            .t2i_entries()
-            .map(|(w, s)| (w, s.iter().copied().collect::<Vec<_>>()))
-            .collect();
+        let i2t: Vec<_> = m.i2t_entries().map(|(w, s)| (w, s.to_vec())).collect();
+        let t2i: Vec<_> = m.t2i_entries().map(|(w, s)| (w, s.to_vec())).collect();
         let back =
             KeywordMappings::from_sorted_parts(p2i.clone(), i2p.clone(), i2t.clone(), t2i.clone())
                 .unwrap();

@@ -3,8 +3,9 @@
 use crate::directory::KeywordDirectory;
 use crate::error::KeywordError;
 use crate::intern::WordId;
+use crate::mappings::KeywordMappings;
 use crate::similarity::CandidateSet;
-use crate::vocab::WordKind;
+use crate::vocab::{Vocabulary, WordKind};
 use crate::Result;
 use indoor_space::PartitionId;
 use serde::{Deserialize, Serialize};
@@ -73,15 +74,29 @@ pub struct PreparedQuery {
 
 impl PreparedQuery {
     /// Prepares a query keyword list against a venue's keyword directory with
-    /// similarity threshold `tau`.
+    /// similarity threshold `tau`, expanding each keyword with the reference
+    /// [`CandidateSet::build`].
     pub fn prepare(query: &QueryKeywords, directory: &KeywordDirectory, tau: f64) -> Result<Self> {
+        Self::prepare_with(query, directory, tau, CandidateSet::build)
+    }
+
+    /// [`PreparedQuery::prepare`] with the candidate builder given:
+    /// [`CandidateSet::build`] or [`CandidateSet::by_association`], which
+    /// produce equal sets. Only words found in the vocabulary reach the
+    /// builder, which is where an invalid `tau` is rejected.
+    pub fn prepare_with(
+        query: &QueryKeywords,
+        directory: &KeywordDirectory,
+        tau: f64,
+        candidates_of: impl Fn(WordId, &Vocabulary, &KeywordMappings, f64) -> Result<CandidateSet>,
+    ) -> Result<Self> {
         let mut words = Vec::with_capacity(query.len());
         let mut all_candidates = BTreeSet::new();
         for raw in query.words() {
             let (id, kind) = directory.classify(raw);
             let candidates = match id {
                 Some(word_id) => {
-                    CandidateSet::build(word_id, directory.vocab(), directory.mappings(), tau)?
+                    candidates_of(word_id, directory.vocab(), directory.mappings(), tau)?
                 }
                 None => CandidateSet::default(),
             };
@@ -92,28 +107,6 @@ impl PreparedQuery {
                 kind,
                 candidates,
             });
-        }
-        Ok(PreparedQuery {
-            words,
-            all_candidates,
-            tau,
-        })
-    }
-
-    /// Assembles a prepared query from already-expanded words.
-    ///
-    /// Used by index-accelerated preparation (`indoor-index`), which builds
-    /// each word's [`CandidateSet`] from posting lists instead of a
-    /// vocabulary scan. The candidate-union `Wci` is derived here exactly as
-    /// [`PreparedQuery::prepare`] derives it, so a `PreparedQuery` built
-    /// from equivalent words is indistinguishable from a scan-prepared one.
-    pub fn from_words(words: Vec<PreparedWord>, tau: f64) -> Result<Self> {
-        if !(0.0..=1.0).contains(&tau) {
-            return Err(KeywordError::InvalidThreshold(tau));
-        }
-        let mut all_candidates = BTreeSet::new();
-        for w in &words {
-            all_candidates.extend(w.candidates.iwords());
         }
         Ok(PreparedQuery {
             words,

@@ -6,32 +6,28 @@ use crate::mappings::KeywordMappings;
 use crate::vocab::{Vocabulary, WordKind};
 use crate::Result;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
-/// Jaccard similarity `|a ∩ b| / |a ∪ b|` between two word sets. Empty union
-/// yields 0.
-pub fn jaccard(a: &BTreeSet<WordId>, b: &BTreeSet<WordId>) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 0.0;
+/// Jaccard similarity `|a ∩ b| / |a ∪ b|` between two word sets, each a
+/// sorted, duplicate-free slice (the rows of [`KeywordMappings`]). Empty
+/// union yields 0. The result is a ratio of two integer counts, so it does
+/// not depend on how the sets are stored.
+pub fn jaccard(a: &[WordId], b: &[WordId]) -> f64 {
+    debug_assert!(a.windows(2).all(|w| w[0] < w[1]), "`a` must be a set");
+    debug_assert!(b.windows(2).all(|w| w[0] < w[1]), "`b` must be a set");
+    let (mut i, mut j, mut inter) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                inter += 1;
+                i += 1;
+                j += 1;
+            }
+        }
     }
-    let inter = a.intersection(b).count();
-    let union = a.len() + b.len() - inter;
-    if union == 0 {
-        0.0
-    } else {
-        inter as f64 / union as f64
-    }
-}
-
-/// [`jaccard`] with the first set held as a sorted, duplicate-free slice
-/// (the posting-table representation). Same counts, same division — the
-/// result is bit-identical to the `BTreeSet` form.
-pub fn jaccard_sorted(a: &[WordId], b: &BTreeSet<WordId>) -> f64 {
-    debug_assert!(a.windows(2).all(|w| w[0] < w[1]), "slice must be a set");
-    if a.is_empty() && b.is_empty() {
-        return 0.0;
-    }
-    let inter = a.iter().filter(|w| b.contains(w)).count();
     let union = a.len() + b.len() - inter;
     if union == 0 {
         0.0
@@ -61,7 +57,8 @@ pub struct CandidateSet {
 }
 
 impl CandidateSet {
-    /// Builds `κ(wQ)` for a query keyword per Definition 4.
+    /// Builds `κ(wQ)` for a query keyword per Definition 4 — the reference
+    /// implementation, which scans the whole i-word vocabulary.
     ///
     /// * If `wQ` is an i-word the only candidate is `wQ` itself with score 1.
     /// * If `wQ` is a t-word, every direct matching i-word (`T2I(wQ)`) scores
@@ -77,6 +74,47 @@ impl CandidateSet {
         mappings: &KeywordMappings,
         tau: f64,
     ) -> Result<Self> {
+        Self::expand(query_word, vocab, mappings, tau, |_| vocab.iwords())
+    }
+
+    /// [`CandidateSet::build`] without the vocabulary scan: the indirect
+    /// matches are looked for only among the i-words `T2I` reaches from the
+    /// union `U` of the direct matches' t-words.
+    ///
+    /// Equivalence argument: an i-word `wi` outside the direct matches
+    /// scores `jaccard(I2T(wi), U)`, which is 0 — never above `τ ≥ 0` —
+    /// unless `I2T(wi)` shares a t-word with `U`. Associations are symmetric
+    /// (`wi ∈ T2I(t) ⟺ t ∈ I2T(wi)`), so the i-words that do are exactly
+    /// `⋃_{t ∈ U} T2I(t)`. Both paths score them with the same [`jaccard`]
+    /// over the same rows, so entries and similarities match bit for bit.
+    pub fn by_association(
+        query_word: WordId,
+        vocab: &Vocabulary,
+        mappings: &KeywordMappings,
+        tau: f64,
+    ) -> Result<Self> {
+        Self::expand(query_word, vocab, mappings, tau, |union| {
+            let mut reached: Vec<WordId> = union
+                .iter()
+                .flat_map(|&tw| mappings.t2i(tw))
+                .copied()
+                .collect();
+            reached.sort_unstable();
+            reached.dedup();
+            reached
+        })
+    }
+
+    /// Definition 4, with the i-words to score as indirect matches drawn
+    /// from `indirect(U)`. It must yield every i-word whose t-words meet
+    /// `U`; any other i-word it yields scores 0 and is dropped.
+    fn expand<I: IntoIterator<Item = WordId>>(
+        query_word: WordId,
+        vocab: &Vocabulary,
+        mappings: &KeywordMappings,
+        tau: f64,
+        indirect: impl FnOnce(&[WordId]) -> I,
+    ) -> Result<Self> {
         if !(0.0..=1.0).contains(&tau) {
             return Err(KeywordError::InvalidThreshold(tau));
         }
@@ -86,29 +124,25 @@ impl CandidateSet {
                 entries.insert(query_word, 1.0);
             }
             WordKind::TWord => {
-                let direct: BTreeSet<WordId> =
-                    mappings.t2i(query_word).cloned().unwrap_or_default();
+                let direct = mappings.t2i(query_word);
                 // Union of the t-words of each direct matching i-word.
-                let mut union: BTreeSet<WordId> = BTreeSet::new();
-                for &iw in &direct {
-                    if let Some(tw) = mappings.i2t(iw) {
-                        union.extend(tw.iter().copied());
-                    }
-                }
-                for &iw in &direct {
+                let mut union: Vec<WordId> = direct
+                    .iter()
+                    .flat_map(|&iw| mappings.i2t(iw))
+                    .copied()
+                    .collect();
+                union.sort_unstable();
+                union.dedup();
+                for &iw in direct {
                     entries.insert(iw, 1.0);
                 }
-                // Indirect matches: any other i-word whose t-words overlap the
-                // union, scored by Jaccard similarity against the union.
-                for iw in vocab.iwords() {
+                // Indirect matches: any other i-word, scored by Jaccard
+                // similarity between its t-words and the union.
+                for iw in indirect(&union) {
                     if entries.contains_key(&iw) {
                         continue;
                     }
-                    let Some(tw) = mappings.i2t(iw) else { continue };
-                    if tw.intersection(&union).next().is_none() {
-                        continue;
-                    }
-                    let s = jaccard(tw, &union);
+                    let s = jaccard(mappings.i2t(iw), &union);
                     if s > tau {
                         entries.insert(iw, s);
                     }
@@ -120,22 +154,6 @@ impl CandidateSet {
             query_word,
             entries,
         })
-    }
-
-    /// Assembles a candidate set from precomputed `(i-word, similarity)`
-    /// entries.
-    ///
-    /// This is the constructor used by index-accelerated candidate
-    /// generation (`indoor-index`), which enumerates the same Definition-4
-    /// entries without scanning the whole vocabulary. Callers are
-    /// responsible for supplying exactly the entries [`CandidateSet::build`]
-    /// would produce; `build` remains the reference implementation and the
-    /// two are cross-checked by tests.
-    pub fn from_entries(query_word: WordId, entries: BTreeMap<WordId, f64>) -> Self {
-        CandidateSet {
-            query_word,
-            entries,
-        }
     }
 
     /// The matching i-words (`κ(wQ).Wi`).
@@ -203,13 +221,12 @@ mod tests {
 
     #[test]
     fn jaccard_basics() {
-        let a: BTreeSet<WordId> = [WordId(1), WordId(2), WordId(3)].into_iter().collect();
-        let b: BTreeSet<WordId> = [WordId(2), WordId(3), WordId(4)].into_iter().collect();
+        let a = [WordId(1), WordId(2), WordId(3)];
+        let b = [WordId(2), WordId(3), WordId(4)];
         assert!((jaccard(&a, &b) - 0.5).abs() < 1e-9);
         assert!((jaccard(&a, &a) - 1.0).abs() < 1e-9);
-        let empty = BTreeSet::new();
-        assert_eq!(jaccard(&a, &empty), 0.0);
-        assert_eq!(jaccard(&empty, &empty), 0.0);
+        assert_eq!(jaccard(&a, &[]), 0.0);
+        assert_eq!(jaccard(&[], &[]), 0.0);
     }
 
     #[test]
@@ -282,5 +299,44 @@ mod tests {
         assert!(set.is_empty());
         assert!(CandidateSet::build(unknown, &v, &m, 1.5).is_err());
         assert!(CandidateSet::build(unknown, &v, &m, -0.1).is_err());
+    }
+
+    #[test]
+    fn association_walk_matches_the_vocabulary_scan() {
+        let (mut v, mut m) = example_setup();
+        // An i-word without t-words and a t-word without i-words.
+        let bare = v.add_iword("bare-brand").unwrap();
+        m.assign_partition(indoor_space::PartitionId(2), bare)
+            .unwrap();
+        v.add_tword("unrelated");
+        let words: Vec<WordId> = v.iwords().chain(v.twords()).collect();
+        assert_eq!(words.len(), 15);
+        for &w in &words {
+            for tau in [0.0, 0.05, 0.3, 0.5, 0.9, 1.0] {
+                let scan = CandidateSet::build(w, &v, &m, tau).unwrap();
+                let walk = CandidateSet::by_association(w, &v, &m, tau).unwrap();
+                assert_eq!(scan, walk, "word {w:?} at tau {tau}");
+                for e in scan.entries() {
+                    let other = walk.similarity(e.iword).unwrap();
+                    assert_eq!(e.similarity.to_bits(), other.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn association_walk_rejects_thresholds_like_the_scan() {
+        let (v, m) = example_setup();
+        let latte = v.lookup("latte").unwrap();
+        let apple = v.lookup("apple").unwrap();
+        for w in [latte, apple] {
+            for tau in [1.5, -0.1, f64::NAN] {
+                assert!(matches!(
+                    CandidateSet::by_association(w, &v, &m, tau),
+                    Err(KeywordError::InvalidThreshold(_))
+                ));
+                assert!(CandidateSet::build(w, &v, &m, tau).is_err());
+            }
+        }
     }
 }

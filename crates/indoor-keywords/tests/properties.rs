@@ -1,12 +1,12 @@
 //! Property-based tests of the keyword substrate: Jaccard similarity axioms,
 //! the candidate i-word set of Definition 4 (direct matches at similarity 1,
-//! indirect matches above the threshold τ), and the keyword relevance of
-//! Definition 6 (range and monotonicity), on randomly generated keyword
-//! directories.
+//! indirect matches above the threshold τ, and the association walk equal to
+//! the vocabulary scan), and the keyword relevance of Definition 6 (range and
+//! monotonicity), on randomly generated keyword directories.
 
 use indoor_keywords::{
-    jaccard, CoverageTracker, KeywordDirectory, PreparedQuery, QueryKeywords, RelevanceModel,
-    WordId, WordKind,
+    jaccard, CandidateSet, CoverageTracker, KeywordDirectory, PreparedQuery, QueryKeywords,
+    RelevanceModel, WordId, WordKind,
 };
 use indoor_space::PartitionId;
 use proptest::prelude::*;
@@ -16,8 +16,10 @@ use std::collections::BTreeSet;
 // Jaccard similarity
 // -------------------------------------------------------------------
 
-fn arb_word_set() -> impl Strategy<Value = BTreeSet<WordId>> {
+/// A word set as the mappings hold one: a sorted, duplicate-free `Vec`.
+fn arb_word_set() -> impl Strategy<Value = Vec<WordId>> {
     proptest::collection::btree_set((0u32..40).prop_map(WordId), 0..12)
+        .prop_map(|set| set.into_iter().collect())
 }
 
 proptest! {
@@ -38,7 +40,7 @@ proptest! {
             prop_assert_eq!(&a, &b);
         }
         // Disjoint sets score 0.
-        if a.intersection(&b).next().is_none() {
+        if a.iter().all(|w| !b.contains(w)) {
             prop_assert_eq!(s, 0.0);
         }
     }
@@ -173,6 +175,33 @@ proptest! {
                 .unwrap_or(false);
             prop_assert_eq!(key.contains(&v), expected);
         }
+    }
+
+    /// The association walk builds the scan's candidate set for every word
+    /// of the vocabulary, with bit-identical similarities, and prepares the
+    /// same query.
+    #[test]
+    fn association_walk_matches_the_vocabulary_scan(
+        spec in arb_directory(),
+        words in arb_query_words(8),
+        tau in prop_oneof![Just(0.0), 0.0f64..1.0, Just(1.0)],
+    ) {
+        let dir = build_directory(&spec);
+        let (vocab, mappings) = (dir.vocab(), dir.mappings());
+        for w in vocab.iwords().chain(vocab.twords()) {
+            let scan = CandidateSet::build(w, vocab, mappings, tau).unwrap();
+            let walk = CandidateSet::by_association(w, vocab, mappings, tau).unwrap();
+            prop_assert_eq!(&scan, &walk);
+            for e in scan.entries() {
+                let other = walk.similarity(e.iword).unwrap();
+                prop_assert_eq!(e.similarity.to_bits(), other.to_bits());
+            }
+        }
+        let query = QueryKeywords::new(words.iter().map(String::as_str)).unwrap();
+        prop_assert_eq!(
+            PreparedQuery::prepare(&query, &dir, tau).unwrap(),
+            PreparedQuery::prepare_with(&query, &dir, tau, CandidateSet::by_association).unwrap()
+        );
     }
 
     /// Definition 6: the relevance is 0 or in (1, |QW| + 1], grows weakly

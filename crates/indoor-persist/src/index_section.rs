@@ -1,8 +1,8 @@
 //! Persisted pre-built [`VenueIndex`] section.
 //!
 //! A venue file may carry, after the document payload, one optional index
-//! section serialising the venue's [`KeywordPostings`] and [`RegionIndex`]
-//! so that serving processes skip the index build entirely. Layout:
+//! section serialising the venue's [`RegionIndex`] so that serving processes
+//! skip the index build entirely. Layout:
 //!
 //! ```text
 //! magic          8 bytes  b"IKRQIDX\0"
@@ -16,13 +16,20 @@
 //! checksum       u64      section_checksum(body)
 //! ```
 //!
-//! Posting tables are `u32 count`, then per entry `u32 word`, `u32 len`,
-//! `len × u32` values. Regions are `u32 count`, then per region `4 × f64`
-//! bbox, a length-prefixed `i32` floor list, `u32` member list and `u64`
-//! bitmap; then the `u32` partition → region table, the dense i-word table
-//! and a `u8` flag that is always 1: venues with negative distance
-//! overrides, for which it was 0, no longer build, and the byte stays so
-//! the layout does not change. A section with any other value is unusable.
+//! The three posting tables are the directory's `I2P`, `T2I` and `I2T`
+//! rows, in that order, each in word order with sorted rows: `u32 count`,
+//! then per entry `u32 word`, `u32 len`, `len × u32` values. Nothing reads
+//! them any more (both engines expand keywords from the directory itself),
+//! but older builds adopt them, so the writer still derives them from the
+//! directory and the reader checks them as those builds do (truncation,
+//! word order, strictly ascending `I2T` rows) before skipping them.
+//!
+//! Regions are `u32 count`, then per region `4 × f64` bbox, a
+//! length-prefixed `i32` floor list, `u32` member list and `u64` bitmap;
+//! then the `u32` partition → region table, the dense i-word table and a
+//! `u8` flag that is always 1: venues with negative distance overrides, for
+//! which it was 0, no longer build, and the byte stays so the layout does
+//! not change. A section with any other value is unusable.
 //!
 //! The section is advisory: any defect — wrong magic, unsupported version,
 //! bad checksum, truncation, or a vocabulary fingerprint that does not
@@ -34,7 +41,7 @@ use crate::error::PersistError;
 use crate::Result;
 use bytes::{Buf, BufMut, BytesMut};
 use indoor_geom::{Point, Rect};
-use indoor_index::{KeywordPostings, PostingTable, Region, RegionIndex, VenueIndex};
+use indoor_index::{Region, RegionIndex, VenueIndex};
 use indoor_keywords::{KeywordDirectory, WordId};
 use indoor_space::{FloorId, PartitionId};
 use std::time::Instant;
@@ -54,8 +61,8 @@ pub enum IndexSection {
     /// A structurally valid section (magic, version, checksum all good).
     /// Call [`PrebuiltIndex::into_index`] with the rebuilt directory to
     /// validate the vocabulary binding and obtain the [`VenueIndex`].
-    /// Boxed: the decoded tables dwarf the other variants, and the value
-    /// travels through `Result`s on its way to the engine.
+    /// Boxed: the decoded region layer dwarfs the other variants, and the
+    /// value travels through `Result`s on its way to the engine.
     Present(Box<PrebuiltIndex>),
     /// A section was present but cannot be used (corruption, truncation,
     /// unsupported version). Callers log the reason and rebuild.
@@ -67,7 +74,6 @@ pub enum IndexSection {
 pub struct PrebuiltIndex {
     vocab_hash: u64,
     decode_micros: u64,
-    postings: KeywordPostings,
     regions: RegionIndex,
 }
 
@@ -87,11 +93,7 @@ impl PrebuiltIndex {
                 self.vocab_hash, expected
             ));
         }
-        Ok(VenueIndex::from_parts(
-            self.postings,
-            self.regions,
-            self.decode_micros,
-        ))
+        Ok(VenueIndex::from_parts(self.regions, self.decode_micros))
     }
 }
 
@@ -145,31 +147,41 @@ fn put_word_list(buf: &mut BytesMut, words: impl ExactSizeIterator<Item = u32>) 
     }
 }
 
+/// One posting table: the row count, then each row's word and value list.
+fn put_posting_table<I: ExactSizeIterator<Item = u32>>(
+    buf: &mut BytesMut,
+    rows: impl ExactSizeIterator<Item = (WordId, I)>,
+) {
+    buf.put_u32_le(rows.len() as u32);
+    for (w, row) in rows {
+        buf.put_u32_le(w.0);
+        put_word_list(buf, row);
+    }
+}
+
+fn word_ids((w, row): (WordId, &[WordId])) -> (WordId, impl ExactSizeIterator<Item = u32> + '_) {
+    (w, row.iter().map(|x| x.0))
+}
+
 /// Appends an index section for `index` (built against `directory`) to a
 /// buffer already holding the encoded venue document.
 pub fn encode_index_section(buf: &mut BytesMut, index: &VenueIndex, directory: &KeywordDirectory) {
     let mut body = BytesMut::with_capacity(1 << 16);
     body.put_u64_le(directory.fingerprint());
 
-    let postings = index.postings();
-    let ip = postings.iword_partition_tables();
-    body.put_u32_le(ip.len() as u32);
-    for (w, parts) in ip.entries() {
-        body.put_u32_le(w.0);
-        put_word_list(&mut body, parts.iter().map(|p| p.0));
-    }
-    let ti = postings.tword_iword_tables();
-    body.put_u32_le(ti.len() as u32);
-    for (w, iws) in ti.entries() {
-        body.put_u32_le(w.0);
-        put_word_list(&mut body, iws.iter().map(|i| i.0));
-    }
-    let it = postings.iword_tword_tables();
-    body.put_u32_le(it.len() as u32);
-    for (w, tws) in it.entries() {
-        body.put_u32_le(w.0);
-        put_word_list(&mut body, tws.iter().map(|t| t.0));
-    }
+    let mappings = directory.mappings();
+    put_posting_table(
+        &mut body,
+        mappings.i2p_entries().map(|(w, parts)| {
+            // `I2P` rows keep their naming order in memory; the table's
+            // rows are sorted.
+            let mut parts: Vec<u32> = parts.iter().map(|p| p.0).collect();
+            parts.sort_unstable();
+            (w, parts.into_iter())
+        }),
+    );
+    put_posting_table(&mut body, mappings.t2i_entries().map(word_ids));
+    put_posting_table(&mut body, mappings.i2t_entries().map(word_ids));
 
     let regions = index.regions();
     body.put_u32_le(regions.len() as u32);
@@ -282,55 +294,52 @@ impl<'a> BodyReader<'a> {
             .collect())
     }
 
-    /// One whole posting table, decoded straight into the flat CSR layout
-    /// [`PostingTable`] uses in memory — three arena vectors however many
-    /// words, instead of one allocation per posting list.
-    fn posting_table<T>(&mut self, what: &str, f: impl Fn(u32) -> T) -> Result<PostingTable<T>> {
+    /// Reads past one whole posting table, failing where decoding it into
+    /// memory once did: on truncation, on words out of order and, with
+    /// `sets`, on a row that is not strictly ascending.
+    fn skip_posting_table(&mut self, what: &str, sets: bool) -> Result<()> {
         let n = self.count(what)?;
-        let mut words = Vec::with_capacity(n);
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut values = Vec::new();
+        let (mut words_ascend, mut rows_ascend) = (true, true);
+        let mut previous = None;
         for _ in 0..n {
             self.need(8, what)?;
             let w = self.buf.get_u32_le();
             let len = self.buf.get_u32_le() as usize;
             self.need(len * 4, what)?;
-            let (head, rest) = self.buf.split_at(len * 4);
+            let (row, rest) = self.buf.split_at(len * 4);
             self.buf = rest;
-            values.extend(
-                head.chunks_exact(4)
-                    .map(|c| f(u32::from_le_bytes(c.try_into().expect("chunks of 4")))),
-            );
-            words.push(WordId(w));
-            offsets.push(values.len() as u32);
+            words_ascend &= previous.is_none_or(|p| p < w);
+            previous = Some(w);
+            if sets && rows_ascend {
+                rows_ascend = row
+                    .chunks_exact(4)
+                    .map(|c| u32::from_le_bytes(c.try_into().expect("chunks of 4")))
+                    .is_sorted_by(|a, b| a < b);
+            }
         }
-        if words.windows(2).any(|w| w[0] >= w[1]) {
+        if !words_ascend {
             return Err(PersistError::Binary(format!(
                 "{what} table is not sorted by word"
             )));
         }
-        Ok(PostingTable::from_flat(words, offsets, values))
+        if !rows_ascend {
+            return Err(PersistError::Binary(format!(
+                "{what} row is not a sorted set"
+            )));
+        }
+        Ok(())
     }
 }
 
-fn decode_body(body: &[u8]) -> Result<(u64, KeywordPostings, RegionIndex)> {
+fn decode_body(body: &[u8]) -> Result<(u64, RegionIndex)> {
     let mut r = BodyReader { buf: body };
     let vocab_hash = r.u64("vocab hash")?;
 
-    let iword_partitions = r.posting_table("i-word postings", PartitionId)?;
-    let tword_iwords = r.posting_table("t-word postings", WordId)?;
-    let iword_twords = r.posting_table("associations", WordId)?;
-    // Each association row is adopted as a sorted set (jaccard counts rely
-    // on it), so strict order is part of the format, not just a convention.
-    for (_, tws) in iword_twords.entries() {
-        if tws.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(PersistError::Binary(
-                "association t-word list is not a sorted set".into(),
-            ));
-        }
-    }
-    let postings = KeywordPostings::from_tables(iword_partitions, tword_iwords, iword_twords);
+    r.skip_posting_table("i-word postings", false)?;
+    r.skip_posting_table("t-word postings", false)?;
+    // The association rows were once adopted as sorted sets, so strict
+    // order is part of the format, not just a convention.
+    r.skip_posting_table("associations", true)?;
 
     let region_count = r.count("region count")?;
     let mut regions = Vec::with_capacity(region_count);
@@ -380,7 +389,6 @@ fn decode_body(body: &[u8]) -> Result<(u64, KeywordPostings, RegionIndex)> {
     }
     Ok((
         vocab_hash,
-        postings,
         RegionIndex::from_parts(regions, region_of, iword_dense),
     ))
 }
@@ -426,10 +434,9 @@ pub fn decode_index_section(rest: &[u8]) -> IndexSection {
         ));
     }
     match decode_body(body) {
-        Ok((vocab_hash, postings, regions)) => IndexSection::Present(Box::new(PrebuiltIndex {
+        Ok((vocab_hash, regions)) => IndexSection::Present(Box::new(PrebuiltIndex {
             vocab_hash,
             decode_micros: started.elapsed().as_micros() as u64,
-            postings,
             regions,
         })),
         Err(e) => unusable(e.to_string()),
@@ -473,19 +480,7 @@ mod tests {
         let loaded = prebuilt.into_index(&directory).unwrap();
         assert!(loaded.loaded_from_disk());
         assert!(!index.loaded_from_disk());
-        // Structural equality of the persisted tables.
-        assert_eq!(
-            loaded.postings().iword_partition_tables(),
-            index.postings().iword_partition_tables()
-        );
-        assert_eq!(
-            loaded.postings().tword_iword_tables(),
-            index.postings().tword_iword_tables()
-        );
-        assert_eq!(
-            loaded.postings().iword_tword_tables(),
-            index.postings().iword_tword_tables()
-        );
+        // Structural equality of the persisted region layer.
         assert_eq!(loaded.regions().len(), index.regions().len());
         assert_eq!(
             loaded.regions().region_of_table(),
@@ -559,6 +554,51 @@ mod tests {
         assert!(
             matches!(&section, IndexSection::Unusable(reason) if reason.contains("flag")),
             "got {section:?}"
+        );
+    }
+
+    #[test]
+    fn posting_tables_are_checked_then_skipped() {
+        let (directory, index) = fixture();
+        let payload = encoded_section(&index, &directory);
+        let body = &payload[14..payload.len() - 8];
+        // The region layer follows the vocabulary hash and the three tables.
+        let mut tables = BodyReader { buf: &body[8..] };
+        for what in ["i-word postings", "t-word postings", "associations"] {
+            tables.skip_posting_table(what, true).unwrap();
+        }
+        let regions = tables.buf;
+        let with_tables = |tables: [Vec<(u32, Vec<u32>)>; 3]| {
+            let mut body = BytesMut::new();
+            body.put_slice(&payload[14..22]);
+            for table in tables {
+                put_posting_table(
+                    &mut body,
+                    table
+                        .into_iter()
+                        .map(|(w, row)| (WordId(w), row.into_iter())),
+                );
+            }
+            body.put_slice(regions);
+            let mut section = payload[..10].to_vec();
+            section.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            section.extend_from_slice(body.as_ref());
+            section.extend_from_slice(&section_checksum(body.as_ref()).to_le_bytes());
+            decode_index_section(&section)
+        };
+        // Nothing reads the tables, so any well-formed content loads; only
+        // association rows must be strictly ascending.
+        let loads = with_tables([vec![(1, vec![9, 5])], vec![(1, vec![4, 4])], vec![]]);
+        assert!(matches!(loads, IndexSection::Present(_)), "got {loads:?}");
+        let unsorted_words = with_tables([vec![], vec![(2, vec![1]), (1, vec![1])], vec![]]);
+        assert!(
+            matches!(&unsorted_words, IndexSection::Unusable(r) if r.contains("sorted by word")),
+            "got {unsorted_words:?}"
+        );
+        let unsorted_row = with_tables([vec![], vec![], vec![(1, vec![3, 4]), (2, vec![4, 4])]]);
+        assert!(
+            matches!(&unsorted_row, IndexSection::Unusable(r) if r.contains("sorted set")),
+            "got {unsorted_row:?}"
         );
     }
 

@@ -22,9 +22,9 @@
 //!
 //! On top of the raw model the crate provides a directed **door graph**,
 //! Dijkstra-based shortest paths with door exclusion (needed for the global
-//! regularity checks of Algorithms 5 and 6), an all-pairs door distance
-//! matrix (used by the query generator and the KoE* variant), and venue
-//! statistics.
+//! regularity checks of Algorithms 5 and 6) and with a distance budget, one
+//! source door at a time (the query generator and the KoE* variant compute
+//! only the rows they need), plus venue statistics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +34,6 @@ pub mod door;
 pub mod door_graph;
 pub mod error;
 pub mod ids;
-pub mod matrix;
 pub mod partition;
 pub mod point;
 pub mod route;
@@ -48,7 +47,6 @@ pub use door::{Door, DoorKind};
 pub use door_graph::{DoorGraph, DoorGraphEdge};
 pub use error::SpaceError;
 pub use ids::{DoorId, FloorId, PartitionId};
-pub use matrix::DoorMatrix;
 pub use partition::{Partition, PartitionKind};
 pub use point::IndoorPoint;
 pub use route::{Route, RouteEnd, RouteItem};
@@ -67,8 +65,8 @@ pub const UNREACHABLE: f64 = f64::INFINITY;
 /// Commonly used types, re-exported for glob import.
 pub mod prelude {
     pub use crate::{
-        Door, DoorGraph, DoorId, DoorKind, DoorMatrix, FloorId, IndoorPoint, IndoorSpace,
-        IndoorSpaceBuilder, Partition, PartitionId, PartitionKind, Route, RouteEnd, RouteItem,
-        SkeletonIndex, SpaceError, SpaceStats,
+        Door, DoorGraph, DoorId, DoorKind, FloorId, IndoorPoint, IndoorSpace, IndoorSpaceBuilder,
+        Partition, PartitionId, PartitionKind, Route, RouteEnd, RouteItem, SkeletonIndex,
+        SpaceError, SpaceStats,
     };
 }

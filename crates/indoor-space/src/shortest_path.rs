@@ -2,8 +2,7 @@
 //!
 //! The IKRQ search needs several flavours of shortest-path computation:
 //!
-//! * plain door-to-door shortest distances (all-pairs matrix, query
-//!   generation, KoE* rows),
+//! * plain door-to-door shortest distances (query generation, KoE* rows),
 //! * shortest *regular* routes that avoid a set of already-visited doors
 //!   (the global regularity checks in Algorithm 5 line 12 and Algorithm 6
 //!   line 13),
@@ -19,9 +18,9 @@
 //! settled within the budget has the same distance and predecessor; doors
 //! left unsettled read as unreachable.
 //!
-//! * [`ShortestPaths::from_door`] is the unbounded run (`limit = +∞`). The
-//!   all-pairs matrix, query generation and point-to-point distances use
-//!   it, and its result owns freshly allocated buffers.
+//! * [`ShortestPaths::from_door`] is the unbounded run (`limit = +∞`).
+//!   Query generation and point-to-point distances use it, and its result
+//!   owns freshly allocated buffers.
 //! * [`ShortestPaths::from_door_within`] and
 //!   [`ShortestPaths::door_to_point_path_within`] are the bounded runs a
 //!   search makes: KoE's jumps, KoE*'s unrestricted runs and regularity

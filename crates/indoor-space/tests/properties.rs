@@ -1,15 +1,15 @@
 //! Property-based tests of the indoor space model, exercised on randomly
 //! generated corridor venues: the skeleton distance really is a lower bound
 //! of the graph distance (the property every pruning rule relies on), the
-//! Dijkstra distances satisfy the metric axioms of a shortest-path function,
-//! the all-pairs door matrix agrees with on-the-fly Dijkstra, bounded runs
-//! agree with full runs inside their budget, and routes built through the
+//! Dijkstra distances satisfy the metric axioms of a shortest-path function
+//! and reconstruct paths that realise them, bounded runs agree with full
+//! runs inside their budget, and routes built through the
 //! regularity API stay regular with additive distances.
 
 use indoor_geom::{Point, Rect};
 use indoor_space::{
-    DijkstraResult, DoorId, DoorKind, DoorMatrix, FloorId, IndoorPoint, IndoorSpace,
-    IndoorSpaceBuilder, PartitionId, PartitionKind,
+    DijkstraResult, DoorId, DoorKind, FloorId, IndoorPoint, IndoorSpace, IndoorSpaceBuilder,
+    PartitionId, PartitionKind,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -267,10 +267,10 @@ proptest! {
     }
 
     /// Dijkstra over the door graph behaves like a shortest-path function:
-    /// zero self-distance, triangle inequality, and agreement with the
-    /// precomputed all-pairs matrix.
+    /// zero self-distance, triangle inequality, and reconstructed paths that
+    /// realise the reported distance.
     #[test]
-    fn dijkstra_and_matrix_agree_and_satisfy_the_triangle_inequality(
+    fn dijkstra_satisfies_the_triangle_inequality_and_realises_its_paths(
         spec in arb_spec(),
         da in 0usize..100,
         db in 0usize..100,
@@ -292,15 +292,6 @@ proptest! {
         let bc = sp.from_door(b, &none).distance(c);
         if ab.is_finite() && bc.is_finite() {
             prop_assert!(ac <= ab + bc + 1e-6, "d(a,c)={ac} d(a,b)={ab} d(b,c)={bc}");
-        }
-
-        let matrix = DoorMatrix::build(&space);
-        prop_assert_eq!(matrix.num_doors(), n);
-        let matrix_ab = matrix.distance(a, b);
-        if ab.is_finite() {
-            prop_assert!((matrix_ab - ab).abs() < 1e-6);
-        } else {
-            prop_assert!(!matrix_ab.is_finite());
         }
 
         // Every reconstructed shortest path realises the reported distance.

@@ -47,7 +47,7 @@ fn synthetic_venue_statistics_match_the_paper_through_the_facade() {
     for &room in &venue.rooms {
         let iword = venue.directory.partition_iword(room).unwrap();
         assert!(venue.directory.vocab().is_iword(iword));
-        for t in venue.directory.twords_of(iword) {
+        for &t in venue.directory.twords_of(iword) {
             assert!(venue.directory.vocab().is_tword(t));
             assert!(!venue.directory.vocab().is_iword(t));
         }

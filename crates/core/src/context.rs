@@ -8,11 +8,14 @@ use crate::Result;
 use indoor_index::VenueIndex;
 use indoor_keywords::{KeywordDirectory, PreparedQuery, WordId};
 use indoor_space::{DoorId, IndoorSpace, PartitionId, Route};
-use std::collections::BTreeSet;
 
 /// A query prepared for execution against a venue: host partitions resolved,
-/// keyword candidates expanded, key partitions collected, ranking model
-/// instantiated.
+/// keyword candidates expanded, key partitions collected once as a sorted
+/// list, ranking model instantiated.
+///
+/// KoE derives its routing set `P` from that list once per search, when it
+/// expands the initial stamp (see [`crate::koe`]); ToE only asks whether a
+/// partition is a key partition.
 #[derive(Debug)]
 pub struct SearchContext<'a> {
     /// The venue's space model.
@@ -29,16 +32,14 @@ pub struct SearchContext<'a> {
     pub start_partition: PartitionId,
     /// Host partition of the terminal point, `v(pt)`.
     pub terminal_partition: PartitionId,
-    /// The routing key-partition set `P` of Algorithm 1 line 3: partitions
-    /// covering at least one candidate i-word, minus `v(ps)`, plus `v(pt)`.
-    pub routing_key_partitions: BTreeSet<PartitionId>,
-    /// The venue index, when the engine runs accelerated. Search algorithms
-    /// use it for cached/region-level Rule-3 bounds; `None` runs the
-    /// original per-partition computations.
+    /// The venue index, when the engine runs accelerated. KoE tests Rule 3
+    /// by region first with it; `None` runs the per-partition bounds only.
     pub index: Option<&'a VenueIndex>,
-    /// Partitions whose i-word is a candidate of some query keyword (the raw
-    /// keyword cover, before the start/terminal adjustment).
-    keyword_partitions: BTreeSet<PartitionId>,
+    /// The key partitions of the query, sorted and duplicate-free: the
+    /// partitions whose i-word is a candidate of some query keyword
+    /// ([`PreparedQuery::key_partitions`], before the start/terminal
+    /// adjustment of Algorithm 1 line 3).
+    pub(crate) key_partitions: Vec<PartitionId>,
 }
 
 impl<'a> SearchContext<'a> {
@@ -85,10 +86,7 @@ impl<'a> SearchContext<'a> {
             Some(index) => index.prepare_query(&query.keywords, directory, query.tau)?,
             None => PreparedQuery::prepare(&query.keywords, directory, query.tau)?,
         };
-        let keyword_partitions = prepared.key_partitions(directory);
-        let mut routing_key_partitions = keyword_partitions.clone();
-        routing_key_partitions.remove(&start_partition);
-        routing_key_partitions.insert(terminal_partition);
+        let key_partitions = prepared.key_partitions(directory);
         let ranking = RankingModel::new(query.alpha, query.delta, query.num_keywords());
         Ok(SearchContext {
             space,
@@ -98,9 +96,8 @@ impl<'a> SearchContext<'a> {
             ranking,
             start_partition,
             terminal_partition,
-            routing_key_partitions,
             index,
-            keyword_partitions,
+            key_partitions,
         })
     }
 
@@ -111,13 +108,13 @@ impl<'a> SearchContext<'a> {
     pub fn is_key_partition(&self, v: PartitionId) -> bool {
         v == self.start_partition
             || v == self.terminal_partition
-            || self.keyword_partitions.contains(&v)
+            || self.partition_covers_candidate(v)
     }
 
     /// Whether a partition's i-word is a candidate match of some query
     /// keyword (`PW(v).wi ∈ Wci`, the Lemma 2 condition in Algorithm 2).
     pub fn partition_covers_candidate(&self, v: PartitionId) -> bool {
-        self.keyword_partitions.contains(&v)
+        self.key_partitions.binary_search(&v).is_ok()
     }
 
     /// The key-partition sequence `KP(R)` of a route under this query.
@@ -252,15 +249,15 @@ mod tests {
         let ctx = SearchContext::prepare(&space, &dir, &q).unwrap();
         assert_eq!(ctx.start_partition, PartitionId(0));
         assert_eq!(ctx.terminal_partition, PartitionId(2));
-        // costa (v1) covers "coffee"; start partition excluded, terminal added.
-        assert!(ctx.routing_key_partitions.contains(&PartitionId(1)));
-        assert!(ctx.routing_key_partitions.contains(&PartitionId(2)));
-        assert!(!ctx.routing_key_partitions.contains(&PartitionId(0)));
+        // costa (v1) covers "coffee"; the start and terminal partitions are
+        // key partitions without covering a keyword.
+        assert_eq!(ctx.key_partitions, [PartitionId(1)]);
         assert!(
             ctx.is_key_partition(PartitionId(0)),
             "start partition is a key partition for KP()"
         );
         assert!(ctx.is_key_partition(PartitionId(1)));
+        assert!(ctx.is_key_partition(PartitionId(2)));
         assert!(ctx.partition_covers_candidate(PartitionId(1)));
         assert!(!ctx.partition_covers_candidate(PartitionId(2)));
         assert_eq!(ctx.delta(), 100.0);

@@ -8,6 +8,7 @@
 //! each of them to the connect step ([`crate::connect`]).
 
 use crate::context::SearchContext;
+use crate::koe::RoutingPartition;
 use crate::metrics::SearchMetrics;
 use crate::prime::PrimeTable;
 use crate::pruning::PruneRule;
@@ -16,7 +17,7 @@ use crate::stamp::{Stamp, StampOrder};
 use crate::variants::{AlgorithmKind, VariantConfig};
 use indoor_keywords::CoverageTracker;
 use indoor_space::{DoorId, PartitionId, Route};
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 use std::convert::Infallible;
 use std::time::Instant;
 
@@ -32,25 +33,13 @@ pub(crate) struct SearchState {
     pub prime: PrimeTable,
     /// The top-k results (owns the `kbound`).
     pub results: TopKResults,
-    /// The routing key-partition set `P`, shrunk in place by Pruning Rule 3.
-    pub routing_partitions: BTreeSet<PartitionId>,
+    /// KoE only: the routing set `P` of Algorithm 1 line 3 after Pruning
+    /// Rule 3, built once when the initial stamp is expanded.
+    pub routing: Vec<RoutingPartition>,
     /// Metrics of the run.
     pub metrics: SearchMetrics,
     /// Running total of the estimated bytes held by queued stamps.
     pub queue_bytes: usize,
-    /// Index mode only: per-query cache of Rule-3 partition detour bounds
-    /// (the bound is a pure function of the query and the partition, so
-    /// recomputing it per popped stamp — as the scan path does — is wasted
-    /// work the index path skips).
-    pub member_bounds: HashMap<PartitionId, f64>,
-    /// Index mode only: regions already tested against the distance
-    /// constraint this query; `true` means the region bound exceeded `∆`
-    /// and every member is pruned from the cached flag.
-    pub region_failed: HashMap<u32, bool>,
-    /// KoE only: the key partitions of each query keyword (sorted), which
-    /// KoE's lines 4–7 drop from `P` once the keyword is covered. Built on
-    /// the first non-initial stamp, so ToE never pays for it.
-    pub word_partitions: Option<Vec<Vec<PartitionId>>>,
 }
 
 /// One search run: context + configuration + state.
@@ -79,12 +68,9 @@ impl<'a> Search<'a> {
                 doors_filtered: HashSet::new(),
                 prime: PrimeTable::new(),
                 results,
-                routing_partitions: ctx.routing_key_partitions.clone(),
+                routing: Vec::new(),
                 metrics: SearchMetrics::new(),
                 queue_bytes: 0,
-                member_bounds: HashMap::new(),
-                region_failed: HashMap::new(),
-                word_partitions: None,
             },
         }
     }
@@ -93,6 +79,13 @@ impl<'a> Search<'a> {
     pub fn run(mut self) -> SearchOutcome {
         let start = Instant::now();
         let initial = self.initial_stamp();
+        // When ps and pt share a partition, the direct route (ps, pt) is a
+        // candidate answer that no expansion produces: offer it first.
+        if initial.partition == self.ctx.terminal_partition {
+            if let Some(direct) = self.finalize_at_terminal(&initial) {
+                self.try_accept_result(direct);
+            }
+        }
         self.push_stamp(initial);
 
         while let Some(StampOrder(stamp)) = self.state.queue.pop() {
@@ -298,20 +291,9 @@ impl<'a> Search<'a> {
             + (self.state.doors_checked.len() + self.state.doors_filtered.len())
                 * std::mem::size_of::<DoorId>()
                 * 2
-            + self.state.routing_partitions.len() * std::mem::size_of::<PartitionId>() * 3
-            // Index mode charges the shared index plus the per-query bound
-            // caches.
-            + self.ctx.index.map(|i| i.estimated_bytes()).unwrap_or(0)
-            + self.state.member_bounds.len()
-                * (std::mem::size_of::<PartitionId>() + std::mem::size_of::<f64>() + 8)
-            + self.state.region_failed.len() * 16
-            + self
-                .state
-                .word_partitions
-                .iter()
-                .flatten()
-                .map(|p| p.len() * std::mem::size_of::<PartitionId>())
-                .sum::<usize>();
+            + self.state.routing.len() * std::mem::size_of::<RoutingPartition>()
+            // Index mode charges the shared index.
+            + self.ctx.index.map(|i| i.estimated_bytes()).unwrap_or(0);
         self.state.metrics.observe_memory(live);
     }
 

@@ -7,28 +7,33 @@
 //! shortest door-to-door paths computed without exclusions and recomputes
 //! only when such a path violates regularity.
 //!
+//! The routing set `P` is built once per search, when the initial stamp is
+//! expanded: that stamp is the only one without a tail door, and Algorithm 6
+//! visits all of `P` there. Pruning Rule 3's bound (Lemma 3) depends only on
+//! `ps`, `pt` and the partition, so the partitions it rejects are dropped
+//! from `P` then and stay dropped for the whole query.
+//!
 //! Every shortest-path run made here is bounded by the remaining budget
 //! (`base` = the distance already walked, `limit` = `∆`): line 14 drops any
 //! connection longer than that, so doors beyond it are never settled.
 
-use crate::context::SearchContext;
 use crate::framework::Search;
 use crate::pruning::PruneRule;
 use crate::stamp::Stamp;
+use indoor_keywords::WordId;
 use indoor_space::{DijkstraResult, DoorId, PartitionId};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 
-/// The key partitions of each query keyword, each list sorted.
-fn key_partitions_per_word(ctx: &SearchContext<'_>) -> Vec<Vec<PartitionId>> {
-    (0..ctx.prepared.len())
-        .map(|idx| {
-            ctx.prepared
-                .key_partitions_for_word(idx, ctx.directory)
-                .into_iter()
-                .collect()
-        })
-        .collect()
+/// One partition of KoE's routing set `P`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RoutingPartition {
+    partition: PartitionId,
+    /// The partition's i-word; only `v(pt)` may have none.
+    iword: Option<WordId>,
+    /// The Rule-3 detour lower bound `|ps, v| + |v, pt|` (Lemma 3), which is
+    /// also line 11's bound for the initial stamp.
+    detour_bound: f64,
 }
 
 /// A resolved connection from the current stamp position to a target door.
@@ -70,34 +75,17 @@ impl Search<'_> {
             return expansions;
         }
 
-        let delta = self.ctx.delta();
+        let ctx = self.ctx;
+        let delta = ctx.delta();
         let tail = stamp.route.tail_door();
-
-        // Candidate key partitions P' (lines 4–7): start from the global P and
-        // drop the partitions of query keywords the route already covers —
-        // except for the initial stamp, which keeps everything, and `v(pt)`,
-        // which always stays.
-        let routing = self.state.routing_partitions.iter().copied();
-        let candidates: Vec<PartitionId> = if tail.is_some() {
-            let ctx = self.ctx;
-            let covered: Vec<&[PartitionId]> = self
-                .state
-                .word_partitions
-                .get_or_insert_with(|| key_partitions_per_word(ctx))
-                .iter()
-                .enumerate()
-                .filter(|&(idx, _)| stamp.coverage.is_word_covered(idx))
-                .map(|(_, partitions)| partitions.as_slice())
-                .collect();
-            routing
-                .filter(|v| {
-                    *v == ctx.terminal_partition
-                        || !covered.iter().any(|p| p.binary_search(v).is_ok())
-                })
-                .collect()
-        } else {
-            routing.collect()
-        };
+        if tail.is_none() {
+            self.state.routing = self.routing_set();
+        }
+        // Lines 4–7 drop the partitions of query keywords the route already
+        // covers, except at the initial stamp and for `v(pt)`.
+        let covered: Vec<usize> = (0..ctx.prepared.len())
+            .filter(|&idx| tail.is_some() && stamp.coverage.is_word_covered(idx))
+            .collect();
 
         let mut source = self.koe_source(stamp);
         // KoE* holds its unrestricted row on top of KoE's state while it
@@ -106,32 +94,28 @@ impl Search<'_> {
             self.observe_memory(row.estimated_bytes());
         }
 
-        for vj in candidates {
+        for i in 0..self.state.routing.len() {
+            let entry = self.state.routing[i];
+            let vj = entry.partition;
             if vj == stamp.partition {
                 continue;
             }
-            // Pruning Rule 3 (lines 9–10): drop the partition globally when
-            // its best-case detour already violates the constraint. In index
-            // mode this consults a cached per-region bound first (one test
-            // prunes the whole region) and caches the per-partition bound
-            // for the rest of the query; decisions are identical either way.
-            if self.config.use_distance_pruning && self.detour_exceeds_delta(vj, delta) {
-                self.state.routing_partitions.remove(&vj);
-                self.state
-                    .metrics
-                    .prunes
-                    .record(PruneRule::PartitionDistance);
+            if vj != ctx.terminal_partition
+                && entry.iword.is_some_and(|iw| {
+                    covered
+                        .iter()
+                        .any(|&idx| ctx.prepared.similarity(idx, iw).is_some())
+                })
+            {
                 continue;
             }
             // Distance constraint check (line 11): current distance plus the
             // lower bound of reaching pt through vj.
             let via_bound = match tail {
-                Some(dk) => {
-                    self.ctx
-                        .space
-                        .door_via_partition_lower_bound(dk, vj, &self.ctx.query.terminal)
-                }
-                None => self.member_detour_bound(vj),
+                Some(dk) => ctx
+                    .space
+                    .door_via_partition_lower_bound(dk, vj, &ctx.query.terminal),
+                None => entry.detour_bound,
             };
             if stamp.distance + via_bound > delta {
                 self.state
@@ -143,8 +127,7 @@ impl Search<'_> {
 
             // Expand to each enterable door of the target partition through
             // the shortest regular connecting route (lines 12–20).
-            let entry_doors: Vec<DoorId> = self.ctx.space.p2d_enter(vj).to_vec();
-            for dl in entry_doors {
+            for &dl in ctx.space.p2d_enter(vj) {
                 if stamp.route.contains_door(dl) && Some(dl) != tail {
                     self.state.metrics.prunes.record(PruneRule::Regularity);
                     continue;
@@ -161,7 +144,7 @@ impl Search<'_> {
                     continue;
                 }
                 // Pruning Rule 1 (lines 15–16).
-                let lower_bound = new_distance + self.ctx.door_to_terminal_lb(dl);
+                let lower_bound = new_distance + ctx.door_to_terminal_lb(dl);
                 if self.config.use_distance_pruning && lower_bound > delta {
                     self.state
                         .metrics
@@ -171,7 +154,7 @@ impl Search<'_> {
                 }
                 // Pruning Rule 4 (lines 17–18).
                 if self.config.use_kbound_pruning
-                    && self.ctx.ranking.upper_bound(lower_bound) <= self.kbound()
+                    && ctx.ranking.upper_bound(lower_bound) <= self.kbound()
                 {
                     self.state.metrics.prunes.record(PruneRule::KBound);
                     continue;
@@ -193,70 +176,80 @@ impl Search<'_> {
         expansions
     }
 
-    /// The Rule-3 partition detour lower bound
-    /// `|ps, vj|_L-ish + |vj, pt|_L-ish` (Lemma 3). In index mode the value
-    /// is cached per query — it depends only on the query endpoints and the
-    /// partition, while the scan path recomputes it on every popped stamp.
-    fn member_detour_bound(&mut self, vj: PartitionId) -> f64 {
-        let bound = |space: &indoor_space::IndoorSpace| {
-            space.partition_detour_lower_bound(&self.ctx.query.start, vj, &self.ctx.query.terminal)
-        };
-        match self.ctx.index {
-            Some(index) => {
-                if let Some(&cached) = self.state.member_bounds.get(&vj) {
-                    index
-                        .counters()
-                        .bound_cache_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    return cached;
-                }
-                let b = bound(self.ctx.space);
-                self.state.member_bounds.insert(vj, b);
-                b
-            }
-            None => bound(self.ctx.space),
+    /// The routing set `P` of Algorithm 1 line 3: the key partitions, minus
+    /// `v(ps)`, plus `v(pt)`, in partition order, each with its i-word and
+    /// Rule-3 detour bound. With distance pruning on, Pruning Rule 3
+    /// (Algorithm 6 lines 9–10) drops every partition whose bound exceeds
+    /// `∆`, one prune each.
+    ///
+    /// The index engine tests a partition's region first: a region whose
+    /// bound exceeds `∆` drops every member without computing their own
+    /// bounds. The region bound never exceeds a member's (the `indoor-index`
+    /// crate invariant), so both engines build the same set.
+    fn routing_set(&mut self) -> Vec<RoutingPartition> {
+        let ctx = self.ctx;
+        let (start, terminal) = (&ctx.query.start, &ctx.query.terminal);
+        let delta = ctx.delta();
+        let prune = self.config.use_distance_pruning;
+        let mut partitions: Vec<PartitionId> = ctx
+            .key_partitions
+            .iter()
+            .copied()
+            .filter(|&v| v != ctx.start_partition)
+            .collect();
+        if let Err(at) = partitions.binary_search(&ctx.terminal_partition) {
+            partitions.insert(at, ctx.terminal_partition);
         }
-    }
 
-    /// Whether Rule 3 prunes candidate partition `vj`. Index mode answers
-    /// from the region layer when it can: a region whose detour bound
-    /// already exceeds `∆` fails every member in one cached test (sound
-    /// because the region bound never exceeds any member's bound — see the
-    /// `indoor-index` crate invariant), and a region that passes falls
-    /// through to the exact per-partition bound, so the outcome always
-    /// equals the scan path's `partition_detour_lower_bound > delta`.
-    fn detour_exceeds_delta(&mut self, vj: PartitionId, delta: f64) -> bool {
-        if let Some(index) = self.ctx.index {
-            if let Some(rid) = index.regions().region_of(vj) {
-                let failed = match self.state.region_failed.get(&rid) {
-                    Some(&failed) => failed,
-                    None => {
-                        let counters = index.counters();
-                        counters.regions_tested.fetch_add(1, Ordering::Relaxed);
-                        let rb = index.regions().detour_lower_bound(
-                            self.ctx.space,
-                            rid,
-                            &self.ctx.query.start,
-                            &self.ctx.query.terminal,
-                        );
-                        let failed = rb > delta;
-                        self.state.region_failed.insert(rid, failed);
-                        if failed {
-                            counters.regions_pruned.fetch_add(1, Ordering::Relaxed);
-                        }
-                        failed
-                    }
-                };
-                if failed {
-                    index
-                        .counters()
-                        .candidates_pruned
-                        .fetch_add(1, Ordering::Relaxed);
-                    return true;
+        // Index engine only: whether the partition's region bound already
+        // exceeds ∆, computing each region's bound once.
+        let mut verdicts: HashMap<u32, bool> = HashMap::new();
+        let mut region_fails = |v: PartitionId| {
+            let Some((index, rid)) = ctx
+                .index
+                .and_then(|index| Some((index, index.regions().region_of(v)?)))
+            else {
+                return false;
+            };
+            let counters = index.counters();
+            let failed = *verdicts.entry(rid).or_insert_with(|| {
+                counters.regions_tested.fetch_add(1, Ordering::Relaxed);
+                let bound = index
+                    .regions()
+                    .detour_lower_bound(ctx.space, rid, start, terminal);
+                if bound > delta {
+                    counters.regions_pruned.fetch_add(1, Ordering::Relaxed);
                 }
+                bound > delta
+            });
+            if failed {
+                counters.candidates_pruned.fetch_add(1, Ordering::Relaxed);
             }
+            failed
+        };
+
+        let mut routing = Vec::new();
+        for v in partitions {
+            // A failed region stands in for the bounds of all its members.
+            let detour_bound = if prune && region_fails(v) {
+                f64::INFINITY
+            } else {
+                ctx.space.partition_detour_lower_bound(start, v, terminal)
+            };
+            if prune && detour_bound > delta {
+                self.state
+                    .metrics
+                    .prunes
+                    .record(PruneRule::PartitionDistance);
+                continue;
+            }
+            routing.push(RoutingPartition {
+                partition: v,
+                iword: ctx.iword_of_partition(v),
+                detour_bound,
+            });
         }
-        self.member_detour_bound(vj) > delta
+        routing
     }
 
     /// Builds the shortest-path source rooted at the stamp's current position.

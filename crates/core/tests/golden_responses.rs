@@ -13,9 +13,18 @@
 //! differs, the test prints the whole table it computed, so a deliberate
 //! change of the responses can re-pin it by copying that table over the
 //! fixture.
+//!
+//! `deterministic_json()` leaves the metrics out, so a change that keeps the
+//! answers but does more (or less) work would pass unnoticed. A second
+//! fixture, `tests/fixtures/golden_effort.tsv`, pins the search-effort
+//! counters of the same cases: stamps expanded and generated, complete
+//! routes, queue peak, Dijkstra calls, KoE* recomputations, the per-rule
+//! prune counts (in [`PruneRule::ALL`] order) and `budget_exhausted`. Both
+//! engines must report the same counters.
 
 use ikrq_core::{
-    ExecOptions, IkrqEngine, IkrqQuery, IkrqService, IndexMode, SearchRequest, VariantConfig,
+    ExecOptions, IkrqEngine, IkrqQuery, IkrqService, IndexMode, PruneRule, SearchMetrics,
+    SearchRequest, VariantConfig,
 };
 use indoor_data::{
     mega_venue, paper_example_venue, MegaVenueConfig, QueryGenerator, QueryInstance,
@@ -25,11 +34,16 @@ use indoor_keywords::QueryKeywords;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/golden_responses.tsv"
+);
+
+const EFFORT_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/golden_effort.tsv"
 );
 
 /// Expansion budget of the ToE family, so the larger venues stay quick.
@@ -185,12 +199,33 @@ fn service(venue: &Venue, mode: IndexMode) -> IkrqService {
     service
 }
 
-/// The fixture lines of one case, after checking that the scan and the
-/// accelerated engine answer every request byte-identically.
-fn table(case: &Case) -> String {
+/// The search-effort counters of one response, tab-separated.
+fn effort(metrics: &SearchMetrics) -> String {
+    let prunes: Vec<String> = PruneRule::ALL
+        .iter()
+        .map(|&rule| metrics.prunes.count(rule).to_string())
+        .collect();
+    format!(
+        "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+        metrics.stamps_expanded,
+        metrics.stamps_generated,
+        metrics.complete_routes,
+        metrics.queue_peak_len,
+        metrics.dijkstra_calls,
+        metrics.precomputed_path_recomputations,
+        prunes.join(","),
+        metrics.budget_exhausted
+    )
+}
+
+/// The response and the effort fixture lines of one case, after checking
+/// that the scan and the accelerated engine answer every request
+/// byte-identically and with the same effort.
+fn table(case: &Case) -> (String, String) {
     let scan = service(&case.venue, IndexMode::Scan);
     let accel = service(&case.venue, IndexMode::Accelerated);
     let mut out = String::new();
+    let mut efforts = String::new();
     for variant in &case.variants {
         let mut options = ExecOptions::with_variant(*variant);
         if case.budget_toe && variant.kind == ikrq_core::AlgorithmKind::ToE {
@@ -220,26 +255,51 @@ fn table(case: &Case) -> String {
                 fnv1a64(json.as_bytes())
             )
             .expect("writing to a string");
+            let counters = effort(scanned.metrics.as_ref().expect("full metrics"));
+            assert_eq!(
+                counters,
+                effort(indexed.metrics.as_ref().expect("full metrics")),
+                "{} {} query {i}: scan and index engines differ in search effort",
+                case.name,
+                variant.label()
+            );
+            writeln!(
+                efforts,
+                "{}\t{}\t{i}\t{counters}",
+                case.name,
+                variant.label()
+            )
+            .expect("writing to a string");
         }
     }
-    out
+    (out, efforts)
 }
 
-#[test]
-fn responses_match_the_pinned_hashes() {
-    let builders: [fn() -> Case; 4] = [fig1, mall, mega_1k, mega_10k];
-    let tables: Vec<String> = std::thread::scope(|scope| {
-        let handles: Vec<_> = builders
-            .iter()
-            .map(|build| scope.spawn(move || table(&build())))
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("case thread"))
-            .collect()
-    });
-    let computed: String = tables.concat();
-    let pinned = std::fs::read_to_string(FIXTURE).unwrap_or_default();
+/// The response and effort tables of every case, computed once for both
+/// tests.
+fn computed() -> &'static (String, String) {
+    static TABLES: OnceLock<(String, String)> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let builders: [fn() -> Case; 4] = [fig1, mall, mega_1k, mega_10k];
+        let tables: Vec<(String, String)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = builders
+                .iter()
+                .map(|build| scope.spawn(move || table(&build())))
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("case thread"))
+                .collect()
+        });
+        let (responses, efforts): (Vec<String>, Vec<String>) = tables.into_iter().unzip();
+        (responses.concat(), efforts.concat())
+    })
+}
+
+/// Compares a computed table with a fixture, printing the whole computed
+/// table on a mismatch so it can be re-pinned.
+fn assert_matches_fixture(computed: &str, fixture: &str) {
+    let pinned = std::fs::read_to_string(fixture).unwrap_or_default();
     let pinned: String = pinned
         .lines()
         .filter(|line| !line.starts_with('#'))
@@ -252,10 +312,20 @@ fn responses_match_the_pinned_hashes() {
             .filter(|line| !pinned.lines().any(|p| p == *line))
             .collect();
         panic!(
-            "responses differ from {FIXTURE} ({} of {} computed lines are not pinned): {:?}",
+            "computed lines differ from {fixture} ({} of {} computed lines are not pinned): {:?}",
             differing.len(),
             computed.lines().count(),
             differing.iter().take(8).collect::<Vec<_>>()
         );
     }
+}
+
+#[test]
+fn responses_match_the_pinned_hashes() {
+    assert_matches_fixture(&computed().0, FIXTURE);
+}
+
+#[test]
+fn search_effort_matches_the_pinned_counters() {
+    assert_matches_fixture(&computed().1, EFFORT_FIXTURE);
 }

@@ -5,10 +5,13 @@
 //! [`IndexMode::Scan`] engine hosting the same venue.
 //!
 //! The scan path is the executable specification of the index; this test is
-//! the contract that lets `--index` default to accelerated.
+//! the contract that lets `--index` default to accelerated. A second
+//! property holds the two engines to the same search effort, which
+//! `deterministic_json` leaves out.
 
 use ikrq_core::{
-    ExecOptions, IkrqEngine, IkrqQuery, IkrqService, IndexMode, SearchRequest, VariantConfig,
+    AlgorithmKind, ExecOptions, IkrqEngine, IkrqQuery, IkrqService, IndexMode, PruneRule,
+    SearchMetrics, SearchRequest, VariantConfig,
 };
 use indoor_data::{mega_venue, MegaVenueConfig, QueryGenerator, WorkloadConfig};
 use indoor_keywords::QueryKeywords;
@@ -112,6 +115,83 @@ proptest! {
                 workload_seed,
                 variant
             );
+        }
+    }
+}
+
+/// The search-effort counters two engines must agree on: everything in
+/// [`SearchMetrics`] except the elapsed time and the memory charge (the
+/// index engine also charges its shared index).
+fn effort(metrics: &SearchMetrics) -> (u64, u64, u64, usize, u64, u64, Vec<u64>, bool) {
+    (
+        metrics.stamps_expanded,
+        metrics.stamps_generated,
+        metrics.complete_routes,
+        metrics.queue_peak_len,
+        metrics.dijkstra_calls,
+        metrics.precomputed_path_recomputations,
+        PruneRule::ALL
+            .iter()
+            .map(|&rule| metrics.prunes.count(rule))
+            .collect(),
+        metrics.budget_exhausted,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every Table III variant does the same work on both engines: the
+    /// index may only change how a verdict is reached, never the verdict.
+    /// The ToE family runs under a budget so the case stays quick, which
+    /// also exercises `budget_exhausted`.
+    #[test]
+    fn index_and_scan_search_effort_is_identical(
+        partitions in 40usize..200,
+        venue_seed in 0u64..1_000,
+        workload_seed in 0u64..1_000,
+        eta in 1.2f64..3.0,
+        k in 1usize..5,
+    ) {
+        let config = MegaVenueConfig::sized(partitions, venue_seed);
+        let (venue, scan, accel) = mirrored_services(&config);
+        let workload = WorkloadConfig {
+            qw_len: 3,
+            beta: 0.5,
+            s2t: 120.0,
+            eta,
+            k,
+            alpha: 0.5,
+            tau: 0.3,
+        };
+        let instances = QueryGenerator::new(&venue).generate_batch(
+            &workload,
+            2,
+            &mut StdRng::seed_from_u64(workload_seed),
+        );
+        prop_assert!(!instances.is_empty());
+        for variant in VariantConfig::all_variants() {
+            let mut options = ExecOptions::with_variant(variant);
+            if variant.kind == AlgorithmKind::ToE {
+                options = options.with_expansion_budget(400);
+            }
+            for instance in &instances {
+                let request = SearchRequest {
+                    venue: "mirror".to_string(),
+                    query: to_query(instance),
+                    options,
+                };
+                let scanned = scan.search(&request).expect("scan path succeeds");
+                let indexed = accel.search(&request).expect("index path succeeds");
+                prop_assert_eq!(
+                    effort(scanned.metrics.as_ref().expect("full metrics")),
+                    effort(indexed.metrics.as_ref().expect("full metrics")),
+                    "index/scan effort divergence: venue seed {}, workload seed {}, variant {}",
+                    venue_seed,
+                    workload_seed,
+                    variant.label()
+                );
+            }
         }
     }
 }

@@ -1,14 +1,18 @@
 //! Property-based tests of the IKRQ engine invariants on the paper-example
 //! venue: for arbitrary query parameters the search must respect the distance
 //! constraint, the regularity principle, the ranking-score definition and the
-//! prime/diversity guarantees. A last block checks KoE* against KoE on
-//! generated mega venues, where `∆` leaves part of the venue out of reach.
+//! prime/diversity guarantees. A later block checks KoE* against KoE on
+//! generated mega venues, where `∆` leaves part of the venue out of reach,
+//! and the last one checks queries whose start and terminal share a
+//! partition.
 
 use ikrq_core::prelude::*;
+use ikrq_core::IndexMode;
 use indoor_data::{
     mega_venue, paper_example_venue, MegaVenueConfig, QueryGenerator, WorkloadConfig,
 };
-use indoor_keywords::{QueryKeywords, RelevanceModel};
+use indoor_keywords::{PreparedQuery, QueryKeywords, RelevanceModel};
+use indoor_space::{IndoorPoint, Route};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -394,6 +398,92 @@ proptest! {
                 prop_assert!(r.route.is_complete());
                 prop_assert!(r.route.is_regular());
                 prop_assert!(r.distance <= query.delta + 1e-6, "{} > ∆ {}", r.distance, query.delta);
+            }
+        }
+    }
+}
+
+proptest! {
+    // Each case builds a venue and runs every variant on both engines.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// When `ps` and `pt` share a partition, the direct route `(ps, pt)` is
+    /// a regular route within `∆`, so every Table III variant on both
+    /// engines must return a route scoring at least as well as it.
+    #[test]
+    fn same_partition_queries_score_at_least_the_direct_route(
+        partitions in 40usize..160,
+        venue_seed in 0u64..1_000,
+        workload_seed in 0u64..1_000,
+        fx in 0.05f64..0.95,
+        fy in 0.05f64..0.95,
+        k in 1usize..4,
+    ) {
+        let venue = mega_venue(&MegaVenueConfig::sized(partitions, venue_seed)).unwrap();
+        let workload = WorkloadConfig {
+            qw_len: 2,
+            beta: 0.5,
+            s2t: 60.0,
+            eta: 2.0,
+            k,
+            alpha: 0.5,
+            tau: 0.3,
+        };
+        let instances = QueryGenerator::new(&venue).generate_batch(
+            &workload,
+            1,
+            &mut StdRng::seed_from_u64(workload_seed),
+        );
+        prop_assert!(!instances.is_empty());
+        let instance = &instances[0];
+        // Move the terminal into the start's partition.
+        let host = venue.space.host_partition(&instance.start).unwrap();
+        let footprint = venue.space.partition(host).unwrap().footprint;
+        let terminal = IndoorPoint::from_xy(
+            footprint.min.x + fx * footprint.width(),
+            footprint.min.y + fy * footprint.height(),
+            instance.start.floor,
+        );
+        if venue.space.host_partition(&terminal).ok() != Some(host) {
+            return Ok(());
+        }
+        let direct_distance = instance.start.position.distance(&terminal.position);
+        let query = IkrqQuery::new(
+            instance.start,
+            terminal,
+            instance.delta.max(2.0 * direct_distance + 1.0),
+            QueryKeywords::new(instance.keywords.iter().cloned()).unwrap(),
+            instance.k,
+        )
+        .with_alpha(instance.alpha)
+        .with_tau(instance.tau);
+
+        let mut direct = Route::from_point(query.start);
+        direct.complete_with_point(terminal, host).unwrap();
+        let prepared = PreparedQuery::prepare(&query.keywords, &venue.directory, query.tau).unwrap();
+        let relevance =
+            RelevanceModel::relevance_of_route(&direct, &venue.space, &venue.directory, &prepared);
+        let direct_score = RankingModel::new(query.alpha, query.delta, query.num_keywords())
+            .score(relevance, direct_distance);
+
+        for mode in [IndexMode::Scan, IndexMode::Accelerated] {
+            let engine =
+                IkrqEngine::with_index_mode(venue.space.clone(), venue.directory.clone(), mode);
+            for variant in VariantConfig::all_variants() {
+                let mut options = ExecOptions::with_variant(variant);
+                if variant.kind == AlgorithmKind::ToE {
+                    options = options.with_expansion_budget(300);
+                }
+                let outcome = engine.execute(&query, &options).unwrap();
+                let best = outcome.results.best().map(|r| r.score);
+                prop_assert!(
+                    best.is_some_and(|score| score >= direct_score - 1e-9),
+                    "{} ({:?}): best {:?} < direct route {}",
+                    variant.label(),
+                    mode,
+                    best,
+                    direct_score
+                );
             }
         }
     }

@@ -150,7 +150,7 @@ fn region_structure_invariants_hold() {
 }
 
 #[test]
-fn region_bound_never_exceeds_member_bounds() {
+fn region_bound_never_exceeds_a_member_bound() {
     for (label, venue) in fixtures() {
         check_bound_dominance(&label, &venue.space, &venue.directory);
     }

@@ -13,16 +13,15 @@ pub struct IndexCounters {
     /// Queries whose keyword preparation went through the index engine's
     /// association walk.
     pub queries_accelerated: AtomicU64,
-    /// Region detour bounds computed (first touch of a region by a query).
+    /// Region detour bounds computed: one per region holding a partition
+    /// of a query's routing set, when KoE builds that set with Rule 3 on.
     pub regions_tested: AtomicU64,
-    /// Regions whose bound exceeded the distance constraint — every later
-    /// member test of that query was answered from the cached flag.
+    /// Regions whose bound exceeded the distance constraint, so that their
+    /// routing-set partitions were dropped without their own bounds.
     pub regions_pruned: AtomicU64,
-    /// Rule-3 candidate tests answered from a failed region's cached flag
-    /// (work the scan path would have spent on per-partition bounds).
+    /// Routing-set partitions dropped by a failed region (work the scan
+    /// path spends on per-partition bounds).
     pub candidates_pruned: AtomicU64,
-    /// Rule-3 member bounds answered from the per-query bound cache.
-    pub bound_cache_hits: AtomicU64,
 }
 
 impl IndexCounters {
@@ -38,7 +37,6 @@ impl IndexCounters {
             regions_tested: self.regions_tested.load(Ordering::Relaxed),
             regions_pruned: self.regions_pruned.load(Ordering::Relaxed),
             candidates_pruned: self.candidates_pruned.load(Ordering::Relaxed),
-            bound_cache_hits: self.bound_cache_hits.load(Ordering::Relaxed),
         }
     }
 }
@@ -54,8 +52,6 @@ pub struct IndexCounterSnapshot {
     pub regions_pruned: u64,
     /// See [`IndexCounters::candidates_pruned`].
     pub candidates_pruned: u64,
-    /// See [`IndexCounters::bound_cache_hits`].
-    pub bound_cache_hits: u64,
 }
 
 impl IndexCounterSnapshot {
@@ -65,6 +61,5 @@ impl IndexCounterSnapshot {
         self.regions_tested += other.regions_tested;
         self.regions_pruned += other.regions_pruned;
         self.candidates_pruned += other.candidates_pruned;
-        self.bound_cache_hits += other.bound_cache_hits;
     }
 }

@@ -27,9 +27,10 @@
 //!    position*, (b) the set of floors touched by any member door (stair
 //!    doors touch two floors), (c) the member partition list, and (d) a
 //!    keyword summary bitmap over the dense set of partition-naming
-//!    i-words. KoE's Rule-3 detour test consults a cached per-region lower
-//!    bound first: when the region bound already exceeds the distance
-//!    constraint `delta`, every member partition is pruned in one test.
+//!    i-words. When KoE builds a query's routing set, its Rule-3 detour
+//!    test consults the region's lower bound first, computed once per
+//!    region: when it already exceeds the distance constraint `delta`,
+//!    every member partition is pruned in one test.
 //!
 //!    *Invariant (region bound soundness):* for every member partition `v`
 //!    and points `ps`, `pt`,
@@ -52,11 +53,11 @@
 //! (i) the planar distance from `p` to the region box when `p`'s floor is
 //! in the region floor set, and (ii) stair-door routes
 //! `|p, sd_a| + s2s(sd_a, sd_b) + |sd_b, box|` for every stair-door pair
-//! bridging `p`'s floor to a region floor. Failed regions answer every
-//! subsequent member test for the rest of the query from one cached flag;
-//! passed regions fall through to the (per-query cached) member bound, so
-//! prune decisions — and the recorded prune metrics — match the scan path
-//! exactly.
+//! bridging `p`'s floor to a region floor. KoE applies Rule 3 once per
+//! query, when it builds its routing set: a failed region answers every
+//! member test of that build from one verdict, and a passed region falls
+//! through to the member's own bound, so prune decisions — and the
+//! recorded prune metrics — match the scan path exactly.
 //!
 //! [`VenueIndex`] holds the region layer with cumulative observability
 //! counters ([`IndexCounters`], surfaced on the server's `/v1/stats`) and

@@ -6,7 +6,7 @@
 //! member door positions, floor set expanded to member door floors) and a
 //! keyword summary bitmap over the dense set of partition-naming i-words,
 //! so a whole region's relevance to a query is one bitmap intersection and
-//! its distance feasibility is one cached bound comparison.
+//! its distance feasibility is one bound comparison.
 
 use indoor_geom::{Point, Rect};
 use indoor_keywords::{KeywordDirectory, WordId};
@@ -14,7 +14,7 @@ use indoor_space::{FloorId, IndoorPoint, IndoorSpace, PartitionId, UNREACHABLE};
 use std::collections::BTreeSet;
 
 /// Target number of member partitions per region. Regions are coarse on
-/// purpose: the point is to answer many Rule-3 tests with one cached bound,
+/// purpose: the point is to answer many Rule-3 tests with one bound,
 /// not to approximate per-partition geometry.
 pub const TARGET_MEMBERS: usize = 32;
 
@@ -282,20 +282,6 @@ impl RegionIndex {
             }
         }
         best
-    }
-
-    /// How many regions contain at least one partition named by a candidate
-    /// i-word of the query — the region-level candidate footprint reported
-    /// by the venue-size bench.
-    pub fn candidate_regions(&self, candidate_iwords: &BTreeSet<WordId>) -> usize {
-        let bits: Vec<usize> = candidate_iwords
-            .iter()
-            .filter_map(|w| self.iword_dense.binary_search(w).ok())
-            .collect();
-        self.regions
-            .iter()
-            .filter(|r| bits.iter().any(|&b| r.has_iword_bit(b)))
-            .count()
     }
 
     /// Whether a region contains a partition named by the given i-word

@@ -35,16 +35,13 @@ fn insert_sorted(row: &mut Vec<WordId>, w: WordId) {
     }
 }
 
-/// Checks a persisted `I2T` or `T2I` table (keys strictly ascending, every
-/// row non-empty and strictly ascending) and moves its rows in.
-fn adopt_rows(
-    name: &str,
-    table: Vec<(WordId, Vec<WordId>)>,
-) -> std::result::Result<BTreeMap<WordId, Vec<WordId>>, String> {
+/// Checks a persisted `I2T` or `T2I` table: keys strictly ascending, every
+/// row non-empty and strictly ascending.
+fn check_rows(name: &str, table: &[(WordId, Vec<WordId>)]) -> std::result::Result<(), String> {
     if table.windows(2).any(|w| w[0].0 >= w[1].0) {
         return Err(format!("{name} keys are not strictly ascending"));
     }
-    for (w, row) in &table {
+    for (w, row) in table {
         if row.is_empty() {
             return Err(format!("{name}({w}) is empty"));
         }
@@ -52,7 +49,68 @@ fn adopt_rows(
             return Err(format!("{name}({w}) is not strictly ascending"));
         }
     }
-    Ok(table.into_iter().collect())
+    Ok(())
+}
+
+/// Checks that a persisted `I2P` table is exactly the inverse of `P2I`:
+/// every listed partition is named by its row's i-word, none is listed
+/// twice, and every named partition is listed. The check indexes a table by
+/// partition id, which the loader has range-checked.
+fn check_inverse(
+    p2i: &[(PartitionId, WordId)],
+    i2p: &[(WordId, Vec<PartitionId>)],
+) -> std::result::Result<(), String> {
+    // `P2I` by partition id; listing a partition in `I2P` clears its slot.
+    let mut unlisted: Vec<Option<WordId>> =
+        vec![None; p2i.last().map_or(0, |(v, _)| v.index() + 1)];
+    for &(v, w) in p2i {
+        unlisted[v.index()] = Some(w);
+    }
+    for (w, list) in i2p {
+        if list.is_empty() {
+            return Err(format!("i2p({w}) lists no partitions"));
+        }
+        for v in list {
+            match unlisted.get_mut(v.index()) {
+                Some(slot) if *slot == Some(*w) => *slot = None,
+                _ => return Err(format!("i2p({w}) lists {v} twice or against p2i")),
+            }
+        }
+    }
+    match unlisted.iter().position(Option::is_some) {
+        Some(v) => Err(format!("i2p does not list partition v{v}")),
+        None => Ok(()),
+    }
+}
+
+/// Checks that a persisted `T2I` table is exactly the transpose of `I2T`.
+/// Both must already have strictly ascending keys and rows. Walking `I2T`
+/// in i-word order meets the i-words of each t-word in ascending order, so
+/// every pair must be the next one its `T2I` row has left (the row found
+/// through a table indexed by t-word id, which the loader has
+/// range-checked), and every row must be used up.
+fn check_transpose(
+    i2t: &[(WordId, Vec<WordId>)],
+    t2i: &[(WordId, Vec<WordId>)],
+) -> std::result::Result<(), String> {
+    let mut row_of = vec![usize::MAX; t2i.last().map_or(0, |(t, _)| t.index() + 1)];
+    for (at, (t, _)) in t2i.iter().enumerate() {
+        row_of[t.index()] = at;
+    }
+    let mut left: Vec<&[WordId]> = t2i.iter().map(|(_, row)| row.as_slice()).collect();
+    for (w, row) in i2t {
+        for t in row {
+            let at = row_of.get(t.index()).copied().unwrap_or(usize::MAX);
+            match left.get_mut(at) {
+                Some(rest) if rest.first() == Some(w) => *rest = &rest[1..],
+                _ => return Err(format!("t2i({t}) does not list {w}, which i2t lists")),
+            }
+        }
+    }
+    match left.iter().position(|rest| !rest.is_empty()) {
+        Some(at) => Err(format!("t2i({}) lists a pair i2t lacks", t2i[at].0)),
+        None => Ok(()),
+    }
 }
 
 impl KeywordMappings {
@@ -65,12 +123,15 @@ impl KeywordMappings {
     /// load path): every map is bulk-built from its strictly ascending key
     /// order instead of being replayed entry by entry, and the checked rows
     /// are moved in as they are. `i2p` lists keep their persisted order — it
-    /// is part of the model's fingerprint identity — and only structural
-    /// invariants are checked here (key order, non-empty strictly ascending
-    /// rows, `i2p` covering exactly the named partitions); semantic
-    /// consistency between the tables is the writer's responsibility and is
-    /// protected on disk by the section checksum. Violations are reported as
-    /// a human-readable reason so loaders can degrade to a rebuild.
+    /// is part of the model's fingerprint identity. Besides the structural
+    /// invariants (key order, non-empty strictly ascending rows), the tables
+    /// must invert each other: `i2p` exactly `p2i`'s inverse and `t2i`
+    /// exactly `i2t`'s transpose, because the search reads a partition's
+    /// keywords through either side. The checks run on the sorted input
+    /// vectors in time linear in the tables, through tables indexed by
+    /// partition and t-word id: callers range-check the ids first, as the
+    /// columnar loader does. Violations are reported as a human-readable
+    /// reason so loaders can degrade to a rebuild.
     pub fn from_sorted_parts(
         p2i: Vec<(PartitionId, WordId)>,
         i2p: Vec<(WordId, Vec<PartitionId>)>,
@@ -83,24 +144,15 @@ impl KeywordMappings {
         if i2p.windows(2).any(|w| w[0].0 >= w[1].0) {
             return Err("i2p i-words are not strictly ascending".to_string());
         }
-        let mut covered = 0usize;
-        for (w, list) in &i2p {
-            if list.is_empty() {
-                return Err(format!("i2p({w}) lists no partitions"));
-            }
-            covered += list.len();
-        }
-        if covered != p2i.len() {
-            return Err(format!(
-                "i2p lists {covered} partitions, p2i names {}",
-                p2i.len()
-            ));
-        }
+        check_inverse(&p2i, &i2p)?;
+        check_rows("i2t", &i2t)?;
+        check_rows("t2i", &t2i)?;
+        check_transpose(&i2t, &t2i)?;
         Ok(KeywordMappings {
             p2i: p2i.into_iter().collect(),
             i2p: i2p.into_iter().collect(),
-            i2t: adopt_rows("i2t", i2t)?,
-            t2i: adopt_rows("t2i", t2i)?,
+            i2t: i2t.into_iter().collect(),
+            t2i: t2i.into_iter().collect(),
         })
     }
 
@@ -320,6 +372,91 @@ mod tests {
         let mut bad = i2t.clone();
         bad[0].1.reverse();
         assert!(KeywordMappings::from_sorted_parts(p2i, i2p, bad, t2i).is_err());
+    }
+
+    /// The four tables of `m`, as the columnar loader hands them over.
+    #[allow(clippy::type_complexity)]
+    fn parts(
+        m: &KeywordMappings,
+    ) -> (
+        Vec<(PartitionId, WordId)>,
+        Vec<(WordId, Vec<PartitionId>)>,
+        Vec<(WordId, Vec<WordId>)>,
+        Vec<(WordId, Vec<WordId>)>,
+    ) {
+        (
+            m.p2i_entries().collect(),
+            m.i2p_entries().map(|(w, l)| (w, l.to_vec())).collect(),
+            m.i2t_entries().map(|(w, s)| (w, s.to_vec())).collect(),
+            m.t2i_entries().map(|(w, s)| (w, s.to_vec())).collect(),
+        )
+    }
+
+    /// The position of `w`'s row in a table.
+    fn at<T>(table: &[(WordId, T)], w: WordId) -> usize {
+        table.iter().position(|(x, _)| *x == w).unwrap()
+    }
+
+    #[test]
+    fn from_sorted_parts_rejects_tables_that_do_not_invert_each_other() {
+        let (v, mut m) = sample();
+        let word = |name: &str| v.lookup(name).unwrap();
+        m.associate(word("costa"), word("phone"));
+        let (p2i, i2p, i2t, t2i) = parts(&m);
+        assert!(KeywordMappings::from_sorted_parts(
+            p2i.clone(),
+            i2p.clone(),
+            i2t.clone(),
+            t2i.clone()
+        )
+        .is_ok());
+
+        // Swapped partitions: the counts still match P2I.
+        let mut swapped = i2p.clone();
+        let (costa, apple) = (at(&i2p, word("costa")), at(&i2p, word("apple")));
+        let costa_list = swapped[costa].1.clone();
+        swapped[costa].1 = swapped[apple].1.clone();
+        swapped[apple].1 = costa_list;
+        let err =
+            KeywordMappings::from_sorted_parts(p2i.clone(), swapped, i2t.clone(), t2i.clone())
+                .unwrap_err();
+        assert!(err.contains("against p2i"), "{err}");
+
+        // A duplicated partition in place of another one of the same i-word.
+        let mut duplicated = i2p.clone();
+        let cashier = at(&i2p, word("cashier"));
+        duplicated[cashier].1 = vec![PartitionId(20), PartitionId(20)];
+        let err =
+            KeywordMappings::from_sorted_parts(p2i.clone(), duplicated, i2t.clone(), t2i.clone())
+                .unwrap_err();
+        assert!(
+            err.contains("i2p(") || err.contains("does not list"),
+            "{err}"
+        );
+
+        // A T2I pair missing: phone no longer lists costa.
+        let mut missing = t2i.clone();
+        let phone = at(&t2i, word("phone"));
+        missing[phone].1.retain(|&w| w != word("costa"));
+        let err =
+            KeywordMappings::from_sorted_parts(p2i.clone(), i2p.clone(), i2t.clone(), missing)
+                .unwrap_err();
+        assert!(err.contains("t2i"), "{err}");
+
+        // An extra T2I pair: laptop also lists costa, whose I2T row lacks it.
+        let mut extra = t2i.clone();
+        let laptop = at(&t2i, word("laptop"));
+        extra[laptop].1.push(word("costa"));
+        extra[laptop].1.sort();
+        let err = KeywordMappings::from_sorted_parts(p2i.clone(), i2p.clone(), i2t.clone(), extra)
+            .unwrap_err();
+        assert!(err.contains("t2i"), "{err}");
+
+        // An extra T2I row for a t-word no I2T row mentions.
+        let mut extra_row = t2i.clone();
+        extra_row.push((WordId(99), vec![word("apple")]));
+        let err = KeywordMappings::from_sorted_parts(p2i, i2p, i2t, extra_row).unwrap_err();
+        assert!(err.contains("t2i(w99)"), "{err}");
     }
 
     #[test]

@@ -157,29 +157,17 @@ impl PreparedQuery {
         self.len() as f64 + 1.0
     }
 
-    /// The key partitions of the query: every partition identified by any
-    /// candidate i-word (`⋃_{wQ} I2P(κ(wQ).Wi)`, Algorithm 1 line 3 before the
-    /// start/terminal adjustment).
-    pub fn key_partitions(&self, directory: &KeywordDirectory) -> BTreeSet<PartitionId> {
-        let mut out = BTreeSet::new();
-        for &iw in &self.all_candidates {
-            out.extend(directory.partitions_of(iw).iter().copied());
-        }
-        out
-    }
-
-    /// The key partitions that can cover the `idx`-th query keyword.
-    pub fn key_partitions_for_word(
-        &self,
-        idx: usize,
-        directory: &KeywordDirectory,
-    ) -> BTreeSet<PartitionId> {
-        let mut out = BTreeSet::new();
-        if let Some(w) = self.words.get(idx) {
-            for iw in w.candidates.iwords() {
-                out.extend(directory.partitions_of(iw).iter().copied());
-            }
-        }
+    /// The key partitions of the query, sorted and duplicate-free: every
+    /// partition identified by any candidate i-word (the `I2P` rows of
+    /// `Wci`, Algorithm 1 line 3 before the start/terminal adjustment).
+    pub fn key_partitions(&self, directory: &KeywordDirectory) -> Vec<PartitionId> {
+        let mut out: Vec<PartitionId> = self
+            .all_candidates
+            .iter()
+            .flat_map(|&iw| directory.partitions_of(iw).iter().copied())
+            .collect();
+        out.sort_unstable();
+        out.dedup();
         out
     }
 
@@ -263,16 +251,10 @@ mod tests {
         assert!(!prepared.is_candidate_iword(dir.lookup("samsung").unwrap()));
 
         // Key partitions: v3 (costa), v7 (starbucks), v10 (apple).
-        let keys = prepared.key_partitions(&dir);
         assert_eq!(
-            keys,
+            prepared.key_partitions(&dir),
             [PartitionId(3), PartitionId(7), PartitionId(10)]
-                .into_iter()
-                .collect()
         );
-        let latte_keys = prepared.key_partitions_for_word(0, &dir);
-        assert_eq!(latte_keys.len(), 2);
-        assert!(prepared.key_partitions_for_word(5, &dir).is_empty());
         assert!(prepared.estimated_bytes() > 0);
     }
 

@@ -166,8 +166,10 @@ proptest! {
             prop_assert_eq!(in_union, in_some_word);
         }
 
-        // Key partitions are exactly the partitions of candidate i-words.
+        // Key partitions are exactly the partitions of candidate i-words,
+        // sorted and duplicate-free.
         let key = prepared.key_partitions(&dir);
+        prop_assert!(key.windows(2).all(|w| w[0] < w[1]));
         for v in (0..spec.partitions as u32).map(PartitionId) {
             let expected = dir
                 .partition_iword(v)

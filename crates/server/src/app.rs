@@ -146,10 +146,8 @@ struct IndexBody {
     regions_tested: u64,
     /// Regions whose bound exceeded ∆ (every member partition pruned).
     regions_pruned: u64,
-    /// Candidate partitions pruned via a cached region verdict.
+    /// Routing-set partitions dropped by a failed region.
     candidates_pruned: u64,
-    /// Rule-3 member bounds served from the per-query cache.
-    bound_cache_hits: u64,
     /// Venues whose index was loaded from a persisted venue file.
     venues_loaded_from_disk: usize,
     /// Per-venue index detail, in venue-id order.
@@ -255,7 +253,6 @@ impl IkrqApp {
             regions_tested: 0,
             regions_pruned: 0,
             candidates_pruned: 0,
-            bound_cache_hits: 0,
             venues_loaded_from_disk: 0,
             venues: Vec::new(),
         };
@@ -307,7 +304,6 @@ impl IkrqApp {
         body.regions_tested = counters.counters.regions_tested;
         body.regions_pruned = counters.counters.regions_pruned;
         body.candidates_pruned = counters.counters.candidates_pruned;
-        body.bound_cache_hits = counters.counters.bound_cache_hits;
         body
     }
 

@@ -629,8 +629,14 @@ fn stats_expose_index_observability() {
     assert!(index.get("estimated_bytes").unwrap().as_u64().unwrap() > 0);
     assert_eq!(index.get("queries_accelerated").unwrap().as_u64(), Some(0));
     // KoE* rows live only inside a search: no row-cache keys, in the
-    // aggregate or per venue.
-    for key in ["precomputed_rows", "precomputed_bytes", "rows_evictions"] {
+    // aggregate or per venue. KoE applies Rule 3 once per query, so there
+    // is no per-query bound cache to count either.
+    for key in [
+        "precomputed_rows",
+        "precomputed_bytes",
+        "rows_evictions",
+        "bound_cache_hits",
+    ] {
         assert!(index.get(key).is_none(), "index.{key} is gone");
     }
     let venue = &index.get("venues").unwrap().as_array().unwrap()[0];

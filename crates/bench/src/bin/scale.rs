@@ -70,12 +70,12 @@ fn main() {
              index_load_ms,doc_decode_ms,model_adopt_ms,doc_rebuild_ms,\
              index_bytes,scan_qps,accelerated_qps,\
              candidate_fraction,scan_peak_bytes,accelerated_peak_bytes,\
-             koe_star_qps,peak_rss_kib,identical,loaded_identical,\
+             koe_star_qps,toe_qps,toe_budget_exhausted,peak_rss_kib,identical,loaded_identical,\
              columnar_adopted,columnar_identical"
         );
         for p in &points {
             println!(
-                "{},{},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{},{:.2},{:.2},{:.6},{},{},{:.2},{},{},{},{},{}",
+                "{},{},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{},{:.2},{:.2},{:.6},{},{},{:.2},{:.2},{},{},{},{},{},{}",
                 p.partitions,
                 p.doors,
                 p.generate_ms,
@@ -94,6 +94,8 @@ fn main() {
                 p.scan_peak_memory,
                 p.accelerated_peak_memory,
                 p.koe_star_qps,
+                p.toe_qps,
+                p.toe_budget_exhausted,
                 p.peak_rss_kib,
                 p.identical_responses,
                 p.loaded_identical,

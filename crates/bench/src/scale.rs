@@ -11,7 +11,10 @@
 //! * index build time and estimated index bytes,
 //! * per-variant peak search memory on both paths,
 //! * KoE* queries per second on the accelerated engine, over the same
-//!   instances as the KoE columns.
+//!   instances as the KoE columns;
+//! * ToE queries per second on the accelerated engine, over the same
+//!   instances with an expansion budget of [`TOE_EXPANSION_BUDGET`] (the
+//!   `toe-mega` benchmark's), and how many of them used the budget up.
 //!
 //! Every instance is answered by both engines and the responses are
 //! compared byte-for-byte (timings and memory metrics excluded), so the
@@ -46,6 +49,11 @@ use rand::SeedableRng;
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The expansion budget of the sweep's ToE queries. Unbudgeted ToE can
+/// expand millions of stamps on a mega venue; this is the budget the
+/// `toe-mega` benchmark workload runs with.
+pub const TOE_EXPANSION_BUDGET: u64 = 2_000;
 
 /// Configuration of the scaling sweep.
 #[derive(Debug, Clone)]
@@ -103,6 +111,12 @@ pub struct ScalePoint {
     /// Queries per second of KoE* over the same instances, through the
     /// index-accelerated engine.
     pub koe_star_qps: f64,
+    /// Queries per second of ToE over the same instances, through the
+    /// index-accelerated engine, each with an expansion budget of
+    /// [`TOE_EXPANSION_BUDGET`].
+    pub toe_qps: f64,
+    /// How many of those ToE queries used their budget up.
+    pub toe_budget_exhausted: usize,
     /// Pre-indexed v2 encode + write time in milliseconds.
     pub save_ms: f64,
     /// Full cold load of the v2 file in milliseconds: read it, decode and
@@ -263,6 +277,26 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
     }
     let koe_star_elapsed = koe_star_start.elapsed();
 
+    let toe_options =
+        ExecOptions::with_variant(VariantConfig::toe()).with_expansion_budget(TOE_EXPANSION_BUDGET);
+    let toe_requests: Vec<SearchRequest> = requests
+        .iter()
+        .map(|r| SearchRequest {
+            options: toe_options,
+            ..r.clone()
+        })
+        .collect();
+    let toe_start = Instant::now();
+    let toe_responses: Vec<_> = toe_requests
+        .iter()
+        .map(|r| accel_service.search(r).expect("ToE query succeeds"))
+        .collect();
+    let toe_elapsed = toe_start.elapsed();
+    let toe_budget_exhausted = toe_responses
+        .iter()
+        .filter(|r| r.metrics.as_ref().is_some_and(|m| m.budget_exhausted))
+        .count();
+
     for (a, b) in scan_responses.iter().zip(&accel_responses) {
         identical &= a.deterministic_json() == b.deterministic_json();
         if let Some(m) = &a.metrics {
@@ -402,6 +436,8 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
         scan_peak_memory: scan_peak,
         accelerated_peak_memory: accel_peak,
         koe_star_qps: instances.len() as f64 / koe_star_elapsed.as_secs_f64(),
+        toe_qps: instances.len() as f64 / toe_elapsed.as_secs_f64(),
+        toe_budget_exhausted,
         save_ms,
         load_ms,
         index_load_ms,
@@ -458,14 +494,15 @@ pub fn markdown_table(points: &[ScalePoint]) -> String {
     let mut out = String::from(
         "| partitions | doors | gen ms | space ms | build ms | save ms | load ms | \
          idx load ms | doc dec ms | doc adopt ms | rebuild ms | index KiB | scan q/s | index q/s | \
-         cand. frac | scan peak KiB | index peak KiB | KoE* q/s | RSS MiB | identical |\n\
-         |---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|:---|\n",
+         cand. frac | scan peak KiB | index peak KiB | KoE* q/s | ToE q/s | ToE exhausted | \
+         RSS MiB | identical |\n\
+         |---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|:---|\n",
     );
     for p in points {
         out.push_str(&format!(
             "| {} | {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.2} | {:.2} | {:.2} | {:.1} | \
              {} | {:.1} | {:.1} | \
-             {:.4} | {} | {} | {:.1} | {} | {} |\n",
+             {:.4} | {} | {} | {:.1} | {:.1} | {} | {} | {} |\n",
             p.partitions,
             p.doors,
             p.generate_ms,
@@ -484,6 +521,8 @@ pub fn markdown_table(points: &[ScalePoint]) -> String {
             p.scan_peak_memory / 1024,
             p.accelerated_peak_memory / 1024,
             p.koe_star_qps,
+            p.toe_qps,
+            p.toe_budget_exhausted,
             p.peak_rss_kib / 1024,
             p.identical_responses
                 && p.loaded_identical
@@ -511,6 +550,8 @@ mod tests {
         assert!(p.partitions >= 100);
         assert_eq!(p.queries, 3);
         assert!(p.scan_qps > 0.0 && p.accelerated_qps > 0.0 && p.koe_star_qps > 0.0);
+        assert!(p.toe_qps > 0.0);
+        assert!(p.toe_budget_exhausted <= p.queries);
         assert!(p.index_bytes > 0);
         assert!(p.candidate_fraction > 0.0 && p.candidate_fraction <= 1.0);
         assert!(
@@ -534,5 +575,10 @@ mod tests {
         assert!(p.doc_decode_ms > 0.0 && p.model_adopt_ms > 0.0 && p.doc_rebuild_ms > 0.0);
         let table = markdown_table(&points);
         assert!(table.contains("| scan q/s |") || table.contains("scan q/s"));
+        assert!(table.contains("| ToE q/s | ToE exhausted |"));
+        // Every row has as many cells as the header.
+        let cells = |line: &str| line.matches('|').count();
+        let lines: Vec<&str> = table.lines().collect();
+        assert!(lines.iter().all(|line| cells(line) == cells(lines[0])));
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::framework::Search;
 use crate::pruning::PruneRule;
-use crate::stamp::Stamp;
+use crate::stamp::{push_key_partition, Stamp};
 use indoor_keywords::CoverageTracker;
 use indoor_space::Route;
 
@@ -77,12 +77,15 @@ impl Search<'_> {
         if let Some(iw) = self.ctx.iword_of_partition(self.ctx.terminal_partition) {
             coverage.add_iword(&self.ctx.prepared, iw);
         }
+        let mut key_partitions = stamp.key_partitions.clone();
+        push_key_partition(&mut key_partitions, self.ctx.terminal_partition);
         let distance = stamp.distance + increment;
         let relevance = coverage.relevance();
         let score = self.ctx.ranking.score(relevance, distance);
         Some(Stamp {
             partition: self.ctx.terminal_partition,
             route,
+            key_partitions,
             distance,
             coverage,
             relevance,
@@ -138,19 +141,20 @@ impl Search<'_> {
             .complete_with_point(self.ctx.query.terminal, terminal_leg[0])
             .ok()?;
         let mut coverage: CoverageTracker = stamp.coverage.clone();
+        let mut key_partitions = stamp.key_partitions.clone();
         for &d in doors.iter().skip(1) {
-            for iw in self.ctx.iwords_behind_door(d) {
-                coverage.add_iword(&self.ctx.prepared, iw);
-            }
+            self.credit_door(d, &mut coverage, &mut key_partitions);
         }
         if let Some(iw) = self.ctx.iword_of_partition(self.ctx.terminal_partition) {
             coverage.add_iword(&self.ctx.prepared, iw);
         }
+        push_key_partition(&mut key_partitions, self.ctx.terminal_partition);
         let relevance = coverage.relevance();
         let score = self.ctx.ranking.score(relevance, total_distance);
         Some(Stamp {
             partition: self.ctx.terminal_partition,
             route,
+            key_partitions,
             distance: total_distance,
             coverage,
             relevance,

@@ -127,6 +127,10 @@ impl<'a> SearchContext<'a> {
     /// keyword partitions are never considered homogeneous — and matches the
     /// `KP` sequences of the paper's Table II. Each key partition is kept
     /// once, at its last occurrence.
+    ///
+    /// This walk is the specification: the search carries `KP(R)` on each
+    /// stamp instead, built from the parent stamp's, and debug builds assert
+    /// the two agree; [`crate::ExhaustiveBaseline`] calls it directly.
     pub fn key_partition_sequence(&self, route: &Route) -> Vec<PartitionId> {
         let mut seq: Vec<PartitionId> = Vec::new();
         let push_key = |v: PartitionId, seq: &mut Vec<PartitionId>| {
@@ -161,16 +165,6 @@ impl<'a> SearchContext<'a> {
             }
         }
         out
-    }
-
-    /// The i-words contributed to `RW(R)` by appending door `d` (Definition
-    /// 5: the i-words of all partitions leavable through the door).
-    pub fn iwords_behind_door(&self, d: DoorId) -> Vec<WordId> {
-        self.space
-            .d2p_leave(d)
-            .iter()
-            .filter_map(|&v| self.directory.partition_iword(v))
-            .collect()
     }
 
     /// The i-word of a partition, if it has one.
@@ -261,8 +255,6 @@ mod tests {
         assert!(ctx.partition_covers_candidate(PartitionId(1)));
         assert!(!ctx.partition_covers_candidate(PartitionId(2)));
         assert_eq!(ctx.delta(), 100.0);
-        // Door d0 leads into zara and costa: both i-words contribute.
-        assert_eq!(ctx.iwords_behind_door(DoorId(0)).len(), 2);
         assert!(ctx.iword_of_partition(PartitionId(1)).is_some());
         // Same-floor skeleton bounds are planar Euclidean distances.
         assert!((ctx.start_to_door_lb(DoorId(0)) - 8.0).abs() < 1e-9);

@@ -6,8 +6,11 @@
 //! *prime* route (Definition 3) — may survive. During the search all expanded
 //! routes share the head `ps`, so the homogeneity key is the pair
 //! `(R.tail, KP(R))`, which this module encodes into a compact byte string.
+//! Stamps carry their `KP(R)`, so a check or an update costs one encoding
+//! into a reused buffer and one hash probe; only a new entry allocates its
+//! key.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use indoor_space::{DoorId, PartitionId};
 use std::collections::HashMap;
 
@@ -19,7 +22,8 @@ use std::collections::HashMap;
 /// would prune the very route that created the entry; see DESIGN.md).
 const DISTANCE_EPSILON: f64 = 1e-9;
 
-/// Compact homogeneity key: tail item plus key-partition sequence.
+/// Encodes the compact homogeneity key into `buf`: tail item plus
+/// key-partition sequence.
 ///
 /// Definition 2 compares routes by head, tail and key-partition sequence.
 /// During the search every route shares the head `ps`, so the key reduces to
@@ -28,21 +32,25 @@ const DISTANCE_EPSILON: f64 = 1e-9;
 /// complete routes pass `None` and are compared against each other purely by
 /// their key-partition sequences — a partial route never shadows its own
 /// completion.
-fn encode_key(tail: Option<DoorId>, key_partitions: &[PartitionId]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + 4 * key_partitions.len());
+fn encode_key(buf: &mut Vec<u8>, tail: Option<DoorId>, key_partitions: &[PartitionId]) {
+    buf.clear();
     buf.put_u32_le(tail.map(|d| d.0 + 1).unwrap_or(0));
     for v in key_partitions {
         buf.put_u32_le(v.0);
     }
-    buf.freeze()
 }
 
 /// The prime-route table `Hprime`: for every homogeneity class seen so far,
 /// the distance of the shortest (prime) representative.
+///
+/// Keys are stored as [`Bytes`] and looked up by the borrowed `&[u8]`
+/// encoding, which [`PrimeTable::check`] and [`PrimeTable::update`] write
+/// into one buffer the table reuses.
 #[derive(Debug, Clone, Default)]
 pub struct PrimeTable {
     entries: HashMap<Bytes, f64>,
     approx_bytes: usize,
+    key_buf: Vec<u8>,
 }
 
 impl PrimeTable {
@@ -55,13 +63,15 @@ impl PrimeTable {
     /// `tail`, key partitions `key_partitions` and distance `distance` is (so
     /// far) prime — i.e. no strictly shorter homogeneous route has been
     /// recorded — and `false` when it should be pruned by Pruning Rule 5.
+    /// Takes `&mut self` only to reuse the table's key buffer.
     pub fn check(
-        &self,
+        &mut self,
         tail: Option<DoorId>,
         key_partitions: &[PartitionId],
         distance: f64,
     ) -> bool {
-        match self.entries.get(&encode_key(tail, key_partitions)) {
+        encode_key(&mut self.key_buf, tail, key_partitions);
+        match self.entries.get(self.key_buf.as_slice()) {
             None => true,
             Some(&best) => best + DISTANCE_EPSILON >= distance,
         }
@@ -76,12 +86,13 @@ impl PrimeTable {
         key_partitions: &[PartitionId],
         distance: f64,
     ) -> bool {
-        let key = encode_key(tail, key_partitions);
-        match self.entries.get_mut(&key) {
+        encode_key(&mut self.key_buf, tail, key_partitions);
+        match self.entries.get_mut(self.key_buf.as_slice()) {
             None => {
                 // Per-entry overhead: key bytes + value + hash-map slot.
-                self.approx_bytes += key.len() + std::mem::size_of::<(Bytes, f64)>() + 16;
-                self.entries.insert(key, distance);
+                self.approx_bytes += self.key_buf.len() + std::mem::size_of::<(Bytes, f64)>() + 16;
+                self.entries
+                    .insert(Bytes::copy_from_slice(&self.key_buf), distance);
                 true
             }
             Some(best) => {
@@ -108,7 +119,7 @@ impl PrimeTable {
     /// Estimated heap size in bytes (used for the memory metric); maintained
     /// incrementally so sampling it every iteration is O(1).
     pub fn estimated_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.approx_bytes
+        std::mem::size_of::<Self>() + self.approx_bytes + self.key_buf.capacity()
     }
 }
 
@@ -122,7 +133,7 @@ mod tests {
 
     #[test]
     fn fresh_class_is_prime() {
-        let t = PrimeTable::new();
+        let mut t = PrimeTable::new();
         assert!(t.check(Some(DoorId(5)), &kp(&[1, 2, 3]), 12.5));
         assert!(t.is_empty());
     }
@@ -164,6 +175,32 @@ mod tests {
         assert!(t.check(Some(DoorId(0)), &kp(&[1]), 100.0));
         t.update(Some(DoorId(0)), &kp(&[1]), 2.0);
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn keys_stored_as_bytes_are_found_improved_and_rejected_by_borrowed_lookups() {
+        let mut t = PrimeTable::new();
+        assert!(t.update(Some(DoorId(0)), &kp(&[7, 9]), 20.0));
+        // The stored key is the byte encoding: tail + 1, then each partition.
+        let stored: &[u8] = &[1, 0, 0, 0, 7, 0, 0, 0, 9, 0, 0, 0];
+        assert_eq!(t.entries.get(stored), Some(&20.0));
+        assert!(
+            !t.check(Some(DoorId(0)), &kp(&[7, 9]), 25.0),
+            "longer is pruned"
+        );
+        assert!(t.check(Some(DoorId(0)), &kp(&[7, 9]), 15.0));
+        assert!(t.update(Some(DoorId(0)), &kp(&[7, 9]), 15.0), "improved");
+        assert!(!t.update(Some(DoorId(0)), &kp(&[7, 9]), 18.0), "rejected");
+        assert_eq!(t.entries.get(stored), Some(&15.0));
+        assert_eq!(t.len(), 1);
+        // Tail `None` encodes as 0 and door 0 as 1: distinct classes.
+        assert!(t.check(None, &kp(&[7, 9]), 100.0));
+        assert!(t.update(None, &kp(&[7, 9]), 100.0));
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.entries.get(stored), Some(&15.0));
+        let bytes_before = t.estimated_bytes();
+        assert!(!t.check(Some(DoorId(0)), &kp(&[7, 9]), 16.0));
+        assert_eq!(t.estimated_bytes(), bytes_before, "lookups add no entry");
     }
 
     #[test]

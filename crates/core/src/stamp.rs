@@ -8,12 +8,20 @@ use std::cmp::Ordering;
 /// A search stamp: a partial (or complete) route together with the partition
 /// it last reached and its accumulated distance, keyword coverage, keyword
 /// relevance and ranking score.
+///
+/// A stamp also carries its route's key-partition sequence `KP(R)`, built
+/// from its parent's when the stamp is created, so the prime check and
+/// update of Pruning Rule 5 never walk the route.
 #[derive(Debug, Clone)]
 pub struct Stamp {
     /// The last partition the route reaches (`v` in the paper's tuple).
     pub partition: PartitionId,
     /// The route expanded so far (`R`).
     pub route: Route,
+    /// The key-partition sequence `KP(R)` of the route: equal to
+    /// [`crate::SearchContext::key_partition_sequence`] of `route`, kept up
+    /// to date with [`push_key_partition`] as items are appended.
+    pub(crate) key_partitions: Vec<PartitionId>,
     /// Route distance `δ(R)`, accumulated incrementally.
     pub distance: f64,
     /// Incremental keyword coverage of the route (drives `ρ`).
@@ -27,8 +35,22 @@ pub struct Stamp {
 impl Stamp {
     /// Estimated heap size in bytes, for the engine's memory accounting.
     pub fn estimated_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.route.estimated_bytes() + self.coverage.estimated_bytes()
+        std::mem::size_of::<Self>()
+            + self.route.estimated_bytes()
+            + self.key_partitions.capacity() * std::mem::size_of::<PartitionId>()
+            + self.coverage.estimated_bytes()
     }
+}
+
+/// Appends an occurrence of key partition `v` to a key-partition sequence.
+/// An earlier occurrence is removed first, so each key partition appears
+/// once, at its last occurrence, as in
+/// [`crate::SearchContext::key_partition_sequence`].
+pub(crate) fn push_key_partition(sequence: &mut Vec<PartitionId>, v: PartitionId) {
+    if let Some(at) = sequence.iter().position(|&u| u == v) {
+        sequence.remove(at);
+    }
+    sequence.push(v);
 }
 
 /// Ordering wrapper: the priority queue of Algorithm 1 pops the stamp with
@@ -73,6 +95,7 @@ mod tests {
         StampOrder(Stamp {
             partition: PartitionId(0),
             route: Route::from_point(IndoorPoint::from_xy(0.0, 0.0, FloorId(0))),
+            key_partitions: vec![PartitionId(0)],
             distance,
             coverage: CoverageTracker::new(2),
             relevance: 0.0,
@@ -104,5 +127,18 @@ mod tests {
         assert_eq!(stamp(0.5, 10.0), stamp(0.5, 10.0));
         assert_ne!(stamp(0.5, 10.0), stamp(0.6, 10.0));
         assert!(stamp(0.1, 1.0).0.estimated_bytes() > 0);
+    }
+
+    #[test]
+    fn a_pushed_key_partition_moves_to_its_last_occurrence() {
+        let ids = |s: &[u32]| s.iter().map(|&i| PartitionId(i)).collect::<Vec<_>>();
+        let mut seq = ids(&[1]);
+        push_key_partition(&mut seq, PartitionId(2));
+        push_key_partition(&mut seq, PartitionId(3));
+        assert_eq!(seq, ids(&[1, 2, 3]));
+        push_key_partition(&mut seq, PartitionId(1));
+        assert_eq!(seq, ids(&[2, 3, 1]));
+        push_key_partition(&mut seq, PartitionId(1));
+        assert_eq!(seq, ids(&[2, 3, 1]));
     }
 }

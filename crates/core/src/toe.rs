@@ -20,12 +20,12 @@ impl Search<'_> {
             return expansions;
         }
 
+        let ctx = self.ctx;
         let vi = stamp.partition;
         let tail = stamp.route.tail_door();
-        let delta = self.ctx.delta();
+        let delta = ctx.delta();
 
-        let leavable: Vec<_> = self.ctx.space.p2d_leave(vi).to_vec();
-        for dl in leavable {
+        for &dl in ctx.space.p2d_leave(vi) {
             // Doors already filtered by Pruning Rule 2 (the `Df` set).
             if self.config.use_distance_pruning && self.state.doors_filtered.contains(&dl) {
                 continue;
@@ -38,7 +38,7 @@ impl Search<'_> {
             }
             // Pruning Rule 2 with the Dn / Df caches (lines 6–10).
             if self.config.use_distance_pruning && !self.state.doors_checked.contains(&dl) {
-                let bound = self.ctx.start_to_door_lb(dl) + self.ctx.door_to_terminal_lb(dl);
+                let bound = ctx.start_to_door_lb(dl) + ctx.door_to_terminal_lb(dl);
                 if bound > delta {
                     self.state.doors_filtered.insert(dl);
                     self.state.metrics.prunes.record(PruneRule::DoorDistance);
@@ -48,14 +48,14 @@ impl Search<'_> {
             }
             // Lemma 2: a one-hop loop (dk, dk) is only allowed when the looped
             // partition covers a candidate i-word (lines 12–13).
-            if Some(dl) == tail && !self.ctx.partition_covers_candidate(vi) {
+            if Some(dl) == tail && !ctx.partition_covers_candidate(vi) {
                 self.state.metrics.prunes.record(PruneRule::Regularity);
                 continue;
             }
             // Distance increment through the current partition.
             let increment = match tail {
-                None => self.ctx.space.pt2d_distance(&self.ctx.query.start, dl),
-                Some(dk) => self.ctx.space.intra_door_distance(vi, dk, dl),
+                None => ctx.space.pt2d_distance(&ctx.query.start, dl),
+                Some(dk) => ctx.space.intra_door_distance(vi, dk, dl),
             };
             if !increment.is_finite() {
                 continue;
@@ -70,7 +70,7 @@ impl Search<'_> {
                 continue;
             }
             // Pruning Rule 1 (lines 15–16).
-            let distance_lower_bound = new_distance + self.ctx.door_to_terminal_lb(dl);
+            let distance_lower_bound = new_distance + ctx.door_to_terminal_lb(dl);
             if self.config.use_distance_pruning && distance_lower_bound > delta {
                 self.state
                     .metrics
@@ -80,7 +80,7 @@ impl Search<'_> {
             }
             // Pruning Rule 4 (lines 17–18).
             if self.config.use_kbound_pruning {
-                let upper = self.ctx.ranking.upper_bound(distance_lower_bound);
+                let upper = ctx.ranking.upper_bound(distance_lower_bound);
                 if upper <= self.kbound() {
                     self.state.metrics.prunes.record(PruneRule::KBound);
                     continue;
@@ -93,8 +93,7 @@ impl Search<'_> {
             // without paying the in-and-out loop — consistent with the route
             // words of Definition 5, which credit every partition leavable
             // through a door on the route).
-            let landings = self.ctx.space.d2p_enter(dl).to_vec();
-            for landing in landings {
+            for &landing in ctx.space.d2p_enter(dl) {
                 if let Some(child) =
                     self.extend_stamp_with_door(stamp, dl, vi, landing, new_distance)
                 {

@@ -45,8 +45,10 @@ impl RouteItem {
 /// The route stores, alongside the door sequence, the *connecting partition*
 /// of every leg: `partitions[i]` is the partition traversed between item `i`
 /// and item `i + 1`. This mirrors how the paper annotates routes (Table II)
-/// and makes the route distance, key-partition sequence and regularity checks
-/// purely local computations.
+/// and makes the route distance and regularity checks purely local
+/// computations. The key-partition sequence `KP(R)` depends on the query, so
+/// the search engine defines it (`SearchContext::key_partition_sequence` in
+/// `ikrq-core`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Route {
     start: RouteItem,
@@ -267,30 +269,6 @@ impl Route {
         &self.partitions
     }
 
-    /// The sequence of *key partitions* `KP(R)` (Definition 2 context): the
-    /// partitions traversed that satisfy `is_key`, deduplicated so each key
-    /// partition appears once, at the position of its **last** traversal.
-    /// This matches the paper's Table II where route `R2` passes `v5` both in
-    /// the middle and at the end yet `KP(R2) = ⟨v1, v2, v3, v5⟩`.
-    pub fn key_partition_sequence(
-        &self,
-        mut is_key: impl FnMut(PartitionId) -> bool,
-    ) -> Vec<PartitionId> {
-        let keys: Vec<PartitionId> = self
-            .partitions
-            .iter()
-            .copied()
-            .filter(|&v| is_key(v))
-            .collect();
-        let mut out = Vec::with_capacity(keys.len());
-        for (i, v) in keys.iter().enumerate() {
-            if !keys[i + 1..].contains(v) {
-                out.push(*v);
-            }
-        }
-        out
-    }
-
     /// Route distance `δ(R)` per Definition 1, evaluated against the space.
     /// Returns [`crate::UNREACHABLE`] if any leg is impossible, which
     /// indicates a malformed route.
@@ -449,31 +427,6 @@ mod tests {
         // Manually constructing (d13, d14, d14, d13) is rejected by the
         // appending API, mirroring the paper's example of an irregular route.
         assert!(!r.can_append_door(DoorId(13)));
-    }
-
-    #[test]
-    fn key_partition_sequence_matches_paper_table2_semantics() {
-        // Route legs traverse: v1, v2, v5, v3, v5 (like R2 in Table II).
-        let mut r = Route::from_point(IndoorPoint::from_xy(0.0, 0.0, FloorId(0)));
-        let legs = [1u32, 2, 5, 3, 5];
-        for (i, v) in legs.iter().enumerate() {
-            r.append_door(DoorId(i as u32), PartitionId(*v)).unwrap();
-        }
-        let keys = [1u32, 2, 3, 5];
-        let kp = r.key_partition_sequence(|v| keys.contains(&v.0));
-        assert_eq!(
-            kp,
-            vec![
-                PartitionId(1),
-                PartitionId(2),
-                PartitionId(3),
-                PartitionId(5)
-            ]
-        );
-        // Non-key partitions never show up.
-        let kp = r.key_partition_sequence(|v| v.0 == 5);
-        assert_eq!(kp, vec![PartitionId(5)]);
-        assert!(r.key_partition_sequence(|_| false).is_empty());
     }
 
     #[test]

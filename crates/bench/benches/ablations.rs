@@ -60,7 +60,8 @@ fn bench_ablations(c: &mut Criterion) {
     group.finish();
 }
 
-/// The soft-distance-constraint ablation claimed in DESIGN.md: the overhead
+/// The soft-distance-constraint ablation (see the `ikrq_core::extensions`
+/// module docs, which name the ablation benches as its measure): the overhead
 /// of running the search against the relaxed `∆'` and re-ranking the result,
 /// for increasing slack values (slack 0.0 is the hard-constraint reference).
 fn bench_soft_delta(c: &mut Criterion) {

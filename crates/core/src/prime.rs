@@ -19,7 +19,8 @@ use std::collections::HashMap;
 /// epsilon. In particular a route never prunes itself when its own distance
 /// was already recorded by `prime_update` (the paper's pseudocode uses a
 /// strict `>` comparison in both Algorithm 3 and 4, which taken literally
-/// would prune the very route that created the entry; see DESIGN.md).
+/// would prune the very route that created the entry; pinned by
+/// `tests::equal_distance_does_not_prune`).
 const DISTANCE_EPSILON: f64 = 1e-9;
 
 /// Encodes the compact homogeneity key into `buf`: tail item plus

@@ -156,7 +156,9 @@ proptest! {
     /// family because the paper's connect heuristic (Algorithm 5) finishes
     /// every stamp that reaches the terminal partition, so plain ToE can miss
     /// a keyword shop that is only reachable through the terminal partition —
-    /// a case KoE's keyword-directed jumps do cover (see DESIGN.md). The
+    /// a case KoE's keyword-directed jumps do cover (ROADMAP, *Resolved
+    /// decisions*: "ToE's default stays relaxed"; `synthetic_venue.rs` pins
+    /// the invariant). The
     /// `strict_terminal_expansion` ablation removes that blind spot, so
     /// strict ToE must always be at least as good as paper-faithful ToE.
     #[test]

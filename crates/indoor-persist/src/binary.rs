@@ -52,21 +52,21 @@
 //! when the columnar section is damaged or outdated: the record body
 //! remains the source of truth a rebuild can always fall back to.
 
-use crate::columnar::{
-    adopt_columnar_parts, columnar_section_len, decode_columnar_parts, encode_columnar_section,
-};
+use crate::codec::{kind_code, kind_of_code, put_optional_string, put_string, section_len, Reader};
+use crate::columnar::{adopt_columnar_parts, decode_columnar_parts, encode_columnar_section};
 use crate::document::{
-    ConnectionRecord, DoorRecord, FloorRecord, IntraOverrideRecord, KeywordRecord,
-    LoopOverrideRecord, PartitionRecord, VenueDocument, FORMAT_VERSION,
+    door_kind_from_label, door_kind_to_label, partition_kind_from_label, ConnectionRecord,
+    DoorRecord, FloorRecord, IntraOverrideRecord, KeywordRecord, LoopOverrideRecord,
+    PartitionRecord, VenueDocument, FORMAT_VERSION,
 };
 use crate::error::PersistError;
 use crate::index_section::{decode_index_section, encode_index_section, IndexSection, INDEX_MAGIC};
 use crate::Result;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use ikrq_core::DocumentStats;
 use indoor_index::VenueIndex;
 use indoor_keywords::KeywordDirectory;
-use indoor_space::IndoorSpace;
+use indoor_space::{DoorKind, IndoorSpace, PartitionKind};
 use std::fs;
 use std::path::Path;
 use std::time::Instant;
@@ -82,79 +82,10 @@ pub const COLUMNAR_FILE_VERSION: u16 = 2;
 // Encoding
 // ---------------------------------------------------------------------
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_optional_string(buf: &mut BytesMut, s: &Option<String>) {
-    match s {
-        Some(s) => {
-            buf.put_u8(1);
-            put_string(buf, s);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn partition_kind_code(label: &str) -> Result<u8> {
-    Ok(match label {
-        "room" => 0,
-        "hallway" => 1,
-        "staircase" => 2,
-        "elevator" => 3,
-        other => {
-            return Err(PersistError::InvalidDocument(format!(
-                "unknown partition kind `{other}`"
-            )))
-        }
-    })
-}
-
-fn partition_kind_label(code: u8) -> Result<&'static str> {
-    Ok(match code {
-        0 => "room",
-        1 => "hallway",
-        2 => "staircase",
-        3 => "elevator",
-        other => {
-            return Err(PersistError::Binary(format!(
-                "unknown partition kind code {other}"
-            )))
-        }
-    })
-}
-
-fn door_kind_code(label: &str) -> Result<u8> {
-    Ok(match label {
-        "normal" => 0,
-        "stair" => 1,
-        "elevator" => 2,
-        other => {
-            return Err(PersistError::InvalidDocument(format!(
-                "unknown door kind `{other}`"
-            )))
-        }
-    })
-}
-
-fn door_kind_label(code: u8) -> Result<&'static str> {
-    Ok(match code {
-        0 => "normal",
-        1 => "stair",
-        2 => "elevator",
-        other => {
-            return Err(PersistError::Binary(format!(
-                "unknown door kind code {other}"
-            )))
-        }
-    })
-}
-
 /// Encodes the record fields shared by both file versions: everything after
 /// the version word, name through keywords.
 fn encode_record_body(buf: &mut BytesMut, doc: &VenueDocument) -> Result<()> {
-    put_optional_string(buf, &doc.name);
+    put_optional_string(buf, doc.name.as_deref());
     buf.put_f64_le(doc.grid_cell);
 
     buf.put_u32_le(doc.floors.len() as u32);
@@ -169,11 +100,11 @@ fn encode_record_body(buf: &mut BytesMut, doc: &VenueDocument) -> Result<()> {
     for p in &doc.partitions {
         buf.put_u32_le(p.id);
         buf.put_i32_le(p.floor);
-        buf.put_u8(partition_kind_code(&p.kind)?);
+        buf.put_u8(kind_code(partition_kind_from_label(&p.kind)?));
         for v in p.footprint {
             buf.put_f64_le(v);
         }
-        put_optional_string(buf, &p.name);
+        put_optional_string(buf, p.name.as_deref());
     }
 
     buf.put_u32_le(doc.doors.len() as u32);
@@ -182,7 +113,7 @@ fn encode_record_body(buf: &mut BytesMut, doc: &VenueDocument) -> Result<()> {
         buf.put_f64_le(d.position[0]);
         buf.put_f64_le(d.position[1]);
         buf.put_i32_le(d.floor);
-        buf.put_u8(door_kind_code(&d.kind)?);
+        buf.put_u8(kind_code(door_kind_from_label(&d.kind)?));
     }
 
     buf.put_u32_le(doc.connections.len() as u32);
@@ -247,7 +178,13 @@ pub fn encode_venue_columnar(
     buf.put_u16_le(COLUMNAR_FILE_VERSION);
     buf.put_u32_le(record.len() as u32);
     buf.put_slice(record.as_ref());
-    encode_columnar_section(&mut buf, &doc.name, space, directory, doc.grid_cell);
+    encode_columnar_section(
+        &mut buf,
+        doc.name.as_deref(),
+        space,
+        directory,
+        doc.grid_cell,
+    );
     if let Some(index) = index {
         encode_index_section(&mut buf, index, directory);
     }
@@ -258,106 +195,39 @@ pub fn encode_venue_columnar(
 // Decoding
 // ---------------------------------------------------------------------
 
-/// A small checked reader over the binary payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf }
-    }
-
-    fn need(&self, n: usize, what: &str) -> Result<()> {
-        if self.buf.remaining() < n {
-            return Err(PersistError::Binary(format!(
-                "truncated payload while reading {what}"
-            )));
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8> {
-        self.need(1, what)?;
-        Ok(self.buf.get_u8())
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16> {
-        self.need(2, what)?;
-        Ok(self.buf.get_u16_le())
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32> {
-        self.need(4, what)?;
-        Ok(self.buf.get_u32_le())
-    }
-
-    fn i32(&mut self, what: &str) -> Result<i32> {
-        self.need(4, what)?;
-        Ok(self.buf.get_i32_le())
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64> {
-        self.need(8, what)?;
-        Ok(self.buf.get_f64_le())
-    }
-
-    fn string(&mut self, what: &str) -> Result<String> {
-        let len = self.u32(what)? as usize;
-        self.need(len, what)?;
-        let bytes = self.buf.copy_to_bytes(len);
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| PersistError::Binary(format!("invalid UTF-8 in {what}")))
-    }
-
-    fn optional_string(&mut self, what: &str) -> Result<Option<String>> {
-        match self.u8(what)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.string(what)?)),
-            other => Err(PersistError::Binary(format!(
-                "invalid optional-string tag {other} in {what}"
-            ))),
-        }
-    }
-
-    fn count(&mut self, what: &str) -> Result<usize> {
-        let n = self.u32(what)? as usize;
-        // A record is at least one byte; anything larger than the remaining
-        // payload is a corruption, not a huge venue.
-        if n > self.buf.remaining() {
-            return Err(PersistError::Binary(format!(
-                "implausible count {n} for {what}"
-            )));
-        }
-        Ok(n)
-    }
-}
-
-/// Decodes the record body of a binary venue file of either version and
-/// returns the document, the file version and the unread remainder (empty,
-/// or the sections after the record body).
-fn decode_records(payload: &[u8]) -> Result<(VenueDocument, u16, &[u8])> {
-    let mut r = Reader::new(payload);
-    r.need(MAGIC.len(), "magic")?;
-    let mut magic = [0u8; 8];
-    r.buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+/// Reads a binary venue file's header: the magic, the file version and,
+/// in a version 2 file, the record-body length (advisory: it lets the
+/// loader jump to the sections, and the record decoder does not trust it).
+/// The reader is left at the record body.
+fn read_header(payload: &[u8]) -> Result<(u16, Option<usize>, Reader<'_>)> {
+    let mut r = Reader::new(payload, "payload");
+    let magic = r
+        .block(MAGIC.len(), 1, "magic")
+        .map_err(PersistError::Binary)?;
+    if magic != MAGIC {
         return Err(PersistError::Binary("wrong magic bytes".into()));
     }
-    let file_version = r.u16("format version")?;
-    if file_version > COLUMNAR_FILE_VERSION {
+    let version = r.u16("format version").map_err(PersistError::Binary)?;
+    if version > COLUMNAR_FILE_VERSION {
         return Err(PersistError::UnsupportedVersion {
-            found: file_version,
+            found: version,
             supported: COLUMNAR_FILE_VERSION,
         });
     }
-    // The document model stays at FORMAT_VERSION inside a columnar file;
-    // only the wrapper differs. The advisory record-body length is not
-    // trusted here — the record fields are self-describing.
-    let format_version = file_version.min(FORMAT_VERSION);
-    if file_version >= COLUMNAR_FILE_VERSION {
-        let _advisory_len = r.u32("record body length")?;
-    }
+    let record_len = (version >= COLUMNAR_FILE_VERSION)
+        .then(|| r.u32("record body length"))
+        .transpose()
+        .map_err(PersistError::Binary)?;
+    Ok((version, record_len.map(|n| n as usize), r))
+}
+
+/// Decodes the record body of a binary venue file of either version,
+/// leaving `r` at whatever follows it. The document model stays at
+/// [`FORMAT_VERSION`] inside a columnar file; only the wrapper differs.
+fn read_records(
+    r: &mut Reader<'_>,
+    format_version: u16,
+) -> std::result::Result<VenueDocument, String> {
     let name = r.optional_string("venue name")?;
     let grid_cell = r.f64("grid cell")?;
 
@@ -375,7 +245,7 @@ fn decode_records(payload: &[u8]) -> Result<(VenueDocument, u16, &[u8])> {
     for _ in 0..r.count("partition count")? {
         let id = r.u32("partition id")?;
         let floor = r.i32("partition floor")?;
-        let kind = partition_kind_label(r.u8("partition kind")?)?.to_string();
+        let kind = kind_of_code::<PartitionKind>(r.u8("partition kind")?)?;
         let mut footprint = [0.0; 4];
         for b in &mut footprint {
             *b = r.f64("partition footprint")?;
@@ -384,7 +254,7 @@ fn decode_records(payload: &[u8]) -> Result<(VenueDocument, u16, &[u8])> {
         partitions.push(PartitionRecord {
             id,
             floor,
-            kind,
+            kind: kind.label().to_string(),
             footprint,
             name,
         });
@@ -396,12 +266,12 @@ fn decode_records(payload: &[u8]) -> Result<(VenueDocument, u16, &[u8])> {
         let x = r.f64("door x")?;
         let y = r.f64("door y")?;
         let floor = r.i32("door floor")?;
-        let kind = door_kind_label(r.u8("door kind")?)?.to_string();
+        let kind = kind_of_code::<DoorKind>(r.u8("door kind")?)?;
         doors.push(DoorRecord {
             id,
             position: [x, y],
             floor,
-            kind,
+            kind: door_kind_to_label(kind).to_string(),
         });
     }
 
@@ -411,9 +281,7 @@ fn decode_records(payload: &[u8]) -> Result<(VenueDocument, u16, &[u8])> {
         let partition = r.u32("connection partition")?;
         let flags = r.u8("connection flags")?;
         if flags & !0b11 != 0 {
-            return Err(PersistError::Binary(format!(
-                "invalid connection flags {flags:#x}"
-            )));
+            return Err(format!("invalid connection flags {flags:#x}"));
         }
         connections.push(ConnectionRecord {
             door,
@@ -460,7 +328,7 @@ fn decode_records(payload: &[u8]) -> Result<(VenueDocument, u16, &[u8])> {
         });
     }
 
-    let doc = VenueDocument {
+    Ok(VenueDocument {
         format_version,
         name,
         grid_cell,
@@ -471,9 +339,7 @@ fn decode_records(payload: &[u8]) -> Result<(VenueDocument, u16, &[u8])> {
         intra_overrides,
         loop_overrides,
         keywords,
-    };
-    doc.validate()?;
-    Ok((doc, file_version, r.buf))
+    })
 }
 
 /// A venue loaded straight into its in-memory model: the space, the keyword
@@ -508,26 +374,29 @@ pub fn load_venue_model(payload: &[u8]) -> Result<LoadedVenue> {
     if !payload.starts_with(MAGIC) {
         return load_json_venue(payload);
     }
+    let (file_version, record_len, records) = read_header(payload)?;
     let mut degraded = None;
-    if payload.len() >= 14 && u16::from_le_bytes([payload[8], payload[9]]) == COLUMNAR_FILE_VERSION
-    {
-        match adopt_venue_model(payload) {
+    if let Some(record_len) = record_len {
+        match adopt_venue_model(records.rest(), record_len) {
             Ok(loaded) => return Ok(loaded),
             Err(reason) => degraded = Some(reason),
         }
     }
-    rebuild_venue_model(payload, degraded)
+    rebuild_venue_model(file_version, records, degraded)
 }
 
-/// The columnar rung of a version 2 file: decode the columnar section and
-/// adopt it. Any defect comes back as the reason to fall back to the record
-/// rebuild.
-fn adopt_venue_model(payload: &[u8]) -> std::result::Result<LoadedVenue, String> {
-    let skip = u32::from_le_bytes([payload[10], payload[11], payload[12], payload[13]]);
-    let rest = payload
-        .get(14 + skip as usize..)
+/// The columnar rung of a version 2 file: skip the record body, decode the
+/// columnar section and adopt it. Any defect comes back as the reason to
+/// fall back to the record rebuild.
+fn adopt_venue_model(
+    records: &[u8],
+    record_len: usize,
+) -> std::result::Result<LoadedVenue, String> {
+    let rest = records
+        .get(record_len..)
         .ok_or("record body length overruns the file")?;
-    let len = columnar_section_len(rest).ok_or("columnar section framing is damaged or missing")?;
+    let len = section_len(rest, &crate::columnar::SECTION)
+        .ok_or("columnar section framing is damaged or missing")?;
     let started = Instant::now();
     let parts = decode_columnar_parts(&rest[..len])?;
     let decode_micros = started.elapsed().as_micros() as u64;
@@ -554,9 +423,16 @@ fn adopt_venue_model(payload: &[u8]) -> std::result::Result<LoadedVenue, String>
 /// the builders. In a v1 file, trailing bytes must form an index section;
 /// in a v2 file the index section sits after the columnar section, and is
 /// reported unusable when the columnar framing is too damaged to skip.
-fn rebuild_venue_model(payload: &[u8], degraded: Option<String>) -> Result<LoadedVenue> {
+fn rebuild_venue_model(
+    file_version: u16,
+    mut records: Reader<'_>,
+    degraded: Option<String>,
+) -> Result<LoadedVenue> {
     let started = Instant::now();
-    let (doc, file_version, rest) = decode_records(payload)?;
+    let doc = read_records(&mut records, file_version.min(FORMAT_VERSION))
+        .map_err(PersistError::Binary)?;
+    doc.validate()?;
+    let rest = records.rest();
     let index = if file_version < COLUMNAR_FILE_VERSION {
         if !rest.is_empty() && !rest.starts_with(INDEX_MAGIC) {
             return Err(PersistError::Binary(format!(
@@ -566,7 +442,7 @@ fn rebuild_venue_model(payload: &[u8], degraded: Option<String>) -> Result<Loade
         }
         decode_index_section(rest)
     } else {
-        match columnar_section_len(rest) {
+        match section_len(rest, &crate::columnar::SECTION) {
             Some(len) => decode_index_section(&rest[len..]),
             None if rest.is_empty() => IndexSection::Absent,
             None => IndexSection::Unusable(
@@ -667,12 +543,28 @@ fn encode_v1(doc: &VenueDocument) -> Result<Vec<u8>> {
     Ok(buf.as_ref().to_vec())
 }
 
+/// The record body of a whole binary venue file: the document, the file
+/// version and the bytes after the records.
+#[cfg(test)]
+fn decode_file(payload: &[u8]) -> Result<(VenueDocument, u16, &[u8])> {
+    let (version, _, mut records) = read_header(payload)?;
+    let doc =
+        read_records(&mut records, version.min(FORMAT_VERSION)).map_err(PersistError::Binary)?;
+    doc.validate()?;
+    Ok((doc, version, records.rest()))
+}
+
 #[cfg(test)]
 mod proptests;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rebuild(payload: &[u8]) -> LoadedVenue {
+        let (version, _, records) = read_header(payload).unwrap();
+        rebuild_venue_model(version, records, None).unwrap()
+    }
 
     fn tiny_document() -> VenueDocument {
         VenueDocument {
@@ -777,7 +669,7 @@ mod tests {
         let doc = tiny_document();
         let payload = encode_v1(&doc).unwrap();
         assert_eq!(&payload[..8], MAGIC);
-        let (back, file_version, rest) = decode_records(&payload).unwrap();
+        let (back, file_version, rest) = decode_file(&payload).unwrap();
         assert_eq!(back, doc);
         assert_eq!(file_version, FORMAT_VERSION);
         assert!(rest.is_empty());
@@ -799,7 +691,7 @@ mod tests {
         let mut corrupt = payload.to_vec();
         corrupt[0] = b'X';
         assert!(matches!(
-            decode_records(&corrupt),
+            decode_file(&corrupt),
             Err(PersistError::Binary(_))
         ));
 
@@ -840,10 +732,10 @@ mod tests {
 
         // The record body survives verbatim: the record decoder sees plain
         // v1 content.
-        let (back, file_version, _) = decode_records(&payload).unwrap();
+        let (back, file_version, _) = decode_file(&payload).unwrap();
         assert_eq!(back, doc);
         assert_eq!(file_version, COLUMNAR_FILE_VERSION);
-        let rebuilt = rebuild_venue_model(&payload, None).unwrap();
+        let rebuilt = rebuild(&payload);
         assert!(matches!(rebuilt.index, IndexSection::Absent));
 
         // The model loader takes the columnar fast path and lands on the
@@ -880,7 +772,7 @@ mod tests {
         // identity with the rebuild path is what makes this possible.
         assert!(prebuilt.into_index(&loaded.directory).is_ok());
         // The rebuild rung can locate the index behind the columnar section.
-        let rebuilt = rebuild_venue_model(&payload, None).unwrap();
+        let rebuilt = rebuild(&payload);
         assert!(matches!(rebuilt.index, IndexSection::Present(_)));
     }
 
@@ -967,7 +859,7 @@ mod tests {
         // column decoder, not the checksum, rejects it).
         let mut reframed = BytesMut::new();
         reframed.put_slice(&payload[..section_start]);
-        crate::columnar::frame_columnar_section(&mut reframed, &[0xff; 32]);
+        crate::codec::frame_section(&mut reframed, &crate::columnar::SECTION, &[0xff; 32]);
         let loaded = load_venue_model(reframed.as_ref()).unwrap();
         assert!(!loaded.stats.adopted_columnar);
         assert!(loaded.stats.degraded.is_some());
@@ -1014,16 +906,16 @@ mod tests {
     #[test]
     fn dangling_references_decode_to_invalid_document_errors() {
         // Sanity: the same payload with in-range references decodes.
-        assert!(decode_records(&raw_payload(0, 0, 4.0)).is_ok());
+        assert!(decode_file(&raw_payload(0, 0, 4.0)).is_ok());
         // A connection to a partition that does not exist.
         assert!(matches!(
-            decode_records(&raw_payload(9, 0, 4.0)),
+            decode_file(&raw_payload(9, 0, 4.0)),
             Err(PersistError::InvalidDocument(_))
         ));
         // An override through a door that does not exist, through the model
         // loader as well as the record decoder.
         assert!(matches!(
-            decode_records(&raw_payload(0, 7, 4.0)),
+            decode_file(&raw_payload(0, 7, 4.0)),
             Err(PersistError::InvalidDocument(_))
         ));
         assert!(matches!(

@@ -4,7 +4,7 @@
 //! panics on corrupted payloads. They exercise the codec directly, not the
 //! writer, because a generated document need not build a venue.
 
-use super::{decode_records, encode_v1};
+use super::{decode_file, encode_v1};
 use crate::document::{
     ConnectionRecord, DoorRecord, FloorRecord, IntraOverrideRecord, KeywordRecord,
     LoopOverrideRecord, PartitionRecord, VenueDocument, FORMAT_VERSION,
@@ -200,7 +200,7 @@ proptest! {
     #[test]
     fn binary_round_trip_is_the_identity(doc in arb_document()) {
         let payload = encode_v1(&doc).unwrap();
-        let (back, _, _) = decode_records(&payload).unwrap();
+        let (back, _, _) = decode_file(&payload).unwrap();
         prop_assert_eq!(back, doc);
     }
 
@@ -213,7 +213,7 @@ proptest! {
         let cut = ((payload.len() as f64) * cut_fraction) as usize;
         if cut < payload.len() {
             // Must return an error, never panic.
-            prop_assert!(decode_records(&payload[..cut]).is_err());
+            prop_assert!(decode_file(&payload[..cut]).is_err());
         }
     }
 
@@ -229,6 +229,6 @@ proptest! {
         corrupted[idx] ^= flip_mask;
         // Either the corruption is detected or it happens to produce another
         // structurally valid document; both are fine, panics are not.
-        let _ = decode_records(&corrupted);
+        let _ = decode_file(&corrupted);
     }
 }

@@ -14,36 +14,40 @@
 //! [`KeywordDirectory::from_parts`], `O(n)` validation scans instead of a
 //! rebuild).
 //!
-//! The section is framed exactly like the pre-built index section: magic,
-//! `u16` section version, `u32` body length, body, trailing `u64` checksum
-//! over the body. It is *advisory* in the same sense, too — any defect
+//! The crate's `codec` module frames the section, like the pre-built
+//! index section. It is *advisory* in the same sense, too — any defect
 //! (truncation, version skew, checksum mismatch, a column that fails the
 //! adoption scans) makes the loader fall back to decoding the record body
 //! and rebuilding, so a venue file never fails to load because of its
 //! columnar section. The degradation ladder is documented in
 //! `docs/PERSIST.md`.
 
-use crate::index_section::section_checksum;
-use bytes::{Buf, BufMut, BytesMut};
+use crate::codec::{
+    frame_section, kind_code, kind_of_code, put_grouped, put_optional_string, put_rect, put_string,
+    put_u32_list, row_f64, row_u32, unframe_section, word_row, Reader, Section,
+};
+use bytes::{BufMut, BytesMut};
 use indoor_geom::{Point, Rect};
 use indoor_keywords::{Interner, KeywordDirectory, KeywordMappings, Vocabulary, WordId};
 use indoor_space::{
-    Csr, Door, DoorGraph, DoorGraphEdge, DoorId, DoorKind, FloorId, IndoorSpace, Partition,
-    PartitionId, PartitionKind, SpaceColumns,
+    Csr, Door, DoorGraph, DoorGraphEdge, DoorId, FloorId, IndoorSpace, Partition, PartitionId,
+    SpaceColumns,
 };
 
 /// Magic bytes opening the columnar document section.
 pub const COLUMNAR_MAGIC: &[u8; 8] = b"IKRQCOL\0";
 
 /// Version of the columnar section layout. Bumped on breaking changes;
-/// loaders treat a higher version as a degradation to the record-body
+/// loaders treat any other version as a degradation to the record-body
 /// rebuild, never an error.
 pub const COLUMNAR_FORMAT_VERSION: u16 = 1;
 
-/// Framing overhead: magic + version + body length before the body, and the
-/// checksum after it.
-const HEADER_LEN: usize = 8 + 2 + 4;
-const TRAILER_LEN: usize = 8;
+/// The columnar section's framing.
+pub(crate) const SECTION: Section = Section {
+    magic: COLUMNAR_MAGIC,
+    version: COLUMNAR_FORMAT_VERSION,
+    name: "columnar section",
+};
 
 /// The decoded columns of a columnar section, not yet validated against the
 /// model invariants. [`adopt_columnar_parts`] turns them into the model.
@@ -65,35 +69,6 @@ pub(crate) struct ColumnarParts {
 // Encoding
 // ---------------------------------------------------------------------
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn partition_kind_code(kind: PartitionKind) -> u8 {
-    match kind {
-        PartitionKind::Room => 0,
-        PartitionKind::Hallway => 1,
-        PartitionKind::Staircase => 2,
-        PartitionKind::Elevator => 3,
-    }
-}
-
-fn door_kind_code(kind: DoorKind) -> u8 {
-    match kind {
-        DoorKind::Normal => 0,
-        DoorKind::Stair => 1,
-        DoorKind::Elevator => 2,
-    }
-}
-
-fn put_rect(buf: &mut BytesMut, r: &Rect) {
-    buf.put_f64_le(r.min.x);
-    buf.put_f64_le(r.min.y);
-    buf.put_f64_le(r.max.x);
-    buf.put_f64_le(r.max.y);
-}
-
 fn put_id_csr<T: Copy>(buf: &mut BytesMut, csr: &Csr<T>, raw: impl Fn(T) -> u32) {
     buf.put_u32_le(csr.num_nodes() as u32);
     for &o in csr.offsets() {
@@ -105,27 +80,6 @@ fn put_id_csr<T: Copy>(buf: &mut BytesMut, csr: &Csr<T>, raw: impl Fn(T) -> u32)
     }
 }
 
-fn put_grouped_ids(buf: &mut BytesMut, groups: &[(u32, Vec<u32>)]) {
-    buf.put_u32_le(groups.len() as u32);
-    for (key, list) in groups {
-        buf.put_u32_le(*key);
-        buf.put_u32_le(list.len() as u32);
-        for &v in list {
-            buf.put_u32_le(v);
-        }
-    }
-}
-
-/// Frames a finished body: magic, section version, body length, body,
-/// checksum. Shared by the encoder and the defect-injection tests.
-pub(crate) fn frame_columnar_section(buf: &mut BytesMut, body: &[u8]) {
-    buf.put_slice(COLUMNAR_MAGIC);
-    buf.put_u16_le(COLUMNAR_FORMAT_VERSION);
-    buf.put_u32_le(body.len() as u32);
-    buf.put_slice(body);
-    buf.put_u64_le(section_checksum(body));
-}
-
 /// Appends a columnar section for a built venue model to `buf`.
 ///
 /// `space` and `directory` must be the model a loader would rebuild from the
@@ -135,20 +89,14 @@ pub(crate) fn frame_columnar_section(buf: &mut BytesMut, body: &[u8]) {
 /// matching directory fingerprint — from a record-body rebuild.
 pub(crate) fn encode_columnar_section(
     buf: &mut BytesMut,
-    name: &Option<String>,
+    name: Option<&str>,
     space: &IndoorSpace,
     directory: &KeywordDirectory,
     grid_cell: f64,
 ) {
     let mut body = BytesMut::with_capacity(1 << 16);
 
-    match name {
-        Some(name) => {
-            body.put_u8(1);
-            put_string(&mut body, name);
-        }
-        None => body.put_u8(0),
-    }
+    put_optional_string(&mut body, name);
     body.put_f64_le(grid_cell);
 
     let floor_bounds: Vec<(FloorId, Rect)> = space.floor_bounds_table().collect();
@@ -167,7 +115,7 @@ pub(crate) fn encode_columnar_section(
         body.put_i32_le(p.floor.0);
     }
     for p in partitions {
-        body.put_u8(partition_kind_code(p.kind));
+        body.put_u8(kind_code(p.kind));
     }
     for p in partitions {
         put_rect(&mut body, &p.footprint);
@@ -201,7 +149,7 @@ pub(crate) fn encode_columnar_section(
         body.put_i32_le(d.floor.0);
     }
     for d in doors {
-        body.put_u8(door_kind_code(d.kind));
+        body.put_u8(kind_code(d.kind));
     }
 
     // Topology CSRs, in `D2PA`, `D2P@`, `P2DA`, `P2D@` order.
@@ -254,219 +202,64 @@ pub(crate) fn encode_columnar_section(
         body.put_u32_le(*start);
         body.put_u32_le(*end);
     }
-    let iwords: Vec<WordId> = directory.vocab().iwords().collect();
-    body.put_u32_le(iwords.len() as u32);
-    for w in &iwords {
-        body.put_u32_le(w.0);
-    }
-    let twords: Vec<WordId> = directory.vocab().twords().collect();
-    body.put_u32_le(twords.len() as u32);
-    for w in &twords {
-        body.put_u32_le(w.0);
-    }
-    let p2i: Vec<(PartitionId, WordId)> = directory.mappings().p2i_entries().collect();
+    let iwords: Vec<u32> = directory.vocab().iwords().map(|w| w.0).collect();
+    put_u32_list(&mut body, iwords.into_iter());
+    let twords: Vec<u32> = directory.vocab().twords().map(|w| w.0).collect();
+    put_u32_list(&mut body, twords.into_iter());
+    let mappings = directory.mappings();
+    let p2i: Vec<(PartitionId, WordId)> = mappings.p2i_entries().collect();
     body.put_u32_le(p2i.len() as u32);
     for (v, w) in &p2i {
         body.put_u32_le(v.0);
         body.put_u32_le(w.0);
     }
-    let i2p: Vec<(u32, Vec<u32>)> = directory
-        .mappings()
-        .i2p_entries()
-        .map(|(w, vs)| (w.0, vs.iter().map(|v| v.0).collect()))
-        .collect();
-    put_grouped_ids(&mut body, &i2p);
-    let i2t: Vec<(u32, Vec<u32>)> = directory
-        .mappings()
-        .i2t_entries()
-        .map(|(w, ts)| (w.0, ts.iter().map(|t| t.0).collect()))
-        .collect();
-    put_grouped_ids(&mut body, &i2t);
-    let t2i: Vec<(u32, Vec<u32>)> = directory
-        .mappings()
-        .t2i_entries()
-        .map(|(t, ws)| (t.0, ws.iter().map(|w| w.0).collect()))
-        .collect();
-    put_grouped_ids(&mut body, &t2i);
+    put_grouped(
+        &mut body,
+        mappings
+            .i2p_entries()
+            .map(|(w, vs)| (w.0, vs.iter().map(|v| v.0))),
+    );
+    put_grouped(&mut body, mappings.i2t_entries().map(word_row));
+    put_grouped(&mut body, mappings.t2i_entries().map(word_row));
 
-    frame_columnar_section(buf, body.as_ref());
+    frame_section(buf, &SECTION, body.as_ref());
 }
 
 // ---------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------
 
-/// A checked little-endian reader whose errors are plain degradation
-/// reasons, never panics.
-struct ColReader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> ColReader<'a> {
-    fn need(&self, n: usize, what: &str) -> Result<(), String> {
-        if self.buf.remaining() < n {
-            return Err(format!("truncated columnar body while reading {what}"));
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, String> {
-        self.need(1, what)?;
-        Ok(self.buf.get_u8())
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, String> {
-        self.need(4, what)?;
-        Ok(self.buf.get_u32_le())
-    }
-
-    fn i32(&mut self, what: &str) -> Result<i32, String> {
-        self.need(4, what)?;
-        Ok(self.buf.get_i32_le())
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, String> {
-        self.need(8, what)?;
-        Ok(self.buf.get_f64_le())
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, String> {
-        let len = self.u32(what)? as usize;
-        self.need(len, what)?;
-        let bytes = self.buf.copy_to_bytes(len);
-        String::from_utf8(bytes.to_vec()).map_err(|_| format!("invalid UTF-8 in {what}"))
-    }
-
-    fn count(&mut self, what: &str) -> Result<usize, String> {
-        let n = self.u32(what)? as usize;
-        if n > self.buf.remaining() {
-            return Err(format!("implausible count {n} for {what}"));
-        }
-        Ok(n)
-    }
-
-    /// Takes `n * width` bytes off the front as one borrowed block — the
-    /// bulk-read primitive behind every fixed-stride column.
-    fn block(&mut self, n: usize, width: usize, what: &str) -> Result<&'a [u8], String> {
-        let bytes = n
-            .checked_mul(width)
-            .ok_or_else(|| format!("implausible count {n} for {what}"))?;
-        self.need(bytes, what)?;
-        let (head, rest) = self.buf.split_at(bytes);
-        self.buf = rest;
-        Ok(head)
-    }
-
-    fn u32_list(&mut self, n: usize, what: &str) -> Result<Vec<u32>, String> {
-        Ok(self
-            .block(n, 4, what)?
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact yields 4 bytes")))
-            .collect())
-    }
-
-    fn i32_list(&mut self, n: usize, what: &str) -> Result<Vec<i32>, String> {
-        Ok(self
-            .block(n, 4, what)?
-            .chunks_exact(4)
-            .map(|c| i32::from_le_bytes(c.try_into().expect("chunks_exact yields 4 bytes")))
-            .collect())
-    }
-
-    /// Decodes `n` rectangles as one 32-byte-stride block.
-    fn rect_list(&mut self, n: usize, what: &str) -> Result<Vec<Rect>, String> {
-        self.block(n, 32, what)?
-            .chunks_exact(32)
-            .map(|c| {
-                let f = |i: usize| {
-                    f64::from_le_bytes(c[i * 8..i * 8 + 8].try_into().expect("8-byte field"))
-                };
-                Rect::new(Point::new(f(0), f(1)), Point::new(f(2), f(3)))
-                    .map_err(|e| format!("bad rectangle in {what}: {e}"))
-            })
-            .collect()
-    }
-
-    fn rect(&mut self, what: &str) -> Result<Rect, String> {
-        self.rect_list(1, what)
-            .map(|mut v| v.pop().expect("one rectangle"))
-    }
-}
-
-/// Reads the little-endian `u32` at byte offset `at` of a fixed-stride row.
-#[inline]
-fn row_u32(row: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(row[at..at + 4].try_into().expect("4-byte field"))
-}
-
-/// Reads the little-endian `f64` at byte offset `at` of a fixed-stride row.
-#[inline]
-fn row_f64(row: &[u8], at: usize) -> f64 {
-    f64::from_le_bytes(row[at..at + 8].try_into().expect("8-byte field"))
-}
-
-/// Returns the length of the framed columnar section at the head of `rest`,
-/// when its framing is intact — the loader uses this to locate the index
-/// section that may follow without decoding the columns.
-pub(crate) fn columnar_section_len(rest: &[u8]) -> Option<usize> {
-    if rest.len() < HEADER_LEN + TRAILER_LEN || &rest[..8] != COLUMNAR_MAGIC {
-        return None;
-    }
-    let body_len = u32::from_le_bytes([rest[10], rest[11], rest[12], rest[13]]) as usize;
-    let total = HEADER_LEN.checked_add(body_len)?.checked_add(TRAILER_LEN)?;
-    (total <= rest.len()).then_some(total)
-}
-
-fn csr_parts(r: &mut ColReader<'_>, what: &str) -> Result<(usize, Vec<u32>, Vec<u32>), String> {
+/// One id CSR: the node count, `n + 1` offsets, the value count and the
+/// values.
+fn id_csr<T>(r: &mut Reader<'_>, what: &str, id: fn(u32) -> T) -> Result<Csr<T>, String> {
     let n = r.count(what)?;
     let offsets = r.u32_list(n + 1, what)?;
     let m = r.count(what)?;
-    let values = r.u32_list(m, what)?;
-    Ok((n, offsets, values))
+    let values = r.u32_list(m, what)?.into_iter().map(id).collect();
+    Csr::from_flat(n, offsets, values).map_err(|e| format!("{what}: {e}"))
 }
 
-fn grouped_ids(r: &mut ColReader<'_>, what: &str) -> Result<Vec<(u32, Vec<u32>)>, String> {
+/// One grouped id list, as `codec::put_grouped` writes it.
+fn grouped_ids<T>(
+    r: &mut Reader<'_>,
+    what: &str,
+    id: fn(u32) -> T,
+) -> Result<Vec<(WordId, Vec<T>)>, String> {
     let n = r.count(what)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let key = r.u32(what)?;
+        let key = WordId(r.u32(what)?);
         let len = r.count(what)?;
-        out.push((key, r.u32_list(len, what)?));
+        out.push((key, r.u32_list(len, what)?.into_iter().map(id).collect()));
     }
     Ok(out)
 }
 
 /// Decodes a framed columnar section (exactly the bytes
-/// [`columnar_section_len`] measured) into columns. Every defect is a
+/// `codec::section_len` measured) into columns. Every defect is a
 /// degradation reason.
 pub(crate) fn decode_columnar_parts(section: &[u8]) -> Result<ColumnarParts, String> {
-    if section.len() < HEADER_LEN + TRAILER_LEN {
-        return Err("columnar section is shorter than its framing".into());
-    }
-    if &section[..8] != COLUMNAR_MAGIC {
-        return Err("columnar section has wrong magic bytes".into());
-    }
-    let version = u16::from_le_bytes([section[8], section[9]]);
-    if version != COLUMNAR_FORMAT_VERSION {
-        return Err(format!(
-            "columnar section version {version} is not supported (expected {COLUMNAR_FORMAT_VERSION})"
-        ));
-    }
-    let body_len =
-        u32::from_le_bytes([section[10], section[11], section[12], section[13]]) as usize;
-    if HEADER_LEN + body_len + TRAILER_LEN != section.len() {
-        return Err("columnar section length does not match its framing".into());
-    }
-    let body = &section[HEADER_LEN..HEADER_LEN + body_len];
-    let stored = u64::from_le_bytes(section[HEADER_LEN + body_len..].try_into().unwrap());
-    if section_checksum(body) != stored {
-        return Err("columnar section checksum mismatch".into());
-    }
-    decode_columnar_body(body)
-}
-
-fn decode_columnar_body(body: &[u8]) -> Result<ColumnarParts, String> {
-    let mut r = ColReader { buf: body };
+    let mut r = Reader::new(unframe_section(section, &SECTION)?, "columnar body");
 
     let name = match r.u8("name tag")? {
         0 => None,
@@ -484,16 +277,10 @@ fn decode_columnar_body(body: &[u8]) -> Result<ColumnarParts, String> {
     let np = r.count("partition count")?;
     let floors = r.i32_list(np, "partition floors")?;
     let kind_codes = r.block(np, 1, "partition kinds")?;
-    let mut kinds = Vec::with_capacity(np);
-    for &code in kind_codes {
-        kinds.push(match code {
-            0 => PartitionKind::Room,
-            1 => PartitionKind::Hallway,
-            2 => PartitionKind::Staircase,
-            3 => PartitionKind::Elevator,
-            other => return Err(format!("unknown partition kind code {other}")),
-        });
-    }
+    let kinds = kind_codes
+        .iter()
+        .map(|&code| kind_of_code(code))
+        .collect::<Result<Vec<_>, _>>()?;
     let footprints = r.rect_list(np, "partition footprints")?;
     let name_arena = r.string("partition name arena")?;
     let name_spans = r.block(np, 8, "partition name spans")?;
@@ -529,12 +316,7 @@ fn decode_columnar_body(body: &[u8]) -> Result<ColumnarParts, String> {
     let door_kinds = r.block(nd, 1, "door kinds")?;
     let mut doors = Vec::with_capacity(nd);
     for i in 0..nd {
-        let kind = match door_kinds[i] {
-            0 => DoorKind::Normal,
-            1 => DoorKind::Stair,
-            2 => DoorKind::Elevator,
-            other => return Err(format!("unknown door kind code {other}")),
-        };
+        let kind = kind_of_code(door_kinds[i])?;
         let row = &positions[i * 16..i * 16 + 16];
         doors.push(Door {
             id: DoorId(i as u32),
@@ -544,18 +326,10 @@ fn decode_columnar_body(body: &[u8]) -> Result<ColumnarParts, String> {
         });
     }
 
-    let (n, offsets, values) = csr_parts(&mut r, "D2PA")?;
-    let d2p_enter = Csr::from_flat(n, offsets, values.into_iter().map(PartitionId).collect())
-        .map_err(|e| format!("D2PA: {e}"))?;
-    let (n, offsets, values) = csr_parts(&mut r, "D2P@")?;
-    let d2p_leave = Csr::from_flat(n, offsets, values.into_iter().map(PartitionId).collect())
-        .map_err(|e| format!("D2P@: {e}"))?;
-    let (n, offsets, values) = csr_parts(&mut r, "P2DA")?;
-    let p2d_enter = Csr::from_flat(n, offsets, values.into_iter().map(DoorId).collect())
-        .map_err(|e| format!("P2DA: {e}"))?;
-    let (n, offsets, values) = csr_parts(&mut r, "P2D@")?;
-    let p2d_leave = Csr::from_flat(n, offsets, values.into_iter().map(DoorId).collect())
-        .map_err(|e| format!("P2D@: {e}"))?;
+    let d2p_enter = id_csr(&mut r, "D2PA", PartitionId)?;
+    let d2p_leave = id_csr(&mut r, "D2P@", PartitionId)?;
+    let p2d_enter = id_csr(&mut r, "P2DA", DoorId)?;
+    let p2d_leave = id_csr(&mut r, "P2D@", DoorId)?;
 
     let intra_count = r.count("intra override count")?;
     let intra_rows = r.block(intra_count, 20, "intra overrides")?;
@@ -637,23 +411,14 @@ fn decode_columnar_body(body: &[u8]) -> Result<ColumnarParts, String> {
         .chunks_exact(8)
         .map(|row| (PartitionId(row_u32(row, 0)), WordId(row_u32(row, 4))))
         .collect();
-    let i2p = grouped_ids(&mut r, "I2P")?
-        .into_iter()
-        .map(|(w, vs)| (WordId(w), vs.into_iter().map(PartitionId).collect()))
-        .collect();
-    let i2t = grouped_ids(&mut r, "I2T")?
-        .into_iter()
-        .map(|(w, ts)| (WordId(w), ts.into_iter().map(WordId).collect()))
-        .collect();
-    let t2i = grouped_ids(&mut r, "T2I")?
-        .into_iter()
-        .map(|(t, ws)| (WordId(t), ws.into_iter().map(WordId).collect()))
-        .collect();
+    let i2p = grouped_ids(&mut r, "I2P", PartitionId)?;
+    let i2t = grouped_ids(&mut r, "I2T", WordId)?;
+    let t2i = grouped_ids(&mut r, "T2I", WordId)?;
 
-    if !r.buf.is_empty() {
+    if !r.rest().is_empty() {
         return Err(format!(
             "{} trailing bytes after the columnar body",
-            r.buf.len()
+            r.rest().len()
         ));
     }
 
@@ -728,6 +493,7 @@ pub(crate) fn adopt_columnar_parts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{section_len, HEADER_LEN};
     use indoor_data::paper_example_venue;
 
     fn fixture() -> (Option<String>, IndoorSpace, KeywordDirectory, f64) {
@@ -745,7 +511,7 @@ mod tests {
     fn encoded_section() -> Vec<u8> {
         let (name, space, directory, grid_cell) = fixture();
         let mut buf = BytesMut::new();
-        encode_columnar_section(&mut buf, &name, &space, &directory, grid_cell);
+        encode_columnar_section(&mut buf, name.as_deref(), &space, &directory, grid_cell);
         buf.as_ref().to_vec()
     }
 
@@ -753,7 +519,7 @@ mod tests {
     fn columnar_round_trip_reproduces_the_rebuilt_model() {
         let (name, space, directory, _) = fixture();
         let section = encoded_section();
-        assert_eq!(columnar_section_len(&section), Some(section.len()));
+        assert_eq!(section_len(&section, &SECTION), Some(section.len()));
         let parts = decode_columnar_parts(&section).unwrap();
         let (back_name, back_space, back_directory) = adopt_columnar_parts(parts).unwrap();
         assert_eq!(back_name, name);
@@ -847,10 +613,10 @@ mod tests {
             .contains("version"));
 
         assert!(decode_columnar_parts(&section[..HEADER_LEN]).is_err());
-        assert!(columnar_section_len(&section[..HEADER_LEN]).is_none());
-        assert!(columnar_section_len(b"IKRQIDX\0rest").is_none());
+        assert!(section_len(&section[..HEADER_LEN], &SECTION).is_none());
+        assert!(section_len(b"IKRQIDX\0rest", &SECTION).is_none());
 
         // Truncated body: the framing helper refuses to measure it.
-        assert!(columnar_section_len(&section[..section.len() - 1]).is_none());
+        assert!(section_len(&section[..section.len() - 1], &SECTION).is_none());
     }
 }

@@ -147,7 +147,7 @@ fn partition_kind_to_label(kind: PartitionKind) -> String {
     kind.label().to_string()
 }
 
-fn partition_kind_from_label(label: &str) -> Result<PartitionKind> {
+pub(crate) fn partition_kind_from_label(label: &str) -> Result<PartitionKind> {
     match label {
         "room" => Ok(PartitionKind::Room),
         "hallway" => Ok(PartitionKind::Hallway),
@@ -159,7 +159,7 @@ fn partition_kind_from_label(label: &str) -> Result<PartitionKind> {
     }
 }
 
-fn door_kind_to_label(kind: DoorKind) -> &'static str {
+pub(crate) fn door_kind_to_label(kind: DoorKind) -> &'static str {
     match kind {
         DoorKind::Normal => "normal",
         DoorKind::Stair => "stair",
@@ -167,7 +167,7 @@ fn door_kind_to_label(kind: DoorKind) -> &'static str {
     }
 }
 
-fn door_kind_from_label(label: &str) -> Result<DoorKind> {
+pub(crate) fn door_kind_from_label(label: &str) -> Result<DoorKind> {
     match label {
         "normal" => Ok(DoorKind::Normal),
         "stair" => Ok(DoorKind::Stair),

@@ -2,18 +2,14 @@
 //!
 //! A venue file may carry, after the document payload, one optional index
 //! section serialising the venue's [`RegionIndex`] so that serving processes
-//! skip the index build entirely. Layout:
+//! skip the index build entirely. The crate's `codec` module frames it
+//! (magic `b"IKRQIDX\0"`, version [`INDEX_FORMAT_VERSION`]); its body is:
 //!
 //! ```text
-//! magic          8 bytes  b"IKRQIDX\0"
-//! format version u16      INDEX_FORMAT_VERSION
-//! body length    u32      byte length of `body`
-//! body:
-//!   vocab hash   u64      KeywordDirectory::fingerprint() of the directory
-//!                         the index was built against
-//!   postings     three tables (see below)
-//!   regions      region layer (see below)
-//! checksum       u64      section_checksum(body)
+//! vocab hash   u64      KeywordDirectory::fingerprint() of the directory
+//!                       the index was built against
+//! postings     three tables (see below)
+//! regions      region layer (see below)
 //! ```
 //!
 //! The three posting tables are the directory's `I2P`, `T2I` and `I2T`
@@ -31,15 +27,17 @@
 //! which it was 0, no longer build, and the byte stays so the layout does
 //! not change. A section with any other value is unusable.
 //!
-//! The section is advisory: any defect — wrong magic, unsupported version,
-//! bad checksum, truncation, or a vocabulary fingerprint that does not
-//! match the rebuilt directory — degrades to [`IndexSection::Unusable`]
-//! and the caller rebuilds from scratch. A venue file therefore never
-//! fails to load because its index section went stale.
+//! The section is advisory: any defect — wrong magic, another version, bad
+//! checksum, truncation, or a vocabulary fingerprint that does not match
+//! the rebuilt directory — degrades to [`IndexSection::Unusable`] and the
+//! caller rebuilds from scratch. A venue file therefore never fails to load
+//! because its index section went stale.
 
-use crate::error::PersistError;
-use crate::Result;
-use bytes::{Buf, BufMut, BytesMut};
+use crate::codec::{
+    frame_section, put_grouped, put_rect, put_u32_list, row_u32, unframe_section, word_row, Reader,
+    Section,
+};
+use bytes::{BufMut, BytesMut};
 use indoor_geom::{Point, Rect};
 use indoor_index::{Region, RegionIndex, VenueIndex};
 use indoor_keywords::{KeywordDirectory, WordId};
@@ -51,6 +49,13 @@ pub const INDEX_MAGIC: &[u8; 8] = b"IKRQIDX\0";
 
 /// Version of the index section layout.
 pub const INDEX_FORMAT_VERSION: u16 = 1;
+
+/// The index section's framing.
+const SECTION: Section = Section {
+    magic: INDEX_MAGIC,
+    version: INDEX_FORMAT_VERSION,
+    name: "index section",
+};
 
 /// What the optional index section of a decoded venue file held.
 #[derive(Debug)]
@@ -97,71 +102,9 @@ impl PrebuiltIndex {
     }
 }
 
-/// Fast non-cryptographic checksum over a section body: four independent
-/// lanes of 8-byte chunks folded with a wrapping multiply, then combined.
-/// A single lane's multiply chain is serial and costs a visible slice of
-/// section decode at mega-venue sizes; four lanes pipeline it away. Shared
-/// with the columnar document section, which frames its body the same way.
-pub(crate) fn section_checksum(bytes: &[u8]) -> u64 {
-    const M: u64 = 0x2545_f491_4f6c_dd1d;
-    let mut lanes = [
-        0x9e37_79b9_7f4a_7c15u64,
-        0x6a09_e667_f3bc_c909,
-        0xbb67_ae85_84ca_a73b,
-        0x3c6e_f372_fe94_f82b,
-    ];
-    let mut blocks = bytes.chunks_exact(32);
-    for block in &mut blocks {
-        for (lane, chunk) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            let word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact yields 8 bytes"));
-            *lane = (*lane ^ word).wrapping_mul(M);
-            *lane ^= *lane >> 29;
-        }
-    }
-    let mut hash = lanes[0];
-    for &lane in &lanes[1..] {
-        hash = (hash ^ lane).wrapping_mul(M);
-        hash ^= hash >> 29;
-    }
-    let tail = blocks.remainder();
-    let mut chunks = tail.chunks_exact(8);
-    for chunk in &mut chunks {
-        let word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact yields 8 bytes"));
-        hash = (hash ^ word).wrapping_mul(M);
-        hash ^= hash >> 29;
-    }
-    for &b in chunks.remainder() {
-        hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash ^ (bytes.len() as u64)
-}
-
 // ---------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------
-
-fn put_word_list(buf: &mut BytesMut, words: impl ExactSizeIterator<Item = u32>) {
-    buf.put_u32_le(words.len() as u32);
-    for w in words {
-        buf.put_u32_le(w);
-    }
-}
-
-/// One posting table: the row count, then each row's word and value list.
-fn put_posting_table<I: ExactSizeIterator<Item = u32>>(
-    buf: &mut BytesMut,
-    rows: impl ExactSizeIterator<Item = (WordId, I)>,
-) {
-    buf.put_u32_le(rows.len() as u32);
-    for (w, row) in rows {
-        buf.put_u32_le(w.0);
-        put_word_list(buf, row);
-    }
-}
-
-fn word_ids((w, row): (WordId, &[WordId])) -> (WordId, impl ExactSizeIterator<Item = u32> + '_) {
-    (w, row.iter().map(|x| x.0))
-}
 
 /// Appends an index section for `index` (built against `directory`) to a
 /// buffer already holding the encoded venue document.
@@ -170,221 +113,132 @@ pub fn encode_index_section(buf: &mut BytesMut, index: &VenueIndex, directory: &
     body.put_u64_le(directory.fingerprint());
 
     let mappings = directory.mappings();
-    put_posting_table(
+    put_grouped(
         &mut body,
         mappings.i2p_entries().map(|(w, parts)| {
             // `I2P` rows keep their naming order in memory; the table's
             // rows are sorted.
             let mut parts: Vec<u32> = parts.iter().map(|p| p.0).collect();
             parts.sort_unstable();
-            (w, parts.into_iter())
+            (w.0, parts.into_iter())
         }),
     );
-    put_posting_table(&mut body, mappings.t2i_entries().map(word_ids));
-    put_posting_table(&mut body, mappings.i2t_entries().map(word_ids));
+    put_grouped(&mut body, mappings.t2i_entries().map(word_row));
+    put_grouped(&mut body, mappings.i2t_entries().map(word_row));
 
     let regions = index.regions();
     body.put_u32_le(regions.len() as u32);
     for r in regions.regions() {
-        let bbox = r.bbox();
-        body.put_f64_le(bbox.min.x);
-        body.put_f64_le(bbox.min.y);
-        body.put_f64_le(bbox.max.x);
-        body.put_f64_le(bbox.max.y);
+        put_rect(&mut body, r.bbox());
         body.put_u32_le(r.floors().len() as u32);
         for f in r.floors() {
             body.put_i32_le(f.0);
         }
-        put_word_list(&mut body, r.members().iter().map(|m| m.0));
+        put_u32_list(&mut body, r.members().iter().map(|m| m.0));
         body.put_u32_le(r.iword_bits().len() as u32);
         for &w in r.iword_bits() {
             body.put_u64_le(w);
         }
     }
-    put_word_list(&mut body, regions.region_of_table().iter().copied());
-    put_word_list(&mut body, regions.iword_dense().iter().map(|w| w.0));
+    put_u32_list(&mut body, regions.region_of_table().iter().copied());
+    put_u32_list(&mut body, regions.iword_dense().iter().map(|w| w.0));
     body.put_u8(1);
 
-    buf.put_slice(INDEX_MAGIC);
-    buf.put_u16_le(INDEX_FORMAT_VERSION);
-    buf.put_u32_le(body.len() as u32);
-    let checksum = section_checksum(body.as_ref());
-    buf.put_slice(body.as_ref());
-    buf.put_u64_le(checksum);
+    frame_section(buf, &SECTION, body.as_ref());
 }
 
 // ---------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------
 
-/// Checked little-endian reads over the section body. Unlike the venue
-/// document reader, errors here are advisory — the caller converts them to
-/// [`IndexSection::Unusable`].
-struct BodyReader<'a> {
-    buf: &'a [u8],
+/// Reads past one whole posting table, failing where decoding it into
+/// memory once did: on truncation, on words out of order and, with `sets`,
+/// on a row that is not strictly ascending.
+fn skip_posting_table(r: &mut Reader<'_>, what: &str, sets: bool) -> Result<(), String> {
+    let n = r.count(what)?;
+    let (mut words_ascend, mut rows_ascend) = (true, true);
+    let mut previous = None;
+    for _ in 0..n {
+        let w = r.u32(what)?;
+        let len = r.u32(what)? as usize;
+        let row = r.block(len, 4, what)?;
+        words_ascend &= previous.is_none_or(|p| p < w);
+        previous = Some(w);
+        if sets && rows_ascend {
+            rows_ascend = row
+                .chunks_exact(4)
+                .map(|c| row_u32(c, 0))
+                .is_sorted_by(|a, b| a < b);
+        }
+    }
+    if !words_ascend {
+        return Err(format!("{what} table is not sorted by word"));
+    }
+    if !rows_ascend {
+        return Err(format!("{what} row is not a sorted set"));
+    }
+    Ok(())
 }
 
-impl<'a> BodyReader<'a> {
-    fn need(&self, n: usize, what: &str) -> Result<()> {
-        if self.buf.remaining() < n {
-            return Err(PersistError::Binary(format!(
-                "truncated index section while reading {what}"
-            )));
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8> {
-        self.need(1, what)?;
-        Ok(self.buf.get_u8())
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32> {
-        self.need(4, what)?;
-        Ok(self.buf.get_u32_le())
-    }
-
-    fn i32(&mut self, what: &str) -> Result<i32> {
-        self.need(4, what)?;
-        Ok(self.buf.get_i32_le())
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64> {
-        self.need(8, what)?;
-        Ok(self.buf.get_u64_le())
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64> {
-        self.need(8, what)?;
-        Ok(self.buf.get_f64_le())
-    }
-
-    fn count(&mut self, what: &str) -> Result<usize> {
-        let n = self.u32(what)? as usize;
-        if n > self.buf.remaining() {
-            return Err(PersistError::Binary(format!(
-                "implausible count {n} for {what}"
-            )));
-        }
-        Ok(n)
-    }
-
-    /// Length-prefixed `u32` list, decoded by bulk slicing (the element
-    /// loops dominate section decode time at mega-venue sizes).
-    fn u32_list<T>(&mut self, what: &str, f: impl Fn(u32) -> T) -> Result<Vec<T>> {
-        let n = self.count(what)?;
-        self.need(n * 4, what)?;
-        let (head, rest) = self.buf.split_at(n * 4);
-        self.buf = rest;
-        Ok(head
-            .chunks_exact(4)
-            .map(|c| f(u32::from_le_bytes(c.try_into().expect("chunks of 4"))))
-            .collect())
-    }
-
-    /// Length-prefixed `u64` list (region bitmaps), bulk-sliced as above.
-    fn u64_list(&mut self, what: &str) -> Result<Vec<u64>> {
-        let n = self.count(what)?;
-        self.need(n * 8, what)?;
-        let (head, rest) = self.buf.split_at(n * 8);
-        self.buf = rest;
-        Ok(head
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunks of 8")))
-            .collect())
-    }
-
-    /// Reads past one whole posting table, failing where decoding it into
-    /// memory once did: on truncation, on words out of order and, with
-    /// `sets`, on a row that is not strictly ascending.
-    fn skip_posting_table(&mut self, what: &str, sets: bool) -> Result<()> {
-        let n = self.count(what)?;
-        let (mut words_ascend, mut rows_ascend) = (true, true);
-        let mut previous = None;
-        for _ in 0..n {
-            self.need(8, what)?;
-            let w = self.buf.get_u32_le();
-            let len = self.buf.get_u32_le() as usize;
-            self.need(len * 4, what)?;
-            let (row, rest) = self.buf.split_at(len * 4);
-            self.buf = rest;
-            words_ascend &= previous.is_none_or(|p| p < w);
-            previous = Some(w);
-            if sets && rows_ascend {
-                rows_ascend = row
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().expect("chunks of 4")))
-                    .is_sorted_by(|a, b| a < b);
-            }
-        }
-        if !words_ascend {
-            return Err(PersistError::Binary(format!(
-                "{what} table is not sorted by word"
-            )));
-        }
-        if !rows_ascend {
-            return Err(PersistError::Binary(format!(
-                "{what} row is not a sorted set"
-            )));
-        }
-        Ok(())
-    }
-}
-
-fn decode_body(body: &[u8]) -> Result<(u64, RegionIndex)> {
-    let mut r = BodyReader { buf: body };
+fn decode_body(body: &[u8]) -> Result<(u64, RegionIndex), String> {
+    let mut r = Reader::new(body, "index section");
     let vocab_hash = r.u64("vocab hash")?;
 
-    r.skip_posting_table("i-word postings", false)?;
-    r.skip_posting_table("t-word postings", false)?;
+    skip_posting_table(&mut r, "i-word postings", false)?;
+    skip_posting_table(&mut r, "t-word postings", false)?;
     // The association rows were once adopted as sorted sets, so strict
     // order is part of the format, not just a convention.
-    r.skip_posting_table("associations", true)?;
+    skip_posting_table(&mut r, "associations", true)?;
 
     let region_count = r.count("region count")?;
     let mut regions = Vec::with_capacity(region_count);
     for _ in 0..region_count {
         let min = Point::new(r.f64("region bbox")?, r.f64("region bbox")?);
         let max = Point::new(r.f64("region bbox")?, r.f64("region bbox")?);
-        let bbox = Rect::new(min, max)
-            .map_err(|e| PersistError::Binary(format!("invalid region bbox: {e}")))?;
-        let mut floors = Vec::new();
-        for _ in 0..r.count("region floor count")? {
-            floors.push(FloorId(r.i32("region floor")?));
-        }
-        let members = r.u32_list("region members", PartitionId)?;
-        let iword_bits = r.u64_list("region bitmap")?;
+        let bbox = Rect::new(min, max).map_err(|e| format!("invalid region bbox: {e}"))?;
+        let n = r.count("region floor count")?;
+        let floors: Vec<_> = r
+            .i32_list(n, "region floor")?
+            .into_iter()
+            .map(FloorId)
+            .collect();
+        let n = r.count("region members")?;
+        let members: Vec<_> = r
+            .u32_list(n, "region members")?
+            .into_iter()
+            .map(PartitionId)
+            .collect();
+        let n = r.count("region bitmap")?;
+        let iword_bits = r.u64_list(n, "region bitmap")?;
         if floors.windows(2).any(|w| w[0] >= w[1]) || members.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(PersistError::Binary("region lists are not sorted".into()));
+            return Err("region lists are not sorted".into());
         }
         regions.push(Region::from_parts(bbox, floors, members, iword_bits));
     }
-    let region_of = r.u32_list("region-of table", |v| v)?;
-    let iword_dense = r.u32_list("dense i-word table", WordId)?;
+    let n = r.count("region-of table")?;
+    let region_of = r.u32_list(n, "region-of table")?;
+    let n = r.count("dense i-word table")?;
+    let iword_dense: Vec<_> = r
+        .u32_list(n, "dense i-word table")?
+        .into_iter()
+        .map(WordId)
+        .collect();
     if iword_dense.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(PersistError::Binary(
-            "dense i-word table is not sorted".into(),
-        ));
+        return Err("dense i-word table is not sorted".into());
     }
     let flag = r.u8("soundness flag")?;
     if flag != 1 {
-        return Err(PersistError::Binary(format!(
-            "invalid soundness flag {flag}"
-        )));
+        return Err(format!("invalid soundness flag {flag}"));
     }
-    if r.buf.has_remaining() {
-        return Err(PersistError::Binary(format!(
+    if !r.rest().is_empty() {
+        return Err(format!(
             "{} trailing bytes in index section body",
-            r.buf.remaining()
-        )));
+            r.rest().len()
+        ));
     }
-    if !region_of.is_empty() {
-        for (i, &rid) in region_of.iter().enumerate() {
-            if rid as usize >= regions.len() {
-                return Err(PersistError::Binary(format!(
-                    "partition {i} maps to out-of-range region {rid}"
-                )));
-            }
+    for (i, &rid) in region_of.iter().enumerate() {
+        if rid as usize >= regions.len() {
+            return Err(format!("partition {i} maps to out-of-range region {rid}"));
         }
     }
     Ok((
@@ -402,50 +256,20 @@ pub fn decode_index_section(rest: &[u8]) -> IndexSection {
         return IndexSection::Absent;
     }
     let started = Instant::now();
-    let unusable = |reason: String| IndexSection::Unusable(reason);
-    if rest.len() < INDEX_MAGIC.len() + 2 + 4 || &rest[..8] != INDEX_MAGIC {
-        return unusable("trailing bytes are not an index section".into());
-    }
-    let version = u16::from_le_bytes([rest[8], rest[9]]);
-    if version > INDEX_FORMAT_VERSION {
-        return unusable(format!(
-            "index section version {version} is newer than supported {INDEX_FORMAT_VERSION}"
-        ));
-    }
-    let body_len = u32::from_le_bytes([rest[10], rest[11], rest[12], rest[13]]) as usize;
-    let body_start = 14;
-    let Some(checksum_bytes) = rest.get(body_start + body_len..body_start + body_len + 8) else {
-        return unusable(format!(
-            "index section truncated: body length {body_len} exceeds the file"
-        ));
-    };
-    if rest.len() > body_start + body_len + 8 {
-        return unusable(format!(
-            "{} trailing bytes after the index section",
-            rest.len() - (body_start + body_len + 8)
-        ));
-    }
-    let body = &rest[body_start..body_start + body_len];
-    let stored = u64::from_le_bytes(checksum_bytes.try_into().expect("sliced 8 bytes"));
-    let computed = section_checksum(body);
-    if stored != computed {
-        return unusable(format!(
-            "index section checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
-        ));
-    }
-    match decode_body(body) {
+    match unframe_section(rest, &SECTION).and_then(decode_body) {
         Ok((vocab_hash, regions)) => IndexSection::Present(Box::new(PrebuiltIndex {
             vocab_hash,
             decode_micros: started.elapsed().as_micros() as u64,
             regions,
         })),
-        Err(e) => unusable(e.to_string()),
+        Err(reason) => IndexSection::Unusable(reason),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::section_checksum;
     use crate::document::VenueDocument;
     use indoor_data::paper_example_venue;
 
@@ -557,34 +381,39 @@ mod tests {
         );
     }
 
+    fn reframed(body: &[u8]) -> IndexSection {
+        let mut section = BytesMut::new();
+        frame_section(&mut section, &SECTION, body);
+        decode_index_section(section.as_ref())
+    }
+
+    /// A section's body split where the region layer begins, after the
+    /// vocabulary hash and the three posting tables.
+    fn head_and_regions(section: &[u8]) -> (&[u8], &[u8]) {
+        let body = &section[14..section.len() - 8];
+        let mut tables = Reader::new(&body[8..], "index section");
+        for what in ["i-word postings", "t-word postings", "associations"] {
+            skip_posting_table(&mut tables, what, true).unwrap();
+        }
+        body.split_at(body.len() - tables.rest().len())
+    }
+
     #[test]
     fn posting_tables_are_checked_then_skipped() {
         let (directory, index) = fixture();
         let payload = encoded_section(&index, &directory);
-        let body = &payload[14..payload.len() - 8];
-        // The region layer follows the vocabulary hash and the three tables.
-        let mut tables = BodyReader { buf: &body[8..] };
-        for what in ["i-word postings", "t-word postings", "associations"] {
-            tables.skip_posting_table(what, true).unwrap();
-        }
-        let regions = tables.buf;
+        let (head, regions) = head_and_regions(&payload);
         let with_tables = |tables: [Vec<(u32, Vec<u32>)>; 3]| {
             let mut body = BytesMut::new();
-            body.put_slice(&payload[14..22]);
+            body.put_slice(&head[..8]);
             for table in tables {
-                put_posting_table(
+                put_grouped(
                     &mut body,
-                    table
-                        .into_iter()
-                        .map(|(w, row)| (WordId(w), row.into_iter())),
+                    table.into_iter().map(|(w, row)| (w, row.into_iter())),
                 );
             }
             body.put_slice(regions);
-            let mut section = payload[..10].to_vec();
-            section.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            section.extend_from_slice(body.as_ref());
-            section.extend_from_slice(&section_checksum(body.as_ref()).to_le_bytes());
-            decode_index_section(&section)
+            reframed(body.as_ref())
         };
         // Nothing reads the tables, so any well-formed content loads; only
         // association rows must be strictly ascending.
@@ -603,6 +432,61 @@ mod tests {
     }
 
     #[test]
+    fn region_bitmaps_and_the_dense_table_are_checked() {
+        let (directory, index) = fixture();
+        let payload = encoded_section(&index, &directory);
+        let (head, _) = head_and_regions(&payload);
+        // The region layer with three given words in every bitmap and the
+        // given dense i-word table.
+        let layer = index.regions();
+        let with_regions = |dense: &[u32]| {
+            let mut body = BytesMut::new();
+            body.put_slice(head);
+            body.put_u32_le(layer.len() as u32);
+            for r in layer.regions() {
+                put_rect(&mut body, r.bbox());
+                body.put_u32_le(r.floors().len() as u32);
+                for f in r.floors() {
+                    body.put_i32_le(f.0);
+                }
+                put_u32_list(&mut body, r.members().iter().map(|m| m.0));
+                body.put_u32_le(3);
+                for w in [u64::MAX, 0x5a5a, 7] {
+                    body.put_u64_le(w);
+                }
+            }
+            put_u32_list(&mut body, layer.region_of_table().iter().copied());
+            put_u32_list(&mut body, dense.iter().copied());
+            body.put_u8(1);
+            body.as_ref().to_vec()
+        };
+        let loads = reframed(&with_regions(&[1, 5, 9]));
+        assert!(matches!(loads, IndexSection::Present(_)), "got {loads:?}");
+        let unsorted_dense = reframed(&with_regions(&[5, 1]));
+        assert!(
+            matches!(&unsorted_dense, IndexSection::Unusable(r) if r == "dense i-word table is not sorted"),
+            "got {unsorted_dense:?}"
+        );
+        // A body that ends one word into the first region's three bitmap
+        // words: the count runs past the body.
+        let first = &layer.regions()[0];
+        let cut = head.len()
+            + 4
+            + 32
+            + 4
+            + 4 * first.floors().len()
+            + 4
+            + 4 * first.members().len()
+            + 4
+            + 8;
+        let short = reframed(&with_regions(&[1])[..cut]);
+        assert!(
+            matches!(&short, IndexSection::Unusable(r) if r == "truncated index section while reading region bitmap"),
+            "got {short:?}"
+        );
+    }
+
+    #[test]
     fn vocabulary_mismatch_is_rejected_at_binding_time() {
         let (directory, index) = fixture();
         let section = decode_index_section(&encoded_section(&index, &directory));
@@ -613,16 +497,5 @@ mod tests {
         other.add_iword("impostor").unwrap();
         let err = prebuilt.into_index(&other).unwrap_err();
         assert!(err.contains("fingerprint"), "got {err}");
-    }
-
-    #[test]
-    fn checksum_distinguishes_lengths_and_content() {
-        assert_ne!(section_checksum(b""), section_checksum(b"\0"));
-        assert_ne!(section_checksum(b"\0\0"), section_checksum(b"\0"));
-        assert_ne!(
-            section_checksum(b"12345678abcdefgh"),
-            section_checksum(b"12345678abcdefgg")
-        );
-        assert_eq!(section_checksum(b"xyz"), section_checksum(b"xyz"));
     }
 }

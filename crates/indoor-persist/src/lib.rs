@@ -14,7 +14,9 @@
 //!   columns, CSR adjacency, the derived door graph, the keyword string
 //!   arena and sorted id maps), optionally followed by a pre-built
 //!   [`index_section`]. [`encode_venue_columnar`] and
-//!   [`save_venue_columnar`] are the only binary writers.
+//!   [`save_venue_columnar`] are the only binary writers. Every binary
+//!   read and write goes through one crate-private codec: one checked
+//!   reader, one section framing for both sections, one kind-code table.
 //!
 //! [`load_venue_model`] and [`load_venue_model_file`] are the only venue
 //! loaders. They pick the format from the content: a v2 file's columns are
@@ -54,6 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod binary;
+mod codec;
 pub mod columnar;
 pub mod document;
 pub mod error;

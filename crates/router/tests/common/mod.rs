@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A small (fast to build, non-trivial to search) mega-venue.
 pub fn small_venue(seed: u64) -> Venue {
@@ -67,6 +67,23 @@ pub fn router_config(backend_timeout: Duration) -> RouterConfig {
         fail_threshold: 1,
         pool_per_backend: 4,
         ..RouterConfig::default()
+    }
+}
+
+/// Waits, for at most 10 s, until `backend` has served `at_least`
+/// requests. The router probes every backend once when it starts, and the
+/// probe's `GET /v1/healthz` counts in `requests_served`; a test that
+/// takes request-count baselines waits for those probes first, or a late
+/// probe lands in its deltas.
+pub fn await_requests_served(backend: &ServerHandle, at_least: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while backend.stats().requests_served < at_least {
+        assert!(
+            Instant::now() < deadline,
+            "the backend served {} of {at_least} requests in 10 s",
+            backend.stats().requests_served
+        );
+        std::thread::sleep(Duration::from_millis(5));
     }
 }
 

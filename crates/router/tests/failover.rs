@@ -70,9 +70,13 @@ fn connection_death_fails_over_to_the_replica() {
     let request = &workload(&ids[0], &venue, 1, 5)[0];
     let body = serde_json::to_string(request).unwrap();
 
-    // Healthy path goes through the proxy to the primary.
+    // Healthy path goes through the proxy to the primary. Baselines wait
+    // for the router's startup probes: the warm-up plus a probe on the
+    // primary, a probe on the replica.
     assert_eq!(post(router.local_addr(), "/v1/search", &body).status, 200);
     assert!(proxy.connections_seen() >= 1);
+    await_requests_served(&primary, 2);
+    await_requests_served(&replica, 1);
     let primary_before = primary.stats().requests_served;
     let replica_before = replica.stats().requests_served;
 
@@ -131,6 +135,11 @@ fn timeouts_never_fail_over_or_double_execute() {
     let request = &workload(&ids[0], &venue, 1, 13)[0];
     let body = serde_json::to_string(request).unwrap();
     assert_eq!(post(router.local_addr(), "/v1/search", &body).status, 200);
+    // The router's startup probes land before the blackhole and the
+    // baselines: the warm-up plus a probe on the stalled backend, a probe
+    // on the replica.
+    await_requests_served(&stalled, 2);
+    await_requests_served(&replica, 1);
 
     // From now on the backend receives requests but its replies vanish.
     proxy.set_mode(FaultMode::Blackhole);

@@ -1,8 +1,14 @@
 //! The connect step (Algorithm 5): try to finish a freshly generated stamp at
 //! the terminal point, or push it back into the queue for further expansion.
+//!
+//! Algorithm 5 lines 9–10, Pruning Rule 5 on the stamp, apply when the
+//! child step (`Search::generate_children`) generates it: every child of
+//! one expansion is recorded in `Hprime` before any is connected, and only
+//! children of one door path share a homogeneity key, at one distance, so
+//! the verdict here would always equal the one given there. A child Rule 5
+//! rejects reaches this step only when it lands in `v(pt)`.
 
 use crate::framework::Search;
-use crate::pruning::PruneRule;
 use crate::stamp::{push_key_partition, Stamp};
 use indoor_keywords::CoverageTracker;
 use indoor_space::Route;
@@ -29,12 +35,6 @@ impl Search<'_> {
             if self.config.strict_terminal_expansion {
                 self.push_stamp(stamp);
             }
-            return;
-        }
-
-        // Pruning Rule 5 before any further processing (lines 9–10).
-        if self.config.use_prime_pruning && !self.prime_check_stamp(&stamp) {
-            self.state.metrics.prunes.record(PruneRule::Prime);
             return;
         }
 
@@ -143,7 +143,8 @@ impl Search<'_> {
         let mut coverage: CoverageTracker = stamp.coverage.clone();
         let mut key_partitions = stamp.key_partitions.clone();
         for &d in doors.iter().skip(1) {
-            self.credit_door(d, &mut coverage, &mut key_partitions);
+            self.credit_iwords(d, &mut coverage);
+            self.credit_key_partitions(d, &mut key_partitions);
         }
         if let Some(iw) = self.ctx.iword_of_partition(self.ctx.terminal_partition) {
             coverage.add_iword(&self.ctx.prepared, iw);

@@ -3,9 +3,14 @@
 //! The framework owns the priority queue of stamps, the visited-door caches
 //! `Dn`/`Df` of Pruning Rule 2, the prime-route table `Hprime`, the top-k
 //! result set (and therefore the `kbound`), and the search metrics. It pops
-//! the best-scoring stamp, asks the configured expansion strategy
-//! ([`crate::toe`] or [`crate::koe`]) for the next valid stamps, and hands
-//! each of them to the connect step ([`crate::connect`]).
+//! the best-scoring stamp, applies Pruning Rule 5 to it, asks the configured
+//! expansion strategy ([`crate::toe`] or [`crate::koe`]) for the next valid
+//! stamps, and hands each of them to the connect step ([`crate::connect`]).
+//!
+//! Both strategies make their children through one child step,
+//! `Search::generate_children`: it applies the distance constraint and
+//! Pruning Rules 1, 4 and 5 to a door path, and builds a child only when
+//! Rule 5 admits it or it lands in `v(pt)`.
 
 use crate::context::SearchContext;
 use crate::koe::RoutingPartition;
@@ -104,13 +109,32 @@ impl<'a> Search<'a> {
                     break;
                 }
             }
-            let expansions = match self.config.kind {
-                AlgorithmKind::ToE => self.toe_find(&stamp),
-                AlgorithmKind::KoE => self.koe_find(&stamp),
-            };
-            self.state.metrics.stamps_generated += expansions.len() as u64;
-            for next in expansions {
-                self.connect(next);
+            debug_assert_eq!(
+                stamp.key_partitions,
+                self.ctx.key_partition_sequence(&stamp.route),
+                "a popped stamp's carried KP(R) must equal its route's"
+            );
+            // Pruning Rule 5 on the popped stamp (Algorithm 2 line 3,
+            // Algorithm 6 line 3): a shorter homogeneous route was recorded
+            // after this one was queued.
+            if self.config.use_prime_pruning
+                && !self.state.prime.check(
+                    stamp.route.tail_door(),
+                    &stamp.key_partitions,
+                    stamp.distance,
+                )
+            {
+                self.state.metrics.prunes.record(PruneRule::Prime);
+            } else {
+                // Every child is generated before any is connected: a
+                // connected child can raise the kbound of Rule 4.
+                let children = match self.config.kind {
+                    AlgorithmKind::ToE => self.toe_find(&stamp),
+                    AlgorithmKind::KoE => self.koe_find(&stamp),
+                };
+                for child in children {
+                    self.connect(child);
+                }
             }
             self.observe_memory(0);
         }
@@ -150,130 +174,121 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Builds the child stamp obtained by appending door `door` (traversing
-    /// the parent's partition `via`) and landing in partition `landing`.
-    pub(crate) fn extend_stamp_with_door(
-        &self,
+    /// The child step of both expansion strategies: the children of
+    /// `parent` whose route appends the door path `doors` through `legs`
+    /// (as [`Route::extend_with_door_path`] takes them), one landing in
+    /// each partition of `landings`, all at route distance `distance`. They
+    /// are appended to `children`.
+    ///
+    /// In order: the distance constraint, Pruning Rule 1 and Pruning Rule 4
+    /// (Algorithm 2 lines 14–18, Algorithm 6 lines 14–18), each of which
+    /// drops the whole path; then Pruning Rule 5 (Algorithm 5 lines 9–10),
+    /// decided with one `Hprime` probe because every landing shares the
+    /// child's tail, `KP(R)` and distance. A child Rule 5 rejects is counted
+    /// and pruned without being built, unless it lands in `v(pt)`: connect
+    /// finalizes such a child regardless (Algorithm 5 lines 2–7).
+    ///
+    /// Callers pass regular paths only (ToE checks `can_append_door`, and
+    /// KoE's paths avoid the route's doors), so a child's route always
+    /// extends.
+    pub(crate) fn generate_children(
+        &mut self,
         parent: &Stamp,
-        door: DoorId,
-        via: PartitionId,
-        landing: PartitionId,
-        new_distance: f64,
-    ) -> Option<Stamp> {
-        let mut route = parent.route.clone();
-        route.append_door(door, via).ok()?;
-        let mut coverage = parent.coverage.clone();
-        // Room for every partition behind the door, so crediting it never
-        // reallocates: this runs once per generated ToE stamp.
-        let mut key_partitions =
-            Vec::with_capacity(parent.key_partitions.len() + self.ctx.space.d2p_leave(door).len());
-        key_partitions.extend_from_slice(&parent.key_partitions);
-        self.credit_door(door, &mut coverage, &mut key_partitions);
-        let relevance = coverage.relevance();
-        let score = self.ctx.ranking.score(relevance, new_distance);
-        Some(Stamp {
-            partition: landing,
-            route,
-            key_partitions,
-            distance: new_distance,
-            coverage,
-            relevance,
-            score,
-        })
-    }
-
-    /// Builds the child stamp obtained by appending a whole door path (as
-    /// returned by a shortest-path query) and landing in partition `landing`.
-    /// `path_partitions` must have one entry less than `path_doors` when the
-    /// parent route already has a tail door (the path starts at that tail),
-    /// or exactly as many entries when the parent route starts at `ps`.
-    pub(crate) fn extend_stamp_with_path(
-        &self,
-        parent: &Stamp,
-        path_doors: &[DoorId],
-        path_partitions: &[PartitionId],
-        landing: PartitionId,
-        new_distance: f64,
-    ) -> Option<Stamp> {
-        let mut route = parent.route.clone();
-        route
-            .extend_with_door_path(path_doors, path_partitions)
-            .ok()?;
-        let mut coverage = parent.coverage.clone();
-        let mut key_partitions = parent.key_partitions.clone();
-        let skip = usize::from(parent.route.tail_door().is_some());
-        for &d in path_doors.iter().skip(skip) {
-            self.credit_door(d, &mut coverage, &mut key_partitions);
-        }
-        let relevance = coverage.relevance();
-        let score = self.ctx.ranking.score(relevance, new_distance);
-        Some(Stamp {
-            partition: landing,
-            route,
-            key_partitions,
-            distance: new_distance,
-            coverage,
-            relevance,
-            score,
-        })
-    }
-
-    /// Credits door `d`, just appended to a stamp's route, to the stamp's
-    /// coverage and key partitions: every partition leavable through the
-    /// door adds its i-word to `RW(R)` (Definition 5), and each that is a
-    /// key partition moves to the end of `KP(R)`.
-    pub(crate) fn credit_door(
-        &self,
-        d: DoorId,
-        coverage: &mut CoverageTracker,
-        key_partitions: &mut Vec<PartitionId>,
+        doors: &[DoorId],
+        legs: &[PartitionId],
+        landings: &[PartitionId],
+        distance: f64,
+        children: &mut Vec<Stamp>,
     ) {
+        let ctx = self.ctx;
+        let delta = ctx.delta();
+        let tail = *doors.last().expect("a door path has a door");
+        // Hard distance constraint (line 14).
+        if distance > delta {
+            self.state
+                .metrics
+                .prunes
+                .record(PruneRule::DistanceConstraint);
+            return;
+        }
+        // Pruning Rule 1 (lines 15–16).
+        let lower_bound = distance + ctx.door_to_terminal_lb(tail);
+        if self.config.use_distance_pruning && lower_bound > delta {
+            self.state
+                .metrics
+                .prunes
+                .record(PruneRule::PartialRouteDistance);
+            return;
+        }
+        // Pruning Rule 4 (lines 17–18).
+        if self.config.use_kbound_pruning && ctx.ranking.upper_bound(lower_bound) <= self.kbound() {
+            self.state.metrics.prunes.record(PruneRule::KBound);
+            return;
+        }
+        // The path starts at the parent's tail door, which is already
+        // credited, unless the parent sits at ps.
+        let new_doors = &doors[usize::from(parent.route.tail_door().is_some())..];
+        let mut key_partitions = parent.key_partitions.clone();
+        for &d in new_doors {
+            self.credit_key_partitions(d, &mut key_partitions);
+        }
+        let prime = !self.config.use_prime_pruning
+            || self
+                .state
+                .prime
+                .admit(Some(tail), &key_partitions, distance);
+        for &landing in landings {
+            if prime || landing == ctx.terminal_partition {
+                let mut route = parent.route.clone();
+                if route.extend_with_door_path(doors, legs).is_err() {
+                    continue;
+                }
+                let mut coverage = parent.coverage.clone();
+                for &d in new_doors {
+                    self.credit_iwords(d, &mut coverage);
+                }
+                let relevance = coverage.relevance();
+                debug_assert_eq!(
+                    key_partitions,
+                    ctx.key_partition_sequence(&route),
+                    "a child's carried KP(R) must equal its route's"
+                );
+                children.push(Stamp {
+                    partition: landing,
+                    route,
+                    key_partitions: key_partitions.clone(),
+                    distance,
+                    coverage,
+                    relevance,
+                    score: ctx.ranking.score(relevance, distance),
+                });
+            } else {
+                self.state.metrics.prunes.record(PruneRule::Prime);
+            }
+            self.state.metrics.stamps_generated += 1;
+        }
+    }
+
+    /// Credits door `d`, just appended to a route, to the route's keyword
+    /// coverage: every partition leavable through the door adds its i-word
+    /// to `RW(R)` (Definition 5).
+    pub(crate) fn credit_iwords(&self, d: DoorId, coverage: &mut CoverageTracker) {
         for &v in self.ctx.space.d2p_leave(d) {
             if let Some(iw) = self.ctx.iword_of_partition(v) {
                 coverage.add_iword(&self.ctx.prepared, iw);
             }
+        }
+    }
+
+    /// Credits door `d`, just appended to a route, to the route's
+    /// key-partition sequence: each key partition leavable through the door
+    /// moves to the end of `KP(R)`.
+    pub(crate) fn credit_key_partitions(&self, d: DoorId, key_partitions: &mut Vec<PartitionId>) {
+        for &v in self.ctx.space.d2p_leave(d) {
             if self.ctx.is_key_partition(v) {
                 push_key_partition(key_partitions, v);
             }
         }
-    }
-
-    // -----------------------------------------------------------------
-    // Prime-route helpers (Algorithms 3 and 4)
-    // -----------------------------------------------------------------
-
-    /// The homogeneity tail of a stamp's route: the last door for partial
-    /// routes, `None` for complete routes (whose tail is the shared terminal
-    /// point `pt`, see Definition 2).
-    fn homogeneity_tail(stamp: &Stamp) -> Option<DoorId> {
-        if stamp.route.is_complete() {
-            None
-        } else {
-            stamp.route.tail_door()
-        }
-    }
-
-    /// `prime_check` for a stamp, on the `KP(R)` it carries.
-    pub(crate) fn prime_check_stamp(&mut self, stamp: &Stamp) -> bool {
-        debug_assert_eq!(
-            stamp.key_partitions,
-            self.ctx.key_partition_sequence(&stamp.route),
-            "a stamp's carried KP(R) must equal its route's"
-        );
-        self.state.prime.check(
-            Self::homogeneity_tail(stamp),
-            &stamp.key_partitions,
-            stamp.distance,
-        )
-    }
-
-    /// `prime_update` for a stamp, on the `KP(R)` it carries.
-    pub(crate) fn prime_update_stamp(&mut self, stamp: &Stamp) {
-        self.state.prime.update(
-            Self::homogeneity_tail(stamp),
-            &stamp.key_partitions,
-            stamp.distance,
-        );
     }
 
     // -----------------------------------------------------------------
@@ -288,8 +303,8 @@ impl<'a> Search<'a> {
     }
 
     /// Offers a finished (complete) stamp to the top-k results, applying the
-    /// distance constraint, the prime check and the kbound update of
-    /// Algorithm 5 lines 5–7 / 15–17.
+    /// distance constraint, the prime check and update, and the kbound
+    /// update of Algorithm 5 lines 5–7 / 15–17.
     pub(crate) fn try_accept_result(&mut self, stamp: Stamp) {
         if stamp.distance > self.ctx.delta() {
             self.state
@@ -298,14 +313,6 @@ impl<'a> Search<'a> {
                 .record(PruneRule::DistanceConstraint);
             return;
         }
-        if self.config.use_prime_pruning && !self.prime_check_stamp(&stamp) {
-            self.state.metrics.prunes.record(PruneRule::Prime);
-            return;
-        }
-        self.state.metrics.complete_routes += 1;
-        if self.config.use_prime_pruning {
-            self.prime_update_stamp(&stamp);
-        }
         debug_assert_eq!(
             stamp.key_partitions,
             self.ctx.key_partition_sequence(&stamp.route),
@@ -313,6 +320,16 @@ impl<'a> Search<'a> {
         );
         // Complete routes all end at `pt`, so their homogeneity key is just
         // the key-partition sequence.
+        if self.config.use_prime_pruning
+            && !self
+                .state
+                .prime
+                .admit(None, &stamp.key_partitions, stamp.distance)
+        {
+            self.state.metrics.prunes.record(PruneRule::Prime);
+            return;
+        }
+        self.state.metrics.complete_routes += 1;
         self.state.results.offer(ResultRoute {
             distance: stamp.distance,
             relevance: stamp.relevance,
@@ -416,14 +433,42 @@ mod tests {
         );
     }
 
-    /// Walks `hops` of (door, via, landing) from the initial stamp.
+    /// A search of `config` without Rule 5: some walks below revisit a
+    /// homogeneity class at a longer distance, which Rule 5 would reject.
+    fn search<'a>(ctx: &'a SearchContext<'a>, config: VariantConfig) -> Search<'a> {
+        let config = VariantConfig {
+            use_prime_pruning: false,
+            ..config
+        };
+        Search::new(ctx, config, None)
+    }
+
+    /// The one child the child step makes of `parent` along `doors`
+    /// through `legs`, landing in `landing` at `distance`.
+    fn child(
+        search: &mut Search<'_>,
+        parent: &Stamp,
+        doors: &[DoorId],
+        legs: &[PartitionId],
+        landing: PartitionId,
+        distance: f64,
+    ) -> Option<Stamp> {
+        let mut children = Vec::new();
+        search.generate_children(parent, doors, legs, &[landing], distance, &mut children);
+        assert!(children.len() <= 1);
+        children.pop()
+    }
+
+    /// Walks `hops` of (door, via, landing) from the initial stamp, each
+    /// along the door path ToE hands the child step.
     fn walk(search: &mut Search<'_>, hops: &[(u32, PartitionId, PartitionId)]) -> Stamp {
         let mut stamp = search.initial_stamp();
         for &(door, via, landing) in hops {
+            let tail = stamp.route.tail_door();
+            let path = [tail.unwrap_or(DoorId(door)), DoorId(door)];
+            let doors = &path[usize::from(tail.is_none())..];
             let distance = stamp.distance + 10.0;
-            stamp = search
-                .extend_stamp_with_door(&stamp, DoorId(door), via, landing, distance)
-                .expect("a regular hop");
+            stamp = child(search, &stamp, doors, &[via], landing, distance).expect("a regular hop");
         }
         stamp
     }
@@ -433,7 +478,7 @@ mod tests {
         let (space, dir) = venue();
         let q = query((28.0, 5.0));
         let ctx = SearchContext::prepare(&space, &dir, &q).unwrap();
-        let mut search = Search::new(&ctx, VariantConfig::toe(), None);
+        let mut search = search(&ctx, VariantConfig::toe());
         let initial = search.initial_stamp();
         assert_kp(&search, &initial, &[A]);
         // ps → d0 → d2: a, then b; the hallway is no key partition.
@@ -455,7 +500,7 @@ mod tests {
         let (space, dir) = venue();
         let q = query((28.0, 5.0));
         let ctx = SearchContext::prepare(&space, &dir, &q).unwrap();
-        let mut search = Search::new(&ctx, VariantConfig::toe(), None);
+        let mut search = search(&ctx, VariantConfig::toe());
         assert_eq!(space.d2p_leave(DoorId(3)), [B, C]);
         // d3 leads out of b and out of c: both key partitions, in the door's
         // leave order, after a.
@@ -474,7 +519,7 @@ mod tests {
         let q = query((8.0, 5.0));
         let ctx = SearchContext::prepare(&space, &dir, &q).unwrap();
         assert_eq!(ctx.start_partition, ctx.terminal_partition);
-        let mut search = Search::new(&ctx, VariantConfig::toe(), None);
+        let mut search = search(&ctx, VariantConfig::toe());
         // The direct route (ps, pt): v(pt) = v(ps) is kept once.
         let initial = search.initial_stamp();
         let direct = search.finalize_at_terminal(&initial).unwrap();
@@ -492,24 +537,26 @@ mod tests {
         let (space, dir) = venue();
         let q = query((28.0, 5.0));
         let ctx = SearchContext::prepare(&space, &dir, &q).unwrap();
-        let mut search = Search::new(&ctx, VariantConfig::koe(), None);
+        let mut search = search(&ctx, VariantConfig::koe());
         // From ps a path credits every door.
         let initial = search.initial_stamp();
-        let from_point = search
-            .extend_stamp_with_path(&initial, &[DoorId(0), DoorId(2)], &[A, H], B, 20.0)
-            .unwrap();
+        let from_point = child(
+            &mut search,
+            &initial,
+            &[DoorId(0), DoorId(2)],
+            &[A, H],
+            B,
+            20.0,
+        )
+        .unwrap();
         assert_kp(&search, &from_point, &[A, B]);
         // From a door the path starts at the route's tail, whose key
         // partitions are already last; each later door moves its own.
         let at_b = walk(&mut search, &[(1, A, H), (2, H, B)]);
         assert_kp(&search, &at_b, &[A, B]);
-        let path = search
-            .extend_stamp_with_path(&at_b, &[DoorId(2), DoorId(0)], &[H], A, 30.0)
-            .unwrap();
+        let path = child(&mut search, &at_b, &[DoorId(2), DoorId(0)], &[H], A, 30.0).unwrap();
         assert_kp(&search, &path, &[B, A]);
-        let single = search
-            .extend_stamp_with_path(&at_b, &[DoorId(2)], &[], B, 20.0)
-            .unwrap();
+        let single = child(&mut search, &at_b, &[DoorId(2)], &[], B, 20.0).unwrap();
         assert_kp(&search, &single, &[A, B]);
         // The completed route of the connect step starts at the tail too,
         // and ends with v(pt).

@@ -15,7 +15,13 @@
 //!
 //! Every shortest-path run made here is bounded by the remaining budget
 //! (`base` = the distance already walked, `limit` = `∆`): line 14 drops any
-//! connection longer than that, so doors beyond it are never settled.
+//! connection longer than that, so doors beyond it are never settled. Each
+//! run offers its connections through one helper, `connection`.
+//!
+//! Each connection goes to the child step (`Search::generate_children`),
+//! which applies the distance constraint and Pruning Rules 1, 4 and 5
+//! (lines 14–18) and produces the stamp at the target partition. The popped
+//! stamp's own Rule-5 check (line 3) is made by [`Search::run`].
 
 use crate::framework::Search;
 use crate::pruning::PruneRule;
@@ -43,16 +49,36 @@ struct Connection {
     partitions: Vec<PartitionId>,
 }
 
+/// The connection a shortest-path run offers from its source door to the
+/// target door `dl`: the door alone when it is the source, none when the
+/// run left `dl` unsettled (unreachable, excluded or beyond the budget),
+/// otherwise the run's path.
+fn connection(run: &DijkstraResult, dl: DoorId) -> Option<Connection> {
+    if run.source() == dl {
+        return Some(Connection {
+            distance: 0.0,
+            doors: vec![dl],
+            partitions: Vec::new(),
+        });
+    }
+    let (doors, partitions) = run.path_to(dl)?;
+    Some(Connection {
+        distance: run.distance(dl),
+        doors,
+        partitions,
+    })
+}
+
 /// Shortest-path source from the current stamp: either Dijkstra runs rooted
 /// at the stamp's position, or (for KoE*) an unrestricted run from the
 /// stamp's door with a lazy fallback.
 enum KoeSource {
     /// The stamp sits at the start point: one Dijkstra per leavable door of
-    /// the start partition, each entry being `(leaving door, δpt2d cost,
-    /// single-source result)`; each run's budget starts at its δpt2d cost.
-    FromPoint(Vec<(DoorId, f64, DijkstraResult)>),
+    /// the start partition, each entry being `(δpt2d cost, run from the
+    /// door)`; each run's budget starts at its δpt2d cost.
+    FromPoint(Vec<(f64, DijkstraResult)>),
     /// The stamp sits at a door: one Dijkstra with the route's doors excluded.
-    FromDoor(DoorId, DijkstraResult),
+    FromDoor(DijkstraResult),
     /// KoE*: consult `row`, the run from the stamp's door without
     /// exclusions, first; `fallback` is filled in lazily when a path of
     /// `row` violates regularity.
@@ -67,14 +93,7 @@ impl Search<'_> {
     /// `KoE_find(Si)`: the next valid stamps reachable by jumping to candidate
     /// key partitions.
     pub(crate) fn koe_find(&mut self, stamp: &Stamp) -> Vec<Stamp> {
-        let mut expansions = Vec::new();
-
-        // Pruning Rule 5 on the popped stamp (Algorithm 6 line 3).
-        if self.config.use_prime_pruning && !self.prime_check_stamp(stamp) {
-            self.state.metrics.prunes.record(PruneRule::Prime);
-            return expansions;
-        }
-
+        let mut children = Vec::new();
         let ctx = self.ctx;
         let delta = ctx.delta();
         let tail = stamp.route.tail_door();
@@ -135,45 +154,17 @@ impl Search<'_> {
                 let Some(connection) = self.resolve_connection(&mut source, stamp, dl) else {
                     continue;
                 };
-                let new_distance = stamp.distance + connection.distance;
-                if new_distance > delta {
-                    self.state
-                        .metrics
-                        .prunes
-                        .record(PruneRule::DistanceConstraint);
-                    continue;
-                }
-                // Pruning Rule 1 (lines 15–16).
-                let lower_bound = new_distance + ctx.door_to_terminal_lb(dl);
-                if self.config.use_distance_pruning && lower_bound > delta {
-                    self.state
-                        .metrics
-                        .prunes
-                        .record(PruneRule::PartialRouteDistance);
-                    continue;
-                }
-                // Pruning Rule 4 (lines 17–18).
-                if self.config.use_kbound_pruning
-                    && ctx.ranking.upper_bound(lower_bound) <= self.kbound()
-                {
-                    self.state.metrics.prunes.record(PruneRule::KBound);
-                    continue;
-                }
-                if let Some(child) = self.extend_stamp_with_path(
+                self.generate_children(
                     stamp,
                     &connection.doors,
                     &connection.partitions,
-                    vj,
-                    new_distance,
-                ) {
-                    if self.config.use_prime_pruning {
-                        self.prime_update_stamp(&child);
-                    }
-                    expansions.push(child);
-                }
+                    &[vj],
+                    stamp.distance + connection.distance,
+                    &mut children,
+                );
             }
         }
-        expansions
+        children
     }
 
     /// The routing set `P` of Algorithm 1 line 3: the key partitions, minus
@@ -270,7 +261,7 @@ impl Search<'_> {
                         cost,
                         self.ctx.delta(),
                     );
-                    per_door.push((dx, cost, result));
+                    per_door.push((cost, result));
                 }
                 KoeSource::FromPoint(per_door)
             }
@@ -294,7 +285,7 @@ impl Search<'_> {
                 } else {
                     let result =
                         paths.from_door_within(dk, &excluded, stamp.distance, self.ctx.delta());
-                    KoeSource::FromDoor(dk, result)
+                    KoeSource::FromDoor(result)
                 }
             }
         }
@@ -310,74 +301,36 @@ impl Search<'_> {
     ) -> Option<Connection> {
         match source {
             KoeSource::FromPoint(per_door) => {
-                let start_partition = self.ctx.start_partition;
                 let mut best: Option<Connection> = None;
-                for (dx, cost, result) in per_door.iter() {
-                    let (doors, partitions, graph_distance) = if *dx == dl {
-                        (vec![*dx], Vec::new(), 0.0)
-                    } else {
-                        let d = result.distance(dl);
-                        if !d.is_finite() {
-                            continue;
-                        }
-                        let (doors, partitions) = result.path_to(dl)?;
-                        (doors, partitions, d)
+                for (cost, run) in per_door.iter() {
+                    let Some(leg) = connection(run, dl) else {
+                        continue;
                     };
-                    let total = cost + graph_distance;
+                    let total = cost + leg.distance;
                     if best.as_ref().map(|b| total < b.distance).unwrap_or(true) {
-                        let mut full_partitions = Vec::with_capacity(partitions.len() + 1);
-                        full_partitions.push(start_partition);
-                        full_partitions.extend(partitions);
+                        let mut partitions = Vec::with_capacity(leg.partitions.len() + 1);
+                        partitions.push(self.ctx.start_partition);
+                        partitions.extend(leg.partitions);
                         best = Some(Connection {
                             distance: total,
-                            doors,
-                            partitions: full_partitions,
+                            doors: leg.doors,
+                            partitions,
                         });
                     }
                 }
                 best
             }
-            KoeSource::FromDoor(dk, result) => {
-                if *dk == dl {
-                    return Some(Connection {
-                        distance: 0.0,
-                        doors: vec![*dk],
-                        partitions: Vec::new(),
-                    });
-                }
-                let d = result.distance(dl);
-                if !d.is_finite() {
-                    return None;
-                }
-                let (doors, partitions) = result.path_to(dl)?;
-                Some(Connection {
-                    distance: d,
-                    doors,
-                    partitions,
-                })
-            }
+            KoeSource::FromDoor(run) => connection(run, dl),
             KoeSource::Unrestricted {
                 row,
                 excluded,
                 fallback,
             } => {
-                let dk = row.source();
-                if dk == dl {
-                    return Some(Connection {
-                        distance: 0.0,
-                        doors: vec![dk],
-                        partitions: Vec::new(),
-                    });
-                }
                 // A door the row leaves unsettled is beyond the remaining
                 // budget even without exclusions: no regular connection fits.
-                let (doors, partitions) = row.path_to(dl)?;
-                if doors.iter().skip(1).all(|d| !excluded.contains(d)) {
-                    return Some(Connection {
-                        distance: row.distance(dl),
-                        doors,
-                        partitions,
-                    });
+                let found = connection(row, dl)?;
+                if found.doors.iter().skip(1).all(|d| !excluded.contains(d)) {
+                    return Some(found);
                 }
                 // Regularity check failed: recompute on the fly, as the
                 // paper prescribes for KoE*.
@@ -385,23 +338,13 @@ impl Search<'_> {
                 if fallback.is_none() {
                     self.state.metrics.dijkstra_calls += 1;
                     *fallback = Some(self.ctx.space.shortest_paths().from_door_within(
-                        dk,
+                        row.source(),
                         excluded,
                         stamp.distance,
                         self.ctx.delta(),
                     ));
                 }
-                let result = fallback.as_ref().expect("fallback just filled");
-                let d = result.distance(dl);
-                if !d.is_finite() {
-                    return None;
-                }
-                let (doors, partitions) = result.path_to(dl)?;
-                Some(Connection {
-                    distance: d,
-                    doors,
-                    partitions,
-                })
+                connection(fallback.as_ref().expect("fallback just filled"), dl)
             }
         }
     }

@@ -21,7 +21,9 @@ pub struct SearchMetrics {
     pub peak_memory_bytes: usize,
     /// Number of stamps popped from the priority queue and expanded.
     pub stamps_expanded: u64,
-    /// Number of stamps generated by `find()` calls.
+    /// Number of stamps generated by `find()` calls: every child that
+    /// passes the distance constraint and Pruning Rules 1 and 4, including
+    /// the children Pruning Rule 5 rejects before they are built.
     pub stamps_generated: u64,
     /// Number of complete routes that reached the terminal point and passed
     /// the query constraints.

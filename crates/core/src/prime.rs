@@ -6,9 +6,13 @@
 //! *prime* route (Definition 3) — may survive. During the search all expanded
 //! routes share the head `ps`, so the homogeneity key is the pair
 //! `(R.tail, KP(R))`, which this module encodes into a compact byte string.
-//! Stamps carry their `KP(R)`, so a check or an update costs one encoding
-//! into a reused buffer and one hash probe; only a new entry allocates its
-//! key.
+//!
+//! The search probes the table once per decision: [`PrimeTable::check`]
+//! for a popped stamp, which is already recorded, and
+//! [`PrimeTable::admit`] — check and update in one probe — for a child
+//! before it is built and for a complete route. Stamps carry their `KP(R)`,
+//! so a probe costs one encoding into a reused buffer and one hash lookup;
+//! only a new entry allocates its key.
 
 use bytes::{BufMut, Bytes};
 use indoor_space::{DoorId, PartitionId};
@@ -17,9 +21,9 @@ use std::collections::HashMap;
 /// Tolerance when comparing route distances: a route is only considered
 /// *prime against* another when it is strictly shorter by more than this
 /// epsilon. In particular a route never prunes itself when its own distance
-/// was already recorded by `prime_update` (the paper's pseudocode uses a
-/// strict `>` comparison in both Algorithm 3 and 4, which taken literally
-/// would prune the very route that created the entry; pinned by
+/// was already recorded (the paper's pseudocode uses a strict `>`
+/// comparison in both Algorithm 3 and 4, which taken literally would prune
+/// the very route that created the entry; pinned by
 /// `tests::equal_distance_does_not_prune`).
 const DISTANCE_EPSILON: f64 = 1e-9;
 
@@ -45,7 +49,7 @@ fn encode_key(buf: &mut Vec<u8>, tail: Option<DoorId>, key_partitions: &[Partiti
 /// the distance of the shortest (prime) representative.
 ///
 /// Keys are stored as [`Bytes`] and looked up by the borrowed `&[u8]`
-/// encoding, which [`PrimeTable::check`] and [`PrimeTable::update`] write
+/// encoding, which [`PrimeTable::check`] and [`PrimeTable::admit`] write
 /// into one buffer the table reuses.
 #[derive(Debug, Clone, Default)]
 pub struct PrimeTable {
@@ -78,10 +82,12 @@ impl PrimeTable {
         }
     }
 
-    /// `prime_update` (Algorithm 4): records `distance` as the new prime
-    /// distance of the homogeneity class when it improves on the stored one.
-    /// Returns `true` when the entry was created or improved.
-    pub fn update(
+    /// `prime_check` and `prime_update` (Algorithms 3 and 4) in one probe:
+    /// returns what [`PrimeTable::check`] would, and records `distance` as
+    /// the class's prime distance when the class is new or `distance`
+    /// improves on it. A rejected route never improves its class, so it
+    /// records nothing.
+    pub fn admit(
         &mut self,
         tail: Option<DoorId>,
         key_partitions: &[PartitionId],
@@ -97,12 +103,11 @@ impl PrimeTable {
                 true
             }
             Some(best) => {
+                let prime = *best + DISTANCE_EPSILON >= distance;
                 if distance < *best {
                     *best = distance;
-                    true
-                } else {
-                    false
                 }
+                prime
             }
         }
     }
@@ -127,6 +132,7 @@ impl PrimeTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn kp(ids: &[u32]) -> Vec<PartitionId> {
         ids.iter().map(|&i| PartitionId(i)).collect()
@@ -142,7 +148,7 @@ mod tests {
     #[test]
     fn shorter_homogeneous_route_prunes_longer_one() {
         let mut t = PrimeTable::new();
-        assert!(t.update(Some(DoorId(5)), &kp(&[1, 2]), 12.5));
+        assert!(t.admit(Some(DoorId(5)), &kp(&[1, 2]), 12.5));
         // Example 8: R3* = (ps,d2,d5) with 12.5 m is prime against
         // R4* = (ps,d3,d5,d5) with 23.2 m, so the latter fails the check.
         assert!(!t.check(Some(DoorId(5)), &kp(&[1, 2]), 23.2));
@@ -150,21 +156,23 @@ mod tests {
         assert!(t.check(Some(DoorId(5)), &kp(&[1, 2]), 12.5));
         // An even shorter homogeneous route passes and improves the entry.
         assert!(t.check(Some(DoorId(5)), &kp(&[1, 2]), 10.0));
-        assert!(t.update(Some(DoorId(5)), &kp(&[1, 2]), 10.0));
-        assert!(!t.update(Some(DoorId(5)), &kp(&[1, 2]), 11.0));
+        assert!(t.admit(Some(DoorId(5)), &kp(&[1, 2]), 10.0));
+        assert!(!t.check(Some(DoorId(5)), &kp(&[1, 2]), 12.5));
+        assert!(!t.admit(Some(DoorId(5)), &kp(&[1, 2]), 11.0));
+        assert!(t.check(Some(DoorId(5)), &kp(&[1, 2]), 10.0));
         assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn different_tails_or_key_sequences_are_independent() {
         let mut t = PrimeTable::new();
-        t.update(Some(DoorId(5)), &kp(&[1, 2]), 5.0);
+        t.admit(Some(DoorId(5)), &kp(&[1, 2]), 5.0);
         assert!(t.check(Some(DoorId(6)), &kp(&[1, 2]), 50.0));
         assert!(t.check(Some(DoorId(5)), &kp(&[2, 1]), 50.0));
         assert!(t.check(Some(DoorId(5)), &kp(&[1, 2, 3]), 50.0));
         assert!(t.check(None, &kp(&[1, 2]), 50.0));
-        t.update(Some(DoorId(6)), &kp(&[1, 2]), 5.0);
-        t.update(None, &kp(&[]), 0.0);
+        t.admit(Some(DoorId(6)), &kp(&[1, 2]), 5.0);
+        t.admit(None, &kp(&[]), 0.0);
         assert_eq!(t.len(), 3);
         assert!(t.estimated_bytes() > 0);
     }
@@ -172,16 +180,16 @@ mod tests {
     #[test]
     fn key_encoding_distinguishes_no_tail_from_door_zero() {
         let mut t = PrimeTable::new();
-        t.update(None, &kp(&[1]), 1.0);
+        t.admit(None, &kp(&[1]), 1.0);
         assert!(t.check(Some(DoorId(0)), &kp(&[1]), 100.0));
-        t.update(Some(DoorId(0)), &kp(&[1]), 2.0);
+        t.admit(Some(DoorId(0)), &kp(&[1]), 2.0);
         assert_eq!(t.len(), 2);
     }
 
     #[test]
     fn keys_stored_as_bytes_are_found_improved_and_rejected_by_borrowed_lookups() {
         let mut t = PrimeTable::new();
-        assert!(t.update(Some(DoorId(0)), &kp(&[7, 9]), 20.0));
+        assert!(t.admit(Some(DoorId(0)), &kp(&[7, 9]), 20.0));
         // The stored key is the byte encoding: tail + 1, then each partition.
         let stored: &[u8] = &[1, 0, 0, 0, 7, 0, 0, 0, 9, 0, 0, 0];
         assert_eq!(t.entries.get(stored), Some(&20.0));
@@ -190,17 +198,19 @@ mod tests {
             "longer is pruned"
         );
         assert!(t.check(Some(DoorId(0)), &kp(&[7, 9]), 15.0));
-        assert!(t.update(Some(DoorId(0)), &kp(&[7, 9]), 15.0), "improved");
-        assert!(!t.update(Some(DoorId(0)), &kp(&[7, 9]), 18.0), "rejected");
+        assert!(t.admit(Some(DoorId(0)), &kp(&[7, 9]), 15.0), "improved");
+        assert_eq!(t.entries.get(stored), Some(&15.0));
+        assert!(!t.admit(Some(DoorId(0)), &kp(&[7, 9]), 18.0), "rejected");
         assert_eq!(t.entries.get(stored), Some(&15.0));
         assert_eq!(t.len(), 1);
         // Tail `None` encodes as 0 and door 0 as 1: distinct classes.
         assert!(t.check(None, &kp(&[7, 9]), 100.0));
-        assert!(t.update(None, &kp(&[7, 9]), 100.0));
+        assert!(t.admit(None, &kp(&[7, 9]), 100.0));
         assert_eq!(t.len(), 2);
         assert_eq!(t.entries.get(stored), Some(&15.0));
         let bytes_before = t.estimated_bytes();
         assert!(!t.check(Some(DoorId(0)), &kp(&[7, 9]), 16.0));
+        assert!(!t.admit(Some(DoorId(0)), &kp(&[7, 9]), 16.0));
         assert_eq!(t.estimated_bytes(), bytes_before, "lookups add no entry");
     }
 
@@ -208,9 +218,46 @@ mod tests {
     fn equal_distance_does_not_prune() {
         // Two homogeneous routes of exactly equal length: neither is prime
         // against the other (Definition 3 requires strictly smaller), so the
-        // check accepts the second one.
+        // check accepts the second one, and so does the child probe.
         let mut t = PrimeTable::new();
-        t.update(Some(DoorId(3)), &kp(&[4]), 7.0);
+        assert!(t.admit(Some(DoorId(3)), &kp(&[4]), 7.0));
         assert!(t.check(Some(DoorId(3)), &kp(&[4]), 7.0));
+        assert!(t.admit(Some(DoorId(3)), &kp(&[4]), 7.0));
+        assert_eq!(t.len(), 1);
+    }
+
+    /// A probe: tail `None` or one of four doors, a key-partition sequence
+    /// over three partitions, and a distance near 10 m in steps of 1e-10
+    /// (so some pairs differ by less than `DISTANCE_EPSILON`), or farther.
+    fn probe() -> impl Strategy<Value = (Option<DoorId>, Vec<PartitionId>, f64)> {
+        (0u32..5, proptest::collection::vec(0u32..3, 0..3), 0u32..16).prop_map(
+            |(tail, ids, step)| {
+                let distance = match step {
+                    0..=12 => 10.0 + f64::from(step) * 1e-10,
+                    _ => 10.0 + f64::from(step - 12),
+                };
+                (tail.checked_sub(1).map(DoorId), kp(&ids), distance)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn admit_agrees_with_a_naive_prime_table(
+            probes in proptest::collection::vec(probe(), 1..48)
+        ) {
+            let mut table = PrimeTable::new();
+            let mut model: HashMap<(Option<DoorId>, Vec<PartitionId>), f64> = HashMap::new();
+            for (tail, key_partitions, distance) in probes {
+                let key = (tail, key_partitions);
+                let best = model.get(&key).copied();
+                let expected = best.is_none_or(|best| best + 1e-9 >= distance);
+                model.insert(key.clone(), best.map_or(distance, |best| best.min(distance)));
+                prop_assert_eq!(table.admit(tail, &key.1, distance), expected);
+                prop_assert_eq!(table.len(), model.len());
+            }
+        }
     }
 }

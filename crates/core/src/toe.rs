@@ -1,8 +1,12 @@
 //! Topology-oriented expansion, `ToE_find` (Algorithm 2).
 //!
 //! From the current stamp's partition `vi`, ToE expands to every leavable
-//! door `dl ∈ P2D@(vi)` that survives the regularity checks and the pruning
-//! rules, producing one new stamp per partition reachable behind the door.
+//! door `dl ∈ P2D@(vi)` that survives the regularity checks and Pruning
+//! Rule 2, and hands each door to the child step
+//! (`Search::generate_children`). That step applies the distance
+//! constraint and Pruning Rules 1, 4 and 5 (lines 14–18) and produces one
+//! stamp per partition enterable through the door. The popped stamp's own
+//! Rule-5 check (line 3) is made by [`Search::run`].
 
 use crate::framework::Search;
 use crate::pruning::PruneRule;
@@ -12,14 +16,7 @@ impl Search<'_> {
     /// `ToE_find(Si)`: the next valid stamps reachable by one-hop topology
     /// expansion from `Si`.
     pub(crate) fn toe_find(&mut self, stamp: &Stamp) -> Vec<Stamp> {
-        let mut expansions = Vec::new();
-
-        // Pruning Rule 5 on the popped stamp (Algorithm 2 line 3).
-        if self.config.use_prime_pruning && !self.prime_check_stamp(stamp) {
-            self.state.metrics.prunes.record(PruneRule::Prime);
-            return expansions;
-        }
-
+        let mut children = Vec::new();
         let ctx = self.ctx;
         let vi = stamp.partition;
         let tail = stamp.route.tail_door();
@@ -60,32 +57,9 @@ impl Search<'_> {
             if !increment.is_finite() {
                 continue;
             }
-            let new_distance = stamp.distance + increment;
-            // Hard distance constraint (line 14).
-            if new_distance > delta {
-                self.state
-                    .metrics
-                    .prunes
-                    .record(PruneRule::DistanceConstraint);
-                continue;
-            }
-            // Pruning Rule 1 (lines 15–16).
-            let distance_lower_bound = new_distance + ctx.door_to_terminal_lb(dl);
-            if self.config.use_distance_pruning && distance_lower_bound > delta {
-                self.state
-                    .metrics
-                    .prunes
-                    .record(PruneRule::PartialRouteDistance);
-                continue;
-            }
-            // Pruning Rule 4 (lines 17–18).
-            if self.config.use_kbound_pruning {
-                let upper = ctx.ranking.upper_bound(distance_lower_bound);
-                if upper <= self.kbound() {
-                    self.state.metrics.prunes.record(PruneRule::KBound);
-                    continue;
-                }
-            }
+            // The door path: (dk, dl) from the tail door, or (dl) from ps.
+            let path = [tail.unwrap_or(dl), dl];
+            let doors = &path[usize::from(tail.is_none())..];
             // One stamp per partition enterable through the door (line 11 of
             // the paper generalised: besides the partition behind the door we
             // also keep a stamp that stays in the current partition, so that
@@ -93,17 +67,15 @@ impl Search<'_> {
             // without paying the in-and-out loop — consistent with the route
             // words of Definition 5, which credit every partition leavable
             // through a door on the route).
-            for &landing in ctx.space.d2p_enter(dl) {
-                if let Some(child) =
-                    self.extend_stamp_with_door(stamp, dl, vi, landing, new_distance)
-                {
-                    if self.config.use_prime_pruning {
-                        self.prime_update_stamp(&child);
-                    }
-                    expansions.push(child);
-                }
-            }
+            self.generate_children(
+                stamp,
+                doors,
+                &[vi],
+                ctx.space.d2p_enter(dl),
+                stamp.distance + increment,
+                &mut children,
+            );
         }
-        expansions
+        children
     }
 }

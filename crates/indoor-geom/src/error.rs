@@ -37,6 +37,15 @@ pub enum GeomError {
     /// A polygon could not be decomposed into rectangles because it is not
     /// rectilinear (axis-aligned edges only).
     NotRectilinear,
+    /// A uniform grid's bounds span more than
+    /// [`crate::grid::MAX_GRID_CELLS`] cells.
+    GridTooLarge {
+        /// The cells the bounds span (counted in `f64`, so possibly
+        /// infinite).
+        cells: f64,
+        /// The cell size.
+        cell: f64,
+    },
 }
 
 impl fmt::Display for GeomError {
@@ -64,6 +73,11 @@ impl fmt::Display for GeomError {
             GeomError::NotRectilinear => {
                 write!(f, "polygon is not rectilinear and cannot be decomposed")
             }
+            GeomError::GridTooLarge { cells, cell } => write!(
+                f,
+                "uniform grid of {cells:.3e} cells of {cell} m exceeds the limit of {} cells",
+                crate::grid::MAX_GRID_CELLS
+            ),
         }
     }
 }

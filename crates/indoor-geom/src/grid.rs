@@ -12,6 +12,13 @@ use crate::rect::Rect;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
+/// The most cells a grid's bounds may span (2^20). Inserting a rectangle
+/// walks every cell it covers, so bounds spanning more — a corrupt footprint
+/// or cell size read from a venue file — would make building a grid
+/// allocate without limit. The largest floor any venue generator builds
+/// spans under 10 000 cells.
+pub const MAX_GRID_CELLS: f64 = 1_048_576.0;
+
 /// A uniform spatial hash mapping grid cells to the identifiers of the
 /// rectangles overlapping them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -24,10 +31,18 @@ pub struct UniformGrid {
 
 impl UniformGrid {
     /// Creates an empty grid covering `bounds` with square cells of side
-    /// `cell` metres.
+    /// `cell` metres. Fails when the cell size is not positive, or when the
+    /// bounds span more than [`MAX_GRID_CELLS`] cells.
     pub fn new(bounds: Rect, cell: f64) -> Result<Self, GeomError> {
         if !(cell.is_finite() && cell > 0.0) {
             return Err(GeomError::InvalidCellSize { cell });
+        }
+        // Counted in f64, so no extent overflows; the bounds' far corner
+        // lies in the last cell of each axis.
+        let cells =
+            ((bounds.width() / cell).floor() + 1.0) * ((bounds.height() / cell).floor() + 1.0);
+        if cells.is_nan() || cells > MAX_GRID_CELLS {
+            return Err(GeomError::GridTooLarge { cells, cell });
         }
         Ok(UniformGrid {
             cell,
@@ -149,6 +164,34 @@ mod tests {
         let bounds = Rect::from_origin_size(Point::ORIGIN, 10.0, 10.0).unwrap();
         assert!(UniformGrid::new(bounds, 0.0).is_err());
         assert!(UniformGrid::new(bounds, f64::NAN).is_err());
+    }
+
+    #[test]
+    fn rejects_bounds_spanning_too_many_cells() {
+        // A footprint corner flipped to about -5.5e303, as a corrupt venue
+        // file can carry, and a cell size too small for a real floor.
+        let corrupt = Rect::new(Point::new(-5.5e303, 0.0), Point::new(100.0, 70.0)).unwrap();
+        assert!(matches!(
+            UniformGrid::new(corrupt, 10.0),
+            Err(GeomError::GridTooLarge { cell, .. }) if cell == 10.0
+        ));
+        let widest = Rect::new(Point::new(-f64::MAX, 0.0), Point::new(f64::MAX, 1.0)).unwrap();
+        assert!(UniformGrid::new(widest, 25.0).is_err());
+        let floor = Rect::from_origin_size(Point::ORIGIN, 100.0, 100.0).unwrap();
+        match UniformGrid::new(floor, 0.05) {
+            Err(GeomError::GridTooLarge { cells, cell }) => {
+                assert_eq!((cells, cell), (2001.0 * 2001.0, 0.05));
+            }
+            other => panic!("expected GridTooLarge, got {other:?}"),
+        }
+        // The largest floor any generator builds: the real mall's
+        // 2 700 m x 2 000 m at 25 m spans 109 x 81 = 8 829 cells.
+        let mall = Rect::from_origin_size(Point::ORIGIN, 2_700.0, 2_000.0).unwrap();
+        assert!(UniformGrid::new(mall, 25.0).is_ok());
+        // Exactly at the limit is still a grid.
+        let square = Rect::from_origin_size(Point::ORIGIN, 1023.0, 1023.0).unwrap();
+        assert!(UniformGrid::new(square, 1.0).is_ok());
+        assert!(UniformGrid::new(square, 0.999).is_err());
     }
 
     #[test]

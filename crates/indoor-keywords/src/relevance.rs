@@ -70,13 +70,18 @@ impl RelevanceModel {
     /// `ρ = 0` when nothing is covered; otherwise
     /// `ρ = N + (Σ best over covered) / N`, with `N` the number of covered
     /// keywords. Range: `{0} ∪ (1, |QW| + 1]`.
+    ///
+    /// Counts and sums the covered keywords in one pass, in index order, so
+    /// scoring a stamp allocates nothing.
     pub fn relevance_from_best(best: &[f64]) -> f64 {
-        let covered: Vec<f64> = best.iter().copied().filter(|&s| s > 0.0).collect();
-        let n = covered.len();
+        let (n, sum) = best
+            .iter()
+            .filter(|&&s| s > 0.0)
+            .fold((0usize, 0.0), |(n, sum), &s| (n + 1, sum + s));
         if n == 0 {
             return 0.0;
         }
-        n as f64 + covered.iter().sum::<f64>() / n as f64
+        n as f64 + sum / n as f64
     }
 
     /// Computes `ρ_QW(R)` directly from a set of route words.

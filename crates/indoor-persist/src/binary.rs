@@ -825,6 +825,36 @@ mod tests {
     }
 
     #[test]
+    fn a_corrupt_footprint_or_grid_cell_is_a_load_error_naming_the_grid() {
+        // XOR 0xff of byte 95 of the committed v1 file turns the first
+        // partition footprint's min.x from 0 into about -5.5e303: the
+        // floor's grid would span ~4e303 cells.
+        let mut file = include_bytes!("../tests/fixtures/fig1-v1.ikrq").to_vec();
+        assert!(load_venue_model(&file).is_ok());
+        file[95] ^= 0xff;
+        let err = load_venue_model(&file).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PersistError::Space(indoor_space::SpaceError::OversizedGrid { cell, .. })
+                    if cell == 10.0
+            ),
+            "{err}"
+        );
+        let message = err.to_string();
+        assert!(
+            message.contains("grid of floor F0 would span 3.840e303 cells of 10 m"),
+            "{message}"
+        );
+        // A grid cell too small for the floor meets the same limit.
+        let mut doc = tiny_document();
+        doc.grid_cell = 1e-3;
+        let text = crate::json::to_json_string(&doc).unwrap();
+        let message = load_venue_model(text.as_bytes()).unwrap_err().to_string();
+        assert!(message.contains("grid of floor F0 would span"), "{message}");
+    }
+
+    #[test]
     fn any_columnar_defect_degrades_to_a_rebuild() {
         let doc = tiny_document();
         let (space, directory) = doc.build().unwrap();

@@ -39,6 +39,18 @@ pub enum SpaceError {
     Unreachable,
     /// The space has no floors / no partitions.
     EmptySpace,
+    /// A floor's point-location grid would span more than
+    /// [`indoor_geom::grid::MAX_GRID_CELLS`] cells: a partition footprint,
+    /// the floor's bounds or the grid cell size is corrupt.
+    OversizedGrid {
+        /// The floor.
+        floor: FloorId,
+        /// The cells its bounds span (counted in `f64`, so possibly
+        /// infinite).
+        cells: f64,
+        /// The grid cell size, metres.
+        cell: f64,
+    },
     /// A generator or builder configuration is unusable (e.g. zero floors,
     /// a venue size that does not fit the requested layout). Carried as a
     /// human-readable usage message so callers can surface it directly.
@@ -66,6 +78,12 @@ impl fmt::Display for SpaceError {
             SpaceError::MalformedRoute(msg) => write!(f, "malformed route: {msg}"),
             SpaceError::IrregularRoute(msg) => write!(f, "irregular route: {msg}"),
             SpaceError::Unreachable => write!(f, "items are not connected"),
+            SpaceError::OversizedGrid { floor, cells, cell } => write!(
+                f,
+                "point-location grid of floor {floor} would span {cells:.3e} cells of {cell} m \
+                 (limit {})",
+                indoor_geom::grid::MAX_GRID_CELLS
+            ),
             SpaceError::EmptySpace => write!(f, "indoor space has no partitions"),
             SpaceError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
         }

@@ -14,7 +14,7 @@ use crate::skeleton::SkeletonIndex;
 use crate::stats::SpaceStats;
 use crate::Result;
 use crate::UNREACHABLE;
-use indoor_geom::{Point, Rect, UniformGrid};
+use indoor_geom::{GeomError, Point, Rect, UniformGrid};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
@@ -270,25 +270,8 @@ impl IndoorSpaceBuilder {
         loop_overrides.sort_unstable_by_key(|&(v, d, _)| (v, d));
         check_override_distances(&intra_overrides, &loop_overrides)?;
 
-        // Per-floor point-location grids over partition footprints.
-        let mut floor_bounds: BTreeMap<FloorId, Rect> = self.floors.clone();
-        for p in &self.partitions {
-            floor_bounds
-                .entry(p.floor)
-                .and_modify(|b| *b = b.union(&p.footprint))
-                .or_insert(p.footprint);
-        }
-        let mut grids: BTreeMap<FloorId, (UniformGrid, Vec<PartitionId>)> = BTreeMap::new();
-        for (floor, bounds) in &floor_bounds {
-            let grid = UniformGrid::new(*bounds, self.grid_cell)?;
-            grids.insert(*floor, (grid, Vec::new()));
-        }
-        for p in &self.partitions {
-            if let Some((grid, ids)) = grids.get_mut(&p.floor) {
-                grid.insert(p.footprint);
-                ids.push(p.id);
-            }
-        }
+        let (floor_bounds, grids) =
+            floor_grids(self.floors.clone(), &self.partitions, self.grid_cell)?;
 
         let mut space = IndoorSpace {
             partitions: self.partitions,
@@ -403,9 +386,48 @@ pub struct IndoorSpace {
     /// Sorted by `(partition, door)`; binary-searched.
     loop_overrides: Vec<(PartitionId, DoorId, f64)>,
     floor_bounds: BTreeMap<FloorId, Rect>,
-    grids: BTreeMap<FloorId, (UniformGrid, Vec<PartitionId>)>,
+    grids: FloorGrids,
     door_graph: DoorGraph,
     skeleton: SkeletonIndex,
+}
+
+/// Per-floor grids, keyed by floor: a point-location grid over the floor's
+/// partition footprints, and the partition of each grid item.
+type FloorGrids = BTreeMap<FloorId, (UniformGrid, Vec<PartitionId>)>;
+
+/// The floor bounds and point-location grids of a space: `floor_bounds`
+/// (the declared floors) grown to hold every partition footprint, and one
+/// grid per floor with cells of `cell` metres. A floor whose grid would
+/// span more than [`indoor_geom::grid::MAX_GRID_CELLS`] cells — a corrupt
+/// footprint, floor bound or cell size — is an [`SpaceError::OversizedGrid`].
+fn floor_grids(
+    mut floor_bounds: BTreeMap<FloorId, Rect>,
+    partitions: &[Partition],
+    cell: f64,
+) -> Result<(BTreeMap<FloorId, Rect>, FloorGrids)> {
+    for p in partitions {
+        floor_bounds
+            .entry(p.floor)
+            .and_modify(|b| *b = b.union(&p.footprint))
+            .or_insert(p.footprint);
+    }
+    let mut grids = FloorGrids::new();
+    for (&floor, &bounds) in &floor_bounds {
+        let grid = UniformGrid::new(bounds, cell).map_err(|e| match e {
+            GeomError::GridTooLarge { cells, cell } => {
+                SpaceError::OversizedGrid { floor, cells, cell }
+            }
+            e => SpaceError::Geometry(e),
+        })?;
+        grids.insert(floor, (grid, Vec::new()));
+    }
+    for p in partitions {
+        if let Some((grid, ids)) = grids.get_mut(&p.floor) {
+            grid.insert(p.footprint);
+            ids.push(p.id);
+        }
+    }
+    Ok((floor_bounds, grids))
 }
 
 impl IndoorSpace {
@@ -536,24 +558,8 @@ impl IndoorSpace {
         // Floor bounds and grids are recomputed exactly as the builder does;
         // unioning footprints into the persisted (already-final) bounds is
         // idempotent, and covers columns that only carry declared bounds.
-        let mut floor_bounds: BTreeMap<FloorId, Rect> = floor_bounds.into_iter().collect();
-        for p in &partitions {
-            floor_bounds
-                .entry(p.floor)
-                .and_modify(|b| *b = b.union(&p.footprint))
-                .or_insert(p.footprint);
-        }
-        let mut grids: BTreeMap<FloorId, (UniformGrid, Vec<PartitionId>)> = BTreeMap::new();
-        for (floor, bounds) in &floor_bounds {
-            let grid = UniformGrid::new(*bounds, grid_cell)?;
-            grids.insert(*floor, (grid, Vec::new()));
-        }
-        for p in &partitions {
-            if let Some((grid, ids)) = grids.get_mut(&p.floor) {
-                grid.insert(p.footprint);
-                ids.push(p.id);
-            }
-        }
+        let (floor_bounds, grids) =
+            floor_grids(floor_bounds.into_iter().collect(), &partitions, grid_cell)?;
 
         let mut space = IndoorSpace {
             partitions,

@@ -57,7 +57,7 @@ fn bench_keyword_relevance(c: &mut Criterion) {
     c.bench_function("substrate/candidate_expansion", |b| {
         b.iter(|| {
             let prepared = PreparedQuery::prepare(&query, &venue.directory, 0.1).unwrap();
-            black_box(prepared.candidate_iwords().len());
+            black_box(prepared.candidate_iwords(&venue.directory).len());
         });
     });
     let prepared = PreparedQuery::prepare(&query, &venue.directory, 0.1).unwrap();

@@ -92,8 +92,9 @@ pub struct ScalePoint {
     /// Space + directory rebuild from the venue document, milliseconds
     /// (the serving cold path rebuilds from a document, not a generator).
     pub space_build_ms: f64,
-    /// Index build wall-clock time in milliseconds (best of a few rounds,
-    /// on the document-rebuilt space + directory the serving path uses).
+    /// Index build wall-clock time in milliseconds (best of 15 rounds,
+    /// alternating with `index_load_ms`'s, on the document-rebuilt space +
+    /// directory the serving path uses).
     pub index_build_ms: f64,
     /// Estimated index heap bytes.
     pub index_bytes: usize,
@@ -122,17 +123,18 @@ pub struct ScalePoint {
     /// Full cold load of the v2 file in milliseconds: read it, decode and
     /// adopt the columns, adopt the persisted index.
     pub load_ms: f64,
-    /// Index acquisition alone in milliseconds (best of a few rounds):
+    /// Index acquisition alone in milliseconds (best of 15 rounds):
     /// decode the persisted section and adopt it against the directory.
     /// The serving criterion compares this against `index_build_ms`.
     pub index_load_ms: f64,
-    /// v2 columnar doc-decode phase in milliseconds (best of a few rounds):
+    /// v2 columnar doc-decode phase in milliseconds (best of 15 rounds,
+    /// alternating with `doc_rebuild_ms`'s):
     /// bytes → validated columns.
     pub doc_decode_ms: f64,
-    /// v2 columnar model-adopt phase in milliseconds (best of a few
+    /// v2 columnar model-adopt phase in milliseconds (best of the same 15
     /// rounds): columns → space + directory.
     pub model_adopt_ms: f64,
-    /// Record rebuild in milliseconds (best of a few rounds):
+    /// Record rebuild in milliseconds (best of 15 rounds):
     /// `VenueDocument::build` on the document. The document criterion
     /// compares this against `doc_decode_ms + model_adopt_ms`.
     pub doc_rebuild_ms: f64,
@@ -358,22 +360,21 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
     let _ = std::fs::remove_file(&tmp);
 
     // Index acquisition alone, on the section's bytes: decode plus
-    // adoption, without the document work. Both sides of the serving
-    // criterion take the best of a few rounds — one-shot wall times on a
-    // shared machine are dominated by scheduler and frequency noise, and
-    // steady-state is what a warm serving process sees.
-    const TIMING_ROUNDS: usize = 7;
+    // adoption, without the document work. Both sides of each serving
+    // criterion take the best of several rounds, and the two sides' rounds
+    // alternate: one-shot wall times on a shared machine are dominated by
+    // scheduler and frequency noise, a burst of it then hits both sides
+    // alike, and steady-state is what a warm serving process sees.
+    const TIMING_ROUNDS: usize = 15;
+    let mut section = Default::default();
+    index_section::encode_index_section(&mut section, fresh_index, fresh.directory());
     let mut index_build_ms = f64::INFINITY;
+    let mut index_load_ms = f64::INFINITY;
     for _ in 0..TIMING_ROUNDS {
         let build_start = Instant::now();
         let rebuilt = indoor_index::VenueIndex::build(fresh.space(), fresh.directory());
         index_build_ms = index_build_ms.min(ms_since(build_start));
         drop(rebuilt);
-    }
-    let mut section = Default::default();
-    index_section::encode_index_section(&mut section, fresh_index, fresh.directory());
-    let mut index_load_ms = f64::INFINITY;
-    for _ in 0..TIMING_ROUNDS {
         let index_load_start = Instant::now();
         let reloaded = match index_section::decode_index_section(section.as_ref()) {
             IndexSection::Present(prebuilt) => prebuilt
@@ -385,19 +386,17 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
         drop(reloaded);
     }
 
-    // The document criterion: v2 decode + adopt against the record rebuild,
-    // best of a few rounds on both sides.
+    // The document criterion: v2 decode + adopt against the record rebuild.
     let mut doc_decode_ms = f64::INFINITY;
     let mut model_adopt_ms = f64::INFINITY;
+    let mut doc_rebuild_ms = f64::INFINITY;
     let mut columnar_adopted = v2_engine.document_stats().is_some_and(adopted);
     for _ in 0..TIMING_ROUNDS {
         let round = binary::load_venue_model(&disk).expect("columnar venue loads");
         columnar_adopted &= adopted(&round.stats);
         doc_decode_ms = doc_decode_ms.min(round.stats.decode_micros as f64 / 1e3);
         model_adopt_ms = model_adopt_ms.min(round.stats.adopt_micros as f64 / 1e3);
-    }
-    let mut doc_rebuild_ms = f64::INFINITY;
-    for _ in 0..TIMING_ROUNDS {
+        drop(round);
         let rebuild_start = Instant::now();
         let rebuilt = doc.build().expect("sweep documents round-trip");
         doc_rebuild_ms = doc_rebuild_ms.min(ms_since(rebuild_start));

@@ -74,9 +74,7 @@ impl Search<'_> {
         let mut route = stamp.route.clone();
         route.complete_with_point(terminal, via).ok()?;
         let mut coverage = stamp.coverage.clone();
-        if let Some(iw) = self.ctx.iword_of_partition(self.ctx.terminal_partition) {
-            coverage.add_iword(&self.ctx.prepared, iw);
-        }
+        self.credit_partition(self.ctx.terminal_partition, &mut coverage);
         let mut key_partitions = stamp.key_partitions.clone();
         push_key_partition(&mut key_partitions, self.ctx.terminal_partition);
         let distance = stamp.distance + increment;
@@ -96,19 +94,18 @@ impl Search<'_> {
     /// Lines 11–17: all keywords covered — find the shortest regular route
     /// from the stamp's tail door to `pt`, respecting the doors already used
     /// by the route (global regularity check). The search is bounded by the
-    /// remaining budget, so a connection that would break `∆` (line 14) is
-    /// never found.
+    /// remaining budget and cut at the `∆`-ellipse, so a connection that
+    /// would break `∆` (line 14) is never found.
     fn connect_via_shortest_route(&mut self, stamp: &Stamp) {
         let Some(tail) = stamp.route.tail_door() else {
             return;
         };
-        let excluded = stamp.route.door_set();
         self.state.metrics.dijkstra_calls += 1;
         let Some((suffix_distance, doors, partitions)) =
             self.ctx.space.shortest_paths().door_to_point_path_within(
                 tail,
                 &self.ctx.query.terminal,
-                &excluded,
+                stamp.route.doors(),
                 stamp.distance,
                 self.ctx.delta(),
             )
@@ -146,9 +143,7 @@ impl Search<'_> {
             self.credit_iwords(d, &mut coverage);
             self.credit_key_partitions(d, &mut key_partitions);
         }
-        if let Some(iw) = self.ctx.iword_of_partition(self.ctx.terminal_partition) {
-            coverage.add_iword(&self.ctx.prepared, iw);
-        }
+        self.credit_partition(self.ctx.terminal_partition, &mut coverage);
         push_key_partition(&mut key_partitions, self.ctx.terminal_partition);
         let relevance = coverage.relevance();
         let score = self.ctx.ranking.score(relevance, total_distance);

@@ -1,21 +1,28 @@
 //! The per-query search context: the query prepared against a concrete
 //! venue, with every derived quantity the search algorithms need.
+//!
+//! Preparation does no venue-wide work. A search then builds one sorted
+//! key-partition table (`SearchContext::key_partition_table`) from the
+//! partitions near the query's `∆`-ellipse, and reads key-partition
+//! membership, keyword similarities and KoE's routing set from it.
 
 use crate::error::EngineError;
 use crate::query::IkrqQuery;
 use crate::score::RankingModel;
 use crate::Result;
 use indoor_index::VenueIndex;
-use indoor_keywords::{KeywordDirectory, PreparedQuery, WordId};
-use indoor_space::{DoorId, IndoorSpace, PartitionId, Route};
+use indoor_keywords::{CandidateSet, KeywordDirectory, PreparedQuery, WordId};
+use indoor_space::{DoorId, IndoorSpace, PartitionId, Route, ELLIPSE_SLACK};
+use std::sync::OnceLock;
 
 /// A query prepared for execution against a venue: host partitions resolved,
-/// keyword candidates expanded, key partitions collected once as a sorted
-/// list, ranking model instantiated.
+/// keywords classified, ranking model instantiated.
 ///
-/// KoE derives its routing set `P` from that list once per search, when it
-/// expands the initial stamp (see [`crate::koe`]); ToE only asks whether a
-/// partition is a key partition.
+/// The methods that decide key partitions here ([`Self::is_key_partition`],
+/// [`Self::key_partition_sequence`]) are the specification: they expand
+/// every keyword's candidate set by the vocabulary scan on first use. A
+/// search reads its key-partition table instead, which debug builds check
+/// against them.
 #[derive(Debug)]
 pub struct SearchContext<'a> {
     /// The venue's space model.
@@ -24,7 +31,7 @@ pub struct SearchContext<'a> {
     pub directory: &'a KeywordDirectory,
     /// The query being executed.
     pub query: &'a IkrqQuery,
-    /// The prepared query (candidate i-word sets, `Wci`).
+    /// The prepared query keywords, which score i-words on demand.
     pub prepared: PreparedQuery,
     /// The ranking model `ψ` with the query's `α`, `∆` and `|QW|`.
     pub ranking: RankingModel,
@@ -35,17 +42,96 @@ pub struct SearchContext<'a> {
     /// The venue index, when the engine runs accelerated. KoE tests Rule 3
     /// by region first with it; `None` runs the per-partition bounds only.
     pub index: Option<&'a VenueIndex>,
-    /// The key partitions of the query, sorted and duplicate-free: the
-    /// partitions whose i-word is a candidate of some query keyword
-    /// ([`PreparedQuery::key_partitions`], before the start/terminal
-    /// adjustment of Algorithm 1 line 3).
-    pub(crate) key_partitions: Vec<PartitionId>,
+    /// The candidate sets `κ(wQ)` by the vocabulary scan, one per query
+    /// keyword, built on first use by the specification methods.
+    spec: OnceLock<Vec<CandidateSet>>,
+}
+
+/// The per-query key-partition table: `v(ps)`, `v(pt)` and the key
+/// partitions a search can meet, sorted by partition, each with its
+/// similarity for every query keyword (0 where its i-word is no candidate
+/// of that keyword).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KeyPartitionTable {
+    partitions: Vec<PartitionId>,
+    /// Whether the row's i-word is a candidate of some keyword.
+    covers: Vec<bool>,
+    /// `|QW|` similarities per row, row-major.
+    similarities: Vec<f64>,
+    width: usize,
+}
+
+impl KeyPartitionTable {
+    fn new(width: usize) -> Self {
+        KeyPartitionTable {
+            width,
+            ..KeyPartitionTable::default()
+        }
+    }
+
+    /// Appends a row, in ascending partition order.
+    fn push(&mut self, v: PartitionId, similarities: &[f64]) {
+        debug_assert!(self.partitions.last().is_none_or(|&last| last < v));
+        debug_assert_eq!(similarities.len(), self.width);
+        self.partitions.push(v);
+        self.covers.push(similarities.iter().any(|&s| s > 0.0));
+        self.similarities.extend_from_slice(similarities);
+    }
+
+    /// The row of a partition, if it has one.
+    pub(crate) fn row(&self, v: PartitionId) -> Option<usize> {
+        self.partitions.binary_search(&v).ok()
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.partitions.len()
+    }
+
+    /// The partition of a row.
+    pub(crate) fn partition(&self, row: usize) -> PartitionId {
+        self.partitions[row]
+    }
+
+    /// Whether a row's partition covers some query keyword.
+    pub(crate) fn covers(&self, row: usize) -> bool {
+        self.covers[row]
+    }
+
+    /// Whether a partition has a row that covers some query keyword.
+    pub(crate) fn covers_partition(&self, v: PartitionId) -> bool {
+        self.row(v).is_some_and(|row| self.covers[row])
+    }
+
+    /// A row's similarity for every query keyword.
+    pub(crate) fn similarities(&self, row: usize) -> &[f64] {
+        &self.similarities[row * self.width..(row + 1) * self.width]
+    }
+
+    /// Whether two tables hold the same rows with bit-identical
+    /// similarities.
+    fn same_bits(&self, other: &KeyPartitionTable) -> bool {
+        self.width == other.width
+            && self.partitions == other.partitions
+            && self
+                .similarities
+                .iter()
+                .map(|s| s.to_bits())
+                .eq(other.similarities.iter().map(|s| s.to_bits()))
+    }
+
+    /// Heap size in bytes, for memory accounting.
+    pub(crate) fn estimated_bytes(&self) -> usize {
+        self.partitions.capacity() * std::mem::size_of::<PartitionId>()
+            + self.covers.capacity()
+            + self.similarities.capacity() * std::mem::size_of::<f64>()
+    }
 }
 
 impl<'a> SearchContext<'a> {
     /// Prepares a query for execution. Validates the query parameters,
-    /// resolves the host partitions of both points, expands the keyword
-    /// candidates and checks that the distance constraint is not trivially
+    /// resolves the host partitions of both points, classifies the keywords
+    /// and checks that the distance constraint is not trivially
     /// unsatisfiable (the skeleton lower bound from `ps` to `pt` already
     /// exceeds `∆`).
     pub fn prepare(
@@ -56,12 +142,10 @@ impl<'a> SearchContext<'a> {
         Self::prepare_with_index(space, directory, None, query)
     }
 
-    /// [`SearchContext::prepare`] with an optional venue index. With an
-    /// index, keyword candidate expansion walks the keyword associations
-    /// (`VenueIndex::prepare_query`) instead of the vocabulary scan; the
-    /// produced context is otherwise identical — the two paths are
-    /// cross-checked for byte-identical search results by the mirrored
-    /// proptest in `tests/index_mirror.rs`.
+    /// [`SearchContext::prepare`] with an optional venue index, which KoE
+    /// consults for its Rule-3 region pretest. Keyword preparation is the
+    /// same with or without one, and the mirrored proptests in
+    /// `tests/index_mirror.rs` hold both engines to byte-identical results.
     pub fn prepare_with_index(
         space: &'a IndoorSpace,
         directory: &'a KeywordDirectory,
@@ -82,11 +166,7 @@ impl<'a> SearchContext<'a> {
                 lower_bound,
             });
         }
-        let prepared = match index {
-            Some(index) => index.prepare_query(&query.keywords, directory, query.tau)?,
-            None => PreparedQuery::prepare(&query.keywords, directory, query.tau)?,
-        };
-        let key_partitions = prepared.key_partitions(directory);
+        let prepared = PreparedQuery::prepare(&query.keywords, directory, query.tau)?;
         let ranking = RankingModel::new(query.alpha, query.delta, query.num_keywords());
         Ok(SearchContext {
             space,
@@ -97,7 +177,116 @@ impl<'a> SearchContext<'a> {
             start_partition,
             terminal_partition,
             index,
-            key_partitions,
+            spec: OnceLock::new(),
+        })
+    }
+
+    /// The key-partition table of one search: `v(ps)`, `v(pt)` and every
+    /// key partition with a door (enterable or leavable) inside the
+    /// `∆`-ellipse, `|ps, d|_L + |d, pt|_L ≤ ∆` (Rule 2's door test, with
+    /// the relative slack the shortest-path runs cut with), found through
+    /// [`IndoorSpace::partitions_within_detour`]. Without `near_ellipse`
+    /// (the `\D` variants, whose routes may leave the ellipse) it holds
+    /// the key partitions of the whole venue.
+    ///
+    /// With distance pruning on, every partition a search credits is
+    /// leavable through a door inside the ellipse: ToE's doors pass Rule 2,
+    /// and the doors of KoE's jumps and of connections lie on routes within
+    /// Rule 1 or `∆`. Debug builds check the table against the vocabulary
+    /// scan, and every credited door against the ellipse.
+    pub(crate) fn key_partition_table(&self, near_ellipse: bool) -> KeyPartitionTable {
+        let (start, terminal) = (self.start_partition, self.terminal_partition);
+        let mut walked = if near_ellipse {
+            self.space.partitions_within_detour(
+                &self.query.start,
+                &self.query.terminal,
+                self.ellipse_limit(),
+            )
+        } else {
+            (0..self.space.num_partitions() as u32)
+                .map(PartitionId)
+                .collect()
+        };
+        for v in [start, terminal] {
+            if let Err(at) = walked.binary_search(&v) {
+                walked.insert(at, v);
+            }
+        }
+        let width = self.prepared.len();
+        let mut table = KeyPartitionTable::new(width);
+        let mut row = Vec::with_capacity(width);
+        for v in walked {
+            row.clear();
+            match self.directory.partition_iword(v) {
+                Some(iw) => self
+                    .prepared
+                    .push_similarities(self.directory, iw, &mut row),
+                None => row.resize(width, 0.0),
+            }
+            if v == start || v == terminal || row.iter().any(|&s| s > 0.0) {
+                table.push(v, &row);
+            }
+        }
+        debug_assert!(
+            table.same_bits(&self.spec_key_partition_table(near_ellipse)),
+            "the key-partition table must equal the vocabulary scan's, restricted to the ellipse"
+        );
+        table
+    }
+
+    /// The table [`Self::key_partition_table`] must build, by brute force:
+    /// every partition of the venue, the vocabulary scan's similarities,
+    /// and the door test on every door.
+    fn spec_key_partition_table(&self, near_ellipse: bool) -> KeyPartitionTable {
+        let candidates = self.spec_candidates();
+        let mut table = KeyPartitionTable::new(candidates.len());
+        for v in (0..self.space.num_partitions() as u32).map(PartitionId) {
+            let iword = self.directory.partition_iword(v);
+            let row: Vec<f64> = candidates
+                .iter()
+                .map(|set| iword.and_then(|iw| set.similarity(iw)).unwrap_or(0.0))
+                .collect();
+            let ends = v == self.start_partition || v == self.terminal_partition;
+            let walked = !near_ellipse
+                || self
+                    .space
+                    .p2d_enter(v)
+                    .iter()
+                    .chain(self.space.p2d_leave(v))
+                    .any(|&d| self.door_in_ellipse(d));
+            if ends || (walked && row.iter().any(|&s| s > 0.0)) {
+                table.push(v, &row);
+            }
+        }
+        table
+    }
+
+    /// The door test of the ellipse walk: `|ps, d|_L + |d, pt|_L` within
+    /// `∆`, give or take the walk's slack.
+    pub(crate) fn door_in_ellipse(&self, d: DoorId) -> bool {
+        self.space
+            .door_detour_lower_bound(&self.query.start, d, &self.query.terminal)
+            <= self.ellipse_limit()
+    }
+
+    /// `∆` with the relative slack of the ellipse cut.
+    fn ellipse_limit(&self) -> f64 {
+        self.delta() * (1.0 + ELLIPSE_SLACK)
+    }
+
+    /// The vocabulary scan's candidate sets, one per query keyword.
+    fn spec_candidates(&self) -> &[CandidateSet] {
+        self.spec.get_or_init(|| {
+            let (vocab, mappings) = (self.directory.vocab(), self.directory.mappings());
+            let tau = self.prepared.tau();
+            self.prepared
+                .words()
+                .iter()
+                .map(|w| {
+                    w.id.and_then(|id| CandidateSet::build(id, vocab, mappings, tau).ok())
+                        .unwrap_or_default()
+                })
+                .collect()
         })
     }
 
@@ -114,7 +303,9 @@ impl<'a> SearchContext<'a> {
     /// Whether a partition's i-word is a candidate match of some query
     /// keyword (`PW(v).wi ∈ Wci`, the Lemma 2 condition in Algorithm 2).
     pub fn partition_covers_candidate(&self, v: PartitionId) -> bool {
-        self.key_partitions.binary_search(&v).is_ok()
+        self.directory
+            .partition_iword(v)
+            .is_some_and(|iw| self.spec_candidates().iter().any(|set| set.contains(iw)))
     }
 
     /// The key-partition sequence `KP(R)` of a route under this query.
@@ -245,7 +436,12 @@ mod tests {
         assert_eq!(ctx.terminal_partition, PartitionId(2));
         // costa (v1) covers "coffee"; the start and terminal partitions are
         // key partitions without covering a keyword.
-        assert_eq!(ctx.key_partitions, [PartitionId(1)]);
+        let table = ctx.key_partition_table(true);
+        let rows: Vec<_> = (0..table.len()).map(|row| table.partition(row)).collect();
+        assert_eq!(rows, [PartitionId(0), PartitionId(1), PartitionId(2)]);
+        assert!(table.covers_partition(PartitionId(1)));
+        assert!(!table.covers_partition(PartitionId(0)));
+        assert_eq!(table.similarities(1), [1.0]);
         assert!(
             ctx.is_key_partition(PartitionId(0)),
             "start partition is a key partition for KP()"
@@ -259,6 +455,30 @@ mod tests {
         // Same-floor skeleton bounds are planar Euclidean distances.
         assert!((ctx.start_to_door_lb(DoorId(0)) - 8.0).abs() < 1e-9);
         assert!((ctx.door_to_terminal_lb(DoorId(1)) - 8.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn key_partition_table_keeps_the_ellipse() {
+        let (space, dir) = venue();
+        // ps and pt both in v0, ∆ 20: door d0 (x = 10) is inside the
+        // ellipse, d1 (x = 20), the only door of apple's v2, is not.
+        let q = IkrqQuery::new(
+            IndoorPoint::from_xy(2.0, 5.0, FloorId(0)),
+            IndoorPoint::from_xy(8.0, 5.0, FloorId(0)),
+            20.0,
+            QueryKeywords::new(["apple"]).unwrap(),
+            2,
+        );
+        let ctx = SearchContext::prepare(&space, &dir, &q).unwrap();
+        let rows = |table: &KeyPartitionTable| -> Vec<PartitionId> {
+            (0..table.len()).map(|row| table.partition(row)).collect()
+        };
+        assert_eq!(rows(&ctx.key_partition_table(true)), [PartitionId(0)]);
+        let venue_wide = ctx.key_partition_table(false);
+        assert_eq!(rows(&venue_wide), [PartitionId(0), PartitionId(2)]);
+        assert_eq!(venue_wide.similarities(1), [1.0]);
+        // The specification still knows apple's partition.
+        assert!(ctx.is_key_partition(PartitionId(2)));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Pruning Rules 1, 4 and 5 to a door path, and builds a child only when
 //! Rule 5 admits it or it lands in `v(pt)`.
 
-use crate::context::SearchContext;
+use crate::context::{KeyPartitionTable, SearchContext};
 use crate::koe::RoutingPartition;
 use crate::metrics::SearchMetrics;
 use crate::prime::PrimeTable;
@@ -38,6 +38,9 @@ pub(crate) struct SearchState {
     pub prime: PrimeTable,
     /// The top-k results (owns the `kbound`).
     pub results: TopKResults,
+    /// The query's key partitions near the `∆`-ellipse (all of them without
+    /// distance pruning), with their keyword similarities.
+    pub key_table: KeyPartitionTable,
     /// KoE only: the routing set `P` of Algorithm 1 line 3 after Pruning
     /// Rule 3, built once when the initial stamp is expanded.
     pub routing: Vec<RoutingPartition>,
@@ -58,15 +61,17 @@ pub struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    /// Creates a search run. The third parameter only keeps existing
-    /// three-argument callers compiling: no value of [`Infallible`] exists,
-    /// so it is always `None`, and a KoE* search computes its own paths.
+    /// Creates a search run and builds its key-partition table. The third
+    /// parameter only keeps existing three-argument callers compiling: no
+    /// value of [`Infallible`] exists, so it is always `None`, and a KoE*
+    /// search computes its own paths.
     pub fn new(
         ctx: &'a SearchContext<'a>,
         config: VariantConfig,
         _shared_rows: Option<Infallible>,
     ) -> Self {
         let results = TopKResults::new(ctx.query.k, config.use_prime_pruning);
+        let key_table = ctx.key_partition_table(config.use_distance_pruning);
         Search {
             ctx,
             config,
@@ -76,6 +81,7 @@ impl<'a> Search<'a> {
                 doors_filtered: HashSet::new(),
                 prime: PrimeTable::new(),
                 results,
+                key_table,
                 routing: Vec::new(),
                 metrics: SearchMetrics::new(),
                 queue_bytes: 0,
@@ -158,9 +164,7 @@ impl<'a> Search<'a> {
         let route = Route::from_point(self.ctx.query.start);
         let mut coverage = CoverageTracker::new(self.ctx.prepared.len());
         // RW((ps)) contains the i-word of ps's host partition (Definition 5).
-        if let Some(iw) = self.ctx.iword_of_partition(self.ctx.start_partition) {
-            coverage.add_iword(&self.ctx.prepared, iw);
-        }
+        self.credit_partition(self.ctx.start_partition, &mut coverage);
         let relevance = coverage.relevance();
         let score = self.ctx.ranking.score(relevance, 0.0);
         Stamp {
@@ -273,10 +277,22 @@ impl<'a> Search<'a> {
     /// coverage: every partition leavable through the door adds its i-word
     /// to `RW(R)` (Definition 5).
     pub(crate) fn credit_iwords(&self, d: DoorId, coverage: &mut CoverageTracker) {
+        debug_assert!(
+            !self.config.use_distance_pruning || self.ctx.door_in_ellipse(d),
+            "credited door {d:?} lies outside the walked ellipse"
+        );
         for &v in self.ctx.space.d2p_leave(d) {
-            if let Some(iw) = self.ctx.iword_of_partition(v) {
-                coverage.add_iword(&self.ctx.prepared, iw);
-            }
+            self.credit_partition(v, coverage);
+        }
+    }
+
+    /// Credits partition `v`'s i-word to a route's keyword coverage: the
+    /// similarities of its key-partition row, if it has one (a partition
+    /// without a row covers no keyword).
+    pub(crate) fn credit_partition(&self, v: PartitionId, coverage: &mut CoverageTracker) {
+        let table = &self.state.key_table;
+        if let Some(row) = table.row(v) {
+            coverage.add_similarities(table.similarities(row));
         }
     }
 
@@ -285,10 +301,24 @@ impl<'a> Search<'a> {
     /// moves to the end of `KP(R)`.
     pub(crate) fn credit_key_partitions(&self, d: DoorId, key_partitions: &mut Vec<PartitionId>) {
         for &v in self.ctx.space.d2p_leave(d) {
-            if self.ctx.is_key_partition(v) {
+            if self.is_key_partition(v) {
                 push_key_partition(key_partitions, v);
             }
         }
+    }
+
+    /// [`SearchContext::is_key_partition`], read from the key-partition
+    /// table.
+    pub(crate) fn is_key_partition(&self, v: PartitionId) -> bool {
+        v == self.ctx.start_partition
+            || v == self.ctx.terminal_partition
+            || self.partition_covers_candidate(v)
+    }
+
+    /// [`SearchContext::partition_covers_candidate`], read from the
+    /// key-partition table.
+    pub(crate) fn partition_covers_candidate(&self, v: PartitionId) -> bool {
+        self.state.key_table.covers_partition(v)
     }
 
     // -----------------------------------------------------------------
@@ -349,6 +379,7 @@ impl<'a> Search<'a> {
             + (self.state.doors_checked.len() + self.state.doors_filtered.len())
                 * std::mem::size_of::<DoorId>()
                 * 2
+            + self.state.key_table.estimated_bytes()
             + self.state.routing.len() * std::mem::size_of::<RoutingPartition>()
             // Index mode charges the shared index.
             + self.state.index_bytes;

@@ -9,14 +9,20 @@
 //!
 //! The routing set `P` is built once per search, when the initial stamp is
 //! expanded: that stamp is the only one without a tail door, and Algorithm 6
-//! visits all of `P` there. Pruning Rule 3's bound (Lemma 3) depends only on
+//! visits all of `P` there. It comes from the search's key-partition table,
+//! which holds only the key partitions with a door inside the `∆`-ellipse
+//! (all of them for KoE\D). Pruning Rule 3's bound (Lemma 3) depends only on
 //! `ps`, `pt` and the partition, so the partitions it rejects are dropped
 //! from `P` then and stay dropped for the whole query.
 //!
 //! Every shortest-path run made here is bounded by the remaining budget
 //! (`base` = the distance already walked, `limit` = `∆`): line 14 drops any
-//! connection longer than that, so doors beyond it are never settled. Each
-//! run offers its connections through one helper, `connection`.
+//! connection longer than that, so doors beyond it are never settled. With
+//! distance pruning on, the runs also cut at the `∆`-ellipse: a door from
+//! which `pt` is out of reach fails Rule 1 as a jump target and cannot lie
+//! on a path to one that passes, so a run settles the ellipse, not the
+//! `∆`-ball. Each run offers its connections through one helper,
+//! `connection`.
 //!
 //! Each connection goes to the child step (`Search::generate_children`),
 //! which applies the distance constraint and Pruning Rules 1, 4 and 5
@@ -26,17 +32,16 @@
 use crate::framework::Search;
 use crate::pruning::PruneRule;
 use crate::stamp::Stamp;
-use indoor_keywords::WordId;
-use indoor_space::{DijkstraResult, DoorId, PartitionId};
-use std::collections::{HashMap, HashSet};
+use indoor_space::{DijkstraResult, DoorId, IndoorPoint, PartitionId};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
 /// One partition of KoE's routing set `P`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RoutingPartition {
     partition: PartitionId,
-    /// The partition's i-word; only `v(pt)` may have none.
-    iword: Option<WordId>,
+    /// The partition's row in the key-partition table.
+    row: usize,
     /// The Rule-3 detour lower bound `|ps, v| + |v, pt|` (Lemma 3), which is
     /// also line 11's bound for the initial stamp.
     detour_bound: f64,
@@ -84,12 +89,11 @@ enum KoeSource {
     /// `row` violates regularity.
     Unrestricted {
         row: DijkstraResult,
-        excluded: HashSet<DoorId>,
         fallback: Option<DijkstraResult>,
     },
 }
 
-impl Search<'_> {
+impl<'a> Search<'a> {
     /// `KoE_find(Si)`: the next valid stamps reachable by jumping to candidate
     /// key partitions.
     pub(crate) fn koe_find(&mut self, stamp: &Stamp) -> Vec<Stamp> {
@@ -119,13 +123,8 @@ impl Search<'_> {
             if vj == stamp.partition {
                 continue;
             }
-            if vj != ctx.terminal_partition
-                && entry.iword.is_some_and(|iw| {
-                    covered
-                        .iter()
-                        .any(|&idx| ctx.prepared.similarity(idx, iw).is_some())
-                })
-            {
+            let similarities = self.state.key_table.similarities(entry.row);
+            if vj != ctx.terminal_partition && covered.iter().any(|&idx| similarities[idx] > 0.0) {
                 continue;
             }
             // Distance constraint check (line 11): current distance plus the
@@ -167,11 +166,13 @@ impl Search<'_> {
         children
     }
 
-    /// The routing set `P` of Algorithm 1 line 3: the key partitions, minus
-    /// `v(ps)`, plus `v(pt)`, in partition order, each with its i-word and
-    /// Rule-3 detour bound. With distance pruning on, Pruning Rule 3
-    /// (Algorithm 6 lines 9–10) drops every partition whose bound exceeds
-    /// `∆`, one prune each.
+    /// The routing set `P` of Algorithm 1 line 3: the key partitions of the
+    /// key-partition table, minus `v(ps)`, plus `v(pt)`, in partition order,
+    /// each with its Rule-3 detour bound. With distance pruning on, Pruning
+    /// Rule 3 (Algorithm 6 lines 9–10) drops every partition whose bound
+    /// exceeds `∆`, one prune each. A key partition outside the table has
+    /// no door inside the `∆`-ellipse, so its bound exceeds `∆` too: it is
+    /// never met, and never counted.
     ///
     /// The index engine tests a partition's region first: a region whose
     /// bound exceeds `∆` drops every member without computing their own
@@ -182,15 +183,13 @@ impl Search<'_> {
         let (start, terminal) = (&ctx.query.start, &ctx.query.terminal);
         let delta = ctx.delta();
         let prune = self.config.use_distance_pruning;
-        let mut partitions: Vec<PartitionId> = ctx
-            .key_partitions
-            .iter()
-            .copied()
-            .filter(|&v| v != ctx.start_partition)
+        let table = &self.state.key_table;
+        let rows: Vec<usize> = (0..table.len())
+            .filter(|&row| {
+                let v = table.partition(row);
+                v == ctx.terminal_partition || (v != ctx.start_partition && table.covers(row))
+            })
             .collect();
-        if let Err(at) = partitions.binary_search(&ctx.terminal_partition) {
-            partitions.insert(at, ctx.terminal_partition);
-        }
 
         // Index engine only: whether the partition's region bound already
         // exceeds ∆, computing each region's bound once.
@@ -220,7 +219,8 @@ impl Search<'_> {
         };
 
         let mut routing = Vec::new();
-        for v in partitions {
+        for row in rows {
+            let v = self.state.key_table.partition(row);
             // A failed region stands in for the bounds of all its members.
             let detour_bound = if prune && region_fails(v) {
                 f64::INFINITY
@@ -236,7 +236,7 @@ impl Search<'_> {
             }
             routing.push(RoutingPartition {
                 partition: v,
-                iword: ctx.iword_of_partition(v),
+                row,
                 detour_bound,
             });
         }
@@ -245,50 +245,54 @@ impl Search<'_> {
 
     /// Builds the shortest-path source rooted at the stamp's current position.
     fn koe_source(&mut self, stamp: &Stamp) -> KoeSource {
+        let ctx = self.ctx;
+        let paths = ctx.space.shortest_paths();
+        let terminal = self.ellipse_terminal();
         match stamp.route.tail_door() {
             None => {
-                let start_partition = self.ctx.start_partition;
                 let mut per_door = Vec::new();
-                for &dx in self.ctx.space.p2d_leave(start_partition) {
-                    let cost = self.ctx.space.pt2d_distance(&self.ctx.query.start, dx);
+                for &dx in ctx.space.p2d_leave(ctx.start_partition) {
+                    let cost = ctx.space.pt2d_distance(&ctx.query.start, dx);
                     if !cost.is_finite() {
                         continue;
                     }
                     self.state.metrics.dijkstra_calls += 1;
-                    let result = self.ctx.space.shortest_paths().from_door_within(
-                        dx,
-                        &HashSet::new(),
-                        cost,
-                        self.ctx.delta(),
-                    );
+                    let result = paths.from_door_within(dx, &[], cost, ctx.delta(), terminal);
                     per_door.push((cost, result));
                 }
                 KoeSource::FromPoint(per_door)
             }
             Some(dk) => {
-                let mut excluded = stamp.route.door_set();
-                excluded.remove(&dk);
                 self.state.metrics.dijkstra_calls += 1;
-                let paths = self.ctx.space.shortest_paths();
                 if self.config.use_precomputed_paths {
-                    let row = paths.from_door_within(
-                        dk,
-                        &HashSet::new(),
-                        stamp.distance,
-                        self.ctx.delta(),
-                    );
+                    let row =
+                        paths.from_door_within(dk, &[], stamp.distance, ctx.delta(), terminal);
                     KoeSource::Unrestricted {
                         row,
-                        excluded,
                         fallback: None,
                     }
                 } else {
-                    let result =
-                        paths.from_door_within(dk, &excluded, stamp.distance, self.ctx.delta());
+                    let result = paths.from_door_within(
+                        dk,
+                        stamp.route.doors(),
+                        stamp.distance,
+                        ctx.delta(),
+                        terminal,
+                    );
                     KoeSource::FromDoor(result)
                 }
             }
         }
+    }
+
+    /// The terminal point the shortest-path runs cut their ellipse at:
+    /// `pt` with distance pruning on, none for KoE\D, whose jumps are not
+    /// held to Rule 1.
+    fn ellipse_terminal(&self) -> Option<&'a IndoorPoint> {
+        let ctx = self.ctx;
+        self.config
+            .use_distance_pruning
+            .then_some(&ctx.query.terminal)
     }
 
     /// Resolves the shortest regular connection from the stamp position to the
@@ -321,15 +325,14 @@ impl Search<'_> {
                 best
             }
             KoeSource::FromDoor(run) => connection(run, dl),
-            KoeSource::Unrestricted {
-                row,
-                excluded,
-                fallback,
-            } => {
+            KoeSource::Unrestricted { row, fallback } => {
                 // A door the row leaves unsettled is beyond the remaining
-                // budget even without exclusions: no regular connection fits.
+                // budget (or the ellipse) even without exclusions: no
+                // regular connection fits.
                 let found = connection(row, dl)?;
-                if found.doors.iter().skip(1).all(|d| !excluded.contains(d)) {
+                // The path is simple, so only its first door is the tail.
+                let route = &stamp.route;
+                if found.doors.iter().skip(1).all(|&d| !route.contains_door(d)) {
                     return Some(found);
                 }
                 // Regularity check failed: recompute on the fly, as the
@@ -339,9 +342,10 @@ impl Search<'_> {
                     self.state.metrics.dijkstra_calls += 1;
                     *fallback = Some(self.ctx.space.shortest_paths().from_door_within(
                         row.source(),
-                        excluded,
+                        route.doors(),
                         stamp.distance,
                         self.ctx.delta(),
+                        self.ellipse_terminal(),
                     ));
                 }
                 connection(fallback.as_ref().expect("fallback just filled"), dl)

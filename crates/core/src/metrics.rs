@@ -36,9 +36,10 @@ pub struct SearchMetrics {
     pub dijkstra_calls: u64,
     /// Number of shortest-path recomputations forced by failed regularity
     /// checks against KoE*'s runs without exclusions (KoE* only). Such a
-    /// run settles only the doors within the remaining budget; a target it
-    /// leaves unsettled cannot be reached within `∆` and is dropped without
-    /// a recomputation and without a `DistanceConstraint` prune.
+    /// run settles only the doors within the remaining budget and inside
+    /// the `∆`-ellipse; a target it leaves unsettled cannot be reached, or
+    /// cannot reach `pt`, within `∆`, and is dropped without a
+    /// recomputation and without a prune.
     pub precomputed_path_recomputations: u64,
     /// Per-rule pruning counters.
     pub prunes: PruneStats,

@@ -11,12 +11,22 @@ use std::fmt;
 pub enum PruneRule {
     /// Pruning Rule 1: a partial route whose distance plus the lower-bound
     /// distance from its tail to `pt` exceeds `∆`.
+    ///
+    /// With distance pruning on, KoE's shortest-path runs cut at the
+    /// `∆`-ellipse, the same test with a relative slack of 1e-9, so a jump
+    /// past the ellipse is never settled and never counted here; KoE
+    /// counts only jumps within that slack of the bound.
     PartialRouteDistance,
     /// Pruning Rule 2: a door whose lower-bound `ps`-to-door plus door-to-`pt`
     /// distance exceeds `∆`.
     DoorDistance,
     /// Pruning Rule 3: a partition whose lower-bound detour distance
     /// `δ(ps, v, pt)` exceeds `∆`.
+    ///
+    /// Counted once per query, over the key partitions of the search's
+    /// key-partition table: those with a door inside the `∆`-ellipse (every
+    /// key partition without distance pruning). A key partition with no
+    /// door inside is never met, so it is not counted.
     PartitionDistance,
     /// Pruning Rule 4: a partial route whose upper-bound ranking score does
     /// not exceed the current k-th best score (`kbound`).

@@ -45,7 +45,7 @@ impl Search<'_> {
             }
             // Lemma 2: a one-hop loop (dk, dk) is only allowed when the looped
             // partition covers a candidate i-word (lines 12–13).
-            if Some(dl) == tail && !ctx.partition_covers_candidate(vi) {
+            if Some(dl) == tail && !self.partition_covers_candidate(vi) {
                 self.state.metrics.prunes.record(PruneRule::Regularity);
                 continue;
             }

@@ -12,14 +12,11 @@
 //!
 //! ## Layout
 //!
-//! 1. **Keyword preparation** keeps no tables of its own.
-//!    [`VenueIndex::prepare_query`] expands each query keyword with
-//!    [`CandidateSet::by_association`], which walks the directory's own
-//!    sorted `T2I`/`I2T` rows: it scores only the i-words sharing at least
-//!    one t-word with the Definition-4 union — exactly the set the
-//!    vocabulary scan keeps — so the produced [`CandidateSet`] is equal,
-//!    entry for entry, to the scan-built one (cross-checked by tests in
-//!    `indoor-keywords` and a mirrored proptest in `ikrq-core`).
+//! 1. **Keyword preparation** keeps no tables of its own, and expands no
+//!    candidate set: [`VenueIndex::prepare_query`] is
+//!    [`PreparedQuery::prepare`], which keeps per keyword what scoring an
+//!    i-word needs, and a search scores only the i-words of partitions
+//!    near its `∆`-ellipse (see `ikrq-core`'s `context` module).
 //!
 //! 2. **[`RegionIndex`]** — a coarse spatial containment layer in the
 //!    QDR-Tree spirit: per-floor grid regions over the partition graph,
@@ -64,8 +61,7 @@
 //! records its own build time and estimated heap footprint so benchmarks
 //! and the stats endpoint can report index cost honestly.
 //!
-//! [`CandidateSet`]: indoor_keywords::CandidateSet
-//! [`CandidateSet::by_association`]: indoor_keywords::CandidateSet::by_association
+//! [`PreparedQuery::prepare`]: indoor_keywords::PreparedQuery::prepare
 
 pub mod counters;
 pub mod regions;
@@ -73,9 +69,7 @@ pub mod regions;
 pub use counters::{IndexCounterSnapshot, IndexCounters};
 pub use regions::{Region, RegionIndex};
 
-use indoor_keywords::{
-    CandidateSet, KeywordDirectory, PreparedQuery, QueryKeywords, Result as KeywordResult,
-};
+use indoor_keywords::{KeywordDirectory, PreparedQuery, QueryKeywords, Result as KeywordResult};
 use indoor_space::IndoorSpace;
 use std::time::Instant;
 
@@ -147,19 +141,14 @@ impl VenueIndex {
         std::mem::size_of::<Self>() + self.regions.estimated_bytes()
     }
 
-    /// Prepares a query against the venue by walking the directory's
-    /// keyword associations ([`CandidateSet::by_association`]) instead of
-    /// scanning the vocabulary. The result is equal to
-    /// [`PreparedQuery::prepare`] on the same inputs — same words, same
-    /// candidate sets, same similarity scores, same error behaviour — which
-    /// is what keeps index-mode search responses byte-identical to scan
-    /// mode.
+    /// Prepares a query against the venue: [`PreparedQuery::prepare`], which
+    /// both engines share, so index-mode keyword scores are scan mode's.
     pub fn prepare_query(
         &self,
         query: &QueryKeywords,
         directory: &KeywordDirectory,
         tau: f64,
     ) -> KeywordResult<PreparedQuery> {
-        PreparedQuery::prepare_with(query, directory, tau, CandidateSet::by_association)
+        PreparedQuery::prepare(query, directory, tau)
     }
 }

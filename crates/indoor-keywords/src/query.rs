@@ -3,9 +3,8 @@
 use crate::directory::KeywordDirectory;
 use crate::error::KeywordError;
 use crate::intern::WordId;
-use crate::mappings::KeywordMappings;
-use crate::similarity::CandidateSet;
-use crate::vocab::{Vocabulary, WordKind};
+use crate::similarity::{jaccard, CandidateSet};
+use crate::vocab::WordKind;
 use crate::Result;
 use indoor_space::PartitionId;
 use serde::{Deserialize, Serialize};
@@ -50,6 +49,11 @@ impl QueryKeywords {
 }
 
 /// One query keyword after preparation against a venue.
+///
+/// Preparation does not expand the keyword's candidate i-word set `κ(wQ)`
+/// (Definition 4): it keeps what evaluating one i-word against it needs.
+/// [`PreparedQuery::similarity`] then scores any i-word on demand, equal bit
+/// for bit to the entry [`CandidateSet::build`] would give it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PreparedWord {
     /// Raw string as given by the user.
@@ -58,61 +62,79 @@ pub struct PreparedWord {
     pub id: Option<WordId>,
     /// Classification against the vocabulary.
     pub kind: WordKind,
-    /// The candidate i-word set `κ(wQ)`; empty for unknown words.
-    pub candidates: CandidateSet,
+    /// For a t-word: its direct matches `T2I(wQ)`, sorted. Empty otherwise.
+    direct: Vec<WordId>,
+    /// For a t-word: the union `U` of the t-words of its direct matches,
+    /// sorted. Empty otherwise.
+    union: Vec<WordId>,
 }
 
-/// A query keyword list prepared against a venue: every keyword is classified
-/// and expanded into its candidate i-word set (`K(QW)` in Example 4), and the
-/// union of candidate i-words `Wci` (Algorithm 1 line 2) is precomputed.
+impl PreparedWord {
+    /// The similarity of `iword`, whose t-words are `twords` (`I2T(iword)`),
+    /// under Definition 4: 1 for the keyword itself or a direct match, the
+    /// Jaccard similarity of `twords` and `U` when it exceeds `tau`, and no
+    /// match otherwise. [`CandidateSet::build`] computes the same values.
+    fn similarity(&self, iword: WordId, twords: &[WordId], tau: f64) -> Option<f64> {
+        match self.kind {
+            WordKind::IWord => (self.id == Some(iword)).then_some(1.0),
+            WordKind::TWord => {
+                if self.direct.binary_search(&iword).is_ok() {
+                    return Some(1.0);
+                }
+                let s = jaccard(twords, &self.union);
+                (s > tau).then_some(s)
+            }
+            WordKind::Unknown => None,
+        }
+    }
+}
+
+/// A query keyword list prepared against a venue: every keyword classified,
+/// and a t-word's Definition-4 union `U` computed, so that the similarity of
+/// any i-word can be evaluated when a search meets it. Preparation costs
+/// `O(|T2I(wQ)| · |I2T|)` per t-word and nothing per venue partition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PreparedQuery {
     words: Vec<PreparedWord>,
-    all_candidates: BTreeSet<WordId>,
     tau: f64,
 }
 
 impl PreparedQuery {
     /// Prepares a query keyword list against a venue's keyword directory with
-    /// similarity threshold `tau`, expanding each keyword with the reference
-    /// [`CandidateSet::build`].
+    /// similarity threshold `tau`. A `tau` outside `[0, 1]` is rejected
+    /// when some keyword is in the vocabulary, as [`CandidateSet::build`]
+    /// rejects it.
     pub fn prepare(query: &QueryKeywords, directory: &KeywordDirectory, tau: f64) -> Result<Self> {
-        Self::prepare_with(query, directory, tau, CandidateSet::build)
-    }
-
-    /// [`PreparedQuery::prepare`] with the candidate builder given:
-    /// [`CandidateSet::build`] or [`CandidateSet::by_association`], which
-    /// produce equal sets. Only words found in the vocabulary reach the
-    /// builder, which is where an invalid `tau` is rejected.
-    pub fn prepare_with(
-        query: &QueryKeywords,
-        directory: &KeywordDirectory,
-        tau: f64,
-        candidates_of: impl Fn(WordId, &Vocabulary, &KeywordMappings, f64) -> Result<CandidateSet>,
-    ) -> Result<Self> {
+        let mappings = directory.mappings();
         let mut words = Vec::with_capacity(query.len());
-        let mut all_candidates = BTreeSet::new();
         for raw in query.words() {
             let (id, kind) = directory.classify(raw);
-            let candidates = match id {
-                Some(word_id) => {
-                    candidates_of(word_id, directory.vocab(), directory.mappings(), tau)?
+            if id.is_some() && !(0.0..=1.0).contains(&tau) {
+                return Err(KeywordError::InvalidThreshold(tau));
+            }
+            let (direct, union) = match (id, kind) {
+                (Some(tword), WordKind::TWord) => {
+                    let direct = mappings.t2i(tword).to_vec();
+                    let mut union: Vec<WordId> = direct
+                        .iter()
+                        .flat_map(|&iw| mappings.i2t(iw))
+                        .copied()
+                        .collect();
+                    union.sort_unstable();
+                    union.dedup();
+                    (direct, union)
                 }
-                None => CandidateSet::default(),
+                _ => (Vec::new(), Vec::new()),
             };
-            all_candidates.extend(candidates.iwords());
             words.push(PreparedWord {
                 raw: raw.clone(),
                 id,
                 kind,
-                candidates,
+                direct,
+                union,
             });
         }
-        Ok(PreparedQuery {
-            words,
-            all_candidates,
-            tau,
-        })
+        Ok(PreparedQuery { words, tau })
     }
 
     /// Number of query keywords `|QW|`.
@@ -135,20 +157,60 @@ impl PreparedQuery {
         &self.words
     }
 
-    /// The union of all candidate i-words, `Wci` of Algorithm 1 line 2.
-    pub fn candidate_iwords(&self) -> &BTreeSet<WordId> {
-        &self.all_candidates
+    /// The similarity of `iword` for the `idx`-th query keyword, if it is one
+    /// of that keyword's candidates: the entry [`CandidateSet::build`] gives
+    /// it, bit for bit.
+    pub fn similarity(
+        &self,
+        directory: &KeywordDirectory,
+        idx: usize,
+        iword: WordId,
+    ) -> Option<f64> {
+        let twords = directory.mappings().i2t(iword);
+        self.words.get(idx)?.similarity(iword, twords, self.tau)
+    }
+
+    /// Appends the similarity of `iword` for every query keyword, in query
+    /// order, to `out`: [`PreparedQuery::similarity`], with 0 for a keyword
+    /// of which it is no candidate (every candidate scores above 0).
+    pub fn push_similarities(
+        &self,
+        directory: &KeywordDirectory,
+        iword: WordId,
+        out: &mut Vec<f64>,
+    ) {
+        let twords = directory.mappings().i2t(iword);
+        out.extend(
+            self.words
+                .iter()
+                .map(|w| w.similarity(iword, twords, self.tau).unwrap_or(0.0)),
+        );
+    }
+
+    /// The candidate set `κ(wQ)` of the `idx`-th keyword, expanded on
+    /// demand with [`CandidateSet::by_association`]. Searches never call
+    /// it; it serves reports and tests.
+    pub fn candidates(&self, directory: &KeywordDirectory, idx: usize) -> Result<CandidateSet> {
+        match self.words.get(idx).and_then(|w| w.id) {
+            Some(id) => {
+                CandidateSet::by_association(id, directory.vocab(), directory.mappings(), self.tau)
+            }
+            None => Ok(CandidateSet::default()),
+        }
+    }
+
+    /// The union of all candidate i-words, `Wci` of Algorithm 1 line 2,
+    /// expanded on demand (see [`PreparedQuery::candidates`]).
+    pub fn candidate_iwords(&self, directory: &KeywordDirectory) -> BTreeSet<WordId> {
+        (0..self.len())
+            .filter_map(|idx| self.candidates(directory, idx).ok())
+            .flat_map(|set| set.iwords().collect::<Vec<_>>())
+            .collect()
     }
 
     /// Whether the i-word is a candidate match of any query keyword.
-    pub fn is_candidate_iword(&self, iword: WordId) -> bool {
-        self.all_candidates.contains(&iword)
-    }
-
-    /// The similarity of `iword` for the `idx`-th query keyword, if it is one
-    /// of that keyword's candidates.
-    pub fn similarity(&self, idx: usize, iword: WordId) -> Option<f64> {
-        self.words.get(idx)?.candidates.similarity(iword)
+    pub fn is_candidate_iword(&self, directory: &KeywordDirectory, iword: WordId) -> bool {
+        (0..self.len()).any(|idx| self.similarity(directory, idx, iword).is_some())
     }
 
     /// The maximum possible keyword relevance, `|QW| + 1` (reached when every
@@ -157,12 +219,14 @@ impl PreparedQuery {
         self.len() as f64 + 1.0
     }
 
-    /// The key partitions of the query, sorted and duplicate-free: every
-    /// partition identified by any candidate i-word (the `I2P` rows of
-    /// `Wci`, Algorithm 1 line 3 before the start/terminal adjustment).
+    /// The key partitions of the query over the whole venue, sorted and
+    /// duplicate-free: every partition identified by any candidate i-word
+    /// (the `I2P` rows of `Wci`, Algorithm 1 line 3 before the
+    /// start/terminal adjustment). Expanded on demand; a search collects
+    /// only the key partitions near its `∆`-ellipse.
     pub fn key_partitions(&self, directory: &KeywordDirectory) -> Vec<PartitionId> {
         let mut out: Vec<PartitionId> = self
-            .all_candidates
+            .candidate_iwords(directory)
             .iter()
             .flat_map(|&iw| directory.partitions_of(iw).iter().copied())
             .collect();
@@ -177,9 +241,12 @@ impl PreparedQuery {
             + self
                 .words
                 .iter()
-                .map(|w| w.raw.capacity() + w.candidates.len() * 16 + 64)
+                .map(|w| {
+                    std::mem::size_of::<PreparedWord>()
+                        + w.raw.capacity()
+                        + (w.direct.capacity() + w.union.capacity()) * std::mem::size_of::<WordId>()
+                })
                 .sum::<usize>()
-            + self.all_candidates.len() * std::mem::size_of::<WordId>() * 3
     }
 }
 
@@ -238,17 +305,20 @@ mod tests {
         let costa = dir.lookup("costa").unwrap();
         let apple = dir.lookup("apple").unwrap();
         assert_eq!(prepared.words()[0].kind, WordKind::TWord);
-        assert!((prepared.similarity(0, starbucks).unwrap() - 1.0).abs() < 1e-9);
-        assert!((prepared.similarity(0, costa).unwrap() - 0.75).abs() < 1e-9);
-        assert!(prepared.similarity(0, apple).is_none());
+        assert!((prepared.similarity(&dir, 0, starbucks).unwrap() - 1.0).abs() < 1e-9);
+        assert!((prepared.similarity(&dir, 0, costa).unwrap() - 0.75).abs() < 1e-9);
+        assert!(prepared.similarity(&dir, 0, apple).is_none());
         // κ(apple) = {(apple, 1)}
         assert_eq!(prepared.words()[1].kind, WordKind::IWord);
-        assert!((prepared.similarity(1, apple).unwrap() - 1.0).abs() < 1e-9);
+        assert!((prepared.similarity(&dir, 1, apple).unwrap() - 1.0).abs() < 1e-9);
+        let mut row = Vec::new();
+        prepared.push_similarities(&dir, costa, &mut row);
+        assert_eq!(row, [0.75, 0.0]);
 
         // Wci = {starbucks, costa, apple}
-        assert_eq!(prepared.candidate_iwords().len(), 3);
-        assert!(prepared.is_candidate_iword(costa));
-        assert!(!prepared.is_candidate_iword(dir.lookup("samsung").unwrap()));
+        assert_eq!(prepared.candidate_iwords(&dir).len(), 3);
+        assert!(prepared.is_candidate_iword(&dir, costa));
+        assert!(!prepared.is_candidate_iword(&dir, dir.lookup("samsung").unwrap()));
 
         // Key partitions: v3 (costa), v7 (starbucks), v10 (apple).
         assert_eq!(
@@ -264,9 +334,9 @@ mod tests {
         let q = QueryKeywords::new(["nonexistent", "latte"]).unwrap();
         let prepared = PreparedQuery::prepare(&q, &dir, 0.1).unwrap();
         assert_eq!(prepared.words()[0].kind, WordKind::Unknown);
-        assert!(prepared.words()[0].candidates.is_empty());
+        assert!(prepared.candidates(&dir, 0).unwrap().is_empty());
         assert!(prepared.words()[0].id.is_none());
         // The other word still works.
-        assert!(!prepared.words()[1].candidates.is_empty());
+        assert!(!prepared.candidates(&dir, 1).unwrap().is_empty());
     }
 }

@@ -85,15 +85,16 @@ impl RelevanceModel {
     }
 
     /// Computes `ρ_QW(R)` directly from a set of route words.
-    pub fn relevance_of_words(words: &BTreeSet<WordId>, query: &PreparedQuery) -> f64 {
-        let best: Vec<f64> = query
-            .words()
-            .iter()
-            .map(|w| {
-                w.candidates
-                    .entries()
-                    .filter(|e| words.contains(&e.iword))
-                    .map(|e| e.similarity)
+    pub fn relevance_of_words(
+        words: &BTreeSet<WordId>,
+        query: &PreparedQuery,
+        directory: &KeywordDirectory,
+    ) -> f64 {
+        let best: Vec<f64> = (0..query.len())
+            .map(|idx| {
+                words
+                    .iter()
+                    .filter_map(|&w| query.similarity(directory, idx, w))
                     .fold(0.0, f64::max)
             })
             .collect();
@@ -109,7 +110,7 @@ impl RelevanceModel {
         query: &PreparedQuery,
     ) -> f64 {
         let words = route_words(route, space, directory);
-        Self::relevance_of_words(&words, query)
+        Self::relevance_of_words(&words, query, directory)
     }
 }
 
@@ -134,12 +135,28 @@ impl CoverageTracker {
 
     /// Registers an i-word seen on the route; updates every query keyword
     /// whose candidate set contains it.
-    pub fn add_iword(&mut self, query: &PreparedQuery, iword: WordId) {
-        for (slot, word) in self.best.iter_mut().zip(query.words()) {
-            if let Some(s) = word.candidates.similarity(iword) {
+    pub fn add_iword(
+        &mut self,
+        query: &PreparedQuery,
+        directory: &KeywordDirectory,
+        iword: WordId,
+    ) {
+        for (idx, slot) in self.best.iter_mut().enumerate() {
+            if let Some(s) = query.similarity(directory, idx, iword) {
                 if s > *slot {
                     *slot = s;
                 }
+            }
+        }
+    }
+
+    /// Registers an i-word by its per-keyword similarities, as
+    /// [`PreparedQuery::push_similarities`] lists them (0 where it is no
+    /// candidate): the same update as [`CoverageTracker::add_iword`].
+    pub fn add_similarities(&mut self, similarities: &[f64]) {
+        for (slot, &s) in self.best.iter_mut().zip(similarities) {
+            if s > *slot {
+                *slot = s;
             }
         }
     }
@@ -149,10 +166,11 @@ impl CoverageTracker {
     pub fn add_iwords<'a>(
         &mut self,
         query: &PreparedQuery,
+        directory: &KeywordDirectory,
         iwords: impl IntoIterator<Item = &'a WordId>,
     ) {
         for iw in iwords {
-            self.add_iword(query, *iw);
+            self.add_iword(query, directory, *iw);
         }
     }
 
@@ -262,14 +280,14 @@ mod tests {
             .iter()
             .map(|w| dir.lookup(w).unwrap())
             .collect();
-        assert!((RelevanceModel::relevance_of_words(&words, &q) - 1.75).abs() < 1e-9);
+        assert!((RelevanceModel::relevance_of_words(&words, &q, &dir) - 1.75).abs() < 1e-9);
         // Route words {apple, starbucks, costa}: latte covered by starbucks
         // (1.0 beats costa's 0.75), apple covered => 3.0 (Example 6, route R2).
         let words: BTreeSet<WordId> = ["apple", "starbucks", "costa"]
             .iter()
             .map(|w| dir.lookup(w).unwrap())
             .collect();
-        assert!((RelevanceModel::relevance_of_words(&words, &q) - 3.0).abs() < 1e-9);
+        assert!((RelevanceModel::relevance_of_words(&words, &q, &dir) - 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -280,17 +298,17 @@ mod tests {
         assert_eq!(t.relevance(), 0.0);
         assert_eq!(t.covered_count(), 0);
         assert!(!t.is_fully_covered());
-        t.add_iword(&q, dir.lookup("costa").unwrap());
+        t.add_iword(&q, &dir, dir.lookup("costa").unwrap());
         assert!((t.relevance() - 1.75).abs() < 1e-9);
         assert!(t.is_word_covered(0));
         assert!(!t.is_word_covered(1));
         // Adding a better match for the same keyword improves it.
-        t.add_iword(&q, dir.lookup("starbucks").unwrap());
+        t.add_iword(&q, &dir, dir.lookup("starbucks").unwrap());
         assert!((t.relevance() - 2.0).abs() < 1e-9);
         // Adding an unrelated i-word changes nothing.
-        t.add_iword(&q, dir.lookup("zara").unwrap());
+        t.add_iword(&q, &dir, dir.lookup("zara").unwrap());
         assert!((t.relevance() - 2.0).abs() < 1e-9);
-        t.add_iword(&q, dir.lookup("apple").unwrap());
+        t.add_iword(&q, &dir, dir.lookup("apple").unwrap());
         assert!((t.relevance() - 3.0).abs() < 1e-9);
         assert!(t.is_fully_covered());
         assert_eq!(t.covered_count(), 2);
@@ -307,13 +325,23 @@ mod tests {
             .map(|w| dir.lookup(w).unwrap())
             .collect();
         let mut bulk = CoverageTracker::new(q.len());
-        bulk.add_iwords(&q, words.iter());
+        bulk.add_iwords(&q, &dir, words.iter());
         let mut single = CoverageTracker::new(q.len());
         for w in &words {
-            single.add_iword(&q, *w);
+            single.add_iword(&q, &dir, *w);
         }
         assert_eq!(bulk, single);
-        assert!((bulk.relevance() - RelevanceModel::relevance_of_words(&words, &q)).abs() < 1e-9);
+        // The same update from the i-words' similarity rows.
+        let mut rows = CoverageTracker::new(q.len());
+        for w in &words {
+            let mut row = Vec::new();
+            q.push_similarities(&dir, *w, &mut row);
+            rows.add_similarities(&row);
+        }
+        assert_eq!(rows, single);
+        assert!(
+            (bulk.relevance() - RelevanceModel::relevance_of_words(&words, &q, &dir)).abs() < 1e-9
+        );
     }
 
     #[test]

@@ -128,32 +128,32 @@ proptest! {
             match kind {
                 WordKind::IWord => {
                     let iw = id.unwrap();
-                    prop_assert_eq!(prepared.similarity(idx, iw), Some(1.0));
+                    prop_assert_eq!(prepared.similarity(&dir, idx, iw), Some(1.0));
                     // No other candidate for an i-word query word.
                     for other in dir.vocab().iwords() {
                         if other != iw {
-                            prop_assert_eq!(prepared.similarity(idx, other), None);
+                            prop_assert_eq!(prepared.similarity(&dir, idx, other), None);
                         }
                     }
                 }
                 WordKind::TWord => {
                     let tw = id.unwrap();
                     for iw in dir.vocab().iwords() {
-                        if let Some(s) = prepared.similarity(idx, iw) {
+                        if let Some(s) = prepared.similarity(&dir, idx, iw) {
                             prop_assert!(s > tau - 1e-12, "candidate below threshold: {s} <= {tau}");
                             prop_assert!(s <= 1.0 + 1e-12);
-                            prop_assert!(prepared.is_candidate_iword(iw));
+                            prop_assert!(prepared.is_candidate_iword(&dir, iw));
                         }
                         // Direct matching i-words (t-word attached to them)
                         // must be candidates with similarity exactly 1.
                         if dir.twords_of(iw).contains(&tw) {
-                            prop_assert_eq!(prepared.similarity(idx, iw), Some(1.0));
+                            prop_assert_eq!(prepared.similarity(&dir, idx, iw), Some(1.0));
                         }
                     }
                 }
                 WordKind::Unknown => {
                     for iw in dir.vocab().iwords() {
-                        prop_assert_eq!(prepared.similarity(idx, iw), None);
+                        prop_assert_eq!(prepared.similarity(&dir, idx, iw), None);
                     }
                 }
             }
@@ -161,8 +161,8 @@ proptest! {
 
         // The candidate union is exactly the i-words with some per-word entry.
         for iw in dir.vocab().iwords() {
-            let in_union = prepared.candidate_iwords().contains(&iw);
-            let in_some_word = (0..words.len()).any(|i| prepared.similarity(i, iw).is_some());
+            let in_union = prepared.candidate_iwords(&dir).contains(&iw);
+            let in_some_word = (0..words.len()).any(|i| prepared.similarity(&dir, i, iw).is_some());
             prop_assert_eq!(in_union, in_some_word);
         }
 
@@ -173,19 +173,17 @@ proptest! {
         for v in (0..spec.partitions as u32).map(PartitionId) {
             let expected = dir
                 .partition_iword(v)
-                .map(|iw| prepared.is_candidate_iword(iw))
+                .map(|iw| prepared.is_candidate_iword(&dir, iw))
                 .unwrap_or(false);
             prop_assert_eq!(key.contains(&v), expected);
         }
     }
 
     /// The association walk builds the scan's candidate set for every word
-    /// of the vocabulary, with bit-identical similarities, and prepares the
-    /// same query.
+    /// of the vocabulary, with bit-identical similarities.
     #[test]
     fn association_walk_matches_the_vocabulary_scan(
         spec in arb_directory(),
-        words in arb_query_words(8),
         tau in prop_oneof![Just(0.0), 0.0f64..1.0, Just(1.0)],
     ) {
         let dir = build_directory(&spec);
@@ -199,11 +197,46 @@ proptest! {
                 prop_assert_eq!(e.similarity.to_bits(), other.to_bits());
             }
         }
+    }
+
+    /// A prepared query scores every i-word on demand exactly as the
+    /// vocabulary scan's candidate set does: for every query word (i-words,
+    /// t-words and unknown words) and τ, including 0 and 1, the lazy
+    /// similarity is the scan's entry bit for bit, and none where the scan
+    /// has no entry; the similarity row and the on-demand candidate sets
+    /// agree with it.
+    #[test]
+    fn lazy_similarity_matches_the_vocabulary_scan(
+        spec in arb_directory(),
+        words in arb_query_words(8),
+        tau in prop_oneof![Just(0.0), 0.0f64..1.0, Just(1.0)],
+    ) {
+        let dir = build_directory(&spec);
+        let (vocab, mappings) = (dir.vocab(), dir.mappings());
         let query = QueryKeywords::new(words.iter().map(String::as_str)).unwrap();
-        prop_assert_eq!(
-            PreparedQuery::prepare(&query, &dir, tau).unwrap(),
-            PreparedQuery::prepare_with(&query, &dir, tau, CandidateSet::by_association).unwrap()
-        );
+        let prepared = PreparedQuery::prepare(&query, &dir, tau).unwrap();
+        let scans: Vec<CandidateSet> = words
+            .iter()
+            .map(|raw| match dir.classify(raw).0 {
+                Some(id) => CandidateSet::build(id, vocab, mappings, tau).unwrap(),
+                None => CandidateSet::default(),
+            })
+            .collect();
+        for iw in vocab.iwords() {
+            let mut row = Vec::new();
+            prepared.push_similarities(&dir, iw, &mut row);
+            prop_assert_eq!(row.len(), words.len());
+            for (idx, scan) in scans.iter().enumerate() {
+                let lazy = prepared.similarity(&dir, idx, iw);
+                prop_assert_eq!(
+                    lazy.map(f64::to_bits),
+                    scan.similarity(iw).map(f64::to_bits),
+                    "word {:?}, i-word {:?}, tau {}", words[idx], iw, tau
+                );
+                prop_assert_eq!(row[idx].to_bits(), lazy.unwrap_or(0.0).to_bits());
+                prop_assert_eq!(&prepared.candidates(&dir, idx).unwrap(), scan);
+            }
+        }
     }
 
     /// Definition 6: the relevance is 0 or in (1, |QW| + 1], grows weakly
@@ -230,10 +263,10 @@ proptest! {
         let mut previous = 0.0f64;
         let mut seen: BTreeSet<WordId> = BTreeSet::new();
         for &iw in &route_words {
-            tracker.add_iword(&prepared, iw);
+            tracker.add_iword(&prepared, &dir, iw);
             seen.insert(iw);
             let incremental = tracker.relevance();
-            let batch = RelevanceModel::relevance_of_words(&seen, &prepared);
+            let batch = RelevanceModel::relevance_of_words(&seen, &prepared, &dir);
             prop_assert!((incremental - batch).abs() < 1e-9,
                 "incremental {incremental} vs batch {batch}");
             // Range of Definition 6: 0 when nothing is covered, otherwise in

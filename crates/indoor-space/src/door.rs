@@ -51,16 +51,22 @@ impl Door {
     /// All floors the door touches: one for normal doors, the lower and upper
     /// floor for vertical connector doors.
     pub fn floors(&self) -> Vec<FloorId> {
-        if self.kind.is_vertical() {
-            vec![self.floor, FloorId(self.floor.0 + 1)]
-        } else {
-            vec![self.floor]
-        }
+        let (floors, n) = self.floor_pair();
+        floors[..n].to_vec()
+    }
+
+    /// [`Door::floors`] without allocating: the floors in the first `n`
+    /// entries of the pair, `n` being 1 or 2.
+    #[inline]
+    pub fn floor_pair(&self) -> ([FloorId; 2], usize) {
+        let n = if self.kind.is_vertical() { 2 } else { 1 };
+        ([self.floor, FloorId(self.floor.0.wrapping_add(1))], n)
     }
 
     /// Whether the door touches the given floor.
     pub fn touches_floor(&self, floor: FloorId) -> bool {
-        self.floors().contains(&floor)
+        let (floors, n) = self.floor_pair();
+        floors[..n].contains(&floor)
     }
 
     /// The door's position as an [`IndoorPoint`] on its base floor.

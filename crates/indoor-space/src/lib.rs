@@ -50,7 +50,7 @@ pub use ids::{DoorId, FloorId, PartitionId};
 pub use partition::{Partition, PartitionKind};
 pub use point::IndoorPoint;
 pub use route::{Route, RouteEnd, RouteItem};
-pub use shortest_path::{DijkstraResult, ShortestPaths};
+pub use shortest_path::{DijkstraResult, ShortestPaths, ELLIPSE_SLACK};
 pub use skeleton::SkeletonIndex;
 pub use space::{IndoorSpace, IndoorSpaceBuilder, SpaceColumns};
 pub use stats::SpaceStats;

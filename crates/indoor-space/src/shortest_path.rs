@@ -9,7 +9,7 @@
 //! * shortest door-to-point connections (the final hop to the terminal
 //!   point `pt`).
 //!
-//! All of them run one Dijkstra loop with an exclusion set and a budget
+//! All of them run one Dijkstra loop with excluded doors and a budget
 //! `(base, limit)`: the run stops at the first popped door `d` with
 //! `base + dist(d) > limit`. That is the test the searches apply to every
 //! connection (`stamp.distance + connection > ∆`), so a search passes its
@@ -18,16 +18,28 @@
 //! settled within the budget has the same distance and predecessor; doors
 //! left unsettled read as unreachable.
 //!
+//! A run told the terminal point `pt` also cuts at the `∆`-ellipse: a
+//! popped door `u` other than the source with `base + dist(u) + |u, pt|_L`
+//! above `limit` (give or take a relative slack of 1e-9, so rounding never
+//! cuts a door a search would keep) relaxes no edge and then reads as
+//! unreachable. No route through `u` reaches `pt` within the budget. The
+//! cut is exact for every door that passes it: the skeleton bound is
+//! consistent along door-graph edges (`|x, pt|_L ≤ w(x, y) + |y, pt|_L`), so
+//! every door on a shortest path to a passing door passes too, and passing
+//! doors keep bit-identical distances, predecessors and pop order. A run
+//! then settles the ellipse instead of the `∆`-ball around its source.
+//!
 //! * [`ShortestPaths::from_door`] is the unbounded run (`limit = +∞`).
 //!   Query generation and point-to-point distances use it, and its result
 //!   owns freshly allocated buffers.
 //! * [`ShortestPaths::from_door_within`] and
 //!   [`ShortestPaths::door_to_point_path_within`] are the bounded runs a
 //!   search makes: KoE's jumps, KoE*'s unrestricted runs and regularity
-//!   fallbacks, and the connect step. A bounded run settles only the
-//!   `∆`-ball around its source, so it takes its `O(doors)` arrays from a
-//!   small per-thread pool of spent ones and, when its result is dropped,
-//!   resets only the entries it wrote and hands them back.
+//!   fallbacks, and the connect step. They take the route's doors as a
+//!   slice to exclude. A bounded run settles a small part of the venue, so
+//!   it takes its `O(doors)` arrays from a small per-thread pool of spent
+//!   ones and, when its result is dropped, resets only the entries it wrote
+//!   and hands them back.
 
 use crate::door_graph::DoorGraphEdge;
 use crate::ids::{DoorId, PartitionId};
@@ -44,6 +56,11 @@ type Prev = Option<(DoorId, PartitionId)>;
 
 /// The Dijkstra priority queue: tentative distances, smallest first.
 type Queue = BinaryHeap<Reverse<(OrderedF64, DoorId)>>;
+
+/// Relative slack of the ellipse cut: a door is cut only when its bound
+/// exceeds `limit · (1 + ELLIPSE_SLACK)`. Searches walk the ellipse with the
+/// same slack.
+pub const ELLIPSE_SLACK: f64 = 1e-9;
 
 /// Most spent buffers one thread keeps. A thread takes from its pool before
 /// it allocates, so the pool never holds more buffers than were live at once
@@ -219,38 +236,67 @@ impl<'a> ShortestPaths<'a> {
     /// [`ShortestPaths::from_door_within`] for the bounded run.
     pub fn from_door(&self, source: DoorId, excluded: &HashSet<DoorId>) -> DijkstraResult {
         let result = DijkstraResult::fresh(source, self.space.num_doors());
-        self.run(result, excluded, 0.0, UNREACHABLE, &[])
+        self.run(
+            result,
+            |d| excluded.contains(&d),
+            Budget {
+                base: 0.0,
+                limit: UNREACHABLE,
+                terminal: None,
+            },
+            &[],
+        )
     }
 
     /// [`ShortestPaths::from_door`] bounded by a budget: door `d` is settled
     /// only if `base + dist(d) <= limit`, and every other door reads as
     /// unreachable. Settled doors get bit-identical distances and the same
-    /// paths as in the unbounded run.
+    /// paths as in the unbounded run. `excluded` lists doors the run never
+    /// enters (the source excepted). With a `terminal`, the run also cuts
+    /// at the ellipse (see the module documentation), and the doors it
+    /// settles are those of the uncut run whose bound passes the cut.
     pub fn from_door_within(
         &self,
         source: DoorId,
-        excluded: &HashSet<DoorId>,
+        excluded: &[DoorId],
         base: f64,
         limit: f64,
+        terminal: Option<&IndoorPoint>,
     ) -> DijkstraResult {
         let result = DijkstraResult::pooled(source, self.space.num_doors());
-        self.run(result, excluded, base, limit, &[])
+        self.run(
+            result,
+            |d| excluded.contains(&d),
+            Budget {
+                base,
+                limit,
+                terminal,
+            },
+            &[],
+        )
     }
 
     /// The Dijkstra loop. It stops at the first popped door with
     /// `base + d > limit`, or once every door in `targets` (sorted, distinct)
-    /// is settled, whichever comes first; the doors it leaves unsettled read
-    /// as unreachable.
+    /// has been popped, whichever comes first; a door the budget's terminal
+    /// cuts relaxes no edge. The doors it leaves unsettled or cuts read as
+    /// unreachable.
     fn run(
         &self,
         mut result: DijkstraResult,
-        excluded: &HashSet<DoorId>,
-        base: f64,
-        limit: f64,
+        excluded: impl Fn(DoorId) -> bool,
+        budget: Budget<'_>,
         targets: &[DoorId],
     ) -> DijkstraResult {
+        let Budget {
+            base,
+            limit,
+            terminal,
+        } = budget;
         let source = result.source;
         let graph = self.space.door_graph();
+        let cut_above = limit * (1.0 + ELLIPSE_SLACK);
+        let mut cut = Vec::new();
         let mut heap = Queue::new();
         if source.index() < self.space.num_doors() {
             result.set(source, 0.0, None);
@@ -267,14 +313,23 @@ impl<'a> ShortestPaths<'a> {
                 heap.push(Reverse((OrderedF64::new(d), u)));
                 break;
             }
+            let outside = terminal.is_some_and(|pt| {
+                u != source && base + d + self.space.skeleton_point_to_door(pt, u) > cut_above
+            });
+            if outside {
+                cut.push(u);
+            }
             if pending > 0 && targets.binary_search(&u).is_ok() {
                 pending -= 1;
                 if pending == 0 {
                     break;
                 }
             }
+            if outside {
+                continue;
+            }
             for &DoorGraphEdge { to, via, weight } in graph.edges_from(u) {
-                if excluded.contains(&to) && to != source {
+                if to != source && excluded(to) {
                     continue;
                 }
                 let nd = d + weight;
@@ -285,6 +340,10 @@ impl<'a> ShortestPaths<'a> {
             }
         }
         result.forget_unsettled(heap);
+        for u in cut {
+            result.dist[u.index()] = UNREACHABLE;
+            result.prev[u.index()] = None;
+        }
         result
     }
 
@@ -325,20 +384,22 @@ impl<'a> ShortestPaths<'a> {
         &self,
         from: DoorId,
         pt: &IndoorPoint,
-        excluded: &HashSet<DoorId>,
+        excluded: &[DoorId],
     ) -> Option<(f64, Vec<DoorId>, Vec<PartitionId>)> {
         self.door_to_point_path_within(from, pt, excluded, 0.0, UNREACHABLE)
     }
 
     /// [`ShortestPaths::door_to_point_path`] bounded by a budget: `None`
     /// unless `base + distance <= limit`, and otherwise the same connection.
-    /// The run stops at the budget or once every enterable door of `v(pt)`
-    /// is settled.
+    /// The run cuts at the ellipse of `pt` and stops at the budget or once
+    /// every enterable door of `v(pt)` is popped. A cut entry door `de` has
+    /// `base + dist + |de, pt|_L > limit`, and `|de, pt|_L` is the planar
+    /// `δd2pt(de, pt)`, so it could not fit the budget either.
     pub fn door_to_point_path_within(
         &self,
         from: DoorId,
         pt: &IndoorPoint,
-        excluded: &HashSet<DoorId>,
+        excluded: &[DoorId],
         base: f64,
         limit: f64,
     ) -> Option<(f64, Vec<DoorId>, Vec<PartitionId>)> {
@@ -355,7 +416,12 @@ impl<'a> ShortestPaths<'a> {
         targets.sort_unstable();
         targets.dedup();
         let result = DijkstraResult::pooled(from, self.space.num_doors());
-        let result = self.run(result, excluded, base, limit, &targets);
+        let budget = Budget {
+            base,
+            limit,
+            terminal: Some(pt),
+        };
+        let result = self.run(result, |d| excluded.contains(&d), budget, &targets);
         let mut best: Option<(f64, DoorId)> = None;
         for (de, tail) in entries {
             let head = if de == from { 0.0 } else { result.distance(de) };
@@ -382,11 +448,20 @@ impl<'a> ShortestPaths<'a> {
     }
 
     /// Shortest distance from door `from` to point `pt` (no path).
-    pub fn door_to_point(&self, from: DoorId, pt: &IndoorPoint, excluded: &HashSet<DoorId>) -> f64 {
+    pub fn door_to_point(&self, from: DoorId, pt: &IndoorPoint, excluded: &[DoorId]) -> f64 {
         self.door_to_point_path(from, pt, excluded)
             .map(|(d, _, _)| d)
             .unwrap_or(UNREACHABLE)
     }
+}
+
+/// The budget of a run: `base + dist(d) <= limit`, and with a terminal the
+/// ellipse cut.
+#[derive(Clone, Copy)]
+struct Budget<'p> {
+    base: f64,
+    limit: f64,
+    terminal: Option<&'p IndoorPoint>,
 }
 
 #[cfg(test)]
@@ -464,17 +539,12 @@ mod tests {
         let s = corridor4();
         let sp = s.shortest_paths();
         let pt = IndoorPoint::from_xy(35.0, 5.0, FloorId(0)); // inside v3
-        let (d, doors, parts) = sp
-            .door_to_point_path(DoorId(0), &pt, &HashSet::new())
-            .unwrap();
+        let (d, doors, parts) = sp.door_to_point_path(DoorId(0), &pt, &[]).unwrap();
         // 10 (d0->d1) + 10 (d1->d2) + 5 (d2 -> point)
         assert!(approx_eq(d, 25.0));
         assert_eq!(doors.last(), Some(&DoorId(2)));
         assert_eq!(parts.last(), Some(&PartitionId(3)));
-        assert!(approx_eq(
-            sp.door_to_point(DoorId(0), &pt, &HashSet::new()),
-            25.0
-        ));
+        assert!(approx_eq(sp.door_to_point(DoorId(0), &pt, &[]), 25.0));
     }
 
     #[test]
@@ -482,9 +552,9 @@ mod tests {
         let s = corridor4();
         let sp = s.shortest_paths();
         let pt = IndoorPoint::from_xy(35.0, 5.0, FloorId(0));
-        let mut excluded = HashSet::new();
-        excluded.insert(DoorId(2));
-        assert!(sp.door_to_point_path(DoorId(0), &pt, &excluded).is_none());
+        assert!(sp
+            .door_to_point_path(DoorId(0), &pt, &[DoorId(2)])
+            .is_none());
     }
 
     #[test]
@@ -507,9 +577,7 @@ mod tests {
         let sp = s.shortest_paths();
         // Point in v1, starting from d0 which is on v1's boundary.
         let pt = IndoorPoint::from_xy(12.0, 5.0, FloorId(0));
-        let (d, doors, parts) = sp
-            .door_to_point_path(DoorId(0), &pt, &HashSet::new())
-            .unwrap();
+        let (d, doors, parts) = sp.door_to_point_path(DoorId(0), &pt, &[]).unwrap();
         assert!(approx_eq(d, 2.0));
         assert_eq!(doors, vec![DoorId(0)]);
         assert_eq!(parts, vec![PartitionId(1)]);

@@ -24,19 +24,25 @@ use crate::UNREACHABLE;
 use indoor_geom::{OrderedF64, Point};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Precomputed skeleton-distance index.
+///
+/// Staircase doors are numbered densely in door-id order; positions and the
+/// `δs2s` matrix are indexed by that number, so a bound reads them without
+/// hashing.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SkeletonIndex {
-    /// Staircase doors per floor (`SD(·)`), sorted by door id.
-    stair_doors_by_floor: BTreeMap<FloorId, Vec<DoorId>>,
-    /// Positions of all staircase doors.
-    positions: HashMap<DoorId, Point>,
-    /// Dense index of each staircase door into the distance matrix.
-    index_of: HashMap<DoorId, usize>,
+    /// Staircase doors, sorted by door id; a door's index here is its dense
+    /// number.
+    stair_doors: Vec<DoorId>,
+    /// Planar position of each staircase door, by dense number.
+    positions: Vec<Point>,
+    /// Per floor, sorted by floor: the staircase doors touching it (`SD(·)`),
+    /// sorted by door id, and their dense numbers in the same order.
+    floors: Vec<(FloorId, Vec<DoorId>, Vec<usize>)>,
     /// All-pairs shortest distances between staircase doors (`δs2s`),
-    /// row-major over the dense index.
+    /// row-major over the dense numbers.
     s2s: Vec<f64>,
     /// Number of staircase doors.
     n: usize,
@@ -51,28 +57,28 @@ impl SkeletonIndex {
     /// Builds the index from a space: collects staircase doors, assembles the
     /// staircase network and runs all-pairs Dijkstra over it.
     pub fn build(space: &IndoorSpace) -> Self {
-        let mut stair_doors_by_floor: BTreeMap<FloorId, Vec<DoorId>> = BTreeMap::new();
-        let mut positions = HashMap::new();
+        let mut by_floor: BTreeMap<FloorId, Vec<usize>> = BTreeMap::new();
         let mut stair_doors: Vec<DoorId> = Vec::new();
+        let mut positions = Vec::new();
         for door in space.doors() {
             if door.kind.is_vertical() {
-                stair_doors.push(door.id);
-                positions.insert(door.id, door.position);
-                for floor in door.floors() {
-                    stair_doors_by_floor.entry(floor).or_default().push(door.id);
+                let (floors, touched) = door.floor_pair();
+                for &floor in &floors[..touched] {
+                    by_floor.entry(floor).or_default().push(stair_doors.len());
                 }
+                stair_doors.push(door.id);
+                positions.push(door.position);
             }
         }
-        for v in stair_doors_by_floor.values_mut() {
-            v.sort();
-            v.dedup();
-        }
-        let n = stair_doors.len();
-        let index_of: HashMap<DoorId, usize> = stair_doors
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| (d, i))
+        let floors = by_floor
+            .into_iter()
+            .map(|(floor, mut dense)| {
+                dense.dedup();
+                let doors = dense.iter().map(|&i| stair_doors[i]).collect();
+                (floor, doors, dense)
+            })
             .collect();
+        let n = stair_doors.len();
 
         // Staircase network adjacency.
         //  * same-floor staircase doors: planar Euclidean distance,
@@ -131,20 +137,35 @@ impl SkeletonIndex {
         }
 
         SkeletonIndex {
-            stair_doors_by_floor,
+            stair_doors,
             positions,
-            index_of,
+            floors,
             s2s,
             n,
         }
     }
 
+    /// The entry of a floor in `floors`, if it has staircase doors.
+    fn floor_entry(&self, floor: FloorId) -> Option<&(FloorId, Vec<DoorId>, Vec<usize>)> {
+        self.floors
+            .binary_search_by_key(&floor, |entry| entry.0)
+            .ok()
+            .map(|at| &self.floors[at])
+    }
+
+    /// Dense numbers of the staircase doors on a floor, in door-id order.
+    fn dense_on(&self, floor: FloorId) -> &[usize] {
+        self.floor_entry(floor).map_or(&[], |entry| &entry.2)
+    }
+
     /// Staircase doors on a floor (`SD(floor)`).
     pub fn stair_doors(&self, floor: FloorId) -> &[DoorId] {
-        self.stair_doors_by_floor
-            .get(&floor)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.floor_entry(floor).map_or(&[], |entry| &entry.1)
+    }
+
+    /// Every staircase door of the venue, sorted by door id.
+    pub fn all_stair_doors(&self) -> &[DoorId] {
+        &self.stair_doors
     }
 
     /// Number of staircase doors in the venue.
@@ -152,13 +173,25 @@ impl SkeletonIndex {
         self.n
     }
 
+    /// `δs2s` between two staircase doors by dense number.
+    #[inline]
+    fn s2s_dense(&self, i: usize, j: usize) -> f64 {
+        if i == j {
+            return 0.0;
+        }
+        self.s2s[i * self.n + j]
+    }
+
     /// Shortest staircase-network distance between two staircase doors.
     pub fn s2s_distance(&self, a: DoorId, b: DoorId) -> f64 {
         if a == b {
             return 0.0;
         }
-        match (self.index_of.get(&a), self.index_of.get(&b)) {
-            (Some(&i), Some(&j)) => self.s2s[i * self.n + j],
+        match (
+            self.stair_doors.binary_search(&a),
+            self.stair_doors.binary_search(&b),
+        ) {
+            (Ok(i), Ok(j)) => self.s2s_dense(i, j),
             _ => UNREACHABLE,
         }
     }
@@ -179,22 +212,47 @@ impl SkeletonIndex {
         }
         let mut best = UNREACHABLE;
         for fa in floors_a {
-            for &sda in self.stair_doors(*fa) {
-                let pa = self.positions[&sda];
-                let head = pos_a.distance(&pa);
+            for &i in self.dense_on(*fa) {
+                let head = pos_a.distance(&self.positions[i]);
                 for fb in floors_b {
-                    for &sdb in self.stair_doors(*fb) {
-                        let pb = self.positions[&sdb];
-                        let mid = self.s2s_distance(sda, sdb);
+                    for &j in self.dense_on(*fb) {
+                        let mid = self.s2s_dense(i, j);
                         if !mid.is_finite() {
                             continue;
                         }
-                        best = best.min(head + mid + pos_b.distance(&pb));
+                        best = best.min(head + mid + pos_b.distance(&self.positions[j]));
                     }
                 }
             }
         }
         best
+    }
+
+    /// The cheapest staircase-network cost from a point to each staircase
+    /// door of `floor`: `min over sda ∈ SD(p.floor) of |p, sda| + δs2s(sda,
+    /// sdb)`, paired with the position of `sdb`, for every `sdb ∈ SD(floor)`
+    /// that the network reaches. For a door `d` touching `floor` but not
+    /// `p`'s floor, `|p, d|_L` is the minimum over these pairs `(q, c)` of
+    /// `c + |q, d|`, by the same arithmetic as [`SkeletonIndex::lower_bound`].
+    pub fn stair_portals(&self, p: &IndoorPoint, floor: FloorId) -> Vec<(Point, f64)> {
+        let from = self.dense_on(p.floor);
+        self.dense_on(floor)
+            .iter()
+            .filter_map(|&j| {
+                let cost = from
+                    .iter()
+                    .map(|&i| {
+                        (
+                            p.position.distance(&self.positions[i]),
+                            self.s2s_dense(i, j),
+                        )
+                    })
+                    .filter(|(_, mid)| mid.is_finite())
+                    .map(|(head, mid)| head + mid)
+                    .fold(UNREACHABLE, f64::min);
+                cost.is_finite().then_some((self.positions[j], cost))
+            })
+            .collect()
     }
 
     /// Lower bound between two indoor points.
@@ -206,12 +264,15 @@ impl SkeletonIndex {
     pub fn estimated_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.s2s.capacity() * std::mem::size_of::<f64>()
-            + self.positions.len() * (std::mem::size_of::<DoorId>() + std::mem::size_of::<Point>())
-            + self.index_of.len() * (std::mem::size_of::<DoorId>() + std::mem::size_of::<usize>())
+            + self.stair_doors.capacity() * std::mem::size_of::<DoorId>()
+            + self.positions.capacity() * std::mem::size_of::<Point>()
             + self
-                .stair_doors_by_floor
-                .values()
-                .map(|v| v.capacity() * std::mem::size_of::<DoorId>())
+                .floors
+                .iter()
+                .map(|(_, doors, dense)| {
+                    doors.capacity() * std::mem::size_of::<DoorId>()
+                        + dense.capacity() * std::mem::size_of::<usize>()
+                })
                 .sum::<usize>()
     }
 }

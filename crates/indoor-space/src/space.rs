@@ -272,6 +272,7 @@ impl IndoorSpaceBuilder {
 
         let (floor_bounds, grids) =
             floor_grids(self.floors.clone(), &self.partitions, self.grid_cell)?;
+        let door_reach = door_reach(&self.partitions, &self.doors, &d2p_enter, &d2p_leave);
 
         let mut space = IndoorSpace {
             partitions: self.partitions,
@@ -284,6 +285,7 @@ impl IndoorSpaceBuilder {
             loop_overrides,
             floor_bounds,
             grids,
+            door_reach,
             door_graph: DoorGraph::empty(),
             skeleton: SkeletonIndex::empty(),
         };
@@ -387,6 +389,10 @@ pub struct IndoorSpace {
     loop_overrides: Vec<(PartitionId, DoorId, f64)>,
     floor_bounds: BTreeMap<FloorId, Rect>,
     grids: FloorGrids,
+    /// The farthest any normal door lies from the footprint of a partition
+    /// it serves: 0 when every door sits on or inside its partitions, as in
+    /// every generated venue. The ellipse walk grows its boxes by it.
+    door_reach: f64,
     door_graph: DoorGraph,
     skeleton: SkeletonIndex,
 }
@@ -428,6 +434,28 @@ fn floor_grids(
         }
     }
     Ok((floor_bounds, grids))
+}
+
+/// The farthest a normal door lies from the footprint of a partition it
+/// enters or leaves (`IndoorSpace::door_reach`). Vertical doors are left
+/// out: the ellipse walk tests each of them directly.
+fn door_reach(
+    partitions: &[Partition],
+    doors: &[Door],
+    d2p_enter: &Csr<PartitionId>,
+    d2p_leave: &Csr<PartitionId>,
+) -> f64 {
+    let mut reach = 0.0f64;
+    for door in doors.iter().filter(|d| !d.kind.is_vertical()) {
+        let i = door.id.index();
+        for &v in d2p_enter.row(i).iter().chain(d2p_leave.row(i)) {
+            let gap = partitions[v.index()]
+                .footprint
+                .distance_to_point(&door.position);
+            reach = reach.max(gap);
+        }
+    }
+    reach
 }
 
 impl IndoorSpace {
@@ -560,6 +588,7 @@ impl IndoorSpace {
         // idempotent, and covers columns that only carry declared bounds.
         let (floor_bounds, grids) =
             floor_grids(floor_bounds.into_iter().collect(), &partitions, grid_cell)?;
+        let door_reach = door_reach(&partitions, &doors, &d2p_enter, &d2p_leave);
 
         let mut space = IndoorSpace {
             partitions,
@@ -572,6 +601,7 @@ impl IndoorSpace {
             loop_overrides,
             floor_bounds,
             grids,
+            door_reach,
             door_graph,
             skeleton: SkeletonIndex::empty(),
         };
@@ -940,16 +970,129 @@ impl IndoorSpace {
     /// Skeleton lower bound between a point and a door.
     pub fn skeleton_point_to_door(&self, p: &IndoorPoint, d: DoorId) -> f64 {
         let door = &self.doors[d.index()];
+        let (floors, n) = door.floor_pair();
         self.skeleton
-            .lower_bound(p.position, &[p.floor], door.position, &door.floors())
+            .lower_bound(p.position, &[p.floor], door.position, &floors[..n])
     }
 
     /// Skeleton lower bound between two doors.
     pub fn skeleton_door_to_door(&self, a: DoorId, b: DoorId) -> f64 {
         let da = &self.doors[a.index()];
         let db = &self.doors[b.index()];
+        let ((floors_a, na), (floors_b, nb)) = (da.floor_pair(), db.floor_pair());
         self.skeleton
-            .lower_bound(da.position, &da.floors(), db.position, &db.floors())
+            .lower_bound(da.position, &floors_a[..na], db.position, &floors_b[..nb])
+    }
+
+    /// Rule 2's door bound `|ps, d|_L + |d, pt|_L`: no route from `ps` to
+    /// `pt` through door `d` is shorter.
+    pub fn door_detour_lower_bound(&self, ps: &IndoorPoint, d: DoorId, pt: &IndoorPoint) -> f64 {
+        self.skeleton_point_to_door(ps, d) + self.skeleton_point_to_door(pt, d)
+    }
+
+    /// The partitions with a door `d`, enterable or leavable, whose
+    /// [`IndoorSpace::door_detour_lower_bound`] is at most `limit`: the
+    /// partitions that touch the `∆`-ellipse of `ps` and `pt` when `limit`
+    /// is `∆`. Sorted and duplicate-free.
+    ///
+    /// The walk visits only the ellipse's neighbourhood. Vertical doors
+    /// are few (the staircase network), and each is tested. A normal door
+    /// touches one floor, and on that floor `|p, d|_L` is the planar
+    /// distance from `p` when `p` is on it, and otherwise the minimum of
+    /// `c + |q, d|` over the staircase doors `q` of the floor, `c` being
+    /// the network cost from `p` to `q` ([`SkeletonIndex::stair_portals`]).
+    /// So a passing door lies in one of the ellipses `|q, x| + |q', x| ≤
+    /// limit − c − c'` over a portal pair of `ps` and `pt`. The floor's
+    /// point-location grid yields every partition whose footprint meets
+    /// the union of those ellipses' boxes, grown by the door reach, and
+    /// each of their doors is tested exactly.
+    pub fn partitions_within_detour(
+        &self,
+        ps: &IndoorPoint,
+        pt: &IndoorPoint,
+        limit: f64,
+    ) -> Vec<PartitionId> {
+        let passes = |d: DoorId| self.door_detour_lower_bound(ps, d, pt) <= limit;
+        let mut out = Vec::new();
+        for &d in self.skeleton.all_stair_doors() {
+            if passes(d) {
+                out.extend_from_slice(self.d2p_enter(d));
+                out.extend_from_slice(self.d2p_leave(d));
+            }
+        }
+        // Rounding slack of the boxes, plus doors off their footprints.
+        let margin = self.door_reach + 1e-9 * (1.0 + limit.abs());
+        for (&floor, (grid, ids)) in &self.grids {
+            let Some(area) = self.ellipse_box(ps, pt, floor, limit, margin) else {
+                continue;
+            };
+            let bounds = grid.bounds();
+            let clamped = Rect {
+                min: Point::new(area.min.x.max(bounds.min.x), area.min.y.max(bounds.min.y)),
+                max: Point::new(area.max.x.min(bounds.max.x), area.max.y.min(bounds.max.y)),
+            };
+            if clamped.min.x > clamped.max.x || clamped.min.y > clamped.max.y {
+                continue;
+            }
+            for item in grid.query_rect(&clamped) {
+                let v = ids[item];
+                if self
+                    .p2d_enter(v)
+                    .iter()
+                    .chain(self.p2d_leave(v))
+                    .any(|&d| passes(d))
+                {
+                    out.push(v);
+                }
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// The box, grown by `margin`, around every point `x` of `floor` with
+    /// `min (c + |q, x|) + min (c' + |q', x|) ≤ limit` over the portals of
+    /// `ps` and `pt` on the floor; `None` when no point qualifies.
+    fn ellipse_box(
+        &self,
+        ps: &IndoorPoint,
+        pt: &IndoorPoint,
+        floor: FloorId,
+        limit: f64,
+        margin: f64,
+    ) -> Option<Rect> {
+        let portals = |p: &IndoorPoint| {
+            if p.floor == floor {
+                vec![(p.position, 0.0)]
+            } else {
+                self.skeleton.stair_portals(p, floor)
+            }
+        };
+        let (from_start, from_terminal) = (portals(ps), portals(pt));
+        let mut area: Option<Rect> = None;
+        for &(qa, ca) in &from_start {
+            for &(qb, cb) in &from_terminal {
+                // The ellipse with foci qa, qb and major axis r: its box
+                // has half-widths sqrt(a² − (dy/2)²) and sqrt(a² − (dx/2)²).
+                let r = limit - ca - cb;
+                let (dx, dy) = (qb.x - qa.x, qb.y - qa.y);
+                let focal = (dx * dx + dy * dy).sqrt();
+                if r + margin < focal {
+                    continue;
+                }
+                let a2 = (r.max(focal) / 2.0).powi(2);
+                let hx = (a2 - dy * dy / 4.0).max(0.0).sqrt() + margin;
+                let hy = (a2 - dx * dx / 4.0).max(0.0).sqrt() + margin;
+                let (mx, my) = ((qa.x + qb.x) / 2.0, (qa.y + qb.y) / 2.0);
+                let ellipse = Rect {
+                    min: Point::new(mx - hx, my - hy),
+                    max: Point::new(mx + hx, my + hy),
+                };
+                area = Some(area.map_or(ellipse, |a| a.union(&ellipse)));
+            }
+        }
+        area
     }
 
     /// Lower bound of the distance of any route from `ps` through partition

@@ -1,10 +1,13 @@
 //! Property-based tests of the indoor space model, exercised on randomly
-//! generated corridor venues: the skeleton distance really is a lower bound
-//! of the graph distance (the property every pruning rule relies on), the
-//! Dijkstra distances satisfy the metric axioms of a shortest-path function
-//! and reconstruct paths that realise them, bounded runs agree with full
-//! runs inside their budget, and routes built through the
-//! regularity API stay regular with additive distances.
+//! generated corridor venues of one to three floors: the skeleton distance
+//! really is a lower bound of the graph distance (the property every
+//! pruning rule relies on) and is consistent along door-graph edges (the
+//! property the ellipse cut relies on), the Dijkstra distances satisfy the
+//! metric axioms of a shortest-path function and reconstruct paths that
+//! realise them, bounded runs agree with full runs inside their budget, a
+//! run cut at the ellipse agrees with the uncut run inside it, the ellipse
+//! walk finds every partition with a door inside, and routes built through
+//! the regularity API stay regular with additive distances.
 
 use indoor_geom::{Point, Rect};
 use indoor_space::{
@@ -14,10 +17,10 @@ use indoor_space::{
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-/// Parameters of a random corridor venue: a single-floor corridor with
-/// `rooms` rooms on each side, every room connected to the corridor cell in
-/// front of it, plus optional second doors, and a second floor connected by a
-/// staircase when `two_floors` is set.
+/// Parameters of a random corridor venue: on each of `floors` floors a
+/// corridor with `rooms` rooms on each side, every room connected to the
+/// corridor cell in front of it, plus optional second doors, and adjacent
+/// floors connected by a staircase.
 #[derive(Debug, Clone)]
 struct VenueSpec {
     rooms: usize,
@@ -25,7 +28,7 @@ struct VenueSpec {
     room_depth: f64,
     corridor_width: f64,
     second_doors: Vec<bool>,
-    two_floors: bool,
+    floors: usize,
     stairway_length: f64,
 }
 
@@ -36,7 +39,7 @@ fn arb_spec() -> impl Strategy<Value = VenueSpec> {
         5.0f64..15.0,
         3.0f64..8.0,
         proptest::collection::vec(proptest::bool::ANY, 7),
-        proptest::bool::ANY,
+        1usize..4,
         10.0f64..40.0,
     )
         .prop_map(
@@ -46,7 +49,7 @@ fn arb_spec() -> impl Strategy<Value = VenueSpec> {
                 room_depth,
                 corridor_width,
                 second_doors,
-                two_floors,
+                floors,
                 stairway_length,
             )| VenueSpec {
                 rooms,
@@ -54,7 +57,7 @@ fn arb_spec() -> impl Strategy<Value = VenueSpec> {
                 room_depth,
                 corridor_width,
                 second_doors,
-                two_floors,
+                floors,
                 stairway_length,
             },
         )
@@ -65,7 +68,7 @@ fn arb_spec() -> impl Strategy<Value = VenueSpec> {
 fn build_venue(spec: &VenueSpec) -> (IndoorSpace, Vec<IndoorPoint>) {
     let mut b = IndoorSpaceBuilder::new().with_grid_cell(10.0);
     let mut points = Vec::new();
-    let floors = if spec.two_floors { 2 } else { 1 };
+    let floors = spec.floors as i32;
     let total_width = spec.room_width * spec.rooms as f64;
     let mut stair_partitions = Vec::new();
 
@@ -144,7 +147,7 @@ fn build_venue(spec: &VenueSpec) -> (IndoorSpace, Vec<IndoorPoint>) {
             }
         }
         // Staircase partition at the west end of the corridor.
-        if spec.two_floors {
+        if floors > 1 {
             let stair = b.add_partition(
                 floor,
                 PartitionKind::Staircase,
@@ -160,27 +163,18 @@ fn build_venue(spec: &VenueSpec) -> (IndoorSpace, Vec<IndoorPoint>) {
             stair_partitions.push(stair);
         }
     }
-    // Connect the staircases of adjacent floors with a stair door whose walk
-    // cost is the stairway length.
-    if spec.two_floors {
+    // Connect the staircases of adjacent floors with a stair door whose
+    // loop costs twice the stairway length.
+    for (f, pair) in stair_partitions.windows(2).enumerate() {
         let d = b.add_door(
             Point::new(1.0, spec.room_depth + 1.0),
-            FloorId(0),
+            FloorId(f as i32),
             DoorKind::Stair,
         );
-        b.connect_bidirectional(d, stair_partitions[0], stair_partitions[1]);
-        for &stair in &stair_partitions {
-            for other in 0..2u32 {
-                let _ = other;
-                b.set_loop_distance(stair, d, 2.0 * spec.stairway_length);
-            }
+        b.connect_bidirectional(d, pair[0], pair[1]);
+        for &stair in pair {
+            b.set_loop_distance(stair, d, 2.0 * spec.stairway_length);
         }
-        // Walking from the corridor door of the staircase to the stair door
-        // costs the stairway length.
-        // (Overrides are symmetric; identify the corridor doors by lookup
-        //  after build is harder, so set a conservative override on the loop
-        //  only — the planar distances inside the tiny staircase are already
-        //  small and do not violate any lower bound.)
     }
     (b.build().unwrap(), points)
 }
@@ -453,7 +447,8 @@ proptest! {
         } else {
             base + slack
         };
-        let bounded = sp.from_door_within(source, &excluded, base, limit);
+        let excluded_doors: Vec<DoorId> = excluded.iter().copied().collect();
+        let bounded = sp.from_door_within(source, &excluded_doors, base, limit, None);
         prop_assert_eq!(bounded.source(), source);
         for &d in &doors {
             if base + full.distance(d) <= limit {
@@ -474,14 +469,121 @@ proptest! {
             host.floor,
         );
         let reference = connection_from_full_run(&space, &full, source, &pt, &excluded);
-        let unbounded = sp.door_to_point_path(source, &pt, &excluded);
+        let unbounded = sp.door_to_point_path(source, &pt, &excluded_doors);
         prop_assert!(same_connection(&unbounded, &reference), "{:?} vs {:?}", unbounded, reference);
         let limit = match (&reference, limit_on_a_door) {
             (Some((total, _, _)), true) => base + total,
             _ => base + slack,
         };
-        let bounded = sp.door_to_point_path_within(source, &pt, &excluded, base, limit);
+        let bounded = sp.door_to_point_path_within(source, &pt, &excluded_doors, base, limit);
         let expected = reference.filter(|(total, _, _)| base + total <= limit);
         prop_assert!(same_connection(&bounded, &expected), "{:?} vs {:?}", bounded, expected);
+    }
+}
+
+/// A point of a partition at fractions `(fx, fy)` of its footprint.
+fn point_in(space: &IndoorSpace, partition: usize, fx: f64, fy: f64) -> IndoorPoint {
+    let host = &space.partitions()[partition % space.partitions().len()];
+    let rect = host.footprint;
+    IndoorPoint::new(
+        Point::new(
+            rect.min.x + rect.width() * fx,
+            rect.min.y + rect.height() * fy,
+        ),
+        host.floor,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The skeleton bound to a point is consistent along every door-graph
+    /// edge, `|x, pt|_L ≤ w(x, y) + |y, pt|_L`, up to rounding: the
+    /// property that makes the ellipse cut exact.
+    #[test]
+    fn skeleton_bound_is_consistent_on_every_door_graph_edge(
+        spec in arb_spec(),
+        partition in 0usize..100,
+        fx in 0.05f64..0.95,
+        fy in 0.05f64..0.95,
+    ) {
+        let (space, _) = build_venue(&spec);
+        let pt = point_in(&space, partition, fx, fy);
+        for i in 0..space.num_doors() {
+            let x = DoorId(i as u32);
+            let from = space.skeleton_point_to_door(&pt, x);
+            for edge in space.door_graph().edges_from(x) {
+                let to = space.skeleton_point_to_door(&pt, edge.to);
+                prop_assert!(
+                    from <= edge.weight + to + 1e-9 * (1.0 + from),
+                    "|{:?}, pt| = {} > w = {} + |{:?}, pt| = {}", x, from, edge.weight, edge.to, to
+                );
+            }
+        }
+    }
+
+    /// A bounded run cut at the ellipse of `pt` settles every door `d` of
+    /// the uncut bounded run with `base + dist(d) + |d, pt|_L <= limit`,
+    /// with bit-identical distances and the same paths, and never reports
+    /// a distance the uncut run does not.
+    #[test]
+    fn ellipse_cut_agrees_with_the_uncut_run_inside_the_ellipse(
+        spec in arb_spec(),
+        source in 0usize..100,
+        excluded in proptest::collection::vec(0usize..100, 0..4),
+        base in 0.0f64..40.0,
+        slack in 0.0f64..150.0,
+        partition in 0usize..100,
+        fx in 0.05f64..0.95,
+        fy in 0.05f64..0.95,
+    ) {
+        let (space, _) = build_venue(&spec);
+        let n = space.num_doors();
+        let sp = space.shortest_paths();
+        let source = DoorId((source % n) as u32);
+        let excluded: Vec<DoorId> = excluded.iter().map(|&i| DoorId((i % n) as u32)).collect();
+        let pt = point_in(&space, partition, fx, fy);
+        let limit = base + slack;
+        let uncut = sp.from_door_within(source, &excluded, base, limit, None);
+        let cut = sp.from_door_within(source, &excluded, base, limit, Some(&pt));
+        for d in (0..n).map(|i| DoorId(i as u32)) {
+            let full = uncut.distance(d);
+            if base + full + space.skeleton_point_to_door(&pt, d) <= limit {
+                prop_assert_eq!(cut.distance(d).to_bits(), full.to_bits(), "door {:?}", d);
+                prop_assert_eq!(cut.path_to(d), uncut.path_to(d));
+            } else if cut.distance(d).is_finite() {
+                prop_assert_eq!(cut.distance(d).to_bits(), full.to_bits(), "door {:?}", d);
+            }
+        }
+    }
+
+    /// The ellipse walk returns exactly the partitions with a door, enterable
+    /// or leavable, whose Rule-2 bound is within the limit, by brute force
+    /// over every partition.
+    #[test]
+    fn ellipse_walk_finds_every_partition_with_a_door_inside(
+        spec in arb_spec(),
+        from in 0usize..100,
+        to in 0usize..100,
+        f in (0.05f64..0.95, 0.05f64..0.95, 0.05f64..0.95, 0.05f64..0.95),
+        limit in 0.0f64..250.0,
+    ) {
+        let (space, _) = build_venue(&spec);
+        let ps = point_in(&space, from, f.0, f.1);
+        let pt = point_in(&space, to, f.2, f.3);
+        let walked = space.partitions_within_detour(&ps, &pt, limit);
+        let expected: Vec<PartitionId> = space
+            .partitions()
+            .iter()
+            .map(|p| p.id)
+            .filter(|&v| {
+                space
+                    .p2d_enter(v)
+                    .iter()
+                    .chain(space.p2d_leave(v))
+                    .any(|&d| space.door_detour_lower_bound(&ps, d, &pt) <= limit)
+            })
+            .collect();
+        prop_assert_eq!(walked, expected);
     }
 }

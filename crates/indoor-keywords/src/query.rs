@@ -51,7 +51,8 @@ impl QueryKeywords {
 /// One query keyword after preparation against a venue.
 ///
 /// Preparation does not expand the keyword's candidate i-word set `κ(wQ)`
-/// (Definition 4): it keeps what evaluating one i-word against it needs.
+/// (Definition 4): it keeps what evaluating one i-word against it needs,
+/// the union `U` of a t-word's direct matches' t-words.
 /// [`PreparedQuery::similarity`] then scores any i-word on demand, equal bit
 /// for bit to the entry [`CandidateSet::build`] would give it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -62,10 +63,8 @@ pub struct PreparedWord {
     pub id: Option<WordId>,
     /// Classification against the vocabulary.
     pub kind: WordKind,
-    /// For a t-word: its direct matches `T2I(wQ)`, sorted. Empty otherwise.
-    direct: Vec<WordId>,
-    /// For a t-word: the union `U` of the t-words of its direct matches,
-    /// sorted. Empty otherwise.
+    /// For a t-word: the union `U` of the t-words of its direct matches
+    /// `T2I(wQ)`, sorted. Empty otherwise.
     union: Vec<WordId>,
 }
 
@@ -74,17 +73,19 @@ impl PreparedWord {
     /// under Definition 4: 1 for the keyword itself or a direct match, the
     /// Jaccard similarity of `twords` and `U` when it exceeds `tau`, and no
     /// match otherwise. [`CandidateSet::build`] computes the same values.
+    /// `iword` is a direct match exactly when `wQ ∈ I2T(iword)`: the
+    /// directory keeps `I2T` and `T2I` transposes of each other.
     fn similarity(&self, iword: WordId, twords: &[WordId], tau: f64) -> Option<f64> {
-        match self.kind {
-            WordKind::IWord => (self.id == Some(iword)).then_some(1.0),
-            WordKind::TWord => {
-                if self.direct.binary_search(&iword).is_ok() {
+        match (self.kind, self.id) {
+            (WordKind::IWord, id) => (id == Some(iword)).then_some(1.0),
+            (WordKind::TWord, Some(tword)) => {
+                if twords.binary_search(&tword).is_ok() {
                     return Some(1.0);
                 }
                 let s = jaccard(twords, &self.union);
                 (s > tau).then_some(s)
             }
-            WordKind::Unknown => None,
+            _ => None,
         }
     }
 }
@@ -105,32 +106,31 @@ impl PreparedQuery {
     /// when some keyword is in the vocabulary, as [`CandidateSet::build`]
     /// rejects it.
     pub fn prepare(query: &QueryKeywords, directory: &KeywordDirectory, tau: f64) -> Result<Self> {
-        let mappings = directory.mappings();
         let mut words = Vec::with_capacity(query.len());
         for raw in query.words() {
             let (id, kind) = directory.classify(raw);
             if id.is_some() && !(0.0..=1.0).contains(&tau) {
                 return Err(KeywordError::InvalidThreshold(tau));
             }
-            let (direct, union) = match (id, kind) {
+            let union = match (id, kind) {
                 (Some(tword), WordKind::TWord) => {
-                    let direct = mappings.t2i(tword).to_vec();
-                    let mut union: Vec<WordId> = direct
+                    let mut union: Vec<WordId> = directory
+                        .mappings()
+                        .t2i(tword)
                         .iter()
-                        .flat_map(|&iw| mappings.i2t(iw))
+                        .flat_map(|&iw| directory.twords_of(iw))
                         .copied()
                         .collect();
                     union.sort_unstable();
                     union.dedup();
-                    (direct, union)
+                    union
                 }
-                _ => (Vec::new(), Vec::new()),
+                _ => Vec::new(),
             };
             words.push(PreparedWord {
                 raw: raw.clone(),
                 id,
                 kind,
-                direct,
                 union,
             });
         }
@@ -166,7 +166,7 @@ impl PreparedQuery {
         idx: usize,
         iword: WordId,
     ) -> Option<f64> {
-        let twords = directory.mappings().i2t(iword);
+        let twords = directory.twords_of(iword);
         self.words.get(idx)?.similarity(iword, twords, self.tau)
     }
 
@@ -179,7 +179,7 @@ impl PreparedQuery {
         iword: WordId,
         out: &mut Vec<f64>,
     ) {
-        let twords = directory.mappings().i2t(iword);
+        let twords = directory.twords_of(iword);
         out.extend(
             self.words
                 .iter()
@@ -244,7 +244,7 @@ impl PreparedQuery {
                 .map(|w| {
                     std::mem::size_of::<PreparedWord>()
                         + w.raw.capacity()
-                        + (w.direct.capacity() + w.union.capacity()) * std::mem::size_of::<WordId>()
+                        + w.union.capacity() * std::mem::size_of::<WordId>()
                 })
                 .sum::<usize>()
     }

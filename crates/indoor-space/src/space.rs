@@ -272,7 +272,7 @@ impl IndoorSpaceBuilder {
 
         let (floor_bounds, grids) =
             floor_grids(self.floors.clone(), &self.partitions, self.grid_cell)?;
-        let door_reach = door_reach(&self.partitions, &self.doors, &d2p_enter, &d2p_leave);
+        let (door_cells, loose_doors) = door_cells(&floor_bounds, &self.doors, self.grid_cell);
 
         let mut space = IndoorSpace {
             partitions: self.partitions,
@@ -285,7 +285,8 @@ impl IndoorSpaceBuilder {
             loop_overrides,
             floor_bounds,
             grids,
-            door_reach,
+            door_cells,
+            loose_doors,
             door_graph: DoorGraph::empty(),
             skeleton: SkeletonIndex::empty(),
         };
@@ -389,10 +390,11 @@ pub struct IndoorSpace {
     loop_overrides: Vec<(PartitionId, DoorId, f64)>,
     floor_bounds: BTreeMap<FloorId, Rect>,
     grids: FloorGrids,
-    /// The farthest any normal door lies from the footprint of a partition
-    /// it serves: 0 when every door sits on or inside its partitions, as in
-    /// every generated venue. The ellipse walk grows its boxes by it.
-    door_reach: f64,
+    /// Per floor, its normal doors by grid cell, for the ellipse walk.
+    door_cells: BTreeMap<FloorId, DoorCells>,
+    /// The doors the ellipse walk tests one by one: vertical doors, which
+    /// touch two floors, and any door of a floor without bounds.
+    loose_doors: Vec<DoorId>,
     door_graph: DoorGraph,
     skeleton: SkeletonIndex,
 }
@@ -436,26 +438,97 @@ fn floor_grids(
     Ok((floor_bounds, grids))
 }
 
-/// The farthest a normal door lies from the footprint of a partition it
-/// enters or leaves (`IndoorSpace::door_reach`). Vertical doors are left
-/// out: the ellipse walk tests each of them directly.
-fn door_reach(
-    partitions: &[Partition],
+/// The normal doors of one floor bucketed by the cells of a grid over the
+/// floor's bounds (a door outside them goes to the nearest edge cell), so
+/// that the doors of one row of cells are one contiguous run.
+#[derive(Debug, Clone)]
+struct DoorCells {
+    origin: Point,
+    cell: f64,
+    columns: usize,
+    rows: usize,
+    /// Row-major cell offsets into `doors`, plus one past the last cell.
+    offsets: Vec<u32>,
+    /// Door ids sorted by cell, then by id, with their positions.
+    doors: Vec<(DoorId, Point)>,
+}
+
+impl DoorCells {
+    /// Buckets `doors` over `bounds` with cells of `cell` metres. The
+    /// floor's point-location grid has the same bounds and cells, so their
+    /// number is already checked against
+    /// [`indoor_geom::grid::MAX_GRID_CELLS`].
+    fn build(bounds: &Rect, cell: f64, doors: &[&Door]) -> Self {
+        let mut cells = DoorCells {
+            origin: bounds.min,
+            cell,
+            columns: (bounds.width() / cell).floor() as usize + 1,
+            rows: (bounds.height() / cell).floor() as usize + 1,
+            offsets: Vec::new(),
+            doors: Vec::new(),
+        };
+        let mut keyed: Vec<(usize, DoorId, Point)> = doors
+            .iter()
+            .map(|d| {
+                let (x, y) = (cells.column(d.position.x), cells.row(d.position.y));
+                (y * cells.columns + x, d.id, d.position)
+            })
+            .collect();
+        keyed.sort_unstable_by_key(|&(at, d, _)| (at, d));
+        cells.offsets = vec![0; cells.columns * cells.rows + 1];
+        for &(at, _, _) in &keyed {
+            cells.offsets[at + 1] += 1;
+        }
+        for at in 1..cells.offsets.len() {
+            cells.offsets[at] += cells.offsets[at - 1];
+        }
+        cells.doors = keyed.into_iter().map(|(_, d, p)| (d, p)).collect();
+        cells
+    }
+
+    /// The column holding coordinate `x`, clamped to the grid.
+    fn column(&self, x: f64) -> usize {
+        (((x - self.origin.x) / self.cell).floor().max(0.0) as usize).min(self.columns - 1)
+    }
+
+    /// The row holding coordinate `y`, clamped to the grid.
+    fn row(&self, y: f64) -> usize {
+        (((y - self.origin.y) / self.cell).floor().max(0.0) as usize).min(self.rows - 1)
+    }
+
+    /// Every door, with its position, of every cell the rectangle meets
+    /// (after clamping).
+    fn doors_in(&self, area: &Rect) -> impl Iterator<Item = (DoorId, Point)> + '_ {
+        let (x0, x1) = (self.column(area.min.x), self.column(area.max.x));
+        (self.row(area.min.y)..=self.row(area.max.y)).flat_map(move |y| {
+            let from = self.offsets[y * self.columns + x0] as usize;
+            let to = self.offsets[y * self.columns + x1 + 1] as usize;
+            self.doors[from..to].iter().copied()
+        })
+    }
+}
+
+/// The door cells of every floor with bounds, and the doors the ellipse
+/// walk tests one by one (see `IndoorSpace::loose_doors`).
+fn door_cells(
+    floor_bounds: &BTreeMap<FloorId, Rect>,
     doors: &[Door],
-    d2p_enter: &Csr<PartitionId>,
-    d2p_leave: &Csr<PartitionId>,
-) -> f64 {
-    let mut reach = 0.0f64;
-    for door in doors.iter().filter(|d| !d.kind.is_vertical()) {
-        let i = door.id.index();
-        for &v in d2p_enter.row(i).iter().chain(d2p_leave.row(i)) {
-            let gap = partitions[v.index()]
-                .footprint
-                .distance_to_point(&door.position);
-            reach = reach.max(gap);
+    cell: f64,
+) -> (BTreeMap<FloorId, DoorCells>, Vec<DoorId>) {
+    let mut by_floor: BTreeMap<FloorId, Vec<&Door>> = BTreeMap::new();
+    let mut loose = Vec::new();
+    for door in doors {
+        if !door.kind.is_vertical() && floor_bounds.contains_key(&door.floor) {
+            by_floor.entry(door.floor).or_default().push(door);
+        } else {
+            loose.push(door.id);
         }
     }
-    reach
+    let cells = by_floor
+        .into_iter()
+        .map(|(floor, doors)| (floor, DoorCells::build(&floor_bounds[&floor], cell, &doors)))
+        .collect();
+    (cells, loose)
 }
 
 impl IndoorSpace {
@@ -588,7 +661,7 @@ impl IndoorSpace {
         // idempotent, and covers columns that only carry declared bounds.
         let (floor_bounds, grids) =
             floor_grids(floor_bounds.into_iter().collect(), &partitions, grid_cell)?;
-        let door_reach = door_reach(&partitions, &doors, &d2p_enter, &d2p_leave);
+        let (door_cells, loose_doors) = door_cells(&floor_bounds, &doors, grid_cell);
 
         let mut space = IndoorSpace {
             partitions,
@@ -601,7 +674,8 @@ impl IndoorSpace {
             loop_overrides,
             floor_bounds,
             grids,
-            door_reach,
+            door_cells,
+            loose_doors,
             door_graph,
             skeleton: SkeletonIndex::empty(),
         };
@@ -1003,46 +1077,40 @@ impl IndoorSpace {
     /// the network cost from `p` to `q` ([`SkeletonIndex::stair_portals`]).
     /// So a passing door lies in one of the ellipses `|q, x| + |q', x| ≤
     /// limit − c − c'` over a portal pair of `ps` and `pt`. The floor's
-    /// point-location grid yields every partition whose footprint meets
-    /// the union of those ellipses' boxes, grown by the door reach, and
-    /// each of their doors is tested exactly.
+    /// door cells yield every door in the union of those ellipses' boxes,
+    /// and each is tested exactly.
     pub fn partitions_within_detour(
         &self,
         ps: &IndoorPoint,
         pt: &IndoorPoint,
         limit: f64,
     ) -> Vec<PartitionId> {
-        let passes = |d: DoorId| self.door_detour_lower_bound(ps, d, pt) <= limit;
         let mut out = Vec::new();
-        for &d in self.skeleton.all_stair_doors() {
-            if passes(d) {
+        let mut take = |d: DoorId, passes: bool| {
+            if passes {
                 out.extend_from_slice(self.d2p_enter(d));
                 out.extend_from_slice(self.d2p_leave(d));
             }
+        };
+        for &d in &self.loose_doors {
+            take(d, self.door_detour_lower_bound(ps, d, pt) <= limit);
         }
-        // Rounding slack of the boxes, plus doors off their footprints.
-        let margin = self.door_reach + 1e-9 * (1.0 + limit.abs());
-        for (&floor, (grid, ids)) in &self.grids {
+        // Rounding slack of the boxes.
+        let margin = 1e-9 * (1.0 + limit.abs());
+        for (&floor, cells) in &self.door_cells {
             let Some(area) = self.ellipse_box(ps, pt, floor, limit, margin) else {
                 continue;
             };
-            let bounds = grid.bounds();
-            let clamped = Rect {
-                min: Point::new(area.min.x.max(bounds.min.x), area.min.y.max(bounds.min.y)),
-                max: Point::new(area.max.x.min(bounds.max.x), area.max.y.min(bounds.max.y)),
-            };
-            if clamped.min.x > clamped.max.x || clamped.min.y > clamped.max.y {
-                continue;
-            }
-            for item in grid.query_rect(&clamped) {
-                let v = ids[item];
-                if self
-                    .p2d_enter(v)
-                    .iter()
-                    .chain(self.p2d_leave(v))
-                    .any(|&d| passes(d))
-                {
-                    out.push(v);
+            if ps.floor == floor && pt.floor == floor {
+                // Both bounds are planar on the points' own floor: the
+                // same sums the skeleton computes, without reading the door.
+                for (d, at) in cells.doors_in(&area) {
+                    let bound = ps.position.distance(&at) + pt.position.distance(&at);
+                    take(d, bound <= limit);
+                }
+            } else {
+                for (d, _) in cells.doors_in(&area) {
+                    take(d, self.door_detour_lower_bound(ps, d, pt) <= limit);
                 }
             }
         }

@@ -449,8 +449,8 @@ struct DoorCells {
     rows: usize,
     /// Row-major cell offsets into `doors`, plus one past the last cell.
     offsets: Vec<u32>,
-    /// Door ids sorted by cell, then by id, with their positions.
-    doors: Vec<(DoorId, Point)>,
+    /// Door ids sorted by cell, then by id.
+    doors: Vec<DoorId>,
 }
 
 impl DoorCells {
@@ -467,22 +467,22 @@ impl DoorCells {
             offsets: Vec::new(),
             doors: Vec::new(),
         };
-        let mut keyed: Vec<(usize, DoorId, Point)> = doors
+        let mut keyed: Vec<(usize, DoorId)> = doors
             .iter()
             .map(|d| {
                 let (x, y) = (cells.column(d.position.x), cells.row(d.position.y));
-                (y * cells.columns + x, d.id, d.position)
+                (y * cells.columns + x, d.id)
             })
             .collect();
-        keyed.sort_unstable_by_key(|&(at, d, _)| (at, d));
+        keyed.sort_unstable();
         cells.offsets = vec![0; cells.columns * cells.rows + 1];
-        for &(at, _, _) in &keyed {
+        for &(at, _) in &keyed {
             cells.offsets[at + 1] += 1;
         }
         for at in 1..cells.offsets.len() {
             cells.offsets[at] += cells.offsets[at - 1];
         }
-        cells.doors = keyed.into_iter().map(|(_, d, p)| (d, p)).collect();
+        cells.doors = keyed.into_iter().map(|(_, d)| d).collect();
         cells
     }
 
@@ -496,9 +496,8 @@ impl DoorCells {
         (((y - self.origin.y) / self.cell).floor().max(0.0) as usize).min(self.rows - 1)
     }
 
-    /// Every door, with its position, of every cell the rectangle meets
-    /// (after clamping).
-    fn doors_in(&self, area: &Rect) -> impl Iterator<Item = (DoorId, Point)> + '_ {
+    /// Every door of every cell the rectangle meets (after clamping).
+    fn doors_in(&self, area: &Rect) -> impl Iterator<Item = DoorId> + '_ {
         let (x0, x1) = (self.column(area.min.x), self.column(area.max.x));
         (self.row(area.min.y)..=self.row(area.max.y)).flat_map(move |y| {
             let from = self.offsets[y * self.columns + x0] as usize;
@@ -1103,13 +1102,14 @@ impl IndoorSpace {
             };
             if ps.floor == floor && pt.floor == floor {
                 // Both bounds are planar on the points' own floor: the
-                // same sums the skeleton computes, without reading the door.
-                for (d, at) in cells.doors_in(&area) {
+                // same sums the skeleton computes.
+                for d in cells.doors_in(&area) {
+                    let at = self.doors[d.index()].position;
                     let bound = ps.position.distance(&at) + pt.position.distance(&at);
                     take(d, bound <= limit);
                 }
             } else {
-                for (d, _) in cells.doors_in(&area) {
+                for d in cells.doors_in(&area) {
                     take(d, self.door_detour_lower_bound(ps, d, pt) <= limit);
                 }
             }

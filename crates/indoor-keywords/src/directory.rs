@@ -38,41 +38,47 @@ struct DenseRows {
 }
 
 impl DenseRows {
-    /// Whether `len` slots indexed by the largest of `count` keys are dense
-    /// enough to allocate.
-    fn dense_enough(len: usize, count: usize) -> bool {
-        len <= 4 * count + 1024
+    /// The most slots rows keyed by `count` ids may take: beyond it the ids
+    /// are too sparse to index.
+    fn slot_cap(count: usize) -> usize {
+        4 * count + 1024
     }
 
+    /// One pass over each mapping, in key order; a key past the slot cap
+    /// leaves that mapping without dense rows.
     fn build(mappings: &KeywordMappings) -> Self {
-        let named = mappings.p2i_entries().map(|(v, _)| v.index() + 1).max();
-        let p2i = named
-            .filter(|&len| Self::dense_enough(len, mappings.named_partitions().count()))
-            .map(|len| {
-                let mut p2i = vec![NO_WORD; len];
-                for (v, w) in mappings.p2i_entries() {
-                    p2i[v.index()] = w.0;
-                }
-                p2i
-            });
-        let rows = mappings.i2t_entries().len();
-        let keyed = mappings.i2t_entries().map(|(w, _)| w.0 as usize + 1).max();
-        let i2t = keyed
-            .filter(|&len| Self::dense_enough(len, rows))
-            .map(|len| {
-                let mut offsets = vec![0u32; len + 1];
-                let mut words = Vec::with_capacity(mappings.num_associations());
-                let mut next = 0;
-                for (w, row) in mappings.i2t_entries() {
-                    let at = w.0 as usize;
-                    offsets[next..=at].fill(words.len() as u32);
-                    words.extend_from_slice(row);
-                    next = at + 1;
-                }
-                offsets[next..].fill(words.len() as u32);
-                (offsets, words)
-            });
-        DenseRows { p2i, i2t }
+        let entries = mappings.p2i_entries();
+        let cap = Self::slot_cap(entries.len());
+        let mut p2i = Vec::new();
+        for (v, w) in entries {
+            let at = v.index();
+            if at >= cap {
+                p2i.clear();
+                break;
+            }
+            if at >= p2i.len() {
+                p2i.resize(at + 1, NO_WORD);
+            }
+            p2i[at] = w.0;
+        }
+        let entries = mappings.i2t_entries();
+        let cap = Self::slot_cap(entries.len());
+        let (mut offsets, mut words) = (vec![0u32], Vec::new());
+        for (w, row) in entries {
+            let at = w.0 as usize;
+            if at >= cap {
+                offsets.clear();
+                break;
+            }
+            // Rows between the previous key and this one are empty.
+            offsets.resize(at + 1, words.len() as u32);
+            words.extend_from_slice(row);
+            offsets.push(words.len() as u32);
+        }
+        DenseRows {
+            p2i: (mappings.p2i_entries().len() == 0 || !p2i.is_empty()).then_some(p2i),
+            i2t: (!offsets.is_empty()).then_some((offsets, words)),
+        }
     }
 
     fn estimated_bytes(&self) -> usize {

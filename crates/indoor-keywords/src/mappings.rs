@@ -158,7 +158,7 @@ impl KeywordMappings {
 
     /// Iterates `P2I` in partition order — whole-map traversal for
     /// persistence capture.
-    pub fn p2i_entries(&self) -> impl Iterator<Item = (PartitionId, WordId)> + '_ {
+    pub fn p2i_entries(&self) -> impl ExactSizeIterator<Item = (PartitionId, WordId)> + '_ {
         self.p2i.iter().map(|(v, w)| (*v, *w))
     }
 

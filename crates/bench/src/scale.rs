@@ -123,12 +123,13 @@ pub struct ScalePoint {
     /// Full cold load of the v2 file in milliseconds: read it, decode and
     /// adopt the columns, adopt the persisted index.
     pub load_ms: f64,
-    /// Index acquisition alone in milliseconds (best of 15 rounds):
+    /// Index acquisition alone in milliseconds (best of 15 rounds, each
+    /// after an untimed one):
     /// decode the persisted section and adopt it against the directory.
     /// The serving criterion compares this against `index_build_ms`.
     pub index_load_ms: f64,
     /// v2 columnar doc-decode phase in milliseconds (best of 15 rounds,
-    /// alternating with `doc_rebuild_ms`'s):
+    /// alternating with `doc_rebuild_ms`'s, each after an untimed load):
     /// bytes → validated columns.
     pub doc_decode_ms: f64,
     /// v2 columnar model-adopt phase in milliseconds (best of the same 15
@@ -363,11 +364,19 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
     // adoption, without the document work. Both sides of each serving
     // criterion take the best of several rounds, and the two sides' rounds
     // alternate: one-shot wall times on a shared machine are dominated by
-    // scheduler and frequency noise, a burst of it then hits both sides
-    // alike, and steady-state is what a warm serving process sees.
+    // scheduler and frequency noise, and a burst of it then hits both sides
+    // alike. Steady state is what a warm serving process sees, so each
+    // timed load follows an untimed one: otherwise it would run in the
+    // caches the other side's round just swept.
     const TIMING_ROUNDS: usize = 15;
     let mut section = Default::default();
     index_section::encode_index_section(&mut section, fresh_index, fresh.directory());
+    let load_index = || match index_section::decode_index_section(section.as_ref()) {
+        IndexSection::Present(prebuilt) => prebuilt
+            .into_index(fresh.directory())
+            .expect("persisted index binds to the rebuilt directory"),
+        other => panic!("saved index section decodes: {other:?}"),
+    };
     let mut index_build_ms = f64::INFINITY;
     let mut index_load_ms = f64::INFINITY;
     for _ in 0..TIMING_ROUNDS {
@@ -375,13 +384,9 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
         let rebuilt = indoor_index::VenueIndex::build(fresh.space(), fresh.directory());
         index_build_ms = index_build_ms.min(ms_since(build_start));
         drop(rebuilt);
+        drop(load_index());
         let index_load_start = Instant::now();
-        let reloaded = match index_section::decode_index_section(section.as_ref()) {
-            IndexSection::Present(prebuilt) => prebuilt
-                .into_index(fresh.directory())
-                .expect("persisted index binds to the rebuilt directory"),
-            other => panic!("saved index section decodes: {other:?}"),
-        };
+        let reloaded = load_index();
         index_load_ms = index_load_ms.min(ms_since(index_load_start));
         drop(reloaded);
     }
@@ -392,15 +397,16 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
     let mut doc_rebuild_ms = f64::INFINITY;
     let mut columnar_adopted = v2_engine.document_stats().is_some_and(adopted);
     for _ in 0..TIMING_ROUNDS {
+        let rebuild_start = Instant::now();
+        let rebuilt = doc.build().expect("sweep documents round-trip");
+        doc_rebuild_ms = doc_rebuild_ms.min(ms_since(rebuild_start));
+        drop(rebuilt);
+        drop(binary::load_venue_model(&disk).expect("columnar venue loads"));
         let round = binary::load_venue_model(&disk).expect("columnar venue loads");
         columnar_adopted &= adopted(&round.stats);
         doc_decode_ms = doc_decode_ms.min(round.stats.decode_micros as f64 / 1e3);
         model_adopt_ms = model_adopt_ms.min(round.stats.adopt_micros as f64 / 1e3);
         drop(round);
-        let rebuild_start = Instant::now();
-        let rebuilt = doc.build().expect("sweep documents round-trip");
-        doc_rebuild_ms = doc_rebuild_ms.min(ms_since(rebuild_start));
-        drop(rebuilt);
     }
 
     // Both load paths join the byte-identity check against the scan

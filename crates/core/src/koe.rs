@@ -183,13 +183,6 @@ impl<'a> Search<'a> {
         let (start, terminal) = (&ctx.query.start, &ctx.query.terminal);
         let delta = ctx.delta();
         let prune = self.config.use_distance_pruning;
-        let table = &self.state.key_table;
-        let rows: Vec<usize> = (0..table.len())
-            .filter(|&row| {
-                let v = table.partition(row);
-                v == ctx.terminal_partition || (v != ctx.start_partition && table.covers(row))
-            })
-            .collect();
 
         // Index engine only: whether the partition's region bound already
         // exceeds ∆, computing each region's bound once.
@@ -219,8 +212,12 @@ impl<'a> Search<'a> {
         };
 
         let mut routing = Vec::new();
-        for row in rows {
+        for row in 0..self.state.key_table.len() {
             let v = self.state.key_table.partition(row);
+            let key = v != ctx.start_partition && self.state.key_table.covers(row);
+            if !key && v != ctx.terminal_partition {
+                continue;
+            }
             // A failed region stands in for the bounds of all its members.
             let detour_bound = if prune && region_fails(v) {
                 f64::INFINITY

@@ -16,37 +16,18 @@ use std::collections::BTreeMap;
 pub fn jaccard(a: &[WordId], b: &[WordId]) -> f64 {
     debug_assert!(a.windows(2).all(|w| w[0] < w[1]), "`a` must be a set");
     debug_assert!(b.windows(2).all(|w| w[0] < w[1]), "`b` must be a set");
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    // A search scores a brand's few t-words against a union of hundreds,
-    // mostly of another category: skip sets whose ranges do not meet, and
-    // look a few words up instead of walking a long set. Every way counts
-    // the same intersection.
-    let disjoint = match (a.first(), a.last(), b.first(), b.last()) {
-        (Some(a0), Some(a1), Some(b0), Some(b1)) => a1 < b0 || b1 < a0,
-        _ => true,
-    };
-    let inter = if disjoint {
-        0
-    } else if short.len() * 8 < long.len() {
-        short
-            .iter()
-            .filter(|w| long.binary_search(w).is_ok())
-            .count()
-    } else {
-        let (mut i, mut j, mut inter) = (0, 0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                Ordering::Less => i += 1,
-                Ordering::Greater => j += 1,
-                Ordering::Equal => {
-                    inter += 1;
-                    i += 1;
-                    j += 1;
-                }
+    let (mut i, mut j, mut inter) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                inter += 1;
+                i += 1;
+                j += 1;
             }
         }
-        inter
-    };
+    }
     let union = a.len() + b.len() - inter;
     if union == 0 {
         0.0

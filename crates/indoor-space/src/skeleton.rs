@@ -163,11 +163,6 @@ impl SkeletonIndex {
         self.floor_entry(floor).map_or(&[], |entry| &entry.1)
     }
 
-    /// Every staircase door of the venue, sorted by door id.
-    pub fn all_stair_doors(&self) -> &[DoorId] {
-        &self.stair_doors
-    }
-
     /// Number of staircase doors in the venue.
     pub fn num_stair_doors(&self) -> usize {
         self.n

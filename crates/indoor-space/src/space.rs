@@ -1097,18 +1097,7 @@ impl IndoorSpace {
         // Rounding slack of the boxes.
         let margin = 1e-9 * (1.0 + limit.abs());
         for (&floor, cells) in &self.door_cells {
-            let Some(area) = self.ellipse_box(ps, pt, floor, limit, margin) else {
-                continue;
-            };
-            if ps.floor == floor && pt.floor == floor {
-                // Both bounds are planar on the points' own floor: the
-                // same sums the skeleton computes.
-                for d in cells.doors_in(&area) {
-                    let at = self.doors[d.index()].position;
-                    let bound = ps.position.distance(&at) + pt.position.distance(&at);
-                    take(d, bound <= limit);
-                }
-            } else {
+            if let Some(area) = self.ellipse_box(ps, pt, floor, limit, margin) {
                 for d in cells.doors_in(&area) {
                     take(d, self.door_detour_lower_bound(ps, d, pt) <= limit);
                 }

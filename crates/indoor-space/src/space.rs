@@ -454,7 +454,8 @@ struct DoorCells {
 }
 
 impl DoorCells {
-    /// Buckets `doors` over `bounds` with cells of `cell` metres. The
+    /// Buckets `doors`, given in id order, over `bounds` with cells of
+    /// `cell` metres, by one counting pass and one placing pass. The
     /// floor's point-location grid has the same bounds and cells, so their
     /// number is already checked against
     /// [`indoor_geom::grid::MAX_GRID_CELLS`].
@@ -467,22 +468,23 @@ impl DoorCells {
             offsets: Vec::new(),
             doors: Vec::new(),
         };
-        let mut keyed: Vec<(usize, DoorId)> = doors
+        let at: Vec<usize> = doors
             .iter()
-            .map(|d| {
-                let (x, y) = (cells.column(d.position.x), cells.row(d.position.y));
-                (y * cells.columns + x, d.id)
-            })
+            .map(|d| cells.row(d.position.y) * cells.columns + cells.column(d.position.x))
             .collect();
-        keyed.sort_unstable();
-        cells.offsets = vec![0; cells.columns * cells.rows + 1];
-        for &(at, _) in &keyed {
-            cells.offsets[at + 1] += 1;
+        let mut next = vec![0u32; cells.columns * cells.rows + 1];
+        for &a in &at {
+            next[a + 1] += 1;
         }
-        for at in 1..cells.offsets.len() {
-            cells.offsets[at] += cells.offsets[at - 1];
+        for a in 1..next.len() {
+            next[a] += next[a - 1];
         }
-        cells.doors = keyed.into_iter().map(|(_, d)| d).collect();
+        cells.offsets = next.clone();
+        cells.doors = vec![DoorId(0); doors.len()];
+        for (d, a) in doors.iter().zip(at) {
+            cells.doors[next[a] as usize] = d.id;
+            next[a] += 1;
+        }
         cells
     }
 

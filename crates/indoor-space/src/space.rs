@@ -1,6 +1,7 @@
 //! The [`IndoorSpace`] aggregate: partitions, doors, topology mappings and the
 //! intra-partition distance functions of §II-A, plus the derived structures
-//! (door graph, skeleton index, per-floor point-location grids).
+//! (door graph, skeleton index, per-floor point-location grids, and the
+//! door cells of the ellipse walk, built on first use).
 
 use crate::csr::Csr;
 use crate::door::{Door, DoorKind};
@@ -17,6 +18,7 @@ use crate::UNREACHABLE;
 use indoor_geom::{GeomError, Point, Rect, UniformGrid};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 /// Connection descriptor between a door and a partition recorded by the
 /// builder before validation.
@@ -272,7 +274,6 @@ impl IndoorSpaceBuilder {
 
         let (floor_bounds, grids) =
             floor_grids(self.floors.clone(), &self.partitions, self.grid_cell)?;
-        let (door_cells, loose_doors) = door_cells(&floor_bounds, &self.doors, self.grid_cell);
 
         let mut space = IndoorSpace {
             partitions: self.partitions,
@@ -285,8 +286,8 @@ impl IndoorSpaceBuilder {
             loop_overrides,
             floor_bounds,
             grids,
-            door_cells,
-            loose_doors,
+            grid_cell: self.grid_cell,
+            door_cells: OnceLock::new(),
             door_graph: DoorGraph::empty(),
             skeleton: SkeletonIndex::empty(),
         };
@@ -390,11 +391,11 @@ pub struct IndoorSpace {
     loop_overrides: Vec<(PartitionId, DoorId, f64)>,
     floor_bounds: BTreeMap<FloorId, Rect>,
     grids: FloorGrids,
-    /// Per floor, its normal doors by grid cell, for the ellipse walk.
-    door_cells: BTreeMap<FloorId, DoorCells>,
-    /// The doors the ellipse walk tests one by one: vertical doors, which
-    /// touch two floors, and any door of a floor without bounds.
-    loose_doors: Vec<DoorId>,
+    /// Cell size of the point-location grids, in metres.
+    grid_cell: f64,
+    /// The ellipse walk's door index, built on its first use: a space that
+    /// never serves a search does not pay for it.
+    door_cells: OnceLock<DoorIndex>,
     door_graph: DoorGraph,
     skeleton: SkeletonIndex,
 }
@@ -509,27 +510,32 @@ impl DoorCells {
     }
 }
 
-/// The door cells of every floor with bounds, and the doors the ellipse
-/// walk tests one by one (see `IndoorSpace::loose_doors`).
-fn door_cells(
-    floor_bounds: &BTreeMap<FloorId, Rect>,
-    doors: &[Door],
-    cell: f64,
-) -> (BTreeMap<FloorId, DoorCells>, Vec<DoorId>) {
-    let mut by_floor: BTreeMap<FloorId, Vec<&Door>> = BTreeMap::new();
-    let mut loose = Vec::new();
-    for door in doors {
-        if !door.kind.is_vertical() && floor_bounds.contains_key(&door.floor) {
-            by_floor.entry(door.floor).or_default().push(door);
-        } else {
-            loose.push(door.id);
+/// The ellipse walk's door index: every floor's normal doors by grid cell,
+/// and the doors it tests one by one, vertical doors (they touch two
+/// floors) and any door of a floor without bounds.
+#[derive(Debug, Clone)]
+struct DoorIndex {
+    cells: BTreeMap<FloorId, DoorCells>,
+    loose: Vec<DoorId>,
+}
+
+impl DoorIndex {
+    fn build(floor_bounds: &BTreeMap<FloorId, Rect>, doors: &[Door], cell: f64) -> Self {
+        let mut by_floor: BTreeMap<FloorId, Vec<&Door>> = BTreeMap::new();
+        let mut loose = Vec::new();
+        for door in doors {
+            if !door.kind.is_vertical() && floor_bounds.contains_key(&door.floor) {
+                by_floor.entry(door.floor).or_default().push(door);
+            } else {
+                loose.push(door.id);
+            }
         }
+        let cells = by_floor
+            .into_iter()
+            .map(|(floor, doors)| (floor, DoorCells::build(&floor_bounds[&floor], cell, &doors)))
+            .collect();
+        DoorIndex { cells, loose }
     }
-    let cells = by_floor
-        .into_iter()
-        .map(|(floor, doors)| (floor, DoorCells::build(&floor_bounds[&floor], cell, &doors)))
-        .collect();
-    (cells, loose)
 }
 
 impl IndoorSpace {
@@ -662,7 +668,6 @@ impl IndoorSpace {
         // idempotent, and covers columns that only carry declared bounds.
         let (floor_bounds, grids) =
             floor_grids(floor_bounds.into_iter().collect(), &partitions, grid_cell)?;
-        let (door_cells, loose_doors) = door_cells(&floor_bounds, &doors, grid_cell);
 
         let mut space = IndoorSpace {
             partitions,
@@ -675,8 +680,8 @@ impl IndoorSpace {
             loop_overrides,
             floor_bounds,
             grids,
-            door_cells,
-            loose_doors,
+            grid_cell,
+            door_cells: OnceLock::new(),
             door_graph,
             skeleton: SkeletonIndex::empty(),
         };
@@ -1093,12 +1098,15 @@ impl IndoorSpace {
                 out.extend_from_slice(self.d2p_leave(d));
             }
         };
-        for &d in &self.loose_doors {
+        let index = self
+            .door_cells
+            .get_or_init(|| DoorIndex::build(&self.floor_bounds, &self.doors, self.grid_cell));
+        for &d in &index.loose {
             take(d, self.door_detour_lower_bound(ps, d, pt) <= limit);
         }
         // Rounding slack of the boxes.
         let margin = 1e-9 * (1.0 + limit.abs());
-        for (&floor, cells) in &self.door_cells {
+        for (&floor, cells) in &index.cells {
             if let Some(area) = self.ellipse_box(ps, pt, floor, limit, margin) {
                 for d in cells.doors_in(&area) {
                     take(d, self.door_detour_lower_bound(ps, d, pt) <= limit);

@@ -128,12 +128,12 @@ pub struct ScalePoint {
     /// decode the persisted section and adopt it against the directory.
     /// The serving criterion compares this against `index_build_ms`.
     pub index_load_ms: f64,
-    /// v2 columnar doc-decode phase in milliseconds (best of 15 rounds,
-    /// alternating with `doc_rebuild_ms`'s, each after an untimed load):
+    /// v2 columnar doc-decode phase in milliseconds (best of 45 loads,
+    /// three after each of `doc_rebuild_ms`'s 15 rounds):
     /// bytes → validated columns.
     pub doc_decode_ms: f64,
-    /// v2 columnar model-adopt phase in milliseconds (best of the same 15
-    /// rounds): columns → space + directory.
+    /// v2 columnar model-adopt phase in milliseconds (best of the same 45
+    /// loads): columns → space + directory.
     pub model_adopt_ms: f64,
     /// Record rebuild in milliseconds (best of 15 rounds):
     /// `VenueDocument::build` on the document. The document criterion
@@ -365,9 +365,10 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
     // criterion take the best of several rounds, and the two sides' rounds
     // alternate: one-shot wall times on a shared machine are dominated by
     // scheduler and frequency noise, and a burst of it then hits both sides
-    // alike. Steady state is what a warm serving process sees, so each
-    // timed load follows an untimed one: otherwise it would run in the
-    // caches the other side's round just swept.
+    // alike. Steady state is what a warm serving process sees, so a load
+    // is never timed straight after the other side's round, in the caches
+    // that round swept: the index load follows an untimed one, and the
+    // document criterion takes the best of three loads per round.
     const TIMING_ROUNDS: usize = 15;
     let mut section = Default::default();
     index_section::encode_index_section(&mut section, fresh_index, fresh.directory());

@@ -92,9 +92,9 @@ pub struct ScalePoint {
     /// Space + directory rebuild from the venue document, milliseconds
     /// (the serving cold path rebuilds from a document, not a generator).
     pub space_build_ms: f64,
-    /// Index build wall-clock time in milliseconds (best of 15 rounds,
-    /// alternating with `index_load_ms`'s, on the document-rebuilt space +
-    /// directory the serving path uses).
+    /// Index build wall-clock time in milliseconds (best of 15 rounds, each
+    /// after an untimed one, alternating with `index_load_ms`'s, on the
+    /// document-rebuilt space + directory the serving path uses).
     pub index_build_ms: f64,
     /// Estimated index heap bytes.
     pub index_bytes: usize,
@@ -124,18 +124,19 @@ pub struct ScalePoint {
     /// adopt the columns, adopt the persisted index.
     pub load_ms: f64,
     /// Index acquisition alone in milliseconds (best of 15 rounds, each
-    /// after an untimed one):
+    /// after an untimed one, like `index_build_ms`'s):
     /// decode the persisted section and adopt it against the directory.
     /// The serving criterion compares this against `index_build_ms`.
     pub index_load_ms: f64,
-    /// v2 columnar doc-decode phase in milliseconds (best of 45 loads,
-    /// three after each of `doc_rebuild_ms`'s 15 rounds):
+    /// v2 columnar doc-decode phase in milliseconds (best of 15 loads, each
+    /// after an untimed one, alternating with `doc_rebuild_ms`'s rounds):
     /// bytes → validated columns.
     pub doc_decode_ms: f64,
-    /// v2 columnar model-adopt phase in milliseconds (best of the same 45
+    /// v2 columnar model-adopt phase in milliseconds (best of the same 15
     /// loads): columns → space + directory.
     pub model_adopt_ms: f64,
-    /// Record rebuild in milliseconds (best of 15 rounds):
+    /// Record rebuild in milliseconds (best of 15 rounds, each after an
+    /// untimed one):
     /// `VenueDocument::build` on the document. The document criterion
     /// compares this against `doc_decode_ms + model_adopt_ms`.
     pub doc_rebuild_ms: f64,
@@ -362,16 +363,17 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
 
     // Index acquisition alone, on the section's bytes: decode plus
     // adoption, without the document work. Both sides of each serving
-    // criterion take the best of several rounds, and the two sides' rounds
-    // alternate: one-shot wall times on a shared machine are dominated by
-    // scheduler and frequency noise, and a burst of it then hits both sides
-    // alike. Steady state is what a warm serving process sees, so a load
-    // is never timed straight after the other side's round, in the caches
-    // that round swept: the index load follows an untimed one, and the
-    // document criterion takes the best of three loads per round.
+    // criterion take the best of the same number of rounds, and the two
+    // sides' rounds alternate: one-shot wall times on a shared machine are
+    // dominated by scheduler and frequency noise, and a burst of it then
+    // hits both sides alike. Steady state is what a warm serving process
+    // sees, so every timed sample, on either side, follows an untimed one
+    // of its own kind and never runs in the caches the other side's round
+    // just swept.
     const TIMING_ROUNDS: usize = 15;
     let mut section = Default::default();
     index_section::encode_index_section(&mut section, fresh_index, fresh.directory());
+    let build_index = || indoor_index::VenueIndex::build(fresh.space(), fresh.directory());
     let load_index = || match index_section::decode_index_section(section.as_ref()) {
         IndexSection::Present(prebuilt) => prebuilt
             .into_index(fresh.directory())
@@ -381,8 +383,9 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
     let mut index_build_ms = f64::INFINITY;
     let mut index_load_ms = f64::INFINITY;
     for _ in 0..TIMING_ROUNDS {
+        drop(build_index());
         let build_start = Instant::now();
-        let rebuilt = indoor_index::VenueIndex::build(fresh.space(), fresh.directory());
+        let rebuilt = build_index();
         index_build_ms = index_build_ms.min(ms_since(build_start));
         drop(rebuilt);
         drop(load_index());
@@ -392,22 +395,25 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
         drop(reloaded);
     }
 
-    // The document criterion: v2 decode + adopt against the record rebuild.
+    // The document criterion: v2 decode + adopt against the record rebuild,
+    // with the same rounds and warm-ups as the index criterion.
+    let rebuild_doc = || doc.build().expect("sweep documents round-trip");
+    let load_doc = || binary::load_venue_model(&disk).expect("columnar venue loads");
     let mut doc_decode_ms = f64::INFINITY;
     let mut model_adopt_ms = f64::INFINITY;
     let mut doc_rebuild_ms = f64::INFINITY;
     let mut columnar_adopted = v2_engine.document_stats().is_some_and(adopted);
     for _ in 0..TIMING_ROUNDS {
+        drop(rebuild_doc());
         let rebuild_start = Instant::now();
-        let rebuilt = doc.build().expect("sweep documents round-trip");
+        let rebuilt = rebuild_doc();
         doc_rebuild_ms = doc_rebuild_ms.min(ms_since(rebuild_start));
         drop(rebuilt);
-        for _ in 0..3 {
-            let round = binary::load_venue_model(&disk).expect("columnar venue loads");
-            columnar_adopted &= adopted(&round.stats);
-            doc_decode_ms = doc_decode_ms.min(round.stats.decode_micros as f64 / 1e3);
-            model_adopt_ms = model_adopt_ms.min(round.stats.adopt_micros as f64 / 1e3);
-        }
+        drop(load_doc());
+        let round = load_doc();
+        columnar_adopted &= adopted(&round.stats);
+        doc_decode_ms = doc_decode_ms.min(round.stats.decode_micros as f64 / 1e3);
+        model_adopt_ms = model_adopt_ms.min(round.stats.adopt_micros as f64 / 1e3);
     }
 
     // Both load paths join the byte-identity check against the scan

@@ -208,11 +208,6 @@ impl PreparedQuery {
             .collect()
     }
 
-    /// Whether the i-word is a candidate match of any query keyword.
-    pub fn is_candidate_iword(&self, directory: &KeywordDirectory, iword: WordId) -> bool {
-        (0..self.len()).any(|idx| self.similarity(directory, idx, iword).is_some())
-    }
-
     /// The maximum possible keyword relevance, `|QW| + 1` (reached when every
     /// keyword matches an i-word with similarity 1; see Definition 6).
     pub fn max_relevance(&self) -> f64 {
@@ -317,8 +312,10 @@ mod tests {
 
         // Wci = {starbucks, costa, apple}
         assert_eq!(prepared.candidate_iwords(&dir).len(), 3);
-        assert!(prepared.is_candidate_iword(&dir, costa));
-        assert!(!prepared.is_candidate_iword(&dir, dir.lookup("samsung").unwrap()));
+        assert!(prepared.candidate_iwords(&dir).contains(&costa));
+        assert!(!prepared
+            .candidate_iwords(&dir)
+            .contains(&dir.lookup("samsung").unwrap()));
 
         // Key partitions: v3 (costa), v7 (starbucks), v10 (apple).
         assert_eq!(

@@ -133,44 +133,15 @@ impl CoverageTracker {
         }
     }
 
-    /// Registers an i-word seen on the route; updates every query keyword
-    /// whose candidate set contains it.
-    pub fn add_iword(
-        &mut self,
-        query: &PreparedQuery,
-        directory: &KeywordDirectory,
-        iword: WordId,
-    ) {
-        for (idx, slot) in self.best.iter_mut().enumerate() {
-            if let Some(s) = query.similarity(directory, idx, iword) {
-                if s > *slot {
-                    *slot = s;
-                }
-            }
-        }
-    }
-
-    /// Registers an i-word by its per-keyword similarities, as
-    /// [`PreparedQuery::push_similarities`] lists them (0 where it is no
-    /// candidate): the same update as [`CoverageTracker::add_iword`].
+    /// Registers an i-word seen on the route by its per-keyword
+    /// similarities, as [`PreparedQuery::push_similarities`] lists them (0
+    /// where it is no candidate): every query keyword it matches better
+    /// than any earlier i-word takes its similarity.
     pub fn add_similarities(&mut self, similarities: &[f64]) {
         for (slot, &s) in self.best.iter_mut().zip(similarities) {
             if s > *slot {
                 *slot = s;
             }
-        }
-    }
-
-    /// Registers every i-word of a set (e.g. the route words of a freshly
-    /// connected suffix).
-    pub fn add_iwords<'a>(
-        &mut self,
-        query: &PreparedQuery,
-        directory: &KeywordDirectory,
-        iwords: impl IntoIterator<Item = &'a WordId>,
-    ) {
-        for iw in iwords {
-            self.add_iword(query, directory, *iw);
         }
     }
 
@@ -290,6 +261,14 @@ mod tests {
         assert!((RelevanceModel::relevance_of_words(&words, &q, &dir) - 3.0).abs() < 1e-9);
     }
 
+    /// Credits an i-word to a tracker through its similarity row, as a
+    /// search does.
+    fn credit(t: &mut CoverageTracker, q: &PreparedQuery, dir: &KeywordDirectory, word: &str) {
+        let mut row = Vec::new();
+        q.push_similarities(dir, dir.lookup(word).unwrap(), &mut row);
+        t.add_similarities(&row);
+    }
+
     #[test]
     fn tracker_is_incremental_and_monotone() {
         let dir = example_directory();
@@ -298,17 +277,17 @@ mod tests {
         assert_eq!(t.relevance(), 0.0);
         assert_eq!(t.covered_count(), 0);
         assert!(!t.is_fully_covered());
-        t.add_iword(&q, &dir, dir.lookup("costa").unwrap());
+        credit(&mut t, &q, &dir, "costa");
         assert!((t.relevance() - 1.75).abs() < 1e-9);
         assert!(t.is_word_covered(0));
         assert!(!t.is_word_covered(1));
         // Adding a better match for the same keyword improves it.
-        t.add_iword(&q, &dir, dir.lookup("starbucks").unwrap());
+        credit(&mut t, &q, &dir, "starbucks");
         assert!((t.relevance() - 2.0).abs() < 1e-9);
         // Adding an unrelated i-word changes nothing.
-        t.add_iword(&q, &dir, dir.lookup("zara").unwrap());
+        credit(&mut t, &q, &dir, "zara");
         assert!((t.relevance() - 2.0).abs() < 1e-9);
-        t.add_iword(&q, &dir, dir.lookup("apple").unwrap());
+        credit(&mut t, &q, &dir, "apple");
         assert!((t.relevance() - 3.0).abs() < 1e-9);
         assert!(t.is_fully_covered());
         assert_eq!(t.covered_count(), 2);
@@ -317,30 +296,20 @@ mod tests {
     }
 
     #[test]
-    fn add_iwords_bulk_matches_single_adds() {
+    fn similarity_rows_match_the_batch_relevance() {
         let dir = example_directory();
         let q = prepared(&dir, &["latte", "apple"]);
-        let words: BTreeSet<WordId> = ["apple", "starbucks"]
+        let words: BTreeSet<WordId> = ["apple", "starbucks", "costa"]
             .iter()
             .map(|w| dir.lookup(w).unwrap())
             .collect();
-        let mut bulk = CoverageTracker::new(q.len());
-        bulk.add_iwords(&q, &dir, words.iter());
-        let mut single = CoverageTracker::new(q.len());
-        for w in &words {
-            single.add_iword(&q, &dir, *w);
+        let mut t = CoverageTracker::new(q.len());
+        for w in ["costa", "starbucks", "apple"] {
+            credit(&mut t, &q, &dir, w);
         }
-        assert_eq!(bulk, single);
-        // The same update from the i-words' similarity rows.
-        let mut rows = CoverageTracker::new(q.len());
-        for w in &words {
-            let mut row = Vec::new();
-            q.push_similarities(&dir, *w, &mut row);
-            rows.add_similarities(&row);
-        }
-        assert_eq!(rows, single);
+        assert_eq!(t.best_similarities(), [1.0, 1.0]);
         assert!(
-            (bulk.relevance() - RelevanceModel::relevance_of_words(&words, &q, &dir)).abs() < 1e-9
+            (t.relevance() - RelevanceModel::relevance_of_words(&words, &q, &dir)).abs() < 1e-9
         );
     }
 

@@ -142,7 +142,7 @@ proptest! {
                         if let Some(s) = prepared.similarity(&dir, idx, iw) {
                             prop_assert!(s > tau - 1e-12, "candidate below threshold: {s} <= {tau}");
                             prop_assert!(s <= 1.0 + 1e-12);
-                            prop_assert!(prepared.is_candidate_iword(&dir, iw));
+                            prop_assert!(prepared.candidate_iwords(&dir).contains(&iw));
                         }
                         // Direct matching i-words (t-word attached to them)
                         // must be candidates with similarity exactly 1.
@@ -173,8 +173,9 @@ proptest! {
         for v in (0..spec.partitions as u32).map(PartitionId) {
             let expected = dir
                 .partition_iword(v)
-                .map(|iw| prepared.is_candidate_iword(&dir, iw))
-                .unwrap_or(false);
+                .is_some_and(|iw| {
+                    (0..words.len()).any(|i| prepared.similarity(&dir, i, iw).is_some())
+                });
             prop_assert_eq!(key.contains(&v), expected);
         }
     }
@@ -263,7 +264,9 @@ proptest! {
         let mut previous = 0.0f64;
         let mut seen: BTreeSet<WordId> = BTreeSet::new();
         for &iw in &route_words {
-            tracker.add_iword(&prepared, &dir, iw);
+            let mut row = Vec::new();
+            prepared.push_similarities(&dir, iw, &mut row);
+            tracker.add_similarities(&row);
             seen.insert(iw);
             let incremental = tracker.relevance();
             let batch = RelevanceModel::relevance_of_words(&seen, &prepared, &dir);

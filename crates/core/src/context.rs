@@ -1,18 +1,20 @@
 //! The per-query search context: the query prepared against a concrete
 //! venue, with every derived quantity the search algorithms need.
 //!
-//! Preparation does no venue-wide work. A search then builds one sorted
-//! key-partition table (`SearchContext::key_partition_table`) from the
-//! partitions near the query's `∆`-ellipse, and reads key-partition
-//! membership, keyword similarities and KoE's routing set from it.
+//! Preparation does no venue-wide work. A search scores each partition it
+//! meets once, on first use (`KeyPartitionRows`), and reads key-partition
+//! membership and keyword similarities from those rows.
 
 use crate::error::EngineError;
 use crate::query::IkrqQuery;
 use crate::score::RankingModel;
 use crate::Result;
 use indoor_index::VenueIndex;
-use indoor_keywords::{CandidateSet, KeywordDirectory, PreparedQuery, WordId};
+use indoor_keywords::{CandidateSet, CoverageTracker, KeywordDirectory, PreparedQuery, WordId};
 use indoor_space::{DoorId, IndoorSpace, PartitionId, Route, ELLIPSE_SLACK};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 /// A query prepared for execution against a venue: host partitions resolved,
@@ -21,8 +23,8 @@ use std::sync::OnceLock;
 /// The methods that decide key partitions here ([`Self::is_key_partition`],
 /// [`Self::key_partition_sequence`]) are the specification: they expand
 /// every keyword's candidate set by the vocabulary scan on first use. A
-/// search reads its key-partition table instead, which debug builds check
-/// against them.
+/// search reads its key-partition rows instead, each of which debug builds
+/// check against them.
 #[derive(Debug)]
 pub struct SearchContext<'a> {
     /// The venue's space model.
@@ -47,84 +49,96 @@ pub struct SearchContext<'a> {
     spec: OnceLock<Vec<CandidateSet>>,
 }
 
-/// The per-query key-partition table: `v(ps)`, `v(pt)` and the key
-/// partitions a search can meet, sorted by partition, each with its
-/// similarity for every query keyword (0 where its i-word is no candidate
-/// of that keyword).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct KeyPartitionTable {
-    partitions: Vec<PartitionId>,
-    /// Whether the row's i-word is a candidate of some keyword.
-    covers: Vec<bool>,
-    /// `|QW|` similarities per row, row-major.
-    similarities: Vec<f64>,
-    width: usize,
+/// The key-partition rows of one search: every partition the search meets,
+/// scored on first use with its similarity for every query keyword. A
+/// search asks only about partitions beside the doors it reaches, so it
+/// scores those and never the venue (KoE\D's routing set excepted).
+#[derive(Debug, Default)]
+pub(crate) struct KeyPartitionRows {
+    rows: RefCell<Rows>,
 }
 
-impl KeyPartitionTable {
-    fn new(width: usize) -> Self {
-        KeyPartitionTable {
-            width,
-            ..KeyPartitionTable::default()
+#[derive(Debug, Default)]
+struct Rows {
+    /// Each partition met so far, with the offset of its `|QW|`
+    /// similarities in `similarities`, or `None` when it covers no query
+    /// keyword.
+    met: HashMap<PartitionId, Option<usize>, BuildHasherDefault<IdHasher>>,
+    /// The similarity rows of the covering partitions, in the order met.
+    similarities: Vec<f64>,
+}
+
+/// Hashes a partition id by one multiplication: ids are small dense
+/// integers, and a search probes its rows on every door it credits.
+#[derive(Debug, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b) ^ self.0.rotate_left(8));
         }
     }
 
-    /// Appends a row, in ascending partition order.
-    fn push(&mut self, v: PartitionId, similarities: &[f64]) {
-        debug_assert!(self.partitions.last().is_none_or(|&last| last < v));
-        debug_assert_eq!(similarities.len(), self.width);
-        self.partitions.push(v);
-        self.covers.push(similarities.iter().any(|&s| s > 0.0));
-        self.similarities.extend_from_slice(similarities);
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
     }
 
-    /// The row of a partition, if it has one.
-    pub(crate) fn row(&self, v: PartitionId) -> Option<usize> {
-        self.partitions.binary_search(&v).ok()
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 
-    /// Number of rows.
-    pub(crate) fn len(&self) -> usize {
-        self.partitions.len()
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl KeyPartitionRows {
+    /// The offset of partition `v`'s similarity row, scoring it on first
+    /// use; `None` when `v` covers no query keyword.
+    pub(crate) fn row(&self, ctx: &SearchContext<'_>, v: PartitionId) -> Option<usize> {
+        let mut rows = self.rows.borrow_mut();
+        let Rows { met, similarities } = &mut *rows;
+        *met.entry(v).or_insert_with(|| {
+            let offset = similarities.len();
+            ctx.push_partition_similarities(v, similarities);
+            if similarities[offset..].iter().any(|&s| s > 0.0) {
+                Some(offset)
+            } else {
+                similarities.truncate(offset);
+                None
+            }
+        })
     }
 
-    /// The partition of a row.
-    pub(crate) fn partition(&self, row: usize) -> PartitionId {
-        self.partitions[row]
+    /// Whether partition `v`'s i-word is a candidate of some query keyword.
+    pub(crate) fn covers(&self, ctx: &SearchContext<'_>, v: PartitionId) -> bool {
+        self.row(ctx, v).is_some()
     }
 
-    /// Whether a row's partition covers some query keyword.
-    pub(crate) fn covers(&self, row: usize) -> bool {
-        self.covers[row]
+    /// The similarity of the row at `offset` for the `idx`-th keyword.
+    pub(crate) fn similarity(&self, offset: usize, idx: usize) -> f64 {
+        self.rows.borrow().similarities[offset + idx]
     }
 
-    /// Whether a partition has a row that covers some query keyword.
-    pub(crate) fn covers_partition(&self, v: PartitionId) -> bool {
-        self.row(v).is_some_and(|row| self.covers[row])
-    }
-
-    /// A row's similarity for every query keyword.
-    pub(crate) fn similarities(&self, row: usize) -> &[f64] {
-        &self.similarities[row * self.width..(row + 1) * self.width]
-    }
-
-    /// Whether two tables hold the same rows with bit-identical
-    /// similarities.
-    fn same_bits(&self, other: &KeyPartitionTable) -> bool {
-        self.width == other.width
-            && self.partitions == other.partitions
-            && self
-                .similarities
-                .iter()
-                .map(|s| s.to_bits())
-                .eq(other.similarities.iter().map(|s| s.to_bits()))
+    /// Credits partition `v`'s i-word to a route's keyword coverage.
+    pub(crate) fn credit(
+        &self,
+        ctx: &SearchContext<'_>,
+        v: PartitionId,
+        coverage: &mut CoverageTracker,
+    ) {
+        if let Some(offset) = self.row(ctx, v) {
+            let rows = self.rows.borrow();
+            coverage.add_similarities(&rows.similarities[offset..offset + ctx.prepared.len()]);
+        }
     }
 
     /// Heap size in bytes, for memory accounting.
     pub(crate) fn estimated_bytes(&self) -> usize {
-        self.partitions.capacity() * std::mem::size_of::<PartitionId>()
-            + self.covers.capacity()
-            + self.similarities.capacity() * std::mem::size_of::<f64>()
+        let rows = self.rows.borrow();
+        rows.met.capacity() * std::mem::size_of::<(PartitionId, Option<usize>)>()
+            + rows.similarities.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -181,88 +195,31 @@ impl<'a> SearchContext<'a> {
         })
     }
 
-    /// The key-partition table of one search: `v(ps)`, `v(pt)` and every
-    /// key partition with a door (enterable or leavable) inside the
-    /// `∆`-ellipse, `|ps, d|_L + |d, pt|_L ≤ ∆` (Rule 2's door test, with
-    /// the relative slack the shortest-path runs cut with), found through
-    /// [`IndoorSpace::partitions_within_detour`]. Without `near_ellipse`
-    /// (the `\D` variants, whose routes may leave the ellipse) it holds
-    /// the key partitions of the whole venue.
-    ///
-    /// With distance pruning on, every partition a search credits is
-    /// leavable through a door inside the ellipse: ToE's doors pass Rule 2,
-    /// and the doors of KoE's jumps and of connections lie on routes within
-    /// Rule 1 or `∆`. Debug builds check the table against the vocabulary
-    /// scan, and every credited door against the ellipse.
-    pub(crate) fn key_partition_table(&self, near_ellipse: bool) -> KeyPartitionTable {
-        let (start, terminal) = (self.start_partition, self.terminal_partition);
-        let mut walked = if near_ellipse {
-            self.space.partitions_within_detour(
-                &self.query.start,
-                &self.query.terminal,
-                self.ellipse_limit(),
-            )
-        } else {
-            (0..self.space.num_partitions() as u32)
-                .map(PartitionId)
-                .collect()
-        };
-        for v in [start, terminal] {
-            if let Err(at) = walked.binary_search(&v) {
-                walked.insert(at, v);
-            }
-        }
-        let width = self.prepared.len();
-        let mut table = KeyPartitionTable::new(width);
-        let mut row = Vec::with_capacity(width);
-        for v in walked {
-            row.clear();
-            match self.directory.partition_iword(v) {
-                Some(iw) => self
-                    .prepared
-                    .push_similarities(self.directory, iw, &mut row),
-                None => row.resize(width, 0.0),
-            }
-            if v == start || v == terminal || row.iter().any(|&s| s > 0.0) {
-                table.push(v, &row);
-            }
+    /// Appends partition `v`'s similarity for every query keyword, in
+    /// query order, to `out` (0 where its i-word is no candidate of that
+    /// keyword, and for a partition without an i-word). Debug builds check
+    /// the row against the vocabulary scan, bit for bit.
+    fn push_partition_similarities(&self, v: PartitionId, out: &mut Vec<f64>) {
+        let offset = out.len();
+        match self.directory.partition_iword(v) {
+            Some(iw) => self.prepared.push_similarities(self.directory, iw, out),
+            None => out.resize(offset + self.prepared.len(), 0.0),
         }
         debug_assert!(
-            table.same_bits(&self.spec_key_partition_table(near_ellipse)),
-            "the key-partition table must equal the vocabulary scan's, restricted to the ellipse"
-        );
-        table
-    }
-
-    /// The table [`Self::key_partition_table`] must build, by brute force:
-    /// every partition of the venue, the vocabulary scan's similarities,
-    /// and the door test on every door.
-    fn spec_key_partition_table(&self, near_ellipse: bool) -> KeyPartitionTable {
-        let candidates = self.spec_candidates();
-        let mut table = KeyPartitionTable::new(candidates.len());
-        for v in (0..self.space.num_partitions() as u32).map(PartitionId) {
-            let iword = self.directory.partition_iword(v);
-            let row: Vec<f64> = candidates
-                .iter()
-                .map(|set| iword.and_then(|iw| set.similarity(iw)).unwrap_or(0.0))
-                .collect();
-            let ends = v == self.start_partition || v == self.terminal_partition;
-            let walked = !near_ellipse
-                || self
-                    .space
-                    .p2d_enter(v)
+            {
+                let iword = self.directory.partition_iword(v);
+                self.spec_candidates()
                     .iter()
-                    .chain(self.space.p2d_leave(v))
-                    .any(|&d| self.door_in_ellipse(d));
-            if ends || (walked && row.iter().any(|&s| s > 0.0)) {
-                table.push(v, &row);
-            }
-        }
-        table
+                    .map(|set| iword.and_then(|iw| set.similarity(iw)).unwrap_or(0.0))
+                    .map(f64::to_bits)
+                    .eq(out[offset..].iter().map(|s| s.to_bits()))
+            },
+            "the similarity row of {v:?} must equal the vocabulary scan's"
+        );
     }
 
-    /// The door test of the ellipse walk: `|ps, d|_L + |d, pt|_L` within
-    /// `∆`, give or take the walk's slack.
+    /// Rule 2's door test, `|ps, d|_L + |d, pt|_L` within `∆`, give or
+    /// take the relative slack the shortest-path runs cut the ellipse with.
     pub(crate) fn door_in_ellipse(&self, d: DoorId) -> bool {
         self.space
             .door_detour_lower_bound(&self.query.start, d, &self.query.terminal)
@@ -436,12 +393,12 @@ mod tests {
         assert_eq!(ctx.terminal_partition, PartitionId(2));
         // costa (v1) covers "coffee"; the start and terminal partitions are
         // key partitions without covering a keyword.
-        let table = ctx.key_partition_table(true);
-        let rows: Vec<_> = (0..table.len()).map(|row| table.partition(row)).collect();
-        assert_eq!(rows, [PartitionId(0), PartitionId(1), PartitionId(2)]);
-        assert!(table.covers_partition(PartitionId(1)));
-        assert!(!table.covers_partition(PartitionId(0)));
-        assert_eq!(table.similarities(1), [1.0]);
+        let rows = KeyPartitionRows::default();
+        assert!(rows.covers(&ctx, PartitionId(1)));
+        assert!(!rows.covers(&ctx, PartitionId(0)));
+        assert!(!rows.covers(&ctx, PartitionId(2)));
+        let costa = rows.row(&ctx, PartitionId(1)).unwrap();
+        assert_eq!(rows.similarity(costa, 0), 1.0);
         assert!(
             ctx.is_key_partition(PartitionId(0)),
             "start partition is a key partition for KP()"
@@ -458,27 +415,27 @@ mod tests {
     }
 
     #[test]
-    fn key_partition_table_keeps_the_ellipse() {
+    fn key_partition_rows_score_each_partition_once() {
         let (space, dir) = venue();
-        // ps and pt both in v0, ∆ 20: door d0 (x = 10) is inside the
-        // ellipse, d1 (x = 20), the only door of apple's v2, is not.
-        let q = IkrqQuery::new(
-            IndoorPoint::from_xy(2.0, 5.0, FloorId(0)),
-            IndoorPoint::from_xy(8.0, 5.0, FloorId(0)),
-            20.0,
-            QueryKeywords::new(["apple"]).unwrap(),
-            2,
-        );
+        let q = query(100.0, &["apple", "coffee"]);
         let ctx = SearchContext::prepare(&space, &dir, &q).unwrap();
-        let rows = |table: &KeyPartitionTable| -> Vec<PartitionId> {
-            (0..table.len()).map(|row| table.partition(row)).collect()
-        };
-        assert_eq!(rows(&ctx.key_partition_table(true)), [PartitionId(0)]);
-        let venue_wide = ctx.key_partition_table(false);
-        assert_eq!(rows(&venue_wide), [PartitionId(0), PartitionId(2)]);
-        assert_eq!(venue_wide.similarities(1), [1.0]);
-        // The specification still knows apple's partition.
-        assert!(ctx.is_key_partition(PartitionId(2)));
+        let rows = KeyPartitionRows::default();
+        let apple = rows.row(&ctx, PartitionId(2)).unwrap();
+        assert_eq!(
+            [rows.similarity(apple, 0), rows.similarity(apple, 1)],
+            [1.0, 0.0]
+        );
+        assert_eq!(rows.row(&ctx, PartitionId(0)), None);
+        let bytes = rows.estimated_bytes();
+        // A partition met again is not scored again.
+        assert_eq!(rows.row(&ctx, PartitionId(2)), Some(apple));
+        assert_eq!(rows.row(&ctx, PartitionId(0)), None);
+        assert_eq!(rows.estimated_bytes(), bytes);
+        let mut coverage = CoverageTracker::new(2);
+        for v in (0..3).map(PartitionId) {
+            rows.credit(&ctx, v, &mut coverage);
+        }
+        assert_eq!(coverage.best_similarities(), [1.0, 1.0]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Pruning Rules 1, 4 and 5 to a door path, and builds a child only when
 //! Rule 5 admits it or it lands in `v(pt)`.
 
-use crate::context::{KeyPartitionTable, SearchContext};
+use crate::context::{KeyPartitionRows, SearchContext};
 use crate::koe::RoutingPartition;
 use crate::metrics::SearchMetrics;
 use crate::prime::PrimeTable;
@@ -38,9 +38,9 @@ pub(crate) struct SearchState {
     pub prime: PrimeTable,
     /// The top-k results (owns the `kbound`).
     pub results: TopKResults,
-    /// The query's key partitions near the `∆`-ellipse (all of them without
-    /// distance pruning), with their keyword similarities.
-    pub key_table: KeyPartitionTable,
+    /// The keyword similarities of every partition the search has met,
+    /// scored on first use.
+    pub key_rows: KeyPartitionRows,
     /// KoE only: the routing set `P` of Algorithm 1 line 3 after Pruning
     /// Rule 3, built once when the initial stamp is expanded.
     pub routing: Vec<RoutingPartition>,
@@ -61,17 +61,15 @@ pub struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    /// Creates a search run and builds its key-partition table. The third
-    /// parameter only keeps existing three-argument callers compiling: no
-    /// value of [`Infallible`] exists, so it is always `None`, and a KoE*
-    /// search computes its own paths.
+    /// Creates a search run. The third parameter only keeps existing
+    /// three-argument callers compiling: no value of [`Infallible`] exists,
+    /// so it is always `None`, and a KoE* search computes its own paths.
     pub fn new(
         ctx: &'a SearchContext<'a>,
         config: VariantConfig,
         _shared_rows: Option<Infallible>,
     ) -> Self {
         let results = TopKResults::new(ctx.query.k, config.use_prime_pruning);
-        let key_table = ctx.key_partition_table(config.use_distance_pruning);
         Search {
             ctx,
             config,
@@ -81,7 +79,7 @@ impl<'a> Search<'a> {
                 doors_filtered: HashSet::new(),
                 prime: PrimeTable::new(),
                 results,
-                key_table,
+                key_rows: KeyPartitionRows::default(),
                 routing: Vec::new(),
                 metrics: SearchMetrics::new(),
                 queue_bytes: 0,
@@ -279,7 +277,7 @@ impl<'a> Search<'a> {
     pub(crate) fn credit_iwords(&self, d: DoorId, coverage: &mut CoverageTracker) {
         debug_assert!(
             !self.config.use_distance_pruning || self.ctx.door_in_ellipse(d),
-            "credited door {d:?} lies outside the walked ellipse"
+            "credited door {d:?} lies outside the ∆-ellipse"
         );
         for &v in self.ctx.space.d2p_leave(d) {
             self.credit_partition(v, coverage);
@@ -287,13 +285,9 @@ impl<'a> Search<'a> {
     }
 
     /// Credits partition `v`'s i-word to a route's keyword coverage: the
-    /// similarities of its key-partition row, if it has one (a partition
-    /// without a row covers no keyword).
+    /// similarities of its key-partition row.
     pub(crate) fn credit_partition(&self, v: PartitionId, coverage: &mut CoverageTracker) {
-        let table = &self.state.key_table;
-        if let Some(row) = table.row(v) {
-            coverage.add_similarities(table.similarities(row));
-        }
+        self.state.key_rows.credit(self.ctx, v, coverage);
     }
 
     /// Credits door `d`, just appended to a route, to the route's
@@ -308,7 +302,7 @@ impl<'a> Search<'a> {
     }
 
     /// [`SearchContext::is_key_partition`], read from the key-partition
-    /// table.
+    /// rows.
     pub(crate) fn is_key_partition(&self, v: PartitionId) -> bool {
         v == self.ctx.start_partition
             || v == self.ctx.terminal_partition
@@ -316,9 +310,9 @@ impl<'a> Search<'a> {
     }
 
     /// [`SearchContext::partition_covers_candidate`], read from the
-    /// key-partition table.
+    /// key-partition rows.
     pub(crate) fn partition_covers_candidate(&self, v: PartitionId) -> bool {
-        self.state.key_table.covers_partition(v)
+        self.state.key_rows.covers(self.ctx, v)
     }
 
     // -----------------------------------------------------------------
@@ -379,7 +373,7 @@ impl<'a> Search<'a> {
             + (self.state.doors_checked.len() + self.state.doors_filtered.len())
                 * std::mem::size_of::<DoorId>()
                 * 2
-            + self.state.key_table.estimated_bytes()
+            + self.state.key_rows.estimated_bytes()
             + self.state.routing.len() * std::mem::size_of::<RoutingPartition>()
             // Index mode charges the shared index.
             + self.state.index_bytes;

@@ -9,11 +9,11 @@
 //!
 //! The routing set `P` is built once per search, when the initial stamp is
 //! expanded: that stamp is the only one without a tail door, and Algorithm 6
-//! visits all of `P` there. It comes from the search's key-partition table,
-//! which holds only the key partitions with a door inside the `∆`-ellipse
-//! (all of them for KoE\D). Pruning Rule 3's bound (Lemma 3) depends only on
-//! `ps`, `pt` and the partition, so the partitions it rejects are dropped
-//! from `P` then and stay dropped for the whole query.
+//! visits all of `P` there. With distance pruning on, it holds the key
+//! partitions enterable through a door that the initial stamp's runs settle
+//! (all key partitions for KoE\D). Pruning Rule 3's bound (Lemma 3) depends
+//! only on `ps`, `pt` and the partition, so the partitions it rejects are
+//! dropped from `P` then and stay dropped for the whole query.
 //!
 //! Every shortest-path run made here is bounded by the remaining budget
 //! (`base` = the distance already walked, `limit` = `∆`): line 14 drops any
@@ -40,8 +40,9 @@ use std::sync::atomic::Ordering;
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RoutingPartition {
     partition: PartitionId,
-    /// The partition's row in the key-partition table.
-    row: usize,
+    /// The offset of the partition's similarity row, `None` for a `v(pt)`
+    /// that covers no keyword.
+    row: Option<usize>,
     /// The Rule-3 detour lower bound `|ps, v| + |v, pt|` (Lemma 3), which is
     /// also line 11's bound for the initial stamp.
     detour_bound: f64,
@@ -101,9 +102,6 @@ impl<'a> Search<'a> {
         let ctx = self.ctx;
         let delta = ctx.delta();
         let tail = stamp.route.tail_door();
-        if tail.is_none() {
-            self.state.routing = self.routing_set();
-        }
         // Lines 4–7 drop the partitions of query keywords the route already
         // covers, except at the initial stamp and for `v(pt)`.
         let covered: Vec<usize> = (0..ctx.prepared.len())
@@ -111,6 +109,9 @@ impl<'a> Search<'a> {
             .collect();
 
         let mut source = self.koe_source(stamp);
+        if let KoeSource::FromPoint(runs) = &source {
+            self.state.routing = self.routing_set(runs);
+        }
         // KoE* holds its unrestricted row on top of KoE's state while it
         // expands the stamp: charge it to the memory footprint.
         if let KoeSource::Unrestricted { row, .. } = &source {
@@ -123,8 +124,12 @@ impl<'a> Search<'a> {
             if vj == stamp.partition {
                 continue;
             }
-            let similarities = self.state.key_table.similarities(entry.row);
-            if vj != ctx.terminal_partition && covered.iter().any(|&idx| similarities[idx] > 0.0) {
+            let rows = &self.state.key_rows;
+            if vj != ctx.terminal_partition
+                && entry
+                    .row
+                    .is_some_and(|row| covered.iter().any(|&idx| rows.similarity(row, idx) > 0.0))
+            {
                 continue;
             }
             // Distance constraint check (line 11): current distance plus the
@@ -166,23 +171,46 @@ impl<'a> Search<'a> {
         children
     }
 
-    /// The routing set `P` of Algorithm 1 line 3: the key partitions of the
-    /// key-partition table, minus `v(ps)`, plus `v(pt)`, in partition order,
-    /// each with its Rule-3 detour bound. With distance pruning on, Pruning
-    /// Rule 3 (Algorithm 6 lines 9–10) drops every partition whose bound
-    /// exceeds `∆`, one prune each. A key partition outside the table has
-    /// no door inside the `∆`-ellipse, so its bound exceeds `∆` too: it is
-    /// never met, and never counted.
+    /// The routing set `P` of Algorithm 1 line 3: the key partitions a jump
+    /// can reach, minus `v(ps)`, plus `v(pt)`, in partition order, each with
+    /// its Rule-3 detour bound. With distance pruning on, Pruning Rule 3
+    /// (Algorithm 6 lines 9–10) drops every partition whose bound exceeds
+    /// `∆`, one prune each.
+    ///
+    /// With distance pruning on, a jump can reach only the partitions
+    /// enterable through a door that `runs`, the initial stamp's runs from
+    /// the leavable doors of `v(ps)`, settle: every route within Rule 1
+    /// starts with such a run's source and passes only doors the run
+    /// settles, since each run is cut at the `∆`-ellipse. A source passes
+    /// the ellipse's door test itself. Other key partitions are never met,
+    /// and never counted. Without distance pruning (KoE\D), `P` holds the
+    /// key partitions of the whole venue.
     ///
     /// The index engine tests a partition's region first: a region whose
     /// bound exceeds `∆` drops every member without computing their own
     /// bounds. The region bound never exceeds a member's (the `indoor-index`
     /// crate invariant), so both engines build the same set.
-    fn routing_set(&mut self) -> Vec<RoutingPartition> {
+    fn routing_set(&mut self, runs: &[(f64, DijkstraResult)]) -> Vec<RoutingPartition> {
         let ctx = self.ctx;
         let (start, terminal) = (&ctx.query.start, &ctx.query.terminal);
         let delta = ctx.delta();
         let prune = self.config.use_distance_pruning;
+        let mut reached = vec![ctx.terminal_partition];
+        if prune {
+            for (_, run) in runs {
+                for d in run.settled() {
+                    if d != run.source() || ctx.door_in_ellipse(d) {
+                        reached.extend_from_slice(ctx.space.d2p_enter(d));
+                    }
+                }
+            }
+            reached.sort_unstable();
+            reached.dedup();
+        } else {
+            reached = (0..ctx.space.num_partitions() as u32)
+                .map(PartitionId)
+                .collect();
+        }
 
         // Index engine only: whether the partition's region bound already
         // exceeds ∆, computing each region's bound once.
@@ -212,9 +240,9 @@ impl<'a> Search<'a> {
         };
 
         let mut routing = Vec::new();
-        for row in 0..self.state.key_table.len() {
-            let v = self.state.key_table.partition(row);
-            let key = v != ctx.start_partition && self.state.key_table.covers(row);
+        for v in reached {
+            let row = self.state.key_rows.row(ctx, v);
+            let key = v != ctx.start_partition && row.is_some();
             if !key && v != ctx.terminal_partition {
                 continue;
             }

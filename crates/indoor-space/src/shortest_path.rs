@@ -165,6 +165,22 @@ impl DijkstraResult {
         &self.dist
     }
 
+    /// Every door the run settled (a finite [`DijkstraResult::distance`]),
+    /// in no particular order and possibly more than once. A bounded run
+    /// lists them from the entries it wrote, without a pass over the venue.
+    pub fn settled(&self) -> impl Iterator<Item = DoorId> + '_ {
+        let every = self
+            .touched
+            .is_none()
+            .then(|| (0..self.dist.len() as u32).map(DoorId));
+        self.touched
+            .iter()
+            .flatten()
+            .copied()
+            .chain(every.into_iter().flatten())
+            .filter(|d| self.dist[d.index()].is_finite())
+    }
+
     /// Reconstructs the shortest path to `target` as
     /// `(doors, connecting partitions)`, where `doors` starts with the source
     /// and ends with `target`, and `partitions[i]` connects `doors[i]` to

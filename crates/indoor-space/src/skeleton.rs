@@ -223,33 +223,6 @@ impl SkeletonIndex {
         best
     }
 
-    /// The cheapest staircase-network cost from a point to each staircase
-    /// door of `floor`: `min over sda ∈ SD(p.floor) of |p, sda| + δs2s(sda,
-    /// sdb)`, paired with the position of `sdb`, for every `sdb ∈ SD(floor)`
-    /// that the network reaches. For a door `d` touching `floor` but not
-    /// `p`'s floor, `|p, d|_L` is the minimum over these pairs `(q, c)` of
-    /// `c + |q, d|`, by the same arithmetic as [`SkeletonIndex::lower_bound`].
-    pub fn stair_portals(&self, p: &IndoorPoint, floor: FloorId) -> Vec<(Point, f64)> {
-        let from = self.dense_on(p.floor);
-        self.dense_on(floor)
-            .iter()
-            .filter_map(|&j| {
-                let cost = from
-                    .iter()
-                    .map(|&i| {
-                        (
-                            p.position.distance(&self.positions[i]),
-                            self.s2s_dense(i, j),
-                        )
-                    })
-                    .filter(|(_, mid)| mid.is_finite())
-                    .map(|(head, mid)| head + mid)
-                    .fold(UNREACHABLE, f64::min);
-                cost.is_finite().then_some((self.positions[j], cost))
-            })
-            .collect()
-    }
-
     /// Lower bound between two indoor points.
     pub fn lower_bound_points(&self, a: &IndoorPoint, b: &IndoorPoint) -> f64 {
         self.lower_bound(a.position, &[a.floor], b.position, &[b.floor])

@@ -1,7 +1,6 @@
 //! The [`IndoorSpace`] aggregate: partitions, doors, topology mappings and the
 //! intra-partition distance functions of §II-A, plus the derived structures
-//! (door graph, skeleton index, per-floor point-location grids, and the
-//! door cells of the ellipse walk, built on first use).
+//! (door graph, skeleton index, per-floor point-location grids).
 
 use crate::csr::Csr;
 use crate::door::{Door, DoorKind};
@@ -18,7 +17,6 @@ use crate::UNREACHABLE;
 use indoor_geom::{GeomError, Point, Rect, UniformGrid};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::OnceLock;
 
 /// Connection descriptor between a door and a partition recorded by the
 /// builder before validation.
@@ -286,8 +284,6 @@ impl IndoorSpaceBuilder {
             loop_overrides,
             floor_bounds,
             grids,
-            grid_cell: self.grid_cell,
-            door_cells: OnceLock::new(),
             door_graph: DoorGraph::empty(),
             skeleton: SkeletonIndex::empty(),
         };
@@ -391,11 +387,6 @@ pub struct IndoorSpace {
     loop_overrides: Vec<(PartitionId, DoorId, f64)>,
     floor_bounds: BTreeMap<FloorId, Rect>,
     grids: FloorGrids,
-    /// Cell size of the point-location grids, in metres.
-    grid_cell: f64,
-    /// The ellipse walk's door index, built on its first use: a space that
-    /// never serves a search does not pay for it.
-    door_cells: OnceLock<DoorIndex>,
     door_graph: DoorGraph,
     skeleton: SkeletonIndex,
 }
@@ -437,105 +428,6 @@ fn floor_grids(
         }
     }
     Ok((floor_bounds, grids))
-}
-
-/// The normal doors of one floor bucketed by the cells of a grid over the
-/// floor's bounds (a door outside them goes to the nearest edge cell), so
-/// that the doors of one row of cells are one contiguous run.
-#[derive(Debug, Clone)]
-struct DoorCells {
-    origin: Point,
-    cell: f64,
-    columns: usize,
-    rows: usize,
-    /// Row-major cell offsets into `doors`, plus one past the last cell.
-    offsets: Vec<u32>,
-    /// Door ids sorted by cell, then by id.
-    doors: Vec<DoorId>,
-}
-
-impl DoorCells {
-    /// Buckets `doors`, given in id order, over `bounds` with cells of
-    /// `cell` metres, by one counting pass and one placing pass. The
-    /// floor's point-location grid has the same bounds and cells, so their
-    /// number is already checked against
-    /// [`indoor_geom::grid::MAX_GRID_CELLS`].
-    fn build(bounds: &Rect, cell: f64, doors: &[&Door]) -> Self {
-        let mut cells = DoorCells {
-            origin: bounds.min,
-            cell,
-            columns: (bounds.width() / cell).floor() as usize + 1,
-            rows: (bounds.height() / cell).floor() as usize + 1,
-            offsets: Vec::new(),
-            doors: Vec::new(),
-        };
-        let at: Vec<usize> = doors
-            .iter()
-            .map(|d| cells.row(d.position.y) * cells.columns + cells.column(d.position.x))
-            .collect();
-        let mut next = vec![0u32; cells.columns * cells.rows + 1];
-        for &a in &at {
-            next[a + 1] += 1;
-        }
-        for a in 1..next.len() {
-            next[a] += next[a - 1];
-        }
-        cells.offsets = next.clone();
-        cells.doors = vec![DoorId(0); doors.len()];
-        for (d, a) in doors.iter().zip(at) {
-            cells.doors[next[a] as usize] = d.id;
-            next[a] += 1;
-        }
-        cells
-    }
-
-    /// The column holding coordinate `x`, clamped to the grid.
-    fn column(&self, x: f64) -> usize {
-        (((x - self.origin.x) / self.cell).floor().max(0.0) as usize).min(self.columns - 1)
-    }
-
-    /// The row holding coordinate `y`, clamped to the grid.
-    fn row(&self, y: f64) -> usize {
-        (((y - self.origin.y) / self.cell).floor().max(0.0) as usize).min(self.rows - 1)
-    }
-
-    /// Every door of every cell the rectangle meets (after clamping).
-    fn doors_in(&self, area: &Rect) -> impl Iterator<Item = DoorId> + '_ {
-        let (x0, x1) = (self.column(area.min.x), self.column(area.max.x));
-        (self.row(area.min.y)..=self.row(area.max.y)).flat_map(move |y| {
-            let from = self.offsets[y * self.columns + x0] as usize;
-            let to = self.offsets[y * self.columns + x1 + 1] as usize;
-            self.doors[from..to].iter().copied()
-        })
-    }
-}
-
-/// The ellipse walk's door index: every floor's normal doors by grid cell,
-/// and the doors it tests one by one, vertical doors (they touch two
-/// floors) and any door of a floor without bounds.
-#[derive(Debug, Clone)]
-struct DoorIndex {
-    cells: BTreeMap<FloorId, DoorCells>,
-    loose: Vec<DoorId>,
-}
-
-impl DoorIndex {
-    fn build(floor_bounds: &BTreeMap<FloorId, Rect>, doors: &[Door], cell: f64) -> Self {
-        let mut by_floor: BTreeMap<FloorId, Vec<&Door>> = BTreeMap::new();
-        let mut loose = Vec::new();
-        for door in doors {
-            if !door.kind.is_vertical() && floor_bounds.contains_key(&door.floor) {
-                by_floor.entry(door.floor).or_default().push(door);
-            } else {
-                loose.push(door.id);
-            }
-        }
-        let cells = by_floor
-            .into_iter()
-            .map(|(floor, doors)| (floor, DoorCells::build(&floor_bounds[&floor], cell, &doors)))
-            .collect();
-        DoorIndex { cells, loose }
-    }
 }
 
 impl IndoorSpace {
@@ -680,8 +572,6 @@ impl IndoorSpace {
             loop_overrides,
             floor_bounds,
             grids,
-            grid_cell,
-            door_cells: OnceLock::new(),
             door_graph,
             skeleton: SkeletonIndex::empty(),
         };
@@ -1068,98 +958,6 @@ impl IndoorSpace {
     /// `pt` through door `d` is shorter.
     pub fn door_detour_lower_bound(&self, ps: &IndoorPoint, d: DoorId, pt: &IndoorPoint) -> f64 {
         self.skeleton_point_to_door(ps, d) + self.skeleton_point_to_door(pt, d)
-    }
-
-    /// The partitions with a door `d`, enterable or leavable, whose
-    /// [`IndoorSpace::door_detour_lower_bound`] is at most `limit`: the
-    /// partitions that touch the `∆`-ellipse of `ps` and `pt` when `limit`
-    /// is `∆`. Sorted and duplicate-free.
-    ///
-    /// The walk visits only the ellipse's neighbourhood. Vertical doors
-    /// are few (the staircase network), and each is tested. A normal door
-    /// touches one floor, and on that floor `|p, d|_L` is the planar
-    /// distance from `p` when `p` is on it, and otherwise the minimum of
-    /// `c + |q, d|` over the staircase doors `q` of the floor, `c` being
-    /// the network cost from `p` to `q` ([`SkeletonIndex::stair_portals`]).
-    /// So a passing door lies in one of the ellipses `|q, x| + |q', x| ≤
-    /// limit − c − c'` over a portal pair of `ps` and `pt`. The floor's
-    /// door cells yield every door in the union of those ellipses' boxes,
-    /// and each is tested exactly.
-    pub fn partitions_within_detour(
-        &self,
-        ps: &IndoorPoint,
-        pt: &IndoorPoint,
-        limit: f64,
-    ) -> Vec<PartitionId> {
-        let mut out = Vec::new();
-        let mut take = |d: DoorId, passes: bool| {
-            if passes {
-                out.extend_from_slice(self.d2p_enter(d));
-                out.extend_from_slice(self.d2p_leave(d));
-            }
-        };
-        let index = self
-            .door_cells
-            .get_or_init(|| DoorIndex::build(&self.floor_bounds, &self.doors, self.grid_cell));
-        for &d in &index.loose {
-            take(d, self.door_detour_lower_bound(ps, d, pt) <= limit);
-        }
-        // Rounding slack of the boxes.
-        let margin = 1e-9 * (1.0 + limit.abs());
-        for (&floor, cells) in &index.cells {
-            if let Some(area) = self.ellipse_box(ps, pt, floor, limit, margin) {
-                for d in cells.doors_in(&area) {
-                    take(d, self.door_detour_lower_bound(ps, d, pt) <= limit);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// The box, grown by `margin`, around every point `x` of `floor` with
-    /// `min (c + |q, x|) + min (c' + |q', x|) ≤ limit` over the portals of
-    /// `ps` and `pt` on the floor; `None` when no point qualifies.
-    fn ellipse_box(
-        &self,
-        ps: &IndoorPoint,
-        pt: &IndoorPoint,
-        floor: FloorId,
-        limit: f64,
-        margin: f64,
-    ) -> Option<Rect> {
-        let portals = |p: &IndoorPoint| {
-            if p.floor == floor {
-                vec![(p.position, 0.0)]
-            } else {
-                self.skeleton.stair_portals(p, floor)
-            }
-        };
-        let (from_start, from_terminal) = (portals(ps), portals(pt));
-        let mut area: Option<Rect> = None;
-        for &(qa, ca) in &from_start {
-            for &(qb, cb) in &from_terminal {
-                // The ellipse with foci qa, qb and major axis r: its box
-                // has half-widths sqrt(a² − (dy/2)²) and sqrt(a² − (dx/2)²).
-                let r = limit - ca - cb;
-                let (dx, dy) = (qb.x - qa.x, qb.y - qa.y);
-                let focal = (dx * dx + dy * dy).sqrt();
-                if r + margin < focal {
-                    continue;
-                }
-                let a2 = (r.max(focal) / 2.0).powi(2);
-                let hx = (a2 - dy * dy / 4.0).max(0.0).sqrt() + margin;
-                let hy = (a2 - dx * dx / 4.0).max(0.0).sqrt() + margin;
-                let (mx, my) = ((qa.x + qb.x) / 2.0, (qa.y + qb.y) / 2.0);
-                let ellipse = Rect {
-                    min: Point::new(mx - hx, my - hy),
-                    max: Point::new(mx + hx, my + hy),
-                };
-                area = Some(area.map_or(ellipse, |a| a.union(&ellipse)));
-            }
-        }
-        area
     }
 
     /// Lower bound of the distance of any route from `ps` through partition

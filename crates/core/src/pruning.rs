@@ -23,10 +23,10 @@ pub enum PruneRule {
     /// Pruning Rule 3: a partition whose lower-bound detour distance
     /// `δ(ps, v, pt)` exceeds `∆`.
     ///
-    /// Counted once per query, over the key partitions of the search's
-    /// key-partition table: those with a door inside the `∆`-ellipse (every
-    /// key partition without distance pruning). A key partition with no
-    /// door inside is never met, so it is not counted.
+    /// Counted once per query, over the key partitions of KoE's routing
+    /// set before the rule: those enterable through a door that the
+    /// initial stamp's runs, cut at the `∆`-ellipse, settle. A key
+    /// partition no such door enters is never met, so it is not counted.
     PartitionDistance,
     /// Pruning Rule 4: a partial route whose upper-bound ranking score does
     /// not exceed the current k-th best score (`kbound`).

@@ -17,76 +17,6 @@ pub struct KeywordDirectory {
     /// Memoized [`KeywordDirectory::fingerprint`]; reset by the assembly
     /// helpers so it can never go stale.
     fingerprint_cache: OnceLock<u64>,
-    /// `P2I` and `I2T` indexed by id, built on first lookup and reset by
-    /// the assembly helpers: a search looks both up for every partition
-    /// near its `∆`-ellipse.
-    dense: OnceLock<DenseRows>,
-}
-
-/// Marks an unnamed partition in [`DenseRows::p2i`].
-const NO_WORD: u32 = u32::MAX;
-
-/// Read-side copies of two mappings, indexed by id instead of searched.
-/// Each is `None` when its ids are too sparse to index (a hand-built or
-/// corrupt directory), and lookups then search the mappings.
-#[derive(Debug, Clone, Default)]
-struct DenseRows {
-    /// `P2I` by partition index, [`NO_WORD`] where unnamed.
-    p2i: Option<Vec<u32>>,
-    /// `I2T` by word index: row `w` is `words[offsets[w]..offsets[w + 1]]`.
-    i2t: Option<(Vec<u32>, Vec<WordId>)>,
-}
-
-impl DenseRows {
-    /// The most slots rows keyed by `count` ids may take: beyond it the ids
-    /// are too sparse to index.
-    fn slot_cap(count: usize) -> usize {
-        4 * count + 1024
-    }
-
-    /// One pass over each mapping, in key order; a key past the slot cap
-    /// leaves that mapping without dense rows.
-    fn build(mappings: &KeywordMappings) -> Self {
-        let entries = mappings.p2i_entries();
-        let cap = Self::slot_cap(entries.len());
-        let mut p2i = Vec::new();
-        for (v, w) in entries {
-            let at = v.index();
-            if at >= cap {
-                p2i.clear();
-                break;
-            }
-            if at >= p2i.len() {
-                p2i.resize(at + 1, NO_WORD);
-            }
-            p2i[at] = w.0;
-        }
-        let entries = mappings.i2t_entries();
-        let cap = Self::slot_cap(entries.len());
-        let (mut offsets, mut words) = (vec![0u32], Vec::new());
-        for (w, row) in entries {
-            let at = w.0 as usize;
-            if at >= cap {
-                offsets.clear();
-                break;
-            }
-            // Rows between the previous key and this one are empty.
-            offsets.resize(at + 1, words.len() as u32);
-            words.extend_from_slice(row);
-            offsets.push(words.len() as u32);
-        }
-        DenseRows {
-            p2i: (mappings.p2i_entries().len() == 0 || !p2i.is_empty()).then_some(p2i),
-            i2t: (!offsets.is_empty()).then_some((offsets, words)),
-        }
-    }
-
-    fn estimated_bytes(&self) -> usize {
-        self.p2i.as_ref().map_or(0, |p2i| p2i.capacity() * 4)
-            + self.i2t.as_ref().map_or(0, |(offsets, words)| {
-                offsets.capacity() * 4 + words.capacity() * std::mem::size_of::<WordId>()
-            })
-    }
 }
 
 impl KeywordDirectory {
@@ -101,7 +31,6 @@ impl KeywordDirectory {
             vocab,
             mappings,
             fingerprint_cache: OnceLock::new(),
-            dense: OnceLock::new(),
         }
     }
 
@@ -122,7 +51,6 @@ impl KeywordDirectory {
     /// Registers an i-word.
     pub fn add_iword(&mut self, raw: &str) -> Result<WordId> {
         self.fingerprint_cache = OnceLock::new();
-        self.dense = OnceLock::new();
         self.vocab.add_iword(raw)
     }
 
@@ -131,7 +59,6 @@ impl KeywordDirectory {
     /// `None` is returned.
     pub fn add_tword_for(&mut self, iword: WordId, raw: &str) -> Option<WordId> {
         self.fingerprint_cache = OnceLock::new();
-        self.dense = OnceLock::new();
         let (id, added) = self.vocab.add_tword(raw);
         if !added {
             return None;
@@ -143,7 +70,6 @@ impl KeywordDirectory {
     /// Assigns an i-word to a partition.
     pub fn name_partition(&mut self, v: PartitionId, iword: WordId) -> Result<()> {
         self.fingerprint_cache = OnceLock::new();
-        self.dense = OnceLock::new();
         self.mappings.assign_partition(v, iword)
     }
 
@@ -160,13 +86,7 @@ impl KeywordDirectory {
 
     /// The i-word of a partition.
     pub fn partition_iword(&self, v: PartitionId) -> Option<WordId> {
-        match &self.dense().p2i {
-            Some(p2i) => p2i
-                .get(v.index())
-                .filter(|&&w| w != NO_WORD)
-                .map(|&w| WordId(w)),
-            None => self.mappings.p2i(v),
-        }
+        self.mappings.p2i(v)
     }
 
     /// The partitions identified by an i-word.
@@ -174,23 +94,9 @@ impl KeywordDirectory {
         self.mappings.i2p(iword)
     }
 
-    /// The t-words of an i-word, sorted (`I2T(iword)`).
+    /// The t-words of an i-word, sorted.
     pub fn twords_of(&self, iword: WordId) -> &[WordId] {
-        match &self.dense().i2t {
-            Some((offsets, words)) => {
-                let at = iword.0 as usize;
-                match (offsets.get(at), offsets.get(at + 1)) {
-                    (Some(&from), Some(&to)) => &words[from as usize..to as usize],
-                    _ => &[],
-                }
-            }
-            None => self.mappings.i2t(iword),
-        }
-    }
-
-    /// The id-indexed rows, built on first use.
-    fn dense(&self) -> &DenseRows {
-        self.dense.get_or_init(|| DenseRows::build(&self.mappings))
+        self.mappings.i2t(iword)
     }
 
     /// Resolves a word id to its string.
@@ -206,9 +112,7 @@ impl KeywordDirectory {
     /// Estimated heap size in bytes (the paper reports the synthetic keyword
     /// mappings occupy ≈4 MB and are kept in main memory).
     pub fn estimated_bytes(&self) -> usize {
-        self.vocab.estimated_bytes()
-            + self.mappings.estimated_bytes()
-            + self.dense.get().map_or(0, DenseRows::estimated_bytes)
+        self.vocab.estimated_bytes() + self.mappings.estimated_bytes()
     }
 
     /// Deterministic fingerprint of the directory: the interned word table
@@ -314,34 +218,6 @@ mod tests {
         assert_ne!(with_partition, dir.fingerprint());
         // A clone carries the same value.
         assert_eq!(dir.clone().fingerprint(), dir.fingerprint());
-    }
-
-    #[test]
-    fn id_indexed_lookups_agree_with_the_mappings_and_never_go_stale() {
-        let mut dir = KeywordDirectory::new();
-        let apple = dir.add_iword("apple").unwrap();
-        dir.add_tword_for(apple, "phone").unwrap();
-        dir.name_partition(PartitionId(4), apple).unwrap();
-        assert_eq!(dir.partition_iword(PartitionId(4)), Some(apple));
-        assert_eq!(dir.twords_of(apple).len(), 1);
-        // Every assembly mutation drops the built rows.
-        let zara = dir.add_iword("zara").unwrap();
-        dir.add_tword_for(apple, "laptop").unwrap();
-        dir.add_tword_for(zara, "coat").unwrap();
-        dir.name_partition(PartitionId(1), zara).unwrap();
-        let words: Vec<WordId> = dir.vocab().iwords().chain(dir.vocab().twords()).collect();
-        for v in (0..8).map(PartitionId) {
-            assert_eq!(dir.partition_iword(v), dir.mappings().p2i(v), "{v:?}");
-        }
-        for &w in words.iter().chain([WordId(999)].iter()) {
-            assert_eq!(dir.twords_of(w), dir.mappings().i2t(w), "{w:?}");
-        }
-        // Ids too sparse to index fall back to the mappings.
-        dir.name_partition(PartitionId(4_000_000_000), zara)
-            .unwrap();
-        assert_eq!(dir.partition_iword(PartitionId(4_000_000_000)), Some(zara));
-        assert_eq!(dir.partition_iword(PartitionId(4)), Some(apple));
-        assert_eq!(dir.clone().twords_of(zara), dir.twords_of(zara));
     }
 
     #[test]

@@ -20,11 +20,17 @@ use std::collections::BTreeMap;
 ///
 /// Every `I2T` and `T2I` row is a sorted, duplicate-free `Vec`: the word
 /// sets Definition 4's [`jaccard`](crate::jaccard) counts over.
+///
+/// `P2I` and `I2T` are indexed by id, because a search looks both up for
+/// every partition it meets: partition ids are the space's dense indices,
+/// and i-word ids are issued densely by the vocabulary's interner.
 #[derive(Debug, Clone, Default)]
 pub struct KeywordMappings {
-    p2i: BTreeMap<PartitionId, WordId>,
+    /// `P2I` by partition index, `None` where the partition is unnamed.
+    p2i: Vec<Option<WordId>>,
     i2p: BTreeMap<WordId, Vec<PartitionId>>,
-    i2t: BTreeMap<WordId, Vec<WordId>>,
+    /// `I2T` by word index, empty where the word has no t-word.
+    i2t: Vec<Vec<WordId>>,
     t2i: BTreeMap<WordId, Vec<WordId>>,
 }
 
@@ -132,6 +138,9 @@ impl KeywordMappings {
     /// partition and t-word id: callers range-check the ids first, as the
     /// columnar loader does. Violations are reported as a human-readable
     /// reason so loaders can degrade to a rebuild.
+    ///
+    /// `P2I` and `I2T` take one slot per id up to their largest key, so the
+    /// range check also bounds the memory they take.
     pub fn from_sorted_parts(
         p2i: Vec<(PartitionId, WordId)>,
         i2p: Vec<(WordId, Vec<PartitionId>)>,
@@ -148,18 +157,29 @@ impl KeywordMappings {
         check_rows("i2t", &i2t)?;
         check_rows("t2i", &t2i)?;
         check_transpose(&i2t, &t2i)?;
+        let mut p2i_slots = vec![None; p2i.last().map_or(0, |(v, _)| v.index() + 1)];
+        for (v, w) in p2i {
+            p2i_slots[v.index()] = Some(w);
+        }
+        let mut i2t_rows = vec![Vec::new(); i2t.last().map_or(0, |(w, _)| w.index() + 1)];
+        for (w, row) in i2t {
+            i2t_rows[w.index()] = row;
+        }
         Ok(KeywordMappings {
-            p2i: p2i.into_iter().collect(),
+            p2i: p2i_slots,
             i2p: i2p.into_iter().collect(),
-            i2t: i2t.into_iter().collect(),
+            i2t: i2t_rows,
             t2i: t2i.into_iter().collect(),
         })
     }
 
     /// Iterates `P2I` in partition order — whole-map traversal for
     /// persistence capture.
-    pub fn p2i_entries(&self) -> impl ExactSizeIterator<Item = (PartitionId, WordId)> + '_ {
-        self.p2i.iter().map(|(v, w)| (*v, *w))
+    pub fn p2i_entries(&self) -> impl Iterator<Item = (PartitionId, WordId)> + '_ {
+        self.p2i
+            .iter()
+            .enumerate()
+            .filter_map(|(v, w)| Some((PartitionId(v as u32), (*w)?)))
     }
 
     /// Iterates `T2I` in t-word order.
@@ -170,23 +190,29 @@ impl KeywordMappings {
     /// Assigns i-word `w` to partition `v` (`P2I(v) = w`). Fails when the
     /// partition already has an i-word.
     pub fn assign_partition(&mut self, v: PartitionId, w: WordId) -> Result<()> {
-        if self.p2i.contains_key(&v) {
+        if self.p2i(v).is_some() {
             return Err(KeywordError::PartitionAlreadyNamed(v));
         }
-        self.p2i.insert(v, w);
+        if self.p2i.len() <= v.index() {
+            self.p2i.resize(v.index() + 1, None);
+        }
+        self.p2i[v.index()] = Some(w);
         self.i2p.entry(w).or_default().push(v);
         Ok(())
     }
 
     /// Associates t-word `t` with i-word `w` (updates both `I2T` and `T2I`).
     pub fn associate(&mut self, iword: WordId, tword: WordId) {
-        insert_sorted(self.i2t.entry(iword).or_default(), tword);
+        if self.i2t.len() <= iword.index() {
+            self.i2t.resize(iword.index() + 1, Vec::new());
+        }
+        insert_sorted(&mut self.i2t[iword.index()], tword);
         insert_sorted(self.t2i.entry(tword).or_default(), iword);
     }
 
     /// `P2I(v)`: the i-word of a partition, if assigned.
     pub fn p2i(&self, v: PartitionId) -> Option<WordId> {
-        self.p2i.get(&v).copied()
+        self.p2i.get(v.index()).copied().flatten()
     }
 
     /// `I2P(w)`: the partitions identified by an i-word.
@@ -196,7 +222,7 @@ impl KeywordMappings {
 
     /// `I2T(w)`: the t-words of an i-word, sorted (empty when it has none).
     pub fn i2t(&self, w: WordId) -> &[WordId] {
-        self.i2t.get(&w).map(Vec::as_slice).unwrap_or(&[])
+        self.i2t.get(w.index()).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// `T2I(t)`: the i-words described by a t-word, sorted (empty when it
@@ -211,9 +237,15 @@ impl KeywordMappings {
         self.i2p.iter().map(|(w, v)| (*w, v.as_slice()))
     }
 
-    /// Iterates `I2T` in i-word order.
+    /// Iterates `I2T` in i-word order, over the i-words with a t-word.
     pub fn i2t_entries(&self) -> impl ExactSizeIterator<Item = (WordId, &[WordId])> {
-        self.i2t.iter().map(|(w, row)| (*w, row.as_slice()))
+        self.i2t
+            .iter()
+            .enumerate()
+            .filter(|(_, row)| !row.is_empty())
+            .map(|(w, row)| (WordId(w as u32), row.as_slice()))
+            .collect::<Vec<_>>()
+            .into_iter()
     }
 
     /// `PW(v)`: the partition words of `v` — its i-word plus the i-word's
@@ -225,7 +257,7 @@ impl KeywordMappings {
 
     /// Partitions assigned to any i-word (i.e. partitions carrying keywords).
     pub fn named_partitions(&self) -> impl Iterator<Item = PartitionId> + '_ {
-        self.p2i.keys().copied()
+        self.p2i_entries().map(|(v, _)| v)
     }
 
     /// All i-words that identify at least one partition.
@@ -235,21 +267,23 @@ impl KeywordMappings {
 
     /// Number of (i-word, t-word) association pairs.
     pub fn num_associations(&self) -> usize {
-        self.i2t.values().map(Vec::len).sum()
+        self.i2t.iter().map(Vec::len).sum()
     }
 
     /// Average number of t-words per i-word that has at least one t-word.
     pub fn avg_twords_per_iword(&self) -> f64 {
-        if self.i2t.is_empty() {
+        let described = self.i2t.iter().filter(|row| !row.is_empty()).count();
+        if described == 0 {
             return 0.0;
         }
-        self.num_associations() as f64 / self.i2t.len() as f64
+        self.num_associations() as f64 / described as f64
     }
 
     /// Estimated heap size in bytes.
     pub fn estimated_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.p2i.len() * (std::mem::size_of::<PartitionId>() + std::mem::size_of::<WordId>())
+            + self.p2i.capacity() * std::mem::size_of::<Option<WordId>>()
+            + self.i2t.capacity() * std::mem::size_of::<Vec<WordId>>()
             + self
                 .i2p
                 .values()

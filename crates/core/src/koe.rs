@@ -181,10 +181,11 @@ impl<'a> Search<'a> {
     /// enterable through a door that `runs`, the initial stamp's runs from
     /// the leavable doors of `v(ps)`, settle: every route within Rule 1
     /// starts with such a run's source and passes only doors the run
-    /// settles, since each run is cut at the `∆`-ellipse. A source passes
-    /// the ellipse's door test itself. Other key partitions are never met,
-    /// and never counted. Without distance pruning (KoE\D), `P` holds the
-    /// key partitions of the whole venue.
+    /// settles, since each run is cut at the `∆`-ellipse. A run's source,
+    /// which the cut never tests, counts only when it passes Rule 2's door
+    /// test. Other key partitions are never met, and never counted. Without
+    /// distance pruning (KoE\D), `P` holds the key partitions of the whole
+    /// venue.
     ///
     /// The index engine tests a partition's region first: a region whose
     /// bound exceeds `∆` drops every member without computing their own
@@ -195,8 +196,8 @@ impl<'a> Search<'a> {
         let (start, terminal) = (&ctx.query.start, &ctx.query.terminal);
         let delta = ctx.delta();
         let prune = self.config.use_distance_pruning;
-        let mut reached = vec![ctx.terminal_partition];
-        if prune {
+        let reached: Vec<PartitionId> = if prune {
+            let mut reached = vec![ctx.terminal_partition];
             for (_, run) in runs {
                 for d in run.settled() {
                     if d != run.source() || ctx.door_in_ellipse(d) {
@@ -206,11 +207,12 @@ impl<'a> Search<'a> {
             }
             reached.sort_unstable();
             reached.dedup();
+            reached
         } else {
-            reached = (0..ctx.space.num_partitions() as u32)
+            (0..ctx.space.num_partitions() as u32)
                 .map(PartitionId)
-                .collect();
-        }
+                .collect()
+        };
 
         // Index engine only: whether the partition's region bound already
         // exceeds ∆, computing each region's bound once.

@@ -15,8 +15,8 @@
 //! 1. **Keyword preparation** keeps no tables of its own, and expands no
 //!    candidate set: [`VenueIndex::prepare_query`] is
 //!    [`PreparedQuery::prepare`], which keeps per keyword what scoring an
-//!    i-word needs, and a search scores only the i-words of partitions
-//!    near its `∆`-ellipse (see `ikrq-core`'s `context` module).
+//!    i-word needs, and a search scores only the i-words of the partitions
+//!    it meets (see `ikrq-core`'s `context` module).
 //!
 //! 2. **[`RegionIndex`]** — a coarse spatial containment layer in the
 //!    QDR-Tree spirit: per-floor grid regions over the partition graph,

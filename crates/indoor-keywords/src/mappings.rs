@@ -23,16 +23,23 @@ use std::collections::BTreeMap;
 ///
 /// `P2I` and `I2T` are indexed by id, because a search looks both up for
 /// every partition it meets: partition ids are the space's dense indices,
-/// and i-word ids are issued densely by the vocabulary's interner.
+/// and word ids are issued densely by the vocabulary's interner.
 #[derive(Debug, Clone, Default)]
 pub struct KeywordMappings {
     /// `P2I` by partition index, `None` where the partition is unnamed.
     p2i: Vec<Option<WordId>>,
     i2p: BTreeMap<WordId, Vec<PartitionId>>,
-    /// `I2T` by word index, empty where the word has no t-word.
-    i2t: Vec<Vec<WordId>>,
+    /// `I2T` by word index: the row of word `w` is
+    /// `i2t_rows[i2t_slots[w]]`, and a word without t-words holds
+    /// [`NO_ROW`]. Most words are t-words, so a 4-byte slot per word, not a
+    /// row per word, keeps the table as small as a map of the i-words.
+    i2t_slots: Vec<u32>,
+    i2t_rows: Vec<Vec<WordId>>,
     t2i: BTreeMap<WordId, Vec<WordId>>,
 }
+
+/// Marks a word without an `I2T` row in `KeywordMappings::i2t_slots`.
+const NO_ROW: u32 = u32::MAX;
 
 /// Inserts `w` into a sorted, duplicate-free row, keeping it one.
 fn insert_sorted(row: &mut Vec<WordId>, w: WordId) {
@@ -161,14 +168,17 @@ impl KeywordMappings {
         for (v, w) in p2i {
             p2i_slots[v.index()] = Some(w);
         }
-        let mut i2t_rows = vec![Vec::new(); i2t.last().map_or(0, |(w, _)| w.index() + 1)];
+        let mut i2t_slots = vec![NO_ROW; i2t.last().map_or(0, |(w, _)| w.index() + 1)];
+        let mut i2t_rows = Vec::with_capacity(i2t.len());
         for (w, row) in i2t {
-            i2t_rows[w.index()] = row;
+            i2t_slots[w.index()] = i2t_rows.len() as u32;
+            i2t_rows.push(row);
         }
         Ok(KeywordMappings {
             p2i: p2i_slots,
             i2p: i2p.into_iter().collect(),
-            i2t: i2t_rows,
+            i2t_slots,
+            i2t_rows,
             t2i: t2i.into_iter().collect(),
         })
     }
@@ -203,10 +213,17 @@ impl KeywordMappings {
 
     /// Associates t-word `t` with i-word `w` (updates both `I2T` and `T2I`).
     pub fn associate(&mut self, iword: WordId, tword: WordId) {
-        if self.i2t.len() <= iword.index() {
-            self.i2t.resize(iword.index() + 1, Vec::new());
+        if self.i2t_slots.len() <= iword.index() {
+            self.i2t_slots.resize(iword.index() + 1, NO_ROW);
         }
-        insert_sorted(&mut self.i2t[iword.index()], tword);
+        if self.i2t_slots[iword.index()] == NO_ROW {
+            self.i2t_slots[iword.index()] = self.i2t_rows.len() as u32;
+            self.i2t_rows.push(Vec::new());
+        }
+        insert_sorted(
+            &mut self.i2t_rows[self.i2t_slots[iword.index()] as usize],
+            tword,
+        );
         insert_sorted(self.t2i.entry(tword).or_default(), iword);
     }
 
@@ -222,7 +239,10 @@ impl KeywordMappings {
 
     /// `I2T(w)`: the t-words of an i-word, sorted (empty when it has none).
     pub fn i2t(&self, w: WordId) -> &[WordId] {
-        self.i2t.get(w.index()).map(Vec::as_slice).unwrap_or(&[])
+        match self.i2t_slots.get(w.index()) {
+            Some(&slot) if slot != NO_ROW => &self.i2t_rows[slot as usize],
+            _ => &[],
+        }
     }
 
     /// `T2I(t)`: the i-words described by a t-word, sorted (empty when it
@@ -239,11 +259,11 @@ impl KeywordMappings {
 
     /// Iterates `I2T` in i-word order, over the i-words with a t-word.
     pub fn i2t_entries(&self) -> impl ExactSizeIterator<Item = (WordId, &[WordId])> {
-        self.i2t
+        self.i2t_slots
             .iter()
             .enumerate()
-            .filter(|(_, row)| !row.is_empty())
-            .map(|(w, row)| (WordId(w as u32), row.as_slice()))
+            .filter(|(_, &slot)| slot != NO_ROW)
+            .map(|(w, &slot)| (WordId(w as u32), self.i2t_rows[slot as usize].as_slice()))
             .collect::<Vec<_>>()
             .into_iter()
     }
@@ -267,23 +287,23 @@ impl KeywordMappings {
 
     /// Number of (i-word, t-word) association pairs.
     pub fn num_associations(&self) -> usize {
-        self.i2t.iter().map(Vec::len).sum()
+        self.i2t_rows.iter().map(Vec::len).sum()
     }
 
     /// Average number of t-words per i-word that has at least one t-word.
     pub fn avg_twords_per_iword(&self) -> f64 {
-        let described = self.i2t.iter().filter(|row| !row.is_empty()).count();
-        if described == 0 {
+        if self.i2t_rows.is_empty() {
             return 0.0;
         }
-        self.num_associations() as f64 / described as f64
+        self.num_associations() as f64 / self.i2t_rows.len() as f64
     }
 
     /// Estimated heap size in bytes.
     pub fn estimated_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.p2i.capacity() * std::mem::size_of::<Option<WordId>>()
-            + self.i2t.capacity() * std::mem::size_of::<Vec<WordId>>()
+            + self.i2t_slots.capacity() * std::mem::size_of::<u32>()
+            + self.i2t_rows.capacity() * std::mem::size_of::<Vec<WordId>>()
             + self
                 .i2p
                 .values()

@@ -21,25 +21,22 @@ use std::collections::BTreeMap;
 /// Every `I2T` and `T2I` row is a sorted, duplicate-free `Vec`: the word
 /// sets Definition 4's [`jaccard`](crate::jaccard) counts over.
 ///
-/// `P2I` and `I2T` are indexed by id, because a search looks both up for
-/// every partition it meets: partition ids are the space's dense indices,
-/// and word ids are issued densely by the vocabulary's interner.
+/// A search looks `P2I` and `I2T` up for every partition it meets, so both
+/// are flat tables: `P2I` is indexed by partition (partition ids are the
+/// space's dense indices), and `I2T` is a sorted key table searched by
+/// bisection. A slot per word id would cost more than the rows themselves,
+/// since most words are t-words.
 #[derive(Debug, Clone, Default)]
 pub struct KeywordMappings {
     /// `P2I` by partition index, `None` where the partition is unnamed.
     p2i: Vec<Option<WordId>>,
     i2p: BTreeMap<WordId, Vec<PartitionId>>,
-    /// `I2T` by word index: the row of word `w` is
-    /// `i2t_rows[i2t_slots[w]]`, and a word without t-words holds
-    /// [`NO_ROW`]. Most words are t-words, so a 4-byte slot per word, not a
-    /// row per word, keeps the table as small as a map of the i-words.
-    i2t_slots: Vec<u32>,
+    /// The i-words with t-words, ascending; `i2t_rows[i]` is the `I2T` row
+    /// of `i2t_keys[i]`.
+    i2t_keys: Vec<WordId>,
     i2t_rows: Vec<Vec<WordId>>,
     t2i: BTreeMap<WordId, Vec<WordId>>,
 }
-
-/// Marks a word without an `I2T` row in `KeywordMappings::i2t_slots`.
-const NO_ROW: u32 = u32::MAX;
 
 /// Inserts `w` into a sorted, duplicate-free row, keeping it one.
 fn insert_sorted(row: &mut Vec<WordId>, w: WordId) {
@@ -168,16 +165,11 @@ impl KeywordMappings {
         for (v, w) in p2i {
             p2i_slots[v.index()] = Some(w);
         }
-        let mut i2t_slots = vec![NO_ROW; i2t.last().map_or(0, |(w, _)| w.index() + 1)];
-        let mut i2t_rows = Vec::with_capacity(i2t.len());
-        for (w, row) in i2t {
-            i2t_slots[w.index()] = i2t_rows.len() as u32;
-            i2t_rows.push(row);
-        }
+        let (i2t_keys, i2t_rows) = i2t.into_iter().unzip();
         Ok(KeywordMappings {
             p2i: p2i_slots,
             i2p: i2p.into_iter().collect(),
-            i2t_slots,
+            i2t_keys,
             i2t_rows,
             t2i: t2i.into_iter().collect(),
         })
@@ -213,17 +205,13 @@ impl KeywordMappings {
 
     /// Associates t-word `t` with i-word `w` (updates both `I2T` and `T2I`).
     pub fn associate(&mut self, iword: WordId, tword: WordId) {
-        if self.i2t_slots.len() <= iword.index() {
-            self.i2t_slots.resize(iword.index() + 1, NO_ROW);
+        match self.i2t_keys.binary_search(&iword) {
+            Ok(at) => insert_sorted(&mut self.i2t_rows[at], tword),
+            Err(at) => {
+                self.i2t_keys.insert(at, iword);
+                self.i2t_rows.insert(at, vec![tword]);
+            }
         }
-        if self.i2t_slots[iword.index()] == NO_ROW {
-            self.i2t_slots[iword.index()] = self.i2t_rows.len() as u32;
-            self.i2t_rows.push(Vec::new());
-        }
-        insert_sorted(
-            &mut self.i2t_rows[self.i2t_slots[iword.index()] as usize],
-            tword,
-        );
         insert_sorted(self.t2i.entry(tword).or_default(), iword);
     }
 
@@ -239,9 +227,9 @@ impl KeywordMappings {
 
     /// `I2T(w)`: the t-words of an i-word, sorted (empty when it has none).
     pub fn i2t(&self, w: WordId) -> &[WordId] {
-        match self.i2t_slots.get(w.index()) {
-            Some(&slot) if slot != NO_ROW => &self.i2t_rows[slot as usize],
-            _ => &[],
+        match self.i2t_keys.binary_search(&w) {
+            Ok(at) => &self.i2t_rows[at],
+            Err(_) => &[],
         }
     }
 
@@ -259,13 +247,10 @@ impl KeywordMappings {
 
     /// Iterates `I2T` in i-word order, over the i-words with a t-word.
     pub fn i2t_entries(&self) -> impl ExactSizeIterator<Item = (WordId, &[WordId])> {
-        self.i2t_slots
+        self.i2t_keys
             .iter()
-            .enumerate()
-            .filter(|(_, &slot)| slot != NO_ROW)
-            .map(|(w, &slot)| (WordId(w as u32), self.i2t_rows[slot as usize].as_slice()))
-            .collect::<Vec<_>>()
-            .into_iter()
+            .zip(&self.i2t_rows)
+            .map(|(w, row)| (*w, row.as_slice()))
     }
 
     /// `PW(v)`: the partition words of `v` — its i-word plus the i-word's
@@ -302,7 +287,7 @@ impl KeywordMappings {
     pub fn estimated_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.p2i.capacity() * std::mem::size_of::<Option<WordId>>()
-            + self.i2t_slots.capacity() * std::mem::size_of::<u32>()
+            + self.i2t_keys.capacity() * std::mem::size_of::<WordId>()
             + self.i2t_rows.capacity() * std::mem::size_of::<Vec<WordId>>()
             + self
                 .i2p

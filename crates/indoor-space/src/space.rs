@@ -954,12 +954,6 @@ impl IndoorSpace {
             .lower_bound(da.position, &floors_a[..na], db.position, &floors_b[..nb])
     }
 
-    /// Rule 2's door bound `|ps, d|_L + |d, pt|_L`: no route from `ps` to
-    /// `pt` through door `d` is shorter.
-    pub fn door_detour_lower_bound(&self, ps: &IndoorPoint, d: DoorId, pt: &IndoorPoint) -> f64 {
-        self.skeleton_point_to_door(ps, d) + self.skeleton_point_to_door(pt, d)
-    }
-
     /// Lower bound of the distance of any route from `ps` through partition
     /// `v` to `pt` (the quantity of Pruning Rule 3):
     /// `min over di ∈ P2DA(v), dj ∈ P2D@(v) of |ps,di|_L + δd2d(di,dj) + |dj,pt|_L`.

@@ -41,9 +41,6 @@ pub struct SearchContext<'a> {
     pub start_partition: PartitionId,
     /// Host partition of the terminal point, `v(pt)`.
     pub terminal_partition: PartitionId,
-    /// The venue index, when the engine runs accelerated. KoE tests Rule 3
-    /// by region first with it; `None` runs the per-partition bounds only.
-    pub index: Option<&'a VenueIndex>,
     /// The candidate sets `κ(wQ)` by the vocabulary scan, one per query
     /// keyword, built on first use by the specification methods.
     spec: OnceLock<Vec<CandidateSet>>,
@@ -156,19 +153,6 @@ impl<'a> SearchContext<'a> {
         directory: &'a KeywordDirectory,
         query: &'a IkrqQuery,
     ) -> Result<Self> {
-        Self::prepare_with_index(space, directory, None, query)
-    }
-
-    /// [`SearchContext::prepare`] with an optional venue index, which KoE
-    /// consults for its Rule-3 region pretest. Keyword preparation is the
-    /// same with or without one, and the mirrored proptests in
-    /// `tests/index_mirror.rs` hold both engines to byte-identical results.
-    pub fn prepare_with_index(
-        space: &'a IndoorSpace,
-        directory: &'a KeywordDirectory,
-        index: Option<&'a VenueIndex>,
-        query: &'a IkrqQuery,
-    ) -> Result<Self> {
         query.validate()?;
         let start_partition = space
             .host_partition(&query.start)
@@ -193,9 +177,21 @@ impl<'a> SearchContext<'a> {
             ranking,
             start_partition,
             terminal_partition,
-            index,
             spec: OnceLock::new(),
         })
+    }
+
+    /// [`SearchContext::prepare`], ignoring the venue index: no search reads
+    /// it. The parameter only keeps existing four-argument callers
+    /// compiling, as the third parameter of
+    /// [`Search::new`](crate::framework::Search::new) does.
+    pub fn prepare_with_index(
+        space: &'a IndoorSpace,
+        directory: &'a KeywordDirectory,
+        _index: Option<&'a VenueIndex>,
+        query: &'a IkrqQuery,
+    ) -> Result<Self> {
+        Self::prepare(space, directory, query)
     }
 
     /// Appends partition `v`'s similarity for every query keyword, in

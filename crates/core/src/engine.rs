@@ -8,24 +8,21 @@ use crate::request::ExecOptions;
 use crate::results::SearchOutcome;
 use crate::variants::VariantConfig;
 use crate::Result;
-use indoor_index::{IndexCounterSnapshot, VenueIndex};
+use indoor_index::VenueIndex;
 use indoor_keywords::KeywordDirectory;
 use indoor_space::IndoorSpace;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Whether an engine answers queries through the venue index or the original
-/// linear scans. Accelerated is the default and what `ikrq` serves; Scan is
-/// kept for cross-checking in tests and benchmarks (the two produce
-/// byte-identical results — the scan path is the executable specification
-/// of the index).
+/// Whether an engine holds a venue index. Accelerated is the default and
+/// what `ikrq` serves; Scan builds none. No search reads the index, so both
+/// modes run one search path and answer byte-identically: the index stays
+/// only as the venue file's persisted section and its `/v1/stats` figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexMode {
-    /// Build a [`VenueIndex`] at engine construction and consult it for
-    /// keyword candidate generation and KoE region pruning.
+    /// Build a [`VenueIndex`] at engine construction.
     #[default]
     Accelerated,
-    /// Original behaviour: vocabulary scans and per-partition bounds.
+    /// Hold no index.
     Scan,
 }
 
@@ -70,16 +67,14 @@ pub struct IndexStats {
     /// Whether the index was loaded from a persisted venue file rather than
     /// built from the venue at engine construction.
     pub loaded_from_disk: bool,
-    /// Cumulative usage counters since engine construction.
-    pub counters: IndexCounterSnapshot,
 }
 
 /// The query engine for one venue.
 ///
 /// The engine owns the immutable space model and keyword directory and the
-/// optional venue index (built eagerly at construction in
-/// [`IndexMode::Accelerated`], so its build time is a constructor-time cost
-/// and not query jitter). Nothing else outlives a query: KoE* computes its
+/// optional venue index (built at construction in
+/// [`IndexMode::Accelerated`], or adopted from a venue file), which no
+/// search reads. Nothing else outlives a query: KoE* computes its
 /// door-to-door paths inside each search.
 #[derive(Debug)]
 pub struct IkrqEngine {
@@ -91,14 +86,14 @@ pub struct IkrqEngine {
 }
 
 impl IkrqEngine {
-    /// Creates an engine for a venue with the default (index-accelerated)
-    /// query path.
+    /// Creates an engine for a venue in the default mode,
+    /// [`IndexMode::Accelerated`].
     pub fn new(space: IndoorSpace, directory: KeywordDirectory) -> Self {
         Self::with_index_mode(space, directory, IndexMode::default())
     }
 
-    /// Creates an engine with an explicit index mode. [`IndexMode::Scan`]
-    /// preserves the original linear-scan behaviour exactly.
+    /// Creates an engine with an explicit index mode. Both modes answer
+    /// alike; [`IndexMode::Scan`] only skips building the index.
     pub fn with_index_mode(
         space: IndoorSpace,
         directory: KeywordDirectory,
@@ -165,18 +160,17 @@ impl IkrqEngine {
         }
     }
 
-    /// The venue index, when the engine runs accelerated.
+    /// The venue index, when the engine holds one.
     pub fn index(&self) -> Option<&VenueIndex> {
         self.index.as_deref()
     }
 
-    /// Index observability snapshot, when the engine runs accelerated.
+    /// Index observability snapshot, when the engine holds an index.
     pub fn index_stats(&self) -> Option<IndexStats> {
         self.index.as_deref().map(|index| IndexStats {
             build_micros: index.build_micros(),
             estimated_bytes: index.estimated_bytes(),
             loaded_from_disk: index.loaded_from_disk(),
-            counters: index.counters().snapshot(),
         })
     }
 
@@ -187,18 +181,7 @@ impl IkrqEngine {
     pub fn execute(&self, query: &IkrqQuery, options: &ExecOptions) -> Result<SearchOutcome> {
         options.validate()?;
         let config = options.effective_variant();
-        let ctx = SearchContext::prepare_with_index(
-            &self.space,
-            &self.directory,
-            self.index.as_deref(),
-            query,
-        )?;
-        if let Some(index) = self.index.as_deref() {
-            index
-                .counters()
-                .queries_accelerated
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        let ctx = SearchContext::prepare(&self.space, &self.directory, query)?;
         Ok(Search::new(&ctx, config, None).run())
     }
 

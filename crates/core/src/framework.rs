@@ -48,9 +48,6 @@ pub(crate) struct SearchState {
     pub metrics: SearchMetrics,
     /// Running total of the estimated bytes held by queued stamps.
     pub queue_bytes: usize,
-    /// The shared venue index's charge to every memory sample (0 on the
-    /// scan engine), computed once per search.
-    pub index_bytes: usize,
 }
 
 /// One search run: context + configuration + state.
@@ -83,7 +80,6 @@ impl<'a> Search<'a> {
                 routing: Vec::new(),
                 metrics: SearchMetrics::new(),
                 queue_bytes: 0,
-                index_bytes: ctx.index.map(|i| i.estimated_bytes()).unwrap_or(0),
             },
         }
     }
@@ -374,9 +370,7 @@ impl<'a> Search<'a> {
                 * std::mem::size_of::<DoorId>()
                 * 2
             + self.state.key_rows.estimated_bytes()
-            + self.state.routing.len() * std::mem::size_of::<RoutingPartition>()
-            // Index mode charges the shared index.
-            + self.state.index_bytes;
+            + self.state.routing.len() * std::mem::size_of::<RoutingPartition>();
         self.state.metrics.observe_memory(live);
     }
 

@@ -33,8 +33,6 @@ use crate::framework::Search;
 use crate::pruning::PruneRule;
 use crate::stamp::Stamp;
 use indoor_space::{DijkstraResult, DoorId, IndoorPoint, PartitionId};
-use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 
 /// One partition of KoE's routing set `P`.
 #[derive(Debug, Clone, Copy)]
@@ -186,11 +184,6 @@ impl<'a> Search<'a> {
     /// test. Other key partitions are never met, and never counted. Without
     /// distance pruning (KoE\D), `P` holds the key partitions of the whole
     /// venue.
-    ///
-    /// The index engine tests a partition's region first: a region whose
-    /// bound exceeds `∆` drops every member without computing their own
-    /// bounds. The region bound never exceeds a member's (the `indoor-index`
-    /// crate invariant), so both engines build the same set.
     fn routing_set(&mut self, runs: &[(f64, DijkstraResult)]) -> Vec<RoutingPartition> {
         let ctx = self.ctx;
         let (start, terminal) = (&ctx.query.start, &ctx.query.terminal);
@@ -214,33 +207,6 @@ impl<'a> Search<'a> {
                 .collect()
         };
 
-        // Index engine only: whether the partition's region bound already
-        // exceeds ∆, computing each region's bound once.
-        let mut verdicts: HashMap<u32, bool> = HashMap::new();
-        let mut region_fails = |v: PartitionId| {
-            let Some((index, rid)) = ctx
-                .index
-                .and_then(|index| Some((index, index.regions().region_of(v)?)))
-            else {
-                return false;
-            };
-            let counters = index.counters();
-            let failed = *verdicts.entry(rid).or_insert_with(|| {
-                counters.regions_tested.fetch_add(1, Ordering::Relaxed);
-                let bound = index
-                    .regions()
-                    .detour_lower_bound(ctx.space, rid, start, terminal);
-                if bound > delta {
-                    counters.regions_pruned.fetch_add(1, Ordering::Relaxed);
-                }
-                bound > delta
-            });
-            if failed {
-                counters.candidates_pruned.fetch_add(1, Ordering::Relaxed);
-            }
-            failed
-        };
-
         let mut routing = Vec::new();
         for v in reached {
             let row = self.state.key_rows.row(ctx, v);
@@ -248,12 +214,7 @@ impl<'a> Search<'a> {
             if !key && v != ctx.terminal_partition {
                 continue;
             }
-            // A failed region stands in for the bounds of all its members.
-            let detour_bound = if prune && region_fails(v) {
-                f64::INFINITY
-            } else {
-                ctx.space.partition_detour_lower_bound(start, v, terminal)
-            };
+            let detour_bound = ctx.space.partition_detour_lower_bound(start, v, terminal);
             if prune && detour_bound > delta {
                 self.state
                     .metrics

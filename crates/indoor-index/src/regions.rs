@@ -1,21 +1,19 @@
-//! Keyword-clustered spatial regions over the partition graph.
+//! Spatial regions over the partition graph, with keyword bitmaps.
 //!
 //! Partitions are grouped per floor into grid cells sized so each region
-//! holds roughly [`TARGET_MEMBERS`] members. Each region carries the
-//! geometry needed for a sound detour lower bound (bounding box expanded to
-//! member door positions, floor set expanded to member door floors) and a
-//! keyword summary bitmap over the dense set of partition-naming i-words,
-//! so a whole region's relevance to a query is one bitmap intersection and
-//! its distance feasibility is one bound comparison.
+//! holds roughly [`TARGET_MEMBERS`] members. Each region records its
+//! bounding box (expanded to member door positions), its floor set
+//! (expanded to member door floors), its members and a keyword summary
+//! bitmap over the dense set of partition-naming i-words. No query reads
+//! the layer: it is built and persisted as the venue file's index section,
+//! and decoded back from it.
 
 use indoor_geom::{Point, Rect};
 use indoor_keywords::{KeywordDirectory, WordId};
-use indoor_space::{FloorId, IndoorPoint, IndoorSpace, PartitionId, UNREACHABLE};
+use indoor_space::{FloorId, IndoorSpace, PartitionId};
 use std::collections::BTreeSet;
 
-/// Target number of member partitions per region. Regions are coarse on
-/// purpose: the point is to answer many Rule-3 tests with one bound,
-/// not to approximate per-partition geometry.
+/// Target number of member partitions per region.
 pub const TARGET_MEMBERS: usize = 32;
 
 /// One spatial region: a set of same-floor partitions with summarising
@@ -73,12 +71,6 @@ impl Region {
     /// Floors touched by any member partition or door, sorted.
     pub fn floors(&self) -> &[FloorId] {
         &self.floors
-    }
-
-    fn has_iword_bit(&self, bit: usize) -> bool {
-        self.iword_bits
-            .get(bit / 64)
-            .is_some_and(|w| w & (1u64 << (bit % 64)) != 0)
     }
 }
 
@@ -219,81 +211,6 @@ impl RegionIndex {
     /// The regions.
     pub fn regions(&self) -> &[Region] {
         &self.regions
-    }
-
-    /// The region a partition belongs to.
-    pub fn region_of(&self, v: PartitionId) -> Option<u32> {
-        self.region_of.get(v.index()).copied()
-    }
-
-    /// Lower bound on the detour `|ps, v| + |v, pt|` of *any* member
-    /// partition `v` of the region — the one test that can prune the whole
-    /// region under Rule 3. Dominated by every member's
-    /// `partition_detour_lower_bound` (crate-level invariant).
-    pub fn detour_lower_bound(
-        &self,
-        space: &IndoorSpace,
-        region: u32,
-        start: &IndoorPoint,
-        terminal: &IndoorPoint,
-    ) -> f64 {
-        let Some(r) = self.regions.get(region as usize) else {
-            return UNREACHABLE;
-        };
-        self.point_bound(space, r, start) + self.point_bound(space, r, terminal)
-    }
-
-    /// Skeleton-style lower bound from a point to anywhere in the region:
-    /// the planar distance to the region box when the point's floor is in
-    /// the region floor set, else (and also, as a minimum, when stair
-    /// routes are shorter is impossible — same-floor Euclid dominates) the
-    /// cheapest stair-door bridge `|p, sd_a| + s2s(sd_a, sd_b) + |sd_b, box|`.
-    fn point_bound(&self, space: &IndoorSpace, r: &Region, p: &IndoorPoint) -> f64 {
-        let mut best = UNREACHABLE;
-        if r.floors.contains(&p.floor) {
-            best = r.bbox.distance_to_point(&p.position);
-        }
-        if best == 0.0 {
-            return best;
-        }
-        let skeleton = space.skeleton();
-        for &sda in skeleton.stair_doors(p.floor) {
-            let head = match space.door(sda) {
-                Ok(d) => p.position.distance(&d.position),
-                Err(_) => continue,
-            };
-            if head >= best {
-                continue;
-            }
-            for &floor in &r.floors {
-                for &sdb in skeleton.stair_doors(floor) {
-                    let mid = skeleton.s2s_distance(sda, sdb);
-                    if !mid.is_finite() || head + mid >= best {
-                        continue;
-                    }
-                    let tail = match space.door(sdb) {
-                        Ok(d) => r.bbox.distance_to_point(&d.position),
-                        Err(_) => continue,
-                    };
-                    if head + mid + tail < best {
-                        best = head + mid + tail;
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    /// Whether a region contains a partition named by the given i-word
-    /// (one bitmap probe).
-    pub fn region_has_iword(&self, region: u32, iword: WordId) -> bool {
-        let Some(r) = self.regions.get(region as usize) else {
-            return false;
-        };
-        match self.iword_dense.binary_search(&iword) {
-            Ok(bit) => r.has_iword_bit(bit),
-            Err(_) => false,
-        }
     }
 
     /// Estimated heap size in bytes.

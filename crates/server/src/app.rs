@@ -125,14 +125,14 @@ struct StatsBody {
     stats: ServerStats,
 }
 
-/// Aggregated venue-index observability (mirrors the reactor counters: one
-/// snapshot per `/v1/stats` call, cumulative since engine construction).
+/// Aggregated venue-index observability: which hosted venues hold an
+/// index, and what the indexes cost to acquire and keep.
 #[derive(Serialize)]
 struct IndexBody {
     /// `"accelerated"` when every hosted venue has an index, `"scan"` when
     /// none does, `"mixed"` otherwise (also `"scan"` with zero venues).
     mode: String,
-    /// Venues answering through a venue index.
+    /// Venues holding a venue index.
     venues_indexed: usize,
     /// Venues hosted in total.
     venues_total: usize,
@@ -140,14 +140,6 @@ struct IndexBody {
     build_micros: u64,
     /// Summed estimated index heap bytes.
     estimated_bytes: usize,
-    /// Queries answered through the index path.
-    queries_accelerated: u64,
-    /// Region bounds evaluated by Rule-3 pruning.
-    regions_tested: u64,
-    /// Regions whose bound exceeded ∆ (every member partition pruned).
-    regions_pruned: u64,
-    /// Routing-set partitions dropped by a failed region.
-    candidates_pruned: u64,
     /// Venues whose index was loaded from a persisted venue file.
     venues_loaded_from_disk: usize,
     /// Per-venue index detail, in venue-id order.
@@ -249,18 +241,8 @@ impl IkrqApp {
             venues_total: 0,
             build_micros: 0,
             estimated_bytes: 0,
-            queries_accelerated: 0,
-            regions_tested: 0,
-            regions_pruned: 0,
-            candidates_pruned: 0,
             venues_loaded_from_disk: 0,
             venues: Vec::new(),
-        };
-        let mut counters = ikrq_core::IndexStats {
-            build_micros: 0,
-            estimated_bytes: 0,
-            loaded_from_disk: false,
-            counters: Default::default(),
         };
         for id in registry.ids() {
             let Some(engine) = registry.get(&id) else {
@@ -270,9 +252,8 @@ impl IkrqApp {
             let stats = engine.index_stats();
             if let Some(stats) = &stats {
                 body.venues_indexed += 1;
-                counters.build_micros += stats.build_micros;
-                counters.estimated_bytes += stats.estimated_bytes;
-                counters.counters.add(&stats.counters);
+                body.build_micros += stats.build_micros;
+                body.estimated_bytes += stats.estimated_bytes;
                 if stats.loaded_from_disk {
                     body.venues_loaded_from_disk += 1;
                 }
@@ -298,12 +279,6 @@ impl IkrqApp {
         } else {
             "mixed".to_string()
         };
-        body.build_micros = counters.build_micros;
-        body.estimated_bytes = counters.estimated_bytes;
-        body.queries_accelerated = counters.counters.queries_accelerated;
-        body.regions_tested = counters.counters.regions_tested;
-        body.regions_pruned = counters.counters.regions_pruned;
-        body.candidates_pruned = counters.counters.candidates_pruned;
         body
     }
 

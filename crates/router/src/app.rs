@@ -266,7 +266,7 @@ impl RouterApp {
             max_connections: engine.max_connections,
             keep_alive: engine.config.keep_alive,
             nofile_limit: engine.nofile_limit,
-            stats: engine.stats,
+            stats: engine.stats(),
         };
         Response::json(200, serde_json::to_string(&body).expect("stats serialize"))
     }

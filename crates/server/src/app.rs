@@ -292,7 +292,7 @@ impl IkrqApp {
             keep_alive: engine.config.keep_alive,
             nofile_limit: engine.nofile_limit,
             index: self.index_body(),
-            stats: engine.stats,
+            stats: engine.stats(),
         };
         Response::json(200, serde_json::to_string(&body).expect("stats serialize"))
     }

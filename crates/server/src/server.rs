@@ -158,9 +158,9 @@ impl ServerConfig {
 /// thread under the in-flight admission slot, wrapped in `catch_unwind`
 /// (a panicking handler costs one `500`, not one worker).
 pub trait App: Send + Sync + 'static {
-    /// Answers one parsed request. `engine` is a point-in-time view of the
-    /// connection engine (configuration plus live counters) for stats-style
-    /// endpoints.
+    /// Answers one parsed request. `engine` is a view of the connection
+    /// engine (configuration, and live counters on request) for
+    /// stats-style endpoints.
     fn handle(&self, request: &Request, engine: &EngineView<'_>) -> Response;
 
     /// Response-cache counters folded into [`ServerStats::cache`]; apps
@@ -171,7 +171,7 @@ pub trait App: Send + Sync + 'static {
 }
 
 /// What an [`App`] may observe about the connection engine serving it:
-/// the configuration and a snapshot of the live counters.
+/// the configuration, and the live counters on request.
 pub struct EngineView<'a> {
     /// The configuration the engine was started with.
     pub config: &'a ServerConfig,
@@ -182,8 +182,16 @@ pub struct EngineView<'a> {
     pub max_in_flight: usize,
     /// Resolved [`ServerConfig::max_connections`].
     pub max_connections: usize,
-    /// Counter snapshot taken when the request was admitted.
-    pub stats: ServerStats,
+    shared: &'a Shared,
+}
+
+impl EngineView<'_> {
+    /// A snapshot of the live counters, taken now. It reads every counter
+    /// and the app's cache statistics (which lock each cache shard), so
+    /// only the stats endpoints take one.
+    pub fn stats(&self) -> ServerStats {
+        self.shared.stats()
+    }
 }
 
 /// Point-in-time server counters, exposed on `GET /v1/stats`.
@@ -862,7 +870,7 @@ fn answer_request(shared: &Shared, request: &Request) -> Response {
         nofile_limit: shared.nofile_limit,
         max_in_flight: shared.max_in_flight,
         max_connections: shared.max_connections,
-        stats: shared.stats(),
+        shared,
     };
     // A panicking handler must cost one response, not one worker.
     let response = catch_unwind(AssertUnwindSafe(|| shared.app.handle(request, &view)))

@@ -32,7 +32,7 @@
 use crate::framework::Search;
 use crate::pruning::PruneRule;
 use crate::stamp::Stamp;
-use indoor_space::{DijkstraResult, DoorId, IndoorPoint, PartitionId};
+use indoor_space::{DijkstraResult, DoorId, IndoorPoint, PartitionId, UNREACHABLE};
 
 /// One partition of KoE's routing set `P`.
 #[derive(Debug, Clone, Copy)]
@@ -42,7 +42,8 @@ pub(crate) struct RoutingPartition {
     /// that covers no keyword.
     row: Option<usize>,
     /// The Rule-3 detour lower bound `|ps, v| + |v, pt|` (Lemma 3), which is
-    /// also line 11's bound for the initial stamp.
+    /// also line 11's bound for the initial stamp. For `v(pt)`, where a
+    /// route ends, it is [`Search::terminal_jump_bound`] from `ps`.
     detour_bound: f64,
 }
 
@@ -133,6 +134,9 @@ impl<'a> Search<'a> {
             // Distance constraint check (line 11): current distance plus the
             // lower bound of reaching pt through vj.
             let via_bound = match tail {
+                Some(dk) if vj == ctx.terminal_partition => {
+                    self.terminal_jump_bound(|di| ctx.space.skeleton_door_to_door(dk, di))
+                }
                 Some(dk) => ctx
                     .space
                     .door_via_partition_lower_bound(dk, vj, &ctx.query.terminal),
@@ -171,7 +175,8 @@ impl<'a> Search<'a> {
 
     /// The routing set `P` of Algorithm 1 line 3: the key partitions a jump
     /// can reach, minus `v(ps)`, plus `v(pt)`, in partition order, each with
-    /// its Rule-3 detour bound. With distance pruning on, Pruning Rule 3
+    /// its Rule-3 detour bound (for `v(pt)`, the bound of a jump that ends
+    /// there). With distance pruning on, Pruning Rule 3
     /// (Algorithm 6 lines 9–10) drops every partition whose bound exceeds
     /// `∆`, one prune each.
     ///
@@ -214,7 +219,11 @@ impl<'a> Search<'a> {
             if !key && v != ctx.terminal_partition {
                 continue;
             }
-            let detour_bound = ctx.space.partition_detour_lower_bound(start, v, terminal);
+            let detour_bound = if v == ctx.terminal_partition {
+                self.terminal_jump_bound(|di| ctx.start_to_door_lb(di))
+            } else {
+                ctx.space.partition_detour_lower_bound(start, v, terminal)
+            };
             if prune && detour_bound > delta {
                 self.state
                     .metrics
@@ -229,6 +238,20 @@ impl<'a> Search<'a> {
             });
         }
         routing
+    }
+
+    /// The lower bound of a jump into `v(pt)` (line 11 and Rule 3). A route
+    /// ends at `pt` inside `v(pt)`, so the bound charges no crossing of it:
+    /// it is the minimum, over the enter doors `di` of `v(pt)`, of
+    /// `to_door(di) + |di, pt|`, where `to_door` bounds the walk from the
+    /// stamp's position to `di`.
+    fn terminal_jump_bound(&self, to_door: impl Fn(DoorId) -> f64) -> f64 {
+        let ctx = self.ctx;
+        ctx.space
+            .p2d_enter(ctx.terminal_partition)
+            .iter()
+            .map(|&di| to_door(di) + ctx.space.d2pt_distance(di, &ctx.query.terminal))
+            .fold(UNREACHABLE, f64::min)
     }
 
     /// Builds the shortest-path source rooted at the stamp's current position.

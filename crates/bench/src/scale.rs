@@ -4,7 +4,8 @@
 //! For each venue size the sweep builds one [`indoor_data::mega_venue`],
 //! hosts it twice — once per [`IndexMode`] — and reports:
 //!
-//! * queries per second for both engines (same instances, same variant),
+//! * queries per second for both engines (same instances, same variant;
+//!   no search reads the index, so both run one search path),
 //! * the candidate-set fraction: the key partitions of the index engine's
 //!   prepared queries (partitions named by a candidate i-word) over all
 //!   partitions,
@@ -16,6 +17,9 @@
 //!   instances with an expansion budget of [`TOE_EXPANSION_BUDGET`] (the
 //!   `toe-mega` benchmark's), and how many of them used the budget up.
 //!
+//! Every timed pass follows an untimed pass over the same requests on the
+//! same engine, so neither engine pays first-use costs (such as the
+//! thread's pool of spent Dijkstra buffers) that the other then finds paid.
 //! Every instance is answered by both engines and the responses are
 //! compared byte-for-byte (timings and memory metrics excluded), so the
 //! sweep doubles as a large-scale equivalence check.
@@ -41,14 +45,16 @@
 //! flipped (the record rebuild, still adopting the index).
 
 use crate::workload::to_query;
-use ikrq_core::{ExecOptions, IkrqEngine, IkrqService, IndexMode, SearchRequest, VariantConfig};
+use ikrq_core::{
+    ExecOptions, IkrqEngine, IkrqService, IndexMode, SearchRequest, SearchResponse, VariantConfig,
+};
 use indoor_data::{mega_venue, MegaVenueConfig, QueryGenerator, WorkloadConfig};
 use indoor_persist::{binary, index_section, IndexSection, VenueDocument};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The expansion budget of the sweep's ToE queries. Unbudgeted ToE can
 /// expand millions of stamps on a mega venue; this is the budget the
@@ -106,8 +112,7 @@ pub struct ScalePoint {
     pub candidate_fraction: f64,
     /// Peak per-query search memory on the scan engine, bytes.
     pub scan_peak_memory: usize,
-    /// Peak per-query search memory on the accelerated engine, bytes
-    /// (includes the shared index charge).
+    /// Peak per-query search memory on the accelerated engine, bytes.
     pub accelerated_peak_memory: usize,
     /// Queries per second of KoE* over the same instances, through the
     /// index-accelerated engine.
@@ -188,7 +193,7 @@ pub fn run_scale_sweep(config: &ScaleSweepConfig) -> Vec<ScalePoint> {
 }
 
 /// The workload the sweep replays at every size: mid-range δs2t so routes
-/// cross several rib segments, KoE so Rule 3 exercises the region layer.
+/// cross several rib segments, KoE so Rule 3 runs.
 fn sweep_workload() -> WorkloadConfig {
     WorkloadConfig {
         qw_len: 3,
@@ -203,6 +208,24 @@ fn sweep_workload() -> WorkloadConfig {
 
 fn ms_since(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
+}
+
+/// Answers `requests` once untimed, then again timed: the timed pass's
+/// responses and wall time.
+fn timed_after_warm_up(
+    service: &IkrqService,
+    requests: &[SearchRequest],
+) -> (Vec<SearchResponse>, Duration) {
+    let pass = || -> Vec<SearchResponse> {
+        requests
+            .iter()
+            .map(|r| service.search(r).expect("sweep queries succeed"))
+            .collect()
+    };
+    pass();
+    let start = Instant::now();
+    let responses = pass();
+    (responses, start.elapsed())
 }
 
 fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
@@ -254,19 +277,8 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
     let mut scan_peak = 0usize;
     let mut accel_peak = 0usize;
 
-    let scan_start = Instant::now();
-    let scan_responses: Vec<_> = requests
-        .iter()
-        .map(|r| scan_service.search(r).expect("scan query succeeds"))
-        .collect();
-    let scan_elapsed = scan_start.elapsed();
-
-    let accel_start = Instant::now();
-    let accel_responses: Vec<_> = requests
-        .iter()
-        .map(|r| accel_service.search(r).expect("accelerated query succeeds"))
-        .collect();
-    let accel_elapsed = accel_start.elapsed();
+    let (scan_responses, scan_elapsed) = timed_after_warm_up(&scan_service, &requests);
+    let (accel_responses, accel_elapsed) = timed_after_warm_up(&accel_service, &requests);
 
     let koe_star_requests: Vec<SearchRequest> = requests
         .iter()
@@ -275,11 +287,7 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
             ..r.clone()
         })
         .collect();
-    let koe_star_start = Instant::now();
-    for r in &koe_star_requests {
-        accel_service.search(r).expect("KoE* query succeeds");
-    }
-    let koe_star_elapsed = koe_star_start.elapsed();
+    let (_, koe_star_elapsed) = timed_after_warm_up(&accel_service, &koe_star_requests);
 
     let toe_options =
         ExecOptions::with_variant(VariantConfig::toe()).with_expansion_budget(TOE_EXPANSION_BUDGET);
@@ -290,12 +298,7 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
             ..r.clone()
         })
         .collect();
-    let toe_start = Instant::now();
-    let toe_responses: Vec<_> = toe_requests
-        .iter()
-        .map(|r| accel_service.search(r).expect("ToE query succeeds"))
-        .collect();
-    let toe_elapsed = toe_start.elapsed();
+    let (toe_responses, toe_elapsed) = timed_after_warm_up(&accel_service, &toe_requests);
     let toe_budget_exhausted = toe_responses
         .iter()
         .filter(|r| r.metrics.as_ref().is_some_and(|m| m.budget_exhausted))

@@ -36,13 +36,12 @@
 //!   Definition 5 credits, but KoE only lands inside a partition, and its
 //!   line-11 and Rule-3 bounds charge a crossing of it, so the jump is cut.
 //!
-//! One class is closed, and still counted apart so that a regression shows:
-//! **KoE no route**, where a route within `∆` exists yet KoE returns none.
-//! Line 11 and Rule 3 once bounded the jump to `v(pt)` by a crossing of it,
-//! charging entering, crossing and leaving `v(pt)` although a route ends
-//! inside it; they now bound it by its cheapest enter door plus the walk
-//! from there to `pt`. A hand-built case pins it: a single-door `v(pt)`
-//! whose in-and-out bound exceeds `∆`.
+//! One class must stay empty, and is still counted apart so that a
+//! regression shows: **KoE no route**, where a route within `∆` exists yet
+//! KoE returns none. A route ends inside `v(pt)`, so line 11 and Rule 3
+//! bound the jump there by its cheapest enter door plus the walk on to
+//! `pt`, never by a crossing of `v(pt)`. A hand-built case pins it: a
+//! single-door `v(pt)` whose in-and-out bound exceeds `∆`.
 
 use ikrq_core::framework::Search;
 use ikrq_core::{ExhaustiveBaseline, IkrqQuery, SearchContext, SearchOutcome, VariantConfig};

@@ -12,6 +12,12 @@
 //!   τ 0.2); debug builds run seeds 0–39 only;
 //! * the Fig. 1 venue with its running queries.
 //!
+//! A second comparison runs the edge cases of each generated query of
+//! seeds 0–99 (0–9 in debug builds): a lone keyword that no partition
+//! carries, the query's keywords plus such a keyword, k = 50 (more than the
+//! routes within `∆`), `α` = 0 and `α` = 1, and `∆` at 1.02× the skeleton
+//! distance from `ps` to `pt`. It pins miss counts of its own.
+//!
 //! Each case compares the top-k score list of the seven Table III variants,
 //! plus strict ToE and strict KoE (`strict_terminal_expansion`), with the
 //! baseline's at 1e-9. The test fails when
@@ -114,14 +120,121 @@ const PINNED_DEBUG: Misses = [
     ("strict KoE", 10, 12, 0),
 ];
 
-/// The mega seeds, fewest compared cases, and most baseline budget
-/// exhaustions of the build.
-fn scope() -> (u64, usize, usize, &'static Misses) {
+/// Mega seeds 0–99, six edge cases of each generated query, in release
+/// builds.
+const PINNED_EDGE: Misses = [
+    ("ToE", 53, 66, 0),
+    ("ToE\\D", 53, 66, 0),
+    ("ToE\\B", 53, 66, 0),
+    ("KoE", 73, 111, 0),
+    ("KoE\\D", 73, 111, 0),
+    ("KoE\\B", 73, 111, 0),
+    ("KoE*", 73, 111, 0),
+    ("strict ToE", 0, 0, 0),
+    ("strict KoE", 73, 111, 0),
+];
+
+/// Mega seeds 0–9, six edge cases of each generated query, in debug builds.
+const PINNED_EDGE_DEBUG: Misses = [
+    ("ToE", 0, 0, 0),
+    ("ToE\\D", 0, 0, 0),
+    ("ToE\\B", 0, 0, 0),
+    ("KoE", 6, 8, 0),
+    ("KoE\\D", 6, 8, 0),
+    ("KoE\\B", 6, 8, 0),
+    ("KoE*", 6, 8, 0),
+    ("strict ToE", 0, 0, 0),
+    ("strict KoE", 6, 8, 0),
+];
+
+/// How much one comparison covers in a build: the mega seeds, the fewest
+/// compared cases, the most baseline budget exhaustions, and the pinned
+/// miss counts.
+struct Scope {
+    seeds: u64,
+    min_compared: usize,
+    max_exhausted: usize,
+    pinned: &'static Misses,
+}
+
+/// The generated queries' comparison.
+fn scope() -> Scope {
     if cfg!(debug_assertions) {
-        (40, 100, 2, &PINNED_DEBUG)
+        Scope {
+            seeds: 40,
+            min_compared: 100,
+            max_exhausted: 2,
+            pinned: &PINNED_DEBUG,
+        }
     } else {
-        (400, 1_000, 12, &PINNED)
+        Scope {
+            seeds: 400,
+            min_compared: 1_000,
+            max_exhausted: 12,
+            pinned: &PINNED,
+        }
     }
+}
+
+/// The edge cases' comparison.
+fn edge_scope() -> Scope {
+    if cfg!(debug_assertions) {
+        Scope {
+            seeds: 10,
+            min_compared: 150,
+            max_exhausted: 2,
+            pinned: &PINNED_EDGE_DEBUG,
+        }
+    } else {
+        Scope {
+            seeds: 100,
+            min_compared: 1_500,
+            max_exhausted: 12,
+            pinned: &PINNED_EDGE,
+        }
+    }
+}
+
+/// A keyword no generated venue carries.
+const UNMATCHED: &str = "no-such-keyword";
+
+/// The edge cases of a generated query, each with its name.
+fn edge_cases(venue: &Venue, query: &IkrqQuery) -> Vec<(&'static str, IkrqQuery)> {
+    let mut words = query.keywords.words().to_vec();
+    words.push(UNMATCHED.to_string());
+    let skeleton = venue.space.skeleton_distance(&query.start, &query.terminal);
+    vec![
+        (
+            "no keyword match",
+            IkrqQuery {
+                keywords: QueryKeywords::new([UNMATCHED]).expect("one keyword"),
+                ..query.clone()
+            },
+        ),
+        (
+            "an unmatched keyword",
+            IkrqQuery {
+                keywords: QueryKeywords::new(words).expect("non-empty keywords"),
+                ..query.clone()
+            },
+        ),
+        (
+            "k 50",
+            IkrqQuery {
+                k: 50,
+                ..query.clone()
+            },
+        ),
+        ("alpha 0", query.clone().with_alpha(0.0)),
+        ("alpha 1", query.clone().with_alpha(1.0)),
+        (
+            "delta 1.02x skeleton",
+            IkrqQuery {
+                delta: 1.02 * skeleton,
+                ..query.clone()
+            },
+        ),
+    ]
 }
 
 fn to_query(instance: &QueryInstance) -> IkrqQuery {
@@ -242,66 +355,99 @@ impl Tally {
     }
 }
 
+impl Tally {
+    fn new() -> Self {
+        Tally {
+            misses: vec![(0, 0, 0); variants().len()],
+            ..Tally::default()
+        }
+    }
+
+    /// The checks every comparison ends with: no score above the
+    /// baseline's, no strict-ToE miss, the pinned miss counts, and the
+    /// scope's floor and cap.
+    fn assert_within(&self, scope: &Scope) {
+        assert!(
+            self.above.is_empty(),
+            "scores above the baseline's:\n{}",
+            self.above.join("\n")
+        );
+        let found: Vec<(&str, usize, usize, usize)> = variants()
+            .iter()
+            .zip(&self.misses)
+            .map(|((label, _), &(best, list, empty))| (*label, best, list, empty))
+            .collect();
+        println!(
+            "compared {} cases, baseline budget used up on {}",
+            self.compared, self.exhausted
+        );
+        println!("(variant, best misses, list misses, best misses with no route):");
+        for row in &found {
+            println!("    {row:?},");
+        }
+        let strict_toe = found
+            .iter()
+            .find(|row| row.0 == "strict ToE")
+            .expect("strict ToE runs");
+        assert_eq!(
+            (strict_toe.1, strict_toe.2),
+            (0, 0),
+            "strict ToE must match the baseline on every case"
+        );
+        assert_eq!(
+            found.as_slice(),
+            scope.pinned.as_slice(),
+            "miss counts moved from the pinned ones"
+        );
+        assert!(
+            self.compared >= scope.min_compared,
+            "only {} cases compared (floor {})",
+            self.compared,
+            scope.min_compared
+        );
+        assert!(
+            self.exhausted <= scope.max_exhausted,
+            "the baseline used up its budget on {} cases (cap {})",
+            self.exhausted,
+            scope.max_exhausted
+        );
+    }
+}
+
 #[test]
 fn every_variant_matches_the_exhaustive_baseline_outside_the_known_miss_classes() {
-    let (seeds, min_compared, max_exhausted, pinned) = scope();
-    let mut tally = Tally {
-        misses: vec![(0, 0, 0); variants().len()],
-        ..Tally::default()
-    };
+    let scope = scope();
+    let mut tally = Tally::new();
     let (venue, queries) = fig1_case();
     for (i, query) in queries.iter().enumerate() {
         tally.run(&format!("fig1 query {i}"), &venue, query);
     }
-    for seed in 0..seeds {
+    for seed in 0..scope.seeds {
         let (venue, queries) = mega_case(seed);
         for (i, query) in queries.iter().enumerate() {
             tally.run(&format!("mega seed {seed} query {i}"), &venue, query);
         }
     }
+    tally.assert_within(&scope);
+}
 
-    assert!(
-        tally.above.is_empty(),
-        "scores above the baseline's:\n{}",
-        tally.above.join("\n")
-    );
-    let found: Vec<(&str, usize, usize, usize)> = variants()
-        .iter()
-        .zip(&tally.misses)
-        .map(|((label, _), &(best, list, empty))| (*label, best, list, empty))
-        .collect();
-    println!(
-        "compared {} cases, baseline budget used up on {}",
-        tally.compared, tally.exhausted
-    );
-    println!("(variant, best misses, list misses, best misses with no route):");
-    for row in &found {
-        println!("    {row:?},");
+#[test]
+fn every_variant_matches_the_exhaustive_baseline_on_edge_case_queries() {
+    let scope = edge_scope();
+    let mut tally = Tally::new();
+    for seed in 0..scope.seeds {
+        let (venue, queries) = mega_case(seed);
+        for (i, query) in queries.iter().enumerate() {
+            for (case, edge) in edge_cases(&venue, query) {
+                tally.run(
+                    &format!("mega seed {seed} query {i}, {case}"),
+                    &venue,
+                    &edge,
+                );
+            }
+        }
     }
-    let strict_toe = found
-        .iter()
-        .find(|row| row.0 == "strict ToE")
-        .expect("strict ToE runs");
-    assert_eq!(
-        (strict_toe.1, strict_toe.2),
-        (0, 0),
-        "strict ToE must match the baseline on every case"
-    );
-    assert_eq!(
-        found.as_slice(),
-        pinned.as_slice(),
-        "miss counts moved from the pinned ones"
-    );
-    assert!(
-        tally.compared >= min_compared,
-        "only {} cases compared (floor {min_compared})",
-        tally.compared
-    );
-    assert!(
-        tally.exhausted <= max_exhausted,
-        "the baseline used up its budget on {} cases (cap {max_exhausted})",
-        tally.exhausted
-    );
+    tally.assert_within(&scope);
 }
 
 /// A corridor holding `ps`, with two single-door shops on one side: the

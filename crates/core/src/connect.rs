@@ -8,10 +8,10 @@
 //! the verdict here would always equal the one given there. A child Rule 5
 //! rejects reaches this step only when it lands in `v(pt)`.
 
+use crate::classes::ClassId;
 use crate::framework::Search;
-use crate::stamp::{push_key_partition, Stamp};
-use indoor_keywords::CoverageTracker;
-use indoor_space::Route;
+use crate::stamp::{path_extends, NodeId, Stamp};
+use indoor_space::{DoorId, PartitionId};
 
 impl Search<'_> {
     /// `connect(Sj)` of Algorithm 5.
@@ -40,7 +40,7 @@ impl Search<'_> {
 
         // All query keywords fully covered: connect through the shortest
         // regular route and stop expanding this stamp (lines 11–17).
-        if stamp.coverage.is_fully_covered() && stamp.route.tail_door().is_some() {
+        if self.state.classes.is_fully_covered(stamp.class) && stamp.tail.is_some() {
             self.connect_via_shortest_route(&stamp);
             if self.config.strict_terminal_expansion {
                 self.push_stamp(stamp);
@@ -53,42 +53,43 @@ impl Search<'_> {
     }
 
     /// Lines 2–7: the stamp's partition hosts `pt`; append the terminal point
-    /// directly.
+    /// directly. The complete stamp names the same tree node as `stamp`,
+    /// and `v(pt)` ends its `KP(R)`.
     pub(crate) fn finalize_at_terminal(&mut self, stamp: &Stamp) -> Option<Stamp> {
         let terminal = self.ctx.query.terminal;
-        let (increment, via) = match stamp.route.tail_door() {
-            Some(tail) => (
-                self.ctx.space.d2pt_distance(tail, &terminal),
-                self.ctx.terminal_partition,
-            ),
+        let increment = match stamp.tail {
+            Some(tail) => self.ctx.space.d2pt_distance(tail, &terminal),
             // Degenerate case: ps and pt share a partition and the route has
             // no doors yet; the leg is the intra-partition straight line.
-            None => (
-                self.ctx.query.start.position.distance(&terminal.position),
-                self.ctx.terminal_partition,
-            ),
+            None => self.ctx.query.start.position.distance(&terminal.position),
         };
         if !increment.is_finite() {
             return None;
         }
-        let mut route = stamp.route.clone();
-        route.complete_with_point(terminal, via).ok()?;
-        let mut coverage = stamp.coverage.clone();
-        self.credit_partition(self.ctx.terminal_partition, &mut coverage);
-        let mut key_partitions = stamp.key_partitions.clone();
-        push_key_partition(&mut key_partitions, self.ctx.terminal_partition);
         let distance = stamp.distance + increment;
-        let relevance = coverage.relevance();
-        let score = self.ctx.ranking.score(relevance, distance);
-        Some(Stamp {
+        Some(self.completed(stamp.node, stamp.tail, stamp.class, distance))
+    }
+
+    /// The complete stamp at `pt` of a route at tree node `node` with tail
+    /// `tail` and class `class`, `distance` long: its class gains `v(pt)`.
+    fn completed(
+        &mut self,
+        node: NodeId,
+        tail: Option<DoorId>,
+        class: ClassId,
+        distance: f64,
+    ) -> Stamp {
+        let class = self.push_partition(class, self.ctx.terminal_partition);
+        let relevance = self.state.classes.relevance(class);
+        Stamp {
             partition: self.ctx.terminal_partition,
-            route,
-            key_partitions,
+            node,
+            tail,
+            class,
             distance,
-            coverage,
             relevance,
-            score,
-        })
+            score: self.ctx.ranking.score(relevance, distance),
+        }
     }
 
     /// Lines 11–17: all keywords covered — find the shortest regular route
@@ -97,64 +98,56 @@ impl Search<'_> {
     /// remaining budget and cut at the `∆`-ellipse, so a connection that
     /// would break `∆` (line 14) is never found.
     fn connect_via_shortest_route(&mut self, stamp: &Stamp) {
-        let Some(tail) = stamp.route.tail_door() else {
+        let Some(tail) = stamp.tail else {
             return;
         };
         self.state.metrics.dijkstra_calls += 1;
-        let Some((suffix_distance, doors, partitions)) =
-            self.ctx.space.shortest_paths().door_to_point_path_within(
-                tail,
-                &self.ctx.query.terminal,
-                stamp.route.doors(),
-                stamp.distance,
-                self.ctx.delta(),
-            )
-        else {
-            return;
-        };
-        let total = stamp.distance + suffix_distance;
-        let Some(complete) = self.build_completed_route(stamp, &doors, &partitions, total) else {
-            return;
-        };
-        self.try_accept_result(complete);
+        let mut route_doors = std::mem::take(&mut self.state.connect_doors);
+        self.state.tree.collect_doors(stamp.node, &mut route_doors);
+        let found = self.ctx.space.shortest_paths().door_to_point_path_within(
+            tail,
+            &self.ctx.query.terminal,
+            &route_doors,
+            stamp.distance,
+            self.ctx.delta(),
+        );
+        if let Some((suffix_distance, doors, partitions)) = found {
+            let total = stamp.distance + suffix_distance;
+            if let Some(complete) =
+                self.build_completed_route(stamp, &route_doors, &doors, &partitions, total)
+            {
+                self.try_accept_result(complete);
+            }
+        }
+        self.state.connect_doors = route_doors;
     }
 
-    /// Builds the complete stamp for a route extended by a door path ending at
-    /// an enterable door of `v(pt)` and then the terminal point itself.
-    /// `partitions` comes from `door_to_point_path`, i.e. it has one entry per
-    /// door hop plus the final terminal-partition leg.
+    /// Builds the complete stamp for a route with doors `route_doors`
+    /// extended by a door path ending at an enterable door of `v(pt)` and
+    /// then the terminal point itself. `partitions` comes from
+    /// `door_to_point_path`, i.e. it has one entry per door hop plus the
+    /// final terminal-partition leg. A path that does not extend the route
+    /// regularly completes nothing.
     pub(crate) fn build_completed_route(
-        &self,
+        &mut self,
         stamp: &Stamp,
-        doors: &[indoor_space::DoorId],
-        partitions: &[indoor_space::PartitionId],
+        route_doors: &[DoorId],
+        doors: &[DoorId],
+        partitions: &[PartitionId],
         total_distance: f64,
     ) -> Option<Stamp> {
         debug_assert_eq!(partitions.len(), doors.len());
-        let mut route: Route = stamp.route.clone();
         let (hop_partitions, terminal_leg) = partitions.split_at(partitions.len() - 1);
-        route.extend_with_door_path(doors, hop_partitions).ok()?;
-        route
-            .complete_with_point(self.ctx.query.terminal, terminal_leg[0])
-            .ok()?;
-        let mut coverage: CoverageTracker = stamp.coverage.clone();
-        let mut key_partitions = stamp.key_partitions.clone();
-        for &d in doors.iter().skip(1) {
-            self.credit_iwords(d, &mut coverage);
-            self.credit_key_partitions(d, &mut key_partitions);
+        debug_assert_eq!(terminal_leg, [self.ctx.terminal_partition]);
+        if !path_extends(route_doors, doors, hop_partitions) {
+            return None;
         }
-        self.credit_partition(self.ctx.terminal_partition, &mut coverage);
-        push_key_partition(&mut key_partitions, self.ctx.terminal_partition);
-        let relevance = coverage.relevance();
-        let score = self.ctx.ranking.score(relevance, total_distance);
-        Some(Stamp {
-            partition: self.ctx.terminal_partition,
-            route,
-            key_partitions,
-            distance: total_distance,
-            coverage,
-            relevance,
-            score,
-        })
+        let added = &doors[usize::from(stamp.tail.is_some())..];
+        let mut class = stamp.class;
+        for &d in added {
+            class = self.push_door(class, d);
+        }
+        let node = self.state.tree.extend(stamp.node, added, hop_partitions);
+        Some(self.completed(node, doors.last().copied(), class, total_distance))
     }
 }

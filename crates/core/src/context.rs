@@ -13,7 +13,7 @@ use indoor_index::VenueIndex;
 use indoor_keywords::{CandidateSet, CoverageTracker, KeywordDirectory, PreparedQuery};
 use indoor_space::{DoorId, IndoorSpace, PartitionId, Route, ELLIPSE_SLACK};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
@@ -60,18 +60,23 @@ struct Rows {
     /// Each partition met so far, with the offset of its `|QW|`
     /// similarities in `similarities`, or `None` when it covers no query
     /// keyword.
-    met: HashMap<PartitionId, Option<usize>, BuildHasherDefault<IdHasher>>,
+    met: IdMap<PartitionId, Option<usize>>,
     /// The similarity rows of the covering partitions, in the order met.
     similarities: Vec<f64>,
 }
 
-/// Hashes a partition id by one multiplication: ids are small dense
-/// integers, and a search probes its rows on every door it credits. The
-/// keys are the space's own partition indices, never words of a request,
-/// so the default hasher's guard against crafted collisions buys nothing
-/// here, and its cost shows in `toe-mega`'s and `koe-mega`'s throughput.
+/// Hashes a partition or door id by one multiplication: ids are small
+/// dense integers, and a search probes its rows on every door it credits.
+/// The keys are the space's own indices, never words of a request, so the
+/// default hasher's guard against crafted collisions buys nothing here, and
+/// its cost shows in `toe-mega`'s and `koe-mega`'s throughput.
+///
+/// Only for keys of one id: the low bits of the product, which pick a
+/// key's bucket, depend on the key's low bits alone. On two ids packed into
+/// a `u64`, `(a << 32) | b`, every `a` of one `b` would land in one bucket
+/// chain; such keys take [`PackedKeyHasher`].
 #[derive(Debug, Default)]
-struct IdHasher(u64);
+pub(crate) struct IdHasher(u64);
 
 impl Hasher for IdHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -92,6 +97,39 @@ impl Hasher for IdHasher {
         self.0
     }
 }
+
+/// A set of ids hashed by [`IdHasher`].
+pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
+/// A map from ids hashed by [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// Hashes a key of two ids packed into a `u64`, `(a << 32) | b`, so that
+/// both halves reach the bucket bits: the key's 128-bit product with an odd
+/// constant, folded to 64 bits. The prime table's `(tail, class)` keys and
+/// the class table's `(class, partition)` steps take it.
+#[derive(Debug, Default)]
+pub(crate) struct PackedKeyHasher(u64);
+
+impl Hasher for PackedKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b) ^ self.0.rotate_left(8));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(n ^ self.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map from packed `u64` keys hashed by [`PackedKeyHasher`].
+pub(crate) type PackedMap<V> = HashMap<u64, V, BuildHasherDefault<PackedKeyHasher>>;
 
 impl KeyPartitionRows {
     /// The offset of partition `v`'s similarity row, scoring it on first

@@ -1,9 +1,10 @@
 //! The unified IKRQ search framework (Algorithm 1).
 //!
 //! The framework owns the priority queue of stamps, the visited-door caches
-//! `Dn`/`Df` of Pruning Rule 2, the prime-route table `Hprime`, the top-k
-//! result set (and therefore the `kbound`), and the search metrics. It pops
-//! the best-scoring stamp, applies Pruning Rule 5 to it, asks the configured
+//! `Dn`/`Df` of Pruning Rule 2, the prime-route table `Hprime`, the route
+//! tree and key-partition classes the stamps name, the top-k result set
+//! (and therefore the `kbound`), and the search metrics. It pops the
+//! best-scoring stamp, applies Pruning Rule 5 to it, asks the configured
 //! expansion strategy ([`crate::toe`] or [`crate::koe`]) for the next valid
 //! stamps, and hands each of them to the connect step ([`crate::connect`]).
 //!
@@ -12,17 +13,18 @@
 //! Pruning Rules 1, 4 and 5 to a door path, and builds a child only when
 //! Rule 5 admits it or it lands in `v(pt)`.
 
-use crate::context::{KeyPartitionRows, SearchContext};
+use crate::classes::{ClassId, KpClasses};
+use crate::context::{IdMap, IdSet, KeyPartitionRows, SearchContext};
 use crate::koe::RoutingPartition;
 use crate::metrics::SearchMetrics;
 use crate::prime::PrimeTable;
 use crate::pruning::PruneRule;
 use crate::results::{ResultRoute, SearchOutcome, TopKResults};
-use crate::stamp::{push_key_partition, Stamp, StampOrder};
+use crate::stamp::{path_extends, RouteTree, Stamp, StampOrder, START};
 use crate::variants::{AlgorithmKind, VariantConfig};
-use indoor_keywords::CoverageTracker;
+use indoor_keywords::RelevanceModel;
 use indoor_space::{DoorId, PartitionId, Route};
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::convert::Infallible;
 use std::time::Instant;
 
@@ -31,11 +33,17 @@ pub(crate) struct SearchState {
     /// Priority queue `Q` ordered by ranking score.
     pub queue: BinaryHeap<StampOrder>,
     /// Doors already validated against Pruning Rule 2 (`Dn`).
-    pub doors_checked: HashSet<DoorId>,
+    pub doors_checked: IdSet<DoorId>,
     /// Doors filtered out by Pruning Rule 2 (`Df`).
-    pub doors_filtered: HashSet<DoorId>,
+    pub doors_filtered: IdSet<DoorId>,
+    /// `|d, pt|_L` of every door Pruning Rule 1 has bounded a path by.
+    pub terminal_bounds: IdMap<DoorId, f64>,
     /// The prime-route table `Hprime`.
     pub prime: PrimeTable,
+    /// The key-partition classes the stamps name.
+    pub classes: KpClasses,
+    /// The routes the stamps name.
+    pub tree: RouteTree,
     /// The top-k results (owns the `kbound`).
     pub results: TopKResults,
     /// The keyword similarities of every partition the search has met,
@@ -44,10 +52,14 @@ pub(crate) struct SearchState {
     /// KoE only: the routing set `P` of Algorithm 1 line 3 after Pruning
     /// Rule 3, built once when the initial stamp is expanded.
     pub routing: Vec<RoutingPartition>,
+    /// The doors of the stamp being expanded, first door first: collected
+    /// once per expansion, and read by ToE's regularity test, KoE's
+    /// route-door test, the shortest-path exclusions and the child step.
+    pub route_doors: Vec<DoorId>,
+    /// The doors of a stamp the connect step completes, reused.
+    pub connect_doors: Vec<DoorId>,
     /// Metrics of the run.
     pub metrics: SearchMetrics,
-    /// Running total of the estimated bytes held by queued stamps.
-    pub queue_bytes: usize,
 }
 
 /// One search run: context + configuration + state.
@@ -72,14 +84,18 @@ impl<'a> Search<'a> {
             config,
             state: SearchState {
                 queue: BinaryHeap::new(),
-                doors_checked: HashSet::new(),
-                doors_filtered: HashSet::new(),
+                doors_checked: IdSet::default(),
+                doors_filtered: IdSet::default(),
+                terminal_bounds: IdMap::default(),
                 prime: PrimeTable::new(),
+                classes: KpClasses::new(ctx.prepared.len()),
+                tree: RouteTree::default(),
                 results,
                 key_rows: KeyPartitionRows::default(),
                 routing: Vec::new(),
+                route_doors: Vec::new(),
+                connect_doors: Vec::new(),
                 metrics: SearchMetrics::new(),
-                queue_bytes: 0,
             },
         }
     }
@@ -97,11 +113,9 @@ impl<'a> Search<'a> {
         }
         self.push_stamp(initial);
 
+        // The popped stamp's children, reused across expansions.
+        let mut children = Vec::new();
         while let Some(StampOrder(stamp)) = self.state.queue.pop() {
-            self.state.queue_bytes = self
-                .state
-                .queue_bytes
-                .saturating_sub(stamp.estimated_bytes());
             self.state.metrics.stamps_expanded += 1;
             if let Some(budget) = self.config.expansion_budget {
                 if self.state.metrics.stamps_expanded > budget {
@@ -109,30 +123,27 @@ impl<'a> Search<'a> {
                     break;
                 }
             }
-            debug_assert_eq!(
-                stamp.key_partitions,
-                self.ctx.key_partition_sequence(&stamp.route),
-                "a popped stamp's carried KP(R) must equal its route's"
-            );
+            self.debug_check_class(&stamp, false, "a popped stamp");
             // Pruning Rule 5 on the popped stamp (Algorithm 2 line 3,
             // Algorithm 6 line 3): a shorter homogeneous route was recorded
             // after this one was queued.
             if self.config.use_prime_pruning
-                && !self.state.prime.check(
-                    stamp.route.tail_door(),
-                    &stamp.key_partitions,
-                    stamp.distance,
-                )
+                && !self
+                    .state
+                    .prime
+                    .check(stamp.tail, stamp.class, stamp.distance)
             {
                 self.state.metrics.prunes.record(PruneRule::Prime);
             } else {
                 // Every child is generated before any is connected: a
                 // connected child can raise the kbound of Rule 4.
-                let children = match self.config.kind {
-                    AlgorithmKind::ToE => self.toe_find(&stamp),
-                    AlgorithmKind::KoE => self.koe_find(&stamp),
-                };
-                for child in children {
+                let state = &mut self.state;
+                state.tree.collect_doors(stamp.node, &mut state.route_doors);
+                match self.config.kind {
+                    AlgorithmKind::ToE => self.toe_find(&stamp, &mut children),
+                    AlgorithmKind::KoE => self.koe_find(&stamp, &mut children),
+                }
+                for child in children.drain(..) {
                     self.connect(child);
                 }
             }
@@ -153,30 +164,32 @@ impl<'a> Search<'a> {
     // -----------------------------------------------------------------
 
     /// The initial stamp `S0 = (v(ps), (ps), 0, ρ, ψ)` of Algorithm 1, with
-    /// `KP((ps)) = ⟨v(ps)⟩`.
+    /// `KP((ps)) = ⟨v(ps)⟩`: `RW((ps))` holds the i-word of ps's host
+    /// partition (Definition 5).
     pub(crate) fn initial_stamp(&mut self) -> Stamp {
-        let route = Route::from_point(self.ctx.query.start);
-        let mut coverage = CoverageTracker::new(self.ctx.prepared.len());
-        // RW((ps)) contains the i-word of ps's host partition (Definition 5).
-        self.credit_partition(self.ctx.start_partition, &mut coverage);
-        let relevance = coverage.relevance();
-        let score = self.ctx.ranking.score(relevance, 0.0);
+        let (ctx, v) = (self.ctx, self.ctx.start_partition);
+        let rows = &self.state.key_rows;
+        let class = self
+            .state
+            .classes
+            .single(v, |coverage| rows.credit(ctx, v, coverage));
+        let relevance = self.state.classes.relevance(class);
         Stamp {
-            partition: self.ctx.start_partition,
-            route,
-            key_partitions: vec![self.ctx.start_partition],
+            partition: v,
+            node: START,
+            tail: None,
+            class,
             distance: 0.0,
-            coverage,
             relevance,
-            score,
+            score: ctx.ranking.score(relevance, 0.0),
         }
     }
 
     /// The child step of both expansion strategies: the children of
-    /// `parent` whose route appends the door path `doors` through `legs`
-    /// (as [`Route::extend_with_door_path`] takes them), one landing in
-    /// each partition of `landings`, all at route distance `distance`. They
-    /// are appended to `children`.
+    /// `parent`, the stamp being expanded, along the door path `doors`
+    /// through `legs` (as [`Route::extend_with_door_path`] takes them), one
+    /// landing in each partition of `landings`, all at route distance
+    /// `distance`. They are appended to `children`.
     ///
     /// In order: the distance constraint, Pruning Rule 1 and Pruning Rule 4
     /// (Algorithm 2 lines 14–18, Algorithm 6 lines 14–18), each of which
@@ -186,9 +199,10 @@ impl<'a> Search<'a> {
     /// and pruned without being built, unless it lands in `v(pt)`: connect
     /// finalizes such a child regardless (Algorithm 5 lines 2–7).
     ///
-    /// Callers pass regular paths only (ToE checks `can_append_door`, and
-    /// KoE's paths avoid the route's doors), so a child's route always
-    /// extends.
+    /// A path that does not extend the route regularly makes no child and
+    /// is not counted; callers pass regular paths only (ToE checks
+    /// `can_append_door`, and KoE's paths avoid the route's doors). The
+    /// landings of one path share the tree nodes of the doors it adds.
     pub(crate) fn generate_children(
         &mut self,
         parent: &Stamp,
@@ -210,7 +224,12 @@ impl<'a> Search<'a> {
             return;
         }
         // Pruning Rule 1 (lines 15–16).
-        let lower_bound = distance + ctx.door_to_terminal_lb(tail);
+        let lower_bound = distance
+            + *self
+                .state
+                .terminal_bounds
+                .entry(tail)
+                .or_insert_with(|| ctx.door_to_terminal_lb(tail));
         if self.config.use_distance_pruning && lower_bound > delta {
             self.state
                 .metrics
@@ -225,38 +244,30 @@ impl<'a> Search<'a> {
         }
         // The path starts at the parent's tail door, which is already
         // credited, unless the parent sits at ps.
-        let new_doors = &doors[usize::from(parent.route.tail_door().is_some())..];
-        let mut key_partitions = parent.key_partitions.clone();
-        for &d in new_doors {
-            self.credit_key_partitions(d, &mut key_partitions);
+        let added = &doors[usize::from(parent.tail.is_some())..];
+        let mut class = parent.class;
+        for &d in added {
+            class = self.push_door(class, d);
         }
-        let prime = !self.config.use_prime_pruning
-            || self
-                .state
-                .prime
-                .admit(Some(tail), &key_partitions, distance);
+        let prime =
+            !self.config.use_prime_pruning || self.state.prime.admit(Some(tail), class, distance);
+        // The child's tree node, appended when the first child is built.
+        let mut node = None;
         for &landing in landings {
             if prime || landing == ctx.terminal_partition {
-                let mut route = parent.route.clone();
-                if route.extend_with_door_path(doors, legs).is_err() {
-                    continue;
+                if node.is_none() {
+                    if !path_extends(&self.state.route_doors, doors, legs) {
+                        continue;
+                    }
+                    node = Some(self.state.tree.extend(parent.node, added, legs));
                 }
-                let mut coverage = parent.coverage.clone();
-                for &d in new_doors {
-                    self.credit_iwords(d, &mut coverage);
-                }
-                let relevance = coverage.relevance();
-                debug_assert_eq!(
-                    key_partitions,
-                    ctx.key_partition_sequence(&route),
-                    "a child's carried KP(R) must equal its route's"
-                );
+                let relevance = self.state.classes.relevance(class);
                 children.push(Stamp {
                     partition: landing,
-                    route,
-                    key_partitions: key_partitions.clone(),
+                    node: node.expect("appended above"),
+                    tail: Some(tail),
+                    class,
                     distance,
-                    coverage,
                     relevance,
                     score: ctx.ranking.score(relevance, distance),
                 });
@@ -267,34 +278,30 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Credits door `d`, just appended to a route, to the route's keyword
-    /// coverage: every partition leavable through the door adds its i-word
-    /// to `RW(R)` (Definition 5).
-    pub(crate) fn credit_iwords(&self, d: DoorId, coverage: &mut CoverageTracker) {
+    /// The class of a route of class `class` after door `d`: each key
+    /// partition leavable through the door moves to the end of `KP(R)`,
+    /// and every partition leavable through it adds its i-word to `RW(R)`
+    /// (Definition 5), which only a key partition's does.
+    pub(crate) fn push_door(&mut self, mut class: ClassId, d: DoorId) -> ClassId {
         debug_assert!(
             !self.config.use_distance_pruning || self.ctx.door_in_ellipse(d),
             "credited door {d:?} lies outside the ∆-ellipse"
         );
         for &v in self.ctx.space.d2p_leave(d) {
-            self.credit_partition(v, coverage);
-        }
-    }
-
-    /// Credits partition `v`'s i-word to a route's keyword coverage: the
-    /// similarities of its key-partition row.
-    pub(crate) fn credit_partition(&self, v: PartitionId, coverage: &mut CoverageTracker) {
-        self.state.key_rows.credit(self.ctx, v, coverage);
-    }
-
-    /// Credits door `d`, just appended to a route, to the route's
-    /// key-partition sequence: each key partition leavable through the door
-    /// moves to the end of `KP(R)`.
-    pub(crate) fn credit_key_partitions(&self, d: DoorId, key_partitions: &mut Vec<PartitionId>) {
-        for &v in self.ctx.space.d2p_leave(d) {
             if self.is_key_partition(v) {
-                push_key_partition(key_partitions, v);
+                class = self.push_partition(class, v);
             }
         }
+        class
+    }
+
+    /// The class of a route of class `class` after key partition `v`,
+    /// crediting `v`'s key-partition row when the class is new.
+    pub(crate) fn push_partition(&mut self, class: ClassId, v: PartitionId) -> ClassId {
+        let (ctx, rows) = (self.ctx, &self.state.key_rows);
+        self.state
+            .classes
+            .push(class, v, |coverage| rows.credit(ctx, v, coverage))
     }
 
     /// [`SearchContext::is_key_partition`], read from the key-partition
@@ -311,66 +318,99 @@ impl<'a> Search<'a> {
         self.state.key_rows.covers(self.ctx, v)
     }
 
+    /// The route a stamp names, completed at `pt` when `complete` is set.
+    pub(crate) fn route_of(&self, stamp: &Stamp, complete: bool) -> Route {
+        let mut route = self.state.tree.route(self.ctx.query.start, stamp.node);
+        if complete {
+            route
+                .complete_with_point(self.ctx.query.terminal, self.ctx.terminal_partition)
+                .expect("a partial route completes");
+        }
+        route
+    }
+
+    /// Debug builds: the stamp's class holds the `KP(R)` and `ρ` of the
+    /// route it names, by the specification walks. Release builds skip
+    /// the walks.
+    fn debug_check_class(&self, stamp: &Stamp, complete: bool, what: &str) {
+        if cfg!(debug_assertions) {
+            let ctx = self.ctx;
+            let route = self.route_of(stamp, complete);
+            assert_eq!(
+                self.state.classes.sequence(stamp.class),
+                ctx.key_partition_sequence(&route),
+                "{what}'s carried KP(R) must equal its route's"
+            );
+            assert_eq!(
+                stamp.relevance.to_bits(),
+                RelevanceModel::relevance_of_route(&route, ctx.space, ctx.directory, &ctx.prepared)
+                    .to_bits(),
+                "{what}'s class ρ must equal its route's"
+            );
+        }
+    }
+
     // -----------------------------------------------------------------
     // Queue, results and metrics bookkeeping
     // -----------------------------------------------------------------
 
     /// Pushes a stamp into the priority queue.
     pub(crate) fn push_stamp(&mut self, stamp: Stamp) {
-        self.state.queue_bytes += stamp.estimated_bytes();
         self.state.queue.push(StampOrder(stamp));
         self.state.metrics.observe_queue_len(self.state.queue.len());
     }
 
     /// Offers a finished (complete) stamp to the top-k results, applying the
     /// distance constraint, the prime check and update, and the kbound
-    /// update of Algorithm 5 lines 5–7 / 15–17.
-    pub(crate) fn try_accept_result(&mut self, stamp: Stamp) {
-        if stamp.distance > self.ctx.delta() {
+    /// update of Algorithm 5 lines 5–7 / 15–17. Its route is built only
+    /// when it passes the distance constraint and Rule 5.
+    pub(crate) fn try_accept_result(&mut self, complete: Stamp) {
+        if complete.distance > self.ctx.delta() {
             self.state
                 .metrics
                 .prunes
                 .record(PruneRule::DistanceConstraint);
             return;
         }
-        debug_assert_eq!(
-            stamp.key_partitions,
-            self.ctx.key_partition_sequence(&stamp.route),
-            "a complete route's carried KP(R) must equal its route's"
-        );
+        self.debug_check_class(&complete, true, "a complete route");
         // Complete routes all end at `pt`, so their homogeneity key is just
         // the key-partition sequence.
         if self.config.use_prime_pruning
             && !self
                 .state
                 .prime
-                .admit(None, &stamp.key_partitions, stamp.distance)
+                .admit(None, complete.class, complete.distance)
         {
             self.state.metrics.prunes.record(PruneRule::Prime);
             return;
         }
         self.state.metrics.complete_routes += 1;
+        let route = self.route_of(&complete, true);
+        let key_partitions = self.state.classes.sequence(complete.class).to_vec();
         self.state.results.offer(ResultRoute {
-            distance: stamp.distance,
-            relevance: stamp.relevance,
-            score: stamp.score,
-            homogeneity_key: (None, stamp.key_partitions),
-            route: stamp.route,
+            distance: complete.distance,
+            relevance: complete.relevance,
+            score: complete.score,
+            homogeneity_key: (None, key_partitions),
+            route,
         });
     }
 
     /// Samples the live memory of the search state plus `transient` bytes
     /// the current expansion holds, keeping the peak.
     pub(crate) fn observe_memory(&mut self, transient: usize) {
+        use std::mem::size_of;
+        let state = &self.state;
         let live = transient
-            + self.state.queue_bytes
-            + self.state.prime.estimated_bytes()
-            + self.state.results.estimated_bytes()
-            + (self.state.doors_checked.len() + self.state.doors_filtered.len())
-                * std::mem::size_of::<DoorId>()
-                * 2
-            + self.state.key_rows.estimated_bytes()
-            + self.state.routing.len() * std::mem::size_of::<RoutingPartition>();
+            + state.queue.len() * size_of::<StampOrder>()
+            + state.tree.estimated_bytes()
+            + state.classes.estimated_bytes()
+            + state.prime.estimated_bytes()
+            + state.results.estimated_bytes()
+            + (state.doors_checked.len() + state.doors_filtered.len()) * size_of::<DoorId>() * 2
+            + state.terminal_bounds.len() * size_of::<(DoorId, f64)>()
+            + state.key_rows.estimated_bytes()
+            + state.routing.len() * size_of::<RoutingPartition>();
         self.state.metrics.observe_memory(live);
     }
 
@@ -442,14 +482,14 @@ mod tests {
         )
     }
 
-    /// Asserts a stamp carries `expected`, and that it equals the walk of
-    /// the stamp's route.
+    /// Asserts a stamp's class carries `expected`, and that it equals the
+    /// walk of the stamp's route; `complete` stamps end at `pt`.
     fn assert_kp(search: &Search<'_>, stamp: &Stamp, expected: &[PartitionId]) {
-        assert_eq!(stamp.key_partitions, expected, "route {:?}", stamp.route);
-        assert_eq!(
-            stamp.key_partitions,
-            search.ctx.key_partition_sequence(&stamp.route)
-        );
+        let complete = stamp.partition == search.ctx.terminal_partition;
+        let route = search.route_of(stamp, complete);
+        let carried = search.state.classes.sequence(stamp.class);
+        assert_eq!(carried, expected, "route {route:?}");
+        assert_eq!(carried, search.ctx.key_partition_sequence(&route));
     }
 
     /// A search of `config` without Rule 5: some walks below revisit a
@@ -473,9 +513,36 @@ mod tests {
         distance: f64,
     ) -> Option<Stamp> {
         let mut children = Vec::new();
+        expand(search, parent);
         search.generate_children(parent, doors, legs, &[landing], distance, &mut children);
         assert!(children.len() <= 1);
         children.pop()
+    }
+
+    /// Collects `stamp`'s doors, as the search does when it expands it.
+    fn expand(search: &mut Search<'_>, stamp: &Stamp) {
+        let state = &mut search.state;
+        state.tree.collect_doors(stamp.node, &mut state.route_doors);
+    }
+
+    /// The doors of the route a stamp names.
+    fn doors_of(search: &Search<'_>, stamp: &Stamp) -> Vec<DoorId> {
+        let mut doors = Vec::new();
+        search.state.tree.collect_doors(stamp.node, &mut doors);
+        doors
+    }
+
+    /// The complete stamp the connect step builds from `stamp` along
+    /// `doors` through `partitions` (the last one `v(pt)`'s leg).
+    fn completed(
+        search: &mut Search<'_>,
+        stamp: &Stamp,
+        doors: &[DoorId],
+        partitions: &[PartitionId],
+        distance: f64,
+    ) -> Option<Stamp> {
+        let route_doors = doors_of(search, stamp);
+        search.build_completed_route(stamp, &route_doors, doors, partitions, distance)
     }
 
     /// Walks `hops` of (door, via, landing) from the initial stamp, each
@@ -483,7 +550,7 @@ mod tests {
     fn walk(search: &mut Search<'_>, hops: &[(u32, PartitionId, PartitionId)]) -> Stamp {
         let mut stamp = search.initial_stamp();
         for &(door, via, landing) in hops {
-            let tail = stamp.route.tail_door();
+            let tail = stamp.tail;
             let path = [tail.unwrap_or(DoorId(door)), DoorId(door)];
             let doors = &path[usize::from(tail.is_none())..];
             let distance = stamp.distance + 10.0;
@@ -542,7 +609,7 @@ mod tests {
         // The direct route (ps, pt): v(pt) = v(ps) is kept once.
         let initial = search.initial_stamp();
         let direct = search.finalize_at_terminal(&initial).unwrap();
-        assert!(direct.route.is_complete() && direct.route.doors().is_empty());
+        assert!(search.route_of(&direct, true).doors().is_empty());
         assert_kp(&search, &direct, &[A]);
         // Out through d0, past b, back in through d1 and on to pt: the
         // shared partition ends the sequence.
@@ -579,13 +646,107 @@ mod tests {
         assert_kp(&search, &single, &[A, B]);
         // The completed route of the connect step starts at the tail too,
         // and ends with v(pt).
-        let complete = search
-            .build_completed_route(&at_b, &[DoorId(2), DoorId(4)], &[H, C], 40.0)
-            .unwrap();
+        let complete =
+            completed(&mut search, &at_b, &[DoorId(2), DoorId(4)], &[H, C], 40.0).unwrap();
         assert_kp(&search, &complete, &[A, B, C]);
-        let through_c = search
-            .build_completed_route(&at_b, &[DoorId(2), DoorId(3)], &[B, C], 40.0)
-            .unwrap();
+        let through_c =
+            completed(&mut search, &at_b, &[DoorId(2), DoorId(3)], &[B, C], 40.0).unwrap();
         assert_kp(&search, &through_c, &[A, B, C]);
+    }
+
+    /// The route of `stamp`'s parent extended by `doors` through `legs`,
+    /// as the search built it before stamps named tree nodes: a clone of
+    /// the parent's route extended in place.
+    fn cloned_and_extended(
+        search: &Search<'_>,
+        parent: &Stamp,
+        doors: &[DoorId],
+        legs: &[PartitionId],
+    ) -> Route {
+        let mut route = search.route_of(parent, false);
+        route.extend_with_door_path(doors, legs).unwrap();
+        route
+    }
+
+    #[test]
+    fn the_route_tree_builds_the_routes_clone_and_extend_built() {
+        let (space, dir) = venue();
+        let q = query((28.0, 5.0));
+        let ctx = SearchContext::prepare(&space, &dir, &q).unwrap();
+        let mut search = search(&ctx, VariantConfig::koe());
+        // A ToE hop from a door: (d1, d2) through the hallway.
+        let at_h = walk(&mut search, &[(1, A, H)]);
+        let hop = child(&mut search, &at_h, &[DoorId(1), DoorId(2)], &[H], B, 20.0).unwrap();
+        assert_eq!(
+            search.route_of(&hop, false),
+            cloned_and_extended(&search, &at_h, &[DoorId(1), DoorId(2)], &[H])
+        );
+        // A multi-door KoE path from ps and one from a door.
+        let initial = search.initial_stamp();
+        let from_point = child(
+            &mut search,
+            &initial,
+            &[DoorId(0), DoorId(2), DoorId(3)],
+            &[A, H, B],
+            C,
+            30.0,
+        )
+        .unwrap();
+        assert_eq!(
+            search.route_of(&from_point, false),
+            cloned_and_extended(
+                &search,
+                &initial,
+                &[DoorId(0), DoorId(2), DoorId(3)],
+                &[A, H, B]
+            )
+        );
+        let path = [DoorId(2), DoorId(4), DoorId(3)];
+        let from_door = child(&mut search, &hop, &path, &[H, C], B, 40.0).unwrap();
+        assert_eq!(
+            search.route_of(&from_door, false),
+            cloned_and_extended(&search, &hop, &path, &[H, C])
+        );
+        // Both landings of one path name one node.
+        let mut children = Vec::new();
+        expand(&mut search, &at_h);
+        search.generate_children(
+            &at_h,
+            &[DoorId(1), DoorId(4)],
+            &[H],
+            &[H, C],
+            25.0,
+            &mut children,
+        );
+        assert_eq!(children.len(), 2);
+        assert_eq!(children[0].node, children[1].node);
+        assert_ne!(children[0].partition, children[1].partition);
+    }
+
+    #[test]
+    fn a_path_that_re_enters_a_door_after_another_makes_no_child() {
+        let (space, dir) = venue();
+        let q = query((28.0, 5.0));
+        let ctx = SearchContext::prepare(&space, &dir, &q).unwrap();
+        let mut search = search(&ctx, VariantConfig::koe());
+        // (d0, d2) then back through d0: d0 would re-appear after d2.
+        let at_b = walk(&mut search, &[(0, A, H), (2, H, B)]);
+        let generated = search.state.metrics.stamps_generated;
+        assert!(child(&mut search, &at_b, &[DoorId(2), DoorId(0)], &[H], A, 30.0).is_none());
+        assert!(child(
+            &mut search,
+            &at_b,
+            &[DoorId(2), DoorId(1), DoorId(0)],
+            &[H, A],
+            H,
+            35.0
+        )
+        .is_none());
+        assert_eq!(search.state.metrics.stamps_generated, generated);
+        // The one-hop loop (d2, d2) is regular, and a third d2 is not.
+        let looped = child(&mut search, &at_b, &[DoorId(2), DoorId(2)], &[B], H, 25.0).unwrap();
+        assert_eq!(search.state.metrics.stamps_generated, generated + 1);
+        assert!(child(&mut search, &looped, &[DoorId(2), DoorId(2)], &[H], B, 30.0).is_none());
+        assert_eq!(search.state.metrics.stamps_generated, generated + 1);
     }
 }

@@ -95,17 +95,11 @@ enum KoeSource {
 
 impl<'a> Search<'a> {
     /// `KoE_find(Si)`: the next valid stamps reachable by jumping to candidate
-    /// key partitions.
-    pub(crate) fn koe_find(&mut self, stamp: &Stamp) -> Vec<Stamp> {
-        let mut children = Vec::new();
+    /// key partitions from `Si`, appended to `children`.
+    pub(crate) fn koe_find(&mut self, stamp: &Stamp, children: &mut Vec<Stamp>) {
         let ctx = self.ctx;
         let delta = ctx.delta();
-        let tail = stamp.route.tail_door();
-        // Lines 4–7 drop the partitions of query keywords the route already
-        // covers, except at the initial stamp and for `v(pt)`.
-        let covered: Vec<usize> = (0..ctx.prepared.len())
-            .filter(|&idx| tail.is_some() && stamp.coverage.is_word_covered(idx))
-            .collect();
+        let tail = stamp.tail;
 
         let mut source = self.koe_source(stamp);
         if let KoeSource::FromPoint(runs) = &source {
@@ -123,11 +117,15 @@ impl<'a> Search<'a> {
             if vj == stamp.partition {
                 continue;
             }
-            let rows = &self.state.key_rows;
-            if vj != ctx.terminal_partition
-                && entry
-                    .row
-                    .is_some_and(|row| covered.iter().any(|&idx| rows.similarity(row, idx) > 0.0))
+            // Lines 4–7 drop the partitions of query keywords the route
+            // already covers, except at the initial stamp and for `v(pt)`.
+            let (rows, covered) = (&self.state.key_rows, self.state.classes.best(stamp.class));
+            if tail.is_some()
+                && vj != ctx.terminal_partition
+                && entry.row.is_some_and(|row| {
+                    (0..covered.len())
+                        .any(|idx| covered[idx] > 0.0 && rows.similarity(row, idx) > 0.0)
+                })
             {
                 continue;
             }
@@ -153,7 +151,7 @@ impl<'a> Search<'a> {
             // Expand to each enterable door of the target partition through
             // the shortest regular connecting route (lines 12–20).
             for &dl in ctx.space.p2d_enter(vj) {
-                if stamp.route.contains_door(dl) && Some(dl) != tail {
+                if Some(dl) != tail && self.state.route_doors.contains(&dl) {
                     self.state.metrics.prunes.record(PruneRule::Regularity);
                     continue;
                 }
@@ -166,11 +164,10 @@ impl<'a> Search<'a> {
                     &connection.partitions,
                     &[vj],
                     stamp.distance + connection.distance,
-                    &mut children,
+                    children,
                 );
             }
         }
-        children
     }
 
     /// The routing set `P` of Algorithm 1 line 3: the key partitions a jump
@@ -259,7 +256,7 @@ impl<'a> Search<'a> {
         let ctx = self.ctx;
         let paths = ctx.space.shortest_paths();
         let terminal = self.ellipse_terminal();
-        match stamp.route.tail_door() {
+        match stamp.tail {
             None => {
                 let mut per_door = Vec::new();
                 for &dx in ctx.space.p2d_leave(ctx.start_partition) {
@@ -285,7 +282,7 @@ impl<'a> Search<'a> {
                 } else {
                     let result = paths.from_door_within(
                         dk,
-                        stamp.route.doors(),
+                        &self.state.route_doors,
                         stamp.distance,
                         ctx.delta(),
                         terminal,
@@ -342,8 +339,8 @@ impl<'a> Search<'a> {
                 // regular connection fits.
                 let found = connection(row, dl)?;
                 // The path is simple, so only its first door is the tail.
-                let route = &stamp.route;
-                if found.doors.iter().skip(1).all(|&d| !route.contains_door(d)) {
+                let route_doors = &self.state.route_doors;
+                if found.doors.iter().skip(1).all(|d| !route_doors.contains(d)) {
                     return Some(found);
                 }
                 // Regularity check failed: recompute on the fly, as the
@@ -353,7 +350,7 @@ impl<'a> Search<'a> {
                     self.state.metrics.dijkstra_calls += 1;
                     *fallback = Some(self.ctx.space.shortest_paths().from_door_within(
                         row.source(),
-                        route.doors(),
+                        &self.state.route_doors,
                         stamp.distance,
                         self.ctx.delta(),
                         self.ellipse_terminal(),

@@ -77,6 +77,7 @@
 
 pub mod baseline;
 pub mod cache;
+pub mod classes;
 pub mod connect;
 pub mod context;
 pub mod engine;

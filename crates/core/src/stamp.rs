@@ -1,62 +1,172 @@
-//! Search stamps: the five-tuple `S(v, R, δ, ρ, ψ)` of Algorithm 1.
+//! Search stamps: the five-tuple `S(v, R, δ, ρ, ψ)` of Algorithm 1, as
+//! fixed-size records over a per-search route tree.
+//!
+//! A stamp names its route `R` by a node of the search's route tree and
+//! its key-partition sequence `KP(R)` by a class of the search's class
+//! table ([`crate::classes`]), which also holds the route's relevance `ρ`.
+//! A child appends tree nodes only for the doors its path adds, and the
+//! landings of one door path share them, so a stamp owns no heap memory and
+//! the queue moves small `Copy` records. A [`Route`] is built only for a
+//! result that passes the distance constraint and Pruning Rule 5, and by
+//! debug assertions.
 
+use crate::classes::ClassId;
 use indoor_geom::OrderedF64;
-use indoor_keywords::CoverageTracker;
-use indoor_space::{PartitionId, Route};
+use indoor_space::{DoorId, IndoorPoint, PartitionId, Route};
 use std::cmp::Ordering;
 
+/// The id of a node of a [`RouteTree`].
+pub(crate) type NodeId = u32;
+
+/// The node of the route `(ps)`, which has no door yet.
+pub(crate) const START: NodeId = NodeId::MAX;
+
 /// A search stamp: a partial (or complete) route together with the partition
-/// it last reached and its accumulated distance, keyword coverage, keyword
-/// relevance and ranking score.
-///
-/// A stamp also carries its route's key-partition sequence `KP(R)`, built
-/// from its parent's when the stamp is created, so the prime check and
-/// update of Pruning Rule 5 never walk the route.
-#[derive(Debug, Clone)]
+/// it last reached and its accumulated distance, keyword relevance and
+/// ranking score.
+#[derive(Debug, Clone, Copy)]
 pub struct Stamp {
     /// The last partition the route reaches (`v` in the paper's tuple).
     pub partition: PartitionId,
-    /// The route expanded so far (`R`).
-    pub route: Route,
-    /// The key-partition sequence `KP(R)` of the route: equal to
-    /// [`crate::SearchContext::key_partition_sequence`] of `route`, kept up
-    /// to date with [`push_key_partition`] as items are appended.
-    pub(crate) key_partitions: Vec<PartitionId>,
+    /// The route expanded so far (`R`): its last door's node of the route
+    /// tree, or [`START`].
+    pub(crate) node: NodeId,
+    /// The route's last door (`R.tail`), if any.
+    pub(crate) tail: Option<DoorId>,
+    /// The class of the route's key-partition sequence `KP(R)`.
+    pub(crate) class: ClassId,
     /// Route distance `δ(R)`, accumulated incrementally.
     pub distance: f64,
-    /// Incremental keyword coverage of the route (drives `ρ`).
-    pub coverage: CoverageTracker,
-    /// Keyword relevance `ρ(R)`.
+    /// Keyword relevance `ρ(R)`, the class's.
     pub relevance: f64,
     /// Ranking score `ψ(R)`.
     pub score: f64,
 }
 
 impl Stamp {
-    /// Estimated heap size in bytes, for the engine's memory accounting.
+    /// Size in bytes, for the engine's memory accounting: a stamp owns no
+    /// heap memory.
     pub fn estimated_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.route.estimated_bytes()
-            + self.key_partitions.capacity() * std::mem::size_of::<PartitionId>()
-            + self.coverage.estimated_bytes()
     }
 }
 
-/// Appends an occurrence of key partition `v` to a key-partition sequence.
-/// An earlier occurrence is removed first, so each key partition appears
-/// once, at its last occurrence, as in
-/// [`crate::SearchContext::key_partition_sequence`].
-pub(crate) fn push_key_partition(sequence: &mut Vec<PartitionId>, v: PartitionId) {
-    if let Some(at) = sequence.iter().position(|&u| u == v) {
-        sequence.remove(at);
+/// One door of a route in the tree: the door, the partition the leg to it
+/// crosses, and the node of the route before it.
+#[derive(Debug, Clone, Copy)]
+struct RouteNode {
+    parent: NodeId,
+    door: DoorId,
+    leg: PartitionId,
+}
+
+/// The routes of one search as a tree of doors rooted at `(ps)`. Nothing is
+/// removed before the search ends.
+#[derive(Debug, Default)]
+pub(crate) struct RouteTree {
+    nodes: Vec<RouteNode>,
+}
+
+impl RouteTree {
+    /// Appends `doors` below `node`, each reached through the leg at the
+    /// same position of `legs`, and returns the node of the last one
+    /// (`node` itself when `doors` is empty).
+    pub(crate) fn extend(
+        &mut self,
+        mut node: NodeId,
+        doors: &[DoorId],
+        legs: &[PartitionId],
+    ) -> NodeId {
+        debug_assert_eq!(doors.len(), legs.len());
+        for (&door, &leg) in doors.iter().zip(legs) {
+            self.nodes.push(RouteNode {
+                parent: node,
+                door,
+                leg,
+            });
+            node = (self.nodes.len() - 1) as NodeId;
+        }
+        node
     }
-    sequence.push(v);
+
+    /// Walks from `node` to the root, calling `visit` on each node.
+    fn walk(&self, mut node: NodeId, mut visit: impl FnMut(&RouteNode)) {
+        while node != START {
+            let at = &self.nodes[node as usize];
+            visit(at);
+            node = at.parent;
+        }
+    }
+
+    /// Writes the doors of `node`'s route into `out`, first door first.
+    pub(crate) fn collect_doors(&self, node: NodeId, out: &mut Vec<DoorId>) {
+        out.clear();
+        self.walk(node, |at| out.push(at.door));
+        out.reverse();
+    }
+
+    /// The route of `node`, from the start point `start`.
+    pub(crate) fn route(&self, start: IndoorPoint, node: NodeId) -> Route {
+        let mut hops = Vec::new();
+        self.walk(node, |at| hops.push((at.door, at.leg)));
+        let mut route = Route::from_point(start);
+        for &(door, leg) in hops.iter().rev() {
+            route
+                .append_door(door, leg)
+                .expect("the tree holds regular routes only");
+        }
+        route
+    }
+
+    /// Heap bytes of the nodes, for memory accounting.
+    pub(crate) fn estimated_bytes(&self) -> usize {
+        self.nodes.len() * std::mem::size_of::<RouteNode>()
+    }
+}
+
+/// Whether a route from a point with doors `doors` may append door `d`, as
+/// [`Route::can_append_door`] decides (Principle of Regularity): a door may
+/// re-appear only immediately after itself, and only once.
+pub(crate) fn can_append_door(doors: &[DoorId], d: DoorId) -> bool {
+    match doors.iter().rposition(|&x| x == d) {
+        None => true,
+        Some(pos) => pos + 1 == doors.len() && !(pos >= 1 && doors[pos - 1] == d),
+    }
+}
+
+/// Whether the door path `path` through `legs` extends a route from a point
+/// with doors `doors`, as [`Route::extend_with_door_path`] requires: the
+/// path starts at the route's tail door, if it has one, each door it adds
+/// has a leg, and each may follow the doors before it.
+pub(crate) fn path_extends(doors: &[DoorId], path: &[DoorId], legs: &[PartitionId]) -> bool {
+    let added = match doors.last() {
+        Some(tail) if path.first() != Some(tail) => return false,
+        Some(_) => &path[1..],
+        None => path,
+    };
+    // Door `i` follows `doors` and then `added[..i]`.
+    added.len() == legs.len()
+        && added
+            .iter()
+            .enumerate()
+            .all(|(i, &d)| match added[..i].iter().rposition(|&x| x == d) {
+                None if i == 0 => can_append_door(doors, d),
+                None => !doors.contains(&d),
+                Some(pos) => {
+                    let before = if pos == 0 {
+                        doors.last()
+                    } else {
+                        added.get(pos - 1)
+                    };
+                    pos + 1 == i && before != Some(&d)
+                }
+            })
 }
 
 /// Ordering wrapper: the priority queue of Algorithm 1 pops the stamp with
 /// the highest ranking score first; ties broken by smaller distance so that
 /// shorter prefixes are explored first.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct StampOrder(pub Stamp);
 
 impl PartialEq for StampOrder {
@@ -88,16 +198,16 @@ impl Ord for StampOrder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use indoor_space::{FloorId, IndoorPoint};
+    use indoor_space::FloorId;
     use std::collections::BinaryHeap;
 
     fn stamp(score: f64, distance: f64) -> StampOrder {
         StampOrder(Stamp {
             partition: PartitionId(0),
-            route: Route::from_point(IndoorPoint::from_xy(0.0, 0.0, FloorId(0))),
-            key_partitions: vec![PartitionId(0)],
+            node: START,
+            tail: None,
+            class: 0,
             distance,
-            coverage: CoverageTracker::new(2),
             relevance: 0.0,
             score,
         })
@@ -127,18 +237,64 @@ mod tests {
         assert_eq!(stamp(0.5, 10.0), stamp(0.5, 10.0));
         assert_ne!(stamp(0.5, 10.0), stamp(0.6, 10.0));
         assert!(stamp(0.1, 1.0).0.estimated_bytes() > 0);
+        assert!(std::mem::size_of::<Stamp>() <= 48);
     }
 
     #[test]
-    fn a_pushed_key_partition_moves_to_its_last_occurrence() {
-        let ids = |s: &[u32]| s.iter().map(|&i| PartitionId(i)).collect::<Vec<_>>();
-        let mut seq = ids(&[1]);
-        push_key_partition(&mut seq, PartitionId(2));
-        push_key_partition(&mut seq, PartitionId(3));
-        assert_eq!(seq, ids(&[1, 2, 3]));
-        push_key_partition(&mut seq, PartitionId(1));
-        assert_eq!(seq, ids(&[2, 3, 1]));
-        push_key_partition(&mut seq, PartitionId(1));
-        assert_eq!(seq, ids(&[2, 3, 1]));
+    fn the_door_checks_agree_with_the_route() {
+        let doors = |ids: &[u32]| ids.iter().map(|&i| DoorId(i)).collect::<Vec<_>>();
+        let legs = |n: usize| vec![PartitionId(0); n];
+        let start = IndoorPoint::from_xy(0.0, 0.0, FloorId(0));
+        for prefix in [doors(&[]), doors(&[1]), doors(&[1, 2]), doors(&[1, 2, 2])] {
+            let mut route = Route::from_point(start);
+            route
+                .extend_with_door_path(&prefix, &legs(prefix.len()))
+                .unwrap();
+            for d in 0..4 {
+                assert_eq!(
+                    can_append_door(&prefix, DoorId(d)),
+                    route.can_append_door(DoorId(d)),
+                    "{prefix:?} + d{d}"
+                );
+            }
+            for path in [
+                doors(&[2, 3]),
+                doors(&[2, 2, 3]),
+                doors(&[2, 3, 1]),
+                doors(&[3]),
+            ] {
+                for n in [path.len().saturating_sub(1), path.len()] {
+                    let extends = route.clone().extend_with_door_path(&path, &legs(n)).is_ok();
+                    assert_eq!(
+                        path_extends(&prefix, &path, &legs(n)),
+                        extends,
+                        "{prefix:?} + {path:?} through {n} legs"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_tree_builds_the_routes_it_holds() {
+        let start = IndoorPoint::from_xy(0.0, 0.0, FloorId(0));
+        let mut tree = RouteTree::default();
+        let (d, p) = (DoorId, PartitionId);
+        let a = tree.extend(START, &[d(1), d(2)], &[p(0), p(1)]);
+        let b = tree.extend(a, &[d(3)], &[p(2)]);
+        let c = tree.extend(a, &[d(2)], &[p(1)]);
+        assert_eq!(tree.extend(b, &[], &[]), b);
+        let mut out = Vec::new();
+        tree.collect_doors(b, &mut out);
+        assert_eq!(out, [d(1), d(2), d(3)]);
+        tree.collect_doors(START, &mut out);
+        assert!(out.is_empty());
+        let mut expected = Route::from_point(start);
+        expected
+            .extend_with_door_path(&[d(1), d(2), d(2)], &[p(0), p(1), p(1)])
+            .unwrap();
+        assert_eq!(tree.route(start, c), expected);
+        assert_eq!(tree.route(start, START), Route::from_point(start));
+        assert_eq!(tree.estimated_bytes(), 4 * std::mem::size_of::<RouteNode>());
     }
 }

@@ -10,16 +10,15 @@
 
 use crate::framework::Search;
 use crate::pruning::PruneRule;
-use crate::stamp::Stamp;
+use crate::stamp::{can_append_door, Stamp};
 
 impl Search<'_> {
     /// `ToE_find(Si)`: the next valid stamps reachable by one-hop topology
-    /// expansion from `Si`.
-    pub(crate) fn toe_find(&mut self, stamp: &Stamp) -> Vec<Stamp> {
-        let mut children = Vec::new();
+    /// expansion from `Si`, appended to `children`.
+    pub(crate) fn toe_find(&mut self, stamp: &Stamp, children: &mut Vec<Stamp>) {
         let ctx = self.ctx;
         let vi = stamp.partition;
-        let tail = stamp.route.tail_door();
+        let tail = stamp.tail;
         let delta = ctx.delta();
 
         for &dl in ctx.space.p2d_leave(vi) {
@@ -29,7 +28,7 @@ impl Search<'_> {
             }
             // Regularity check (Algorithm 2 line 5): a door already on the
             // route may only re-appear immediately after itself.
-            if !stamp.route.can_append_door(dl) {
+            if !can_append_door(&self.state.route_doors, dl) {
                 self.state.metrics.prunes.record(PruneRule::Regularity);
                 continue;
             }
@@ -73,9 +72,8 @@ impl Search<'_> {
                 &[vi],
                 ctx.space.d2p_enter(dl),
                 stamp.distance + increment,
-                &mut children,
+                children,
             );
         }
-        children
     }
 }

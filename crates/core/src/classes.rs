@@ -140,9 +140,14 @@ impl KpClasses {
             coverage.add_similarities(self.best(parent));
         }
         credit(&mut coverage);
-        let class = self.relevance.len() as ClassId;
+        let class = ClassId::try_from(self.relevance.len())
+            .ok()
+            .filter(|&id| id != NO_CLASS)
+            .expect("a search holds fewer than 2^32 - 1 classes");
         self.partitions.extend_from_slice(&self.scratch);
-        self.starts.push(self.partitions.len() as u32);
+        self.starts.push(
+            u32::try_from(self.partitions.len()).expect("class sequences hold fewer than 2^32 ids"),
+        );
         self.best.extend_from_slice(coverage.best_similarities());
         self.relevance.push(coverage.relevance());
         self.fully_covered.push(coverage.is_fully_covered());

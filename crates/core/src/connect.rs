@@ -102,36 +102,35 @@ impl Search<'_> {
             return;
         };
         self.state.metrics.dijkstra_calls += 1;
-        let mut route_doors = std::mem::take(&mut self.state.connect_doors);
-        self.state.tree.collect_doors(stamp.node, &mut route_doors);
-        let found = self.ctx.space.shortest_paths().door_to_point_path_within(
-            tail,
-            &self.ctx.query.terminal,
-            &route_doors,
-            stamp.distance,
-            self.ctx.delta(),
-        );
-        if let Some((suffix_distance, doors, partitions)) = found {
-            let total = stamp.distance + suffix_distance;
-            if let Some(complete) =
-                self.build_completed_route(stamp, &route_doors, &doors, &partitions, total)
-            {
-                self.try_accept_result(complete);
-            }
-        }
-        self.state.connect_doors = route_doors;
+        let state = &mut self.state;
+        state.tree.collect_doors(stamp.node, &mut state.route_doors);
+        let Some((suffix_distance, doors, partitions)) =
+            self.ctx.space.shortest_paths().door_to_point_path_within(
+                tail,
+                &self.ctx.query.terminal,
+                &self.state.route_doors,
+                stamp.distance,
+                self.ctx.delta(),
+            )
+        else {
+            return;
+        };
+        let total = stamp.distance + suffix_distance;
+        let Some(complete) = self.build_completed_route(stamp, &doors, &partitions, total) else {
+            return;
+        };
+        self.try_accept_result(complete);
     }
 
-    /// Builds the complete stamp for a route with doors `route_doors`
-    /// extended by a door path ending at an enterable door of `v(pt)` and
-    /// then the terminal point itself. `partitions` comes from
-    /// `door_to_point_path`, i.e. it has one entry per door hop plus the
-    /// final terminal-partition leg. A path that does not extend the route
-    /// regularly completes nothing.
+    /// Builds the complete stamp for a route extended by a door path ending
+    /// at an enterable door of `v(pt)` and then the terminal point itself.
+    /// The route's doors are in `SearchState::route_doors`. `partitions`
+    /// comes from `door_to_point_path`, i.e. it has one entry per door hop
+    /// plus the final terminal-partition leg. A path that does not extend
+    /// the route regularly completes nothing.
     pub(crate) fn build_completed_route(
         &mut self,
         stamp: &Stamp,
-        route_doors: &[DoorId],
         doors: &[DoorId],
         partitions: &[PartitionId],
         total_distance: f64,
@@ -139,7 +138,7 @@ impl Search<'_> {
         debug_assert_eq!(partitions.len(), doors.len());
         let (hop_partitions, terminal_leg) = partitions.split_at(partitions.len() - 1);
         debug_assert_eq!(terminal_leg, [self.ctx.terminal_partition]);
-        if !path_extends(route_doors, doors, hop_partitions) {
+        if !path_extends(&self.state.route_doors, doors, hop_partitions) {
             return None;
         }
         let added = &doors[usize::from(stamp.tail.is_some())..];

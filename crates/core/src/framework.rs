@@ -55,9 +55,9 @@ pub(crate) struct SearchState {
     /// The doors of the stamp being expanded, first door first: collected
     /// once per expansion, and read by ToE's regularity test, KoE's
     /// route-door test, the shortest-path exclusions and the child step.
+    /// Once every child is generated, the connect step collects a fully
+    /// covered child's doors here.
     pub route_doors: Vec<DoorId>,
-    /// The doors of a stamp the connect step completes, reused.
-    pub connect_doors: Vec<DoorId>,
     /// Metrics of the run.
     pub metrics: SearchMetrics,
 }
@@ -94,7 +94,6 @@ impl<'a> Search<'a> {
                 key_rows: KeyPartitionRows::default(),
                 routing: Vec::new(),
                 route_doors: Vec::new(),
-                connect_doors: Vec::new(),
                 metrics: SearchMetrics::new(),
             },
         }
@@ -525,13 +524,6 @@ mod tests {
         state.tree.collect_doors(stamp.node, &mut state.route_doors);
     }
 
-    /// The doors of the route a stamp names.
-    fn doors_of(search: &Search<'_>, stamp: &Stamp) -> Vec<DoorId> {
-        let mut doors = Vec::new();
-        search.state.tree.collect_doors(stamp.node, &mut doors);
-        doors
-    }
-
     /// The complete stamp the connect step builds from `stamp` along
     /// `doors` through `partitions` (the last one `v(pt)`'s leg).
     fn completed(
@@ -541,8 +533,8 @@ mod tests {
         partitions: &[PartitionId],
         distance: f64,
     ) -> Option<Stamp> {
-        let route_doors = doors_of(search, stamp);
-        search.build_completed_route(stamp, &route_doors, doors, partitions, distance)
+        expand(search, stamp);
+        search.build_completed_route(stamp, doors, partitions, distance)
     }
 
     /// Walks `hops` of (door, via, landing) from the initial stamp, each

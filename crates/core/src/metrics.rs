@@ -13,11 +13,23 @@ pub struct SearchMetrics {
     /// Wall-clock running time of the search.
     #[serde(with = "duration_millis")]
     pub elapsed: Duration,
-    /// Peak of the deterministic byte accounting of all live search state
-    /// (queue, prime table, visited-door sets, results, and the door row
-    /// KoE* expands a stamp from).
-    /// This is the reproduction's substitute for the paper's JVM heap
-    /// measurements; relative comparisons between algorithms are meaningful.
+    /// Peak of the deterministic byte accounting of all live search state,
+    /// the sum of:
+    /// * the queue of fixed-size stamps;
+    /// * the route tree the stamps name, one node per door a built child
+    ///   added;
+    /// * the key-partition classes (sequences, per-keyword similarities,
+    ///   `ρ`, and the lookup and step tables);
+    /// * the prime table `Hprime`, one key and distance per class;
+    /// * the results, the visited-door sets `Dn`/`Df` and the door bounds
+    ///   of Rule 1, the keyword rows of the partitions met, and KoE's
+    ///   routing set;
+    /// * while KoE* expands a stamp, the door row it expands from.
+    ///
+    /// The venue and its index are shared, not search state, and are not
+    /// counted. This is the reproduction's substitute for the paper's JVM
+    /// heap measurements; relative comparisons between algorithms are
+    /// meaningful.
     pub peak_memory_bytes: usize,
     /// Number of stamps popped from the priority queue and expanded.
     pub stamps_expanded: u64,

@@ -43,14 +43,6 @@ pub struct Stamp {
     pub score: f64,
 }
 
-impl Stamp {
-    /// Size in bytes, for the engine's memory accounting: a stamp owns no
-    /// heap memory.
-    pub fn estimated_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-    }
-}
-
 /// One door of a route in the tree: the door, the partition the leg to it
 /// crosses, and the node of the route before it.
 #[derive(Debug, Clone, Copy)]
@@ -79,12 +71,16 @@ impl RouteTree {
     ) -> NodeId {
         debug_assert_eq!(doors.len(), legs.len());
         for (&door, &leg) in doors.iter().zip(legs) {
+            let id = NodeId::try_from(self.nodes.len())
+                .ok()
+                .filter(|&id| id != START)
+                .expect("a search holds fewer than 2^32 - 1 tree nodes");
             self.nodes.push(RouteNode {
                 parent: node,
                 door,
                 leg,
             });
-            node = (self.nodes.len() - 1) as NodeId;
+            node = id;
         }
         node
     }
@@ -236,8 +232,10 @@ mod tests {
     fn equality_is_by_ordering_key() {
         assert_eq!(stamp(0.5, 10.0), stamp(0.5, 10.0));
         assert_ne!(stamp(0.5, 10.0), stamp(0.6, 10.0));
-        assert!(stamp(0.1, 1.0).0.estimated_bytes() > 0);
-        assert!(std::mem::size_of::<Stamp>() <= 48);
+        assert!(
+            std::mem::size_of::<Stamp>() <= 48,
+            "a stamp is a small record"
+        );
     }
 
     #[test]

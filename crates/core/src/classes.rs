@@ -12,7 +12,7 @@
 //! maximum over the partitions of its `KP(R)`, and its relevance `ρ` and the
 //! full-coverage test of Algorithm 5 line 11 depend on its class alone.
 //! Both come from a [`CoverageTracker`] credited with the class's
-//! partitions, the operations that scored a route before classes existed.
+//! partitions, so they equal a route's bit for bit.
 
 use crate::context::PackedMap;
 use indoor_keywords::CoverageTracker;

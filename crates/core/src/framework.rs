@@ -278,9 +278,9 @@ impl<'a> Search<'a> {
     }
 
     /// The class of a route of class `class` after door `d`: each key
-    /// partition leavable through the door moves to the end of `KP(R)`,
-    /// and every partition leavable through it adds its i-word to `RW(R)`
-    /// (Definition 5), which only a key partition's does.
+    /// partition leavable through the door moves to the end of `KP(R)` and
+    /// credits its i-word to `RW(R)` (Definition 5); a partition that is
+    /// no key partition adds no route word.
     pub(crate) fn push_door(&mut self, mut class: ClassId, d: DoorId) -> ClassId {
         debug_assert!(
             !self.config.use_distance_pruning || self.ctx.door_in_ellipse(d),
@@ -646,9 +646,8 @@ mod tests {
         assert_kp(&search, &through_c, &[A, B, C]);
     }
 
-    /// The route of `stamp`'s parent extended by `doors` through `legs`,
-    /// as the search built it before stamps named tree nodes: a clone of
-    /// the parent's route extended in place.
+    /// The reference for a child's route: a clone of the parent's route
+    /// extended in place by `doors` through `legs`.
     fn cloned_and_extended(
         search: &Search<'_>,
         parent: &Stamp,

@@ -167,6 +167,18 @@ impl ResponseCache {
         }
     }
 
+    /// Whether the cache retains nothing (capacity 0): every lookup would
+    /// miss, so a caller may skip building the key and count the miss with
+    /// [`ResponseCache::record_miss`] instead.
+    pub fn is_disabled(&self) -> bool {
+        self.capacity_per_shard == 0
+    }
+
+    /// Counts a lookup that missed without being made, on a disabled cache.
+    pub fn record_miss(&self) {
+        self.shards[0].lock().expect("cache shard lock").misses += 1;
+    }
+
     /// Inserts (or overwrites) an entry, evicting the least recently used
     /// entries of the key's shard when it is full. A no-op on a disabled
     /// (capacity 0) cache.
@@ -350,6 +362,9 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.stats().capacity, 0);
         assert_eq!(cache.stats().misses, 1);
+        assert!(cache.is_disabled());
+        cache.record_miss();
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]

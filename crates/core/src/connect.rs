@@ -10,7 +10,7 @@
 
 use crate::classes::ClassId;
 use crate::framework::Search;
-use crate::stamp::{path_extends, NodeId, Stamp};
+use crate::stamp::{path_extends_marked, NodeId, Stamp};
 use indoor_space::{DoorId, PartitionId};
 
 impl Search<'_> {
@@ -102,13 +102,13 @@ impl Search<'_> {
             return;
         };
         self.state.metrics.dijkstra_calls += 1;
-        let state = &mut self.state;
-        state.tree.collect_doors(stamp.node, &mut state.route_doors);
+        self.collect_route_doors(stamp.node);
+        let scratch = &self.state.scratch;
         let Some((suffix_distance, doors, partitions)) =
             self.ctx.space.shortest_paths().door_to_point_path_within(
                 tail,
                 &self.ctx.query.terminal,
-                &self.state.route_doors,
+                |d| scratch.is_marked(d),
                 stamp.distance,
                 self.ctx.delta(),
             )
@@ -124,7 +124,8 @@ impl Search<'_> {
 
     /// Builds the complete stamp for a route extended by a door path ending
     /// at an enterable door of `v(pt)` and then the terminal point itself.
-    /// The route's doors are in `SearchState::route_doors`. `partitions`
+    /// The route's doors are in `SearchState::route_doors`, and marked in
+    /// the scratch. `partitions`
     /// comes from `door_to_point_path`, i.e. it has one entry per door hop
     /// plus the final terminal-partition leg. A path that does not extend
     /// the route regularly completes nothing.
@@ -138,7 +139,10 @@ impl Search<'_> {
         debug_assert_eq!(partitions.len(), doors.len());
         let (hop_partitions, terminal_leg) = partitions.split_at(partitions.len() - 1);
         debug_assert_eq!(terminal_leg, [self.ctx.terminal_partition]);
-        if !path_extends(&self.state.route_doors, doors, hop_partitions) {
+        let state = &self.state;
+        if !path_extends_marked(&state.route_doors, doors, hop_partitions, |d| {
+            state.scratch.is_marked(d)
+        }) {
             return None;
         }
         let added = &doors[usize::from(stamp.tail.is_some())..];

@@ -3,17 +3,19 @@
 //!
 //! Preparation does no venue-wide work. A search scores each partition it
 //! meets once, on first use (`KeyPartitionRows`), and reads key-partition
-//! membership and keyword similarities from those rows.
+//! membership and keyword similarities from those rows; the partition's
+//! slot in the search's per-thread scratch ([`crate::scratch`]) holds the
+//! row's offset.
 
 use crate::error::EngineError;
 use crate::query::IkrqQuery;
 use crate::score::RankingModel;
+use crate::scratch::SearchScratch;
 use crate::Result;
 use indoor_index::VenueIndex;
 use indoor_keywords::{CandidateSet, CoverageTracker, KeywordDirectory, PreparedQuery};
 use indoor_space::{DoorId, IndoorSpace, PartitionId, Route, ELLIPSE_SLACK};
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
@@ -49,65 +51,28 @@ pub struct SearchContext<'a> {
 /// The key-partition rows of one search: every partition the search meets,
 /// scored on first use with its similarity for every query keyword. A
 /// search asks only about partitions beside the doors it reaches, so it
-/// scores those and never the venue (KoE\D's routing set excepted).
+/// scores those and never the venue (KoE\D's routing set excepted). Each
+/// met partition's row offset is a partition slot of the search's scratch
+/// ([`SearchScratch`]).
 #[derive(Debug, Default)]
 pub(crate) struct KeyPartitionRows {
-    rows: RefCell<Rows>,
-}
-
-#[derive(Debug, Default)]
-struct Rows {
-    /// Each partition met so far, with the offset of its `|QW|`
-    /// similarities in `similarities`, or `None` when it covers no query
-    /// keyword.
-    met: IdMap<PartitionId, Option<usize>>,
     /// The similarity rows of the covering partitions, in the order met.
     similarities: Vec<f64>,
+    /// Partitions met so far.
+    met: usize,
 }
-
-/// Hashes a partition or door id by one multiplication: ids are small
-/// dense integers, and a search probes its rows on every door it credits.
-/// The keys are the space's own indices, never words of a request, so the
-/// default hasher's guard against crafted collisions buys nothing here, and
-/// its cost shows in `toe-mega`'s and `koe-mega`'s throughput.
-///
-/// Only for keys of one id: the low bits of the product, which pick a
-/// key's bucket, depend on the key's low bits alone. On two ids packed into
-/// a `u64`, `(a << 32) | b`, every `a` of one `b` would land in one bucket
-/// chain; such keys take [`PackedKeyHasher`].
-#[derive(Debug, Default)]
-pub(crate) struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b) ^ self.0.rotate_left(8));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A set of ids hashed by [`IdHasher`].
-pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
-
-/// A map from ids hashed by [`IdHasher`].
-pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Hashes a key of two ids packed into a `u64`, `(a << 32) | b`, so that
 /// both halves reach the bucket bits: the key's 128-bit product with an odd
 /// constant, folded to 64 bits. The prime table's `(tail, class)` keys and
 /// the class table's `(class, partition)` steps take it.
+///
+/// A plain multiply would not do: the low bits of the product, which pick
+/// a key's bucket, depend on the key's low bits alone, so every `a` of one
+/// `b` would land in one bucket chain. The keys are the search's own ids,
+/// never words of a request, so the default hasher's guard against crafted
+/// collisions buys nothing here, and its cost shows in `toe-mega`'s and
+/// `koe-mega`'s throughput.
 #[derive(Debug, Default)]
 pub(crate) struct PackedKeyHasher(u64);
 
@@ -134,49 +99,53 @@ pub(crate) type PackedMap<V> = HashMap<u64, V, BuildHasherDefault<PackedKeyHashe
 impl KeyPartitionRows {
     /// The offset of partition `v`'s similarity row, scoring it on first
     /// use; `None` when `v` covers no query keyword.
-    pub(crate) fn row(&self, ctx: &SearchContext<'_>, v: PartitionId) -> Option<usize> {
-        let mut rows = self.rows.borrow_mut();
-        let Rows { met, similarities } = &mut *rows;
-        *met.entry(v).or_insert_with(|| {
-            let offset = similarities.len();
-            ctx.push_partition_similarities(v, similarities);
-            if similarities[offset..].iter().any(|&s| s > 0.0) {
-                Some(offset)
-            } else {
-                similarities.truncate(offset);
-                None
-            }
-        })
-    }
-
-    /// Whether partition `v`'s i-word is a candidate of some query keyword.
-    pub(crate) fn covers(&self, ctx: &SearchContext<'_>, v: PartitionId) -> bool {
-        self.row(ctx, v).is_some()
+    #[inline]
+    pub(crate) fn row(
+        &mut self,
+        scratch: &mut SearchScratch,
+        ctx: &SearchContext<'_>,
+        v: PartitionId,
+    ) -> Option<usize> {
+        if let Some(row) = scratch.partition_row(v) {
+            return row;
+        }
+        let offset = self.similarities.len();
+        ctx.push_partition_similarities(v, &mut self.similarities);
+        let row = if self.similarities[offset..].iter().any(|&s| s > 0.0) {
+            Some(offset)
+        } else {
+            self.similarities.truncate(offset);
+            None
+        };
+        scratch.set_partition_row(v, row);
+        self.met += 1;
+        row
     }
 
     /// The similarity of the row at `offset` for the `idx`-th keyword.
     pub(crate) fn similarity(&self, offset: usize, idx: usize) -> f64 {
-        self.rows.borrow().similarities[offset + idx]
+        self.similarities[offset + idx]
     }
 
     /// Credits partition `v`'s i-word to a route's keyword coverage.
     pub(crate) fn credit(
-        &self,
+        &mut self,
+        scratch: &mut SearchScratch,
         ctx: &SearchContext<'_>,
         v: PartitionId,
         coverage: &mut CoverageTracker,
     ) {
-        if let Some(offset) = self.row(ctx, v) {
-            let rows = self.rows.borrow();
-            coverage.add_similarities(&rows.similarities[offset..offset + ctx.prepared.len()]);
+        if let Some(offset) = self.row(scratch, ctx, v) {
+            coverage.add_similarities(&self.similarities[offset..offset + ctx.prepared.len()]);
         }
     }
 
-    /// Heap size in bytes, for memory accounting.
+    /// Bytes of the rows, for memory accounting: a partition id and an
+    /// optional offset per partition met, as a map from partition to row
+    /// would hold them, and the similarities.
     pub(crate) fn estimated_bytes(&self) -> usize {
-        let rows = self.rows.borrow();
-        rows.met.capacity() * std::mem::size_of::<(PartitionId, Option<usize>)>()
-            + rows.similarities.capacity() * std::mem::size_of::<f64>()
+        self.met * std::mem::size_of::<(PartitionId, Option<usize>)>()
+            + self.similarities.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -365,6 +334,7 @@ impl<'a> SearchContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::PooledScratch;
     use indoor_geom::{Point, Rect};
     use indoor_keywords::QueryKeywords;
     use indoor_space::{DoorKind, FloorId, IndoorPoint, IndoorSpaceBuilder, PartitionKind};
@@ -419,11 +389,13 @@ mod tests {
         assert_eq!(ctx.terminal_partition, PartitionId(2));
         // costa (v1) covers "coffee"; the start and terminal partitions are
         // key partitions without covering a keyword.
-        let rows = KeyPartitionRows::default();
-        assert!(rows.covers(&ctx, PartitionId(1)));
-        assert!(!rows.covers(&ctx, PartitionId(0)));
-        assert!(!rows.covers(&ctx, PartitionId(2)));
-        let costa = rows.row(&ctx, PartitionId(1)).unwrap();
+        let mut rows = KeyPartitionRows::default();
+        let mut scratch = PooledScratch::take(space.num_doors(), space.num_partitions());
+        let s = &mut scratch;
+        assert!(rows.row(s, &ctx, PartitionId(1)).is_some());
+        assert!(rows.row(s, &ctx, PartitionId(0)).is_none());
+        assert!(rows.row(s, &ctx, PartitionId(2)).is_none());
+        let costa = rows.row(s, &ctx, PartitionId(1)).unwrap();
         assert_eq!(rows.similarity(costa, 0), 1.0);
         assert!(
             ctx.is_key_partition(PartitionId(0)),
@@ -445,21 +417,23 @@ mod tests {
         let (space, dir) = venue();
         let q = query(100.0, &["apple", "coffee"]);
         let ctx = SearchContext::prepare(&space, &dir, &q).unwrap();
-        let rows = KeyPartitionRows::default();
-        let apple = rows.row(&ctx, PartitionId(2)).unwrap();
+        let mut rows = KeyPartitionRows::default();
+        let mut scratch = PooledScratch::take(space.num_doors(), space.num_partitions());
+        let s = &mut scratch;
+        let apple = rows.row(s, &ctx, PartitionId(2)).unwrap();
         assert_eq!(
             [rows.similarity(apple, 0), rows.similarity(apple, 1)],
             [1.0, 0.0]
         );
-        assert_eq!(rows.row(&ctx, PartitionId(0)), None);
+        assert_eq!(rows.row(s, &ctx, PartitionId(0)), None);
         let bytes = rows.estimated_bytes();
         // A partition met again is not scored again.
-        assert_eq!(rows.row(&ctx, PartitionId(2)), Some(apple));
-        assert_eq!(rows.row(&ctx, PartitionId(0)), None);
+        assert_eq!(rows.row(s, &ctx, PartitionId(2)), Some(apple));
+        assert_eq!(rows.row(s, &ctx, PartitionId(0)), None);
         assert_eq!(rows.estimated_bytes(), bytes);
         let mut coverage = CoverageTracker::new(2);
         for v in (0..3).map(PartitionId) {
-            rows.credit(&ctx, v, &mut coverage);
+            rows.credit(s, &ctx, v, &mut coverage);
         }
         assert_eq!(coverage.best_similarities(), [1.0, 1.0]);
     }

@@ -1,43 +1,49 @@
 //! The unified IKRQ search framework (Algorithm 1).
 //!
-//! The framework owns the priority queue of stamps, the visited-door caches
-//! `Dn`/`Df` of Pruning Rule 2, the prime-route table `Hprime`, the route
-//! tree and key-partition classes the stamps name, the top-k result set
-//! (and therefore the `kbound`), and the search metrics. It pops the
-//! best-scoring stamp, applies Pruning Rule 5 to it, asks the configured
-//! expansion strategy ([`crate::toe`] or [`crate::koe`]) for the next valid
-//! stamps, and hands each of them to the connect step ([`crate::connect`]).
+//! The framework owns the priority queue of stamps, the prime-route table
+//! `Hprime`, the route tree and key-partition classes the stamps name, the
+//! top-k result set (and therefore the `kbound`), and the search metrics.
+//! It pops the best-scoring stamp, applies Pruning Rule 5 to it, asks the
+//! configured expansion strategy ([`crate::toe`] or [`crate::koe`]) for the
+//! next valid stamps, and hands each of them to the connect step
+//! ([`crate::connect`]).
 //!
 //! Both strategies make their children through one child step,
 //! `Search::generate_children`: it applies the distance constraint and
 //! Pruning Rules 1, 4 and 5 to a door path, and builds a child only when
 //! Rule 5 admits it or it lands in `v(pt)`.
+//!
+//! What a search keys by door or partition id — the visited-door caches
+//! `Dn`/`Df` of Pruning Rule 2, Rule 1's `|d, pt|_L` memo, the offsets of
+//! the key-partition rows, and the doors of the expanded stamp's route — is
+//! a slot of the thread's scratch ([`crate::scratch`]), which the search
+//! takes when it starts and gives back when it ends. The queue
+//! (`StampQueue`) orders integer keys over a slab of stamps.
 
 use crate::classes::{ClassId, KpClasses};
-use crate::context::{IdMap, IdSet, KeyPartitionRows, SearchContext};
+use crate::context::{KeyPartitionRows, SearchContext};
 use crate::koe::RoutingPartition;
 use crate::metrics::SearchMetrics;
 use crate::prime::PrimeTable;
 use crate::pruning::PruneRule;
 use crate::results::{ResultRoute, SearchOutcome, TopKResults};
-use crate::stamp::{path_extends, RouteTree, Stamp, StampOrder, START};
+use crate::scratch::PooledScratch;
+use crate::stamp::{path_extends_marked, NodeId, RouteTree, Stamp, StampQueue, START};
 use crate::variants::{AlgorithmKind, VariantConfig};
 use indoor_keywords::RelevanceModel;
 use indoor_space::{DoorId, PartitionId, Route};
-use std::collections::BinaryHeap;
 use std::convert::Infallible;
 use std::time::Instant;
 
 /// Mutable state of one search run.
 pub(crate) struct SearchState {
     /// Priority queue `Q` ordered by ranking score.
-    pub queue: BinaryHeap<StampOrder>,
-    /// Doors already validated against Pruning Rule 2 (`Dn`).
-    pub doors_checked: IdSet<DoorId>,
-    /// Doors filtered out by Pruning Rule 2 (`Df`).
-    pub doors_filtered: IdSet<DoorId>,
-    /// `|d, pt|_L` of every door Pruning Rule 1 has bounded a path by.
-    pub terminal_bounds: IdMap<DoorId, f64>,
+    pub queue: StampQueue,
+    /// The thread's door and partition slots, live under this search's
+    /// epoch: Rule 2's verdicts (`Dn`/`Df`), the `|d, pt|_L` of every door
+    /// Pruning Rule 1 has bounded a path by, the key-partition rows'
+    /// offsets, and the marks of `route_doors`.
+    pub scratch: PooledScratch,
     /// The prime-route table `Hprime`.
     pub prime: PrimeTable,
     /// The key-partition classes the stamps name.
@@ -53,11 +59,17 @@ pub(crate) struct SearchState {
     /// Rule 3, built once when the initial stamp is expanded.
     pub routing: Vec<RoutingPartition>,
     /// The doors of the stamp being expanded, first door first: collected
-    /// once per expansion, and read by ToE's regularity test, KoE's
-    /// route-door test, the shortest-path exclusions and the child step.
-    /// Once every child is generated, the connect step collects a fully
-    /// covered child's doors here.
+    /// and marked in the scratch once per expansion
+    /// ([`Search::collect_route_doors`]). ToE's regularity test, KoE's
+    /// route-door test, the shortest-path exclusions and the child step
+    /// read the marks, and scan the doors only for a marked door. Once
+    /// every child is generated, the connect step collects a fully covered
+    /// child's doors here.
     pub route_doors: Vec<DoorId>,
+    /// The doors of KoE's connection path, reused across connections.
+    pub path_doors: Vec<DoorId>,
+    /// The partitions between the doors of `path_doors`.
+    pub path_legs: Vec<PartitionId>,
     /// Metrics of the run.
     pub metrics: SearchMetrics,
 }
@@ -79,14 +91,13 @@ impl<'a> Search<'a> {
         _shared_rows: Option<Infallible>,
     ) -> Self {
         let results = TopKResults::new(ctx.query.k, config.use_prime_pruning);
+        let space = ctx.space;
         Search {
             ctx,
             config,
             state: SearchState {
-                queue: BinaryHeap::new(),
-                doors_checked: IdSet::default(),
-                doors_filtered: IdSet::default(),
-                terminal_bounds: IdMap::default(),
+                queue: StampQueue::default(),
+                scratch: PooledScratch::take(space.num_doors(), space.num_partitions()),
                 prime: PrimeTable::new(),
                 classes: KpClasses::new(ctx.prepared.len()),
                 tree: RouteTree::default(),
@@ -94,6 +105,8 @@ impl<'a> Search<'a> {
                 key_rows: KeyPartitionRows::default(),
                 routing: Vec::new(),
                 route_doors: Vec::new(),
+                path_doors: Vec::new(),
+                path_legs: Vec::new(),
                 metrics: SearchMetrics::new(),
             },
         }
@@ -114,7 +127,7 @@ impl<'a> Search<'a> {
 
         // The popped stamp's children, reused across expansions.
         let mut children = Vec::new();
-        while let Some(StampOrder(stamp)) = self.state.queue.pop() {
+        while let Some(stamp) = self.state.queue.pop() {
             self.state.metrics.stamps_expanded += 1;
             if let Some(budget) = self.config.expansion_budget {
                 if self.state.metrics.stamps_expanded > budget {
@@ -136,8 +149,7 @@ impl<'a> Search<'a> {
             } else {
                 // Every child is generated before any is connected: a
                 // connected child can raise the kbound of Rule 4.
-                let state = &mut self.state;
-                state.tree.collect_doors(stamp.node, &mut state.route_doors);
+                self.collect_route_doors(stamp.node);
                 match self.config.kind {
                     AlgorithmKind::ToE => self.toe_find(&stamp, &mut children),
                     AlgorithmKind::KoE => self.koe_find(&stamp, &mut children),
@@ -158,6 +170,14 @@ impl<'a> Search<'a> {
         }
     }
 
+    /// Collects the doors of `node`'s route into `route_doors`, and marks
+    /// them in the scratch.
+    pub(crate) fn collect_route_doors(&mut self, node: NodeId) {
+        let state = &mut self.state;
+        state.tree.collect_doors(node, &mut state.route_doors);
+        state.scratch.mark_route(&state.route_doors);
+    }
+
     // -----------------------------------------------------------------
     // Stamp construction
     // -----------------------------------------------------------------
@@ -167,11 +187,11 @@ impl<'a> Search<'a> {
     /// partition (Definition 5).
     pub(crate) fn initial_stamp(&mut self) -> Stamp {
         let (ctx, v) = (self.ctx, self.ctx.start_partition);
-        let rows = &self.state.key_rows;
+        let (rows, scratch) = (&mut self.state.key_rows, &mut self.state.scratch);
         let class = self
             .state
             .classes
-            .single(v, |coverage| rows.credit(ctx, v, coverage));
+            .single(v, |coverage| rows.credit(scratch, ctx, v, coverage));
         let relevance = self.state.classes.relevance(class);
         Stamp {
             partition: v,
@@ -224,11 +244,10 @@ impl<'a> Search<'a> {
         }
         // Pruning Rule 1 (lines 15–16).
         let lower_bound = distance
-            + *self
+            + self
                 .state
-                .terminal_bounds
-                .entry(tail)
-                .or_insert_with(|| ctx.door_to_terminal_lb(tail));
+                .scratch
+                .terminal_bound(tail, || ctx.door_to_terminal_lb(tail));
         if self.config.use_distance_pruning && lower_bound > delta {
             self.state
                 .metrics
@@ -255,7 +274,10 @@ impl<'a> Search<'a> {
         for &landing in landings {
             if prime || landing == ctx.terminal_partition {
                 if node.is_none() {
-                    if !path_extends(&self.state.route_doors, doors, legs) {
+                    let state = &self.state;
+                    if !path_extends_marked(&state.route_doors, doors, legs, |d| {
+                        state.scratch.is_marked(d)
+                    }) {
                         continue;
                     }
                     node = Some(self.state.tree.extend(parent.node, added, legs));
@@ -297,15 +319,15 @@ impl<'a> Search<'a> {
     /// The class of a route of class `class` after key partition `v`,
     /// crediting `v`'s key-partition row when the class is new.
     pub(crate) fn push_partition(&mut self, class: ClassId, v: PartitionId) -> ClassId {
-        let (ctx, rows) = (self.ctx, &self.state.key_rows);
+        let (ctx, rows, scratch) = (self.ctx, &mut self.state.key_rows, &mut self.state.scratch);
         self.state
             .classes
-            .push(class, v, |coverage| rows.credit(ctx, v, coverage))
+            .push(class, v, |coverage| rows.credit(scratch, ctx, v, coverage))
     }
 
     /// [`SearchContext::is_key_partition`], read from the key-partition
     /// rows.
-    pub(crate) fn is_key_partition(&self, v: PartitionId) -> bool {
+    pub(crate) fn is_key_partition(&mut self, v: PartitionId) -> bool {
         v == self.ctx.start_partition
             || v == self.ctx.terminal_partition
             || self.partition_covers_candidate(v)
@@ -313,8 +335,15 @@ impl<'a> Search<'a> {
 
     /// [`SearchContext::partition_covers_candidate`], read from the
     /// key-partition rows.
-    pub(crate) fn partition_covers_candidate(&self, v: PartitionId) -> bool {
-        self.state.key_rows.covers(self.ctx, v)
+    pub(crate) fn partition_covers_candidate(&mut self, v: PartitionId) -> bool {
+        self.partition_row(v).is_some()
+    }
+
+    /// The offset of partition `v`'s key-partition row, scored on first
+    /// use; `None` when `v` covers no query keyword.
+    pub(crate) fn partition_row(&mut self, v: PartitionId) -> Option<usize> {
+        let state = &mut self.state;
+        state.key_rows.row(&mut state.scratch, self.ctx, v)
     }
 
     /// The route a stamp names, completed at `pt` when `complete` is set.
@@ -355,7 +384,7 @@ impl<'a> Search<'a> {
 
     /// Pushes a stamp into the priority queue.
     pub(crate) fn push_stamp(&mut self, stamp: Stamp) {
-        self.state.queue.push(StampOrder(stamp));
+        self.state.queue.push(stamp);
         self.state.metrics.observe_queue_len(self.state.queue.len());
     }
 
@@ -396,18 +425,18 @@ impl<'a> Search<'a> {
     }
 
     /// Samples the live memory of the search state plus `transient` bytes
-    /// the current expansion holds, keeping the peak.
+    /// the current expansion holds, keeping the peak. The scratch's slots
+    /// belong to the thread; only the entries this search wrote count.
     pub(crate) fn observe_memory(&mut self, transient: usize) {
         use std::mem::size_of;
         let state = &self.state;
         let live = transient
-            + state.queue.len() * size_of::<StampOrder>()
+            + state.queue.len() * size_of::<Stamp>()
             + state.tree.estimated_bytes()
             + state.classes.estimated_bytes()
             + state.prime.estimated_bytes()
             + state.results.estimated_bytes()
-            + (state.doors_checked.len() + state.doors_filtered.len()) * size_of::<DoorId>() * 2
-            + state.terminal_bounds.len() * size_of::<(DoorId, f64)>()
+            + state.scratch.written_bytes()
             + state.key_rows.estimated_bytes()
             + state.routing.len() * size_of::<RoutingPartition>();
         self.state.metrics.observe_memory(live);
@@ -520,8 +549,7 @@ mod tests {
 
     /// Collects `stamp`'s doors, as the search does when it expands it.
     fn expand(search: &mut Search<'_>, stamp: &Stamp) {
-        let state = &mut search.state;
-        state.tree.collect_doors(stamp.node, &mut state.route_doors);
+        search.collect_route_doors(stamp.node);
     }
 
     /// The complete stamp the connect step builds from `stamp` along

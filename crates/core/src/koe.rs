@@ -27,7 +27,10 @@
 //! Each connection goes to the child step (`Search::generate_children`),
 //! which applies the distance constraint and Pruning Rules 1, 4 and 5
 //! (lines 14–18) and produces the stamp at the target partition. The popped
-//! stamp's own Rule-5 check (line 3) is made by [`Search::run`].
+//! stamp's own Rule-5 check (line 3) is made by [`Search::run`]. A
+//! connection's path is written into two buffers the search reuses, and
+//! the route-door tests and the runs' exclusions read the route marks of
+//! the search's scratch.
 
 use crate::framework::Search;
 use crate::pruning::PruneRule;
@@ -47,31 +50,33 @@ pub(crate) struct RoutingPartition {
     detour_bound: f64,
 }
 
-/// A resolved connection from the current stamp position to a target door.
-struct Connection {
-    distance: f64,
-    doors: Vec<DoorId>,
-    partitions: Vec<PartitionId>,
+/// The length of the connection a shortest-path run offers from its
+/// source door to the target door `dl`: 0 when `dl` is the source, none
+/// when the run left `dl` unsettled (unreachable, excluded or beyond the
+/// budget), otherwise the run's distance.
+fn leg_distance(run: &DijkstraResult, dl: DoorId) -> Option<f64> {
+    if run.source() == dl {
+        return Some(0.0);
+    }
+    Some(run.distance(dl)).filter(|d| d.is_finite())
 }
 
-/// The connection a shortest-path run offers from its source door to the
-/// target door `dl`: the door alone when it is the source, none when the
-/// run left `dl` unsettled (unreachable, excluded or beyond the budget),
-/// otherwise the run's path.
-fn connection(run: &DijkstraResult, dl: DoorId) -> Option<Connection> {
+/// Appends the connection a run offers to `dl` (see [`leg_distance`]) to
+/// `doors` and `partitions`: the door alone when it is the source,
+/// otherwise the run's path. Returns its length.
+fn connection(
+    run: &DijkstraResult,
+    dl: DoorId,
+    doors: &mut Vec<DoorId>,
+    partitions: &mut Vec<PartitionId>,
+) -> Option<f64> {
+    let distance = leg_distance(run, dl)?;
     if run.source() == dl {
-        return Some(Connection {
-            distance: 0.0,
-            doors: vec![dl],
-            partitions: Vec::new(),
-        });
+        doors.push(dl);
+    } else if !run.path_into(dl, doors, partitions) {
+        return None;
     }
-    let (doors, partitions) = run.path_to(dl)?;
-    Some(Connection {
-        distance: run.distance(dl),
-        doors,
-        partitions,
-    })
+    Some(distance)
 }
 
 /// Shortest-path source from the current stamp: either Dijkstra runs rooted
@@ -111,6 +116,10 @@ impl<'a> Search<'a> {
             self.observe_memory(row.estimated_bytes());
         }
 
+        let (mut doors, mut legs) = (
+            std::mem::take(&mut self.state.path_doors),
+            std::mem::take(&mut self.state.path_legs),
+        );
         for i in 0..self.state.routing.len() {
             let entry = self.state.routing[i];
             let vj = entry.partition;
@@ -151,23 +160,29 @@ impl<'a> Search<'a> {
             // Expand to each enterable door of the target partition through
             // the shortest regular connecting route (lines 12–20).
             for &dl in ctx.space.p2d_enter(vj) {
-                if Some(dl) != tail && self.state.route_doors.contains(&dl) {
+                if Some(dl) != tail && self.state.scratch.is_marked(dl) {
                     self.state.metrics.prunes.record(PruneRule::Regularity);
                     continue;
                 }
-                let Some(connection) = self.resolve_connection(&mut source, stamp, dl) else {
+                doors.clear();
+                legs.clear();
+                let Some(distance) =
+                    self.resolve_connection(&mut source, stamp, dl, &mut doors, &mut legs)
+                else {
                     continue;
                 };
                 self.generate_children(
                     stamp,
-                    &connection.doors,
-                    &connection.partitions,
+                    &doors,
+                    &legs,
                     &[vj],
-                    stamp.distance + connection.distance,
+                    stamp.distance + distance,
                     children,
                 );
             }
         }
+        self.state.path_doors = doors;
+        self.state.path_legs = legs;
     }
 
     /// The routing set `P` of Algorithm 1 line 3: the key partitions a jump
@@ -211,7 +226,7 @@ impl<'a> Search<'a> {
 
         let mut routing = Vec::new();
         for v in reached {
-            let row = self.state.key_rows.row(ctx, v);
+            let row = self.partition_row(v);
             let key = v != ctx.start_partition && row.is_some();
             if !key && v != ctx.terminal_partition {
                 continue;
@@ -265,7 +280,7 @@ impl<'a> Search<'a> {
                         continue;
                     }
                     self.state.metrics.dijkstra_calls += 1;
-                    let result = paths.from_door_within(dx, &[], cost, ctx.delta(), terminal);
+                    let result = paths.from_door_within(dx, |_| false, cost, ctx.delta(), terminal);
                     per_door.push((cost, result));
                 }
                 KoeSource::FromPoint(per_door)
@@ -273,16 +288,22 @@ impl<'a> Search<'a> {
             Some(dk) => {
                 self.state.metrics.dijkstra_calls += 1;
                 if self.config.use_precomputed_paths {
-                    let row =
-                        paths.from_door_within(dk, &[], stamp.distance, ctx.delta(), terminal);
+                    let row = paths.from_door_within(
+                        dk,
+                        |_| false,
+                        stamp.distance,
+                        ctx.delta(),
+                        terminal,
+                    );
                     KoeSource::Unrestricted {
                         row,
                         fallback: None,
                     }
                 } else {
+                    let scratch = &self.state.scratch;
                     let result = paths.from_door_within(
                         dk,
-                        &self.state.route_doors,
+                        |d| scratch.is_marked(d),
                         stamp.distance,
                         ctx.delta(),
                         terminal,
@@ -303,60 +324,69 @@ impl<'a> Search<'a> {
             .then_some(&ctx.query.terminal)
     }
 
-    /// Resolves the shortest regular connection from the stamp position to the
-    /// target door `dl`.
+    /// Resolves the shortest regular connection from the stamp position to
+    /// the target door `dl`: writes its doors and the partitions between
+    /// them into `doors` and `partitions`, which are empty, and returns its
+    /// length.
     fn resolve_connection(
         &mut self,
         source: &mut KoeSource,
         stamp: &Stamp,
         dl: DoorId,
-    ) -> Option<Connection> {
+        doors: &mut Vec<DoorId>,
+        partitions: &mut Vec<PartitionId>,
+    ) -> Option<f64> {
         match source {
             KoeSource::FromPoint(per_door) => {
-                let mut best: Option<Connection> = None;
+                // The first source of the shortest connection wins ties.
+                let mut best: Option<(f64, &DijkstraResult)> = None;
                 for (cost, run) in per_door.iter() {
-                    let Some(leg) = connection(run, dl) else {
+                    let Some(leg) = leg_distance(run, dl) else {
                         continue;
                     };
-                    let total = cost + leg.distance;
-                    if best.as_ref().map(|b| total < b.distance).unwrap_or(true) {
-                        let mut partitions = Vec::with_capacity(leg.partitions.len() + 1);
-                        partitions.push(self.ctx.start_partition);
-                        partitions.extend(leg.partitions);
-                        best = Some(Connection {
-                            distance: total,
-                            doors: leg.doors,
-                            partitions,
-                        });
+                    let total = cost + leg;
+                    if best.is_none_or(|(shortest, _)| total < shortest) {
+                        best = Some((total, run));
                     }
                 }
-                best
+                let (total, run) = best?;
+                partitions.push(self.ctx.start_partition);
+                connection(run, dl, doors, partitions)?;
+                Some(total)
             }
-            KoeSource::FromDoor(run) => connection(run, dl),
+            KoeSource::FromDoor(run) => connection(run, dl, doors, partitions),
             KoeSource::Unrestricted { row, fallback } => {
                 // A door the row leaves unsettled is beyond the remaining
                 // budget (or the ellipse) even without exclusions: no
                 // regular connection fits.
-                let found = connection(row, dl)?;
+                let distance = connection(row, dl, doors, partitions)?;
                 // The path is simple, so only its first door is the tail.
-                let route_doors = &self.state.route_doors;
-                if found.doors.iter().skip(1).all(|d| !route_doors.contains(d)) {
-                    return Some(found);
+                let scratch = &self.state.scratch;
+                if doors.iter().skip(1).all(|&d| !scratch.is_marked(d)) {
+                    return Some(distance);
                 }
                 // Regularity check failed: recompute on the fly, as the
                 // paper prescribes for KoE*.
                 self.state.metrics.precomputed_path_recomputations += 1;
                 if fallback.is_none() {
                     self.state.metrics.dijkstra_calls += 1;
+                    let scratch = &self.state.scratch;
                     *fallback = Some(self.ctx.space.shortest_paths().from_door_within(
                         row.source(),
-                        &self.state.route_doors,
+                        |d| scratch.is_marked(d),
                         stamp.distance,
                         self.ctx.delta(),
                         self.ellipse_terminal(),
                     ));
                 }
-                connection(fallback.as_ref().expect("fallback just filled"), dl)
+                doors.clear();
+                partitions.clear();
+                connection(
+                    fallback.as_ref().expect("fallback just filled"),
+                    dl,
+                    doors,
+                    partitions,
+                )
             }
         }
     }

@@ -92,6 +92,7 @@ pub mod query;
 pub mod request;
 pub mod results;
 pub mod score;
+pub mod scratch;
 pub mod service;
 pub mod stamp;
 pub mod toe;

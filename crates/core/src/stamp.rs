@@ -5,15 +5,20 @@
 //! its key-partition sequence `KP(R)` by a class of the search's class
 //! table ([`crate::classes`]), which also holds the route's relevance `ρ`.
 //! A child appends tree nodes only for the doors its path adds, and the
-//! landings of one door path share them, so a stamp owns no heap memory and
-//! the queue moves small `Copy` records. A [`Route`] is built only for a
-//! result that passes the distance constraint and Pruning Rule 5, and by
-//! debug assertions.
+//! landings of one door path share them, so a stamp owns no heap memory. A
+//! [`Route`] is built only for a result that passes the distance constraint
+//! and Pruning Rule 5, and by debug assertions.
+//!
+//! The queue (`StampQueue`) keeps its stamps in a slab and orders
+//! `(key, slot)` entries of 24 bytes, whose integer keys order as
+//! [`StampOrder`] orders the stamps: the heap makes the same comparisons
+//! and pops ties in the same order.
 
 use crate::classes::ClassId;
 use indoor_geom::OrderedF64;
 use indoor_space::{DoorId, IndoorPoint, PartitionId, Route};
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// The id of a node of a [`RouteTree`].
 pub(crate) type NodeId = u32;
@@ -130,11 +135,35 @@ pub(crate) fn can_append_door(doors: &[DoorId], d: DoorId) -> bool {
     }
 }
 
+/// [`can_append_door`] for a route whose doors `on_route` marks: the doors
+/// are scanned only when `d` is one of them.
+#[inline]
+pub(crate) fn can_append_marked(
+    doors: &[DoorId],
+    d: DoorId,
+    on_route: impl Fn(DoorId) -> bool,
+) -> bool {
+    !on_route(d) || can_append_door(doors, d)
+}
+
 /// Whether the door path `path` through `legs` extends a route from a point
 /// with doors `doors`, as [`Route::extend_with_door_path`] requires: the
 /// path starts at the route's tail door, if it has one, each door it adds
-/// has a leg, and each may follow the doors before it.
+/// has a leg, and each may follow the doors before it. The specification
+/// of [`path_extends_marked`], which the search calls.
+#[cfg(test)]
 pub(crate) fn path_extends(doors: &[DoorId], path: &[DoorId], legs: &[PartitionId]) -> bool {
+    path_extends_marked(doors, path, legs, |d| doors.contains(&d))
+}
+
+/// [`path_extends`] for a route whose doors `on_route` marks: the route's
+/// doors are scanned only for a path door that is one of them.
+pub(crate) fn path_extends_marked(
+    doors: &[DoorId],
+    path: &[DoorId],
+    legs: &[PartitionId],
+    on_route: impl Fn(DoorId) -> bool,
+) -> bool {
     let added = match doors.last() {
         Some(tail) if path.first() != Some(tail) => return false,
         Some(_) => &path[1..],
@@ -146,8 +175,8 @@ pub(crate) fn path_extends(doors: &[DoorId], path: &[DoorId], legs: &[PartitionI
             .iter()
             .enumerate()
             .all(|(i, &d)| match added[..i].iter().rposition(|&x| x == d) {
-                None if i == 0 => can_append_door(doors, d),
-                None => !doors.contains(&d),
+                None if i == 0 => can_append_marked(doors, d, &on_route),
+                None => !on_route(d),
                 Some(pos) => {
                     let before = if pos == 0 {
                         doors.last()
@@ -162,6 +191,10 @@ pub(crate) fn path_extends(doors: &[DoorId], path: &[DoorId], legs: &[PartitionI
 /// Ordering wrapper: the priority queue of Algorithm 1 pops the stamp with
 /// the highest ranking score first; ties broken by smaller distance so that
 /// shorter prefixes are explored first.
+///
+/// This is the order's specification. The search's `StampQueue` orders
+/// integer keys that compare as it does, and its proptest holds the two to
+/// one pop sequence.
 #[derive(Debug, Clone, Copy)]
 pub struct StampOrder(pub Stamp);
 
@@ -191,11 +224,111 @@ impl Ord for StampOrder {
     }
 }
 
+/// An integer that orders as [`OrderedF64`] orders `v`: non-finite values
+/// clamp as [`OrderedF64::new`] clamps them, and `-0.0` and `+0.0` map to
+/// one key. A non-negative float's bits order as the number; the sign bit
+/// is set above them, and a negative float's bits are inverted below.
+#[inline]
+fn order_key(v: f64) -> u64 {
+    // Adding +0.0 turns -0.0 into +0.0 and leaves every other value alone.
+    let bits = (OrderedF64::new(v).get() + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// A queue entry: a stamp's order key and its slot in the slab. `Ord`
+/// compares the key only, as [`StampOrder`] compares score and distance:
+/// higher score first, then smaller distance.
+#[derive(Debug, Clone, Copy)]
+struct QueueEntry {
+    score: u64,
+    /// The distance's key, inverted: a smaller distance pops first.
+    distance: u64,
+    slot: u32,
+}
+
+impl QueueEntry {
+    fn key(&self) -> (u64, u64) {
+        (self.score, self.distance)
+    }
+}
+
+impl PartialEq for QueueEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for QueueEntry {}
+
+impl PartialOrd for QueueEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for QueueEntry {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// The priority queue `Q` of Algorithm 1: a binary heap of [`QueueEntry`]
+/// over a slab of stamps. A popped stamp's slot is reused by the next push,
+/// so the slab never holds more stamps than the queue held at its peak.
+#[derive(Debug, Default)]
+pub(crate) struct StampQueue {
+    heap: BinaryHeap<QueueEntry>,
+    slab: Vec<Stamp>,
+    /// Slots of popped stamps.
+    free: Vec<u32>,
+}
+
+impl StampQueue {
+    /// Queues a stamp.
+    pub(crate) fn push(&mut self, stamp: Stamp) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = stamp;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len())
+                    .expect("a queue holds fewer than 2^32 stamps at once");
+                self.slab.push(stamp);
+                slot
+            }
+        };
+        self.heap.push(QueueEntry {
+            score: order_key(stamp.score),
+            distance: !order_key(stamp.distance),
+            slot,
+        });
+    }
+
+    /// Pops the stamp of highest score, of smallest distance among equal
+    /// scores.
+    pub(crate) fn pop(&mut self) -> Option<Stamp> {
+        let QueueEntry { slot, .. } = self.heap.pop()?;
+        self.free.push(slot);
+        Some(self.slab[slot as usize])
+    }
+
+    /// Stamps queued.
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use indoor_space::FloorId;
-    use std::collections::BinaryHeap;
+    use proptest::prelude::*;
 
     fn stamp(score: f64, distance: f64) -> StampOrder {
         StampOrder(Stamp {
@@ -294,5 +427,102 @@ mod tests {
         assert_eq!(tree.route(start, c), expected);
         assert_eq!(tree.route(start, START), Route::from_point(start));
         assert_eq!(tree.estimated_bytes(), 4 * std::mem::size_of::<RouteNode>());
+    }
+
+    /// The scores and distances the queue proptest draws from: ties, both
+    /// zeros, and the non-finite values `OrderedF64` clamps.
+    const VALUES: [f64; 8] = [
+        0.5,
+        0.25,
+        0.0,
+        -0.0,
+        -1.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+
+    /// A stamp whose partition id names it.
+    fn named(id: u32, score: f64, distance: f64) -> Stamp {
+        Stamp {
+            partition: PartitionId(id),
+            ..stamp(score, distance).0
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Pushes (`Some`) and pops (`None`) in random order: the slab
+        /// queue pops the same stamps, in the same order, as a
+        /// `BinaryHeap<StampOrder>`, and its slab never holds more stamps
+        /// than the queue held at its peak.
+        #[test]
+        fn the_slab_queue_pops_as_the_stamp_order_heap(
+            ops in proptest::collection::vec(
+                proptest::option::of((0usize..8, 0usize..8)),
+                1..96,
+            )
+        ) {
+            let mut queue = StampQueue::default();
+            let mut spec = BinaryHeap::new();
+            let mut peak = 0;
+            for (id, op) in ops.into_iter().enumerate() {
+                match op {
+                    Some((score, distance)) => {
+                        let stamp = named(id as u32, VALUES[score], VALUES[distance]);
+                        queue.push(stamp);
+                        spec.push(StampOrder(stamp));
+                        peak = peak.max(queue.len());
+                    }
+                    None => {
+                        let popped = queue.pop().map(|s| s.partition);
+                        prop_assert_eq!(popped, spec.pop().map(|s| s.0.partition));
+                    }
+                }
+                prop_assert_eq!(queue.len(), spec.len());
+                prop_assert!(queue.slab.len() <= peak);
+            }
+            while let Some(StampOrder(expected)) = spec.pop() {
+                prop_assert_eq!(queue.pop().map(|s| s.partition), Some(expected.partition));
+            }
+            prop_assert!(queue.pop().is_none());
+        }
+
+        /// Random regular door sequences: with the route's doors marked,
+        /// the mark-based tests agree with `can_append_door`,
+        /// `path_extends` and `Route::can_append_door` for every door.
+        #[test]
+        fn the_marked_door_tests_agree_with_the_scans(
+            wanted in proptest::collection::vec(0u32..6, 0..12),
+            path in proptest::collection::vec(0u32..6, 1..4),
+        ) {
+            let start = IndoorPoint::from_xy(0.0, 0.0, FloorId(0));
+            let mut route = Route::from_point(start);
+            for d in wanted.into_iter().map(DoorId) {
+                if route.can_append_door(d) {
+                    route.append_door(d, PartitionId(0)).unwrap();
+                }
+            }
+            let doors = route.doors().to_vec();
+            let mut scratch = crate::scratch::PooledScratch::take(6, 1);
+            scratch.mark_route(&doors);
+            let marked = |d: DoorId| scratch.is_marked(d);
+            for d in (0..6).map(DoorId) {
+                prop_assert_eq!(marked(d), doors.contains(&d));
+                let expected = can_append_door(&doors, d);
+                prop_assert_eq!(can_append_marked(&doors, d, marked), expected);
+                prop_assert_eq!(route.can_append_door(d), expected);
+            }
+            let mut path: Vec<DoorId> = path.into_iter().map(DoorId).collect();
+            if let Some(&tail) = doors.last() {
+                path.insert(0, tail);
+            }
+            let legs = vec![PartitionId(0); path.len() - usize::from(!doors.is_empty())];
+            prop_assert_eq!(
+                path_extends_marked(&doors, &path, &legs, marked),
+                path_extends(&doors, &path, &legs)
+            );
+        }
     }
 }

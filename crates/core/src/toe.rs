@@ -7,10 +7,15 @@
 //! constraint and Pruning Rules 1, 4 and 5 (lines 14–18) and produces one
 //! stamp per partition enterable through the door. The popped stamp's own
 //! Rule-5 check (line 3) is made by [`Search::run`].
+//!
+//! Each door costs array reads: its Rule-2 verdict and route mark are slots
+//! of the search's scratch, the route's doors are scanned only for a door
+//! the route holds, and the walk through `vi` searches the venue's
+//! override table only when the table names `vi`.
 
 use crate::framework::Search;
 use crate::pruning::PruneRule;
-use crate::stamp::{can_append_door, Stamp};
+use crate::stamp::{can_append_marked, Stamp};
 
 impl Search<'_> {
     /// `ToE_find(Si)`: the next valid stamps reachable by one-hop topology
@@ -20,27 +25,34 @@ impl Search<'_> {
         let vi = stamp.partition;
         let tail = stamp.tail;
         let delta = ctx.delta();
+        let prune = self.config.use_distance_pruning;
 
         for &dl in ctx.space.p2d_leave(vi) {
+            let verdict = if prune {
+                self.state.scratch.door_verdict(dl)
+            } else {
+                None
+            };
             // Doors already filtered by Pruning Rule 2 (the `Df` set).
-            if self.config.use_distance_pruning && self.state.doors_filtered.contains(&dl) {
+            if verdict == Some(false) {
                 continue;
             }
             // Regularity check (Algorithm 2 line 5): a door already on the
             // route may only re-appear immediately after itself.
-            if !can_append_door(&self.state.route_doors, dl) {
+            let scratch = &self.state.scratch;
+            if !can_append_marked(&self.state.route_doors, dl, |d| scratch.is_marked(d)) {
                 self.state.metrics.prunes.record(PruneRule::Regularity);
                 continue;
             }
             // Pruning Rule 2 with the Dn / Df caches (lines 6–10).
-            if self.config.use_distance_pruning && !self.state.doors_checked.contains(&dl) {
+            if prune && verdict.is_none() {
                 let bound = ctx.start_to_door_lb(dl) + ctx.door_to_terminal_lb(dl);
-                if bound > delta {
-                    self.state.doors_filtered.insert(dl);
+                let passed = bound <= delta;
+                self.state.scratch.set_door_verdict(dl, passed);
+                if !passed {
                     self.state.metrics.prunes.record(PruneRule::DoorDistance);
                     continue;
                 }
-                self.state.doors_checked.insert(dl);
             }
             // Lemma 2: a one-hop loop (dk, dk) is only allowed when the looped
             // partition covers a candidate i-word (lines 12–13).
@@ -48,10 +60,20 @@ impl Search<'_> {
                 self.state.metrics.prunes.record(PruneRule::Regularity);
                 continue;
             }
-            // Distance increment through the current partition.
+            // Distance increment through the current partition. The tail
+            // door entered `vi` and `dl` leaves it, so only a loop needs the
+            // membership tests.
             let increment = match tail {
                 None => ctx.space.pt2d_distance(&ctx.query.start, dl),
-                Some(dk) => ctx.space.intra_door_distance(vi, dk, dl),
+                Some(dk) if dk == dl => ctx.space.loop_distance(dl, vi),
+                Some(dk) => {
+                    let increment = ctx.space.intra_door_distance_unchecked(vi, dk, dl);
+                    debug_assert_eq!(
+                        increment.to_bits(),
+                        ctx.space.intra_door_distance(vi, dk, dl).to_bits()
+                    );
+                    increment
+                }
             };
             if !increment.is_finite() {
                 continue;

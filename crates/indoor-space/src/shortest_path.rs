@@ -35,18 +35,23 @@
 //! * [`ShortestPaths::from_door_within`] and
 //!   [`ShortestPaths::door_to_point_path_within`] are the bounded runs a
 //!   search makes: KoE's jumps, KoE*'s unrestricted runs and regularity
-//!   fallbacks, and the connect step. They take the route's doors as a
-//!   slice to exclude. A bounded run settles a small part of the venue, so
-//!   it takes its `O(doors)` arrays from a small per-thread pool of spent
-//!   ones and, when its result is dropped, resets only the entries it wrote
-//!   and hands them back.
+//!   fallbacks, and the connect step. They take a test of the doors to
+//!   exclude, which the searches answer from their route marks. A bounded
+//!   run settles a
+//!   small part of the venue, so it takes its `O(doors)` arrays, its queue
+//!   and its list of cut doors from a small per-thread pool of spent ones
+//!   and, when its result is dropped, resets only the entries it wrote and
+//!   hands them back.
+//!
+//! The queue orders `(distance bits, door)` pairs: distances are never
+//! negative, and the bits of a non-negative float order as the number, so
+//! the pops come in the order of the distances, ties by door id.
 
 use crate::door_graph::DoorGraphEdge;
 use crate::ids::{DoorId, PartitionId};
 use crate::point::IndoorPoint;
 use crate::space::IndoorSpace;
 use crate::UNREACHABLE;
-use indoor_geom::OrderedF64;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -54,8 +59,18 @@ use std::collections::{BinaryHeap, HashSet};
 /// Predecessor of a settled door: `(previous door, connecting partition)`.
 type Prev = Option<(DoorId, PartitionId)>;
 
+/// A queued tentative distance: the distance's bits and the door.
+type QueueEntry = Reverse<(u64, DoorId)>;
+
 /// The Dijkstra priority queue: tentative distances, smallest first.
-type Queue = BinaryHeap<Reverse<(OrderedF64, DoorId)>>;
+type Queue = BinaryHeap<QueueEntry>;
+
+/// A queue entry for `door` at distance `dist`, which is never negative.
+#[inline]
+fn entry(dist: f64, door: DoorId) -> QueueEntry {
+    debug_assert!(dist >= 0.0, "a negative distance {dist} would misorder");
+    Reverse((dist.to_bits(), door))
+}
 
 /// Relative slack of the ellipse cut: a door is cut only when its bound
 /// exceeds `limit · (1 + ELLIPSE_SLACK)`. Searches walk the ellipse with the
@@ -69,11 +84,13 @@ pub const ELLIPSE_SLACK: f64 = 1e-9;
 const POOL_CAP: usize = 32;
 
 /// Clean buffers (every `dist` entry [`UNREACHABLE`], every `prev` entry
-/// `None`) of dropped bounded results.
+/// `None`, the lists empty) of dropped bounded results.
 struct SpentBuffers {
     dist: Vec<f64>,
     prev: Vec<Prev>,
     touched: Vec<DoorId>,
+    queue: Vec<QueueEntry>,
+    cut: Vec<DoorId>,
 }
 
 thread_local! {
@@ -90,6 +107,9 @@ pub struct DijkstraResult {
     /// Bounded runs only: every door whose entries the run wrote, so that
     /// dropping the result can reset just those and pool the buffers.
     touched: Option<Vec<DoorId>>,
+    /// The run's queue and cut doors, emptied, kept for the pool.
+    queue: Vec<QueueEntry>,
+    cut: Vec<DoorId>,
 }
 
 impl DijkstraResult {
@@ -100,6 +120,8 @@ impl DijkstraResult {
             dist: vec![UNREACHABLE; n],
             prev: vec![None; n],
             touched: None,
+            queue: Vec::new(),
+            cut: Vec::new(),
         }
     }
 
@@ -109,10 +131,19 @@ impl DijkstraResult {
             .try_with(|pool| pool.borrow_mut().pop())
             .ok()
             .flatten();
-        let (mut dist, mut prev, touched) = match spent {
-            Some(b) => (b.dist, b.prev, b.touched),
-            None => (Vec::new(), Vec::new(), Vec::new()),
-        };
+        let SpentBuffers {
+            mut dist,
+            mut prev,
+            touched,
+            queue,
+            cut,
+        } = spent.unwrap_or(SpentBuffers {
+            dist: Vec::new(),
+            prev: Vec::new(),
+            touched: Vec::new(),
+            queue: Vec::new(),
+            cut: Vec::new(),
+        });
         dist.resize(n, UNREACHABLE);
         prev.resize(n, None);
         DijkstraResult {
@@ -120,6 +151,8 @@ impl DijkstraResult {
             dist,
             prev,
             touched: Some(touched),
+            queue,
+            cut,
         }
     }
 
@@ -134,14 +167,17 @@ impl DijkstraResult {
 
     /// Forgets the doors a stopped run left unsettled: every queued entry
     /// that still holds its door's tentative distance. (A settled door's
-    /// queued entries are all stale, i.e. longer than its distance.)
+    /// queued entries are all stale, i.e. longer than its distance.) The
+    /// emptied queue is kept for the pool.
     fn forget_unsettled(&mut self, queue: Queue) {
-        for Reverse((d, u)) in queue.into_vec() {
-            if self.dist[u.index()] == d.get() {
+        let mut queue = queue.into_vec();
+        for Reverse((bits, u)) in queue.drain(..) {
+            if self.dist[u.index()] == f64::from_bits(bits) {
                 self.dist[u.index()] = UNREACHABLE;
                 self.prev[u.index()] = None;
             }
         }
+        self.queue = queue;
     }
 
     /// Heap size of the per-door arrays in bytes, for memory accounting.
@@ -186,21 +222,39 @@ impl DijkstraResult {
     /// and ends with `target`, and `partitions[i]` connects `doors[i]` to
     /// `doors[i + 1]`. Returns `None` when unreachable.
     pub fn path_to(&self, target: DoorId) -> Option<(Vec<DoorId>, Vec<PartitionId>)> {
+        let (mut doors, mut partitions) = (Vec::new(), Vec::new());
+        self.path_into(target, &mut doors, &mut partitions)
+            .then_some((doors, partitions))
+    }
+
+    /// [`DijkstraResult::path_to`] appended to `doors` and `partitions`
+    /// instead of returned in new vectors. Returns `false`, and appends
+    /// nothing, when `target` is unreachable.
+    pub fn path_into(
+        &self,
+        target: DoorId,
+        doors: &mut Vec<DoorId>,
+        partitions: &mut Vec<PartitionId>,
+    ) -> bool {
         if !self.distance(target).is_finite() {
-            return None;
+            return false;
         }
-        let mut doors = vec![target];
-        let mut partitions = Vec::new();
+        let (first_door, first_partition) = (doors.len(), partitions.len());
+        doors.push(target);
         let mut cur = target;
         while cur != self.source {
-            let (prev, via) = self.prev[cur.index()]?;
+            let Some((prev, via)) = self.prev[cur.index()] else {
+                doors.truncate(first_door);
+                partitions.truncate(first_partition);
+                return false;
+            };
             doors.push(prev);
             partitions.push(via);
             cur = prev;
         }
-        doors.reverse();
-        partitions.reverse();
-        Some((doors, partitions))
+        doors[first_door..].reverse();
+        partitions[first_partition..].reverse();
+        true
     }
 }
 
@@ -226,6 +280,8 @@ impl Drop for DijkstraResult {
                 dist: std::mem::take(&mut self.dist),
                 prev: std::mem::take(&mut self.prev),
                 touched,
+                queue: std::mem::take(&mut self.queue),
+                cut: std::mem::take(&mut self.cut),
             });
         });
     }
@@ -267,14 +323,14 @@ impl<'a> ShortestPaths<'a> {
     /// [`ShortestPaths::from_door`] bounded by a budget: door `d` is settled
     /// only if `base + dist(d) <= limit`, and every other door reads as
     /// unreachable. Settled doors get bit-identical distances and the same
-    /// paths as in the unbounded run. `excluded` lists doors the run never
-    /// enters (the source excepted). With a `terminal`, the run also cuts
+    /// paths as in the unbounded run. The run never enters a door `d` with
+    /// `excluded(d)` (the source excepted). With a `terminal`, the run also cuts
     /// at the ellipse (see the module documentation), and the doors it
     /// settles are those of the uncut run whose bound passes the cut.
     pub fn from_door_within(
         &self,
         source: DoorId,
-        excluded: &[DoorId],
+        excluded: impl Fn(DoorId) -> bool,
         base: f64,
         limit: f64,
         terminal: Option<&IndoorPoint>,
@@ -282,7 +338,7 @@ impl<'a> ShortestPaths<'a> {
         let result = DijkstraResult::pooled(source, self.space.num_doors());
         self.run(
             result,
-            |d| excluded.contains(&d),
+            excluded,
             Budget {
                 base,
                 limit,
@@ -312,21 +368,21 @@ impl<'a> ShortestPaths<'a> {
         let source = result.source;
         let graph = self.space.door_graph();
         let cut_above = limit * (1.0 + ELLIPSE_SLACK);
-        let mut cut = Vec::new();
-        let mut heap = Queue::new();
+        let mut cut = std::mem::take(&mut result.cut);
+        let mut heap = Queue::from(std::mem::take(&mut result.queue));
         if source.index() < self.space.num_doors() {
             result.set(source, 0.0, None);
-            heap.push(Reverse((OrderedF64::new(0.0), source)));
+            heap.push(entry(0.0, source));
         }
         let mut pending = targets.len();
-        while let Some(Reverse((d, u))) = heap.pop() {
-            let d = d.get();
+        while let Some(Reverse((bits, u))) = heap.pop() {
+            let d = f64::from_bits(bits);
             if d > result.dist[u.index()] {
                 continue;
             }
             if base + d > limit {
                 // `u` is beyond the budget too: requeue it with the rest.
-                heap.push(Reverse((OrderedF64::new(d), u)));
+                heap.push(Reverse((bits, u)));
                 break;
             }
             let outside = terminal.is_some_and(|pt| {
@@ -351,15 +407,16 @@ impl<'a> ShortestPaths<'a> {
                 let nd = d + weight;
                 if nd < result.dist[to.index()] {
                     result.set(to, nd, Some((u, via)));
-                    heap.push(Reverse((OrderedF64::new(nd), to)));
+                    heap.push(entry(nd, to));
                 }
             }
         }
         result.forget_unsettled(heap);
-        for u in cut {
+        for u in cut.drain(..) {
             result.dist[u.index()] = UNREACHABLE;
             result.prev[u.index()] = None;
         }
+        result.cut = cut;
         result
     }
 
@@ -402,7 +459,7 @@ impl<'a> ShortestPaths<'a> {
         pt: &IndoorPoint,
         excluded: &[DoorId],
     ) -> Option<(f64, Vec<DoorId>, Vec<PartitionId>)> {
-        self.door_to_point_path_within(from, pt, excluded, 0.0, UNREACHABLE)
+        self.door_to_point_path_within(from, pt, |d| excluded.contains(&d), 0.0, UNREACHABLE)
     }
 
     /// [`ShortestPaths::door_to_point_path`] bounded by a budget: `None`
@@ -415,7 +472,7 @@ impl<'a> ShortestPaths<'a> {
         &self,
         from: DoorId,
         pt: &IndoorPoint,
-        excluded: &[DoorId],
+        excluded: impl Fn(DoorId) -> bool,
         base: f64,
         limit: f64,
     ) -> Option<(f64, Vec<DoorId>, Vec<PartitionId>)> {
@@ -424,7 +481,7 @@ impl<'a> ShortestPaths<'a> {
             .space
             .p2d_enter(host)
             .iter()
-            .filter(|&&de| !excluded.contains(&de) || de == from)
+            .filter(|&&de| !excluded(de) || de == from)
             .map(|&de| (de, self.space.d2pt_distance(de, pt)))
             .filter(|(_, tail)| tail.is_finite())
             .collect();
@@ -437,7 +494,7 @@ impl<'a> ShortestPaths<'a> {
             limit,
             terminal: Some(pt),
         };
-        let result = self.run(result, |d| excluded.contains(&d), budget, &targets);
+        let result = self.run(result, excluded, budget, &targets);
         let mut best: Option<(f64, DoorId)> = None;
         for (de, tail) in entries {
             let head = if de == from { 0.0 } else { result.distance(de) };

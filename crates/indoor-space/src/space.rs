@@ -269,6 +269,7 @@ impl IndoorSpaceBuilder {
             .collect();
         loop_overrides.sort_unstable_by_key(|&(v, d, _)| (v, d));
         check_override_distances(&intra_overrides, &loop_overrides)?;
+        let overridden = OverrideIndex::build(num_partitions, &intra_overrides, &loop_overrides);
 
         let (floor_bounds, grids) =
             floor_grids(self.floors.clone(), &self.partitions, self.grid_cell)?;
@@ -282,6 +283,7 @@ impl IndoorSpaceBuilder {
             p2d_leave,
             intra_overrides,
             loop_overrides,
+            overridden,
             floor_bounds,
             grids,
             door_graph: DoorGraph::empty(),
@@ -290,6 +292,38 @@ impl IndoorSpaceBuilder {
         space.door_graph = DoorGraph::build(&space);
         space.skeleton = SkeletonIndex::build(&space);
         Ok(space)
+    }
+}
+
+/// The partitions the override tables name, one bit each. Built where the
+/// tables are, in `O(partitions / 64 + overrides)`.
+#[derive(Debug, Clone, Default)]
+struct OverrideIndex {
+    bits: Vec<u64>,
+}
+
+impl OverrideIndex {
+    /// The index of the partitions of `intra` and `loops`, in a space of
+    /// `num_partitions` partitions; the tables' partition ids are in range.
+    fn build(
+        num_partitions: usize,
+        intra: &[(PartitionId, DoorId, DoorId, f64)],
+        loops: &[(PartitionId, DoorId, f64)],
+    ) -> Self {
+        let mut bits = vec![0u64; num_partitions.div_ceil(64)];
+        let named = intra.iter().map(|o| o.0).chain(loops.iter().map(|o| o.0));
+        for v in named {
+            bits[v.index() / 64] |= 1 << (v.index() % 64);
+        }
+        OverrideIndex { bits }
+    }
+
+    /// Whether an override table names partition `v`.
+    #[inline]
+    fn contains(&self, v: PartitionId) -> bool {
+        self.bits
+            .get(v.index() / 64)
+            .is_some_and(|word| word & (1 << (v.index() % 64)) != 0)
     }
 }
 
@@ -385,6 +419,9 @@ pub struct IndoorSpace {
     intra_overrides: Vec<(PartitionId, DoorId, DoorId, f64)>,
     /// Sorted by `(partition, door)`; binary-searched.
     loop_overrides: Vec<(PartitionId, DoorId, f64)>,
+    /// One bit per partition, set when either override table names it: a
+    /// distance in any other partition skips both searches.
+    overridden: OverrideIndex,
     floor_bounds: BTreeMap<FloorId, Rect>,
     grids: FloorGrids,
     door_graph: DoorGraph,
@@ -547,6 +584,7 @@ impl IndoorSpace {
             }
         }
         check_override_distances(&intra_overrides, &loop_overrides)?;
+        let overridden = OverrideIndex::build(np, &intra_overrides, &loop_overrides);
 
         if door_graph.num_nodes() != nd {
             return Err(SpaceError::InvalidConfig(format!(
@@ -570,6 +608,7 @@ impl IndoorSpace {
             p2d_leave,
             intra_overrides,
             loop_overrides,
+            overridden,
             floor_bounds,
             grids,
             door_graph,
@@ -805,17 +844,14 @@ impl IndoorSpace {
         self.intra_door_distance_unchecked(v, di, dj)
     }
 
-    /// [`IndoorSpace::intra_door_distance`] without the topology membership
-    /// re-check, for callers that already iterate `P2DA(v)` × `P2D@(v)`
-    /// (the door-graph builder runs this once per potential edge).
+    /// [`IndoorSpace::intra_door_distance`] of two distinct doors without
+    /// the topology membership re-check, for callers that know `di` enters
+    /// `v` and `dj` leaves it: the door-graph builder, which iterates
+    /// `P2DA(v)` × `P2D@(v)`, and ToE's child step. The override table is
+    /// searched only when it names `v`.
     #[inline]
-    pub(crate) fn intra_door_distance_unchecked(
-        &self,
-        v: PartitionId,
-        di: DoorId,
-        dj: DoorId,
-    ) -> f64 {
-        if !self.intra_overrides.is_empty() {
+    pub fn intra_door_distance_unchecked(&self, v: PartitionId, di: DoorId, dj: DoorId) -> f64 {
+        if self.overridden.contains(v) {
             if let Ok(i) = self
                 .intra_overrides
                 .binary_search_by(|&(pv, pa, pb, _)| (pv, pa, pb).cmp(&(v, di, dj)))
@@ -855,11 +891,13 @@ impl IndoorSpace {
         if !self.d2p_enter(d).contains(&v) || !self.d2p_leave(d).contains(&v) {
             return UNREACHABLE;
         }
-        if let Ok(i) = self
-            .loop_overrides
-            .binary_search_by(|&(pv, pd, _)| (pv, pd).cmp(&(v, d)))
-        {
-            return self.loop_overrides[i].2;
+        if self.overridden.contains(v) {
+            if let Ok(i) = self
+                .loop_overrides
+                .binary_search_by(|&(pv, pd, _)| (pv, pd).cmp(&(v, d)))
+            {
+                return self.loop_overrides[i].2;
+            }
         }
         let door = &self.doors[d.index()];
         let partition = &self.partitions[v.index()];
@@ -1397,5 +1435,94 @@ mod tests {
         assert_eq!(stats.partitions, 2);
         assert_eq!(stats.doors, 2);
         assert_eq!(stats.floors, 1);
+    }
+
+    /// A row of `rooms` unit rooms, each joined to the next by a door:
+    /// door `i` joins rooms `i` and `i + 1`.
+    fn row_of_rooms(rooms: usize) -> IndoorSpaceBuilder {
+        let mut b = IndoorSpaceBuilder::new();
+        let f = FloorId(0);
+        let ids: Vec<_> = (0..rooms)
+            .map(|i| {
+                let origin = Point::new(i as f64, 0.0);
+                let rect = Rect::from_origin_size(origin, 1.0, 1.0).unwrap();
+                b.add_partition(f, PartitionKind::Room, rect, None)
+            })
+            .collect();
+        for i in 1..rooms {
+            let d = b.add_door(Point::new(i as f64, 0.5), f, DoorKind::Normal);
+            b.connect_bidirectional(d, ids[i - 1], ids[i]);
+        }
+        b
+    }
+
+    /// The distances as the flat override tables alone give them: a binary
+    /// search of the whole table, else the geometric distance.
+    fn flat_intra(s: &IndoorSpace, v: PartitionId, a: DoorId, b: DoorId) -> f64 {
+        match s
+            .intra_overrides
+            .binary_search_by(|&(pv, pa, pb, _)| (pv, pa, pb).cmp(&(v, a, b)))
+        {
+            Ok(i) => s.intra_overrides[i].3,
+            Err(_) => s.doors[a.index()].planar_distance(&s.doors[b.index()]),
+        }
+    }
+
+    fn flat_loop(s: &IndoorSpace, d: DoorId, v: PartitionId) -> f64 {
+        if !s.d2p_enter(d).contains(&v) || !s.d2p_leave(d).contains(&v) {
+            return UNREACHABLE;
+        }
+        match s
+            .loop_overrides
+            .binary_search_by(|&(pv, pd, _)| (pv, pd).cmp(&(v, d)))
+        {
+            Ok(i) => s.loop_overrides[i].2,
+            Err(_) => {
+                2.0 * s.partitions[v.index()].farthest_distance_from(&s.doors[d.index()].position)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Random override tables over rows of up to 140 rooms (three
+        /// words of the partition bitset): the indexed lookups equal the
+        /// flat tables' binary search on every `(partition, door, door)`
+        /// and `(door, partition)`, through the builder and through
+        /// columnar adoption.
+        #[test]
+        fn the_override_index_finds_what_the_flat_tables_hold(
+            rooms in 2usize..140,
+            intra in proptest::collection::vec((0usize..140, 0usize..140, 0usize..140, 0u32..50), 0..24),
+            loops in proptest::collection::vec((0usize..140, 0usize..140, 0u32..50), 0..8),
+        ) {
+            let mut b = row_of_rooms(rooms);
+            let (v, d) = (|i: usize| PartitionId((i % rooms) as u32), |i: usize| DoorId((i % (rooms - 1)) as u32));
+            for &(p, x, y, dist) in &intra {
+                b.set_intra_distance(v(p), d(x), d(y), f64::from(dist));
+            }
+            for &(p, x, dist) in &loops {
+                b.set_loop_distance(v(p), d(x), f64::from(dist));
+            }
+            let built = b.build().unwrap();
+            let adopted = IndoorSpace::adopt_columns(SpaceColumns::capture(&built, 25.0)).unwrap();
+            for s in [&built, &adopted] {
+                for p in (0..rooms as u32).map(PartitionId) {
+                    for x in (0..rooms as u32 - 1).map(DoorId) {
+                        proptest::prop_assert_eq!(
+                            s.loop_distance(x, p).to_bits(),
+                            flat_loop(s, x, p).to_bits()
+                        );
+                        for y in (0..rooms as u32 - 1).map(DoorId).filter(|&y| y != x) {
+                            proptest::prop_assert_eq!(
+                                s.intra_door_distance_unchecked(p, x, y).to_bits(),
+                                flat_intra(s, p, x, y).to_bits()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

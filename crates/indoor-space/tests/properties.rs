@@ -448,7 +448,7 @@ proptest! {
             base + slack
         };
         let excluded_doors: Vec<DoorId> = excluded.iter().copied().collect();
-        let bounded = sp.from_door_within(source, &excluded_doors, base, limit, None);
+        let bounded = sp.from_door_within(source, |d| excluded_doors.contains(&d), base, limit, None);
         prop_assert_eq!(bounded.source(), source);
         for &d in &doors {
             if base + full.distance(d) <= limit {
@@ -475,7 +475,7 @@ proptest! {
             (Some((total, _, _)), true) => base + total,
             _ => base + slack,
         };
-        let bounded = sp.door_to_point_path_within(source, &pt, &excluded_doors, base, limit);
+        let bounded = sp.door_to_point_path_within(source, &pt, |d| excluded_doors.contains(&d), base, limit);
         let expected = reference.filter(|(total, _, _)| base + total <= limit);
         prop_assert!(same_connection(&bounded, &expected), "{:?} vs {:?}", bounded, expected);
     }
@@ -545,8 +545,8 @@ proptest! {
         let excluded: Vec<DoorId> = excluded.iter().map(|&i| DoorId((i % n) as u32)).collect();
         let pt = point_in(&space, partition, fx, fy);
         let limit = base + slack;
-        let uncut = sp.from_door_within(source, &excluded, base, limit, None);
-        let cut = sp.from_door_within(source, &excluded, base, limit, Some(&pt));
+        let uncut = sp.from_door_within(source, |d| excluded.contains(&d), base, limit, None);
+        let cut = sp.from_door_within(source, |d| excluded.contains(&d), base, limit, Some(&pt));
         for d in (0..n).map(|i| DoorId(i as u32)) {
             let full = uncut.distance(d);
             if base + full + space.skeleton_point_to_door(&pt, d) <= limit {

@@ -297,6 +297,19 @@ impl IkrqApp {
         Response::json(200, serde_json::to_string(&body).expect("stats serialize"))
     }
 
+    /// A request's cache key under `epoch` and the cached body it finds.
+    /// A disabled cache (capacity 0) cannot hit: the request is neither
+    /// serialized into a key nor looked up, and only the miss is counted.
+    fn look_up(&self, request: &SearchRequest, epoch: u64) -> (Option<String>, Option<Arc<str>>) {
+        if self.cache.is_disabled() {
+            self.cache.record_miss();
+            return (None, None);
+        }
+        let key = request.cache_key(epoch);
+        let cached = self.cache.get(&key);
+        (Some(key), cached)
+    }
+
     fn search(&self, request: &Request) -> Response {
         let body = match std::str::from_utf8(&request.body) {
             Ok(body) => body,
@@ -311,14 +324,16 @@ impl IkrqApp {
                 )
             }
         };
-        let key = search_request.cache_key(self.service.registry().epoch());
-        if let Some(cached) = self.cache.get(&key) {
+        let (key, cached) = self.look_up(&search_request, self.service.registry().epoch());
+        if let Some(cached) = cached {
             return Response::json(200, cached.as_ref()).with_header("x-ikrq-cache", "hit");
         }
         match self.service.search(&search_request) {
             Ok(response) => {
                 let body = serde_json::to_string(&response).expect("responses serialize");
-                self.cache.insert(key, body.as_str());
+                if let Some(key) = key {
+                    self.cache.insert(key, body.as_str());
+                }
                 Response::json(200, body).with_header("x-ikrq-cache", "miss")
             }
             Err(error) => error_response(classify_engine_error(&error), error.to_string()),
@@ -365,12 +380,11 @@ impl IkrqApp {
         }
 
         let epoch = self.service.registry().epoch();
-        let keys: Vec<String> = batch
+        let (keys, cached): (Vec<Option<String>>, Vec<Option<Arc<str>>>) = batch
             .requests
             .iter()
-            .map(|request| request.cache_key(epoch))
-            .collect();
-        let cached: Vec<Option<Arc<str>>> = keys.iter().map(|key| self.cache.get(key)).collect();
+            .map(|request| self.look_up(request, epoch))
+            .unzip();
         let misses: Vec<SearchRequest> = batch
             .requests
             .iter()
@@ -391,7 +405,9 @@ impl IkrqApp {
                 None => match fresh.next().expect("one fresh result per miss") {
                     Ok(response) => {
                         let body = serde_json::to_string(&response).expect("responses serialize");
-                        self.cache.insert(key, body.as_str());
+                        if let Some(key) = key {
+                            self.cache.insert(key, body.as_str());
+                        }
                         format!("{{\"ok\":{body},\"err\":null}}")
                     }
                     Err(error) => {

@@ -492,6 +492,51 @@ fn batch_mixes_hits_misses_and_per_request_errors_in_order() {
 }
 
 #[test]
+fn a_disabled_cache_counts_every_search_as_a_miss() {
+    // Capacity 0 skips the key and the lookup; the wire must not tell.
+    let handle = start(
+        fig1_service(),
+        ServerConfig {
+            cache: CacheConfig {
+                shards: 8,
+                capacity: 0,
+            },
+            ..ServerConfig::default()
+        },
+    );
+    let addr = handle.local_addr();
+    let search = fig1_request(3, 400.0, VariantConfig::toe());
+    let body = serde_json::to_string(&search).unwrap();
+    for _ in 0..2 {
+        let reply = request(addr, "POST", "/v1/search", Some(&body));
+        assert_eq!(reply.status, 200);
+        assert_eq!(reply.header("x-ikrq-cache"), Some("miss"));
+    }
+    let batch = format!("{{\"requests\": [{body},{body}]}}");
+    let reply = request(addr, "POST", "/v1/search/batch", Some(&batch));
+    assert_eq!(reply.status, 200);
+    assert_eq!(reply.header("x-ikrq-cache-hits"), Some("0"));
+    let stats = request(addr, "GET", "/v1/stats", None).json();
+    let cache = stats.get("stats").unwrap().get("cache").unwrap();
+    for (field, expected) in [
+        ("hits", 0),
+        ("misses", 4),
+        ("insertions", 0),
+        ("evictions", 0),
+        ("entries", 0),
+        ("capacity", 0),
+    ] {
+        assert_eq!(
+            cache.get(field).unwrap().as_u64(),
+            Some(expected),
+            "{field}"
+        );
+    }
+    let stats = handle.stats();
+    assert_eq!((stats.cache.hits, stats.cache.misses), (0, 4));
+}
+
+#[test]
 fn venue_registration_bumps_the_epoch_and_invalidates_cached_responses() {
     let service = fig1_service();
     let handle = start(Arc::clone(&service), ServerConfig::default());

@@ -82,9 +82,11 @@ pub struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    /// Creates a search run. The third parameter only keeps existing
-    /// three-argument callers compiling: no value of [`Infallible`] exists,
-    /// so it is always `None`, and a KoE* search computes its own paths.
+    /// Creates a search run. It takes the calling thread's scratch
+    /// ([`crate::scratch`]), which the search gives back when it is
+    /// dropped. The third parameter only keeps existing three-argument
+    /// callers compiling: no value of [`Infallible`] exists, so it is
+    /// always `None`, and a KoE* search computes its own paths.
     pub fn new(
         ctx: &'a SearchContext<'a>,
         config: VariantConfig,

@@ -21,13 +21,17 @@ pub struct SearchMetrics {
     /// * the key-partition classes (sequences, per-keyword similarities,
     ///   `ρ`, and the lookup and step tables);
     /// * the prime table `Hprime`, one key and distance per class;
-    /// * the results, the visited-door sets `Dn`/`Df` and the door bounds
-    ///   of Rule 1, the keyword rows of the partitions met, and KoE's
-    ///   routing set;
+    /// * the results, the visited-door verdicts `Dn`/`Df` and the door
+    ///   bounds of Rule 1 (a door id twice per verdict, a door id and a
+    ///   bound per bound), the keyword rows of the partitions met, and
+    ///   KoE's routing set;
     /// * while KoE* expands a stamp, the door row it expands from.
     ///
     /// The venue and its index are shared, not search state, and are not
-    /// counted. This is the reproduction's substitute for the paper's JVM
+    /// counted. Neither is the per-thread scratch whose door and partition
+    /// slots hold the verdicts, bounds and row offsets: it belongs to the
+    /// thread and outlives the search, so only the entries a search wrote
+    /// count. This is the reproduction's substitute for the paper's JVM
     /// heap measurements; relative comparisons between algorithms are
     /// meaningful.
     pub peak_memory_bytes: usize,

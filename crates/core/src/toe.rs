@@ -47,9 +47,9 @@ impl Search<'_> {
             // Pruning Rule 2 with the Dn / Df caches (lines 6–10).
             if prune && verdict.is_none() {
                 let bound = ctx.start_to_door_lb(dl) + ctx.door_to_terminal_lb(dl);
-                let passed = bound <= delta;
-                self.state.scratch.set_door_verdict(dl, passed);
-                if !passed {
+                let filtered = bound > delta;
+                self.state.scratch.set_door_verdict(dl, !filtered);
+                if filtered {
                     self.state.metrics.prunes.record(PruneRule::DoorDistance);
                     continue;
                 }

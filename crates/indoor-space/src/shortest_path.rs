@@ -85,6 +85,7 @@ const POOL_CAP: usize = 32;
 
 /// Clean buffers (every `dist` entry [`UNREACHABLE`], every `prev` entry
 /// `None`, the lists empty) of dropped bounded results.
+#[derive(Default)]
 struct SpentBuffers {
     dist: Vec<f64>,
     prev: Vec<Prev>,
@@ -137,13 +138,7 @@ impl DijkstraResult {
             touched,
             queue,
             cut,
-        } = spent.unwrap_or(SpentBuffers {
-            dist: Vec::new(),
-            prev: Vec::new(),
-            touched: Vec::new(),
-            queue: Vec::new(),
-            cut: Vec::new(),
-        });
+        } = spent.unwrap_or_default();
         dist.resize(n, UNREACHABLE);
         prev.resize(n, None);
         DijkstraResult {

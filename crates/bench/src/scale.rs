@@ -1,40 +1,39 @@
-//! Venue-size scaling sweep: index-accelerated vs linear-scan engines on
-//! mega venues of 10²–10⁵ partitions.
+//! Venue-size scaling sweep: one engine on mega venues of 10²–10⁵
+//! partitions, and each venue's persistence round trip.
 //!
 //! For each venue size the sweep builds one [`indoor_data::mega_venue`],
-//! hosts it twice — once per [`IndexMode`] — and reports:
+//! hosts it on one engine without a venue index (as `ikrq` serves every
+//! venue: no search reads the index) and reports:
 //!
-//! * queries per second for both engines (same instances, same variant;
-//!   no search reads the index, so both run one search path),
-//! * the candidate-set fraction: the key partitions of the index engine's
-//!   prepared queries (partitions named by a candidate i-word) over all
+//! * KoE queries per second,
+//! * the candidate-set fraction: the key partitions of each query's
+//!   [`PreparedQuery`] (partitions named by a candidate i-word) over all
 //!   partitions,
-//! * index build time and estimated index bytes,
-//! * per-variant peak search memory on both paths,
-//! * KoE* queries per second on the accelerated engine, over the same
-//!   instances as the KoE columns;
-//! * ToE queries per second on the accelerated engine, over the same
-//!   instances with an expansion budget of [`TOE_EXPANSION_BUDGET`] (the
-//!   `toe-mega` benchmark's), and how many of them used the budget up.
+//! * the build time and estimated bytes of the index that the venue file's
+//!   index section persists,
+//! * KoE's peak search memory,
+//! * KoE* queries per second over the same instances;
+//! * ToE queries per second over the same instances with an expansion
+//!   budget of [`TOE_EXPANSION_BUDGET`] (the `toe-mega` benchmark's), and
+//!   how many of them used the budget up.
 //!
-//! Every timed pass follows an untimed pass over the same requests on the
-//! same engine, so neither engine pays first-use costs (such as the
-//! thread's pool of spent Dijkstra buffers) that the other then finds paid.
-//! Every instance is answered by both engines and the responses are
-//! compared byte-for-byte (timings and memory metrics excluded), so the
-//! sweep doubles as a large-scale equivalence check.
+//! Every timed pass follows an untimed pass over the same requests, so no
+//! column pays first-use costs (such as the thread's pool of spent
+//! Dijkstra buffers) that another then finds paid.
 //!
 //! Each point also walks the full persistence round trip through the one
 //! writer and the one loader — document round-trip rebuild, pre-indexed
-//! v2 save with [`binary::save_venue_columnar`], cold load with
-//! [`binary::load_venue_model_file`] and index adoption — and splits the
-//! cold-start wall time into generate / space-build / index-build / save /
-//! load phases. Two serving criteria are measured in the same run that
-//! checks the loaded engines' responses for byte-identity:
+//! v2 save with [`binary::save_venue_columnar`] and cold load with
+//! [`binary::load_venue_model_file`] — and splits the cold-start wall time
+//! into generate / space-build / index-build / save / load phases. Two
+//! serving criteria are measured in the same run that checks the loaded
+//! engines' responses for byte-identity with the in-memory engine's
+//! (timings and memory metrics excluded):
 //!
 //! * the index criterion, `index_build_ms ≥ 5 × index_load_ms`, where the
 //!   load decodes the bytes of [`index_section::encode_index_section`] and
-//!   adopts them;
+//!   binds them to the directory; it measures the section that
+//!   `generate --save-indexed` still writes, and retires with it;
 //! * the document criterion, where the record rebuild
 //!   (`VenueDocument::build`) must cost at least 5× the v2 load's
 //!   *doc-decode* (bytes → columns) plus *model-adopt* (columns → model)
@@ -42,13 +41,15 @@
 //!
 //! Both load paths join the byte-identity check: the file as written
 //! (columnar adoption) and the same file with one columnar-body byte
-//! flipped (the record rebuild, still adopting the index).
+//! flipped (the record rebuild). Their engines are built as `ikrq` builds
+//! them, without an index.
 
 use crate::workload::to_query;
 use ikrq_core::{
     ExecOptions, IkrqEngine, IkrqService, IndexMode, SearchRequest, SearchResponse, VariantConfig,
 };
 use indoor_data::{mega_venue, MegaVenueConfig, QueryGenerator, WorkloadConfig};
+use indoor_keywords::PreparedQuery;
 use indoor_persist::{binary, index_section, IndexSection, VenueDocument};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -102,33 +103,26 @@ pub struct ScalePoint {
     /// after an untimed one, alternating with `index_load_ms`'s, on the
     /// document-rebuilt space + directory the serving path uses).
     pub index_build_ms: f64,
-    /// Estimated index heap bytes.
+    /// Estimated heap bytes of the index the v2 file's section persists.
     pub index_bytes: usize,
-    /// Queries per second through the linear-scan engine: the queries over
-    /// the sum of each one's best time in five passes after an
-    /// untimed one, as for every q/s column.
-    pub scan_qps: f64,
-    /// Queries per second through the index-accelerated engine.
-    pub accelerated_qps: f64,
+    /// KoE queries per second: the queries over the sum of each one's best
+    /// time in five passes after an untimed one, as for every q/s column.
+    pub koe_qps: f64,
     /// Mean fraction of partitions in the query candidate sets.
     pub candidate_fraction: f64,
-    /// Peak per-query search memory on the scan engine, bytes.
-    pub scan_peak_memory: usize,
-    /// Peak per-query search memory on the accelerated engine, bytes.
-    pub accelerated_peak_memory: usize,
-    /// Queries per second of KoE* over the same instances, through the
-    /// index-accelerated engine.
+    /// Peak per-query KoE search memory, bytes.
+    pub peak_memory: usize,
+    /// Queries per second of KoE* over the same instances.
     pub koe_star_qps: f64,
-    /// Queries per second of ToE over the same instances, through the
-    /// index-accelerated engine, each with an expansion budget of
-    /// [`TOE_EXPANSION_BUDGET`].
+    /// Queries per second of ToE over the same instances, each with an
+    /// expansion budget of [`TOE_EXPANSION_BUDGET`].
     pub toe_qps: f64,
     /// How many of those ToE queries used their budget up.
     pub toe_budget_exhausted: usize,
     /// Pre-indexed v2 encode + write time in milliseconds.
     pub save_ms: f64,
-    /// Full cold load of the v2 file in milliseconds: read it, decode and
-    /// adopt the columns, adopt the persisted index.
+    /// Full cold load of the v2 file in milliseconds, as `ikrq` loads it:
+    /// read it, decode and adopt the columns, build the engine.
     pub load_ms: f64,
     /// Index acquisition alone in milliseconds (best of 15 rounds, each
     /// after an untimed one, like `index_build_ms`'s):
@@ -151,18 +145,14 @@ pub struct ScalePoint {
     /// columnar section (no degradation to a record rebuild).
     pub columnar_adopted: bool,
     /// Whether every response from the engine that adopted the v2 file's
-    /// columns and index was byte-identical to the scan response.
+    /// columns was byte-identical to the in-memory engine's.
     pub columnar_identical: bool,
     /// Process peak resident set (`VmHWM`) in KiB after this point ran.
     /// A high-water mark, so it is monotone across a multi-size sweep.
     pub peak_rss_kib: u64,
-    /// Whether every accelerated response was byte-identical to the scan
-    /// response (deterministic fields only).
-    pub identical_responses: bool,
     /// Whether every response from the engine loaded through the record
     /// rebuild (the file with one columnar-body byte flipped, which must
-    /// degrade and still adopt the index) was byte-identical to the scan
-    /// response.
+    /// degrade) was byte-identical to the in-memory engine's.
     pub loaded_identical: bool,
 }
 
@@ -248,36 +238,16 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
     let generate_ms = ms_since(generate_start);
     let stats = venue.space.stats();
 
-    let scan = Arc::new(IkrqEngine::with_index_mode(
-        venue.space.clone(),
-        venue.directory.clone(),
-        IndexMode::Scan,
-    ));
-    let accelerated = Arc::new(IkrqEngine::with_index_mode(
-        venue.space.clone(),
-        venue.directory.clone(),
-        IndexMode::Accelerated,
-    ));
-    let index_stats = accelerated
-        .index_stats()
-        .expect("accelerated engine has an index");
-
-    // Same venue id on both services so responses are comparable
-    // byte-for-byte.
-    let scan_service = IkrqService::new();
-    scan_service
-        .register_engine("sweep", Arc::clone(&scan))
-        .expect("fresh service accepts the venue");
-    let accel_service = IkrqService::new();
-    accel_service
-        .register_engine("sweep", Arc::clone(&accelerated))
-        .expect("fresh service accepts the venue");
-
     let generator = QueryGenerator::new(&venue);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5ca1e);
     let instances = generator.generate_batch(&sweep_workload(), queries, &mut rng);
     assert!(!instances.is_empty(), "sweep venues must yield instances");
+    let doc = VenueDocument::from_venue(&venue.space, &venue.directory, 32.0, Some("sweep".into()));
 
+    let service = IkrqService::new();
+    let engine = service
+        .register_venue("sweep", venue.space, venue.directory)
+        .expect("fresh service accepts the venue");
     let requests: Vec<SearchRequest> = instances
         .iter()
         .map(|instance| SearchRequest {
@@ -286,13 +256,13 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
             options: ExecOptions::with_variant(VariantConfig::koe()),
         })
         .collect();
-
-    let mut identical = true;
-    let mut scan_peak = 0usize;
-    let mut accel_peak = 0usize;
-
-    let (scan_responses, scan_elapsed) = best_of_passes(&scan_service, &requests);
-    let (accel_responses, accel_elapsed) = best_of_passes(&accel_service, &requests);
+    let (responses, koe_elapsed) = best_of_passes(&service, &requests);
+    let peak_memory = responses
+        .iter()
+        .filter_map(|r| r.metrics.as_ref())
+        .map(|m| m.peak_memory_bytes)
+        .max()
+        .unwrap_or(0);
 
     let koe_star_requests: Vec<SearchRequest> = requests
         .iter()
@@ -301,7 +271,7 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
             ..r.clone()
         })
         .collect();
-    let (_, koe_star_elapsed) = best_of_passes(&accel_service, &koe_star_requests);
+    let (_, koe_star_elapsed) = best_of_passes(&service, &koe_star_requests);
 
     let toe_options =
         ExecOptions::with_variant(VariantConfig::toe()).with_expansion_budget(TOE_EXPANSION_BUDGET);
@@ -312,43 +282,27 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
             ..r.clone()
         })
         .collect();
-    let (toe_responses, toe_elapsed) = best_of_passes(&accel_service, &toe_requests);
+    let (toe_responses, toe_elapsed) = best_of_passes(&service, &toe_requests);
     let toe_budget_exhausted = toe_responses
         .iter()
         .filter(|r| r.metrics.as_ref().is_some_and(|m| m.budget_exhausted))
         .count();
 
-    for (a, b) in scan_responses.iter().zip(&accel_responses) {
-        identical &= a.deterministic_json() == b.deterministic_json();
-        if let Some(m) = &a.metrics {
-            scan_peak = scan_peak.max(m.peak_memory_bytes);
-        }
-        if let Some(m) = &b.metrics {
-            accel_peak = accel_peak.max(m.peak_memory_bytes);
-        }
-    }
-
-    // Candidate-set fraction through the index's own prepared queries.
-    let index = accelerated
-        .index()
-        .expect("accelerated engine has an index");
-    let directory = accelerated.directory();
-    let candidate_fraction = instances
+    let directory = engine.directory();
+    let candidate_fraction = requests
         .iter()
-        .map(|instance| {
-            let query = to_query(instance);
-            let prepared = index
-                .prepare_query(&query.keywords, directory, query.tau)
+        .map(|request| {
+            let query = &request.query;
+            let prepared = PreparedQuery::prepare(&query.keywords, directory, query.tau)
                 .expect("sweep keywords come from the venue vocabulary");
             prepared.key_partitions(directory).len() as f64 / stats.partitions as f64
         })
         .sum::<f64>()
-        / instances.len() as f64;
+        / requests.len() as f64;
 
-    // Persistence round trip: capture the venue as a document, save it with
-    // a pre-built index section, cold-load it back, and answer the same
-    // workload through the loaded engines.
-    let doc = VenueDocument::from_venue(&venue.space, &venue.directory, 32.0, Some("sweep".into()));
+    // Persistence round trip: save the venue's document with a pre-built
+    // index section, cold-load it back, and answer the same workload
+    // through the loaded engines.
     let space_build_start = Instant::now();
     let (doc_space, doc_directory) = doc.build().expect("sweep documents round-trip");
     let space_build_ms = ms_since(space_build_start);
@@ -433,10 +387,9 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
         model_adopt_ms = model_adopt_ms.min(round.stats.adopt_micros as f64 / 1e3);
     }
 
-    // Both load paths join the byte-identity check against the scan
-    // responses: the file as written adopts its columns; with one
-    // columnar-body byte flipped it must fall back to the record rebuild and
-    // still adopt the index.
+    // Both load paths join the byte-identity check against the in-memory
+    // engine's responses: the file as written adopts its columns; with one
+    // columnar-body byte flipped it must fall back to the record rebuild.
     let record_len = u32::from_le_bytes(disk[10..14].try_into().expect("4-byte field")) as usize;
     let mut flipped = disk.clone();
     flipped[14 + record_len + 20] ^= 0xff;
@@ -447,8 +400,8 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
         rebuilt.stats
     );
     let rebuilt_engine = serving_engine(rebuilt);
-    let columnar_identical = answers_like_scan(v2_engine, &requests, &scan_responses);
-    let loaded_identical = answers_like_scan(rebuilt_engine, &requests, &scan_responses);
+    let columnar_identical = answers_alike(v2_engine, &requests, &responses);
+    let loaded_identical = answers_alike(rebuilt_engine, &requests, &responses);
 
     ScalePoint {
         requested_partitions: size,
@@ -458,12 +411,10 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
         generate_ms,
         space_build_ms,
         index_build_ms,
-        index_bytes: index_stats.estimated_bytes,
-        scan_qps: instances.len() as f64 / scan_elapsed.as_secs_f64(),
-        accelerated_qps: instances.len() as f64 / accel_elapsed.as_secs_f64(),
+        index_bytes: fresh_index.estimated_bytes(),
+        koe_qps: instances.len() as f64 / koe_elapsed.as_secs_f64(),
         candidate_fraction,
-        scan_peak_memory: scan_peak,
-        accelerated_peak_memory: accel_peak,
+        peak_memory,
         koe_star_qps: instances.len() as f64 / koe_star_elapsed.as_secs_f64(),
         toe_qps: instances.len() as f64 / toe_elapsed.as_secs_f64(),
         toe_budget_exhausted,
@@ -476,7 +427,6 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
         columnar_adopted,
         columnar_identical,
         peak_rss_kib: peak_rss_kib(),
-        identical_responses: identical,
         loaded_identical,
     }
 }
@@ -486,35 +436,27 @@ fn adopted(stats: &ikrq_core::DocumentStats) -> bool {
     stats.adopted_columnar && stats.degraded.is_none()
 }
 
-/// The engine for a loaded venue, adopting its persisted index section;
-/// panics when the section is missing or unusable, as every saved sweep
-/// venue carries a valid one.
+/// The engine for a loaded venue, built as `ikrq` builds it: without a
+/// venue index, whatever the file's index section holds.
 fn serving_engine(loaded: binary::LoadedVenue) -> IkrqEngine {
-    let index = match loaded.index {
-        IndexSection::Present(prebuilt) => prebuilt
-            .into_index(&loaded.directory)
-            .expect("persisted index binds to the loaded directory"),
-        other => panic!("saved venue carries a usable index section: {other:?}"),
-    };
-    let mut engine = IkrqEngine::with_prebuilt_index(loaded.space, loaded.directory, index);
+    let mut engine = IkrqEngine::with_index_mode(loaded.space, loaded.directory, IndexMode::Scan);
     engine.set_document_stats(loaded.stats);
     engine
 }
 
-/// Whether `engine` answers every request byte-identically to the scan
-/// engine's responses.
-fn answers_like_scan(
+/// Whether `engine` answers every request byte-identically to `expected`.
+fn answers_alike(
     engine: IkrqEngine,
     requests: &[SearchRequest],
-    scan_responses: &[ikrq_core::SearchResponse],
+    expected: &[SearchResponse],
 ) -> bool {
     let service = IkrqService::new();
     service
         .register_engine("sweep", Arc::new(engine))
         .expect("fresh service accepts the venue");
-    requests.iter().zip(scan_responses).all(|(r, scan)| {
+    requests.iter().zip(expected).all(|(r, expected)| {
         let response = service.search(r).expect("loaded query succeeds");
-        response.deterministic_json() == scan.deterministic_json()
+        response.deterministic_json() == expected.deterministic_json()
     })
 }
 
@@ -522,16 +464,14 @@ fn answers_like_scan(
 pub fn markdown_table(points: &[ScalePoint]) -> String {
     let mut out = String::from(
         "| partitions | doors | gen ms | space ms | build ms | save ms | load ms | \
-         idx load ms | doc dec ms | doc adopt ms | rebuild ms | index KiB | scan q/s | index q/s | \
-         cand. frac | scan peak KiB | index peak KiB | KoE* q/s | ToE q/s | ToE exhausted | \
-         RSS MiB | identical |\n\
-         |---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|:---|\n",
+         idx load ms | doc dec ms | doc adopt ms | rebuild ms | index KiB | KoE q/s | \
+         cand. frac | peak KiB | KoE* q/s | ToE q/s | ToE exhausted | RSS MiB | identical |\n\
+         |---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|:---|\n",
     );
     for p in points {
         out.push_str(&format!(
             "| {} | {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.2} | {:.2} | {:.2} | {:.1} | \
-             {} | {:.1} | {:.1} | \
-             {:.4} | {} | {} | {:.1} | {:.1} | {} | {} | {} |\n",
+             {} | {:.1} | {:.4} | {} | {:.1} | {:.1} | {} | {} | {} |\n",
             p.partitions,
             p.doors,
             p.generate_ms,
@@ -544,19 +484,14 @@ pub fn markdown_table(points: &[ScalePoint]) -> String {
             p.model_adopt_ms,
             p.doc_rebuild_ms,
             p.index_bytes / 1024,
-            p.scan_qps,
-            p.accelerated_qps,
+            p.koe_qps,
             p.candidate_fraction,
-            p.scan_peak_memory / 1024,
-            p.accelerated_peak_memory / 1024,
+            p.peak_memory / 1024,
             p.koe_star_qps,
             p.toe_qps,
             p.toe_budget_exhausted,
             p.peak_rss_kib / 1024,
-            p.identical_responses
-                && p.loaded_identical
-                && p.columnar_identical
-                && p.columnar_adopted,
+            p.loaded_identical && p.columnar_identical && p.columnar_adopted,
         ));
     }
     out
@@ -578,18 +513,14 @@ mod tests {
         let p = &points[0];
         assert!(p.partitions >= 100);
         assert_eq!(p.queries, 3);
-        assert!(p.scan_qps > 0.0 && p.accelerated_qps > 0.0 && p.koe_star_qps > 0.0);
+        assert!(p.koe_qps > 0.0 && p.koe_star_qps > 0.0);
         assert!(p.toe_qps > 0.0);
         assert!(p.toe_budget_exhausted <= p.queries);
         assert!(p.index_bytes > 0);
         assert!(p.candidate_fraction > 0.0 && p.candidate_fraction <= 1.0);
         assert!(
-            p.identical_responses,
-            "index and scan paths must agree byte-for-byte"
-        );
-        assert!(
             p.loaded_identical,
-            "the loaded-index path must agree with the scan path byte-for-byte"
+            "the record-rebuilt load must agree with the in-memory engine byte-for-byte"
         );
         assert!(
             p.columnar_adopted,
@@ -597,13 +528,13 @@ mod tests {
         );
         assert!(
             p.columnar_identical,
-            "the columnar-loaded path must agree with the scan path byte-for-byte"
+            "the columnar-loaded path must agree with the in-memory engine byte-for-byte"
         );
         assert!(p.generate_ms > 0.0 && p.space_build_ms > 0.0);
         assert!(p.save_ms > 0.0 && p.load_ms > 0.0 && p.index_load_ms > 0.0);
         assert!(p.doc_decode_ms > 0.0 && p.model_adopt_ms > 0.0 && p.doc_rebuild_ms > 0.0);
         let table = markdown_table(&points);
-        assert!(table.contains("| scan q/s |") || table.contains("scan q/s"));
+        assert!(table.contains("| KoE q/s |"));
         assert!(table.contains("| ToE q/s | ToE exhausted |"));
         // Every row has as many cells as the header.
         let cells = |line: &str| line.matches('|').count();

@@ -9,7 +9,8 @@ use crate::error::CliError;
 use crate::Result;
 use ikrq_core::extensions::SoftDeltaConfig;
 use ikrq_core::{
-    IkrqQuery, IkrqService, MetricsDetail, SearchRequest, SearchResponse, VariantConfig,
+    IkrqEngine, IkrqQuery, IkrqService, IndexMode, MetricsDetail, SearchRequest, SearchResponse,
+    VariantConfig,
 };
 use indoor_data::real_mall::RealMallConfig;
 use indoor_data::{
@@ -38,9 +39,10 @@ COMMANDS:
                --partitions N                  target partition count (mega only)
                --out PATH                      write the venue as JSON
                --save-indexed PATH             write the binary venue file: records,
-                                               the built model's columns and a
-                                               pre-built index (every command adopts
-                                               them instead of rebuilding)
+                                               the built model's columns (every
+                                               command adopts them instead of
+                                               rebuilding) and a pre-built index
+                                               section, which no command reads
     stats      Print venue statistics
                --venue PATH                    venue file (JSON or binary, told
                                                apart by content)
@@ -205,7 +207,7 @@ fn generate(args: &ParsedArgs) -> Result<String> {
         // artifacts), so build it from the round-tripped document rather
         // than the generator's in-memory venue.
         let (space, directory) = doc.build()?;
-        let engine = ikrq_core::IkrqEngine::new(space, directory);
+        let engine = IkrqEngine::new(space, directory);
         let index = engine
             .index()
             .expect("accelerated engines build an index at construction");
@@ -228,38 +230,24 @@ fn generate(args: &ParsedArgs) -> Result<String> {
 
 /// Builds the engine for a venue file; every command takes its venue from
 /// here. The file goes through the one venue loader, so a usable persisted
-/// columnar document body and index section are adopted instead of
-/// rebuilt. Any section defect (corruption, version skew, directory
-/// mismatch) degrades to a fresh build with a warning on stderr — a stale
-/// section never prevents a venue from serving.
-fn build_serving_engine(path: &str) -> Result<(ikrq_core::IkrqEngine, Option<String>)> {
+/// columnar document body is adopted instead of rebuilt; a columnar defect
+/// (corruption, version skew) degrades to the record rebuild with a
+/// warning on stderr. The engine holds no venue index, which no search
+/// reads, so a file's index section is neither adopted nor rebuilt.
+fn build_serving_engine(path: &str) -> Result<(IkrqEngine, Option<String>)> {
     let LoadedVenue {
         name,
         space,
         directory,
-        index: section,
         stats,
+        ..
     } = binary::load_venue_model_file(path)?;
     if let Some(reason) = &stats.degraded {
         eprintln!(
             "warning: {path}: columnar document not adopted ({reason}); rebuilt from records"
         );
     }
-    let mut engine = match section {
-        indoor_persist::IndexSection::Present(prebuilt) => match prebuilt.into_index(&directory) {
-            Ok(index) => ikrq_core::IkrqEngine::with_prebuilt_index(space, directory, index),
-            Err(reason) => {
-                eprintln!("warning: {path}: persisted index not loaded ({reason}); rebuilding");
-                ikrq_core::IkrqEngine::new(space, directory)
-            }
-        },
-        section => {
-            if let indoor_persist::IndexSection::Unusable(reason) = &section {
-                eprintln!("warning: {path}: persisted index not loaded ({reason}); rebuilding");
-            }
-            ikrq_core::IkrqEngine::new(space, directory)
-        }
-    };
+    let mut engine = IkrqEngine::with_index_mode(space, directory, IndexMode::Scan);
     engine.set_document_stats(stats);
     Ok((engine, name))
 }
@@ -392,7 +380,7 @@ fn describe_route(
 /// Loads a venue file and hosts it on a fresh single-venue service,
 /// returning the service, the venue id it is registered under, and the
 /// shared engine (for extension paths and route descriptions).
-fn load_service(path: &str) -> Result<(IkrqService, String, Arc<ikrq_core::IkrqEngine>)> {
+fn load_service(path: &str) -> Result<(IkrqService, String, Arc<IkrqEngine>)> {
     let (engine, name) = build_serving_engine(path)?;
     let venue_id = name.unwrap_or_else(|| path.to_string());
     let engine = Arc::new(engine);
@@ -417,7 +405,7 @@ fn build_request(args: &ParsedArgs, venue_id: &str) -> Result<SearchRequest> {
     builder.build().map_err(CliError::Engine)
 }
 
-fn report_response(report: &mut String, engine: &ikrq_core::IkrqEngine, response: &SearchResponse) {
+fn report_response(report: &mut String, engine: &IkrqEngine, response: &SearchResponse) {
     let metrics = response.to_outcome().metrics;
     let _ = writeln!(
         report,
@@ -877,8 +865,9 @@ mod tests {
     }
 
     #[test]
-    fn serving_engines_adopt_persisted_indexes_transparently() {
+    fn serving_engines_hold_no_index_whatever_the_venue_file_carries() {
         use indoor_data::{QueryGenerator, WorkloadConfig};
+        use indoor_persist::IndexSection;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
 
@@ -891,8 +880,8 @@ mod tests {
                 .as_nanos()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        let bin = dir.join("mega.bin").to_string_lossy().into_owned();
-        let json_path = dir.join("mega.json").to_string_lossy().into_owned();
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let (bin, json_path) = (path("mega.bin"), path("mega.json"));
 
         let args = ParsedArgs::parse([
             "generate",
@@ -911,29 +900,50 @@ mod tests {
         let report = run(&args).unwrap();
         assert!(report.contains("pre-indexed"), "report: {report}");
 
-        // The seam `serve` uses: a pre-indexed binary adopts its section,
-        // and a plain JSON document rebuilds.
-        let (loaded, name) = build_serving_engine(&bin).unwrap();
-        assert!(loaded.index().is_some_and(|i| i.loaded_from_disk()));
-        assert_eq!(name.as_deref(), Some("mega-150p-seed9"));
-        let doc_stats = loaded.document_stats().expect("loaded from a document");
-        assert_eq!(doc_stats.format_version, 2);
-        assert!(doc_stats.adopted_columnar, "stats: {doc_stats:?}");
-        assert!(doc_stats.degraded.is_none(), "stats: {doc_stats:?}");
-        let (fresh, _) = build_serving_engine(&json_path).unwrap();
-        assert!(fresh.index().is_some_and(|i| !i.loaded_from_disk()));
-        let fresh_stats = fresh.document_stats().expect("loaded from a document");
-        assert_eq!(fresh_stats.format_version, 0);
-        assert!(!fresh_stats.adopted_columnar);
+        // The v2 file with one byte of its index section's checksum
+        // flipped, which the loader reports unusable, and with one byte of
+        // its columnar body flipped.
+        let bytes = std::fs::read(&bin).unwrap();
+        let mut index_flipped = bytes.clone();
+        let n = index_flipped.len();
+        index_flipped[n - 5] ^= 0xff;
+        let index_flipped_path = path("index-flipped.bin");
+        std::fs::write(&index_flipped_path, &index_flipped).unwrap();
+        let loaded = binary::load_venue_model_file(&index_flipped_path).unwrap();
+        assert!(matches!(loaded.index, IndexSection::Unusable(_)));
+        let mut columnar_flipped = bytes;
+        let record_len = u32::from_le_bytes(columnar_flipped[10..14].try_into().unwrap()) as usize;
+        columnar_flipped[14 + record_len + 20] ^= 0xff;
+        let columnar_flipped_path = path("columnar-flipped.bin");
+        std::fs::write(&columnar_flipped_path, &columnar_flipped).unwrap();
 
-        let loaded_service = IkrqService::new();
-        loaded_service
-            .register_engine("m", Arc::new(loaded))
-            .unwrap();
-        let fresh_service = IkrqService::new();
-        fresh_service.register_engine("m", Arc::new(fresh)).unwrap();
+        // The seam every command uses builds no index from any of them. A
+        // damaged index section costs no rebuild and no warning: only a
+        // columnar defect degrades the load, and only a degraded load warns.
+        // (path, format version, columnar adopted, degraded)
+        let cases = [
+            (&bin, 2, true, false),
+            (&json_path, 0, false, false),
+            (&index_flipped_path, 2, true, false),
+            (&columnar_flipped_path, 2, false, true),
+        ];
+        let services: Vec<IkrqService> = cases
+            .iter()
+            .map(|&(path, format_version, adopted, degraded)| {
+                let (engine, name) = build_serving_engine(path).unwrap();
+                assert!(engine.index().is_none(), "{path}");
+                assert_eq!(name.as_deref(), Some("mega-150p-seed9"), "{path}");
+                let stats = engine.document_stats().expect("loaded from a document");
+                assert_eq!(stats.format_version, format_version, "{path}");
+                assert_eq!(stats.adopted_columnar, adopted, "{path}: {stats:?}");
+                assert_eq!(stats.degraded.is_some(), degraded, "{path}: {stats:?}");
+                let service = IkrqService::new();
+                service.register_engine("m", Arc::new(engine)).unwrap();
+                service
+            })
+            .collect();
 
-        // Same workload through both: responses must be byte-identical.
+        // Same workload through all four: responses must be byte-identical.
         let venue = mega_venue(&MegaVenueConfig::sized(150, 9)).unwrap();
         let generator = QueryGenerator::new(&venue);
         let mut rng = StdRng::seed_from_u64(77);
@@ -963,30 +973,12 @@ mod tests {
                 .variant(VariantConfig::koe())
                 .build()
                 .unwrap();
-            let a = loaded_service.search(&request).unwrap();
-            let b = fresh_service.search(&request).unwrap();
-            assert_eq!(a.deterministic_json(), b.deterministic_json());
+            let expected = services[0].search(&request).unwrap().deterministic_json();
+            for (service, (path, ..)) in services.iter().zip(&cases).skip(1) {
+                let response = service.search(&request).unwrap();
+                assert_eq!(response.deterministic_json(), expected, "{path}");
+            }
         }
-
-        // Corrupting the index section degrades it to a rebuild, not a
-        // failure — and leaves the columnar document adoption intact.
-        let mut bytes = std::fs::read(&bin).unwrap();
-        let n = bytes.len();
-        bytes[n - 5] ^= 0xff;
-        std::fs::write(&bin, &bytes).unwrap();
-        let (degraded, _) = build_serving_engine(&bin).unwrap();
-        assert!(degraded.index().is_some_and(|i| !i.loaded_from_disk()));
-        assert!(degraded.document_stats().unwrap().adopted_columnar);
-
-        // Corrupting the columnar section degrades the document to a record
-        // rebuild — the venue still serves.
-        let record_len = u32::from_le_bytes(bytes[10..14].try_into().unwrap()) as usize;
-        bytes[14 + record_len + 20] ^= 0xff;
-        std::fs::write(&bin, &bytes).unwrap();
-        let (rebuilt, _) = build_serving_engine(&bin).unwrap();
-        let stats = rebuilt.document_stats().unwrap();
-        assert!(!stats.adopted_columnar, "stats: {stats:?}");
-        assert!(stats.degraded.is_some(), "stats: {stats:?}");
 
         std::fs::remove_dir_all(&dir).ok();
     }

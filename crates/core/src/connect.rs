@@ -103,31 +103,44 @@ impl Search<'_> {
         };
         self.state.metrics.dijkstra_calls += 1;
         self.collect_route_doors(stamp.node);
+        // KoE's connection buffers are free while children are connected.
+        let (mut doors, mut partitions) = (
+            std::mem::take(&mut self.state.path_doors),
+            std::mem::take(&mut self.state.path_legs),
+        );
+        doors.clear();
+        partitions.clear();
         let scratch = &self.state.scratch;
-        let Some((suffix_distance, doors, partitions)) =
-            self.ctx.space.shortest_paths().door_to_point_path_within(
+        let complete = self
+            .ctx
+            .space
+            .shortest_paths()
+            .door_to_point_path_within(
                 tail,
                 &self.ctx.query.terminal,
                 |d| scratch.is_marked(d),
                 stamp.distance,
                 self.ctx.delta(),
+                &mut doors,
+                &mut partitions,
             )
-        else {
-            return;
-        };
-        let total = stamp.distance + suffix_distance;
-        let Some(complete) = self.build_completed_route(stamp, &doors, &partitions, total) else {
-            return;
-        };
-        self.try_accept_result(complete);
+            .and_then(|suffix_distance| {
+                let total = stamp.distance + suffix_distance;
+                self.build_completed_route(stamp, &doors, &partitions, total)
+            });
+        self.state.path_doors = doors;
+        self.state.path_legs = partitions;
+        if let Some(complete) = complete {
+            self.try_accept_result(complete);
+        }
     }
 
     /// Builds the complete stamp for a route extended by a door path ending
     /// at an enterable door of `v(pt)` and then the terminal point itself.
     /// The route's doors are in `SearchState::route_doors`, and marked in
     /// the scratch. `partitions`
-    /// comes from `door_to_point_path`, i.e. it has one entry per door hop
-    /// plus the final terminal-partition leg. A path that does not extend
+    /// comes from `door_to_point_path_within`, i.e. it has one entry per
+    /// door hop plus the final terminal-partition leg. A path that does not extend
     /// the route regularly completes nothing.
     pub(crate) fn build_completed_route(
         &mut self,

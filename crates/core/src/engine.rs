@@ -13,10 +13,12 @@ use indoor_keywords::KeywordDirectory;
 use indoor_space::IndoorSpace;
 use std::sync::Arc;
 
-/// Whether an engine holds a venue index. Accelerated is the default and
-/// what `ikrq` serves; Scan builds none. No search reads the index, so both
-/// modes run one search path and answer byte-identically: the index stays
-/// only as the venue file's persisted section and its `/v1/stats` figures.
+/// Whether an engine holds a venue index. No search reads the index, so
+/// both modes run one search path and answer byte-identically. Scan holds
+/// none and is what `ikrq` and [`crate::IkrqService::register_venue`]
+/// serve; Accelerated builds one only because
+/// `indoor_persist::binary::save_venue_columnar` persists it as the venue
+/// file's index section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexMode {
     /// Build a [`VenueIndex`] at engine construction.
@@ -24,16 +26,6 @@ pub enum IndexMode {
     Accelerated,
     /// Hold no index.
     Scan,
-}
-
-impl IndexMode {
-    /// Stable wire label, used by `/v1/stats` and CLI flags.
-    pub fn label(self) -> &'static str {
-        match self {
-            IndexMode::Accelerated => "accelerated",
-            IndexMode::Scan => "scan",
-        }
-    }
 }
 
 /// How the venue document this engine serves was turned into its in-memory
@@ -56,26 +48,14 @@ pub struct DocumentStats {
     pub degraded: Option<String>,
 }
 
-/// Point-in-time index observability for one engine, shaped for `/v1/stats`.
-#[derive(Debug, Clone, Copy)]
-pub struct IndexStats {
-    /// Index build wall-clock time in microseconds (decode time when the
-    /// index was loaded from a persisted section).
-    pub build_micros: u64,
-    /// Estimated index heap footprint in bytes.
-    pub estimated_bytes: usize,
-    /// Whether the index was loaded from a persisted venue file rather than
-    /// built from the venue at engine construction.
-    pub loaded_from_disk: bool,
-}
-
 /// The query engine for one venue.
 ///
 /// The engine owns the immutable space model and keyword directory and the
 /// optional venue index (built at construction in
 /// [`IndexMode::Accelerated`], or adopted from a venue file), which no
-/// search reads. Nothing else outlives a query: KoE* computes its
-/// door-to-door paths inside each search.
+/// search reads and only the venue file writer needs. Nothing else
+/// outlives a query: KoE* computes its door-to-door paths inside each
+/// search.
 #[derive(Debug)]
 pub struct IkrqEngine {
     space: IndoorSpace,
@@ -87,7 +67,9 @@ pub struct IkrqEngine {
 
 impl IkrqEngine {
     /// Creates an engine for a venue in the default mode,
-    /// [`IndexMode::Accelerated`].
+    /// [`IndexMode::Accelerated`]: it builds the index that
+    /// `indoor_persist::binary::save_venue_columnar` persists, which no
+    /// search reads. A serving engine is built with [`IndexMode::Scan`].
     pub fn new(space: IndoorSpace, directory: KeywordDirectory) -> Self {
         Self::with_index_mode(space, directory, IndexMode::default())
     }
@@ -151,27 +133,9 @@ impl IkrqEngine {
         &self.directory
     }
 
-    /// The engine's index mode.
-    pub fn index_mode(&self) -> IndexMode {
-        if self.index.is_some() {
-            IndexMode::Accelerated
-        } else {
-            IndexMode::Scan
-        }
-    }
-
     /// The venue index, when the engine holds one.
     pub fn index(&self) -> Option<&VenueIndex> {
         self.index.as_deref()
-    }
-
-    /// Index observability snapshot, when the engine holds an index.
-    pub fn index_stats(&self) -> Option<IndexStats> {
-        self.index.as_deref().map(|index| IndexStats {
-            build_micros: index.build_micros(),
-            estimated_bytes: index.estimated_bytes(),
-            loaded_from_disk: index.loaded_from_disk(),
-        })
     }
 
     /// Answers a query under per-request [`ExecOptions`] (variant, metrics

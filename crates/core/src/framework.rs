@@ -66,7 +66,8 @@ pub(crate) struct SearchState {
     /// every child is generated, the connect step collects a fully covered
     /// child's doors here.
     pub route_doors: Vec<DoorId>,
-    /// The doors of KoE's connection path, reused across connections.
+    /// The doors of KoE's connection path, and then of the connect step's
+    /// path to `pt`, reused across connections.
     pub path_doors: Vec<DoorId>,
     /// The partitions between the doors of `path_doors`.
     pub path_legs: Vec<PartitionId>,

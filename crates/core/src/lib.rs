@@ -101,7 +101,7 @@ pub mod variants;
 pub use baseline::ExhaustiveBaseline;
 pub use cache::{CacheConfig, CacheStats, ResponseCache};
 pub use context::SearchContext;
-pub use engine::{DocumentStats, IkrqEngine, IndexMode, IndexStats};
+pub use engine::{DocumentStats, IkrqEngine, IndexMode};
 pub use error::EngineError;
 pub use extensions::{
     PopularityModel, PopularityRanked, RoutePopularity, SoftDeltaConfig, SoftOutcome, SoftRoute,

@@ -8,7 +8,7 @@
 //! so a batch is observationally identical to a sequential loop — just
 //! faster on multi-core hosts.
 
-use crate::engine::IkrqEngine;
+use crate::engine::{IkrqEngine, IndexMode};
 use crate::error::EngineError;
 use crate::request::{
     MetricsDetail, ResponseTiming, SearchRequest, SearchResponse, VenueSummary, API_VERSION,
@@ -163,15 +163,20 @@ impl IkrqService {
         &self.registry
     }
 
-    /// Builds an engine for a venue and registers it. Returns the engine so
-    /// callers can e.g. read its index statistics.
+    /// Builds an engine for a venue and registers it. The engine holds no
+    /// venue index ([`IndexMode::Scan`]), which no search reads. Returns
+    /// the engine so callers can e.g. read its venue model.
     pub fn register_venue(
         &self,
         id: impl Into<String>,
         space: IndoorSpace,
         directory: KeywordDirectory,
     ) -> Result<Arc<IkrqEngine>> {
-        let engine = Arc::new(IkrqEngine::new(space, directory));
+        let engine = Arc::new(IkrqEngine::with_index_mode(
+            space,
+            directory,
+            IndexMode::Scan,
+        ));
         self.registry.register(id, Arc::clone(&engine))?;
         Ok(engine)
     }
@@ -328,6 +333,21 @@ mod tests {
         assert!(Arc::ptr_eq(&replaced, &first), "returns the old engine");
         assert_eq!(registry.epoch(), 2, "one bump, not remove+register's two");
         assert_eq!(registry.len(), 1, "no unregistered window side effects");
+    }
+
+    #[test]
+    fn registered_venues_are_served_without_an_index() {
+        let service = IkrqService::new();
+        let example = indoor_data::paper_example_venue();
+        let engine = service
+            .register_venue(
+                "fig1",
+                example.venue.space.clone(),
+                example.venue.directory.clone(),
+            )
+            .unwrap();
+        assert!(engine.index().is_none());
+        assert!(service.venue("fig1").unwrap().index().is_none());
     }
 
     #[test]

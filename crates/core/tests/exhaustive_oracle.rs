@@ -1,8 +1,8 @@
 //! Every search variant against the definitions.
 //!
-//! `index_mirror` and `golden_responses` hold the scan and index engines to
-//! each other and to pinned bytes, but both engines run the same algorithms,
-//! so a defect they share passes both. This test compares every variant with
+//! `golden_responses` holds the scan and index engines to each other and
+//! to pinned bytes, but both engines run the same algorithms, so a defect
+//! they share passes it. This test compares every variant with
 //! [`ExhaustiveBaseline`], which enumerates every regular route within `∆`
 //! and ranks them by Definitions 5–7, on small venues where that is
 //! affordable:

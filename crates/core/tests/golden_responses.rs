@@ -2,7 +2,7 @@
 //!
 //! The scan engine, the index engine and every benchmark oracle run the same
 //! shortest-path code, so a defect they share (say, a Dijkstra run that stops
-//! too early) would leave `index_mirror` and `serve_identity` green. This
+//! too early) would leave `serve_identity` green. This
 //! test compares against something that does not move with the code: the
 //! FNV-1a-64 hash of every response's `deterministic_json()`, recorded in
 //! `tests/fixtures/golden_responses.tsv`, one line per (venue, variant,

@@ -454,15 +454,29 @@ impl<'a> ShortestPaths<'a> {
         pt: &IndoorPoint,
         excluded: &[DoorId],
     ) -> Option<(f64, Vec<DoorId>, Vec<PartitionId>)> {
-        self.door_to_point_path_within(from, pt, |d| excluded.contains(&d), 0.0, UNREACHABLE)
+        let (mut doors, mut partitions) = (Vec::new(), Vec::new());
+        let distance = self.door_to_point_path_within(
+            from,
+            pt,
+            |d| excluded.contains(&d),
+            0.0,
+            UNREACHABLE,
+            &mut doors,
+            &mut partitions,
+        )?;
+        Some((distance, doors, partitions))
     }
 
     /// [`ShortestPaths::door_to_point_path`] bounded by a budget: `None`
-    /// unless `base + distance <= limit`, and otherwise the same connection.
-    /// The run cuts at the ellipse of `pt` and stops at the budget or once
-    /// every enterable door of `v(pt)` is popped. A cut entry door `de` has
-    /// `base + dist + |de, pt|_L > limit`, and `|de, pt|_L` is the planar
-    /// `δd2pt(de, pt)`, so it could not fit the budget either.
+    /// unless `base + distance <= limit`, and otherwise the same
+    /// connection's distance, with its doors appended to `doors` and its
+    /// partitions, `v(pt)` last, to `partitions` (on `None`, nothing is
+    /// appended). The run cuts at the ellipse of `pt` and stops at the
+    /// budget or once every enterable door of `v(pt)` is popped. A cut
+    /// entry door `de` has `base + dist + |de, pt|_L > limit`, and
+    /// `|de, pt|_L` is the planar `δd2pt(de, pt)`, so it could not fit the
+    /// budget either.
+    #[allow(clippy::too_many_arguments)]
     pub fn door_to_point_path_within(
         &self,
         from: DoorId,
@@ -470,7 +484,9 @@ impl<'a> ShortestPaths<'a> {
         excluded: impl Fn(DoorId) -> bool,
         base: f64,
         limit: f64,
-    ) -> Option<(f64, Vec<DoorId>, Vec<PartitionId>)> {
+        doors: &mut Vec<DoorId>,
+        partitions: &mut Vec<PartitionId>,
+    ) -> Option<f64> {
         let host = self.space.host_partition(pt).ok()?;
         let entries: Vec<(DoorId, f64)> = self
             .space
@@ -502,17 +518,16 @@ impl<'a> ShortestPaths<'a> {
             }
         }
         let (total, de) = best.filter(|&(total, _)| base + total <= limit)?;
-        let (mut doors, mut partitions) = if de == from {
-            (vec![from], Vec::new())
-        } else {
-            result.path_to(de)?
-        };
+        if de == from {
+            doors.push(from);
+        } else if !result.path_into(de, doors, partitions) {
+            return None;
+        }
+        // The point itself is not a door; callers append it to the route.
+        // The doors end at the entry door, and the partitions with v(pt).
         partitions.push(host);
-        // The point itself is not a door; callers append it to the route. We
-        // still return the door sequence ending at the entry door.
         debug_assert_eq!(doors.last(), Some(&de));
-        doors.shrink_to_fit();
-        Some((total, doors, partitions))
+        Some(total)
     }
 
     /// Shortest distance from door `from` to point `pt` (no path).

@@ -475,7 +475,18 @@ proptest! {
             (Some((total, _, _)), true) => base + total,
             _ => base + slack,
         };
-        let bounded = sp.door_to_point_path_within(source, &pt, |d| excluded_doors.contains(&d), base, limit);
+        let (mut path_doors, mut path_partitions) = (Vec::new(), Vec::new());
+        let bounded = sp
+            .door_to_point_path_within(
+                source,
+                &pt,
+                |d| excluded_doors.contains(&d),
+                base,
+                limit,
+                &mut path_doors,
+                &mut path_partitions,
+            )
+            .map(|distance| (distance, path_doors, path_partitions));
         let expected = reference.filter(|(total, _, _)| base + total <= limit);
         prop_assert!(same_connection(&bounded, &expected), "{:?} vs {:?}", bounded, expected);
     }

@@ -120,49 +120,21 @@ struct StatsBody {
     /// Effective `RLIMIT_NOFILE` soft limit — the fd budget bounding how
     /// many connections this process can hold (0: unknown/no limit API).
     nofile_limit: u64,
-    /// Venue-index observability, aggregated over the hosted venues.
-    index: IndexBody,
+    /// Per-venue load observability, in venue-id order.
+    venues: Vec<VenueBody>,
     stats: ServerStats,
 }
 
-/// Aggregated venue-index observability: which hosted venues hold an
-/// index, and what the indexes cost to acquire and keep.
+/// One hosted venue inside [`StatsBody`].
 #[derive(Serialize)]
-struct IndexBody {
-    /// `"accelerated"` when every hosted venue has an index, `"scan"` when
-    /// none does, `"mixed"` otherwise (also `"scan"` with zero venues).
-    mode: String,
-    /// Venues holding a venue index.
-    venues_indexed: usize,
-    /// Venues hosted in total.
-    venues_total: usize,
-    /// Summed index build time in microseconds.
-    build_micros: u64,
-    /// Summed estimated index heap bytes.
-    estimated_bytes: usize,
-    /// Venues whose index was loaded from a persisted venue file.
-    venues_loaded_from_disk: usize,
-    /// Per-venue index detail, in venue-id order.
-    venues: Vec<VenueIndexBody>,
-}
-
-/// Per-venue index observability inside [`IndexBody`].
-#[derive(Serialize)]
-struct VenueIndexBody {
+struct VenueBody {
     id: String,
-    /// `"accelerated"` or `"scan"`.
-    mode: String,
-    /// Whether the venue's index came from a persisted venue file.
-    loaded_from_disk: bool,
-    /// Index acquisition time in microseconds (build, or decode when
-    /// loaded from disk).
-    build_micros: u64,
     /// How the venue document behind this engine was loaded; `null` for
     /// engines built directly from in-memory models.
     document: Option<VenueDocumentBody>,
 }
 
-/// Per-venue document-load observability inside [`VenueIndexBody`].
+/// Per-venue document-load observability inside [`VenueBody`].
 #[derive(Serialize)]
 struct VenueDocumentBody {
     /// File format version the venue was loaded from (`2` columnar binary,
@@ -233,53 +205,23 @@ impl IkrqApp {
         Response::json(200, serde_json::to_string(&body).expect("venues serialize"))
     }
 
-    fn index_body(&self) -> IndexBody {
+    fn venue_bodies(&self) -> Vec<VenueBody> {
         let registry = self.service.registry();
-        let mut body = IndexBody {
-            mode: String::new(),
-            venues_indexed: 0,
-            venues_total: 0,
-            build_micros: 0,
-            estimated_bytes: 0,
-            venues_loaded_from_disk: 0,
-            venues: Vec::new(),
-        };
-        for id in registry.ids() {
-            let Some(engine) = registry.get(&id) else {
-                continue;
-            };
-            body.venues_total += 1;
-            let stats = engine.index_stats();
-            if let Some(stats) = &stats {
-                body.venues_indexed += 1;
-                body.build_micros += stats.build_micros;
-                body.estimated_bytes += stats.estimated_bytes;
-                if stats.loaded_from_disk {
-                    body.venues_loaded_from_disk += 1;
-                }
-            }
-            body.venues.push(VenueIndexBody {
-                id,
-                mode: engine.index_mode().label().to_string(),
-                loaded_from_disk: stats.as_ref().is_some_and(|s| s.loaded_from_disk),
-                build_micros: stats.as_ref().map_or(0, |s| s.build_micros),
-                document: engine.document_stats().map(|d| VenueDocumentBody {
+        registry
+            .ids()
+            .into_iter()
+            .filter_map(|id| {
+                let engine = registry.get(&id)?;
+                let document = engine.document_stats().map(|d| VenueDocumentBody {
                     format_version: d.format_version,
                     adopted_columnar: d.adopted_columnar,
                     decode_ms: d.decode_micros as f64 / 1e3,
                     adopt_ms: d.adopt_micros as f64 / 1e3,
                     degraded: d.degraded.clone(),
-                }),
-            });
-        }
-        body.mode = if body.venues_indexed == 0 {
-            "scan".to_string()
-        } else if body.venues_indexed == body.venues_total {
-            "accelerated".to_string()
-        } else {
-            "mixed".to_string()
-        };
-        body
+                });
+                Some(VenueBody { id, document })
+            })
+            .collect()
     }
 
     fn stats(&self, engine: &EngineView<'_>) -> Response {
@@ -291,7 +233,7 @@ impl IkrqApp {
             max_connections: engine.max_connections,
             keep_alive: engine.config.keep_alive,
             nofile_limit: engine.nofile_limit,
-            index: self.index_body(),
+            venues: self.venue_bodies(),
             stats: engine.stats(),
         };
         Response::json(200, serde_json::to_string(&body).expect("stats serialize"))

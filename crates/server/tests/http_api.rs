@@ -659,81 +659,19 @@ fn shutdown_is_idempotent_and_stats_survive() {
 }
 
 #[test]
-fn stats_expose_index_observability() {
-    let service = fig1_service();
-    let handle = start(Arc::clone(&service), ServerConfig::default());
-    let addr = handle.local_addr();
-
-    // Before any query: default registration builds the index eagerly, so
-    // mode and build/memory figures are already visible.
-    let stats = request(addr, "GET", "/v1/stats", None).json();
-    let index = stats.get("index").unwrap();
-    assert_eq!(index.get("mode").unwrap().as_str(), Some("accelerated"));
-    assert_eq!(index.get("venues_indexed").unwrap().as_u64(), Some(1));
-    assert_eq!(index.get("venues_total").unwrap().as_u64(), Some(1));
-    assert!(index.get("estimated_bytes").unwrap().as_u64().unwrap() > 0);
-    // KoE* rows live only inside a search: no row-cache keys, in the
-    // aggregate or per venue. KoE applies Rule 3 once per query, so there
-    // is no per-query bound cache to count either. No search reads the
-    // index, so there are no usage counters.
-    for key in [
-        "precomputed_rows",
-        "precomputed_bytes",
-        "rows_evictions",
-        "bound_cache_hits",
-        "queries_accelerated",
-        "regions_tested",
-        "regions_pruned",
-        "candidates_pruned",
-    ] {
-        assert!(index.get(key).is_none(), "index.{key} is gone");
-    }
-    let venue = &index.get("venues").unwrap().as_array().unwrap()[0];
-    for key in [
-        "rows_capacity",
-        "rows_resident",
-        "rows_hits",
-        "rows_misses",
-        "rows_evictions",
-    ] {
-        assert!(venue.get(key).is_none(), "index.venues[0].{key} is gone");
-    }
-
-    // A scan-mode registration reports the fallback mode with no index cost.
-    let example = indoor_data::paper_example_venue();
-    let scan_service = Arc::new(IkrqService::new());
-    scan_service
-        .register_engine(
-            "fig1",
-            Arc::new(ikrq_core::IkrqEngine::with_index_mode(
-                example.venue.space.clone(),
-                example.venue.directory.clone(),
-                ikrq_core::IndexMode::Scan,
-            )),
-        )
-        .unwrap();
-    let scan_handle = start(Arc::clone(&scan_service), ServerConfig::default());
-    let stats = request(scan_handle.local_addr(), "GET", "/v1/stats", None).json();
-    let index = stats.get("index").unwrap();
-    assert_eq!(index.get("mode").unwrap().as_str(), Some("scan"));
-    assert_eq!(index.get("venues_indexed").unwrap().as_u64(), Some(0));
-    assert_eq!(index.get("estimated_bytes").unwrap().as_u64(), Some(0));
-}
-
-#[test]
 fn stats_expose_document_load_observability() {
     // An engine registered straight from an in-memory model has no document
-    // provenance: its per-venue `document` is null.
+    // provenance: its `document` is null. No engine a server hosts holds
+    // a venue index, so the body reports none.
     let handle = start(fig1_service(), ServerConfig::default());
     let stats = request(handle.local_addr(), "GET", "/v1/stats", None).json();
-    let venues = stats
-        .get("index")
-        .unwrap()
-        .get("venues")
-        .unwrap()
-        .as_array()
-        .unwrap();
+    assert!(
+        stats.get("index").is_none(),
+        "/v1/stats has no index object"
+    );
+    let venues = stats.get("venues").unwrap().as_array().unwrap();
     assert_eq!(venues.len(), 1);
+    assert_eq!(venues[0].get("id").unwrap().as_str(), Some("fig1"));
     assert!(venues[0].get("document").unwrap().is_null());
 
     // An engine whose loader recorded document stats (the CLI seam for
@@ -752,13 +690,12 @@ fn stats_expose_document_load_observability() {
     service.register_engine("fig1", Arc::new(engine)).unwrap();
     let handle = start(Arc::clone(&service), ServerConfig::default());
     let stats = request(handle.local_addr(), "GET", "/v1/stats", None).json();
-    let venues = stats
-        .get("index")
-        .unwrap()
-        .get("venues")
-        .unwrap()
-        .as_array()
-        .unwrap();
+    assert!(
+        stats.get("index").is_none(),
+        "/v1/stats has no index object"
+    );
+    let venues = stats.get("venues").unwrap().as_array().unwrap();
+    assert_eq!(venues.len(), 1);
     let document = venues[0].get("document").unwrap();
     assert_eq!(document.get("format_version").unwrap().as_u64(), Some(2));
     assert_eq!(

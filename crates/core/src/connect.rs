@@ -138,10 +138,10 @@ impl Search<'_> {
     /// Builds the complete stamp for a route extended by a door path ending
     /// at an enterable door of `v(pt)` and then the terminal point itself.
     /// The route's doors are in `SearchState::route_doors`, and marked in
-    /// the scratch. `partitions`
-    /// comes from `door_to_point_path_within`, i.e. it has one entry per
-    /// door hop plus the final terminal-partition leg. A path that does not extend
-    /// the route regularly completes nothing.
+    /// the scratch. `partitions` comes from `door_to_point_path_within`,
+    /// i.e. it has one entry per door hop plus the final terminal-partition
+    /// leg. A path that does not extend the route regularly completes
+    /// nothing.
     pub(crate) fn build_completed_route(
         &mut self,
         stamp: &Stamp,

@@ -23,7 +23,8 @@
 //!    section.
 //!
 //! [`VenueIndex`] holds the region layer and records its own build time
-//! and estimated heap footprint, which `/v1/stats` reports.
+//! and estimated heap footprint, which `ikrq generate --save-indexed` and
+//! the `scale` bench report. No engine `ikrq` serves holds one.
 //!
 //! [`PreparedQuery::prepare`]: indoor_keywords::PreparedQuery::prepare
 
@@ -63,8 +64,8 @@ impl VenueIndex {
     /// Reassembles an index from persisted parts (the pre-built index
     /// section of a venue file). `build_micros` records the decode time —
     /// what acquiring the index actually cost this process — and
-    /// [`VenueIndex::loaded_from_disk`] reports `true` so `/v1/stats` can
-    /// distinguish loaded venues from freshly indexed ones.
+    /// [`VenueIndex::loaded_from_disk`] reports `true`, which tells loaded
+    /// indexes from freshly built ones.
     pub fn from_parts(regions: RegionIndex, build_micros: u64) -> Self {
         VenueIndex {
             regions,

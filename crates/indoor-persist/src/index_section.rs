@@ -1,8 +1,9 @@
 //! Persisted pre-built [`VenueIndex`] section.
 //!
 //! A venue file may carry, after the document payload, one optional index
-//! section serialising the venue's [`RegionIndex`] so that serving processes
-//! skip the index build entirely. The crate's `codec` module frames it
+//! section serialising the venue's [`RegionIndex`], so that a caller that
+//! wants the index need not build it. No search reads the index, and `ikrq`
+//! serves every venue without one. The crate's `codec` module frames it
 //! (magic `b"IKRQIDX\0"`, version [`INDEX_FORMAT_VERSION`]); its body is:
 //!
 //! ```text
@@ -29,9 +30,9 @@
 //!
 //! The section is advisory: any defect — wrong magic, another version, bad
 //! checksum, truncation, or a vocabulary fingerprint that does not match
-//! the rebuilt directory — degrades to [`IndexSection::Unusable`] and the
-//! caller rebuilds from scratch. A venue file therefore never fails to load
-//! because its index section went stale.
+//! the rebuilt directory — degrades to [`IndexSection::Unusable`], and a
+//! caller that wants an index builds one. A venue file therefore never
+//! fails to load because its index section went stale.
 
 use crate::codec::{
     frame_section, put_grouped, put_rect, put_u32_list, row_u32, unframe_section, word_row, Reader,
@@ -70,7 +71,7 @@ pub enum IndexSection {
     /// value travels through `Result`s on its way to the engine.
     Present(Box<PrebuiltIndex>),
     /// A section was present but cannot be used (corruption, truncation,
-    /// unsupported version). Callers log the reason and rebuild.
+    /// unsupported version). A caller that wants an index builds one.
     Unusable(String),
 }
 
@@ -86,7 +87,7 @@ impl PrebuiltIndex {
     /// Validates the section's vocabulary fingerprint against the directory
     /// rebuilt from the document and yields the ready [`VenueIndex`]
     /// (`build_micros` = decode time, `loaded_from_disk` = true). A
-    /// mismatch returns the reason string; callers rebuild.
+    /// mismatch returns the reason string.
     pub fn into_index(
         self,
         directory: &KeywordDirectory,

@@ -56,12 +56,12 @@ impl Search<'_> {
     /// directly. The complete stamp names the same tree node as `stamp`,
     /// and `v(pt)` ends its `KP(R)`.
     pub(crate) fn finalize_at_terminal(&mut self, stamp: &Stamp) -> Option<Stamp> {
-        let terminal = self.ctx.query.terminal;
+        let query = self.ctx.query;
         let increment = match stamp.tail {
-            Some(tail) => self.ctx.space.d2pt_distance(tail, &terminal),
+            Some(tail) => self.ctx.door_to_terminal(tail),
             // Degenerate case: ps and pt share a partition and the route has
             // no doors yet; the leg is the intra-partition straight line.
-            None => self.ctx.query.start.position.distance(&terminal.position),
+            None => query.start.position.distance(&query.terminal.position),
         };
         if !increment.is_finite() {
             return None;

@@ -14,7 +14,9 @@ use crate::scratch::SearchScratch;
 use crate::Result;
 use indoor_index::VenueIndex;
 use indoor_keywords::{CandidateSet, CoverageTracker, KeywordDirectory, PreparedQuery};
-use indoor_space::{DoorId, IndoorSpace, PartitionId, Route, ELLIPSE_SLACK};
+use indoor_space::{
+    DoorId, IndoorPoint, IndoorSpace, PartitionId, Route, ELLIPSE_SLACK, UNREACHABLE,
+};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
@@ -313,6 +315,40 @@ impl<'a> SearchContext<'a> {
             }
         }
         out
+    }
+
+    /// `δpt2d(ps, d)`: the walk from the start point to door `d`, finite
+    /// iff `d` leaves `v(ps)`. [`IndoorSpace::pt2d_distance`] is the
+    /// specification; it locates `ps` again on every call, and debug builds
+    /// hold the two to each other bit for bit.
+    pub fn start_to_door(&self, d: DoorId) -> f64 {
+        let start = &self.query.start;
+        let leg = self.point_leg(start, self.space.p2d_leave(self.start_partition), d);
+        debug_assert_eq!(leg.to_bits(), self.space.pt2d_distance(start, d).to_bits());
+        leg
+    }
+
+    /// `δd2pt(d, pt)`: the walk from door `d` to the terminal point, finite
+    /// iff `d` enters `v(pt)`. [`IndoorSpace::d2pt_distance`] is the
+    /// specification, held to it as [`SearchContext::start_to_door`] is.
+    pub fn door_to_terminal(&self, d: DoorId) -> f64 {
+        let terminal = &self.query.terminal;
+        let leg = self.point_leg(terminal, self.space.p2d_enter(self.terminal_partition), d);
+        debug_assert_eq!(
+            leg.to_bits(),
+            self.space.d2pt_distance(d, terminal).to_bits()
+        );
+        leg
+    }
+
+    /// The straight line between `p` and door `d` when `d` is one of
+    /// `doors`, the doors of `p`'s host partition in the leg's direction;
+    /// unreachable otherwise.
+    fn point_leg(&self, p: &IndoorPoint, doors: &[DoorId], d: DoorId) -> f64 {
+        if !doors.contains(&d) {
+            return UNREACHABLE;
+        }
+        self.space.doors()[d.index()].position.distance(&p.position)
     }
 
     /// Skeleton lower bound from the start point to a door, `|ps, d|_L`.

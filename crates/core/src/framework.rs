@@ -71,6 +71,12 @@ pub(crate) struct SearchState {
     pub path_doors: Vec<DoorId>,
     /// The partitions between the doors of `path_doors`.
     pub path_legs: Vec<PartitionId>,
+    /// KoE only: the expanded stamp's jumps `(vj, dl)`, in `routing`'s
+    /// order, reused across expansions.
+    pub jumps: Vec<(PartitionId, DoorId)>,
+    /// KoE only: the doors a run from the expanded stamp's door stops at,
+    /// sorted and distinct.
+    pub jump_targets: Vec<DoorId>,
     /// Metrics of the run.
     pub metrics: SearchMetrics,
 }
@@ -110,6 +116,8 @@ impl<'a> Search<'a> {
                 route_doors: Vec::new(),
                 path_doors: Vec::new(),
                 path_legs: Vec::new(),
+                jumps: Vec::new(),
+                jump_targets: Vec::new(),
                 metrics: SearchMetrics::new(),
             },
         }

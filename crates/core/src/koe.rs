@@ -11,9 +11,11 @@
 //! expanded: that stamp is the only one without a tail door, and Algorithm 6
 //! visits all of `P` there. With distance pruning on, it holds the key
 //! partitions enterable through a door that the initial stamp's runs settle
-//! (all key partitions for KoE\D). Pruning Rule 3's bound (Lemma 3) depends
-//! only on `ps`, `pt` and the partition, so the partitions it rejects are
-//! dropped from `P` then and stay dropped for the whole query.
+//! (all key partitions for KoE\D): each partition is scored the first time
+//! a settled door offers it, and only the key partitions are kept and
+//! sorted. Pruning Rule 3's bound (Lemma 3) depends only on `ps`, `pt` and
+//! the partition, so the partitions it rejects are dropped from `P` then
+//! and stay dropped for the whole query.
 //!
 //! Every shortest-path run made here is bounded by the remaining budget
 //! (`base` = the distance already walked, `limit` = `∆`): line 14 drops any
@@ -21,8 +23,13 @@
 //! distance pruning on, the runs also cut at the `∆`-ellipse: a door from
 //! which `pt` is out of reach fails Rule 1 as a jump target and cannot lie
 //! on a path to one that passes, so a run settles the ellipse, not the
-//! `∆`-ball. Each run offers its connections through one helper,
-//! `connection`.
+//! `∆`-ball. The initial stamp's runs must settle the whole ellipse, since
+//! `P` is read from them. A stamp at a door walks `P` first (lines 4–11 and
+//! the route-door test) and collects its jumps; its run then stops once
+//! it has popped every jump's door, which gives each of them the distance
+//! and path of a run to the budget. A stamp without jumps makes a run that
+//! stops at its own door. Each run offers its connections through one
+//! helper, `connection`.
 //!
 //! Each connection goes to the child step (`Search::generate_children`),
 //! which applies the distance constraint and Pruning Rules 1, 4 and 5
@@ -87,11 +94,12 @@ enum KoeSource {
     /// the start partition, each entry being `(δpt2d cost, run from the
     /// door)`; each run's budget starts at its δpt2d cost.
     FromPoint(Vec<(f64, DijkstraResult)>),
-    /// The stamp sits at a door: one Dijkstra with the route's doors excluded.
+    /// The stamp sits at a door: one Dijkstra with the route's doors
+    /// excluded, stopped at the stamp's jump doors.
     FromDoor(DijkstraResult),
     /// KoE*: consult `row`, the run from the stamp's door without
     /// exclusions, first; `fallback` is filled in lazily when a path of
-    /// `row` violates regularity.
+    /// `row` violates regularity. Both stop at the stamp's jump doors.
     Unrestricted {
         row: DijkstraResult,
         fallback: Option<DijkstraResult>,
@@ -101,15 +109,31 @@ enum KoeSource {
 impl<'a> Search<'a> {
     /// `KoE_find(Si)`: the next valid stamps reachable by jumping to candidate
     /// key partitions from `Si`, appended to `children`.
+    ///
+    /// The initial stamp's runs settle the ellipse, and `P` is built from
+    /// them. A stamp at a door first picks its jumps from `P`, then runs
+    /// from its door until every jump's door is settled.
     pub(crate) fn koe_find(&mut self, stamp: &Stamp, children: &mut Vec<Stamp>) {
-        let ctx = self.ctx;
-        let delta = ctx.delta();
-        let tail = stamp.tail;
-
-        let mut source = self.koe_source(stamp);
-        if let KoeSource::FromPoint(runs) = &source {
-            self.state.routing = self.routing_set(runs);
-        }
+        let initial = stamp.tail.is_none().then(|| {
+            let runs = self.initial_runs();
+            self.state.routing = self.routing_set(&runs);
+            KoeSource::FromPoint(runs)
+        });
+        let mut jumps = std::mem::take(&mut self.state.jumps);
+        self.collect_jumps(stamp, &mut jumps);
+        let mut targets = std::mem::take(&mut self.state.jump_targets);
+        targets.clear();
+        let mut source = match (initial, stamp.tail) {
+            (Some(source), _) => source,
+            (None, tail) => {
+                // The run's source is a target too: a stamp without jumps
+                // stops its run there.
+                targets.extend(jumps.iter().map(|&(_, dl)| dl).chain(tail));
+                targets.sort_unstable();
+                targets.dedup();
+                self.door_source(stamp, &targets)
+            }
+        };
         // KoE* holds its unrestricted row on top of KoE's state while it
         // expands the stamp: charge it to the memory footprint.
         if let KoeSource::Unrestricted { row, .. } = &source {
@@ -120,6 +144,38 @@ impl<'a> Search<'a> {
             std::mem::take(&mut self.state.path_doors),
             std::mem::take(&mut self.state.path_legs),
         );
+        for &(vj, dl) in &jumps {
+            doors.clear();
+            legs.clear();
+            let Some(distance) =
+                self.resolve_connection(&mut source, stamp, dl, &targets, &mut doors, &mut legs)
+            else {
+                continue;
+            };
+            self.generate_children(
+                stamp,
+                &doors,
+                &legs,
+                &[vj],
+                stamp.distance + distance,
+                children,
+            );
+        }
+        self.state.path_doors = doors;
+        self.state.path_legs = legs;
+        self.state.jumps = jumps;
+        self.state.jump_targets = targets;
+    }
+
+    /// Algorithm 6's walk over `P` from `stamp` (lines 4–13): writes into
+    /// `jumps`, in `P`'s order, each `(vj, dl)` to connect, an enter door
+    /// `dl` of a partition `vj` that survives lines 4–7, line 11 and the
+    /// route-door test, and records those prunes.
+    fn collect_jumps(&mut self, stamp: &Stamp, jumps: &mut Vec<(PartitionId, DoorId)>) {
+        let ctx = self.ctx;
+        let delta = ctx.delta();
+        let tail = stamp.tail;
+        jumps.clear();
         for i in 0..self.state.routing.len() {
             let entry = self.state.routing[i];
             let vj = entry.partition;
@@ -157,32 +213,16 @@ impl<'a> Search<'a> {
                 continue;
             }
 
-            // Expand to each enterable door of the target partition through
-            // the shortest regular connecting route (lines 12–20).
+            // Each enterable door of the target partition is a jump
+            // (lines 12–20), unless the route already holds it.
             for &dl in ctx.space.p2d_enter(vj) {
                 if Some(dl) != tail && self.state.scratch.is_marked(dl) {
                     self.state.metrics.prunes.record(PruneRule::Regularity);
                     continue;
                 }
-                doors.clear();
-                legs.clear();
-                let Some(distance) =
-                    self.resolve_connection(&mut source, stamp, dl, &mut doors, &mut legs)
-                else {
-                    continue;
-                };
-                self.generate_children(
-                    stamp,
-                    &doors,
-                    &legs,
-                    &[vj],
-                    stamp.distance + distance,
-                    children,
-                );
+                jumps.push((vj, dl));
             }
         }
-        self.state.path_doors = doors;
-        self.state.path_legs = legs;
     }
 
     /// The routing set `P` of Algorithm 1 line 3: the key partitions a jump
@@ -198,58 +238,73 @@ impl<'a> Search<'a> {
     /// starts with such a run's source and passes only doors the run
     /// settles, since each run is cut at the `∆`-ellipse. A run's source,
     /// which the cut never tests, counts only when it passes Rule 2's door
-    /// test. Other key partitions are never met, and never counted. Without
-    /// distance pruning (KoE\D), `P` holds the key partitions of the whole
-    /// venue.
+    /// test. Each partition is scored the first time a settled door offers
+    /// it (its scratch slot then says the search has met it), and only the
+    /// key partitions are kept and sorted. Other key partitions are never
+    /// met, and never counted. Without distance pruning (KoE\D), `P` holds
+    /// the key partitions of the whole venue.
     fn routing_set(&mut self, runs: &[(f64, DijkstraResult)]) -> Vec<RoutingPartition> {
         let ctx = self.ctx;
         let (start, terminal) = (&ctx.query.start, &ctx.query.terminal);
         let delta = ctx.delta();
         let prune = self.config.use_distance_pruning;
-        let reached: Vec<PartitionId> = if prune {
-            let mut reached = vec![ctx.terminal_partition];
+        // `v(pt)` is in `P` whether or not it is a key partition; scoring
+        // it first keeps the offers below from meeting it again.
+        let mut routing = vec![RoutingPartition {
+            partition: ctx.terminal_partition,
+            row: self.partition_row(ctx.terminal_partition),
+            detour_bound: 0.0,
+        }];
+        if prune {
             for (_, run) in runs {
                 for d in run.settled() {
                     if d != run.source() || ctx.door_in_ellipse(d) {
-                        reached.extend_from_slice(ctx.space.d2p_enter(d));
+                        for &v in ctx.space.d2p_enter(d) {
+                            self.offer_partition(v, &mut routing);
+                        }
                     }
                 }
             }
-            reached.sort_unstable();
-            reached.dedup();
-            reached
         } else {
-            (0..ctx.space.num_partitions() as u32)
-                .map(PartitionId)
-                .collect()
-        };
-
-        let mut routing = Vec::new();
-        for v in reached {
-            let row = self.partition_row(v);
-            let key = v != ctx.start_partition && row.is_some();
-            if !key && v != ctx.terminal_partition {
-                continue;
+            for v in 0..ctx.space.num_partitions() as u32 {
+                self.offer_partition(PartitionId(v), &mut routing);
             }
-            let detour_bound = if v == ctx.terminal_partition {
+        }
+        routing.sort_unstable_by_key(|entry| entry.partition);
+
+        routing.retain_mut(|entry| {
+            let v = entry.partition;
+            entry.detour_bound = if v == ctx.terminal_partition {
                 self.terminal_jump_bound(|di| ctx.start_to_door_lb(di))
             } else {
                 ctx.space.partition_detour_lower_bound(start, v, terminal)
             };
-            if prune && detour_bound > delta {
+            if prune && entry.detour_bound > delta {
                 self.state
                     .metrics
                     .prunes
                     .record(PruneRule::PartitionDistance);
-                continue;
+                return false;
             }
+            true
+        });
+        routing
+    }
+
+    /// Scores partition `v` for the routing set the first time the search
+    /// meets it, and appends it when it is a key partition other than
+    /// `v(ps)`.
+    fn offer_partition(&mut self, v: PartitionId, routing: &mut Vec<RoutingPartition>) {
+        if self.state.scratch.partition_row(v).is_some() || v == self.ctx.start_partition {
+            return;
+        }
+        if let Some(row) = self.partition_row(v) {
             routing.push(RoutingPartition {
                 partition: v,
-                row,
-                detour_bound,
+                row: Some(row),
+                detour_bound: 0.0,
             });
         }
-        routing
     }
 
     /// The lower bound of a jump into `v(pt)` (line 11 and Rule 3). A route
@@ -262,55 +317,61 @@ impl<'a> Search<'a> {
         ctx.space
             .p2d_enter(ctx.terminal_partition)
             .iter()
-            .map(|&di| to_door(di) + ctx.space.d2pt_distance(di, &ctx.query.terminal))
+            .map(|&di| to_door(di) + ctx.door_to_terminal(di))
             .fold(UNREACHABLE, f64::min)
     }
 
-    /// Builds the shortest-path source rooted at the stamp's current position.
-    fn koe_source(&mut self, stamp: &Stamp) -> KoeSource {
+    /// The initial stamp's runs: one from each leavable door of `v(ps)`,
+    /// with its `δpt2d` cost, whose budget starts at that cost. They build
+    /// `P`, so they settle the whole ellipse.
+    fn initial_runs(&mut self) -> Vec<(f64, DijkstraResult)> {
         let ctx = self.ctx;
         let paths = ctx.space.shortest_paths();
         let terminal = self.ellipse_terminal();
-        match stamp.tail {
-            None => {
-                let mut per_door = Vec::new();
-                for &dx in ctx.space.p2d_leave(ctx.start_partition) {
-                    let cost = ctx.space.pt2d_distance(&ctx.query.start, dx);
-                    if !cost.is_finite() {
-                        continue;
-                    }
-                    self.state.metrics.dijkstra_calls += 1;
-                    let result = paths.from_door_within(dx, |_| false, cost, ctx.delta(), terminal);
-                    per_door.push((cost, result));
-                }
-                KoeSource::FromPoint(per_door)
+        let leave = ctx.space.p2d_leave(ctx.start_partition);
+        let mut per_door = Vec::with_capacity(leave.len());
+        for &dx in leave {
+            let cost = ctx.start_to_door(dx);
+            self.state.metrics.dijkstra_calls += 1;
+            let run = paths.from_door_within(dx, |_| false, cost, ctx.delta(), terminal, &[]);
+            per_door.push((cost, run));
+        }
+        per_door
+    }
+
+    /// The run from the door of a stamp at a door, which stops once it has
+    /// popped every door of `targets` (the stamp's jump doors and its own
+    /// door, sorted and distinct): with the route's doors excluded, or,
+    /// for KoE*, without exclusions and with a lazy fallback.
+    fn door_source(&mut self, stamp: &Stamp, targets: &[DoorId]) -> KoeSource {
+        let ctx = self.ctx;
+        let dk = stamp.tail.expect("a stamp at a door");
+        let paths = ctx.space.shortest_paths();
+        let terminal = self.ellipse_terminal();
+        self.state.metrics.dijkstra_calls += 1;
+        if self.config.use_precomputed_paths {
+            let row = paths.from_door_within(
+                dk,
+                |_| false,
+                stamp.distance,
+                ctx.delta(),
+                terminal,
+                targets,
+            );
+            KoeSource::Unrestricted {
+                row,
+                fallback: None,
             }
-            Some(dk) => {
-                self.state.metrics.dijkstra_calls += 1;
-                if self.config.use_precomputed_paths {
-                    let row = paths.from_door_within(
-                        dk,
-                        |_| false,
-                        stamp.distance,
-                        ctx.delta(),
-                        terminal,
-                    );
-                    KoeSource::Unrestricted {
-                        row,
-                        fallback: None,
-                    }
-                } else {
-                    let scratch = &self.state.scratch;
-                    let result = paths.from_door_within(
-                        dk,
-                        |d| scratch.is_marked(d),
-                        stamp.distance,
-                        ctx.delta(),
-                        terminal,
-                    );
-                    KoeSource::FromDoor(result)
-                }
-            }
+        } else {
+            let scratch = &self.state.scratch;
+            KoeSource::FromDoor(paths.from_door_within(
+                dk,
+                |d| scratch.is_marked(d),
+                stamp.distance,
+                ctx.delta(),
+                terminal,
+                targets,
+            ))
         }
     }
 
@@ -327,12 +388,13 @@ impl<'a> Search<'a> {
     /// Resolves the shortest regular connection from the stamp position to
     /// the target door `dl`: writes its doors and the partitions between
     /// them into `doors` and `partitions`, which are empty, and returns its
-    /// length.
+    /// length. A KoE* fallback run stops at `targets`, as its row did.
     fn resolve_connection(
         &mut self,
         source: &mut KoeSource,
         stamp: &Stamp,
         dl: DoorId,
+        targets: &[DoorId],
         doors: &mut Vec<DoorId>,
         partitions: &mut Vec<PartitionId>,
     ) -> Option<f64> {
@@ -377,6 +439,7 @@ impl<'a> Search<'a> {
                         stamp.distance,
                         self.ctx.delta(),
                         self.ellipse_terminal(),
+                        targets,
                     ));
                 }
                 doors.clear();

@@ -46,9 +46,13 @@ pub struct SearchMetrics {
     pub complete_routes: u64,
     /// Maximum length of the priority queue.
     pub queue_peak_len: usize,
-    /// Number of single-source shortest-path computations performed. For
-    /// KoE* a stamp at a door adds one for its run without exclusions and
-    /// one more when a path of that run breaks regularity.
+    /// Number of single-source shortest-path computations performed. KoE's
+    /// initial stamp makes one per leavable door of `v(ps)`, each settling
+    /// the ellipse; a stamp at a door makes one that stops once it has
+    /// popped the doors of its jumps, and a stamp without jumps one that
+    /// stops at its own door, which counts too. For KoE* a stamp at a door
+    /// adds one for its run without exclusions and one more when a path of
+    /// that run breaks regularity.
     pub dijkstra_calls: u64,
     /// Number of shortest-path recomputations forced by failed regularity
     /// checks against KoE*'s runs without exclusions (KoE* only). Such a

@@ -106,17 +106,19 @@ impl RouteTree {
         out.reverse();
     }
 
-    /// The route of `node`, from the start point `start`.
+    /// The route of `node`, from the start point `start`. Its lists are
+    /// sized once from the hop count, with room for the leg to `pt`.
     pub(crate) fn route(&self, start: IndoorPoint, node: NodeId) -> Route {
-        let mut hops = Vec::new();
-        self.walk(node, |at| hops.push((at.door, at.leg)));
-        let mut route = Route::from_point(start);
-        for &(door, leg) in hops.iter().rev() {
-            route
-                .append_door(door, leg)
-                .expect("the tree holds regular routes only");
-        }
-        route
+        let mut hops = 0;
+        self.walk(node, |_| hops += 1);
+        let (mut doors, mut legs) = (Vec::with_capacity(hops), Vec::with_capacity(hops + 1));
+        self.walk(node, |at| {
+            doors.push(at.door);
+            legs.push(at.leg);
+        });
+        doors.reverse();
+        legs.reverse();
+        Route::from_point_through(start, doors, legs).expect("the tree holds regular routes only")
     }
 
     /// Heap bytes of the nodes, for memory accounting.

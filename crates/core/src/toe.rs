@@ -64,7 +64,7 @@ impl Search<'_> {
             // door entered `vi` and `dl` leaves it, so only a loop needs the
             // membership tests.
             let increment = match tail {
-                None => ctx.space.pt2d_distance(&ctx.query.start, dl),
+                None => ctx.start_to_door(dl),
                 Some(dk) if dk == dl => ctx.space.loop_distance(dl, vi),
                 Some(dk) => {
                     let increment = ctx.space.intra_door_distance_unchecked(vi, dk, dl);

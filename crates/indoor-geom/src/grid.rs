@@ -111,13 +111,20 @@ impl UniformGrid {
     /// falling back to boundary-inclusive containment. This is the behaviour
     /// the indoor-space layer wants for host-partition lookup: interior wins,
     /// shared walls are resolved deterministically to the lowest identifier.
+    /// It is [`UniformGrid::query_point`]'s first id whose rectangle holds
+    /// `p` strictly, else its first id, read from the cell's bucket without
+    /// collecting it.
     pub fn locate(&self, p: &Point) -> Option<usize> {
-        let candidates = self.query_point(p);
-        candidates
-            .iter()
-            .copied()
-            .find(|&id| self.items[id].contains_strict(p))
-            .or_else(|| candidates.first().copied())
+        let (mut strict, mut touching) = (None::<usize>, None::<usize>);
+        for &id in self.buckets.get(&self.cell_of(p))? {
+            let rect = &self.items[id];
+            if rect.contains_strict(p) {
+                strict = Some(strict.map_or(id, |s| s.min(id)));
+            } else if rect.contains(p) {
+                touching = Some(touching.map_or(id, |t| t.min(id)));
+            }
+        }
+        strict.or(touching)
     }
 
     /// Returns identifiers of all rectangles intersecting the query rectangle.

@@ -161,10 +161,16 @@ proptest! {
     ) {
         let bounds = Rect::from_origin_size(Point::new(0.0, 0.0), 1000.0, 1000.0).unwrap();
         let mut grid = UniformGrid::new(bounds, cell).unwrap();
-        let rects: Vec<Rect> = rects
+        let mut rects: Vec<Rect> = rects
             .into_iter()
             .map(|(x, y, w, h)| Rect::from_origin_size(Point::new(x, y), w, h).unwrap())
             .collect();
+        // A neighbour sharing the chosen rect's right wall, as rooms do.
+        let chosen = rects[pick % rects.len()];
+        rects.push(
+            Rect::from_origin_size(Point::new(chosen.max.x, chosen.min.y), 10.0, chosen.height())
+                .unwrap(),
+        );
         for r in &rects {
             grid.insert(*r);
         }
@@ -172,7 +178,6 @@ proptest! {
 
         // A point strictly inside a chosen rect must be located in *some*
         // rect that actually contains it.
-        let chosen = &rects[pick % rects.len()];
         let p = Point::new(
             chosen.min.x + chosen.width() * fx,
             chosen.min.y + chosen.height() * fy,
@@ -187,6 +192,26 @@ proptest! {
             if r.contains(&p) {
                 prop_assert!(hits.contains(&i), "rect {i} contains the point but was not returned");
             }
+        }
+        // locate keeps query_point's lowest id strictly holding the point,
+        // else its lowest id: at the point, on the chosen rect's walls and
+        // corners (which other rects may share), and at every rect's corner.
+        let on_walls = [
+            p,
+            Point::new(chosen.min.x, p.y),
+            Point::new(chosen.max.x, p.y),
+            Point::new(p.x, chosen.min.y),
+            Point::new(p.x, chosen.max.y),
+        ];
+        let corners = rects.iter().flat_map(|r| [r.min, r.max, Point::new(r.min.x, r.max.y)]);
+        for q in on_walls.into_iter().chain(corners) {
+            let hits = grid.query_point(&q);
+            let rule = hits
+                .iter()
+                .copied()
+                .find(|&id| rects[id].contains_strict(&q))
+                .or_else(|| hits.first().copied());
+            prop_assert_eq!(grid.locate(&q), rule, "at {:?}", q);
         }
         // A point far outside every inserted rect is not located.
         let outside = Point::new(999.0, 999.0);

@@ -21,22 +21,55 @@ use std::collections::BTreeMap;
 /// Every `I2T` and `T2I` row is a sorted, duplicate-free `Vec`: the word
 /// sets Definition 4's [`jaccard`](crate::jaccard) counts over.
 ///
-/// A search looks `P2I` and `I2T` up for every partition it meets, so both
-/// are flat tables: `P2I` is indexed by partition (partition ids are the
-/// space's dense indices), and `I2T` is a sorted key table searched by
-/// bisection. A slot per word id would cost more than the rows themselves,
-/// since most words are t-words.
+/// A search looks `P2I` and `I2T` up for every partition it meets, and
+/// keyword preparation looks `I2T` up for every direct match, so both take
+/// one slot per id: `P2I` a word per partition (partition ids are the
+/// space's dense indices), and `I2T` a 4-byte row index per word id up to
+/// the largest i-word with t-words. Most words are t-words (a synthetic
+/// mall has 11 472 words, 1 225 of them i-words), so the slots cost about
+/// 4 bytes per word more than a sorted key table of the i-words would,
+/// and the rows themselves are stored once. `I2P` and `T2I`, which no
+/// search reads per partition, stay ordered maps.
 #[derive(Debug, Clone, Default)]
 pub struct KeywordMappings {
     /// `P2I` by partition index, `None` where the partition is unnamed.
     p2i: Vec<Option<WordId>>,
     i2p: BTreeMap<WordId, Vec<PartitionId>>,
-    /// The i-words with t-words, ascending; `i2t_rows[i]` is the `I2T` row
-    /// of `i2t_keys[i]`.
-    i2t_keys: Vec<WordId>,
+    /// `I2T` by word index: the position of the word's row in `i2t_rows`,
+    /// or [`NO_ROW`] for a word without t-words.
+    i2t_slots: Vec<u32>,
+    /// The `I2T` rows, in i-word order as loaded and then in the order
+    /// [`KeywordMappings::associate`] added them.
     i2t_rows: Vec<Vec<WordId>>,
     t2i: BTreeMap<WordId, Vec<WordId>>,
 }
+
+/// The `I2T` slot of a word without t-words.
+const NO_ROW: u32 = u32::MAX;
+
+/// `I2T`'s rows in i-word order: the word-id slots that hold a row.
+struct I2tEntries<'a> {
+    slots: std::iter::Enumerate<std::slice::Iter<'a, u32>>,
+    rows: &'a [Vec<WordId>],
+    /// Rows not yet yielded.
+    left: usize,
+}
+
+impl<'a> Iterator for I2tEntries<'a> {
+    type Item = (WordId, &'a [WordId]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (w, &at) = self.slots.find(|&(_, &at)| at != NO_ROW)?;
+        self.left -= 1;
+        Some((WordId(w as u32), self.rows[at as usize].as_slice()))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for I2tEntries<'_> {}
 
 /// Inserts `w` into a sorted, duplicate-free row, keeping it one.
 fn insert_sorted(row: &mut Vec<WordId>, w: WordId) {
@@ -165,11 +198,16 @@ impl KeywordMappings {
         for (v, w) in p2i {
             p2i_slots[v.index()] = Some(w);
         }
-        let (i2t_keys, i2t_rows) = i2t.into_iter().unzip();
+        let mut i2t_slots = vec![NO_ROW; i2t.last().map_or(0, |(w, _)| w.index() + 1)];
+        let mut i2t_rows = Vec::with_capacity(i2t.len());
+        for (w, row) in i2t {
+            i2t_slots[w.index()] = i2t_rows.len() as u32;
+            i2t_rows.push(row);
+        }
         Ok(KeywordMappings {
             p2i: p2i_slots,
             i2p: i2p.into_iter().collect(),
-            i2t_keys,
+            i2t_slots,
             i2t_rows,
             t2i: t2i.into_iter().collect(),
         })
@@ -205,12 +243,15 @@ impl KeywordMappings {
 
     /// Associates t-word `t` with i-word `w` (updates both `I2T` and `T2I`).
     pub fn associate(&mut self, iword: WordId, tword: WordId) {
-        match self.i2t_keys.binary_search(&iword) {
-            Ok(at) => insert_sorted(&mut self.i2t_rows[at], tword),
-            Err(at) => {
-                self.i2t_keys.insert(at, iword);
-                self.i2t_rows.insert(at, vec![tword]);
+        if self.i2t_slots.len() <= iword.index() {
+            self.i2t_slots.resize(iword.index() + 1, NO_ROW);
+        }
+        match self.i2t_slots[iword.index()] {
+            NO_ROW => {
+                self.i2t_slots[iword.index()] = self.i2t_rows.len() as u32;
+                self.i2t_rows.push(vec![tword]);
             }
+            at => insert_sorted(&mut self.i2t_rows[at as usize], tword),
         }
         insert_sorted(self.t2i.entry(tword).or_default(), iword);
     }
@@ -227,9 +268,9 @@ impl KeywordMappings {
 
     /// `I2T(w)`: the t-words of an i-word, sorted (empty when it has none).
     pub fn i2t(&self, w: WordId) -> &[WordId] {
-        match self.i2t_keys.binary_search(&w) {
-            Ok(at) => &self.i2t_rows[at],
-            Err(_) => &[],
+        match self.i2t_slots.get(w.index()) {
+            Some(&at) if at != NO_ROW => &self.i2t_rows[at as usize],
+            _ => &[],
         }
     }
 
@@ -247,10 +288,11 @@ impl KeywordMappings {
 
     /// Iterates `I2T` in i-word order, over the i-words with a t-word.
     pub fn i2t_entries(&self) -> impl ExactSizeIterator<Item = (WordId, &[WordId])> {
-        self.i2t_keys
-            .iter()
-            .zip(&self.i2t_rows)
-            .map(|(w, row)| (*w, row.as_slice()))
+        I2tEntries {
+            slots: self.i2t_slots.iter().enumerate(),
+            rows: &self.i2t_rows,
+            left: self.i2t_rows.len(),
+        }
     }
 
     /// `PW(v)`: the partition words of `v` — its i-word plus the i-word's
@@ -287,7 +329,7 @@ impl KeywordMappings {
     pub fn estimated_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.p2i.capacity() * std::mem::size_of::<Option<WordId>>()
-            + self.i2t_keys.capacity() * std::mem::size_of::<WordId>()
+            + self.i2t_slots.capacity() * std::mem::size_of::<u32>()
             + self.i2t_rows.capacity() * std::mem::size_of::<Vec<WordId>>()
             + self
                 .i2p

@@ -92,8 +92,9 @@ impl PreparedWord {
 
 /// A query keyword list prepared against a venue: every keyword classified,
 /// and a t-word's Definition-4 union `U` computed, so that the similarity of
-/// any i-word can be evaluated when a search meets it. Preparation costs
-/// `O(|T2I(wQ)| · |I2T|)` per t-word and nothing per venue partition.
+/// any i-word can be evaluated when a search meets it. Preparation still
+/// walks every direct match of a t-word, `O(|T2I(wQ)| · |I2T| · log |U|)`,
+/// and does nothing per venue partition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PreparedQuery {
     words: Vec<PreparedWord>,
@@ -112,21 +113,19 @@ impl PreparedQuery {
             if id.is_some() && !(0.0..=1.0).contains(&tau) {
                 return Err(KeywordError::InvalidThreshold(tau));
             }
-            let union = match (id, kind) {
-                (Some(tword), WordKind::TWord) => {
-                    let mut union: Vec<WordId> = directory
-                        .mappings()
-                        .t2i(tword)
-                        .iter()
-                        .flat_map(|&iw| directory.twords_of(iw))
-                        .copied()
-                        .collect();
-                    union.sort_unstable();
-                    union.dedup();
-                    union
+            // A t-word's direct matches hold hundreds of t-word
+            // occurrences for a union of a dozen: each goes into the
+            // sorted union by bisection.
+            let mut union = Vec::new();
+            if let (Some(tword), WordKind::TWord) = (id, kind) {
+                for &iw in directory.mappings().t2i(tword) {
+                    for &t in directory.twords_of(iw) {
+                        if let Err(at) = union.binary_search(&t) {
+                            union.insert(at, t);
+                        }
+                    }
                 }
-                _ => Vec::new(),
-            };
+            }
             words.push(PreparedWord {
                 raw: raw.clone(),
                 id,

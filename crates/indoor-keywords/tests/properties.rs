@@ -1,16 +1,17 @@
 //! Property-based tests of the keyword substrate: Jaccard similarity axioms,
-//! the candidate i-word set of Definition 4 (direct matches at similarity 1,
-//! indirect matches above the threshold τ, and the association walk equal to
-//! the vocabulary scan), and the keyword relevance of Definition 6 (range and
-//! monotonicity), on randomly generated keyword directories.
+//! `I2T` by word id against an ordered map, the candidate i-word set of
+//! Definition 4 (direct matches at similarity 1, indirect matches above the
+//! threshold τ, and the association walk equal to the vocabulary scan), and
+//! the keyword relevance of Definition 6 (range and monotonicity), on
+//! randomly generated keyword directories.
 
 use indoor_keywords::{
-    jaccard, CandidateSet, CoverageTracker, KeywordDirectory, PreparedQuery, QueryKeywords,
-    RelevanceModel, WordId, WordKind,
+    jaccard, CandidateSet, CoverageTracker, KeywordDirectory, KeywordMappings, PreparedQuery,
+    QueryKeywords, RelevanceModel, WordId, WordKind,
 };
 use indoor_space::PartitionId;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 // -------------------------------------------------------------------
 // Jaccard similarity
@@ -43,6 +44,86 @@ proptest! {
         if a.iter().all(|w| !b.contains(w)) {
             prop_assert_eq!(s, 0.0);
         }
+    }
+}
+
+// -------------------------------------------------------------------
+// I2T by word id
+// -------------------------------------------------------------------
+
+/// `I2T` of `mappings` against `reference`: the row of every word id up to
+/// `words`, and the rows in i-word order.
+fn i2t_matches(
+    mappings: &KeywordMappings,
+    reference: &BTreeMap<WordId, BTreeSet<WordId>>,
+    words: u32,
+) -> Result<(), TestCaseError> {
+    for w in (0..=words).map(WordId) {
+        let expected: Vec<WordId> = reference
+            .get(&w)
+            .map(|row| row.iter().copied().collect())
+            .unwrap_or_default();
+        prop_assert_eq!(mappings.i2t(w), expected.as_slice(), "i2t({})", w);
+    }
+    let expected: Vec<(WordId, Vec<WordId>)> = reference
+        .iter()
+        .map(|(w, row)| (*w, row.iter().copied().collect()))
+        .collect();
+    prop_assert_eq!(mappings.i2t_entries().len(), expected.len());
+    let entries: Vec<(WordId, Vec<WordId>)> = mappings
+        .i2t_entries()
+        .map(|(w, row)| (w, row.to_vec()))
+        .collect();
+    prop_assert_eq!(entries, expected);
+    Ok(())
+}
+
+/// `mappings` rebuilt from its own tables, as the columnar loader does.
+fn round_trip(mappings: &KeywordMappings) -> KeywordMappings {
+    KeywordMappings::from_sorted_parts(
+        mappings.p2i_entries().collect(),
+        mappings
+            .i2p_entries()
+            .map(|(w, list)| (w, list.to_vec()))
+            .collect(),
+        mappings
+            .i2t_entries()
+            .map(|(w, row)| (w, row.to_vec()))
+            .collect(),
+        mappings
+            .t2i_entries()
+            .map(|(w, row)| (w, row.to_vec()))
+            .collect(),
+    )
+    .expect("a mapping's own tables are consistent")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `I2T` keeps a row slot per word id: after every `associate` call,
+    /// and across a columnar round trip part-way through and at the end,
+    /// every word's row equals an ordered map's, and `i2t_entries` yields
+    /// the rows in i-word order whatever order the i-words came in.
+    #[test]
+    fn i2t_by_word_id_matches_a_reference_map(
+        pairs in proptest::collection::vec((0u32..48, 0u32..48), 0..64),
+        split in 0usize..64,
+    ) {
+        let mut mappings = KeywordMappings::new();
+        let mut reference: BTreeMap<WordId, BTreeSet<WordId>> = BTreeMap::new();
+        for (at, &(iword, tword)) in pairs.iter().enumerate() {
+            if at == split {
+                mappings = round_trip(&mappings);
+                i2t_matches(&mappings, &reference, 48)?;
+            }
+            mappings.associate(WordId(iword), WordId(tword));
+            reference.entry(WordId(iword)).or_default().insert(WordId(tword));
+            i2t_matches(&mappings, &reference, 48)?;
+        }
+        let back = round_trip(&mappings);
+        i2t_matches(&back, &reference, 48)?;
+        prop_assert_eq!(back.num_associations(), mappings.num_associations());
     }
 }
 

@@ -19,6 +19,16 @@ pub enum RouteItem {
     Door(DoorId),
 }
 
+/// Whether door `d` may follow the doors `doors` of a route: a door may
+/// re-appear only as the current tail, and only for its first repetition
+/// (no `d, d, d`).
+fn may_follow(doors: &[DoorId], d: DoorId) -> bool {
+    match doors.iter().rposition(|&x| x == d) {
+        None => true,
+        Some(pos) => pos + 1 == doors.len() && !(pos >= 1 && doors[pos - 1] == d),
+    }
+}
+
 /// Alias kept for readability at route ends.
 pub type RouteEnd = RouteItem;
 
@@ -77,6 +87,36 @@ impl Route {
             terminal: None,
             partitions: Vec::new(),
         }
+    }
+
+    /// The partial route from the point `start` through `doors`, each door
+    /// reached through the leg at the same position of `legs`: the route
+    /// [`Route::from_point`] and one [`Route::append_door`] per door build,
+    /// kept in the vectors given, so a caller that knows the route's length
+    /// allocates them once (with room in `legs` for the leg
+    /// [`Route::complete_with_point`] adds). Fails as `append_door` would.
+    pub fn from_point_through(
+        start: IndoorPoint,
+        doors: Vec<DoorId>,
+        legs: Vec<PartitionId>,
+    ) -> Result<Self> {
+        if doors.len() != legs.len() {
+            return Err(SpaceError::MalformedRoute(
+                "a route from a point needs one leg per door".into(),
+            ));
+        }
+        if let Some(i) = (0..doors.len()).find(|&i| !may_follow(&doors[..i], doors[i])) {
+            return Err(SpaceError::IrregularRoute(format!(
+                "door {} would re-appear non-consecutively",
+                doors[i]
+            )));
+        }
+        Ok(Route {
+            start: RouteItem::Point(start),
+            doors,
+            terminal: None,
+            partitions: legs,
+        })
     }
 
     /// The start item `xs`.
@@ -152,15 +192,7 @@ impl Route {
         {
             return false;
         }
-        match self.doors.iter().rposition(|&x| x == d) {
-            None => true,
-            Some(pos) => {
-                // Only allowed if d is the current tail and this is its first
-                // repetition (no d,d,d).
-                pos == self.doors.len() - 1
-                    && !(self.doors.len() >= 2 && self.doors[self.doors.len() - 2] == d)
-            }
-        }
+        may_follow(&self.doors, d)
     }
 
     /// Appends a door reached by traversing `via`. Fails when the route is
@@ -417,6 +449,16 @@ mod tests {
         // But a third consecutive occurrence is not.
         assert!(!r.can_append_door(DoorId(2)));
         assert!(r.is_regular());
+
+        // The same route built in its own lists, and the ones it rejects.
+        let ps = IndoorPoint::from_xy(0.0, 0.0, FloorId(0));
+        let legs = |n: u32| (0..n).map(PartitionId).collect::<Vec<_>>();
+        let built = Route::from_point_through(ps, r.doors().to_vec(), r.legs().to_vec());
+        assert_eq!(built.unwrap(), r);
+        let doors = |ids: &[u32]| ids.iter().copied().map(DoorId).collect::<Vec<_>>();
+        assert!(Route::from_point_through(ps, doors(&[1, 2, 1]), legs(3)).is_err());
+        assert!(Route::from_point_through(ps, doors(&[2, 2, 2]), legs(3)).is_err());
+        assert!(Route::from_point_through(ps, doors(&[1, 2]), legs(1)).is_err());
     }
 
     #[test]

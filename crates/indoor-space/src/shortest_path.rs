@@ -36,8 +36,10 @@
 //!   [`ShortestPaths::door_to_point_path_within`] are the bounded runs a
 //!   search makes: KoE's jumps, KoE*'s unrestricted runs and regularity
 //!   fallbacks, and the connect step. They take a test of the doors to
-//!   exclude, which the searches answer from their route marks. A bounded
-//!   run settles a
+//!   exclude, which the searches answer from their route marks, and the
+//!   doors they are run for: a run stops once it has popped every target
+//!   (KoE's jump doors, or the entry doors of `v(pt)`), having settled a
+//!   prefix of the untargeted run's pops. A bounded run settles a
 //!   small part of the venue, so it takes its `O(doors)` arrays, its queue
 //!   and its list of cut doors from a small per-thread pool of spent ones
 //!   and, when its result is dropped, resets only the entries it wrote and
@@ -322,6 +324,12 @@ impl<'a> ShortestPaths<'a> {
     /// `excluded(d)` (the source excepted). With a `terminal`, the run also cuts
     /// at the ellipse (see the module documentation), and the doors it
     /// settles are those of the uncut run whose bound passes the cut.
+    ///
+    /// With `targets` (sorted, distinct), the run also stops once it has
+    /// popped every one of them: it settles a prefix of the untargeted
+    /// run's pops, so each target that run settles gets the same distance
+    /// and path, and the doors popped after the last target read as
+    /// unreachable. Empty `targets` settle everything within the budget.
     pub fn from_door_within(
         &self,
         source: DoorId,
@@ -329,6 +337,7 @@ impl<'a> ShortestPaths<'a> {
         base: f64,
         limit: f64,
         terminal: Option<&IndoorPoint>,
+        targets: &[DoorId],
     ) -> DijkstraResult {
         let result = DijkstraResult::pooled(source, self.space.num_doors());
         self.run(
@@ -339,15 +348,15 @@ impl<'a> ShortestPaths<'a> {
                 limit,
                 terminal,
             },
-            &[],
+            targets,
         )
     }
 
     /// The Dijkstra loop. It stops at the first popped door with
-    /// `base + d > limit`, or once every door in `targets` (sorted, distinct)
-    /// has been popped, whichever comes first; a door the budget's terminal
-    /// cuts relaxes no edge. The doors it leaves unsettled or cuts read as
-    /// unreachable.
+    /// `base + d > limit`, or once every door in `targets` (sorted, distinct;
+    /// none when empty) has been popped, whichever comes first; a door the
+    /// budget's terminal cuts relaxes no edge. The doors it leaves unsettled
+    /// or cuts read as unreachable.
     fn run(
         &self,
         mut result: DijkstraResult,
@@ -487,14 +496,20 @@ impl<'a> ShortestPaths<'a> {
         doors: &mut Vec<DoorId>,
         partitions: &mut Vec<PartitionId>,
     ) -> Option<f64> {
+        // Every entry door of `v(pt)` reaches `pt` by the straight line, the
+        // `δd2pt` the space would find after locating `pt` again.
         let host = self.space.host_partition(pt).ok()?;
+        let doors_of = self.space.doors();
         let entries: Vec<(DoorId, f64)> = self
             .space
             .p2d_enter(host)
             .iter()
             .filter(|&&de| !excluded(de) || de == from)
-            .map(|&de| (de, self.space.d2pt_distance(de, pt)))
-            .filter(|(_, tail)| tail.is_finite())
+            .map(|&de| {
+                let tail = doors_of[de.index()].position.distance(&pt.position);
+                debug_assert_eq!(tail.to_bits(), self.space.d2pt_distance(de, pt).to_bits());
+                (de, tail)
+            })
             .collect();
         let mut targets: Vec<DoorId> = entries.iter().map(|&(de, _)| de).collect();
         targets.sort_unstable();

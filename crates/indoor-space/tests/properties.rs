@@ -448,7 +448,8 @@ proptest! {
             base + slack
         };
         let excluded_doors: Vec<DoorId> = excluded.iter().copied().collect();
-        let bounded = sp.from_door_within(source, |d| excluded_doors.contains(&d), base, limit, None);
+        let bounded =
+            sp.from_door_within(source, |d| excluded_doors.contains(&d), base, limit, None, &[]);
         prop_assert_eq!(bounded.source(), source);
         for &d in &doors {
             if base + full.distance(d) <= limit {
@@ -536,8 +537,10 @@ proptest! {
     /// A bounded run cut at the ellipse of `pt` settles every door `d` of
     /// the uncut bounded run with `base + dist(d) + |d, pt|_L <= limit`,
     /// with bit-identical distances and the same paths, and never reports
-    /// a distance the uncut run does not. Each run lists as settled exactly
-    /// the doors it gives a distance.
+    /// a distance the uncut run does not. A run told targets (cut or not)
+    /// gives every target its untargeted twin settles the same distance
+    /// bits and path, and settles no door the twin leaves unsettled. Each
+    /// run lists as settled exactly the doors it gives a distance.
     #[test]
     fn ellipse_cut_agrees_with_the_uncut_run_inside_the_ellipse(
         spec in arb_spec(),
@@ -548,6 +551,7 @@ proptest! {
         partition in 0usize..100,
         fx in 0.05f64..0.95,
         fy in 0.05f64..0.95,
+        targets in proptest::collection::vec(0usize..100, 0..6),
     ) {
         let (space, _) = build_venue(&spec);
         let n = space.num_doors();
@@ -556,8 +560,14 @@ proptest! {
         let excluded: Vec<DoorId> = excluded.iter().map(|&i| DoorId((i % n) as u32)).collect();
         let pt = point_in(&space, partition, fx, fy);
         let limit = base + slack;
-        let uncut = sp.from_door_within(source, |d| excluded.contains(&d), base, limit, None);
-        let cut = sp.from_door_within(source, |d| excluded.contains(&d), base, limit, Some(&pt));
+        let mut targets: Vec<DoorId> = targets.iter().map(|&i| DoorId((i % n) as u32)).collect();
+        targets.sort_unstable();
+        targets.dedup();
+        let within = |terminal: Option<&IndoorPoint>, targets: &[DoorId]| {
+            sp.from_door_within(source, |d| excluded.contains(&d), base, limit, terminal, targets)
+        };
+        let uncut = within(None, &[]);
+        let cut = within(Some(&pt), &[]);
         for d in (0..n).map(|i| DoorId(i as u32)) {
             let full = uncut.distance(d);
             if base + full + space.skeleton_point_to_door(&pt, d) <= limit {
@@ -567,7 +577,29 @@ proptest! {
                 prop_assert_eq!(cut.distance(d).to_bits(), full.to_bits(), "door {:?}", d);
             }
         }
-        for run in [&uncut, &cut] {
+        let (uncut_targeted, cut_targeted) = (within(None, &targets), within(Some(&pt), &targets));
+        for (whole, targeted) in [(&uncut, &uncut_targeted), (&cut, &cut_targeted)] {
+            for &d in &targets {
+                if whole.distance(d).is_finite() {
+                    prop_assert_eq!(
+                        targeted.distance(d).to_bits(),
+                        whole.distance(d).to_bits(),
+                        "target {:?}", d
+                    );
+                    prop_assert_eq!(targeted.path_to(d), whole.path_to(d));
+                }
+            }
+            for d in (0..n).map(|i| DoorId(i as u32)) {
+                if targeted.distance(d).is_finite() {
+                    prop_assert_eq!(
+                        targeted.distance(d).to_bits(),
+                        whole.distance(d).to_bits(),
+                        "door {:?}", d
+                    );
+                }
+            }
+        }
+        for run in [&uncut, &cut, &uncut_targeted, &cut_targeted] {
             let mut settled: Vec<DoorId> = run.settled().collect();
             settled.sort_unstable();
             settled.dedup();

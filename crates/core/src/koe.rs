@@ -114,24 +114,25 @@ impl<'a> Search<'a> {
     /// them. A stamp at a door first picks its jumps from `P`, then runs
     /// from its door until every jump's door is settled.
     pub(crate) fn koe_find(&mut self, stamp: &Stamp, children: &mut Vec<Stamp>) {
-        let initial = stamp.tail.is_none().then(|| {
-            let runs = self.initial_runs();
-            self.state.routing = self.routing_set(&runs);
-            KoeSource::FromPoint(runs)
-        });
         let mut jumps = std::mem::take(&mut self.state.jumps);
-        self.collect_jumps(stamp, &mut jumps);
         let mut targets = std::mem::take(&mut self.state.jump_targets);
         targets.clear();
-        let mut source = match (initial, stamp.tail) {
-            (Some(source), _) => source,
-            (None, tail) => {
+        let mut source = match stamp.tail {
+            None => {
+                let runs = self.initial_runs();
+                self.state.routing = self.routing_set(&runs);
+                self.collect_jumps(stamp, &mut jumps);
+                KoeSource::FromPoint(runs)
+            }
+            Some(dk) => {
+                self.collect_jumps(stamp, &mut jumps);
                 // The run's source is a target too: a stamp without jumps
                 // stops its run there.
-                targets.extend(jumps.iter().map(|&(_, dl)| dl).chain(tail));
+                targets.extend(jumps.iter().map(|&(_, dl)| dl));
+                targets.push(dk);
                 targets.sort_unstable();
                 targets.dedup();
-                self.door_source(stamp, &targets)
+                self.door_source(stamp, dk, &targets)
             }
         };
         // KoE* holds its unrestricted row on top of KoE's state while it
@@ -339,13 +340,12 @@ impl<'a> Search<'a> {
         per_door
     }
 
-    /// The run from the door of a stamp at a door, which stops once it has
-    /// popped every door of `targets` (the stamp's jump doors and its own
-    /// door, sorted and distinct): with the route's doors excluded, or,
-    /// for KoE*, without exclusions and with a lazy fallback.
-    fn door_source(&mut self, stamp: &Stamp, targets: &[DoorId]) -> KoeSource {
+    /// The run from `dk`, the door of a stamp at a door, which stops once
+    /// it has popped every door of `targets` (the stamp's jump doors and
+    /// `dk`, sorted and distinct): with the route's doors excluded, or, for
+    /// KoE*, without exclusions and with a lazy fallback.
+    fn door_source(&mut self, stamp: &Stamp, dk: DoorId, targets: &[DoorId]) -> KoeSource {
         let ctx = self.ctx;
-        let dk = stamp.tail.expect("a stamp at a door");
         let paths = ctx.space.shortest_paths();
         let terminal = self.ellipse_terminal();
         self.state.metrics.dijkstra_calls += 1;

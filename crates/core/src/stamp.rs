@@ -16,6 +16,7 @@
 
 use crate::classes::ClassId;
 use indoor_geom::OrderedF64;
+use indoor_space::route::can_append_door;
 use indoor_space::{DoorId, IndoorPoint, PartitionId, Route};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -124,16 +125,6 @@ impl RouteTree {
     /// Heap bytes of the nodes, for memory accounting.
     pub(crate) fn estimated_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<RouteNode>()
-    }
-}
-
-/// Whether a route from a point with doors `doors` may append door `d`, as
-/// [`Route::can_append_door`] decides (Principle of Regularity): a door may
-/// re-appear only immediately after itself, and only once.
-pub(crate) fn can_append_door(doors: &[DoorId], d: DoorId) -> bool {
-    match doors.iter().rposition(|&x| x == d) {
-        None => true,
-        Some(pos) => pos + 1 == doors.len() && !(pos >= 1 && doors[pos - 1] == d),
     }
 }
 

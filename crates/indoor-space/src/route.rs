@@ -19,10 +19,11 @@ pub enum RouteItem {
     Door(DoorId),
 }
 
-/// Whether door `d` may follow the doors `doors` of a route: a door may
+/// Whether a route from a point with doors `doors` may append door `d`, as
+/// [`Route::can_append_door`] decides (Principle of Regularity): a door may
 /// re-appear only as the current tail, and only for its first repetition
 /// (no `d, d, d`).
-fn may_follow(doors: &[DoorId], d: DoorId) -> bool {
+pub fn can_append_door(doors: &[DoorId], d: DoorId) -> bool {
     match doors.iter().rposition(|&x| x == d) {
         None => true,
         Some(pos) => pos + 1 == doors.len() && !(pos >= 1 && doors[pos - 1] == d),
@@ -105,7 +106,7 @@ impl Route {
                 "a route from a point needs one leg per door".into(),
             ));
         }
-        if let Some(i) = (0..doors.len()).find(|&i| !may_follow(&doors[..i], doors[i])) {
+        if let Some(i) = (0..doors.len()).find(|&i| !can_append_door(&doors[..i], doors[i])) {
             return Err(SpaceError::IrregularRoute(format!(
                 "door {} would re-appear non-consecutively",
                 doors[i]
@@ -192,7 +193,7 @@ impl Route {
         {
             return false;
         }
-        may_follow(&self.doors, d)
+        can_append_door(&self.doors, d)
     }
 
     /// Appends a door reached by traversing `via`. Fails when the route is

@@ -128,8 +128,7 @@ impl<'a> Search<'a> {
                 self.collect_jumps(stamp, &mut jumps);
                 // The run's source is a target too: a stamp without jumps
                 // stops its run there.
-                targets.extend(jumps.iter().map(|&(_, dl)| dl));
-                targets.push(dk);
+                targets.extend(jumps.iter().map(|&(_, dl)| dl).chain([dk]));
                 targets.sort_unstable();
                 targets.dedup();
                 self.door_source(stamp, dk, &targets)

@@ -26,9 +26,9 @@ use std::collections::BTreeMap;
 /// one slot per id: `P2I` a word per partition (partition ids are the
 /// space's dense indices), and `I2T` a 4-byte row index per word id up to
 /// the largest i-word with t-words. Most words are t-words (a synthetic
-/// mall has 11 472 words, 1 225 of them i-words), so the slots cost about
-/// 4 bytes per word more than a sorted key table of the i-words would,
-/// and the rows themselves are stored once. `I2P` and `T2I`, which no
+/// mall has about 11 500 words, 1 225 of them i-words), so the slots cost
+/// about 4 bytes per word more than a sorted key table of the i-words
+/// would, and the rows themselves are stored once. `I2P` and `T2I`, which no
 /// search reads per partition, stay ordered maps.
 #[derive(Debug, Clone, Default)]
 pub struct KeywordMappings {
@@ -194,6 +194,12 @@ impl KeywordMappings {
         check_rows("i2t", &i2t)?;
         check_rows("t2i", &t2i)?;
         check_transpose(&i2t, &t2i)?;
+        if i2t.len() >= NO_ROW as usize {
+            return Err(format!(
+                "i2t has {} rows, more than a slot can name",
+                i2t.len()
+            ));
+        }
         let mut p2i_slots = vec![None; p2i.last().map_or(0, |(v, _)| v.index() + 1)];
         for (v, w) in p2i {
             p2i_slots[v.index()] = Some(w);
@@ -248,7 +254,11 @@ impl KeywordMappings {
         }
         match self.i2t_slots[iword.index()] {
             NO_ROW => {
-                self.i2t_slots[iword.index()] = self.i2t_rows.len() as u32;
+                let at = u32::try_from(self.i2t_rows.len())
+                    .ok()
+                    .filter(|&at| at != NO_ROW)
+                    .expect("fewer than 2^32 - 1 i-words have t-words");
+                self.i2t_slots[iword.index()] = at;
                 self.i2t_rows.push(vec![tword]);
             }
             at => insert_sorted(&mut self.i2t_rows[at as usize], tword),

@@ -245,7 +245,6 @@ impl<'a> Search<'a> {
     /// the key partitions of the whole venue.
     fn routing_set(&mut self, runs: &[(f64, DijkstraResult)]) -> Vec<RoutingPartition> {
         let ctx = self.ctx;
-        let (start, terminal) = (&ctx.query.start, &ctx.query.terminal);
         let delta = ctx.delta();
         let prune = self.config.use_distance_pruning;
         // `v(pt)` is in `P` whether or not it is a key partition; scoring
@@ -253,7 +252,7 @@ impl<'a> Search<'a> {
         let mut routing = vec![RoutingPartition {
             partition: ctx.terminal_partition,
             row: self.partition_row(ctx.terminal_partition),
-            detour_bound: 0.0,
+            detour_bound: self.terminal_jump_bound(|di| ctx.start_to_door_lb(di)),
         }];
         if prune {
             for (_, run) in runs {
@@ -271,38 +270,36 @@ impl<'a> Search<'a> {
             }
         }
         routing.sort_unstable_by_key(|entry| entry.partition);
-
-        routing.retain_mut(|entry| {
-            let v = entry.partition;
-            entry.detour_bound = if v == ctx.terminal_partition {
-                self.terminal_jump_bound(|di| ctx.start_to_door_lb(di))
-            } else {
-                ctx.space.partition_detour_lower_bound(start, v, terminal)
-            };
-            if prune && entry.detour_bound > delta {
+        routing.retain(|entry| {
+            let pruned = prune && entry.detour_bound > delta;
+            if pruned {
                 self.state
                     .metrics
                     .prunes
                     .record(PruneRule::PartitionDistance);
-                return false;
             }
-            true
+            !pruned
         });
         routing
     }
 
     /// Scores partition `v` for the routing set the first time the search
-    /// meets it, and appends it when it is a key partition other than
-    /// `v(ps)`.
+    /// meets it, and appends it, with its Rule-3 bound, when it is a key
+    /// partition other than `v(ps)`.
     fn offer_partition(&mut self, v: PartitionId, routing: &mut Vec<RoutingPartition>) {
-        if self.state.scratch.partition_row(v).is_some() || v == self.ctx.start_partition {
+        let ctx = self.ctx;
+        if self.state.scratch.partition_row(v).is_some() || v == ctx.start_partition {
             return;
         }
         if let Some(row) = self.partition_row(v) {
             routing.push(RoutingPartition {
                 partition: v,
                 row: Some(row),
-                detour_bound: 0.0,
+                detour_bound: ctx.space.partition_detour_lower_bound(
+                    &ctx.query.start,
+                    v,
+                    &ctx.query.terminal,
+                ),
             });
         }
     }
